@@ -145,20 +145,19 @@ impl Reduction {
     /// inside the gate.
     pub(crate) fn combine_f64(&self, partial: f64) {
         match (&self.cell, self.op) {
+            // Each update is one atomic RMW. Under a record or replay gate
+            // the combine is already serialized, so the CAS never retries
+            // and the f64 additions happen in the order the recorded order
+            // dictates; a passthrough gate serializes nothing, and a plain
+            // load-then-store here would lose concurrent partials.
             (Cell::F64(c), ReduceOp::Sum) => {
-                // Inside the gate the combine is already serialized, so a
-                // plain read-modify-write preserves the *sequential* f64
-                // addition order that the recorded order dictates.
-                let cur = c.load(Ordering::Relaxed);
-                c.store(cur + partial, Ordering::Relaxed);
+                c.fetch_add(partial, Ordering::Relaxed);
             }
             (Cell::F64(c), ReduceOp::Max) => {
-                let cur = c.load(Ordering::Relaxed);
-                c.store(cur.max(partial), Ordering::Relaxed);
+                c.fetch_max(partial, Ordering::Relaxed);
             }
             (Cell::F64(c), ReduceOp::Min) => {
-                let cur = c.load(Ordering::Relaxed);
-                c.store(cur.min(partial), Ordering::Relaxed);
+                c.fetch_update(Ordering::Relaxed, |cur| cur.min(partial));
             }
             _ => panic!("combine_f64 on integer reduction"),
         }
@@ -234,6 +233,23 @@ mod tests {
         assert_eq!(mn.load(), 2.0);
         mn.reset();
         assert_eq!(mn.load(), f64::INFINITY);
+    }
+
+    #[test]
+    fn concurrent_f64_combines_lose_no_partial() {
+        // What a passthrough session does to a reduction: no gate orders
+        // the combines, so the update itself has to be atomic.
+        let red = Reduction::sum_f64("racing");
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        red.combine_f64(1.0);
+                    }
+                });
+            }
+        });
+        assert_eq!(red.load(), 40_000.0);
     }
 
     #[test]

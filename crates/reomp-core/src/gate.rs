@@ -83,8 +83,7 @@ pub(crate) fn record_in(session: &Session, dom: u32, tid: u32, kind: AccessKind)
     let drec = &rec.domains[dom as usize];
     let Some(ticket) = &drec.ticket else {
         drec.gate.lock();
-        session.stats.bump_lock();
-        session.stats.bump_domain_lock(dom);
+        session.thread_stats(tid).bump_lock();
         return RecordToken::Locked;
     };
     let multi = session.domains() > 1;
@@ -93,8 +92,7 @@ pub(crate) fn record_in(session: &Session, dom: u32, tid: u32, kind: AccessKind)
         // (the one lock→ticket order every two-protocol entrant uses, so
         // the two admission paths cannot deadlock against each other).
         drec.gate.lock();
-        session.stats.bump_lock();
-        session.stats.bump_domain_lock(dom);
+        session.thread_stats(tid).bump_lock();
         return RecordToken::LockedTicket(ticket.enter());
     }
     RecordToken::Ticket(ticket.enter())
@@ -114,6 +112,8 @@ pub(crate) fn record_out(
 ) {
     let rec = session.rec.as_ref().expect("record mode");
     let drec = &rec.domains[dom as usize];
+    let lane = &drec.lanes[tid as usize];
+    let stats = session.thread_stats(tid);
     let streaming = rec.stream.is_some();
     let multi = session.domains() > 1;
     // Release the admission `record_in` granted, in reverse acquisition
@@ -169,11 +169,11 @@ pub(crate) fn record_out(
     // pending edge as `(anchor seq, wait snapshot)`.
     let stamp_clocked = |clock: u64| -> Option<(u64, Vec<u64>)> {
         let counts = wants_edge.then(|| edge_counts(session)).flatten();
-        // ORDERING: `seqs[tid]` is only ever advanced by its owning thread
-        // (it is that thread's record count); cross-thread readers observe
-        // it through the `published` Release store below, so the RMW
-        // itself needs no ordering.
-        let seq = drec.seqs[tid as usize].fetch_add(1, Ordering::Relaxed);
+        // ORDERING: the lane's `seq` is only ever advanced by its owning
+        // thread (it is that thread's record count); cross-thread readers
+        // observe it through the `published` Release store below, so the
+        // RMW itself needs no ordering.
+        let seq = lane.seq.fetch_add(1, Ordering::Relaxed);
         // DE publish batching (`SessionConfig::publish_batch`): plain
         // accesses release the completion count once per full batch,
         // mirroring how the epoch tracker batches runs. Edge-anchored and
@@ -201,7 +201,7 @@ pub(crate) fn record_out(
             let core = unsafe { drec.gate.get() };
             let builder = core.st.as_mut().expect("st builder");
             builder.push(tid, site, kind);
-            session.stats.bump_record_written();
+            stats.bump_record_written();
             if multi {
                 // Snapshot (for the edge) strictly before self-publish.
                 let counts = wants_edge.then(|| edge_counts(session)).flatten();
@@ -232,7 +232,7 @@ pub(crate) fn record_out(
             });
             release();
             if let Some((tids, sites, kinds)) = stolen {
-                session.flush_st_records(dom, &tids, &sites, &kinds);
+                session.flush_st_records(dom, &tids, &sites, &kinds, tid);
             }
             drop(order_guard);
         }
@@ -252,17 +252,17 @@ pub(crate) fn record_out(
             release();
             // Line 24 happens *after* unlock: the write to the thread's own
             // record file overlaps other threads' region execution (§IV-C3).
-            drec.bufs[tid as usize].lock().push(RecEntry {
+            lane.buf.lock().push(RecEntry {
                 clock,
                 value: clock,
                 site: site.raw(),
                 kind: kind.code(),
             });
-            session.stats.bump_record_written();
+            stats.bump_record_written();
             if streaming {
                 // Only this thread appends to its buffer, so everything in
                 // it is stable (the DC floor stays at u64::MAX).
-                session.maybe_flush_thread(dom, tid);
+                session.maybe_flush_thread(dom, tid, tid);
             }
         }
         Scheme::De => {
@@ -293,7 +293,7 @@ pub(crate) fn record_out(
                     // branch) — the flush targets are derived from the same
                     // loop so a record can never be routed but not flushed.
                     for f in observed.iter() {
-                        push_de_record(session, drec, &f);
+                        push_de_record(stats, drec, &f);
                         if !touched.contains(&f.thread) {
                             touched.push(f.thread);
                         }
@@ -304,7 +304,7 @@ pub(crate) fn record_out(
                 }
                 release();
                 for t in touched {
-                    session.maybe_flush_thread(dom, t);
+                    session.maybe_flush_thread(dom, t, tid);
                 }
             } else {
                 let observed = {
@@ -324,7 +324,7 @@ pub(crate) fn record_out(
                 };
                 release();
                 for f in observed.iter() {
-                    push_de_record(session, drec, &f);
+                    push_de_record(stats, drec, &f);
                 }
             }
         }
@@ -334,22 +334,23 @@ pub(crate) fn record_out(
     }
 }
 
-/// Route one finalized DE record to its owner's buffer in the same domain
-/// and bump counters.
+/// Route one finalized DE record to its owner's lane in the same domain
+/// and count it in `stats` — the slot of the thread doing the routing,
+/// which for a deferred store is not the record's owner.
 fn push_de_record(
-    session: &Session,
+    stats: &crate::stats::Stats,
     drec: &crate::session::DomainRecord,
     f: &crate::epoch::Finalized,
 ) {
-    drec.bufs[f.thread as usize].lock().push(RecEntry {
+    drec.lanes[f.thread as usize].buf.lock().push(RecEntry {
         clock: f.clock,
         value: f.epoch,
         site: f.site.raw(),
         kind: f.kind.code(),
     });
-    session.stats.bump_record_written();
+    stats.bump_record_written();
     if f.epoch != f.clock && f.kind == AccessKind::Store {
-        session.stats.bump_deferred();
+        stats.bump_deferred();
     }
 }
 
@@ -369,7 +370,7 @@ pub(crate) fn replay_in(
 }
 
 /// Replay-mode `gate_out`.
-pub(crate) fn replay_out(session: &Session, dom: u32, _tid: u32) {
+pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
     let rep = session.rep.as_ref().expect("replay mode");
     let drep = &rep.domains[dom as usize];
     match session.scheme() {
@@ -378,7 +379,7 @@ pub(crate) fn replay_out(session: &Session, dom: u32, _tid: u32) {
             // stale match cannot re-admit this thread, then release the
             // baton — one inter-thread communication (ST-3/ST-4 in Fig. 6).
             drep.next_tid.store(TID_NONE, Ordering::Release);
-            session.stats.bump_comms(1);
+            session.thread_stats(tid).bump_comms(1);
             if session.domains() > 1 {
                 // Mirror the completion count so other domains'
                 // cross-domain edges can wait on this domain (not a paper
@@ -390,7 +391,7 @@ pub(crate) fn replay_out(session: &Session, dom: u32, _tid: u32) {
         Scheme::Dc | Scheme::De => {
             // Fig. 5 line 34: `next_clock++` — the single inter-thread
             // communication of DC/DE replay (DC-1 in Fig. 7).
-            drep.turnstile.advance(&session.stats);
+            drep.turnstile.advance(session.thread_stats(tid));
         }
     }
 }
@@ -405,6 +406,7 @@ fn replay_in_st(
     let rep = session.rep.as_ref().expect("replay mode");
     let drep = &rep.domains[dom as usize];
     let st = rep.bundle.st_stream(dom).expect("st trace");
+    let stats = session.thread_stats(tid);
     let mut spin = SpinWait::new(&session.cfg.spin);
 
     // Fig. 4 lines 10-15.
@@ -431,7 +433,7 @@ fn replay_in_st(
             // Line 11 exit: it is this thread's turn. Validate against the
             // published record before entering the region.
             if session.cfg.validate_sites && st.sites.is_some() {
-                session.stats.bump_validate();
+                stats.bump_validate();
                 // ORDERING: covered by the `next_tid` Acquire above
                 // (see the `st_pos` justification).
                 let recorded_site = SiteId(drep.next_site.load(Ordering::Relaxed));
@@ -465,7 +467,7 @@ fn replay_in_st(
         // Lines 12-13: any thread may become the reader by winning the
         // baton; it stays locked until the *replayed* thread's gate_out.
         if drep.baton.try_acquire() {
-            session.stats.bump_lock();
+            stats.bump_lock();
             // ORDERING: `st_pos` is only written while holding the baton;
             // winning `try_acquire` (Acquire CAS) synchronized with the
             // previous holder's Release, so this Relaxed load sees the
@@ -495,12 +497,12 @@ fn replay_in_st(
             // Publish last, with Release, so the matching thread sees the
             // site/kind written above.
             drep.next_tid.store(next_tid, Ordering::Release);
-            session.stats.bump_record_read();
+            stats.bump_record_read();
             if next_tid != tid {
                 // ST-2 in Fig. 6: `next_tid` must travel from the reader to
                 // the replayed thread — the second communication that DC
                 // replay does not pay (§IV-C2).
-                session.stats.bump_comms(1);
+                stats.bump_comms(1);
             }
             continue;
         }
@@ -520,6 +522,7 @@ fn replay_in_distributed(
     let rep = session.rep.as_ref().expect("replay mode");
     let drep = &rep.domains[dom as usize];
     let trace = rep.bundle.thread(dom, tid);
+    let stats = session.thread_stats(tid);
 
     // Fig. 5 line 31: read the next clock/epoch from the thread's own file
     // for this domain. The cursor is only advanced on *successful*
@@ -536,13 +539,13 @@ fn replay_in_distributed(
         });
     }
     let value = trace.values[pos];
-    session.stats.bump_record_read();
+    stats.bump_record_read();
 
     // Validate before waiting: a divergence is certain regardless of the
     // turnstile, and failing early avoids a guaranteed watchdog timeout.
     if session.cfg.validate_sites {
         if let (Some(recorded_site), recorded_kind) = (trace.site_at(pos), trace.kind_at(pos)) {
-            session.stats.bump_validate();
+            stats.bump_validate();
             if recorded_site != site || recorded_kind != Some(kind) {
                 return Err(Divergence {
                     thread: tid,
@@ -567,11 +570,11 @@ fn replay_in_distributed(
     match session.scheme() {
         Scheme::Dc => {
             drep.turnstile
-                .wait_exact(value, tid, site, &session.cfg.spin, &session.stats)?;
+                .wait_exact(value, tid, site, &session.cfg.spin, stats)?;
         }
         Scheme::De => {
             drep.turnstile
-                .wait_at_least(value, tid, site, &session.cfg.spin, &session.stats)?;
+                .wait_at_least(value, tid, site, &session.cfg.spin, stats)?;
         }
         Scheme::St => unreachable!("st handled separately"),
     }
@@ -917,10 +920,19 @@ mod tests {
             c0.gate(a, AccessKind::Store, || ());
             // Thread 1 passes a barrier, then stores in domain 1: the
             // store anchors an edge carrying the barrier-time snapshot.
+            assert!(!session.has_pending_sync(1));
             c1.sync_point();
+            assert!(session.has_pending_sync(1), "sync_point raises the flag");
+            assert!(!session.has_pending_sync(0), "only on its own thread");
+            c1.gate(b, AccessKind::Store, || ());
+            // The anchor took the snapshot and cleared the flag: the next
+            // store goes back to the lock-free path and stamps nothing.
+            assert!(!session.has_pending_sync(1), "flag cleared after take");
             c1.gate(b, AccessKind::Store, || ());
         }
-        let bundle = session.finish().unwrap().bundle.unwrap();
+        let report = session.finish().unwrap();
+        assert_eq!(report.stats.lock_acquires, 1, "only the anchor locked");
+        let bundle = report.bundle.unwrap();
         assert_eq!(bundle.edges.len(), 1, "{:?}", bundle.edges);
         let e = &bundle.edges[0];
         assert_eq!((e.domain, e.thread, e.seq), (1, 1, 0));

@@ -83,7 +83,7 @@ use crate::stats::{EpochHistogram, Stats, StatsSnapshot};
 use crate::store::{
     DirStore, IoReport, RecordOptions, RecordSink, StreamingTraceStore, TraceStore,
 };
-use crate::sync::{BatonLock, RawLocked, SpinConfig};
+use crate::sync::{BatonLock, CachePadded, RawLocked, SpinConfig, CACHE_LINE};
 use crate::trace::{CrossDomainEdge, DumpTrigger, StTrace, ThreadTrace, TraceBundle};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -309,8 +309,27 @@ impl StBuilder {
     }
 }
 
+/// One thread's record-side state in one gate domain — the thread's
+/// "own record file" of Fig. 3-(b), here one per thread *per domain*.
+/// Lives on cache lines of its own (`DomainRecord::lanes`), so the append
+/// that follows every gate stays on a line only this thread writes.
+#[derive(Default)]
+pub(crate) struct RecordLane {
+    /// Finalized records not yet flushed or assembled. A mutex because DE
+    /// routes a deferred store's record to its *owner's* lane from
+    /// whichever thread finalizes it.
+    pub buf: Mutex<Vec<RecEntry>>,
+    /// The thread's access count in this domain — the `seq` a
+    /// cross-domain edge anchors at. Bumped under the gate exclusion;
+    /// only maintained for multi-domain sessions.
+    pub seq: AtomicU64,
+}
+
 /// One gate domain's record-side state: its own lock + clock + tracker and
-/// its own set of per-thread buffers.
+/// its own set of per-thread lanes. Aligned to [`CACHE_LINE`] so the words
+/// every entrant of one domain writes (lock, ticket, `published`) never
+/// share a line with another domain's.
+#[repr(align(128))]
 pub(crate) struct DomainRecord {
     /// Gate lock + state; locked at `gate_in`, unlocked at `gate_out`.
     pub gate: RawLocked<RecCore>,
@@ -324,9 +343,8 @@ pub(crate) struct DomainRecord {
     /// excludes both. The RecCore hand-off then rides the ticket word's
     /// acquire/release pair, not the mutex.
     pub ticket: Option<TicketGate>,
-    /// Per-thread record buffers (Fig. 3-(b): one record file per thread —
-    /// here one per thread *per domain*).
-    pub bufs: Vec<Mutex<Vec<RecEntry>>>,
+    /// Per-thread lanes, indexed by `tid`.
+    pub lanes: Box<[CachePadded<RecordLane>]>,
     /// Number of accesses this domain has completed (mirrors the clock):
     /// written under the domain's gate exclusion (lock and/or served
     /// ticket), read lock-free by *other* domains' gates when they stamp
@@ -335,11 +353,12 @@ pub(crate) struct DomainRecord {
     /// [`SessionConfig::publish_batch`]); pause points re-sync it. Only
     /// maintained for multi-domain sessions.
     pub published: AtomicU64,
-    /// Per-thread access counters in this domain — the `seq` a
-    /// cross-domain edge anchors at. Bumped under the gate exclusion;
-    /// only maintained for multi-domain sessions.
-    pub seqs: Vec<AtomicU64>,
 }
+
+// `repr(align)` takes a literal; keep the two domain types in step with
+// the padding constant.
+const _: () = assert!(std::mem::align_of::<DomainRecord>() == CACHE_LINE);
+const _: () = assert!(std::mem::align_of::<DomainReplay>() == CACHE_LINE);
 
 impl DomainRecord {
     /// Out-of-band exclusive access to the gate core (`finish`, residue
@@ -367,16 +386,12 @@ impl DomainRecord {
 
 pub(crate) struct RecordState {
     /// Per-domain gate instances (length = configured domain count).
-    pub domains: Vec<DomainRecord>,
+    pub domains: Box<[DomainRecord]>,
     /// Attached streaming sink, when the session records incrementally.
     pub stream: Option<StreamState>,
     /// Cross-domain happens-before edges collected so far (multi-domain
     /// sessions only; appended outside the gate locks).
     pub edges: Mutex<Vec<CrossDomainEdge>>,
-    /// Per-thread pending barrier snapshots: set by
-    /// [`ThreadCtx::sync_point`], consumed by the thread's next gated
-    /// access, which becomes the edge anchor.
-    pub pending_sync: Vec<Mutex<Option<Vec<u64>>>>,
 }
 
 /// Streaming-record state: the sink plus the per-domain flush watermarks.
@@ -431,13 +446,16 @@ impl StreamState {
 pub(crate) const TID_NONE: u32 = u32::MAX;
 pub(crate) const TID_EXHAUSTED: u32 = u32::MAX - 1;
 
-/// One gate domain's replay-side state.
+/// One gate domain's replay-side state, aligned to [`CACHE_LINE`] like its
+/// record-side counterpart.
+#[repr(align(128))]
 pub(crate) struct DomainReplay {
     /// The `next_clock` turnstile (DC/DE) — also used as the abort flag
     /// for ST replay.
     pub turnstile: Turnstile,
-    /// Per-thread read positions into this domain's per-thread traces.
-    pub cursors: Vec<AtomicUsize>,
+    /// Per-thread read positions into this domain's per-thread traces,
+    /// indexed by `tid`, each on a line only its thread writes.
+    pub cursors: Box<[CachePadded<AtomicUsize>]>,
     /// ST: the baton lock `L` of Fig. 4.
     pub baton: BatonLock,
     /// ST: shared read position into this domain's record stream.
@@ -456,7 +474,7 @@ pub(crate) struct DomainReplay {
 pub(crate) struct ReplayState {
     pub bundle: TraceBundle,
     /// Per-domain replay gates (length = the bundle's domain count).
-    pub domains: Vec<DomainReplay>,
+    pub domains: Box<[DomainReplay]>,
     /// Edge waits keyed by anchor — `(domain, thread, seq)` for DC/DE,
     /// `(domain, 0, stream index)` for ST (see
     /// [`TraceBundle::edge_index`]).
@@ -472,6 +490,25 @@ struct FlightCtl {
     dumps: Mutex<Vec<(DumpTrigger, IoReport)>>,
 }
 
+/// One thread's session-side state: its counter slot and its pending
+/// barrier snapshot. Kept in a [`CachePadded`] so everything a gate of
+/// thread `tid` writes outside the gate domain is on lines only `tid`
+/// writes.
+#[derive(Default)]
+pub(crate) struct ThreadSlot {
+    /// The thread's counters (see [`crate::stats`] for the slot model).
+    pub stats: Stats,
+    /// Whether `sync_snapshot` holds an unconsumed snapshot. Set and
+    /// cleared only by the owning thread (from [`ThreadCtx::sync_point`]
+    /// and from its next gated access), so the record gates peek at it
+    /// instead of locking the snapshot on every access.
+    sync_pending: AtomicBool,
+    /// The pending barrier snapshot: set by [`ThreadCtx::sync_point`],
+    /// consumed by the thread's next gated access, which becomes the edge
+    /// anchor.
+    sync_snapshot: Mutex<Option<Vec<u64>>>,
+}
+
 /// A record or replay run.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -480,7 +517,9 @@ pub struct Session {
     mode: Mode,
     scheme: Scheme,
     nthreads: u32,
-    pub(crate) stats: Stats,
+    /// `slots[tid]` for thread `tid`'s gates, plus one last slot for the
+    /// session's own out-of-band work (`finish`, commit, dumps).
+    slots: Box<[CachePadded<ThreadSlot>]>,
     pub(crate) rec: Option<RecordState>,
     pub(crate) rep: Option<ReplayState>,
     /// Bounded-recording control (set only by [`Session::record_flight`]).
@@ -860,20 +899,18 @@ impl Session {
                             validate: cfg.validate_sites,
                         }),
                     }),
-                    bufs: (0..nthreads).map(|_| Mutex::new(Vec::new())).collect(),
+                    lanes: (0..nthreads).map(|_| CachePadded::default()).collect(),
                     published: AtomicU64::new(0),
-                    seqs: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
                 })
                 .collect(),
             stream: sink.map(|s| StreamState::new(s, scheme, domains)),
             edges: Mutex::new(Vec::new()),
-            pending_sync: (0..nthreads).map(|_| Mutex::new(None)).collect(),
         });
         let ring_capacity = cfg.ring_capacity;
         let rep = bundle.map(|bundle| ReplayState {
             domains: (0..domains)
                 .map(|dom| DomainReplay {
-                    cursors: (0..nthreads).map(|_| AtomicUsize::new(0)).collect(),
+                    cursors: (0..nthreads).map(|_| CachePadded::default()).collect(),
                     // Windowed (flight-recorder) bundles start each
                     // domain's completed-access count at the checkpointed
                     // base; full traces start at 0 as always.
@@ -890,7 +927,14 @@ impl Session {
             bundle,
         });
         Session {
-            stats: Stats::with_domains(domains),
+            slots: (0..=nthreads)
+                .map(|_| {
+                    CachePadded(ThreadSlot {
+                        stats: Stats::with_domains(domains),
+                        ..ThreadSlot::default()
+                    })
+                })
+                .collect(),
             cfg,
             mode,
             scheme,
@@ -952,10 +996,29 @@ impl Session {
         self.cfg.plan.as_ref()
     }
 
-    /// Live statistics snapshot.
+    /// Live statistics snapshot: the sum over every thread's slot and the
+    /// session's own. Callable while workers are gating; each counter is
+    /// then some value it held during the call, and successive calls
+    /// never go backwards.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        let mut total = StatsSnapshot::default();
+        for slot in self.slots.iter() {
+            total.absorb(&slot.stats.snapshot());
+        }
+        total
+    }
+
+    /// Thread `tid`'s counter slot — what its gates bump.
+    #[inline]
+    pub(crate) fn thread_stats(&self, tid: u32) -> &Stats {
+        &self.slots[tid as usize].stats
+    }
+
+    /// The session's own counter slot, for work no thread context owns
+    /// (`finish`, the streaming commit, flight dumps).
+    fn session_stats(&self) -> &Stats {
+        &self.slots[self.nthreads as usize].stats
     }
 
     /// Register the calling thread as `tid` (0-based, `< nthreads`).
@@ -1007,27 +1070,34 @@ impl Session {
         let Some(snap) = self.snapshot_domain_counts() else {
             return;
         };
-        if let Some(rec) = &self.rec {
-            // A newer snapshot dominates an unconsumed older one (counts
-            // are monotone), so plain replacement is the max-merge.
-            *rec.pending_sync[tid as usize].lock() = Some(snap);
-        }
+        let slot = &self.slots[tid as usize];
+        // A newer snapshot dominates an unconsumed older one (counts are
+        // monotone), so plain replacement is the max-merge.
+        *slot.sync_snapshot.lock() = Some(snap);
+        slot.sync_pending.store(true, Ordering::Release);
     }
 
     /// Whether `tid` has an unconsumed barrier snapshot. A routing peek
-    /// for the record fast path: only `tid` itself sets or takes its slot,
-    /// so the answer cannot change between `record_in` and `record_out`.
+    /// for the record fast path — one load of a flag on the thread's own
+    /// line, no lock: only `tid` itself sets or takes its snapshot, so the
+    /// answer cannot change between `record_in` and `record_out`.
+    #[inline]
     pub(crate) fn has_pending_sync(&self, tid: u32) -> bool {
-        self.rec
-            .as_ref()
-            .is_some_and(|rec| rec.pending_sync[tid as usize].lock().is_some())
+        self.slots[tid as usize]
+            .sync_pending
+            .load(Ordering::Acquire)
     }
 
-    /// Take `tid`'s pending barrier snapshot, if any.
+    /// Take `tid`'s pending barrier snapshot, if any. The snapshot's
+    /// mutex is only touched when the flag says there is one.
+    #[inline]
     pub(crate) fn take_pending_sync(&self, tid: u32) -> Option<Vec<u64>> {
-        self.rec
-            .as_ref()
-            .and_then(|rec| rec.pending_sync[tid as usize].lock().take())
+        if !self.has_pending_sync(tid) {
+            return None;
+        }
+        let slot = &self.slots[tid as usize];
+        slot.sync_pending.store(false, Ordering::Release);
+        slot.sync_snapshot.lock().take()
     }
 
     /// Append one cross-domain edge anchored at `(dom, tid, seq)` whose
@@ -1050,7 +1120,7 @@ impl Session {
                 seq,
                 waits,
             });
-            self.stats.bump_sync_edge();
+            self.thread_stats(tid).bump_sync_edge();
         }
     }
 
@@ -1072,14 +1142,15 @@ impl Session {
         let Some(waits) = rep.edges.get(&key) else {
             return Ok(());
         };
+        let stats = self.thread_stats(tid);
         for &(j, count) in waits {
-            self.stats.bump_edge_wait();
+            stats.bump_edge_wait();
             rep.domains[j as usize].turnstile.wait_at_least(
                 count,
                 tid,
                 site,
                 &self.cfg.spin,
-                &self.stats,
+                stats,
             )?;
         }
         Ok(())
@@ -1168,22 +1239,8 @@ impl Session {
                 if rec.stream.is_some() {
                     io = Some(self.commit_streaming().map_err(FinishError::Stream)?);
                 } else {
-                    // Flush every domain tracker's pending stores (trailing
-                    // stores get their own clock — always safe).
-                    for drec in &rec.domains {
-                        drec.pause(|core| {
-                            if let Some(tracker) = &mut core.tracker {
-                                for f in tracker.flush() {
-                                    drec.bufs[f.thread as usize].lock().push(RecEntry {
-                                        clock: f.clock,
-                                        value: f.epoch,
-                                        site: f.site.raw(),
-                                        kind: f.kind.code(),
-                                    });
-                                    self.stats.bump_record_written();
-                                }
-                            }
-                        });
+                    for drec in rec.domains.iter() {
+                        self.flush_pending_stores(drec);
                     }
                     bundle = Some(self.assemble_bundle());
                 }
@@ -1207,11 +1264,23 @@ impl Session {
             }
         }
 
+        let threads = &self.slots[..self.nthreads as usize];
+        let thread_stats: Vec<StatsSnapshot> =
+            threads.iter().map(|slot| slot.stats.snapshot()).collect();
+        let mut stats = self.session_stats().snapshot();
+        let mut domain_gates = self.session_stats().domain_gates();
+        for (slot, snapshot) in threads.iter().zip(&thread_stats) {
+            stats.absorb(snapshot);
+            for (total, n) in domain_gates.iter_mut().zip(slot.stats.domain_gates()) {
+                *total += n;
+            }
+        }
         Ok(SessionReport {
             scheme: self.scheme,
             mode: self.mode,
-            stats: self.stats.snapshot(),
-            domain_gates: self.stats.domain_gates(),
+            stats,
+            thread_stats,
+            domain_gates,
             bundle,
             io,
             fully_consumed,
@@ -1219,31 +1288,37 @@ impl Session {
         })
     }
 
+    /// Route a domain tracker's pending deferred stores to their owners'
+    /// lanes (trailing stores get their own clock — always safe) and
+    /// return the domain's clock. A no-op returning the clock for ST/DC.
+    fn flush_pending_stores(&self, drec: &DomainRecord) -> u64 {
+        drec.pause(|core| {
+            if let Some(tracker) = &mut core.tracker {
+                for f in tracker.flush() {
+                    drec.lanes[f.thread as usize].buf.lock().push(RecEntry {
+                        clock: f.clock,
+                        value: f.epoch,
+                        site: f.site.raw(),
+                        kind: f.kind.code(),
+                    });
+                    self.session_stats().bump_record_written();
+                }
+            }
+            core.clock
+        })
+    }
+
     /// Flush everything still buffered in the session into the attached
-    /// sink: the DE trackers' pending deferred stores (trailing stores get
-    /// their own clock — always safe), the shared ST builders, and the
-    /// per-thread buffers (sorted back to clock order). Returns DE's
-    /// per-domain clock floors (empty for ST/DC) — the epoch-floor
-    /// provenance a flight-recorder dump checkpoints.
+    /// sink: the DE trackers' pending deferred stores, the shared ST
+    /// builders, and the per-thread buffers (sorted back to clock order).
+    /// Returns DE's per-domain clock floors (empty for ST/DC) — the
+    /// epoch-floor provenance a flight-recorder dump checkpoints.
     fn flush_residues(&self) -> Result<Vec<u64>, TraceError> {
         let rec = self.rec.as_ref().expect("record state");
         let mut floors = Vec::new();
         for (dom, drec) in rec.domains.iter().enumerate() {
             let dom = dom as u32;
-            let clock = drec.pause(|core| {
-                if let Some(tracker) = &mut core.tracker {
-                    for f in tracker.flush() {
-                        drec.bufs[f.thread as usize].lock().push(RecEntry {
-                            clock: f.clock,
-                            value: f.epoch,
-                            site: f.site.raw(),
-                            kind: f.kind.code(),
-                        });
-                        self.stats.bump_record_written();
-                    }
-                }
-                core.clock
-            });
+            let clock = self.flush_pending_stores(drec);
             if self.scheme == Scheme::De {
                 floors.push(clock);
                 if self.cfg.domains > 1 {
@@ -1266,19 +1341,19 @@ impl Session {
                 });
                 if let Some((tids, sites, kinds)) = stolen {
                     if !tids.is_empty() {
-                        self.append_st_chunk(dom, &tids, &sites, &kinds)?;
+                        self.append_st_chunk(dom, &tids, &sites, &kinds, self.session_stats())?;
                     }
                 }
             }
             // Per-thread residues, sorted to restore program (clock) order
             // after DE deferrals.
             for tid in 0..self.nthreads {
-                let mut entries = std::mem::take(&mut *drec.bufs[tid as usize].lock());
+                let mut entries = std::mem::take(&mut *drec.lanes[tid as usize].buf.lock());
                 if entries.is_empty() {
                     continue;
                 }
                 entries.sort_unstable_by_key(|e| e.clock);
-                self.append_thread_chunk(dom, tid, &entries)?;
+                self.append_thread_chunk(dom, tid, &entries, self.session_stats())?;
             }
         }
         Ok(floors)
@@ -1315,16 +1390,18 @@ impl Session {
             .write()
             .take()
             .ok_or_else(|| TraceError::Corrupt("streaming sink already committed".into()))?;
-        sink.commit(self.stats.snapshot().records_written)
+        sink.commit(self.stats().records_written)
     }
 
     /// Encode `entries` as one chunk and append it to thread `tid`'s
-    /// stream in domain `dom`, updating the flush counters.
+    /// stream in domain `dom`, counting the flush in `stats` (the slot of
+    /// whoever does the flushing).
     fn append_thread_chunk(
         &self,
         dom: u32,
         tid: u32,
         entries: &[RecEntry],
+        stats: &Stats,
     ) -> Result<(), TraceError> {
         let rec = self.rec.as_ref().expect("record state");
         let stream = rec.stream.as_ref().expect("streaming state");
@@ -1338,8 +1415,8 @@ impl Session {
             .ok_or_else(|| TraceError::Corrupt("streaming sink already committed".into()))?;
         let bytes =
             sink.append_thread_chunk(dom, tid, &values, sites.as_deref(), kinds.as_deref())?;
-        self.stats.add_io_written(bytes);
-        self.stats.bump_chunk_flush();
+        stats.add_io_written(bytes);
+        stats.bump_chunk_flush();
         Ok(())
     }
 
@@ -1350,6 +1427,7 @@ impl Session {
         tids: &[u32],
         sites: &[u64],
         kinds: &[u8],
+        stats: &Stats,
     ) -> Result<(), TraceError> {
         let rec = self.rec.as_ref().expect("record state");
         let stream = rec.stream.as_ref().expect("streaming state");
@@ -1364,16 +1442,16 @@ impl Session {
             validate.then_some(sites),
             validate.then_some(kinds),
         )?;
-        self.stats.add_io_written(bytes);
-        self.stats.bump_chunk_flush();
+        stats.add_io_written(bytes);
+        stats.bump_chunk_flush();
         Ok(())
     }
 
-    /// Hot-path flush check: if thread `tid`'s buffer in domain `dom`
-    /// reached the flush threshold, persist its stable prefix (clocks
-    /// below the domain's watermark) as one chunk. Failures are latched
-    /// and surfaced at `finish`.
-    pub(crate) fn maybe_flush_thread(&self, dom: u32, tid: u32) {
+    /// Hot-path flush check, run by thread `by` after one of its gates: if
+    /// thread `tid`'s buffer in domain `dom` reached the flush threshold,
+    /// persist its stable prefix (clocks below the domain's watermark) as
+    /// one chunk. Failures are latched and surfaced at `finish`.
+    pub(crate) fn maybe_flush_thread(&self, dom: u32, tid: u32, by: u32) {
         let Some(rec) = self.rec.as_ref() else { return };
         let Some(stream) = rec.stream.as_ref() else {
             return;
@@ -1388,7 +1466,7 @@ impl Session {
         // Already clamped ≥ 1 in `Session::build`.
         let threshold = self.cfg.flush_records;
         let floor = stream.floors[dom as usize].load(Ordering::Acquire);
-        let mut buf = rec.domains[dom as usize].bufs[tid as usize].lock();
+        let mut buf = rec.domains[dom as usize].lanes[tid as usize].buf.lock();
         if buf.len() < threshold {
             return;
         }
@@ -1405,21 +1483,28 @@ impl Session {
         // may flush this buffer (deferred records are routed across
         // threads), and two drained batches must reach the file in the
         // order they were drained.
-        let result = self.append_thread_chunk(dom, tid, &stable);
+        let result = self.append_thread_chunk(dom, tid, &stable, self.thread_stats(by));
         drop(buf);
         if let Err(e) = result {
             stream.record_failure(e);
         }
     }
 
-    /// Hot-path ST flush: append a stolen prefix of a domain's shared
-    /// stream.
-    pub(crate) fn flush_st_records(&self, dom: u32, tids: &[u32], sites: &[u64], kinds: &[u8]) {
+    /// Hot-path ST flush: thread `by` appends the prefix it stole from a
+    /// domain's shared stream.
+    pub(crate) fn flush_st_records(
+        &self,
+        dom: u32,
+        tids: &[u32],
+        sites: &[u64],
+        kinds: &[u8],
+        by: u32,
+    ) {
         let Some(rec) = self.rec.as_ref() else { return };
         let Some(stream) = rec.stream.as_ref() else {
             return;
         };
-        if let Err(e) = self.append_st_chunk(dom, tids, sites, kinds) {
+        if let Err(e) = self.append_st_chunk(dom, tids, sites, kinds, self.thread_stats(by)) {
             stream.record_failure(e);
         }
     }
@@ -1438,7 +1523,7 @@ impl Session {
 
         let mut st = Vec::new();
         let mut threads = Vec::with_capacity(rec.domains.len() * self.nthreads as usize);
-        for drec in &rec.domains {
+        for drec in rec.domains.iter() {
             if self.scheme == Scheme::St {
                 let stream = drec.pause(|core| {
                     core.st.take().map(|b| StTrace {
@@ -1449,8 +1534,8 @@ impl Session {
                 });
                 st.push(stream.expect("st builder"));
             }
-            for buf in &drec.bufs {
-                let mut entries = std::mem::take(&mut *buf.lock());
+            for lane in drec.lanes.iter() {
+                let mut entries = std::mem::take(&mut *lane.buf.lock());
                 // DE deferral may append a record finalized by a later
                 // access after the owner's own later records; restore the
                 // thread's program order by clock.
@@ -1596,12 +1681,13 @@ impl ThreadCtx {
                 return Ok(f());
             }
         }
-        session.stats.bump_gate(kind);
+        let stats = session.thread_stats(self.tid);
+        stats.bump_gate(kind);
         match session.mode {
             Mode::Passthrough => Ok(f()),
             Mode::Record => {
                 let dom = session.domain_of(site);
-                session.stats.bump_domain_gate(dom);
+                stats.bump_domain_gate(dom);
                 let token = gate::record_in(session, dom, self.tid, kind);
                 let out = f();
                 gate::record_out(session, dom, self.tid, site, addr, kind, token);
@@ -1609,7 +1695,7 @@ impl ThreadCtx {
             }
             Mode::Replay => {
                 let dom = session.domain_of(site);
-                session.stats.bump_domain_gate(dom);
+                stats.bump_domain_gate(dom);
                 if let Err(e) = gate::replay_in(session, dom, self.tid, site, kind) {
                     session.fail(&e);
                     return Err(e);
@@ -1635,8 +1721,16 @@ pub struct SessionReport {
     pub scheme: Scheme,
     /// Mode of the run.
     pub mode: Mode,
-    /// Final statistics.
+    /// Final statistics: the sum of [`SessionReport::thread_stats`] and
+    /// the session's own out-of-band slot.
     pub stats: StatsSnapshot,
+    /// The same counters per thread (index = `tid`): what each thread's
+    /// own gates counted — its passages, the records it wrote or read,
+    /// the waits *it* sat through. What `finish`/commit/dumps did on no
+    /// thread's behalf (DE's trailing-store flush, the residue chunks) is
+    /// in `stats` only. This is the hook per-thread wait attribution
+    /// builds on.
+    pub thread_stats: Vec<StatsSnapshot>,
     /// Gate passages per gate domain (empty for single-domain sessions;
     /// for multi-domain record/replay runs it sums to `stats.gates` —
     /// passthrough gates never resolve a domain, so there the breakdown
@@ -1938,6 +2032,96 @@ mod tests {
         assert!(bundle.thread(0, 1).is_empty());
         assert!(bundle.thread(1, 0).is_empty());
         assert_eq!(bundle.thread(1, 1).values, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn hot_path_state_is_line_isolated() {
+        use std::mem::{align_of, size_of};
+        fn padded<T>(what: &str) {
+            assert_eq!(align_of::<T>() % CACHE_LINE, 0, "{what} alignment");
+            assert_eq!(size_of::<T>() % CACHE_LINE, 0, "{what} size");
+        }
+        padded::<CachePadded<ThreadSlot>>("thread slot");
+        padded::<DomainRecord>("DomainRecord");
+        padded::<DomainReplay>("DomainReplay");
+        padded::<CachePadded<RecordLane>>("record lane");
+        padded::<CachePadded<AtomicUsize>>("replay cursor");
+
+        // Neighbours in the actual containers are at least a line apart.
+        fn apart<T>(a: &T, b: &T) -> bool {
+            (a as *const T as usize).abs_diff(b as *const T as usize) >= CACHE_LINE
+        }
+        let cfg = SessionConfig {
+            domains: 2,
+            ..Default::default()
+        };
+        let s = Session::record_with(Scheme::Dc, 2, cfg);
+        assert_eq!(s.slots.len(), 3, "one slot per thread plus the session's");
+        assert!(apart(&s.slots[0], &s.slots[1]));
+        assert!(apart(&s.slots[1], &s.slots[2]));
+        let rec = s.rec.as_ref().unwrap();
+        assert!(apart(&rec.domains[0], &rec.domains[1]));
+        assert!(apart(&rec.domains[0].lanes[0], &rec.domains[0].lanes[1]));
+        // Thread 0's lane in domain 0 and thread 1's in domain 1 are
+        // separate heap allocations; their alignment keeps them apart.
+        assert!(apart(&rec.domains[0].lanes[0], &rec.domains[1].lanes[1]));
+        let c0 = s.register_thread(0);
+        c0.gate(SiteId(2), AccessKind::Store, || ());
+        drop(c0);
+        let replay = Session::replay(s.finish().unwrap().bundle.unwrap()).unwrap();
+        let rep = replay.rep.as_ref().unwrap();
+        assert!(apart(&rep.domains[0], &rep.domains[1]));
+        assert!(apart(
+            &rep.domains[0].cursors[0],
+            &rep.domains[0].cursors[1]
+        ));
+        assert!(apart(
+            &rep.domains[0].cursors[0],
+            &rep.domains[1].cursors[1]
+        ));
+    }
+
+    #[test]
+    fn reregistered_tid_accumulates_and_live_stats_are_monotone() {
+        const FIRST: u64 = 20_000;
+        const SECOND: u64 = 300;
+        let s = Session::record(Scheme::Dc, 2);
+        let region = |n: u64, watch: bool| {
+            std::thread::scope(|scope| {
+                for tid in 0..2u32 {
+                    let ctx = s.register_thread(tid);
+                    scope.spawn(move || {
+                        for _ in 0..n {
+                            ctx.gate(SiteId(u64::from(tid)), AccessKind::Load, || ());
+                        }
+                    });
+                }
+                if !watch {
+                    return;
+                }
+                // Poll while the workers gate; the loop ends when their
+                // last gate is visible, so it overlaps them by construction.
+                let mut last = s.stats();
+                while last.gates < 2 * n || last.records_written < 2 * n {
+                    let now = s.stats();
+                    assert!(now.gates >= last.gates, "{} < {}", now.gates, last.gates);
+                    assert!(now.records_written >= last.records_written);
+                    assert!(now.gates_of(AccessKind::Load) >= last.gates_of(AccessKind::Load));
+                    last = now;
+                }
+            });
+        };
+        region(FIRST, true);
+        // A second parallel region re-registers both tids on new OS threads:
+        // the counts land in the same slots.
+        region(SECOND, false);
+        let report = s.finish().unwrap();
+        assert_eq!(report.thread_stats.len(), 2);
+        for t in &report.thread_stats {
+            assert_eq!(t.gates, FIRST + SECOND);
+            assert_eq!(t.records_written, FIRST + SECOND);
+        }
+        assert_eq!(report.stats.gates, 2 * (FIRST + SECOND));
     }
 
     #[test]

@@ -6,22 +6,54 @@
 //! 1 for DC/DE), waits and spin iterations, and trace I/O volume.
 //! [`EpochHistogram`] reproduces the Fig. 20 analysis (number of occurrences
 //! of each epoch size and the fraction of epochs with size > 1).
+//!
+//! # Slots: who writes which counter block
+//!
+//! The paper's argument for DC/DE is that a gated access touches
+//! thread-local state, so the bookkeeping must not put a shared word back
+//! on that path. A [`Stats`] is therefore one *slot*, and a session holds
+//! `nthreads + 1` of them, each on cache lines of its own:
+//!
+//! * `slot[tid]` is written by thread `tid`'s gates only — `try_gate_at`,
+//!   the record/replay gate engines, the edge waits and the streaming
+//!   flushes a gate triggers all bump the slot of the thread that runs
+//!   them;
+//! * the last slot belongs to the session: `finish`, the streaming
+//!   commit and flight-recorder dumps — everything that has no thread
+//!   context — count there.
+//!
+//! [`Session::stats`](crate::Session::stats) and
+//! [`SessionReport::stats`](crate::SessionReport) are the sum over the
+//! slots ([`StatsSnapshot::absorb`]);
+//! [`SessionReport::thread_stats`](crate::SessionReport) is the per-thread
+//! breakdown.
+//!
+//! The counters stay atomics, bumped with relaxed RMWs, although each slot
+//! has one writer in a well-formed run: `Session::stats()` reads them while
+//! the workers are still gating, a `tid` may be registered again in a later
+//! parallel region (on another OS thread), and nothing stops a caller from
+//! driving two contexts of one `tid` at once — all of which plain cells
+//! would turn into lost updates or data races. An uncontended RMW on a line
+//! the thread already owns is the cheap case; the expensive one, the
+//! cross-core line transfer, is what the slots remove.
 
 // ORDERING(file): every atomic in this module is a monotonic diagnostic
 // counter. Counters are bumped with relaxed RMWs (atomicity is all they
-// need — nothing is published through them) and read by `snapshot` after
-// the run's threads have been joined, which is the synchronization edge.
+// need — nothing is published through them) and read by `snapshot` either
+// live, where any interleaving of monotone counts is an acceptable answer,
+// or after the run's threads have been joined, which is the
+// synchronization edge that makes the final report exact.
 use crate::site::AccessKind;
+use crate::sync::CachePadded;
 use crate::trace::TraceBundle;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by all gates of a session. All methods are cheap
-/// relaxed atomics; snapshot with [`Stats::snapshot`].
+/// One slot of live counters (see the module docs for the slot model). All
+/// methods are cheap relaxed atomics; snapshot with [`Stats::snapshot`].
 #[derive(Debug, Default)]
 pub struct Stats {
-    gates: AtomicU64,
     gates_by_kind: [AtomicU64; 7],
     lock_acquires: AtomicU64,
     comms: AtomicU64,
@@ -38,11 +70,19 @@ pub struct Stats {
     sync_edges: AtomicU64,
     edge_waits: AtomicU64,
     /// Gate passages per gate domain (empty for single-domain sessions —
-    /// there the breakdown is just `gates`).
-    domain_gates: Vec<AtomicU64>,
-    /// Gate-lock acquisitions per gate domain.
-    domain_locks: Vec<AtomicU64>,
+    /// there the breakdown is just `gates`), dense in line-aligned blocks
+    /// of [`DOMAINS_PER_BLOCK`]. One thread writes the whole slice, so the
+    /// entries need no padding from each other; but the slice is a heap
+    /// allocation of its own, and unaligned it could share its first or
+    /// last line with another slot's.
+    domain_gates: Box<[CachePadded<[AtomicU64; DOMAINS_PER_BLOCK]>]>,
+    /// How many entries of `domain_gates` are in use.
+    domains: usize,
 }
+
+/// Per-domain counters in one [`CachePadded`] block — as many `u64`s as
+/// fit in it.
+const DOMAINS_PER_BLOCK: usize = crate::sync::CACHE_LINE / 8;
 
 impl Stats {
     /// Fresh zeroed counters.
@@ -52,23 +92,24 @@ impl Stats {
     }
 
     /// Fresh counters that additionally keep a per-domain breakdown of
-    /// gate passages and lock acquisitions for `domains` gate domains.
-    /// With `domains <= 1` the breakdown is omitted (it would equal the
-    /// totals).
+    /// gate passages for `domains` gate domains. With `domains <= 1` the
+    /// breakdown is omitted (it would equal the total).
     #[must_use]
     pub fn with_domains(domains: u32) -> Self {
         let n = if domains > 1 { domains as usize } else { 0 };
         Stats {
-            domain_gates: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            domain_locks: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            domain_gates: (0..n.div_ceil(DOMAINS_PER_BLOCK))
+                .map(|_| CachePadded::default())
+                .collect(),
+            domains: n,
             ..Stats::default()
         }
     }
 
-    /// Count one gate passage of the given kind.
+    /// Count one gate passage of the given kind. The total is derived:
+    /// [`StatsSnapshot::gates`] is the sum over the kinds.
     #[inline]
     pub fn bump_gate(&self, kind: AccessKind) {
-        self.gates.fetch_add(1, Ordering::Relaxed);
         self.gates_by_kind[kind.code() as usize].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -82,36 +123,23 @@ impl Stats {
     /// were created with [`Stats::with_domains`]).
     #[inline]
     pub fn bump_domain_gate(&self, dom: u32) {
-        if let Some(c) = self.domain_gates.get(dom as usize) {
-            c.fetch_add(1, Ordering::Relaxed);
+        let d = dom as usize;
+        if d < self.domains {
+            self.domain_gates[d / DOMAINS_PER_BLOCK][d % DOMAINS_PER_BLOCK]
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Count one gate-lock acquisition in gate domain `dom`.
-    #[inline]
-    pub fn bump_domain_lock(&self, dom: u32) {
-        if let Some(c) = self.domain_locks.get(dom as usize) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-domain gate-passage counts (empty for single-domain sessions).
-    /// For multi-domain record/replay sessions the vector sums to `gates`;
-    /// passthrough gates are counted only in the total.
+    /// Per-domain gate-passage counts of this slot (empty for
+    /// single-domain sessions). Summed over a multi-domain record/replay
+    /// session's slots the vector sums to `gates`; passthrough gates are
+    /// counted only in the total.
     #[must_use]
     pub fn domain_gates(&self) -> Vec<u64> {
         self.domain_gates
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-domain gate-lock acquisition counts (empty for single-domain
-    /// sessions).
-    #[must_use]
-    pub fn domain_locks(&self) -> Vec<u64> {
-        self.domain_locks
-            .iter()
+            .flat_map(|block| block.iter())
+            .take(self.domains)
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }
@@ -204,7 +232,7 @@ impl Stats {
             *dst = src.load(Ordering::Relaxed);
         }
         StatsSnapshot {
-            gates: self.gates.load(Ordering::Relaxed),
+            gates: by_kind.iter().sum(),
             gates_by_kind: by_kind,
             lock_acquires: self.lock_acquires.load(Ordering::Relaxed),
             comms: self.comms.load(Ordering::Relaxed),
@@ -224,7 +252,7 @@ impl Stats {
     }
 }
 
-/// Immutable copy of a session's [`Stats`].
+/// Immutable copy of one [`Stats`] slot, or the sum of several.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Total gate passages.
@@ -262,6 +290,48 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Add every counter of `other` to `self` — how the per-thread slots
+    /// fold into a session total.
+    pub fn absorb(&mut self, other: &StatsSnapshot) {
+        // Destructured so a new counter cannot be left out of the sum.
+        let StatsSnapshot {
+            gates,
+            gates_by_kind,
+            lock_acquires,
+            comms,
+            waits,
+            spin_iters,
+            records_written,
+            records_read,
+            deferred_finalizations,
+            chunk_flushes,
+            io_bytes_written,
+            io_bytes_read,
+            io_files,
+            validate_checks,
+            sync_edges,
+            edge_waits,
+        } = other;
+        self.gates += gates;
+        for (dst, src) in self.gates_by_kind.iter_mut().zip(gates_by_kind) {
+            *dst += src;
+        }
+        self.lock_acquires += lock_acquires;
+        self.comms += comms;
+        self.waits += waits;
+        self.spin_iters += spin_iters;
+        self.records_written += records_written;
+        self.records_read += records_read;
+        self.deferred_finalizations += deferred_finalizations;
+        self.chunk_flushes += chunk_flushes;
+        self.io_bytes_written += io_bytes_written;
+        self.io_bytes_read += io_bytes_read;
+        self.io_files += io_files;
+        self.validate_checks += validate_checks;
+        self.sync_edges += sync_edges;
+        self.edge_waits += edge_waits;
+    }
+
     /// Gate count for one kind.
     #[must_use]
     pub fn gates_of(&self, kind: AccessKind) -> u64 {
@@ -480,6 +550,25 @@ mod tests {
     }
 
     #[test]
+    fn absorb_sums_every_counter() {
+        let (a, b) = (Stats::new(), Stats::new());
+        a.bump_gate(AccessKind::Load);
+        a.bump_record_written();
+        b.bump_gate(AccessKind::Load);
+        b.bump_gate(AccessKind::Store);
+        b.bump_comms(2);
+        b.add_spin_iters(7);
+        let mut total = a.snapshot();
+        total.absorb(&b.snapshot());
+        assert_eq!(total.gates, 3, "the derived total sums like the kinds");
+        assert_eq!(total.gates_of(AccessKind::Load), 2);
+        assert_eq!(total.gates_of(AccessKind::Store), 1);
+        assert_eq!(total.records_written, 1);
+        assert_eq!(total.comms, 2);
+        assert_eq!(total.spin_iters, 7);
+    }
+
+    #[test]
     fn histogram_matches_table_v_example() {
         // Table V epochs: {0,0,0}, {3,3}, {5}, {6} spread over 3 threads.
         let b = bundle_with_values(vec![vec![0, 3, 6], vec![0, 3], vec![0, 5]]);
@@ -503,14 +592,21 @@ mod tests {
         s.bump_domain_gate(0);
         s.bump_domain_gate(2);
         s.bump_domain_gate(2);
-        s.bump_domain_lock(1);
         s.bump_domain_gate(99); // out of range: ignored, not a panic
         assert_eq!(s.domain_gates(), vec![1, 0, 2]);
-        assert_eq!(s.domain_locks(), vec![0, 1, 0]);
         // Single-domain stats keep no breakdown.
         let s = Stats::with_domains(1);
         s.bump_domain_gate(0);
         assert!(s.domain_gates().is_empty());
+        // More domains than one block holds.
+        let n = DOMAINS_PER_BLOCK as u32 + 2;
+        let s = Stats::with_domains(n);
+        s.bump_domain_gate(n - 1);
+        s.bump_domain_gate(n); // one past the end, inside the last block
+        let got = s.domain_gates();
+        assert_eq!(got.len(), n as usize);
+        assert_eq!(got.iter().sum::<u64>(), 1);
+        assert_eq!(got[n as usize - 1], 1);
     }
 
     #[test]

@@ -97,6 +97,32 @@ impl BatonLock {
     }
 }
 
+/// Bytes every [`CachePadded`] value is aligned and padded to: two 64-byte
+/// lines, because x86's adjacent-line prefetcher pulls lines in pairs and
+/// some aarch64 parts have 128-byte lines outright.
+pub(crate) const CACHE_LINE: usize = 128;
+
+/// `T` on cache lines of its own: aligned to and padded out to
+/// [`CACHE_LINE`] bytes, so that neighbouring elements of a `Vec` (or
+/// neighbouring heap allocations) written by different threads never
+/// share a line. The gate hot path keeps every word it writes in one of
+/// these, owned by the writing thread or by the domain it is in.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(pub T);
+
+// `repr(align)` takes a literal; keep it and the constant in step.
+const _: () = assert!(std::mem::align_of::<CachePadded<u8>>() == CACHE_LINE);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Spin-wait policy for replay gates.
 ///
 /// Replay waits (`while (tid != next_tid)` / `while (clock != next_clock)`)

@@ -4,7 +4,6 @@ use crate::mailbox::Mailbox;
 use crate::message::{f64s_to_bytes, u64s_to_bytes, Envelope, MpiError, ANY_SOURCE};
 use crate::session::{recv_site, waitany_site, MpiSession};
 use reomp_core::{AccessKind, ThreadCtx};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -35,7 +34,6 @@ impl World {
         );
         let mailboxes: Arc<Vec<Mailbox>> = Arc::new((0..nranks).map(|_| Mailbox::new()).collect());
         let barrier = Arc::new(Barrier::new(nranks as usize));
-        let stats = Arc::new(WorldStats::default());
 
         let mut results: Vec<Option<R>> = (0..nranks).map(|_| None).collect();
         std::thread::scope(|s| {
@@ -44,7 +42,6 @@ impl World {
                     let mailboxes = Arc::clone(&mailboxes);
                     let barrier = Arc::clone(&barrier);
                     let session = Arc::clone(&session);
-                    let stats = Arc::clone(&stats);
                     let f = &f;
                     s.spawn(move || {
                         let mut ctx = RankCtx {
@@ -53,7 +50,6 @@ impl World {
                             mailboxes,
                             barrier,
                             session,
-                            stats,
                             recv_timeout: Duration::from_secs(30),
                         };
                         f(&mut ctx)
@@ -72,19 +68,6 @@ impl World {
             .map(|r| r.expect("rank finished"))
             .collect()
     }
-}
-
-/// Aggregate messaging statistics for a world run.
-#[derive(Debug, Default)]
-pub struct WorldStats {
-    /// Messages sent.
-    pub sends: AtomicU64,
-    /// Messages received.
-    pub recvs: AtomicU64,
-    /// Wildcard (`ANY_SOURCE`) receives.
-    pub wildcard_recvs: AtomicU64,
-    /// Payload bytes moved.
-    pub bytes: AtomicU64,
 }
 
 /// A pending non-blocking operation (`MPI_Request`).
@@ -127,7 +110,6 @@ pub struct RankCtx {
     mailboxes: Arc<Vec<Mailbox>>,
     barrier: Arc<Barrier>,
     session: Arc<MpiSession>,
-    stats: Arc<WorldStats>,
     recv_timeout: Duration,
 }
 
@@ -149,12 +131,6 @@ impl RankCtx {
         self.recv_timeout = t;
     }
 
-    /// Shared statistics.
-    #[must_use]
-    pub fn stats(&self) -> &WorldStats {
-        &self.stats
-    }
-
     /// Send `payload` to `dst` with `tag` (`MPI_Send`; buffered,
     /// non-blocking in this in-process world).
     pub fn send(&self, dst: u32, tag: u32, payload: &[u8]) -> Result<(), MpiError> {
@@ -162,10 +138,6 @@ impl RankCtx {
             .mailboxes
             .get(dst as usize)
             .ok_or(MpiError::InvalidRank(dst))?;
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
         mb.push(Envelope {
             src: self.rank,
             tag,
@@ -219,9 +191,7 @@ impl RankCtx {
 
     fn recv_ungated(&self, src: u32, tag: u32) -> Result<Envelope, MpiError> {
         let mb = &self.mailboxes[self.rank as usize];
-        self.stats.recvs.fetch_add(1, Ordering::Relaxed);
         if src == ANY_SOURCE {
-            self.stats.wildcard_recvs.fetch_add(1, Ordering::Relaxed);
             // The stream is chosen by the *requested* (src, tag) — known
             // identically in record and replay before any match is made.
             let dom = self.session.domain_of(recv_site(self.rank, src, tag));
@@ -480,6 +450,7 @@ impl std::fmt::Debug for RankCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn passthrough(n: u32) -> Arc<MpiSession> {
         Arc::new(MpiSession::passthrough(n))
