@@ -27,11 +27,17 @@
 //!   `X_C = 0` for the final store of a run (`x5` gets epoch 5, not 3).
 //!
 //! Whether a store is "final" depends on the **next** access, which has not
-//! happened yet when the store is recorded. We therefore finalize store
-//! epochs with *one-access deferral*: the store's record is held pending
-//! inside the tracker (all of this runs under the gate lock, so there is no
-//! race) and is emitted when the next access — or the session flush —
-//! reveals whether the run continued.
+//! happened yet when the store is recorded. The tracker therefore answers
+//! in two steps. [`EpochTracker::observe`] returns the value the gating
+//! thread appends to *its own* record lane right away — a load's run
+//! epoch, and for a store its own clock, which is what the store ends up
+//! with unless it turns out to be a non-first, non-final member of a store
+//! run. The store stays *pending* inside the tracker (all of this runs
+//! under the gate exclusion, so there is no race), and only when the next
+//! access proves it was such a member does the tracker emit a [`Fixup`]
+//! `(thread, clock → run start)`, which the gate posts to the owner's
+//! mailbox; the owner rewrites the one entry before it flushes. A store
+//! still pending at the end of the run already carries its final value.
 //!
 //! # Run-boundary policies and replay safety
 //!
@@ -64,7 +70,6 @@
 //! admissible — and yields strictly larger epochs, so it is offered as an
 //! opt-in relaxation and an ablation point.
 
-use crate::history::{AccessRecord, HistoryRing};
 use crate::site::{AccessKind, SiteId};
 use std::collections::HashMap;
 
@@ -104,109 +109,93 @@ impl EpochPolicy {
     }
 }
 
-/// A fully determined trace record: the access at `clock` is to be written
-/// to thread `thread`'s record file with value `epoch`.
+/// A correction to a store record its owner already wrote: the store at
+/// `clock` in thread `thread`'s record file carries `epoch`, not its own
+/// clock (Table V's `x4`: a store followed by another same-site store,
+/// and not the first of its run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Finalized {
-    /// Owning thread (whose per-thread record file receives this entry).
+pub struct Fixup {
+    /// Owning thread (whose record file holds the entry).
     pub thread: u32,
-    /// Global clock assigned to the access.
+    /// Global clock of the store being corrected.
     pub clock: u64,
-    /// Recorded epoch (`clock − X_C`).
+    /// Its final epoch: the start of its run, `< clock`.
     pub epoch: u64,
-    /// Site of the access.
-    pub site: SiteId,
-    /// Kind of the access.
-    pub kind: AccessKind,
-}
-
-impl Finalized {
-    /// The `X_C` value implied by this record (Table V column 2).
-    #[must_use]
-    pub fn xc(&self) -> u64 {
-        self.clock - self.epoch
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Run {
-    addr: u64,
     kind: AccessKind,
     start: u64,
 }
 
+/// A store whose successor has not been seen yet.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     thread: u32,
     clock: u64,
-    site: SiteId,
     run_start: u64,
 }
 
-/// Streaming epoch assigner. One per session; all calls happen under the
-/// session's gate lock, in clock order.
+impl Pending {
+    /// Resolve against the next access on the address: only a store that
+    /// is followed by a run-mate *and* is not the run's first keeps the
+    /// run epoch; every other outcome is the provisional `epoch == clock`.
+    fn resolve(self, joins: bool) -> Option<Fixup> {
+        (joins && self.run_start != self.clock).then_some(Fixup {
+            thread: self.thread,
+            clock: self.clock,
+            epoch: self.run_start,
+        })
+    }
+}
+
+/// Streaming epoch assigner. One per gate domain; all calls happen under
+/// the domain's gate exclusion, in clock order.
 #[derive(Debug)]
 pub struct EpochTracker {
     policy: EpochPolicy,
-    ring: HistoryRing,
-    /// Contiguous-policy state: the single current run and pending store.
-    cur: Option<Run>,
+    /// Contiguous-policy state: the single current run (with its address)
+    /// and pending store.
+    cur: Option<(u64, Run)>,
     pending: Option<Pending>,
     /// PerAddress-policy state.
     addr_runs: HashMap<u64, Run>,
     addr_pending: HashMap<u64, Pending>,
-    deferred: u64,
 }
 
-/// Result of observing one access: zero, one, or two records become final.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// Result of observing one access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observed {
-    /// A previously pending store finalized by this access (may belong to a
-    /// different thread).
-    pub prior: Option<Finalized>,
-    /// The current access, if it finalized immediately (loads and all
-    /// non-eligible kinds do; stores go pending).
-    pub current: Option<Finalized>,
-}
-
-impl Observed {
-    /// Iterate over the finalized records in clock order.
-    pub fn iter(&self) -> impl Iterator<Item = Finalized> {
-        self.prior.into_iter().chain(self.current)
-    }
+    /// What the access's own record carries: the run epoch for a load,
+    /// the access's clock for every other kind (for a store provisionally
+    /// — see [`Observed::fixup`]).
+    pub value: u64,
+    /// Set when this access proves that an earlier pending store (possibly
+    /// another thread's) keeps its run's epoch instead of its own clock.
+    pub fixup: Option<Fixup>,
 }
 
 impl EpochTracker {
-    /// New tracker with the given policy and history-ring capacity.
+    /// New tracker with the given policy. The second argument was the
+    /// capacity of a record-side audit ring nothing read; it is ignored
+    /// and kept only so existing callers compile.
     #[must_use]
-    pub fn new(policy: EpochPolicy, ring_capacity: usize) -> Self {
+    pub fn new(policy: EpochPolicy, _ring_capacity: usize) -> Self {
         EpochTracker {
             policy,
-            ring: HistoryRing::new(ring_capacity),
             cur: None,
             pending: None,
             addr_runs: HashMap::new(),
             addr_pending: HashMap::new(),
-            deferred: 0,
         }
     }
 
-    /// Number of store records that were finalized by a *later* access.
-    #[must_use]
-    pub fn deferred_count(&self) -> u64 {
-        self.deferred
-    }
-
-    /// Read-only view of the access-history ring (diagnostics).
-    #[must_use]
-    pub fn history(&self) -> &HistoryRing {
-        &self.ring
-    }
-
-    /// Smallest clock of any record still pending inside the tracker, or
-    /// `None` when every observed access has been finalized. Streaming
-    /// recorders use this as the flush watermark: records with clocks below
-    /// it are complete in their owners' buffers and safe to persist.
+    /// Smallest clock of any store still pending inside the tracker, or
+    /// `None` when no observed access can still receive a [`Fixup`].
+    /// Streaming recorders use this as the flush watermark: records with
+    /// clocks below it are final in their owners' lanes once the fix-ups
+    /// posted so far are applied.
     #[must_use]
     pub fn min_pending_clock(&self) -> Option<u64> {
         let contiguous = self.pending.map(|p| p.clock);
@@ -217,234 +206,127 @@ impl EpochTracker {
         }
     }
 
-    /// Observe the access with the given (already assigned) clock and
-    /// compute finalized records. Must be called in strictly increasing
-    /// clock order. `addr` identifies the memory location (Condition 1 is
-    /// per-address); gates without a distinct address pass the site hash.
+    /// Observe the access with the given (already assigned) clock. Must be
+    /// called in strictly increasing clock order. `addr` identifies the
+    /// memory location (Condition 1 is per-address); gates without a
+    /// distinct address pass the site hash. `site` is accepted for the
+    /// callers that have it at hand; grouping is by `addr` alone.
     pub fn observe(
         &mut self,
         thread: u32,
-        site: SiteId,
+        _site: SiteId,
         addr: u64,
         kind: AccessKind,
         clock: u64,
     ) -> Observed {
-        let out = match self.policy {
-            EpochPolicy::Contiguous => self.observe_contiguous(thread, site, addr, kind, clock),
-            EpochPolicy::PerAddress => self.observe_per_address(thread, site, addr, kind, clock),
-        };
-        self.ring.push(AccessRecord {
-            clock,
-            site,
-            kind,
-            thread,
-        });
-        out
-    }
-
-    fn observe_contiguous(
-        &mut self,
-        thread: u32,
-        site: SiteId,
-        addr: u64,
-        kind: AccessKind,
-        clock: u64,
-    ) -> Observed {
-        let joins = matches!(
-            self.cur,
-            Some(r) if r.addr == addr && r.kind == kind && kind.is_epoch_eligible()
-        );
-
-        // Finalize a pending store (the previous access of the current
-        // store-run). If the run continues (another same-site store), the
-        // pending store keeps the run epoch; otherwise condition (ii) is
-        // violated at the boundary and it is serialized at its own clock —
-        // Table V's "we set X_C to 0 when a store is followed by a load".
-        let prior = self.pending.take().map(|p| {
-            let epoch = if joins { p.run_start } else { p.clock };
-            if epoch != p.clock {
-                self.deferred += 1;
+        let eligible = kind.is_epoch_eligible();
+        // The pending store this access resolves, whether the access
+        // continues its run, and the run the access itself belongs to.
+        let (prior, joins, run_start) = match self.policy {
+            EpochPolicy::Contiguous => {
+                let joined = self
+                    .cur
+                    .filter(|&(a, r)| a == addr && r.kind == kind && eligible);
+                if joined.is_none() {
+                    self.cur = eligible.then_some((addr, Run { kind, start: clock }));
+                }
+                // Any access ends the deferral of the one pending store:
+                // a different site or kind breaks the run (condition (ii)
+                // is violated at the boundary — Table V's "we set X_C to 0
+                // when a store is followed by a load").
+                let start = joined.map_or(clock, |(_, r)| r.start);
+                (self.pending.take(), joined.is_some(), start)
             }
-            Finalized {
-                thread: p.thread,
-                clock: p.clock,
-                epoch,
-                site: p.site,
-                kind: AccessKind::Store,
+            EpochPolicy::PerAddress => {
+                let joined = self
+                    .addr_runs
+                    .get(&addr)
+                    .copied()
+                    .filter(|r| r.kind == kind && eligible);
+                if joined.is_none() {
+                    if eligible {
+                        self.addr_runs.insert(addr, Run { kind, start: clock });
+                    } else {
+                        self.addr_runs.remove(&addr);
+                    }
+                }
+                // Only a pending store *on this address* is affected;
+                // pending stores on other addresses stay pending.
+                let start = joined.map_or(clock, |r| r.start);
+                (self.addr_pending.remove(&addr), joined.is_some(), start)
             }
-        });
-
-        let run_start = if joins {
-            self.cur.expect("joins implies current run").start
-        } else {
-            self.cur = kind.is_epoch_eligible().then_some(Run {
-                addr,
-                kind,
-                start: clock,
-            });
-            clock
         };
-
-        let current = match kind {
-            AccessKind::Load => Some(Finalized {
+        if kind == AccessKind::Store {
+            let pending = Pending {
                 thread,
                 clock,
-                epoch: run_start,
-                site,
-                kind,
-            }),
-            AccessKind::Store => {
-                self.pending = Some(Pending {
-                    thread,
-                    clock,
-                    site,
-                    run_start,
-                });
-                None
+                run_start,
+            };
+            match self.policy {
+                EpochPolicy::Contiguous => self.pending = Some(pending),
+                EpochPolicy::PerAddress => {
+                    self.addr_pending.insert(addr, pending);
+                }
             }
-            // Non-eligible kinds serialize: epoch == clock, and the run is
-            // already broken above (`cur` reset to None).
-            _ => Some(Finalized {
-                thread,
-                clock,
-                epoch: clock,
-                site,
-                kind,
-            }),
-        };
-
-        Observed { prior, current }
-    }
-
-    fn observe_per_address(
-        &mut self,
-        thread: u32,
-        site: SiteId,
-        addr: u64,
-        kind: AccessKind,
-        clock: u64,
-    ) -> Observed {
-        let joins = matches!(
-            self.addr_runs.get(&addr),
-            Some(r) if r.kind == kind && kind.is_epoch_eligible()
-        );
-
-        // Only a pending store *on this address* can be affected by this
-        // access; pending stores on other addresses stay pending.
-        let prior = self.addr_pending.remove(&addr).map(|p| {
-            let epoch = if joins { p.run_start } else { p.clock };
-            if epoch != p.clock {
-                self.deferred += 1;
-            }
-            Finalized {
-                thread: p.thread,
-                clock: p.clock,
-                epoch,
-                site: p.site,
-                kind: AccessKind::Store,
-            }
-        });
-
-        let run_start = if joins {
-            self.addr_runs.get(&addr).expect("joins implies run").start
-        } else {
-            if kind.is_epoch_eligible() {
-                self.addr_runs.insert(
-                    addr,
-                    Run {
-                        addr,
-                        kind,
-                        start: clock,
-                    },
-                );
-            } else {
-                self.addr_runs.remove(&addr);
-            }
-            clock
-        };
-
-        let current = match kind {
-            AccessKind::Load => Some(Finalized {
-                thread,
-                clock,
-                epoch: run_start,
-                site,
-                kind,
-            }),
-            AccessKind::Store => {
-                self.addr_pending.insert(
-                    addr,
-                    Pending {
-                        thread,
-                        clock,
-                        site,
-                        run_start,
-                    },
-                );
-                None
-            }
-            _ => Some(Finalized {
-                thread,
-                clock,
-                epoch: clock,
-                site,
-                kind,
-            }),
-        };
-
-        Observed { prior, current }
-    }
-
-    /// Finalize all still-pending stores at end of recording. A trailing
-    /// store has no successor, so grouping it is never justified: it gets
-    /// its own clock (serialized), which is always safe.
-    pub fn flush(&mut self) -> Vec<Finalized> {
-        let mut out: Vec<Finalized> = Vec::new();
-        if let Some(p) = self.pending.take() {
-            out.push(Finalized {
-                thread: p.thread,
-                clock: p.clock,
-                epoch: p.clock,
-                site: p.site,
-                kind: AccessKind::Store,
-            });
         }
-        out.extend(self.addr_pending.drain().map(|(_, p)| Finalized {
-            thread: p.thread,
-            clock: p.clock,
-            epoch: p.clock,
-            site: p.site,
-            kind: AccessKind::Store,
-        }));
+        Observed {
+            // Non-eligible kinds serialize (their run was reset above, so
+            // `run_start == clock`); a store's own clock is provisional.
+            value: if kind == AccessKind::Load {
+                run_start
+            } else {
+                clock
+            },
+            fixup: prior.and_then(|p| p.resolve(joins)),
+        }
+    }
+
+    /// Forget all run state (end of recording, or a mid-run flight dump).
+    /// A store still pending has no successor, so grouping it is never
+    /// justified: it keeps its own clock — the value its owner already
+    /// wrote — and no later access can post a fix-up for it.
+    pub fn flush(&mut self) {
         self.cur = None;
+        self.pending = None;
         self.addr_runs.clear();
-        out.sort_by_key(|f| f.clock);
-        out
+        self.addr_pending.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::{AccessRecord, HistoryRing};
 
     const X: SiteId = SiteId(0xaaaa);
     const Y: SiteId = SiteId(0xbbbb);
 
     /// Drive a tracker over `(thread, site, kind)` accesses with clocks
-    /// 0,1,2,… and return finalized records sorted by clock. The site hash
-    /// doubles as the address, like plain `ThreadCtx::gate`.
-    fn run(policy: EpochPolicy, seq: &[(u32, SiteId, AccessKind)]) -> Vec<Finalized> {
+    /// 0,1,2,… and return every access's final epoch, indexed by clock —
+    /// assembled the way a session does it: the observed value first, a
+    /// later fix-up rewriting it. The site hash doubles as the address,
+    /// like plain `ThreadCtx::gate`.
+    fn run(policy: EpochPolicy, seq: &[(u32, SiteId, AccessKind)]) -> Vec<u64> {
         let mut t = EpochTracker::new(policy, 64);
-        let mut out = Vec::new();
+        let mut epochs: Vec<u64> = Vec::new();
         for (clock, &(thread, site, kind)) in seq.iter().enumerate() {
-            out.extend(
-                t.observe(thread, site, site.raw(), kind, clock as u64)
-                    .iter(),
-            );
+            let obs = t.observe(thread, site, site.raw(), kind, clock as u64);
+            if let Some(f) = obs.fixup {
+                let (owner, _, fixed_kind) = seq[f.clock as usize];
+                assert_eq!(f.thread, owner, "fix-up addressed to the store's owner");
+                assert_eq!(fixed_kind, AccessKind::Store, "only stores are fixed up");
+                assert!(f.epoch < f.clock, "a fix-up always lowers: {f:?}");
+                assert_eq!(
+                    epochs[f.clock as usize], f.clock,
+                    "{f:?} hits a provisional value"
+                );
+                epochs[f.clock as usize] = f.epoch;
+            }
+            epochs.push(obs.value);
         }
-        out.extend(t.flush());
-        out.sort_by_key(|f| f.clock);
-        out
+        t.flush();
+        assert_eq!(t.min_pending_clock(), None);
+        epochs
     }
 
     #[test]
@@ -460,32 +342,40 @@ mod tests {
             (3, X, Store),
             (1, X, Load),
         ];
-        let got = run(EpochPolicy::Contiguous, &seq);
-        let epochs: Vec<u64> = got.iter().map(|f| f.epoch).collect();
+        let epochs = run(EpochPolicy::Contiguous, &seq);
         assert_eq!(epochs, vec![0, 0, 0, 3, 3, 5, 6], "Table V column (3)");
-        let xcs: Vec<u64> = got.iter().map(|f| f.xc()).collect();
+        let xcs: Vec<u64> = (0u64..).zip(&epochs).map(|(c, e)| c - e).collect();
         assert_eq!(xcs, vec![0, 1, 2, 0, 1, 0, 0], "Table V column (2)");
         // Same address, so PerSite agrees.
-        let got_pa = run(EpochPolicy::PerAddress, &seq);
-        assert_eq!(got, got_pa);
+        assert_eq!(run(EpochPolicy::PerAddress, &seq), epochs);
     }
 
     #[test]
-    fn every_access_is_finalized_exactly_once() {
+    fn only_a_non_first_non_final_run_store_is_fixed_up() {
         use AccessKind::{Load, Store};
-        let seq: Vec<(u32, SiteId, AccessKind)> = (0..100)
-            .map(|i| {
-                let kind = if i % 3 == 0 { Store } else { Load };
-                let site = if i % 7 < 4 { X } else { Y };
-                (i as u32 % 4, site, kind)
-            })
-            .collect();
-        for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
-            let got = run(policy, &seq);
-            assert_eq!(got.len(), seq.len(), "{policy:?}");
-            let clocks: Vec<u64> = got.iter().map(|f| f.clock).collect();
-            assert_eq!(clocks, (0..100).collect::<Vec<u64>>(), "{policy:?}");
+        // Table V's stores: x3 (first of the run) and x5 (final) keep
+        // their provisional clocks; x4 alone needs a fix-up, and it is
+        // x5 — another thread's access — that emits it.
+        let mut t = EpochTracker::new(EpochPolicy::Contiguous, 0);
+        let mut fixups = Vec::new();
+        for (clock, (thread, kind)) in [(1, Store), (2, Store), (3, Store), (1, Load)]
+            .into_iter()
+            .enumerate()
+        {
+            let obs = t.observe(thread, X, X.raw(), kind, 3 + clock as u64);
+            fixups.extend(obs.fixup.map(|f| (3 + clock as u64, f)));
         }
+        assert_eq!(
+            fixups,
+            vec![(
+                5,
+                Fixup {
+                    thread: 2,
+                    clock: 4,
+                    epoch: 3
+                }
+            )]
+        );
     }
 
     #[test]
@@ -498,8 +388,8 @@ mod tests {
             })
             .collect();
         for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
-            for f in run(policy, &seq) {
-                assert!(f.epoch <= f.clock, "{policy:?}: {f:?}");
+            for (clock, epoch) in (0u64..).zip(run(policy, &seq)) {
+                assert!(epoch <= clock, "{policy:?}: epoch {epoch} at clock {clock}");
             }
         }
     }
@@ -519,14 +409,10 @@ mod tests {
             (1, X, Load),
         ];
         let got = run(EpochPolicy::Contiguous, &seq);
-        for w in got.windows(2) {
-            assert!(
-                w[0].epoch <= w[1].epoch,
-                "monotonicity violated: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
-        }
+        assert!(
+            got.windows(2).all(|w| w[0] <= w[1]),
+            "not monotone: {got:?}"
+        );
     }
 
     #[test]
@@ -535,40 +421,43 @@ mod tests {
         // X-load, Y-load, X-load: PerAddress groups the two X loads (epoch 0),
         // Contiguous does not (second X load starts a new run at clock 2).
         let seq = [(0, X, Load), (1, Y, Load), (2, X, Load)];
-        let contiguous = run(EpochPolicy::Contiguous, &seq);
-        let per_addr = run(EpochPolicy::PerAddress, &seq);
-        assert_eq!(
-            contiguous.iter().map(|f| f.epoch).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(
-            per_addr.iter().map(|f| f.epoch).collect::<Vec<_>>(),
-            vec![0, 1, 0]
-        );
+        assert_eq!(run(EpochPolicy::Contiguous, &seq), vec![0, 1, 2]);
+        assert_eq!(run(EpochPolicy::PerAddress, &seq), vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn per_address_fixups_may_arrive_out_of_clock_order() {
+        use AccessKind::Store;
+        // Two interleaved store runs: Y's middle store (clock 3) is fixed
+        // up before X's (clock 2) — a lane cannot assume its mailbox is
+        // sorted by target clock.
+        let seq = [
+            (0, X, Store),
+            (0, Y, Store),
+            (0, X, Store),
+            (0, Y, Store),
+            (1, Y, Store),
+            (1, X, Store),
+        ];
+        assert_eq!(run(EpochPolicy::PerAddress, &seq), vec![0, 1, 0, 1, 4, 5]);
     }
 
     #[test]
     fn store_run_interrupted_by_other_address_is_serialized_under_contiguous() {
         use AccessKind::{Load, Store};
         let seq = [(0, X, Store), (1, Y, Load), (2, X, Store)];
-        let got = run(EpochPolicy::Contiguous, &seq);
-        // First X store is finalized at its own clock (run broken by Y).
-        assert_eq!(got[0].epoch, 0);
-        // Trailing X store flushed at its own clock.
-        assert_eq!(got[2].epoch, 2);
+        // The first X store keeps its own clock (run broken by Y), and so
+        // does the trailing one.
+        assert_eq!(run(EpochPolicy::Contiguous, &seq), vec![0, 1, 2]);
     }
 
     #[test]
-    fn trailing_store_flushes_at_own_clock() {
+    fn trailing_store_keeps_its_own_clock() {
         use AccessKind::Store;
         let seq = [(0, X, Store), (1, X, Store), (2, X, Store)];
         for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
-            let got = run(policy, &seq);
-            // First two share the run epoch; the last is flushed serialized.
-            assert_eq!(
-                got.iter().map(|f| f.epoch).collect::<Vec<_>>(),
-                vec![0, 0, 2]
-            );
+            // First two share the run epoch; the last has no successor.
+            assert_eq!(run(policy, &seq), vec![0, 0, 2]);
         }
     }
 
@@ -576,16 +465,9 @@ mod tests {
     fn ineligible_kinds_serialize_and_break_runs() {
         use AccessKind::{Critical, Load};
         let seq = [(0, X, Load), (1, X, Critical), (2, X, Load)];
-        let got = run(EpochPolicy::Contiguous, &seq);
-        assert_eq!(
-            got.iter().map(|f| f.epoch).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        let got = run(EpochPolicy::PerAddress, &seq);
-        assert_eq!(
-            got.iter().map(|f| f.epoch).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
+        for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
+            assert_eq!(run(policy, &seq), vec![0, 1, 2]);
+        }
     }
 
     #[test]
@@ -593,21 +475,8 @@ mod tests {
         use AccessKind::Load;
         let seq: Vec<_> = (0..50u32).map(|t| (t, X, Load)).collect();
         for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
-            let got = run(policy, &seq);
-            assert!(got.iter().all(|f| f.epoch == 0), "{policy:?}");
+            assert!(run(policy, &seq).iter().all(|&e| e == 0), "{policy:?}");
         }
-    }
-
-    #[test]
-    fn deferred_counter_counts_grouped_stores() {
-        use AccessKind::Store;
-        let mut t = EpochTracker::new(EpochPolicy::Contiguous, 16);
-        t.observe(0, X, X.raw(), Store, 0);
-        t.observe(1, X, X.raw(), Store, 1); // finalizes store@0: epoch == clock for the first
-        t.observe(2, X, X.raw(), Store, 2); // finalizes store@1 with epoch 0 (deferred group)
-        t.flush();
-        // store@0: epoch 0 == clock 0, not counted; store@1: epoch 0 != 1.
-        assert_eq!(t.deferred_count(), 1);
     }
 
     #[test]
@@ -618,19 +487,18 @@ mod tests {
         // is exact for loads).
         let mut t = EpochTracker::new(EpochPolicy::Contiguous, 128);
         let mut audit = HistoryRing::new(128);
-        let mut finals: Vec<Finalized> = Vec::new();
         let pattern = [Load, Load, Store, Store, Store, Load, Store, Load, Load];
         let mut clock = 0u64;
         for _ in 0..6 {
             for &kind in &pattern {
+                let xc = audit.lookup_xc(X, kind).expect("ring long enough");
+                let obs = t.observe(0, X, X.raw(), kind, clock);
                 if kind == Load {
-                    let xc = audit.lookup_xc(X, kind).expect("ring long enough");
-                    let obs = t.observe(0, X, X.raw(), kind, clock);
-                    let cur = obs.current.expect("loads finalize immediately");
-                    assert_eq!(cur.epoch, clock - xc, "load at clock {clock}");
-                    finals.extend(obs.iter());
-                } else {
-                    finals.extend(t.observe(0, X, X.raw(), kind, clock).iter());
+                    assert_eq!(obs.value, clock - xc, "load at clock {clock}");
+                } else if let Some(f) = obs.fixup {
+                    // The store before this one was neither first nor last
+                    // of its run: its backward-looking X_C stands.
+                    assert_eq!((f.clock, f.epoch), (clock - 1, clock - xc));
                 }
                 audit.push(AccessRecord {
                     clock,
@@ -641,8 +509,6 @@ mod tests {
                 clock += 1;
             }
         }
-        finals.extend(t.flush());
-        assert_eq!(finals.len() as u64, clock);
     }
 
     #[test]
@@ -651,11 +517,11 @@ mod tests {
         let mut t = EpochTracker::new(EpochPolicy::Contiguous, 16);
         assert_eq!(t.min_pending_clock(), None);
         t.observe(0, X, X.raw(), Load, 0);
-        assert_eq!(t.min_pending_clock(), None, "loads finalize immediately");
+        assert_eq!(t.min_pending_clock(), None, "loads are final at once");
         t.observe(0, X, X.raw(), Store, 1);
         assert_eq!(t.min_pending_clock(), Some(1), "store goes pending");
         t.observe(1, X, X.raw(), Store, 2);
-        assert_eq!(t.min_pending_clock(), Some(2), "previous store finalized");
+        assert_eq!(t.min_pending_clock(), Some(2), "previous store resolved");
         t.flush();
         assert_eq!(t.min_pending_clock(), None);
 
@@ -664,7 +530,7 @@ mod tests {
         t.observe(0, X, X.raw(), Store, 0);
         t.observe(1, Y, Y.raw(), Store, 1);
         assert_eq!(t.min_pending_clock(), Some(0));
-        t.observe(0, X, X.raw(), Load, 2); // finalizes the X store
+        t.observe(0, X, X.raw(), Load, 2); // resolves the X store
         assert_eq!(t.min_pending_clock(), Some(1));
     }
 

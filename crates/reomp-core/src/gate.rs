@@ -21,13 +21,14 @@
 //! DC  (Fig. 5 l.20-24, X=0):   enter; <region>; clock=global_clock++;
 //!                              exit; write clock to own file
 //! DE  (Fig. 5 l.20-24, X=X_C): enter; <region>; clock=global_clock++;
-//!                              epoch=clock-X_C (store epochs deferred one
-//!                              access); exit; route finalized records to
-//!                              their owners' buffers
+//!                              epoch=clock-X_C (a store provisionally gets
+//!                              its clock; if this access proves the
+//!                              previous store wrong, post a fix-up to
+//!                              its owner); exit; write epoch to own file
 //! ```
 //!
 //! The two admission protocols compose seqlock-style: slow-path accesses
-//! (ST, critical sections, cross-domain edge anchors, streaming DE) and
+//! (ST, critical sections, cross-domain edge anchors) and
 //! out-of-band pausers take the raw lock **and** a ghost ticket, so they
 //! exclude lock-free entrants too; a `RecordToken` carries which protocol
 //! a gate entered through from `record_in` to its `record_out`.
@@ -57,8 +58,8 @@ use crate::Scheme;
 /// the matching [`record_out`] to release the same way.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RecordToken {
-    /// Classic mutex bracket — the session has no ticket gate (ST,
-    /// streaming DE, or `ticket_gate: false`).
+    /// Classic mutex bracket — the session has no ticket gate (ST, or
+    /// `ticket_gate: false`).
     Locked,
     /// Slow path of a ticket-gate session: the raw lock **plus** a ghost
     /// ticket, so lock-free entrants are excluded too.
@@ -73,11 +74,11 @@ pub(crate) enum RecordToken {
 /// domain's [`TicketGate`](crate::clock::TicketGate) — one `fetch_add`
 /// when the gate is idle — instead of the mutex. Accesses that need the
 /// heavier shared bookkeeping route to the locked path: every ST access
-/// (the shared log), critical-section gates and pending-sync edge anchors
-/// (cross-domain edge stamping), and streaming-DE sessions (the flush
-/// floor) — the latter two never construct a ticket gate at all. The
-/// routing predicate is stable between `record_in` and `record_out`
-/// because only the gating thread itself mutates its pending-sync slot.
+/// (the shared log — ST sessions never construct a ticket gate at all),
+/// and critical-section gates and pending-sync edge anchors (cross-domain
+/// edge stamping). The routing predicate is stable between `record_in` and
+/// `record_out` because only the gating thread itself mutates its
+/// pending-sync slot.
 pub(crate) fn record_in(session: &Session, dom: u32, tid: u32, kind: AccessKind) -> RecordToken {
     let rec = session.rec.as_ref().expect("record mode");
     let drec = &rec.domains[dom as usize];
@@ -236,121 +237,65 @@ pub(crate) fn record_out(
             }
             drop(order_guard);
         }
-        Scheme::Dc => {
-            // Fig. 5 lines 22-24 with X = 0.
-            let clock = {
+        Scheme::Dc | Scheme::De => {
+            // Fig. 5 lines 22-24: assign the clock and — for DE — let the
+            // epoch tracker turn it into this access's value (X = X_C; DC
+            // is X = 0).
+            let (clock, value) = {
                 // SAFETY: `token` grants exclusive core access — the gate
                 // lock and/or the currently-served ticket (see RecordToken).
                 let core = unsafe { drec.gate.get() };
-                let c = core.clock;
+                let clock = core.clock;
                 core.clock += 1;
                 if multi {
-                    edge = stamp_clocked(c);
+                    edge = stamp_clocked(clock);
                 }
-                c
+                let value = match &mut core.tracker {
+                    None => clock,
+                    Some(tracker) => {
+                        let observed = tracker.observe(tid, site, addr, kind, clock);
+                        // A store's value is provisional for one access
+                        // (Table V). When this access shows the previous
+                        // store — maybe another thread's — keeps its run's
+                        // epoch after all, tell its owner; nothing else
+                        // ever crosses threads.
+                        if let Some(fix) = observed.fixup {
+                            let owner = &drec.lanes[fix.thread as usize];
+                            owner.fixups.lock().push((fix.clock, fix.epoch));
+                            stats.bump_deferred();
+                        }
+                        // Streaming: raise the flush floor only AFTER the
+                        // fix-up is posted, still inside the exclusion, so
+                        // an owner that reads floor F finds the fix-up of
+                        // every entry below F in its mailbox.
+                        if let Some(stream) = &rec.stream {
+                            let floor = tracker.min_pending_clock().unwrap_or(clock + 1);
+                            stream.floors[dom as usize].store(floor, Ordering::Release);
+                        }
+                        observed.value
+                    }
+                };
+                (clock, value)
             };
             release();
             // Line 24 happens *after* unlock: the write to the thread's own
-            // record file overlaps other threads' region execution (§IV-C3).
+            // record file overlaps other threads' region execution
+            // (§IV-C3). Only this thread appends to its lane, so the lane
+            // is in clock order by construction.
             lane.buf.lock().push(RecEntry {
                 clock,
-                value: clock,
+                value,
                 site: site.raw(),
                 kind: kind.code(),
             });
             stats.bump_record_written();
             if streaming {
-                // Only this thread appends to its buffer, so everything in
-                // it is stable (the DC floor stays at u64::MAX).
-                session.maybe_flush_thread(dom, tid, tid);
-            }
-        }
-        Scheme::De => {
-            // Fig. 5 lines 22-24 with X = X_C: assign the clock and let the
-            // epoch tracker decide which records become final. A store's
-            // epoch is deferred until the next access (Table V); the
-            // finalized record may therefore belong to *another* thread and
-            // is routed to that thread's buffer.
-            if streaming {
-                // Streaming needs a race-free flush watermark: route the
-                // finalized records and refresh the domain's floor while
-                // still holding the gate lock, so a concurrent flusher that
-                // reads floor F is guaranteed every record with clock < F
-                // already sits in its owner's buffer.
-                let mut touched: Vec<u32> = Vec::with_capacity(2);
-                {
-                    // SAFETY: streaming DE always takes the locked path;
-                    // the lock was acquired in `record_in` on this thread.
-                    let core = unsafe { drec.gate.get() };
-                    let clock = core.clock;
-                    core.clock += 1;
-                    if multi {
-                        edge = stamp_clocked(clock);
-                    }
-                    let tracker = core.tracker.as_mut().expect("de tracker");
-                    let observed = tracker.observe(tid, site, addr, kind, clock);
-                    // Push every finalized record (like the non-streaming
-                    // branch) — the flush targets are derived from the same
-                    // loop so a record can never be routed but not flushed.
-                    for f in observed.iter() {
-                        push_de_record(stats, drec, &f);
-                        if !touched.contains(&f.thread) {
-                            touched.push(f.thread);
-                        }
-                    }
-                    let floor = tracker.min_pending_clock().unwrap_or(clock + 1);
-                    rec.stream.as_ref().expect("streaming state").floors[dom as usize]
-                        .store(floor, Ordering::Release);
-                }
-                release();
-                for t in touched {
-                    session.maybe_flush_thread(dom, t, tid);
-                }
-            } else {
-                let observed = {
-                    // SAFETY: `token` grants exclusive core access — the
-                    // gate lock and/or the currently-served ticket (see
-                    // RecordToken).
-                    let core = unsafe { drec.gate.get() };
-                    let clock = core.clock;
-                    core.clock += 1;
-                    if multi {
-                        edge = stamp_clocked(clock);
-                    }
-                    core.tracker
-                        .as_mut()
-                        .expect("de tracker")
-                        .observe(tid, site, addr, kind, clock)
-                };
-                release();
-                for f in observed.iter() {
-                    push_de_record(stats, drec, &f);
-                }
+                session.maybe_flush_thread(dom, tid);
             }
         }
     }
     if let Some((seq, counts)) = edge {
         session.push_edge(dom, tid, seq, &counts);
-    }
-}
-
-/// Route one finalized DE record to its owner's lane in the same domain
-/// and count it in `stats` — the slot of the thread doing the routing,
-/// which for a deferred store is not the record's owner.
-fn push_de_record(
-    stats: &crate::stats::Stats,
-    drec: &crate::session::DomainRecord,
-    f: &crate::epoch::Finalized,
-) {
-    drec.lanes[f.thread as usize].buf.lock().push(RecEntry {
-        clock: f.clock,
-        value: f.epoch,
-        site: f.site.raw(),
-        kind: f.kind.code(),
-    });
-    stats.bump_record_written();
-    if f.epoch != f.clock && f.kind == AccessKind::Store {
-        stats.bump_deferred();
     }
 }
 

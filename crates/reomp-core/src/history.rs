@@ -1,14 +1,15 @@
-//! The shared-memory access-history ring buffer of DE recording.
+//! A fixed-capacity ring of the most recent accesses.
 //!
 //! §IV-D: *"To compute `X_C`, DE recording needs to keep the access history.
 //! We use a long-enough ring buffer so that the old access can automatically
 //! be discarded."*
 //!
-//! The run-tracking in [`crate::epoch`] computes epochs exactly without
-//! unbounded history, so the ring's roles here are (a) the paper-faithful
-//! `X_C` *audit* path used by tests to cross-check the run-based epochs and
-//! (b) post-mortem diagnostics (what were the last N accesses before a
-//! divergence).
+//! The run-tracking in [`crate::epoch`] computes epochs exactly from O(1)
+//! state, so recording keeps no ring at all. The type has two users:
+//! replay, where every domain keeps the last N accesses it admitted and
+//! attaches them to a divergence report, and the tests, which cross-check
+//! the run-based epochs against the paper-faithful backward-looking
+//! [`HistoryRing::lookup_xc`].
 
 use crate::site::{AccessKind, SiteId};
 
@@ -72,7 +73,11 @@ impl HistoryRing {
             self.len = self.buf.len();
         } else {
             self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.buf.len();
+            // A compare, not `% len`: this runs in every replay gate.
+            self.head += 1;
+            if self.head == self.buf.len() {
+                self.head = 0;
+            }
         }
     }
 

@@ -84,8 +84,8 @@
 //! | [`site`] | race-instance hashes used as thread lock IDs (§III) |
 //! | [`sync`] | the baton lock of ST replay (Fig. 4/6) and spin-wait policy |
 //! | [`clock`] | `global_clock` and the `next_clock` turnstile (Fig. 5) |
-//! | [`history`] | the access-history ring buffer used to compute `X_C` (§IV-D) |
-//! | [`epoch`] | epoch assignment incl. the deferred-store rule of Table V |
+//! | [`history`] | last-N access ring: replay divergence history and the §IV-D `X_C` audit |
+//! | [`epoch`] | epoch assignment incl. the store fix-up rule of Table V |
 //! | [`plan`] | race-report-driven site → gate-domain assignment ([`DomainPlan`]) |
 //! | [`trace`] | per-thread and shared trace representations (Fig. 3) |
 //! | [`codec`] | varint/delta binary encoding of record files, incl. the streaming chunk frame |

@@ -58,16 +58,19 @@
 //! # Streaming record runs
 //!
 //! [`Session::record_streaming`] attaches a [`RecordSink`] from a
-//! [`StreamingTraceStore`]: whenever a per-thread buffer reaches
-//! [`SessionConfig::flush_records`] entries, its stable prefix is encoded
-//! as a chunk and appended to that thread's record stream, so the session
-//! never holds more than a bounded window of the trace in memory. For DE,
-//! a record is *stable* once no pending deferred store with a smaller
-//! clock remains (the tracker's
-//! [`min_pending_clock`](EpochTracker::min_pending_clock) watermark, kept
-//! **per domain**); ST/DC records are stable as soon as they are buffered.
-//! `finish` flushes the residue and atomically commits the store (manifest
-//! last).
+//! [`StreamingTraceStore`]: whenever a thread's own lane reaches
+//! [`SessionConfig::flush_records`] entries, that thread encodes the
+//! lane's stable prefix as a chunk and appends it to its record stream,
+//! so the session never holds more than a bounded window of the trace in
+//! memory. ST/DC records are stable as soon as they are buffered. A DE
+//! store record is provisional until the next access shows whether it
+//! needs a fix-up (see [`crate::epoch`]), so each domain keeps a *floor*:
+//! the tracker's [`min_pending_clock`](EpochTracker::min_pending_clock),
+//! stored with `Release` under the gate exclusion *after* any fix-up the
+//! same access posted. The flushing owner `Acquire`-loads the floor, then
+//! drains its fix-up mailbox, then persists the entries below the floor —
+//! so every fix-up for an entry it persists was applied first. `finish`
+//! flushes the residue and atomically commits the store (manifest last).
 
 use crate::clock::{TicketGate, Turnstile};
 use crate::epoch::{EpochPolicy, EpochTracker};
@@ -170,10 +173,10 @@ pub enum Mode {
 pub struct SessionConfig {
     /// DE run-boundary policy (see [`EpochPolicy`]).
     pub epoch_policy: EpochPolicy,
-    /// Capacity of the access-history ring buffers (diagnostics/audit):
-    /// the DE record-side `X_C` audit ring and, in replay, the per-domain
-    /// last-N admitted-access history attached to divergence reports.
-    /// `0` disables both.
+    /// Replay only: how many of the accesses a domain admitted last are
+    /// kept and attached to a divergence report (see
+    /// [`crate::history`]). `0` disables the history; record runs ignore
+    /// it.
     pub ring_capacity: usize,
     /// Replay spin-wait/watchdog policy.
     pub spin: SpinConfig,
@@ -184,8 +187,9 @@ pub struct SessionConfig {
     /// step of the toolflow, Fig. 2 step (1)).
     pub gate_plan: Option<HashSet<SiteId>>,
     /// Streaming record runs: flush a per-thread buffer to its record
-    /// stream once it holds this many records (clamped to ≥ 1). Ignored
-    /// unless the session was created with [`Session::record_streaming`].
+    /// stream once it holds this many stable records (clamped to ≥ 1).
+    /// Ignored unless the session was created with
+    /// [`Session::record_streaming`].
     pub flush_records: usize,
     /// Number of independent gate domains sites are partitioned across
     /// (clamped to ≥ 1). `1` — the default — reproduces the classic
@@ -218,9 +222,9 @@ pub struct SessionConfig {
     /// (`REOMP_TICKET_GATE`, default on). The region is still serialized —
     /// in ticket order — so the recorded trace is identical; only the
     /// synchronization changes (one `fetch_add` in, one out, no lock).
-    /// ST, critical-section/edge-anchored accesses, and streaming DE keep
-    /// the locked path (entered alongside a ghost ticket so the two paths
-    /// compose). `false` forces the classic mutex bracket everywhere.
+    /// ST and critical-section/edge-anchored accesses keep the locked
+    /// path (entered alongside a ghost ticket so the two paths compose).
+    /// `false` forces the classic mutex bracket everywhere.
     pub ticket_gate: bool,
     /// Multi-domain DE record runs: publish a domain's completion count to
     /// *other* domains once per `publish_batch` accesses instead of on
@@ -271,7 +275,8 @@ impl SessionConfig {
     }
 }
 
-/// One finalized-but-unsorted record produced during a record run.
+/// One record of a thread's lane, in clock order. `value` is final for
+/// every scheme except a DE store's, which a fix-up may still lower.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecEntry {
     pub clock: u64,
@@ -281,14 +286,40 @@ pub(crate) struct RecEntry {
 }
 
 /// State guarded by a domain's gate lock `L` during record runs.
+///
+/// The layout is pinned (`repr(C)` plus ballast) because ST's contended
+/// hand-off is sensitive to where the ST builder's `Vec` headers sit
+/// relative to the lock byte `RawLocked` keeps behind this struct: with
+/// the tracker slot at the [`TRACKER_SLOT`] bytes it had when the hot path
+/// was last tuned, the headers the holder writes share one line and the
+/// lock byte is on the next. Letting the (now smaller) tracker pull them
+/// forward cost `synth_contended` `st.record_ns_per_op` 4–9 % in every
+/// placement tried (EXPERIMENTS.md, "DE record path").
+#[repr(C)]
 pub(crate) struct RecCore {
+    /// DE epoch tracker (None for ST/DC).
+    pub tracker: Option<EpochTracker>,
+    _ballast: [u8; TRACKER_BALLAST],
+    /// ST shared log builder (None for DC/DE).
+    pub st: Option<StBuilder>,
     /// The paper's `global_clock` (Fig. 5 line 22), one per domain. Kept as
     /// a plain field because it is only touched under the domain's lock.
     pub clock: u64,
-    /// DE epoch tracker (None for ST/DC).
-    pub tracker: Option<EpochTracker>,
-    /// ST shared log builder (None for DC/DE).
-    pub st: Option<StBuilder>,
+}
+
+/// Offset of [`RecCore::st`]; a tracker that outgrows it fails to compile.
+const TRACKER_SLOT: usize = 216;
+const TRACKER_BALLAST: usize = TRACKER_SLOT - std::mem::size_of::<Option<EpochTracker>>();
+
+impl RecCore {
+    fn new(tracker: Option<EpochTracker>, st: Option<StBuilder>) -> RecCore {
+        RecCore {
+            tracker,
+            _ballast: [0; TRACKER_BALLAST],
+            st,
+            clock: 0,
+        }
+    }
 }
 
 /// Builder for one domain's shared ST record stream.
@@ -315,10 +346,18 @@ impl StBuilder {
 /// that follows every gate stays on a line only this thread writes.
 #[derive(Default)]
 pub(crate) struct RecordLane {
-    /// Finalized records not yet flushed or assembled. A mutex because DE
-    /// routes a deferred store's record to its *owner's* lane from
-    /// whichever thread finalizes it.
+    /// Records not yet flushed or assembled, in clock order: between
+    /// `record_in` and `finish`/`dump` only the owning thread appends to
+    /// or drains it. A mutex (uncontended on the hot path) because
+    /// `finish` and a flight `dump` collect the residue from another
+    /// thread.
     pub buf: Mutex<Vec<RecEntry>>,
+    /// DE fix-up mailbox: `(clock, epoch)` corrections to store entries of
+    /// this lane, posted under the gate exclusion by whichever thread's
+    /// access resolved the store — the only cross-thread write a lane
+    /// sees, and only for the non-first, non-final stores of a run.
+    /// Drained by whoever is about to move entries out of `buf`.
+    pub fixups: Mutex<Vec<(u64, u64)>>,
     /// The thread's access count in this domain — the `seq` a
     /// cross-domain edge anchors at. Bumped under the gate exclusion;
     /// only maintained for multi-domain sessions.
@@ -334,8 +373,8 @@ pub(crate) struct DomainRecord {
     /// Gate lock + state; locked at `gate_in`, unlocked at `gate_out`.
     pub gate: RawLocked<RecCore>,
     /// Lock-free fast-path admission (`Some` only when this session can
-    /// take the fast path at all: [`SessionConfig::ticket_gate`] on, a
-    /// clocked scheme, and not streaming DE). When present, **every**
+    /// take the fast path at all: [`SessionConfig::ticket_gate`] on and a
+    /// clocked scheme). When present, **every**
     /// accessor of [`DomainRecord::gate`]'s core holds a currently-served
     /// ticket: plain DC/DE loads and stores hold *only* the ticket (no
     /// lock), while the slow paths and out-of-band pausers take the raw
@@ -359,6 +398,22 @@ pub(crate) struct DomainRecord {
 // the padding constant.
 const _: () = assert!(std::mem::align_of::<DomainRecord>() == CACHE_LINE);
 const _: () = assert!(std::mem::align_of::<DomainReplay>() == CACHE_LINE);
+
+impl RecordLane {
+    /// Apply the posted fix-ups to `buf` (this lane's locked buffer). The
+    /// target of a fix-up is missing only while a flight dump races the
+    /// owner between its gate and its append; such a fix-up waits in the
+    /// mailbox for the next drain.
+    fn apply_fixups(&self, buf: &mut [RecEntry]) {
+        self.fixups.lock().retain(|&(clock, epoch)| {
+            match buf.binary_search_by_key(&clock, |e| e.clock) {
+                Ok(i) => buf[i].value = epoch,
+                Err(_) => return true,
+            }
+            false
+        });
+    }
+}
 
 impl DomainRecord {
     /// Out-of-band exclusive access to the gate core (`finish`, residue
@@ -401,10 +456,10 @@ pub(crate) struct StreamState {
     /// at commit time.
     pub sink: RwLock<Option<Box<dyn RecordSink>>>,
     /// Per-domain flush watermarks: records with clocks strictly below a
-    /// domain's floor are complete in their owners' buffers and safe to
-    /// persist. `u64::MAX` for ST/DC (records are stable on arrival);
-    /// maintained under the domain's gate lock for DE from the tracker's
-    /// pending-store minimum.
+    /// domain's floor are final in their owners' lanes (once the posted
+    /// fix-ups are applied) and safe to persist. `u64::MAX` for ST/DC (records are stable on arrival);
+    /// for DE the tracker's pending-store minimum, stored under the gate
+    /// exclusion after the access's fix-up (if any) was posted.
     pub floors: Vec<AtomicU64>,
     /// Per-domain chunk-order locks for the shared ST streams: acquired
     /// *before* the domain's gate lock is released when a batch is stolen,
@@ -655,9 +710,11 @@ impl Session {
     /// Materialize the flight recorder's retained window into its target
     /// store as a replayable, checkpoint-stamped bundle.
     ///
-    /// Residual records (per-thread buffers, the shared ST builders, and
-    /// DE's pending deferred stores) are flushed into the window first, so
-    /// the dump ends at the program's current position. The dump is a
+    /// Residual records (per-thread lanes with their posted fix-ups
+    /// applied, and the shared ST builders) are flushed into the window
+    /// first, so the dump ends at the program's current position. A DE
+    /// store still pending keeps its own clock, exactly as at the end of
+    /// a run. The dump is a
     /// consistent snapshot when gates are quiescent; concurrent gated
     /// accesses may straddle it. Fails on sessions without a flight
     /// recorder.
@@ -877,28 +934,23 @@ impl Session {
         }
         let domains = cfg.domains;
         // The fast path exists only where it is sound AND profitable:
-        // ST serializes through the shared log builder (always locked),
-        // and streaming DE must refresh the flush floor inside the served
-        // section anyway — both would take the ghost-ticket slow path on
-        // every access, paying two RMWs for nothing.
-        let streaming = sink.is_some();
-        let fast_path =
-            cfg.ticket_gate && scheme != Scheme::St && !(streaming && scheme == Scheme::De);
+        // ST serializes through the shared log builder (always locked) and
+        // would take the ghost-ticket slow path on every access, paying
+        // two RMWs for nothing.
+        let fast_path = cfg.ticket_gate && scheme != Scheme::St;
         let rec = (mode == Mode::Record).then(|| RecordState {
             domains: (0..domains)
                 .map(|_| DomainRecord {
                     ticket: fast_path.then(TicketGate::new),
-                    gate: RawLocked::new(RecCore {
-                        clock: 0,
-                        tracker: (scheme == Scheme::De)
-                            .then(|| EpochTracker::new(cfg.epoch_policy, cfg.ring_capacity)),
-                        st: (scheme == Scheme::St).then(|| StBuilder {
+                    gate: RawLocked::new(RecCore::new(
+                        (scheme == Scheme::De).then(|| EpochTracker::new(cfg.epoch_policy, 0)),
+                        (scheme == Scheme::St).then(|| StBuilder {
                             tids: Vec::new(),
                             sites: Vec::new(),
                             kinds: Vec::new(),
                             validate: cfg.validate_sites,
                         }),
-                    }),
+                    )),
                     lanes: (0..nthreads).map(|_| CachePadded::default()).collect(),
                     published: AtomicU64::new(0),
                 })
@@ -1239,9 +1291,6 @@ impl Session {
                 if rec.stream.is_some() {
                     io = Some(self.commit_streaming().map_err(FinishError::Stream)?);
                 } else {
-                    for drec in rec.domains.iter() {
-                        self.flush_pending_stores(drec);
-                    }
                     bundle = Some(self.assemble_bundle());
                 }
             }
@@ -1288,38 +1337,23 @@ impl Session {
         })
     }
 
-    /// Route a domain tracker's pending deferred stores to their owners'
-    /// lanes (trailing stores get their own clock — always safe) and
-    /// return the domain's clock. A no-op returning the clock for ST/DC.
-    fn flush_pending_stores(&self, drec: &DomainRecord) -> u64 {
-        drec.pause(|core| {
-            if let Some(tracker) = &mut core.tracker {
-                for f in tracker.flush() {
-                    drec.lanes[f.thread as usize].buf.lock().push(RecEntry {
-                        clock: f.clock,
-                        value: f.epoch,
-                        site: f.site.raw(),
-                        kind: f.kind.code(),
-                    });
-                    self.session_stats().bump_record_written();
-                }
-            }
-            core.clock
-        })
-    }
-
     /// Flush everything still buffered in the session into the attached
-    /// sink: the DE trackers' pending deferred stores, the shared ST
-    /// builders, and the per-thread buffers (sorted back to clock order).
-    /// Returns DE's per-domain clock floors (empty for ST/DC) — the
-    /// epoch-floor provenance a flight-recorder dump checkpoints.
+    /// sink: the shared ST builders and the per-thread lanes, fix-ups
+    /// applied. Returns DE's per-domain clock floors (empty for ST/DC) —
+    /// the epoch-floor provenance a flight-recorder dump checkpoints.
     fn flush_residues(&self) -> Result<Vec<u64>, TraceError> {
         let rec = self.rec.as_ref().expect("record state");
         let mut floors = Vec::new();
         for (dom, drec) in rec.domains.iter().enumerate() {
             let dom = dom as u32;
-            let clock = self.flush_pending_stores(drec);
             if self.scheme == Scheme::De {
+                // End the tracker's runs: what is flushed below is final,
+                // so no later access (after a mid-run dump) may post a
+                // fix-up for it. Pending stores keep their own clocks.
+                let clock = drec.pause(|core| {
+                    core.tracker.as_mut().expect("de tracker").flush();
+                    core.clock
+                });
                 floors.push(clock);
                 if self.cfg.domains > 1 {
                     // Publish batching may have left `published` lagging
@@ -1345,15 +1379,16 @@ impl Session {
                     }
                 }
             }
-            // Per-thread residues, sorted to restore program (clock) order
-            // after DE deferrals.
-            for tid in 0..self.nthreads {
-                let mut entries = std::mem::take(&mut *drec.lanes[tid as usize].buf.lock());
-                if entries.is_empty() {
-                    continue;
+            // Per-thread residues.
+            for (tid, lane) in drec.lanes.iter().enumerate() {
+                // Held across the append, like the owner's own flush, so a
+                // dump racing it cannot reorder the stream's chunks.
+                let mut buf = lane.buf.lock();
+                lane.apply_fixups(&mut buf);
+                if !buf.is_empty() {
+                    self.append_thread_chunk(dom, tid as u32, &buf, self.session_stats())?;
+                    buf.clear();
                 }
-                entries.sort_unstable_by_key(|e| e.clock);
-                self.append_thread_chunk(dom, tid, &entries, self.session_stats())?;
             }
         }
         Ok(floors)
@@ -1447,11 +1482,11 @@ impl Session {
         Ok(())
     }
 
-    /// Hot-path flush check, run by thread `by` after one of its gates: if
-    /// thread `tid`'s buffer in domain `dom` reached the flush threshold,
-    /// persist its stable prefix (clocks below the domain's watermark) as
-    /// one chunk. Failures are latched and surfaced at `finish`.
-    pub(crate) fn maybe_flush_thread(&self, dom: u32, tid: u32, by: u32) {
+    /// Hot-path flush check, run by thread `tid` after one of its gates:
+    /// if its lane in domain `dom` reached the flush threshold, persist
+    /// the lane's stable prefix (clocks below the domain's floor) as one
+    /// chunk. Failures are latched and surfaced at `finish`.
+    pub(crate) fn maybe_flush_thread(&self, dom: u32, tid: u32) {
         let Some(rec) = self.rec.as_ref() else { return };
         let Some(stream) = rec.stream.as_ref() else {
             return;
@@ -1465,25 +1500,29 @@ impl Session {
         }
         // Already clamped ≥ 1 in `Session::build`.
         let threshold = self.cfg.flush_records;
+        // The floor is read BEFORE the mailbox is drained: whoever raised
+        // it past an entry posted that entry's fix-up first (both under
+        // the gate exclusion), so this Acquire makes the drain below see
+        // every fix-up for the entries about to be persisted.
         let floor = stream.floors[dom as usize].load(Ordering::Acquire);
-        let mut buf = rec.domains[dom as usize].lanes[tid as usize].buf.lock();
+        let lane = &rec.domains[dom as usize].lanes[tid as usize];
+        let mut buf = lane.buf.lock();
         if buf.len() < threshold {
             return;
         }
-        // Cheap pre-check before sorting: while a DE deferred store pins
-        // the watermark, an over-threshold buffer would otherwise be
-        // re-sorted on every gate just to flush nothing.
-        if !buf.iter().any(|e| e.clock < floor) {
+        // The threshold counts *stable* entries: a DE store still pending
+        // (at or above the floor) is not yet part of any chunk, so chunk
+        // boundaries do not depend on when provisional entries arrive.
+        let cut = buf.partition_point(|e| e.clock < floor);
+        if cut < threshold {
             return;
         }
-        buf.sort_unstable_by_key(|e| e.clock);
-        let cut = buf.partition_point(|e| e.clock < floor);
-        let stable: Vec<RecEntry> = buf.drain(..cut).collect();
-        // Append while still holding the buffer lock: in DE, *any* thread
-        // may flush this buffer (deferred records are routed across
-        // threads), and two drained batches must reach the file in the
-        // order they were drained.
-        let result = self.append_thread_chunk(dom, tid, &stable, self.thread_stats(by));
+        lane.apply_fixups(&mut buf);
+        // Append while still holding the lane lock: a flight dump may
+        // collect this lane's residue concurrently, and two drained
+        // batches must reach the stream in the order they were drained.
+        let result = self.append_thread_chunk(dom, tid, &buf[..cut], self.thread_stats(tid));
+        buf.drain(..cut);
         drop(buf);
         if let Err(e) = result {
             stream.record_failure(e);
@@ -1536,10 +1575,7 @@ impl Session {
             }
             for lane in drec.lanes.iter() {
                 let mut entries = std::mem::take(&mut *lane.buf.lock());
-                // DE deferral may append a record finalized by a later
-                // access after the owner's own later records; restore the
-                // thread's program order by clock.
-                entries.sort_unstable_by_key(|e| e.clock);
+                lane.apply_fixups(&mut entries);
                 threads.push(ThreadTrace {
                     values: entries.iter().map(|e| e.value).collect(),
                     sites: validate.then(|| entries.iter().map(|e| e.site).collect()),
@@ -1727,8 +1763,8 @@ pub struct SessionReport {
     /// The same counters per thread (index = `tid`): what each thread's
     /// own gates counted — its passages, the records it wrote or read,
     /// the waits *it* sat through. What `finish`/commit/dumps did on no
-    /// thread's behalf (DE's trailing-store flush, the residue chunks) is
-    /// in `stats` only. This is the hook per-thread wait attribution
+    /// thread's behalf (the residue chunks) is in `stats` only. This is
+    /// the hook per-thread wait attribution
     /// builds on.
     pub thread_stats: Vec<StatsSnapshot>,
     /// Gate passages per gate domain (empty for single-domain sessions;
@@ -2065,6 +2101,12 @@ mod tests {
         // Thread 0's lane in domain 0 and thread 1's in domain 1 are
         // separate heap allocations; their alignment keeps them apart.
         assert!(apart(&rec.domains[0].lanes[0], &rec.domains[1].lanes[1]));
+        // The fix-up mailbox is the one lane word a foreign thread may
+        // write; it rides on its owner's lane, away from everyone else's.
+        assert!(apart(
+            &rec.domains[0].lanes[0].fixups,
+            &rec.domains[0].lanes[1].fixups
+        ));
         let c0 = s.register_thread(0);
         c0.gate(SiteId(2), AccessKind::Store, || ());
         drop(c0);
@@ -2167,6 +2209,141 @@ mod tests {
                 assert_eq!(loaded, bundle, "{scheme:?}/{domains}: streamed ≡ one-shot");
             }
         }
+    }
+
+    /// Table V's `L L L S S S L` by T1 T2 T3 T1 T2 T3 T1, stepped from
+    /// this one thread so the clocks are exactly 0..7.
+    fn drive_table_v(session: &Arc<Session>) {
+        let x = SiteId(0x7ab1e5);
+        let ctxs: Vec<_> = (0..3).map(|t| session.register_thread(t)).collect();
+        use AccessKind::{Load, Store};
+        for (t, kind) in [0, 1, 2, 0, 1, 2, 0]
+            .into_iter()
+            .zip([Load, Load, Load, Store, Store, Store, Load])
+        {
+            ctxs[t].gate(x, kind, || ());
+        }
+    }
+
+    #[test]
+    fn table_v_through_every_record_entry_point() {
+        use crate::store::{MemStore, TraceStore};
+        // Column (3) of Table V, split into the three per-thread files.
+        // T2's store at clock 4 is the one fix-up — posted by T3's gate,
+        // applied by `finish` (buffered, and streaming below the
+        // threshold), by T2's own next flush or the residue flush
+        // (`flush_records: 1`: T2 never gates again), or by `dump`.
+        let expect = [vec![0, 3, 6], vec![0, 3], vec![0, 5]];
+        let check = |tag: &str, bundle: &TraceBundle, deferred: u64| {
+            for (t, values) in expect.iter().enumerate() {
+                assert_eq!(
+                    &bundle.thread(0, t as u32).values,
+                    values,
+                    "{tag}: T{}",
+                    t + 1
+                );
+            }
+            assert_eq!(deferred, 1, "{tag}: exactly x4 is deferred");
+        };
+
+        let s = Session::record(Scheme::De, 3);
+        drive_table_v(&s);
+        let report = s.finish().unwrap();
+        assert_eq!(report.stats.records_written, 7);
+        check(
+            "record",
+            report.bundle.as_ref().unwrap(),
+            report.stats.deferred_finalizations,
+        );
+
+        for flush_records in [1, 4096] {
+            let store = MemStore::new();
+            let cfg = SessionConfig {
+                flush_records,
+                ..Default::default()
+            };
+            let s = Session::record_streaming_with(Scheme::De, 3, cfg, &store).unwrap();
+            drive_table_v(&s);
+            let report = s.finish().unwrap();
+            assert_eq!(
+                report.stats.lock_acquires, 0,
+                "streaming DE rides the ticket"
+            );
+            check(
+                &format!("streaming/{flush_records}"),
+                &store.load().unwrap().0,
+                report.stats.deferred_finalizations,
+            );
+        }
+
+        let dir = flight_dir("table-v");
+        let cfg = SessionConfig {
+            flight: Some(8),
+            flush_records: 2,
+            ..Default::default()
+        };
+        let s = Session::record_flight(Scheme::De, 3, cfg, DirStore::new(&dir)).unwrap();
+        drive_table_v(&s);
+        s.dump(DumpTrigger::Manual).unwrap();
+        check(
+            "flight",
+            &DirStore::new(&dir).load().unwrap().0,
+            s.finish().unwrap().stats.deferred_finalizations,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scratch directory for one flight-dump test.
+    fn flight_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("reomp-session-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn mid_run_dump_with_a_store_pending() {
+        let x = SiteId(0xd0_0d);
+        let dir = flight_dir("pending-store");
+        let store = DirStore::new(&dir);
+        let cfg = SessionConfig {
+            flight: Some(8),
+            flush_records: 64,
+            ..Default::default()
+        };
+        let s = Session::record_flight(Scheme::De, 2, cfg, DirStore::new(&dir)).unwrap();
+        let c0 = s.register_thread(0);
+        let c1 = s.register_thread(1);
+        c0.gate(x, AccessKind::Store, || ()); // clock 0: first of its run
+        c1.gate(x, AccessKind::Store, || ()); // clock 1: pending at the dump
+        s.dump(DumpTrigger::Manual).unwrap();
+        // The dump ended the run: the pending store went out with its own
+        // clock, like a trailing store at `finish`.
+        let (first, _) = store.load().unwrap();
+        assert_eq!(first.thread(0, 0).values, vec![0]);
+        assert_eq!(first.thread(0, 1).values, vec![1]);
+        // So the next same-site store must not reach back and fix it up —
+        // it starts a new run, and the three stores after it form the
+        // usual first / middle (fixed up) / last pattern.
+        c0.gate(x, AccessKind::Store, || ()); // clock 2
+        c1.gate(x, AccessKind::Store, || ()); // clock 3: fixed up to 2
+        c0.gate(x, AccessKind::Store, || ()); // clock 4
+        drop((c0, c1));
+        s.dump(DumpTrigger::Manual).unwrap();
+        let report = s.finish().unwrap();
+        assert_eq!(report.stats.deferred_finalizations, 1);
+        let (second, _) = store.load().unwrap();
+        second.validate().unwrap();
+        assert_eq!(second.thread(0, 0).values, vec![0, 2, 4]);
+        assert_eq!(second.thread(0, 1).values, vec![1, 2]);
+        let rec = s.rec.as_ref().unwrap();
+        assert!(
+            rec.domains[0]
+                .lanes
+                .iter()
+                .all(|l| l.fixups.lock().is_empty()),
+            "every fix-up found its entry"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

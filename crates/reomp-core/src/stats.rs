@@ -271,7 +271,7 @@ pub struct StatsSnapshot {
     pub records_written: u64,
     /// Trace records consumed.
     pub records_read: u64,
-    /// Stores whose epoch was deferred to the next access (DE).
+    /// DE stores that ended below their own clock — one fix-up each.
     pub deferred_finalizations: u64,
     /// Streaming chunks flushed to record streams during the run.
     pub chunk_flushes: u64,

@@ -44,7 +44,8 @@ fn run_turnstile_handoff_visibility(cfg: &Config) -> Report {
     h::turnstile_handoff_visibility(RealTurnstile::new, cfg)
 }
 fn run_epoch_floor_publication(cfg: &Config) -> Report {
-    h::epoch_floor_publication(cfg)
+    use reomp_core::AccessKind::{Load, Store};
+    h::epoch_floor_publication(2, &[Load, Store], cfg)
 }
 fn run_cross_domain_record_replay(cfg: &Config) -> Report {
     h::cross_domain_record_replay(cfg)

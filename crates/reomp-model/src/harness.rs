@@ -357,19 +357,35 @@ fn model_spin() -> SpinConfig {
 }
 
 /// DE epoch-floor publication: a streaming DE record run with a one-record
-/// flush threshold, so every gate-out races a flush against the other
-/// thread's gate-in. The floor protocol (records routed, then the floor
-/// refreshed with `Release`, both under the gate lock; the flusher reads
-/// the floor with `Acquire` before locking the buffer) must make the
-/// final store contain every record exactly once.
-pub fn epoch_floor_publication(cfg: &Config) -> Report {
+/// flush threshold, so every gate-out races the owner's flush against the
+/// other threads' gates. Each of `threads` threads runs `program` on one
+/// site: with three threads storing, the run has middle stores whose
+/// fix-ups are posted by a *different* thread than the one about to flush
+/// them. The
+/// floor protocol — fix-up posted, then the floor raised with `Release`,
+/// both under the gate exclusion; the owner `Acquire`-loads the floor,
+/// then drains its mailbox, then flushes — must leave the committed store
+/// with every record exactly once and every epoch what the clock order
+/// dictates: a run of `n` same-site stores records `n − 1` times its
+/// first clock and once its last.
+///
+/// The session takes the mutex bracket (`ticket_gate: false`): the
+/// protocol under test sits inside the exclusion whichever admission
+/// grants it, and the blocking lock keeps the space enumerable
+/// ([`ticket_gate_equivalence`] covers streaming DE through the ticket).
+pub fn epoch_floor_publication(
+    threads: u32,
+    program: &'static [AccessKind],
+    cfg: &Config,
+) -> Report {
     shuttle::check(cfg.clone(), move || {
         let store = Arc::new(MemStore::default());
         let session = Session::record_streaming_with(
             Scheme::De,
-            2,
+            threads,
             SessionConfig {
                 flush_records: 1,
+                ticket_gate: false,
                 spin: model_spin(),
                 ..SessionConfig::default()
             },
@@ -377,13 +393,14 @@ pub fn epoch_floor_publication(cfg: &Config) -> Report {
         )
         .unwrap();
         let site = SiteId(7);
-        let handles: Vec<_> = (0..2u32)
+        let handles: Vec<_> = (0..threads)
             .map(|tid| {
                 let session = Arc::clone(&session);
                 shuttle::thread::spawn(move || {
                     let ctx = session.register_thread(tid);
-                    ctx.gate(site, AccessKind::Load, || ());
-                    ctx.gate(site, AccessKind::Store, || ());
+                    for &kind in program {
+                        ctx.gate(site, kind, || ());
+                    }
                 })
             })
             .collect();
@@ -393,11 +410,23 @@ pub fn epoch_floor_publication(cfg: &Config) -> Report {
         session.finish().expect("streaming DE finish");
         let (bundle, _) = store.load().expect("committed store loads");
         bundle.validate().expect("windowless DE bundle validates");
+        let total = u64::from(threads) * program.len() as u64;
         assert_eq!(
             bundle.total_records(),
-            4,
+            total,
             "floor protocol lost or duplicated records"
         );
+        if program.iter().all(|&k| k == AccessKind::Store) {
+            // One store run covering every clock: all but the last store
+            // end at the run's start, whoever posted or applied the fix-up.
+            let mut epochs: Vec<u64> = (0..threads)
+                .flat_map(|t| bundle.thread(0, t).values.clone())
+                .collect();
+            epochs.sort_unstable();
+            let mut expect = vec![0; total as usize - 1];
+            expect.push(total - 1);
+            assert_eq!(epochs, expect, "a fix-up was lost or flushed around");
+        }
     })
 }
 
@@ -510,16 +539,19 @@ pub fn flight_evict_vs_dump(cfg: &Config) -> Report {
 
 /// Tentpole equivalence harness: the lock-free ticket fast path must be
 /// observationally equivalent to the locked gate. A two-thread
-/// benign-racy workload records through the ticket gate (D = 1, DC —
-/// every access takes the fast path, no mutex bracket); in every schedule
-/// the bundle must validate and its replay must reproduce both the
+/// benign-racy workload records through the ticket gate (D = 1 — every
+/// access takes the fast path, no mutex bracket); in every schedule the
+/// bundle must validate and its replay must reproduce both the
 /// per-access values and the final state of the racy cell — the same
-/// contract the locked gate's scheme tests pin outside the model.
+/// contract the locked gate's scheme tests pin outside the model. With
+/// `streaming_de` the recording is a DE run streamed with a one-record
+/// flush threshold, so the floor store and every owner-side flush happen
+/// under (or right after) a served ticket rather than the mutex.
 /// (Byte-identity of deterministic traces across the two gates is pinned
 /// separately by `ticket_gate_traces_identical_to_locked_gate` in
 /// `reomp-core`; replay is gate-agnostic, so reproducing a ticket-recorded
 /// trace through the same turnstiles *is* the equivalence statement.)
-pub fn ticket_gate_equivalence(cfg: &Config) -> Report {
+pub fn ticket_gate_equivalence(streaming_de: bool, cfg: &Config) -> Report {
     shuttle::check(cfg.clone(), move || {
         let site = SiteId(5);
         // One benign-racy increment per thread: gated load, gated store.
@@ -542,20 +574,28 @@ pub fn ticket_gate_equivalence(cfg: &Config) -> Report {
             let observed = handles.into_iter().map(|h| h.join().unwrap()).collect();
             (shared.load(Ordering::Relaxed), observed)
         };
-        let record = Session::record_with(
-            Scheme::Dc,
-            2,
-            SessionConfig {
-                spin: model_spin(),
-                ..SessionConfig::default()
-            },
-        );
+        let record_cfg = SessionConfig {
+            flush_records: 1,
+            spin: model_spin(),
+            ..SessionConfig::default()
+        };
+        let store = MemStore::default();
+        let record = if streaming_de {
+            Session::record_streaming_with(Scheme::De, 2, record_cfg, &store)
+                .expect("streaming session")
+        } else {
+            Session::record_with(Scheme::Dc, 2, record_cfg)
+        };
         let (final_rec, observed_rec) = run(&record);
-        let bundle = record
-            .finish()
-            .expect("record finish")
-            .bundle
-            .expect("in-memory bundle");
+        let report = record.finish().expect("record finish");
+        assert_eq!(
+            report.stats.lock_acquires, 0,
+            "every access must take the lock-free path"
+        );
+        let bundle = match report.bundle {
+            Some(bundle) => bundle,
+            None => store.load().expect("committed store loads").0,
+        };
         bundle.validate().expect("ticket-gate bundle validates");
         let replay = Session::replay_with(
             bundle,

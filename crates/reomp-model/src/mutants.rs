@@ -3,7 +3,8 @@
 //! Each mutant mirrors a line of the real implementation with one change a
 //! careless refactor could plausibly make — a flipped `Ordering`, a
 //! `store` where a `swap` was load-bearing, a snapshot taken on the wrong
-//! side of a publish, a lock scope narrowed "for concurrency". The
+//! side of a publish, a floor raised before the fix-up it vouches for, a
+//! lock scope narrowed "for concurrency". The
 //! mutation sweep in `tests/model_check.rs` runs every mutant through the
 //! harness that guards the corresponding invariant and asserts the model
 //! checker reports a violation — proving the harnesses would catch a real
@@ -299,44 +300,53 @@ pub fn edge_stamp_mini(snapshot_after_publish: bool, cfg: &Config) -> Report {
     })
 }
 
-/// Mini-model of the DE streaming floor protocol: the recorder routes a
-/// record into the buffer and then raises the flush floor; the flusher
-/// reads the floor and asserts every record below it has arrived. With
-/// `publish_before_route` the floor is raised first — the defect — and
-/// some schedule lets the flusher observe a floor whose records are
-/// missing.
-pub fn floor_mini(publish_before_route: bool, cfg: &Config) -> Report {
+/// Mini-model of the DE streaming floor protocol. The owner's lane holds
+/// its store at clock 1 with the provisional value 1, pending, so the
+/// floor is 1. The next access (another thread, under the gate exclusion)
+/// proves the store keeps its run's epoch 0: it posts the fix-up to the
+/// owner's mailbox and then raises the floor past the store. The owner
+/// loads the floor, drains the mailbox, and flushes what is below the
+/// floor — which must never be the provisional value. With
+/// `floor_before_fixup` the floor is raised first — the defect — and some
+/// schedule lets the owner see the store as stable while its correction
+/// is still on the way.
+pub fn floor_mini(floor_before_fixup: bool, cfg: &Config) -> Report {
     shuttle::check(cfg.clone(), move || {
-        let buf = Arc::new(Mutex::new(Vec::<u64>::new()));
-        let floor = Arc::new(AtomicU64::new(0));
-        let recorder = {
-            let buf = Arc::clone(&buf);
+        let mailbox = Arc::new(Mutex::new(Vec::<(u64, u64)>::new()));
+        let floor = Arc::new(AtomicU64::new(1));
+        let resolver = {
+            let mailbox = Arc::clone(&mailbox);
             let floor = Arc::clone(&floor);
             shuttle::thread::spawn(move || {
-                if publish_before_route {
-                    floor.store(1, Ordering::Release);
-                    buf.lock().push(0);
+                if floor_before_fixup {
+                    floor.store(2, Ordering::Release);
+                    mailbox.lock().push((1, 0));
                 } else {
-                    buf.lock().push(0);
-                    floor.store(1, Ordering::Release);
+                    mailbox.lock().push((1, 0));
+                    floor.store(2, Ordering::Release);
                 }
             })
         };
-        let flusher = {
-            let buf = Arc::clone(&buf);
+        let owner = {
+            let mailbox = Arc::clone(&mailbox);
             let floor = Arc::clone(&floor);
             shuttle::thread::spawn(move || {
+                // (clock, value): a load at 0 and the pending store at 1.
+                let mut lane = [(0u64, 0u64), (1, 1)];
                 let f = floor.load(Ordering::Acquire);
-                let stable: Vec<u64> = buf.lock().iter().copied().filter(|&c| c < f).collect();
-                assert_eq!(
-                    stable.len() as u64,
-                    f,
-                    "floor {f} published before its records reached the buffer"
-                );
+                for (clock, epoch) in mailbox.lock().drain(..) {
+                    lane[clock as usize].1 = epoch;
+                }
+                for &(clock, value) in lane.iter().filter(|e| e.0 < f) {
+                    assert_eq!(
+                        value, 0,
+                        "clock {clock} flushed below floor {f} before its fix-up arrived"
+                    );
+                }
             })
         };
-        recorder.join().unwrap();
-        flusher.join().unwrap();
+        resolver.join().unwrap();
+        owner.join().unwrap();
     })
 }
 

@@ -7,7 +7,7 @@
 //! * **Mutation sweep** — every seeded defect in `reomp_model::mutants`
 //!   (flipped `Ordering`s — including the relaxed ticket `fetch_add` —
 //!   store-instead-of-swap release, edge snapshot after publish, floor
-//!   published before routing, batch-publish overshoot, chunked dump,
+//!   raised before the fix-up is posted, batch-publish overshoot, chunked dump,
 //!   disabled watchdog) must be *caught*: the checker must report a
 //!   violation against the corresponding harness. The sweep is the
 //!   harnesses' sensitivity proof — a harness that cannot see the seeded
@@ -158,9 +158,21 @@ fn clean_turnstile_handoff_visibility() {
 
 #[test]
 fn clean_epoch_floor_publication() {
+    use reomp_core::AccessKind::{Load, Store};
     assert_clean(
         "epoch_floor_publication",
-        &h::epoch_floor_publication(&cfg()),
+        &h::epoch_floor_publication(2, &[Load, Store], &cfg()),
+    );
+}
+
+#[test]
+fn clean_epoch_fixup_crosses_threads_and_races_a_flush() {
+    use reomp_core::AccessKind::Store;
+    // Three threads, one store run: the middle stores' fix-ups are posted
+    // by one thread while their owner is between its append and its flush.
+    assert_clean_budgeted(
+        "epoch_floor_publication/3 threads",
+        &h::epoch_floor_publication(3, &[Store, Store], &heavy_cfg()),
     );
 }
 
@@ -189,7 +201,15 @@ fn clean_ticket_handoff() {
 fn clean_ticket_gate_equivalence() {
     assert_clean_budgeted(
         "ticket_gate_equivalence",
-        &h::ticket_gate_equivalence(&heavy_cfg()),
+        &h::ticket_gate_equivalence(false, &heavy_cfg()),
+    );
+}
+
+#[test]
+fn clean_ticket_gate_equivalence_streaming_de() {
+    assert_clean_budgeted(
+        "ticket_gate_equivalence/streaming DE",
+        &h::ticket_gate_equivalence(true, &heavy_cfg()),
     );
 }
 
@@ -331,8 +351,8 @@ fn mutant_edge_snapshot_after_publish_is_caught() {
 }
 
 #[test]
-fn mutant_floor_publish_before_route_is_caught() {
-    assert_caught("floor before route", &m::floor_mini(true, &cfg()));
+fn mutant_floor_before_fixup_is_caught() {
+    assert_caught("floor before fix-up", &m::floor_mini(true, &cfg()));
 }
 
 #[test]

@@ -202,8 +202,9 @@ fn replay_window_and_log(window: &TraceBundle) -> Vec<Vec<(u64, u32)>> {
 
 /// Record a real (nondeterministically scheduled) multi-threaded run
 /// into a flight window, dump it, and replay the dump: the replayed
-/// admission order must equal the dumped tail's clock order — for DC and
-/// DE at D = 1 and with a 4-domain plan.
+/// admission order must equal the dumped tail's clock order for DC, and
+/// respect the dumped tail's epochs for DE — at D = 1 and with a 4-domain
+/// plan.
 #[test]
 fn windowed_replay_reproduces_the_dumped_tail() {
     for scheme in [Scheme::Dc, Scheme::De] {
@@ -257,7 +258,8 @@ fn windowed_replay_reproduces_the_dumped_tail() {
             let logs = replay_window_and_log(&window);
             for dom in 0..domains {
                 // Expected admission order of domain d: its retained
-                // records sorted by clock, labelled with their thread.
+                // records sorted by recorded value, labelled with their
+                // thread.
                 let mut expected: Vec<(u64, u32)> = Vec::new();
                 for t in 0..nthreads {
                     for &v in &window.thread(dom, t).values {
@@ -265,12 +267,54 @@ fn windowed_replay_reproduces_the_dumped_tail() {
                     }
                 }
                 expected.sort_unstable();
+                // The log records (admission seq, tid), sorted by seq.
                 let got = &logs[dom as usize];
                 assert_eq!(got.len(), expected.len(), "{tag}: domain {dom}");
-                // The log records (admission seq, tid); admission seq i
-                // must belong to the thread owning the i-th clock.
-                for (i, &(_, tid)) in expected.iter().enumerate() {
-                    assert_eq!(got[i].1, tid, "{tag}: domain {dom} admission {i}");
+                if scheme == Scheme::Dc {
+                    // DC values are clocks: admission i must belong to the
+                    // thread owning the i-th clock.
+                    for (i, &(_, tid)) in expected.iter().enumerate() {
+                        assert_eq!(got[i].1, tid, "{tag}: domain {dom} admission {i}");
+                    }
+                    continue;
+                }
+                // DE values are epochs, and the accesses of one epoch are
+                // admitted concurrently: the order inside a run of equal
+                // recorded values is the scheduler's. What the trace pins
+                // is which threads fill each run's admission slots...
+                for run in expected.chunk_by(|a, b| a.0 == b.0) {
+                    let start = expected.partition_point(|e| e.0 < run[0].0);
+                    let mut admitted: Vec<u32> = got[start..start + run.len()]
+                        .iter()
+                        .map(|&(_, tid)| tid)
+                        .collect();
+                    admitted.sort_unstable();
+                    let recorded: Vec<u32> = run.iter().map(|&(_, tid)| tid).collect();
+                    assert_eq!(
+                        admitted, recorded,
+                        "{tag}: domain {dom} epoch {} admitted another epoch's threads",
+                        run[0].0
+                    );
+                }
+                // ...and that every admission falls inside its own epoch:
+                // a thread's j-th admission consumed its j-th record, whose
+                // epoch e admits it no earlier than position e and strictly
+                // before the next recorded epoch opens.
+                let base = window.clock_base(dom);
+                let end = base + expected.len() as u64;
+                for t in 0..nthreads {
+                    let positions = got.iter().zip(base..).filter(|(a, _)| a.1 == t);
+                    for (&epoch, (_, pos)) in window.thread(dom, t).values.iter().zip(positions) {
+                        let next = expected
+                            .iter()
+                            .map(|e| e.0)
+                            .find(|&v| v > epoch)
+                            .unwrap_or(end);
+                        assert!(
+                            (epoch..next).contains(&pos),
+                            "{tag}: domain {dom} thread {t}: position {pos} outside epoch [{epoch}, {next})"
+                        );
+                    }
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);

@@ -135,6 +135,89 @@ proptest! {
         }
     }
 
+    /// DE threads write their own records and receive fix-ups for the
+    /// rare store that was provisionally wrong; whatever the script, the
+    /// assembled per-thread files must be what the reference
+    /// `EpochTracker` run says — buffered, and streamed with a flush
+    /// threshold small enough that owners apply fix-ups mid-run.
+    #[test]
+    fn sequential_de_scripts_match_the_reference_tracker(
+        script in proptest::collection::vec((0u32..3, 0u64..3, 0u8..8), 0..120),
+        flush_records in 1usize..6,
+    ) {
+        use reomp::core::epoch::EpochTracker;
+        use reomp::{AccessKind, EpochPolicy, SessionConfig, SiteId, TraceStore};
+        // Mostly loads and stores (the kinds epochs apply to), now and
+        // then one that serializes.
+        let kind_of = |k: u8| match k {
+            0..=2 => AccessKind::Load,
+            3..=6 => AccessKind::Store,
+            _ => AccessKind::Critical,
+        };
+        let drive = |session: &Arc<Session>| {
+            let ctxs: Vec<_> = (0..3).map(|t| session.register_thread(t)).collect();
+            for &(t, site, k) in &script {
+                ctxs[t as usize].gate(SiteId(0x51 + site), kind_of(k), || ());
+            }
+        };
+        for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
+            // Reference: one tracker, epochs indexed by clock.
+            let mut tracker = EpochTracker::new(policy, 0);
+            let mut epochs: Vec<u64> = Vec::new();
+            for (clock, &(t, site, k)) in script.iter().enumerate() {
+                let site = SiteId(0x51 + site);
+                let obs = tracker.observe(t, site, site.raw(), kind_of(k), clock as u64);
+                if let Some(f) = obs.fixup {
+                    epochs[f.clock as usize] = f.epoch;
+                }
+                epochs.push(obs.value);
+            }
+            let expect: Vec<Vec<u64>> = (0..3)
+                .map(|t| {
+                    script
+                        .iter()
+                        .zip(&epochs)
+                        .filter(|((owner, _, _), _)| *owner == t)
+                        .map(|(_, &e)| e)
+                        .collect()
+                })
+                .collect();
+            // A store is the only kind whose epoch can end below its clock.
+            let deferred = script
+                .iter()
+                .zip((0u64..).zip(&epochs))
+                .filter(|((_, _, k), (c, e))| kind_of(*k) == AccessKind::Store && c != *e)
+                .count() as u64;
+
+            let cfg = SessionConfig {
+                epoch_policy: policy,
+                flush_records,
+                ..SessionConfig::default()
+            };
+            let buffered = Session::record_with(Scheme::De, 3, cfg.clone());
+            drive(&buffered);
+            let report = buffered.finish().unwrap();
+            prop_assert_eq!(report.stats.deferred_finalizations, deferred, "{:?}", policy);
+            let bundle = report.bundle.unwrap();
+
+            let store = reomp::MemStore::new();
+            let streamed = Session::record_streaming_with(Scheme::De, 3, cfg, &store).unwrap();
+            drive(&streamed);
+            let report = streamed.finish().unwrap();
+            prop_assert_eq!(report.stats.deferred_finalizations, deferred, "{:?}", policy);
+            prop_assert_eq!(report.stats.records_written, script.len() as u64);
+            let (loaded, _) = store.load().unwrap();
+            prop_assert_eq!(&loaded, &bundle, "{:?}: streamed ≡ buffered", policy);
+
+            for (t, values) in expect.iter().enumerate() {
+                prop_assert_eq!(
+                    &bundle.thread(0, t as u32).values, values,
+                    "{:?}: thread {}", policy, t
+                );
+            }
+        }
+    }
+
     #[test]
     fn random_traces_roundtrip_through_the_codec(
         programs in proptest::collection::vec(

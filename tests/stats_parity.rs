@@ -2,7 +2,9 @@
 //! refactor: a deterministic single-driver schedule, table-driven over
 //! {ST, DC, DE} × D ∈ {1, 2} × record/replay, must report the counter
 //! values the session-global `Stats` block reported. The literals below
-//! were captured on the parent commit (bc3797f) with this same schedule.
+//! were captured on the parent commit (bc3797f) with this same schedule,
+//! and survived DE's move to owner-written record lanes unchanged (the
+//! fix-up count *is* `deferred_finalizations`).
 
 use reomp::core::StatsSnapshot;
 use reomp::{AccessKind, DomainPlan, Scheme, Session, SessionConfig, SiteId};
@@ -74,8 +76,8 @@ fn drive(session: &Arc<Session>) {
     c1.gate(B, AccessKind::Reduction, || ());
     c0.gate(B, AccessKind::Ordered, || ());
     c1.gate(A, AccessKind::MpiOp, || ());
-    // End on a store: DE holds it pending until `finish` flushes it, which
-    // is the one record no thread's gate writes.
+    // End on a store: DE still holds it pending at `finish`, where it
+    // keeps the provisional value its owner wrote.
     c1.sync_point();
     c1.gate(B, AccessKind::Store, || ());
 }
@@ -124,15 +126,18 @@ fn counters_match_the_parent_commit() {
                     "{tag}"
                 );
                 assert_eq!(report.stats.waits, 0, "{tag}: single driver never waits");
-                // The per-thread breakdown plus the session's own slot is
-                // the total. Only DE record runs leave anything in the
-                // session slot: `finish` writes the trailing store's record.
+                // The per-thread breakdown is the total: nothing here
+                // leaves anything in the session's own slot. (Until DE
+                // threads wrote their own records, `finish` wrote the
+                // trailing pending store's and counted it there.)
                 let mut threads = StatsSnapshot::default();
                 assert_eq!(report.thread_stats.len(), 2, "{tag}");
                 for t in &report.thread_stats {
                     threads.absorb(t);
+                    if !is_replay {
+                        assert_eq!(t.records_written, t.gates, "{tag}: own records only");
+                    }
                 }
-                threads.records_written += u64::from(scheme == Scheme::De && !is_replay);
                 assert_eq!(threads, report.stats, "{tag}");
                 if domains > 1 {
                     assert_eq!(
