@@ -7,14 +7,11 @@
 //!    this implementation; verify capacity does not change epochs.
 //! 3. **Trace codec** — varint-delta vs raw 8-byte encoding size on real
 //!    app traces (the I/O volume that bounds scalability, §II-B).
-//! 4. **Parallel trace I/O** — DirStore with per-thread writers vs serial.
 
 use miniapps::App;
 use ompr::Runtime;
 use reomp_bench::{bench_scale, bench_threads, config_with_policy};
-use reomp_core::{
-    codec, DirStore, EpochHistogram, EpochPolicy, Scheme, Session, TraceBundle, TraceStore,
-};
+use reomp_core::{codec, EpochHistogram, EpochPolicy, Scheme, Session, TraceBundle};
 use std::time::Instant;
 
 fn record_app(app: App, threads: u32, scale: usize, policy: EpochPolicy) -> TraceBundle {
@@ -102,27 +99,5 @@ fn main() {
             raw,
             raw as f64 / encoded.max(1) as f64
         );
-    }
-
-    println!("\n=== Ablation 4: parallel vs serial per-thread trace I/O ===");
-    let bundle = record_app(App::Hacc, threads, scale.max(2), EpochPolicy::Contiguous);
-    for parallel in [true, false] {
-        let dir = std::env::temp_dir().join(format!("reomp-ablation-io-{parallel}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DirStore::new(&dir).with_parallel_io(parallel);
-        let t0 = Instant::now();
-        let report = store.save(&bundle).expect("save");
-        let t_save = t0.elapsed();
-        let t0 = Instant::now();
-        let _ = store.load().expect("load");
-        let t_load = t0.elapsed();
-        println!(
-            "  parallel={parallel:<5}: save {:>10.6} s, load {:>10.6} s, {} files, {} B",
-            t_save.as_secs_f64(),
-            t_load.as_secs_f64(),
-            report.files,
-            report.bytes
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,9 +4,8 @@
 //! write path matter).
 //!
 //! Sweeps the records-per-chunk knob and reports save and load wall time
-//! plus the on-disk volume, for both the parallel per-thread I/O mode and
-//! the serial ablation. Also times a live streaming record run against the
-//! buffer-everything baseline.
+//! plus the on-disk volume. Also times a live streaming record run against
+//! the buffer-everything baseline.
 //!
 //! `REOMP_BENCH_SCALE` multiplies the trace length (default ~1M records).
 
@@ -56,66 +55,63 @@ fn main() {
         "\n=== Store streaming: {total} records across {nthreads} threads (one-shot vs chunked) ==="
     );
     println!(
-        "{:>10} {:>20} {:>12} {:>12} {:>12} {:>10} {:>9}",
-        "io mode", "layout", "save (s)", "load (s)", "bytes", "chunks", "B/event"
+        "{:>20} {:>12} {:>12} {:>12} {:>10} {:>9}",
+        "layout", "save (s)", "load (s)", "bytes", "chunks", "B/event"
     );
 
-    for parallel in [true, false] {
-        let io_mode = if parallel { "parallel" } else { "serial" };
-        let dir = bench_dir(io_mode);
-        let store = DirStore::new(&dir).with_parallel_io(parallel);
+    let dir = bench_dir("layouts");
+    let store = DirStore::new(&dir);
 
-        let t_save = time_min(|| {
-            store.save(&bundle).expect("one-shot save");
-        });
-        let report = store.save(&bundle).expect("one-shot save");
-        let t_load = time_min(|| {
-            let (b, _) = store.load().expect("load");
-            assert_eq!(b.total_records(), total);
-        });
-        println!(
-            "{io_mode:>10} {:>20} {:>12.6} {:>12.6} {:>12} {:>10} {:>9.3}",
-            "one-shot",
-            t_save.as_secs_f64(),
-            t_load.as_secs_f64(),
-            report.bytes,
-            report.chunks,
-            report.bytes as f64 / total as f64
-        );
+    let t_save = time_min(|| {
+        store.save(&bundle).expect("one-shot save");
+    });
+    let report = store.save(&bundle).expect("one-shot save");
+    let t_load = time_min(|| {
+        let (b, _) = store.load().expect("load");
+        assert_eq!(b.total_records(), total);
+    });
+    println!(
+        "{:>20} {:>12.6} {:>12.6} {:>12} {:>10} {:>9.3}",
+        "one-shot",
+        t_save.as_secs_f64(),
+        t_load.as_secs_f64(),
+        report.bytes,
+        report.chunks,
+        report.bytes as f64 / total as f64
+    );
 
-        for records_per_chunk in [4_096usize, 65_536, 1_048_576] {
-            // Plain chunked vs per-chunk RLE compression (REOMP_COMPRESS):
-            // same loaded bundle, different bytes/event.
-            for compress in [false, true] {
-                let t_save = time_min(|| {
-                    store
-                        .save_chunked_opt(&bundle, records_per_chunk, compress)
-                        .expect("chunked save");
-                });
-                let report = store
+    for records_per_chunk in [4_096usize, 65_536, 1_048_576] {
+        // Plain chunked vs per-chunk RLE compression (REOMP_COMPRESS):
+        // same loaded bundle, different bytes/event.
+        for compress in [false, true] {
+            let t_save = time_min(|| {
+                store
                     .save_chunked_opt(&bundle, records_per_chunk, compress)
                     .expect("chunked save");
-                let t_load = time_min(|| {
-                    let (b, _) = store.load().expect("load");
-                    assert_eq!(b.total_records(), total);
-                });
-                let layout = if compress {
-                    format!("chunk {records_per_chunk} +rle")
-                } else {
-                    format!("chunk {records_per_chunk}")
-                };
-                println!(
-                    "{io_mode:>10} {layout:>20} {:>12.6} {:>12.6} {:>12} {:>10} {:>9.3}",
-                    t_save.as_secs_f64(),
-                    t_load.as_secs_f64(),
-                    report.bytes,
-                    report.chunks,
-                    report.bytes as f64 / total as f64
-                );
-            }
+            });
+            let report = store
+                .save_chunked_opt(&bundle, records_per_chunk, compress)
+                .expect("chunked save");
+            let t_load = time_min(|| {
+                let (b, _) = store.load().expect("load");
+                assert_eq!(b.total_records(), total);
+            });
+            let layout = if compress {
+                format!("chunk {records_per_chunk} +rle")
+            } else {
+                format!("chunk {records_per_chunk}")
+            };
+            println!(
+                "{layout:>20} {:>12.6} {:>12.6} {:>12} {:>10} {:>9.3}",
+                t_save.as_secs_f64(),
+                t_load.as_secs_f64(),
+                report.bytes,
+                report.chunks,
+                report.bytes as f64 / total as f64
+            );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Live comparison: buffer-everything record + save vs streaming record.
     let gates_per_thread = 20_000 * bench_scale();

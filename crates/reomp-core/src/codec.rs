@@ -345,18 +345,6 @@ pub fn encode_thread_trace(trace: &ThreadTrace, scheme: Scheme, tid: u32) -> Byt
     encode_thread_trace_opt(trace, scheme, tid, None)
 }
 
-/// Serialize one per-thread trace of a multi-domain recording: the header
-/// carries [`FLAG_DOMAINS`] and `domain`.
-#[must_use]
-pub fn encode_thread_trace_domain(
-    trace: &ThreadTrace,
-    scheme: Scheme,
-    tid: u32,
-    domain: u32,
-) -> Bytes {
-    encode_thread_trace_opt(trace, scheme, tid, Some(domain))
-}
-
 /// Encode with an optional domain tag — the single dispatch point the
 /// store layer uses (`None` = legacy single-domain layout).
 pub(crate) fn encode_thread_trace_opt(
@@ -573,19 +561,6 @@ pub fn encode_thread_stream_header(scheme: Scheme, tid: u32, sites: bool, kinds:
     encode_thread_stream_header_opt(scheme, tid, None, sites, kinds, false)
 }
 
-/// [`encode_thread_stream_header`] for a multi-domain recording (15-byte
-/// header carrying [`FLAG_DOMAINS`] and the domain id).
-#[must_use]
-pub fn encode_thread_stream_header_domain(
-    scheme: Scheme,
-    tid: u32,
-    domain: u32,
-    sites: bool,
-    kinds: bool,
-) -> Bytes {
-    encode_thread_stream_header_opt(scheme, tid, Some(domain), sites, kinds, false)
-}
-
 /// Stream-header variant of [`encode_thread_trace_opt`]; `compress`
 /// stamps [`FLAG_COMPRESSED`], committing every chunk of the stream to the
 /// RLE payload layout.
@@ -613,12 +588,6 @@ pub(crate) fn encode_thread_stream_header_opt(
 #[must_use]
 pub fn encode_st_stream_header(sites: bool, kinds: bool) -> Bytes {
     encode_st_stream_header_opt(None, sites, kinds, false)
-}
-
-/// [`encode_st_stream_header`] for a multi-domain recording.
-#[must_use]
-pub fn encode_st_stream_header_domain(domain: u32, sites: bool, kinds: bool) -> Bytes {
-    encode_st_stream_header_opt(Some(domain), sites, kinds, false)
 }
 
 /// Stream-header variant of [`encode_st_trace_opt`].
@@ -741,12 +710,6 @@ fn frame_chunk(payload: &BytesMut) -> Bytes {
 #[must_use]
 pub fn encode_st_trace(trace: &StTrace) -> Bytes {
     encode_st_trace_opt(trace, None)
-}
-
-/// Serialize one domain's shared ST stream of a multi-domain recording.
-#[must_use]
-pub fn encode_st_trace_domain(trace: &StTrace, domain: u32) -> Bytes {
-    encode_st_trace_opt(trace, Some(domain))
 }
 
 /// ST variant of [`encode_thread_trace_opt`].
@@ -1425,7 +1388,7 @@ mod tests {
             sites: Some(vec![1, 2, 3]),
             kinds: Some(vec![0, 1, 0]),
         };
-        let bytes = encode_thread_trace_domain(&t, Scheme::De, 3, 2);
+        let bytes = encode_thread_trace_opt(&t, Scheme::De, 3, Some(2));
         let d = decode_thread_records(&bytes).unwrap();
         assert_eq!(d.trace, t);
         assert_eq!((d.scheme, d.tid, d.domain), (Scheme::De, 3, Some(2)));
@@ -1440,7 +1403,7 @@ mod tests {
             sites: None,
             kinds: None,
         };
-        let bytes = encode_st_trace_domain(&st, 5);
+        let bytes = encode_st_trace_opt(&st, Some(5));
         let d = decode_st_records(&bytes).unwrap();
         assert_eq!(d.trace, st);
         assert_eq!(d.domain, Some(5));
@@ -1457,14 +1420,15 @@ mod tests {
             sites: None,
             kinds: None,
         };
-        let mut bytes = encode_thread_stream_header_domain(Scheme::Dc, 1, 3, false, false).to_vec();
+        let mut bytes =
+            encode_thread_stream_header_opt(Scheme::Dc, 1, Some(3), false, false, false).to_vec();
         bytes.extend_from_slice(&encode_thread_chunk(&t.values[..2], None, None));
         bytes.extend_from_slice(&encode_thread_chunk(&t.values[2..], None, None));
         let d = decode_thread_records(&bytes).unwrap();
         assert_eq!(d.trace, t);
         assert_eq!((d.tid, d.domain, d.chunks), (1, Some(3), 2));
 
-        let mut bytes = encode_st_stream_header_domain(7, false, false).to_vec();
+        let mut bytes = encode_st_stream_header_opt(Some(7), false, false, false).to_vec();
         bytes.extend_from_slice(&encode_st_chunk(&[0, 1], None, None));
         let d = decode_st_records(&bytes).unwrap();
         assert_eq!(d.trace.tids, vec![0, 1]);
@@ -1478,7 +1442,7 @@ mod tests {
             sites: None,
             kinds: None,
         };
-        let bytes = encode_thread_trace_domain(&t, Scheme::Dc, 0, 9);
+        let bytes = encode_thread_trace_opt(&t, Scheme::Dc, 0, Some(9));
         // Cut inside the 4-byte domain id (header is 11 + 4 bytes).
         for cut in 11..15 {
             let err = decode_thread_records(&bytes[..cut]).unwrap_err();

@@ -261,11 +261,7 @@ impl FlightRecorder {
         kinds: Option<&[u8]>,
     ) -> Result<u64, TraceError> {
         check_columns(self.opts.validated, sites, kinds)?;
-        if dom >= self.opts.domains || tid >= self.opts.nthreads {
-            return Err(TraceError::Corrupt(format!(
-                "no stream for domain {dom} thread {tid}"
-            )));
-        }
+        let idx = self.opts.stream_index(dom, tid)?;
         let chunk = ChunkBuf {
             data: values.to_vec(),
             sites: sites.map(<[u64]>::to_vec),
@@ -273,7 +269,6 @@ impl FlightRecorder {
         };
         let weight = chunk.weight();
         let mut state = self.state.lock();
-        let idx = (dom * self.opts.nthreads + tid) as usize;
         state.threads[idx].chunks.push_back(chunk);
         self.enforce_window(&mut state, dom);
         self.note_peak(&state);
@@ -482,13 +477,7 @@ impl RecordSink for FlightSink {
     }
 
     fn put_plan(&self, plan: &DomainPlan) -> Result<(), TraceError> {
-        if plan.domains() != self.0.opts.domains {
-            return Err(TraceError::Corrupt(format!(
-                "plan partitions {} domains but the recording has {}",
-                plan.domains(),
-                self.0.opts.domains
-            )));
-        }
+        self.0.opts.check_plan(plan)?;
         self.0.state.lock().plan = Some(plan.clone());
         Ok(())
     }

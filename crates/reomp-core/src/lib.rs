@@ -89,7 +89,7 @@
 //! | [`plan`] | race-report-driven site → gate-domain assignment ([`DomainPlan`]) |
 //! | [`trace`] | per-thread and shared trace representations (Fig. 3) |
 //! | [`codec`] | varint/delta binary encoding of record files, incl. the streaming chunk frame |
-//! | [`store`] | record-file storage: in-memory and one-file-per-thread dir, one-shot and streaming |
+//! | [`store`] | record-file storage: one trace layer (naming, manifest, save, streaming sink, load) over a blob backend — a directory with one file per thread, or memory |
 //! | [`flight`] | bounded in-situ recording: ring-retained streams, checkpointed windowed dumps |
 //! | [`gate`] | `gate_in`/`gate_out` engines for all scheme × mode pairs |
 //! | [`session`] | run orchestration, env-var mode switching (§V) |
@@ -129,7 +129,6 @@ pub use site::{AccessKind, SiteId};
 pub use stats::{EpochHistogram, StatsSnapshot};
 pub use store::{
     DirStore, IoReport, MemStore, RecordOptions, RecordSink, StreamingTraceStore, TraceStore,
-    TraceWriter,
 };
 pub use trace::{Checkpoint, CrossDomainEdge, DumpTrigger, TraceBundle};
 pub use verify::{Certificate, Diagnostic, Severity, Tier, Verifier, VerifyReport};

@@ -2,54 +2,78 @@
 //!
 //! DC/DE recording owes much of its advantage to the record-file *layout*:
 //! one file per thread, written and read independently (§IV-C1), versus
-//! ST's single shared file. [`DirStore`] reproduces that layout on a
-//! directory (the paper uses tmpfs; `std::env::temp_dir()` is tmpfs on the
-//! evaluation platform) and performs per-thread file I/O in parallel.
-//! [`MemStore`] is an in-memory stand-in for tests and microbenches.
+//! ST's single shared file — on a file system whose usage ultimately
+//! bounds record-and-replay scalability (§II-B). This module is that
+//! layout, in two layers:
 //!
-//! # Gate domains on disk
+//! * A **blob backend** ([`Blobs`]) that knows nothing about traces: named
+//!   byte blobs that can be listed, read, removed, written whole, or
+//!   streamed (`create`, `append`…, `publish`), and a `commit` that writes
+//!   one last blob after everything else is durable. [`DirBlobs`] keeps one
+//!   file per blob in a directory (the paper uses tmpfs;
+//!   `std::env::temp_dir()` is tmpfs on the evaluation platform);
+//!   [`MemBlobs`] is a name → bytes map for tests and microbenches.
+//! * One **trace layer** over any backend, [`Store`]: stream and section
+//!   naming, the manifest, the stale-blob rule, the one-shot `save`, the
+//!   streaming [`RecordSink`], `load` with its cross-checks, and
+//!   [`IoReport`] accounting. [`DirStore`] and [`MemStore`] are
+//!   `Store<DirBlobs>` and `Store<MemBlobs>`; both go through the binary
+//!   [`codec`], so they exercise the same encode/decode path.
 //!
-//! A recording made with `D > 1` gate domains (see
+//! # Layout
+//!
+//! `manifest.txt`, one `thread_<tid>.rtrc` per thread, `st.rtrc` for ST,
+//! and the optional sections `plan.rtrc` (the [`DomainPlan`]), `edges.rtrc`
+//! (cross-domain happens-before edges) and `checkpoint.rtrc` (the
+//! [`Checkpoint`] of a flight-recorder dump). A recording made with `D > 1`
+//! gate domains (see
 //! [`SessionConfig::domains`](crate::session::SessionConfig::domains))
-//! stores one record file per thread **per domain** —
-//! `thread_<tid>.d<dom>.rtrc`, plus `st.d<dom>.rtrc` for ST — and the
-//! manifest carries a `domains D` line. Single-domain recordings keep the
-//! classic names (`thread_<tid>.rtrc`, `st.rtrc`) and manifest, byte for
-//! byte, so traces from before gate domains existed load unchanged. On
-//! load, every file's header domain id is cross-checked against its name
-//! and the manifest.
+//! stores one record stream per thread **per domain** —
+//! `thread_<tid>.d<dom>.rtrc`, `st.d<dom>.rtrc` — and its manifest carries a
+//! `domains D` line. Single-domain recordings keep the classic names and
+//! manifest, byte for byte, so traces from before gate domains existed load
+//! unchanged; likewise the `plan`/`edges`/`checkpoint` manifest lines exist
+//! only when the section does.
 //!
-//! # Crash-safe persistence
+//! # Commit protocol
 //!
-//! [`DirStore::save`] is atomic at the file level: every record file and
-//! the manifest are written to a `*.tmp` sibling, fsynced, and `rename`d
-//! into place (with a best-effort directory fsync after the manifest), and
-//! the manifest — the one file [`DirStore::load`] keys on — is removed
-//! first and re-written **last**. A crash at any point mid-save therefore
-//! leaves either the directory unloadable ([`TraceError::Empty`]) or a
-//! fully consistent bundle; it can never pair a new manifest with old
-//! record files. On load, the manifest's record count is cross-checked
-//! against the decoded files, so even a chunked file that lost its tail at
-//! an exact chunk boundary is rejected as corrupt rather than silently
-//! shortened. Saving also scrubs *stale* files from earlier runs
-//! (per-thread files beyond the new thread count, domain files beyond the
-//! new domain count, an `st.rtrc` when the new bundle has no ST stream,
-//! leftover temp files), so a directory reused across schemes, thread
-//! counts, or domain counts cannot mix runs.
+//! Every write — `save`, `save_chunked`, a streaming recording — runs the
+//! same steps, so a crash at any point leaves the store either unloadable
+//! ([`TraceError::Empty`]) or holding one fully consistent bundle; it can
+//! never pair a new manifest with old record blobs:
+//!
+//! 1. remove the manifest, the one blob `load` keys on;
+//! 2. remove *stale* blobs the new layout will not overwrite (threads
+//!    beyond the new thread count, domain-tagged names beyond the new
+//!    domain count or of the other naming scheme, an ST stream the new
+//!    scheme lacks, old sections, unpublished leftovers of an interrupted
+//!    write), so a store reused across schemes, thread counts or domain
+//!    counts cannot mix runs;
+//! 3. write the record streams, then the sections, each atomically (for
+//!    [`DirBlobs`]: a `*.tmp` sibling, fsynced, then `rename`d into place);
+//! 4. commit the manifest **last** (for [`DirBlobs`]: written like any
+//!    blob, then a best-effort directory fsync).
+//!
+//! A streaming recording dropped without [`RecordSink::commit`] stops
+//! after step 2 and sweeps its unpublished streams.
+//!
+//! On load, the manifest is outside input: the stream count it declares is
+//! bounded by the blobs that exist before anything is allocated per
+//! stream, every stream's header (scheme, thread, domain) is checked
+//! against its name, section sizes against the manifest's counts, and the
+//! manifest's record count against the decoded streams — so even a chunked
+//! stream that lost its tail at an exact chunk boundary is rejected as
+//! corrupt rather than silently shortened.
 //!
 //! # Streaming (chunked) recording
 //!
-//! The paper warns that record-and-replay scalability is ultimately
-//! bounded by file-system usage (§II-B); rr and iReplayer both stream
-//! records incrementally for this reason. [`StreamingTraceStore`] is the
-//! incremental counterpart of [`TraceStore`]: [`begin_record`] opens one
-//! chunked stream per thread per domain (see the [`crate::codec`] chunk
-//! frame), the returned [`RecordSink`] appends encoded chunks as the
-//! session records — so a trace can grow past RAM — and
-//! [`RecordSink::commit`] publishes the directory atomically (manifest
-//! last, like `save`). A recording that is dropped without `commit` leaves
-//! only temp files and no manifest: the directory stays unloadable rather
-//! than corrupt.
+//! rr and iReplayer both stream records incrementally because of the
+//! file-system bound above. [`StreamingTraceStore`] is the incremental
+//! counterpart of [`TraceStore`]: [`begin_record`] opens one chunked
+//! stream per thread per domain (see the [`crate::codec`] chunk frame),
+//! the returned [`RecordSink`] appends encoded chunks as the session
+//! records — so a trace can grow past RAM — and [`RecordSink::commit`]
+//! publishes the streams, the sections and the manifest.
 //!
 //! [`begin_record`]: StreamingTraceStore::begin_record
 
@@ -59,13 +83,16 @@ use crate::plan::DomainPlan;
 use crate::session::Scheme;
 use crate::trace::{Checkpoint, CrossDomainEdge, StTrace, ThreadTrace, TraceBundle};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes/files touched by one save or load, for the session's I/O stats.
+///
+/// A [`DirStore`] counts its manifest as a file (and, on a write, its
+/// bytes); a [`MemStore`] never has — see [`Blobs::COUNTS_MANIFEST`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoReport {
     /// Total payload bytes moved.
@@ -82,6 +109,14 @@ pub struct IoReport {
     /// Records evicted from the retained window over the recording's
     /// lifetime (0 for unbounded stores).
     pub evicted: u64,
+}
+
+impl IoReport {
+    /// Count one blob of `bytes` bytes.
+    fn add_blob(&mut self, bytes: usize) {
+        self.bytes += bytes as u64;
+        self.files += 1;
+    }
 }
 
 /// Parameters of one streaming recording, threaded through
@@ -122,6 +157,17 @@ impl RecordOptions {
         self
     }
 
+    /// The options that stream `bundle` as it is.
+    fn of_bundle(bundle: &TraceBundle, compress: bool) -> Self {
+        RecordOptions::new(
+            bundle.scheme,
+            bundle.nthreads,
+            bundle.domains,
+            bundle.has_validation(),
+        )
+        .with_compression(compress)
+    }
+
     fn check(&self) -> Result<(), TraceError> {
         if self.nthreads == 0 {
             return Err(TraceError::Corrupt("zero threads".into()));
@@ -130,6 +176,28 @@ impl RecordOptions {
             return Err(TraceError::Corrupt("zero domains".into()));
         }
         Ok(())
+    }
+
+    /// A plan attached to this recording must partition its domain count.
+    pub(crate) fn check_plan(&self, plan: &DomainPlan) -> Result<(), TraceError> {
+        if plan.domains() != self.domains {
+            return Err(TraceError::Corrupt(format!(
+                "plan partitions {} domains but the recording has {}",
+                plan.domains(),
+                self.domains
+            )));
+        }
+        Ok(())
+    }
+
+    /// Flat domain-major index of thread `tid`'s stream in domain `dom`.
+    pub(crate) fn stream_index(&self, dom: u32, tid: u32) -> Result<usize, TraceError> {
+        if dom >= self.domains || tid >= self.nthreads {
+            return Err(TraceError::Corrupt(format!(
+                "no stream for domain {dom} thread {tid}"
+            )));
+        }
+        Ok((dom * self.nthreads + tid) as usize)
     }
 }
 
@@ -179,31 +247,8 @@ pub trait StreamingTraceStore: TraceStore {
         compress: bool,
     ) -> Result<IoReport, TraceError> {
         bundle.validate()?;
-        let opts = RecordOptions::new(
-            bundle.scheme,
-            bundle.nthreads,
-            bundle.domains,
-            bundle.has_validation(),
-        )
-        .with_compression(compress);
-        let sink = self.begin_record(opts)?;
-        for (i, trace) in bundle.threads.iter().enumerate() {
-            let (dom, tid) = split_stream_index(i, bundle.nthreads);
-            stream_thread_trace(&*sink, dom, tid, trace, records_per_chunk)?;
-        }
-        for (dom, st) in bundle.st.iter().enumerate() {
-            stream_st_trace(&*sink, dom as u32, st, records_per_chunk)?;
-        }
-        if let Some(plan) = &bundle.plan {
-            sink.put_plan(plan)?;
-        }
-        if !bundle.edges.is_empty() {
-            sink.append_edges(&bundle.edges)?;
-        }
-        if let Some(cp) = &bundle.checkpoint {
-            sink.put_checkpoint(cp)?;
-        }
-        sink.commit(bundle.total_records())
+        let sink = self.begin_record(RecordOptions::of_bundle(bundle, compress))?;
+        stream_bundle(sink, bundle, records_per_chunk, false)
     }
 }
 
@@ -213,6 +258,59 @@ fn split_stream_index(i: usize, nthreads: u32) -> (u32, u32) {
     ((i / n) as u32, (i % n) as u32)
 }
 
+/// Run `job` over every item: on one scoped thread per item when `fan_out`
+/// and there is more than one — the per-thread parallel I/O the paper
+/// credits to DC/DE recording (§IV-C1) — inline otherwise.
+fn each_stream<T: Sync, R: Send>(
+    fan_out: bool,
+    items: &[T],
+    job: impl Fn(usize, &T) -> Result<R, TraceError> + Sync,
+) -> Result<Vec<R>, TraceError> {
+    if !fan_out || items.len() < 2 {
+        return items.iter().enumerate().map(|(i, t)| job(i, t)).collect();
+    }
+    std::thread::scope(|s| {
+        let job = &job;
+        let workers: Vec<_> = items
+            .iter()
+            .enumerate()
+            .map(|(i, t)| s.spawn(move || job(i, t)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("stream I/O worker panicked"))
+            .collect()
+    })
+}
+
+/// Feed `bundle` through `sink` in `records_per_chunk`-sized chunks and
+/// commit it.
+fn stream_bundle(
+    sink: Box<dyn RecordSink>,
+    bundle: &TraceBundle,
+    records_per_chunk: usize,
+    fan_out: bool,
+) -> Result<IoReport, TraceError> {
+    // Every stream has its own lock, so parallel appenders do not contend.
+    each_stream(fan_out, &bundle.threads, |i, trace| {
+        let (dom, tid) = split_stream_index(i, bundle.nthreads);
+        stream_thread_trace(&*sink, dom, tid, trace, records_per_chunk)
+    })?;
+    for (dom, st) in bundle.st.iter().enumerate() {
+        stream_st_trace(&*sink, dom as u32, st, records_per_chunk)?;
+    }
+    if let Some(plan) = &bundle.plan {
+        sink.put_plan(plan)?;
+    }
+    if !bundle.edges.is_empty() {
+        sink.append_edges(&bundle.edges)?;
+    }
+    if let Some(cp) = &bundle.checkpoint {
+        sink.put_checkpoint(cp)?;
+    }
+    sink.commit(bundle.total_records())
+}
+
 /// Append one thread trace to a sink in `records_per_chunk`-sized chunks.
 fn stream_thread_trace(
     sink: &dyn RecordSink,
@@ -220,13 +318,12 @@ fn stream_thread_trace(
     tid: u32,
     trace: &ThreadTrace,
     records_per_chunk: usize,
-) -> Result<u64, TraceError> {
+) -> Result<(), TraceError> {
     let step = records_per_chunk.max(1);
-    let mut bytes = 0;
     let mut at = 0;
     while at < trace.values.len() {
         let end = (at + step).min(trace.values.len());
-        bytes += sink.append_thread_chunk(
+        sink.append_thread_chunk(
             dom,
             tid,
             &trace.values[at..end],
@@ -235,7 +332,7 @@ fn stream_thread_trace(
         )?;
         at = end;
     }
-    Ok(bytes)
+    Ok(())
 }
 
 /// Append one domain's shared ST trace to a sink in chunks.
@@ -244,13 +341,12 @@ fn stream_st_trace(
     dom: u32,
     st: &StTrace,
     records_per_chunk: usize,
-) -> Result<u64, TraceError> {
+) -> Result<(), TraceError> {
     let step = records_per_chunk.max(1);
-    let mut bytes = 0;
     let mut at = 0;
     while at < st.tids.len() {
         let end = (at + step).min(st.tids.len());
-        bytes += sink.append_st_chunk(
+        sink.append_st_chunk(
             dom,
             &st.tids[at..end],
             st.sites.as_ref().map(|s| &s[at..end]),
@@ -258,7 +354,7 @@ fn stream_st_trace(
         )?;
         at = end;
     }
-    Ok(bytes)
+    Ok(())
 }
 
 /// Handle for one in-progress streaming recording. All methods are
@@ -306,75 +402,6 @@ pub trait RecordSink: Send + Sync {
     fn commit(self: Box<Self>, total_records: u64) -> Result<IoReport, TraceError>;
 }
 
-impl<'s> dyn RecordSink + 's {
-    /// A borrowing writer handle for thread `tid`'s stream in domain
-    /// `dom` — the per-thread view a recording thread holds onto.
-    #[must_use]
-    pub fn thread_writer(&self, dom: u32, tid: u32) -> TraceWriter<'_> {
-        TraceWriter {
-            sink: self,
-            dom,
-            tid: Some(tid),
-        }
-    }
-
-    /// A borrowing writer handle for domain `dom`'s shared ST stream.
-    #[must_use]
-    pub fn st_writer(&self, dom: u32) -> TraceWriter<'_> {
-        TraceWriter {
-            sink: self,
-            dom,
-            tid: None,
-        }
-    }
-}
-
-/// Per-stream writer handle over a [`RecordSink`]: a thread's own record
-/// file, or the shared ST stream (where values are thread IDs).
-#[derive(Clone, Copy)]
-pub struct TraceWriter<'s> {
-    sink: &'s dyn RecordSink,
-    /// Gate domain the stream belongs to (0 for single-domain runs).
-    dom: u32,
-    /// `None` addresses the shared ST stream.
-    tid: Option<u32>,
-}
-
-impl TraceWriter<'_> {
-    /// Append one chunk of records. For the ST stream the values are
-    /// thread IDs and must fit `u32`.
-    pub fn append(
-        &self,
-        values: &[u64],
-        sites: Option<&[u64]>,
-        kinds: Option<&[u8]>,
-    ) -> Result<u64, TraceError> {
-        match self.tid {
-            Some(tid) => self
-                .sink
-                .append_thread_chunk(self.dom, tid, values, sites, kinds),
-            None => {
-                let mut tids = Vec::with_capacity(values.len());
-                for &v in values {
-                    tids.push(u32::try_from(v).map_err(|_| {
-                        TraceError::Corrupt(format!("st stream tid {v} out of range"))
-                    })?);
-                }
-                self.sink.append_st_chunk(self.dom, &tids, sites, kinds)
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceWriter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceWriter")
-            .field("dom", &self.dom)
-            .field("tid", &self.tid)
-            .finish()
-    }
-}
-
 pub(crate) fn check_columns(
     validated: bool,
     sites: Option<&[u64]>,
@@ -388,466 +415,244 @@ pub(crate) fn check_columns(
     Ok(())
 }
 
-/// In-memory store (still goes through the binary codec, so it exercises
-/// the same encode/decode path as [`DirStore`]).
-#[derive(Debug, Default)]
-pub struct MemStore {
-    files: Arc<Mutex<Option<EncodedBundle>>>,
-}
+// Blob backends: named bytes, nothing about traces.
 
-#[derive(Debug, Clone)]
-struct EncodedBundle {
-    scheme: Scheme,
-    nthreads: u32,
-    domains: u32,
-    /// Flat, domain-major encoded per-thread files.
-    threads: Vec<Vec<u8>>,
-    /// Per-domain encoded ST streams (empty for non-ST).
-    st: Vec<Vec<u8>>,
-    /// Encoded domain-plan section, when the recording carried one.
-    plan: Option<Vec<u8>>,
-    /// Encoded cross-domain edge section, when edges were recorded.
-    edges: Option<Vec<u8>>,
-    /// Encoded checkpoint section of a flight-recorder dump.
-    checkpoint: Option<Vec<u8>>,
-}
-
-impl MemStore {
-    /// New empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        MemStore::default()
-    }
-}
-
-impl TraceStore for MemStore {
-    fn save(&self, bundle: &TraceBundle) -> Result<IoReport, TraceError> {
-        // An inconsistent bundle must fail here, not map streams onto the
-        // wrong slots (the flat index is interpreted modulo nthreads).
-        bundle.validate()?;
-        let mut report = IoReport::default();
-        let threads: Vec<Vec<u8>> = bundle
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let (dom, tid) = split_stream_index(i, bundle.nthreads);
-                let b = codec::encode_thread_trace_opt(
-                    t,
-                    bundle.scheme,
-                    tid,
-                    dom_tag(bundle.domains, dom),
-                )
-                .to_vec();
-                report.bytes += b.len() as u64;
-                report.files += 1;
-                b
-            })
-            .collect();
-        let st: Vec<Vec<u8>> = bundle
-            .st
-            .iter()
-            .enumerate()
-            .map(|(dom, st)| {
-                let b =
-                    codec::encode_st_trace_opt(st, dom_tag(bundle.domains, dom as u32)).to_vec();
-                report.bytes += b.len() as u64;
-                report.files += 1;
-                b
-            })
-            .collect();
-        let plan = bundle.plan.as_ref().map(|p| {
-            let b = codec::encode_plan(p).to_vec();
-            report.bytes += b.len() as u64;
-            report.files += 1;
-            b
-        });
-        let edges = (!bundle.edges.is_empty()).then(|| {
-            let b = codec::encode_edges(&bundle.edges).to_vec();
-            report.bytes += b.len() as u64;
-            report.files += 1;
-            b
-        });
-        let checkpoint = bundle.checkpoint.as_ref().map(|cp| {
-            let b = codec::encode_checkpoint(cp).to_vec();
-            report.bytes += b.len() as u64;
-            report.files += 1;
-            b
-        });
-        *self.files.lock() = Some(EncodedBundle {
-            scheme: bundle.scheme,
-            nthreads: bundle.nthreads,
-            domains: bundle.domains,
-            threads,
-            st,
-            plan,
-            edges,
-            checkpoint,
-        });
-        Ok(report)
-    }
-
-    fn load(&self) -> Result<(TraceBundle, IoReport), TraceError> {
-        let encoded = self.files.lock().clone().ok_or(TraceError::Empty)?;
-        let mut report = IoReport::default();
-        let mut threads = Vec::with_capacity(encoded.threads.len());
-        for (i, bytes) in encoded.threads.iter().enumerate() {
-            let (dom, tid) = split_stream_index(i, encoded.nthreads);
-            report.bytes += bytes.len() as u64;
-            report.files += 1;
-            let decoded = codec::decode_thread_records(bytes)?;
-            if decoded.scheme != encoded.scheme
-                || decoded.tid != tid
-                || decoded.domain != dom_tag(encoded.domains, dom)
-            {
-                return Err(TraceError::Corrupt("trace header mismatch".into()));
-            }
-            report.chunks += decoded.chunks;
-            threads.push(decoded.trace);
-        }
-        let mut st = Vec::with_capacity(encoded.st.len());
-        for (dom, bytes) in encoded.st.iter().enumerate() {
-            report.bytes += bytes.len() as u64;
-            report.files += 1;
-            let decoded = codec::decode_st_records(bytes)?;
-            if decoded.domain != dom_tag(encoded.domains, dom as u32) {
-                return Err(TraceError::Corrupt("st stream header mismatch".into()));
-            }
-            report.chunks += decoded.chunks;
-            st.push(decoded.trace);
-        }
-        let plan = match &encoded.plan {
-            Some(bytes) => {
-                report.bytes += bytes.len() as u64;
-                report.files += 1;
-                Some(codec::decode_plan(bytes)?)
-            }
-            None => None,
-        };
-        let edges = match &encoded.edges {
-            Some(bytes) => {
-                report.bytes += bytes.len() as u64;
-                report.files += 1;
-                codec::decode_edges(bytes)?
-            }
-            None => Vec::new(),
-        };
-        let checkpoint = match &encoded.checkpoint {
-            Some(bytes) => {
-                report.bytes += bytes.len() as u64;
-                report.files += 1;
-                Some(codec::decode_checkpoint(bytes)?)
-            }
-            None => None,
-        };
-        let bundle = TraceBundle {
-            scheme: encoded.scheme,
-            nthreads: encoded.nthreads,
-            domains: encoded.domains,
-            threads,
-            st,
-            plan,
-            edges,
-            checkpoint,
-        };
-        bundle.validate()?;
-        Ok((bundle, report))
-    }
-}
-
-impl StreamingTraceStore for MemStore {
-    fn begin_record(&self, opts: RecordOptions) -> Result<Box<dyn RecordSink>, TraceError> {
-        opts.check()?;
-        let RecordOptions {
-            scheme,
-            nthreads,
-            domains,
-            validated,
-            compress,
-        } = opts;
-        // Match DirStore semantics: beginning a recording replaces any
-        // stored trace immediately, so an aborted recording reads as Empty
-        // instead of resurrecting the previous bundle.
-        *self.files.lock() = None;
-        let mut streams = Vec::with_capacity(domains as usize * nthreads as usize);
-        for dom in 0..domains {
-            for tid in 0..nthreads {
-                let header = codec::encode_thread_stream_header_opt(
-                    scheme,
-                    tid,
-                    dom_tag(domains, dom),
-                    validated,
-                    validated,
-                    compress,
-                );
-                streams.push(Mutex::new(header.to_vec()));
-            }
-        }
-        let st = if scheme == Scheme::St {
-            (0..domains)
-                .map(|dom| {
-                    let header = codec::encode_st_stream_header_opt(
-                        dom_tag(domains, dom),
-                        validated,
-                        validated,
-                        compress,
-                    );
-                    Mutex::new(header.to_vec())
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(Box::new(MemRecordSink {
-            files: Arc::clone(&self.files),
-            opts,
-            streams,
-            st,
-            plan: Mutex::new(None),
-            edges: Mutex::new(Vec::new()),
-            checkpoint: Mutex::new(None),
-            chunks: AtomicU64::new(0),
-        }))
-    }
-}
-
-struct MemRecordSink {
-    files: Arc<Mutex<Option<EncodedBundle>>>,
-    opts: RecordOptions,
-    /// Flat, domain-major streams.
-    streams: Vec<Mutex<Vec<u8>>>,
-    st: Vec<Mutex<Vec<u8>>>,
-    /// Attached domain plan, persisted at commit.
-    plan: Mutex<Option<DomainPlan>>,
-    /// Accumulated cross-domain edges, persisted at commit.
-    edges: Mutex<Vec<CrossDomainEdge>>,
-    /// Attached flight-recorder checkpoint, persisted at commit.
-    checkpoint: Mutex<Option<Checkpoint>>,
-    /// Chunks appended so far (mirrors StreamFile's counter; commit must
-    /// not have to re-decode everything it just encoded).
-    chunks: AtomicU64,
-}
-
-impl MemRecordSink {
-    fn stream_index(&self, dom: u32, tid: u32) -> Result<usize, TraceError> {
-        if dom >= self.opts.domains || tid >= self.opts.nthreads {
-            return Err(TraceError::Corrupt(format!(
-                "no stream for domain {dom} thread {tid}"
-            )));
-        }
-        Ok((dom * self.opts.nthreads + tid) as usize)
-    }
-}
-
-impl RecordSink for MemRecordSink {
-    fn append_thread_chunk(
-        &self,
-        dom: u32,
-        tid: u32,
-        values: &[u64],
-        sites: Option<&[u64]>,
-        kinds: Option<&[u8]>,
-    ) -> Result<u64, TraceError> {
-        check_columns(self.opts.validated, sites, kinds)?;
-        let stream = &self.streams[self.stream_index(dom, tid)?];
-        let chunk = codec::encode_thread_chunk_opt(values, sites, kinds, self.opts.compress);
-        stream.lock().extend_from_slice(&chunk);
-        // ORDERING: diagnostic chunk counter; readers only consume it in
-        // the commit report after all appenders are done (joined threads),
-        // so no ordering is carried through it.
-        self.chunks.fetch_add(1, Ordering::Relaxed);
-        Ok(chunk.len() as u64)
-    }
-
-    fn append_st_chunk(
-        &self,
-        dom: u32,
-        tids: &[u32],
-        sites: Option<&[u64]>,
-        kinds: Option<&[u8]>,
-    ) -> Result<u64, TraceError> {
-        check_columns(self.opts.validated, sites, kinds)?;
-        let stream = self
-            .st
-            .get(dom as usize)
-            .ok_or_else(|| TraceError::Corrupt(format!("no st stream for domain {dom}")))?;
-        let chunk = codec::encode_st_chunk_opt(tids, sites, kinds, self.opts.compress);
-        stream.lock().extend_from_slice(&chunk);
-        // ORDERING: diagnostic chunk counter (see `append_thread_chunk`).
-        self.chunks.fetch_add(1, Ordering::Relaxed);
-        Ok(chunk.len() as u64)
-    }
-
-    fn put_plan(&self, plan: &DomainPlan) -> Result<(), TraceError> {
-        if plan.domains() != self.opts.domains {
-            return Err(TraceError::Corrupt(format!(
-                "plan partitions {} domains but the recording has {}",
-                plan.domains(),
-                self.opts.domains
-            )));
-        }
-        *self.plan.lock() = Some(plan.clone());
-        Ok(())
-    }
-
-    fn append_edges(&self, edges: &[CrossDomainEdge]) -> Result<(), TraceError> {
-        self.edges.lock().extend_from_slice(edges);
-        Ok(())
-    }
-
-    fn put_checkpoint(&self, checkpoint: &Checkpoint) -> Result<(), TraceError> {
-        checkpoint.check(self.opts.domains)?;
-        *self.checkpoint.lock() = Some(checkpoint.clone());
-        Ok(())
-    }
-
-    fn commit(self: Box<Self>, _total_records: u64) -> Result<IoReport, TraceError> {
-        let mut report = IoReport::default();
-        let threads: Vec<Vec<u8>> = self
-            .streams
-            .into_iter()
-            .map(|s| {
-                let b = s.into_inner();
-                report.bytes += b.len() as u64;
-                report.files += 1;
-                b
-            })
-            .collect();
-        let st: Vec<Vec<u8>> = self
-            .st
-            .into_iter()
-            .map(|s| {
-                let b = s.into_inner();
-                report.bytes += b.len() as u64;
-                report.files += 1;
-                b
-            })
-            .collect();
-        // ORDERING: read after every appending thread has been joined
-        // (commit consumes `self`); the join is the synchronization.
-        report.chunks = self.chunks.load(Ordering::Relaxed);
-        let plan = self.plan.into_inner().map(|p| {
-            let b = codec::encode_plan(&p).to_vec();
-            report.bytes += b.len() as u64;
-            report.files += 1;
-            b
-        });
-        let edges = {
-            let edges = self.edges.into_inner();
-            (!edges.is_empty()).then(|| {
-                let b = codec::encode_edges(&edges).to_vec();
-                report.bytes += b.len() as u64;
-                report.files += 1;
-                b
-            })
-        };
-        let checkpoint = self.checkpoint.into_inner().map(|cp| {
-            let b = codec::encode_checkpoint(&cp).to_vec();
-            report.bytes += b.len() as u64;
-            report.files += 1;
-            b
-        });
-        *self.files.lock() = Some(EncodedBundle {
-            scheme: self.opts.scheme,
-            nthreads: self.opts.nthreads,
-            domains: self.opts.domains,
-            threads,
-            st,
-            plan,
-            edges,
-            checkpoint,
-        });
-        Ok(report)
-    }
-}
-
-/// One-record-file-per-thread directory store (the paper's layout).
+/// A flat namespace of byte blobs — the storage a [`Store`] keeps a trace
+/// in. Implementations know nothing about traces; the trait is public so a
+/// test can substitute a backend that fails.
 ///
-/// Layout: `manifest.txt`, `thread_<tid>.rtrc`, and `st.rtrc` for ST
-/// bundles — with a `.d<dom>` infix before the extension for multi-domain
-/// recordings. Per-thread files are written/read by concurrent worker
-/// threads when `parallel_io` is enabled (default), mirroring the
-/// parallel-I/O property §IV-C1 credits to DC/DE recording. See the module
-/// docs for the crash-safety protocol (`*.tmp` + rename, manifest last).
+/// Whole-blob writes ([`put`](Blobs::put), [`commit`](Blobs::commit)) and
+/// stream publication are atomic: a name holds its old contents, none, or
+/// the complete new ones, never part of a write.
+pub trait Blobs: Send + Sync + 'static {
+    /// An open, not yet published stream.
+    type Stream: Send;
+
+    /// Whether the manifest counts in an [`IoReport`] (as one file, and on
+    /// a write with its bytes). The two stores have always differed here —
+    /// a directory's manifest is a file it made durable, a map's is
+    /// bookkeeping — and reported sizes are compared across commits, so
+    /// the difference stays where it is.
+    const COUNTS_MANIFEST: bool;
+
+    /// Whether independent streams are worth moving on parallel threads.
+    const FAN_OUT: bool;
+
+    /// Names of everything held, unpublished leftovers included.
+    fn list(&self) -> Result<Vec<String>, TraceError>;
+
+    /// The contents of `name`; a missing blob is an
+    /// [`io::ErrorKind::NotFound`] I/O error.
+    fn get(&self, name: &str) -> Result<Vec<u8>, TraceError>;
+
+    /// Atomically replace `name` with `bytes`.
+    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError>;
+
+    /// Open a stream that will become `name`, starting with `header`.
+    /// Dropping the stream unpublished discards it.
+    fn create(&self, name: &str, header: &[u8]) -> Result<Self::Stream, TraceError>;
+
+    /// Append to an open stream.
+    fn append(&self, stream: &mut Self::Stream, chunk: &[u8]) -> Result<(), TraceError>;
+
+    /// Make the stream's contents durable and put them under its name.
+    fn publish(&self, stream: Self::Stream) -> Result<(), TraceError>;
+
+    /// Remove `name`; removing what is not there succeeds.
+    fn remove(&self, name: &str) -> Result<(), TraceError>;
+
+    /// [`put`](Blobs::put) the last blob of a write and make the whole
+    /// write durable.
+    fn commit(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError>;
+}
+
+/// In-memory backend: a name → bytes map.
+#[derive(Debug, Default)]
+pub struct MemBlobs {
+    blobs: Mutex<BTreeMap<String, Vec<u8>>>,
+}
+
+impl Blobs for MemBlobs {
+    type Stream = (String, Vec<u8>);
+    const COUNTS_MANIFEST: bool = false;
+    const FAN_OUT: bool = false;
+
+    fn list(&self) -> Result<Vec<String>, TraceError> {
+        Ok(self.blobs.lock().keys().cloned().collect())
+    }
+
+    fn get(&self, name: &str) -> Result<Vec<u8>, TraceError> {
+        let found = self.blobs.lock().get(name).cloned();
+        found.ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()).into())
+    }
+
+    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        self.blobs.lock().insert(name.to_owned(), bytes.to_vec());
+        Ok(())
+    }
+
+    fn create(&self, name: &str, header: &[u8]) -> Result<Self::Stream, TraceError> {
+        Ok((name.to_owned(), header.to_vec()))
+    }
+
+    fn append(&self, stream: &mut Self::Stream, chunk: &[u8]) -> Result<(), TraceError> {
+        stream.1.extend_from_slice(chunk);
+        Ok(())
+    }
+
+    fn publish(&self, (name, bytes): Self::Stream) -> Result<(), TraceError> {
+        self.blobs.lock().insert(name, bytes);
+        Ok(())
+    }
+
+    fn remove(&self, name: &str) -> Result<(), TraceError> {
+        self.blobs.lock().remove(name);
+        Ok(())
+    }
+
+    fn commit(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        self.put(name, bytes)
+    }
+}
+
+/// Suffix of a [`DirBlobs`] file that is still being written.
+const TMP_SUFFIX: &str = ".tmp";
+
+/// Directory backend: one file per blob, created on first write.
+///
+/// A blob is written to a `*.tmp` sibling, fsynced, and `rename`d into
+/// place, so its name only ever holds a complete, durable file.
 #[derive(Debug)]
-pub struct DirStore {
+pub struct DirBlobs {
     dir: PathBuf,
-    parallel_io: bool,
 }
 
-fn thread_file(dir: &Path, tid: u32, dom: Option<u32>) -> PathBuf {
-    match dom {
-        Some(dom) => dir.join(format!("thread_{tid}.d{dom}.rtrc")),
-        None => dir.join(format!("thread_{tid}.rtrc")),
+/// One open [`DirBlobs`] stream: writes go to the `*.tmp` sibling of
+/// `path` until it is published.
+#[derive(Debug)]
+pub struct DirStream {
+    path: PathBuf,
+    tmp: PathBuf,
+    writer: io::BufWriter<fs::File>,
+    published: bool,
+}
+
+impl Drop for DirStream {
+    fn drop(&mut self) {
+        // An aborted recording leaves only committed data on disk.
+        if !self.published {
+            let _ = fs::remove_file(&self.tmp);
+        }
     }
 }
 
-fn st_file(dir: &Path, dom: Option<u32>) -> PathBuf {
-    match dom {
-        Some(dom) => dir.join(format!("st.d{dom}.rtrc")),
-        None => dir.join("st.rtrc"),
+impl DirBlobs {
+    /// Backend rooted at `dir`.
+    #[must_use]
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        DirBlobs { dir: dir.into() }
+    }
+
+    /// Create the temp sibling of `name` (and, on first use, the
+    /// directory); returns the final path, the temp path and the file.
+    fn create_tmp(&self, name: &str) -> Result<(PathBuf, PathBuf, fs::File), TraceError> {
+        let path = self.dir.join(name);
+        let tmp = self.dir.join(format!("{name}{TMP_SUFFIX}"));
+        let file = match fs::File::create(&tmp) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                fs::create_dir_all(&self.dir)?;
+                fs::File::create(&tmp)?
+            }
+            other => other?,
+        };
+        Ok((path, tmp, file))
     }
 }
 
-fn plan_file(dir: &Path) -> PathBuf {
-    dir.join("plan.rtrc")
-}
+impl Blobs for DirBlobs {
+    type Stream = DirStream;
+    const COUNTS_MANIFEST: bool = true;
+    const FAN_OUT: bool = true;
 
-fn edges_file(dir: &Path) -> PathBuf {
-    dir.join("edges.rtrc")
-}
-
-fn checkpoint_file(dir: &Path) -> PathBuf {
-    dir.join("checkpoint.rtrc")
-}
-
-fn manifest_file(dir: &Path) -> PathBuf {
-    dir.join("manifest.txt")
-}
-
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-fn remove_if_present(path: &Path) -> Result<(), TraceError> {
-    match fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e.into()),
+    fn list(&self) -> Result<Vec<String>, TraceError> {
+        let entries = match fs::read_dir(&self.dir) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            other => other?,
+        };
+        let mut names = Vec::new();
+        for entry in entries {
+            if let Ok(name) = entry?.file_name().into_string() {
+                names.push(name);
+            }
+        }
+        Ok(names)
     }
-}
 
-/// Write `bytes` to a `*.tmp` sibling, fsync it, and rename it into
-/// place, so `path` only ever holds a complete, durable file.
-fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<u64, TraceError> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut file = fs::File::create(&tmp)?;
+    fn get(&self, name: &str) -> Result<Vec<u8>, TraceError> {
+        let mut bytes = Vec::new();
+        fs::File::open(self.dir.join(name))?.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        let (path, tmp, mut file) = self.create_tmp(name)?;
         file.write_all(bytes)?;
         file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, &path)?;
+        Ok(())
     }
-    fs::rename(&tmp, path)?;
-    Ok(bytes.len() as u64)
-}
 
-/// Fsync the directory so completed renames survive a power loss.
-/// Best-effort: some platforms cannot open a directory for syncing.
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+    fn create(&self, name: &str, header: &[u8]) -> Result<DirStream, TraceError> {
+        let (path, tmp, file) = self.create_tmp(name)?;
+        let mut stream = DirStream {
+            path,
+            tmp,
+            writer: io::BufWriter::new(file),
+            published: false,
+        };
+        stream.writer.write_all(header)?;
+        Ok(stream)
+    }
+
+    fn append(&self, stream: &mut DirStream, chunk: &[u8]) -> Result<(), TraceError> {
+        Ok(stream.writer.write_all(chunk)?)
+    }
+
+    fn publish(&self, mut stream: DirStream) -> Result<(), TraceError> {
+        stream.writer.flush()?;
+        stream.writer.get_ref().sync_all()?;
+        fs::rename(&stream.tmp, &stream.path)?;
+        stream.published = true;
+        Ok(())
+    }
+
+    fn remove(&self, name: &str) -> Result<(), TraceError> {
+        match fs::remove_file(self.dir.join(name)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
+    }
+
+    fn commit(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        self.put(name, bytes)?;
+        // Fsync the directory so the completed renames survive a power
+        // loss. Best-effort: some platforms cannot open a directory for
+        // syncing.
+        if let Ok(d) = fs::File::open(&self.dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
     }
 }
 
-fn read_file(path: &Path) -> Result<Vec<u8>, TraceError> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(bytes)
-}
+// The trace layer: names, manifest, save, sink, load — once.
 
-/// A parsed record-file name.
-enum RecordFileName {
+/// Name of the blob a store is loadable by; written last, removed first.
+const MANIFEST: &str = "manifest.txt";
+
+/// A record stream or section of a stored trace.
+enum Blob {
     /// `thread_<tid>.rtrc` / `thread_<tid>.d<dom>.rtrc`.
     Thread { tid: u32, dom: Option<u32> },
     /// `st.rtrc` / `st.d<dom>.rtrc`.
@@ -860,245 +665,69 @@ enum RecordFileName {
     Checkpoint,
 }
 
-fn parse_record_name(name: &str) -> Option<RecordFileName> {
-    let stem = name.strip_suffix(".rtrc")?;
-    if stem == "plan" {
-        return Some(RecordFileName::Plan);
+impl Blob {
+    fn name(&self) -> String {
+        match *self {
+            Blob::Thread { tid, dom: None } => format!("thread_{tid}.rtrc"),
+            Blob::Thread {
+                tid,
+                dom: Some(dom),
+            } => format!("thread_{tid}.d{dom}.rtrc"),
+            Blob::St { dom: None } => "st.rtrc".into(),
+            Blob::St { dom: Some(dom) } => format!("st.d{dom}.rtrc"),
+            Blob::Plan => "plan.rtrc".into(),
+            Blob::Edges => "edges.rtrc".into(),
+            Blob::Checkpoint => "checkpoint.rtrc".into(),
+        }
     }
-    if stem == "edges" {
-        return Some(RecordFileName::Edges);
-    }
-    if stem == "checkpoint" {
-        return Some(RecordFileName::Checkpoint);
-    }
-    let (stem, dom) = match stem.rsplit_once(".d") {
-        Some((pre, d)) => match d.parse::<u32>() {
-            Ok(d) => (pre, Some(d)),
-            Err(_) => (stem, None),
-        },
-        None => (stem, None),
-    };
-    if stem == "st" {
-        return Some(RecordFileName::St { dom });
-    }
-    let tid = stem.strip_prefix("thread_")?.parse::<u32>().ok()?;
-    Some(RecordFileName::Thread { tid, dom })
-}
 
-/// Remove everything a completed save must not leave behind: the manifest
-/// first (concurrent readers now see [`TraceError::Empty`] instead of a
-/// half-replaced directory), then record files that the new layout —
-/// `keep_threads` threads × `keep_domains` domains, ST iff `keep_st` —
-/// will not overwrite, and leftover `*.tmp` files from an interrupted
-/// earlier save.
-fn scrub_before_save(
-    dir: &Path,
-    keep_threads: u32,
-    keep_domains: u32,
-    keep_st: bool,
-) -> Result<(), TraceError> {
-    remove_if_present(&manifest_file(dir))?;
-    // Single-domain layouts use domain-less names; multi-domain layouts
-    // tag every file. A file survives only if the new save will replace it.
-    let keeps = |dom: Option<u32>| match dom {
-        None => keep_domains == 1,
-        Some(d) => keep_domains > 1 && d < keep_domains,
-    };
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let stale = if name.ends_with(".tmp") {
-            true
-        } else {
-            match parse_record_name(name) {
-                Some(RecordFileName::St { dom }) => !(keep_st && keeps(dom)),
-                Some(RecordFileName::Thread { tid, dom }) => !(tid < keep_threads && keeps(dom)),
-                // Plan/edge/checkpoint sections are always rewritten by the
-                // save that owns them; a stale one from an earlier run must go.
-                Some(RecordFileName::Plan | RecordFileName::Edges | RecordFileName::Checkpoint) => {
-                    true
-                }
-                None => false,
-            }
+    /// Inverse of [`Blob::name`].
+    fn parse(name: &str) -> Option<Blob> {
+        let stem = name.strip_suffix(".rtrc")?;
+        match stem {
+            "plan" => return Some(Blob::Plan),
+            "edges" => return Some(Blob::Edges),
+            "checkpoint" => return Some(Blob::Checkpoint),
+            _ => {}
+        }
+        let (stem, dom) = match stem.rsplit_once(".d") {
+            Some((pre, d)) => match d.parse::<u32>() {
+                Ok(d) => (pre, Some(d)),
+                Err(_) => (stem, None),
+            },
+            None => (stem, None),
         };
-        if stale {
-            remove_if_present(&entry.path())?;
+        if stem == "st" {
+            return Some(Blob::St { dom });
         }
-    }
-    Ok(())
-}
-
-impl DirStore {
-    /// Store rooted at `dir` (created on first save), parallel I/O enabled.
-    #[must_use]
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DirStore {
-            dir: dir.into(),
-            parallel_io: true,
-        }
-    }
-
-    /// Toggle parallel per-thread file I/O (serial I/O is the ablation
-    /// baseline corresponding to ST's single-file bottleneck).
-    #[must_use]
-    pub fn with_parallel_io(mut self, parallel: bool) -> Self {
-        self.parallel_io = parallel;
-        self
-    }
-
-    /// Root directory of the store.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn manifest_path(&self) -> PathBuf {
-        manifest_file(&self.dir)
-    }
-
-    #[allow(clippy::fn_params_excessive_bools)]
-    fn render_manifest(
-        scheme: Scheme,
-        nthreads: u32,
-        domains: u32,
-        records: u64,
-        plan_sites: Option<u64>,
-        edges: Option<u64>,
-        checkpoint: bool,
-    ) -> String {
-        // `domains` is only written for multi-domain recordings — and
-        // `plan`/`edges`/`checkpoint` only for recordings that carry them —
-        // so that manifests without the new features stay byte-identical to
-        // the earlier formats.
-        let mut text = format!(
-            "reomp-trace v1\nscheme {}\nthreads {nthreads}\n",
-            scheme.name()
-        );
-        if domains > 1 {
-            text.push_str(&format!("domains {domains}\n"));
-        }
-        if let Some(n) = plan_sites {
-            text.push_str(&format!("plan {n}\n"));
-        }
-        if let Some(n) = edges {
-            text.push_str(&format!("edges {n}\n"));
-        }
-        if checkpoint {
-            text.push_str("checkpoint 1\n");
-        }
-        text.push_str(&format!("records {records}\n"));
-        text
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn save_manifest(
-        &self,
-        scheme: Scheme,
-        nthreads: u32,
-        domains: u32,
-        records: u64,
-        plan_sites: Option<u64>,
-        edges: Option<u64>,
-        checkpoint: bool,
-    ) -> Result<u64, TraceError> {
-        let text = Self::render_manifest(
-            scheme, nthreads, domains, records, plan_sites, edges, checkpoint,
-        );
-        write_file_atomic(&self.manifest_path(), text.as_bytes())
-    }
-
-    fn load_manifest(&self) -> Result<Manifest, TraceError> {
-        let bytes = read_file(&self.manifest_path()).map_err(|e| match e {
-            TraceError::Io(ref io) if io.kind() == std::io::ErrorKind::NotFound => {
-                TraceError::Empty
-            }
-            other => other,
-        })?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| TraceError::Corrupt("manifest is not UTF-8".into()))?;
-        let mut scheme = None;
-        let mut threads = None;
-        let mut domains = None;
-        let mut records = None;
-        let mut plan_sites = None;
-        let mut edges = None;
-        let mut checkpoint = false;
-        for (i, line) in text.lines().enumerate() {
-            if i == 0 {
-                if line != "reomp-trace v1" {
-                    return Err(TraceError::Corrupt(format!("manifest header: {line:?}")));
-                }
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next()) {
-                (Some("scheme"), Some(s)) => {
-                    scheme = Scheme::parse(s);
-                    if scheme.is_none() {
-                        return Err(TraceError::Corrupt(format!("bad scheme {s:?}")));
-                    }
-                }
-                (Some("threads"), Some(n)) => {
-                    threads = n.parse::<u32>().ok();
-                    if threads.is_none() {
-                        return Err(TraceError::Corrupt(format!("bad thread count {n:?}")));
-                    }
-                }
-                (Some("domains"), Some(n)) => {
-                    domains = n.parse::<u32>().ok().filter(|&d| d > 0);
-                    if domains.is_none() {
-                        return Err(TraceError::Corrupt(format!("bad domain count {n:?}")));
-                    }
-                }
-                (Some("plan"), Some(n)) => {
-                    plan_sites = n.parse::<u64>().ok();
-                    if plan_sites.is_none() {
-                        return Err(TraceError::Corrupt(format!("bad plan site count {n:?}")));
-                    }
-                }
-                (Some("edges"), Some(n)) => {
-                    edges = n.parse::<u64>().ok();
-                    if edges.is_none() {
-                        return Err(TraceError::Corrupt(format!("bad edge count {n:?}")));
-                    }
-                }
-                (Some("checkpoint"), Some(n)) => {
-                    if n != "1" {
-                        return Err(TraceError::Corrupt(format!("bad checkpoint flag {n:?}")));
-                    }
-                    checkpoint = true;
-                }
-                (Some("records"), Some(n)) => {
-                    records = n.parse::<u64>().ok();
-                    if records.is_none() {
-                        return Err(TraceError::Corrupt(format!("bad record count {n:?}")));
-                    }
-                }
-                (Some("records"), None) | (None, _) => {}
-                (Some(k), _) => {
-                    return Err(TraceError::Corrupt(format!("unknown manifest key {k:?}")))
-                }
-            }
-        }
-        match (scheme, threads) {
-            (Some(s), Some(t)) => Ok(Manifest {
-                scheme: s,
-                nthreads: t,
-                domains: domains.unwrap_or(1),
-                records,
-                plan_sites,
-                edges,
-                checkpoint,
-            }),
-            _ => Err(TraceError::Corrupt(
-                "manifest missing scheme/threads".into(),
-            )),
-        }
+        let tid = stem.strip_prefix("thread_")?.parse::<u32>().ok()?;
+        Some(Blob::Thread { tid, dom })
     }
 }
 
-/// Parsed `manifest.txt` contents.
+/// Whether a write of `layout` must remove the existing blob `name`: it is
+/// an unpublished leftover, a section (always rewritten by the write that
+/// owns it), or a record stream the new layout will not overwrite. Names
+/// the trace layer does not own are left alone.
+fn is_stale(name: &str, layout: &RecordOptions) -> bool {
+    if name.ends_with(TMP_SUFFIX) {
+        return true;
+    }
+    // Single-domain layouts use domain-less names; multi-domain layouts
+    // tag every blob.
+    let keeps = |dom: Option<u32>| match dom {
+        None => layout.domains == 1,
+        Some(d) => layout.domains > 1 && d < layout.domains,
+    };
+    match Blob::parse(name) {
+        Some(Blob::St { dom }) => !(layout.scheme == Scheme::St && keeps(dom)),
+        Some(Blob::Thread { tid, dom }) => !(tid < layout.nthreads && keeps(dom)),
+        Some(Blob::Plan | Blob::Edges | Blob::Checkpoint) => true,
+        None => false,
+    }
+}
+
+/// Contents of the manifest blob.
 struct Manifest {
     scheme: Scheme,
     nthreads: u32,
@@ -1113,116 +742,277 @@ struct Manifest {
     checkpoint: bool,
 }
 
-impl TraceStore for DirStore {
+impl Manifest {
+    fn render(&self) -> String {
+        // `domains` is only written for multi-domain recordings — and
+        // `plan`/`edges`/`checkpoint` only for recordings that carry them —
+        // so that manifests without the new features stay byte-identical to
+        // the earlier formats.
+        let mut text = format!(
+            "reomp-trace v1\nscheme {}\nthreads {}\n",
+            self.scheme.name(),
+            self.nthreads
+        );
+        if self.domains > 1 {
+            text.push_str(&format!("domains {}\n", self.domains));
+        }
+        if let Some(n) = self.plan_sites {
+            text.push_str(&format!("plan {n}\n"));
+        }
+        if let Some(n) = self.edges {
+            text.push_str(&format!("edges {n}\n"));
+        }
+        if self.checkpoint {
+            text.push_str("checkpoint 1\n");
+        }
+        if let Some(n) = self.records {
+            text.push_str(&format!("records {n}\n"));
+        }
+        text
+    }
+
+    fn parse(bytes: Vec<u8>) -> Result<Manifest, TraceError> {
+        fn number<T: std::str::FromStr>(what: &str, n: &str) -> Result<T, TraceError> {
+            n.parse()
+                .map_err(|_| TraceError::Corrupt(format!("bad {what} {n:?}")))
+        }
+        let text = String::from_utf8(bytes)
+            .map_err(|_| TraceError::Corrupt("manifest is not UTF-8".into()))?;
+        let mut lines = text.lines();
+        match lines.next() {
+            Some("reomp-trace v1") => {}
+            Some(line) => return Err(TraceError::Corrupt(format!("manifest header: {line:?}"))),
+            None => {}
+        }
+        let mut scheme = None;
+        let mut nthreads = None;
+        let mut domains = 1;
+        let mut records = None;
+        let mut plan_sites = None;
+        let mut edges = None;
+        let mut checkpoint = false;
+        for line in lines {
+            let mut parts = line.split_whitespace();
+            match (parts.next(), parts.next()) {
+                (Some("scheme"), Some(s)) => {
+                    scheme = Some(
+                        Scheme::parse(s)
+                            .ok_or_else(|| TraceError::Corrupt(format!("bad scheme {s:?}")))?,
+                    );
+                }
+                (Some("threads"), Some(n)) => nthreads = Some(number("thread count", n)?),
+                (Some("domains"), Some(n)) => {
+                    domains = number("domain count", n)?;
+                    if domains == 0 {
+                        return Err(TraceError::Corrupt(format!("bad domain count {n:?}")));
+                    }
+                }
+                (Some("plan"), Some(n)) => plan_sites = Some(number("plan site count", n)?),
+                (Some("edges"), Some(n)) => edges = Some(number("edge count", n)?),
+                (Some("checkpoint"), Some(n)) => {
+                    if n != "1" {
+                        return Err(TraceError::Corrupt(format!("bad checkpoint flag {n:?}")));
+                    }
+                    checkpoint = true;
+                }
+                (Some("records"), Some(n)) => records = Some(number("record count", n)?),
+                (Some("records"), None) | (None, _) => {}
+                (Some(k), _) => {
+                    return Err(TraceError::Corrupt(format!("unknown manifest key {k:?}")))
+                }
+            }
+        }
+        match (scheme, nthreads) {
+            (Some(scheme), Some(nthreads)) => Ok(Manifest {
+                scheme,
+                nthreads,
+                domains,
+                records,
+                plan_sites,
+                edges,
+                checkpoint,
+            }),
+            _ => Err(TraceError::Corrupt(
+                "manifest missing scheme/threads".into(),
+            )),
+        }
+    }
+}
+
+/// Trace persistence over a [`Blobs`] backend — see the module docs for
+/// the layout and the commit protocol.
+#[derive(Debug, Default)]
+pub struct Store<B> {
+    blobs: Arc<B>,
+}
+
+/// In-memory store (still goes through the binary codec, so it exercises
+/// the same encode/decode path as [`DirStore`]).
+pub type MemStore = Store<MemBlobs>;
+
+/// One-record-file-per-thread directory store (the paper's layout).
+/// Streams are written and read by concurrent worker threads when there
+/// is more than one, mirroring the parallel-I/O property §IV-C1 credits to
+/// DC/DE recording.
+pub type DirStore = Store<DirBlobs>;
+
+impl<B: Blobs> Store<B> {
+    /// Store over `blobs`.
+    #[must_use]
+    pub fn with_blobs(blobs: B) -> Self {
+        Store {
+            blobs: Arc::new(blobs),
+        }
+    }
+
+    /// Steps 1 and 2 of the commit protocol: once the manifest is gone,
+    /// readers see [`TraceError::Empty`] instead of a half-replaced store.
+    fn unpublish(&self, layout: &RecordOptions) -> Result<(), TraceError> {
+        self.blobs.remove(MANIFEST)?;
+        for name in self.blobs.list()? {
+            if is_stale(&name, layout) {
+                self.blobs.remove(&name)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl MemStore {
+    /// New empty store.
+    #[must_use]
+    pub fn new() -> Self {
+        MemStore::default()
+    }
+}
+
+impl DirStore {
+    /// Store rooted at `dir` (created on first save).
+    #[must_use]
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Store::with_blobs(DirBlobs::new(dir))
+    }
+
+    /// Root directory of the store.
+    #[must_use]
+    pub fn dir(&self) -> &Path {
+        &self.blobs.dir
+    }
+}
+
+/// Steps 3 (sections) and 4 of the commit protocol, after the record
+/// streams counted in `report` are in place.
+fn commit_trace<B: Blobs>(
+    blobs: &B,
+    layout: &RecordOptions,
+    records: u64,
+    plan: Option<&DomainPlan>,
+    edges: &[CrossDomainEdge],
+    checkpoint: Option<&Checkpoint>,
+    mut report: IoReport,
+) -> Result<IoReport, TraceError> {
+    let mut section = |blob: Blob, bytes: &[u8]| {
+        report.add_blob(bytes.len());
+        blobs.put(&blob.name(), bytes)
+    };
+    if let Some(plan) = plan {
+        section(Blob::Plan, &codec::encode_plan(plan))?;
+    }
+    if !edges.is_empty() {
+        section(Blob::Edges, &codec::encode_edges(edges))?;
+    }
+    if let Some(cp) = checkpoint {
+        section(Blob::Checkpoint, &codec::encode_checkpoint(cp))?;
+    }
+    let manifest = Manifest {
+        scheme: layout.scheme,
+        nthreads: layout.nthreads,
+        domains: layout.domains,
+        records: Some(records),
+        plan_sites: plan.map(|p| p.assigned() as u64),
+        edges: (!edges.is_empty()).then_some(edges.len() as u64),
+        checkpoint: checkpoint.is_some(),
+    }
+    .render();
+    // Manifest last: only now does the store become loadable.
+    blobs.commit(MANIFEST, manifest.as_bytes())?;
+    if B::COUNTS_MANIFEST {
+        report.add_blob(manifest.len());
+    }
+    Ok(report)
+}
+
+impl<B: Blobs> TraceStore for Store<B> {
     fn save(&self, bundle: &TraceBundle) -> Result<IoReport, TraceError> {
         // An inconsistent bundle must fail here, not clobber other
-        // threads' files (the flat index is interpreted modulo nthreads).
+        // threads' streams (the flat index is interpreted modulo nthreads).
         bundle.validate()?;
-        fs::create_dir_all(&self.dir)?;
-        // Invalidate the directory before touching record files; rebuild,
-        // then publish the manifest last (see module docs).
-        scrub_before_save(&self.dir, bundle.nthreads, bundle.domains, bundle.is_st())?;
+        let layout = RecordOptions::of_bundle(bundle, false);
+        self.unpublish(&layout)?;
+        let blobs = &*self.blobs;
         let mut report = IoReport::default();
-
-        let encode_one = |i: usize, t: &ThreadTrace| -> (PathBuf, bytes::Bytes) {
+        let written = each_stream(B::FAN_OUT, &bundle.threads, |i, trace| {
             let (dom, tid) = split_stream_index(i, bundle.nthreads);
-            let tag = dom_tag(bundle.domains, dom);
-            let path = thread_file(&self.dir, tid, tag);
-            (
-                path,
-                codec::encode_thread_trace_opt(t, bundle.scheme, tid, tag),
-            )
-        };
-
-        if self.parallel_io {
-            // One writer per stream — the per-thread parallel I/O the
-            // paper credits to DC/DE recording (§IV-C1).
-            let results: Vec<Result<u64, TraceError>> = std::thread::scope(|s| {
-                let handles: Vec<_> = bundle
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let encode_one = &encode_one;
-                        s.spawn(move || {
-                            let (path, bytes) = encode_one(i, t);
-                            write_file_atomic(&path, &bytes)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trace writer panicked"))
-                    .collect()
-            });
-            for r in results {
-                report.bytes += r?;
-                report.files += 1;
-            }
-        } else {
-            for (i, t) in bundle.threads.iter().enumerate() {
-                let (path, bytes) = encode_one(i, t);
-                report.bytes += write_file_atomic(&path, &bytes)?;
-                report.files += 1;
-            }
+            let dom = dom_tag(bundle.domains, dom);
+            let bytes = codec::encode_thread_trace_opt(trace, bundle.scheme, tid, dom);
+            blobs.put(&Blob::Thread { tid, dom }.name(), &bytes)?;
+            Ok(bytes.len())
+        })?;
+        for n in written {
+            report.add_blob(n);
         }
-
         for (dom, st) in bundle.st.iter().enumerate() {
-            let tag = dom_tag(bundle.domains, dom as u32);
-            let bytes = codec::encode_st_trace_opt(st, tag);
-            report.bytes += write_file_atomic(&st_file(&self.dir, tag), &bytes)?;
-            report.files += 1;
+            let dom = dom_tag(bundle.domains, dom as u32);
+            let bytes = codec::encode_st_trace_opt(st, dom);
+            blobs.put(&Blob::St { dom }.name(), &bytes)?;
+            report.add_blob(bytes.len());
         }
-
-        if let Some(plan) = &bundle.plan {
-            let bytes = codec::encode_plan(plan);
-            report.bytes += write_file_atomic(&plan_file(&self.dir), &bytes)?;
-            report.files += 1;
-        }
-        if !bundle.edges.is_empty() {
-            let bytes = codec::encode_edges(&bundle.edges);
-            report.bytes += write_file_atomic(&edges_file(&self.dir), &bytes)?;
-            report.files += 1;
-        }
-        if let Some(cp) = &bundle.checkpoint {
-            let bytes = codec::encode_checkpoint(cp);
-            report.bytes += write_file_atomic(&checkpoint_file(&self.dir), &bytes)?;
-            report.files += 1;
-        }
-
-        report.bytes += self.save_manifest(
-            bundle.scheme,
-            bundle.nthreads,
-            bundle.domains,
+        commit_trace(
+            blobs,
+            &layout,
             bundle.total_records(),
-            bundle.plan.as_ref().map(|p| p.assigned() as u64),
-            (!bundle.edges.is_empty()).then_some(bundle.edges.len() as u64),
-            bundle.checkpoint.is_some(),
-        )?;
-        report.files += 1;
-        sync_dir(&self.dir);
-        Ok(report)
+            bundle.plan.as_ref(),
+            &bundle.edges,
+            bundle.checkpoint.as_ref(),
+            report,
+        )
     }
 
     fn load(&self) -> Result<(TraceBundle, IoReport), TraceError> {
+        let blobs = &*self.blobs;
+        let manifest = match blobs.get(MANIFEST) {
+            Err(TraceError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(TraceError::Empty)
+            }
+            other => Manifest::parse(other?)?,
+        };
         let Manifest {
             scheme,
             nthreads,
             domains,
-            records,
-            plan_sites,
-            edges: edge_count,
-            checkpoint: has_checkpoint,
-        } = self.load_manifest()?;
+            ..
+        } = manifest;
+        // The manifest is outside input: bound the streams it declares by
+        // the blobs that exist before allocating or spawning per stream.
+        let st_streams = if scheme == Scheme::St { domains } else { 0 };
+        let declared = u64::from(nthreads) * u64::from(domains) + u64::from(st_streams);
+        let held = blobs.list()?.len() as u64;
+        if declared > held {
+            return Err(TraceError::Corrupt(format!(
+                "manifest declares {declared} record streams but the store holds {held} blobs"
+            )));
+        }
         let mut report = IoReport {
-            files: 1,
+            files: u64::from(B::COUNTS_MANIFEST),
             ..IoReport::default()
         };
 
-        let load_one = |dom: u32, tid: u32| -> Result<(ThreadTrace, u64, u64), TraceError> {
+        let ids: Vec<(u32, u32)> = (0..domains)
+            .flat_map(|dom| (0..nthreads).map(move |tid| (dom, tid)))
+            .collect();
+        let loaded = each_stream(B::FAN_OUT, &ids, |_, &(dom, tid)| {
             let tag = dom_tag(domains, dom);
-            let bytes = read_file(&thread_file(&self.dir, tid, tag))?;
-            let n = bytes.len() as u64;
+            let bytes = blobs.get(&Blob::Thread { tid, dom: tag }.name())?;
             let decoded = codec::decode_thread_records(&bytes)?;
             if decoded.scheme != scheme || decoded.tid != tid || decoded.domain != tag {
                 return Err(TraceError::Corrupt(format!(
@@ -1232,69 +1022,39 @@ impl TraceStore for DirStore {
                     decoded.domain
                 )));
             }
-            Ok((decoded.trace, n, decoded.chunks))
+            Ok((decoded.trace, bytes.len(), decoded.chunks))
+        })?;
+        let mut threads = Vec::with_capacity(loaded.len());
+        for (trace, n, chunks) in loaded {
+            report.add_blob(n);
+            report.chunks += chunks;
+            threads.push(trace);
+        }
+
+        let read = |blob: Blob, report: &mut IoReport| -> Result<Vec<u8>, TraceError> {
+            let bytes = blobs.get(&blob.name())?;
+            report.add_blob(bytes.len());
+            Ok(bytes)
         };
-
-        let streams: Vec<(u32, u32)> = (0..domains)
-            .flat_map(|dom| (0..nthreads).map(move |tid| (dom, tid)))
-            .collect();
-        let mut threads = Vec::with_capacity(streams.len());
-        if self.parallel_io {
-            let results: Vec<Result<(ThreadTrace, u64, u64), TraceError>> =
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = streams
-                        .iter()
-                        .map(|&(dom, tid)| s.spawn(move || load_one(dom, tid)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("trace reader panicked"))
-                        .collect()
-                });
-            for r in results {
-                let (t, n, c) = r?;
-                report.bytes += n;
-                report.files += 1;
-                report.chunks += c;
-                threads.push(t);
-            }
-        } else {
-            for &(dom, tid) in &streams {
-                let (t, n, c) = load_one(dom, tid)?;
-                report.bytes += n;
-                report.files += 1;
-                report.chunks += c;
-                threads.push(t);
-            }
-        }
-
         let mut st = Vec::new();
-        if scheme == Scheme::St {
-            for dom in 0..domains {
-                let tag = dom_tag(domains, dom);
-                let bytes = read_file(&st_file(&self.dir, tag))?;
-                report.bytes += bytes.len() as u64;
-                report.files += 1;
-                let decoded = codec::decode_st_records(&bytes)?;
-                if decoded.domain != tag {
-                    return Err(TraceError::Corrupt(format!(
-                        "st stream (domain {dom}): header says domain {:?}",
-                        decoded.domain
-                    )));
-                }
-                report.chunks += decoded.chunks;
-                st.push(decoded.trace);
+        for dom in 0..st_streams {
+            let tag = dom_tag(domains, dom);
+            let decoded = codec::decode_st_records(&read(Blob::St { dom: tag }, &mut report)?)?;
+            if decoded.domain != tag {
+                return Err(TraceError::Corrupt(format!(
+                    "st stream (domain {dom}): header says domain {:?}",
+                    decoded.domain
+                )));
             }
+            report.chunks += decoded.chunks;
+            st.push(decoded.trace);
         }
 
-        // Plan and edge sections, cross-checked against the manifest's
-        // counts the same way record files are.
-        let plan = match plan_sites {
+        // Sections, cross-checked against the manifest's counts the same
+        // way record streams are.
+        let plan = match manifest.plan_sites {
             Some(expected) => {
-                let bytes = read_file(&plan_file(&self.dir))?;
-                report.bytes += bytes.len() as u64;
-                report.files += 1;
-                let plan = codec::decode_plan(&bytes)?;
+                let plan = codec::decode_plan(&read(Blob::Plan, &mut report)?)?;
                 if plan.assigned() as u64 != expected {
                     return Err(TraceError::Corrupt(format!(
                         "manifest promises {expected} planned sites but the plan holds {}",
@@ -1305,12 +1065,9 @@ impl TraceStore for DirStore {
             }
             None => None,
         };
-        let edges = match edge_count {
+        let edges = match manifest.edges {
             Some(expected) => {
-                let bytes = read_file(&edges_file(&self.dir))?;
-                report.bytes += bytes.len() as u64;
-                report.files += 1;
-                let edges = codec::decode_edges(&bytes)?;
+                let edges = codec::decode_edges(&read(Blob::Edges, &mut report)?)?;
                 if edges.len() as u64 != expected {
                     return Err(TraceError::Corrupt(format!(
                         "manifest promises {expected} edges but the section holds {}",
@@ -1321,11 +1078,11 @@ impl TraceStore for DirStore {
             }
             None => Vec::new(),
         };
-        let checkpoint = if has_checkpoint {
-            let bytes = read_file(&checkpoint_file(&self.dir))?;
-            report.bytes += bytes.len() as u64;
-            report.files += 1;
-            Some(codec::decode_checkpoint(&bytes)?)
+        let checkpoint = if manifest.checkpoint {
+            Some(codec::decode_checkpoint(&read(
+                Blob::Checkpoint,
+                &mut report,
+            )?)?)
         } else {
             None
         };
@@ -1341,10 +1098,10 @@ impl TraceStore for DirStore {
             checkpoint,
         };
         bundle.validate()?;
-        // Cross-check the manifest's record count: a chunked file truncated
-        // exactly on a chunk boundary decodes cleanly, and this is what
-        // catches the missing tail.
-        if let Some(expected) = records {
+        // Cross-check the manifest's record count: a chunked stream
+        // truncated exactly on a chunk boundary decodes cleanly, and this
+        // is what catches the missing tail.
+        if let Some(expected) = manifest.records {
             let got = bundle.total_records();
             if got != expected {
                 return Err(TraceError::Corrupt(format!(
@@ -1356,7 +1113,7 @@ impl TraceStore for DirStore {
     }
 }
 
-impl StreamingTraceStore for DirStore {
+impl<B: Blobs> StreamingTraceStore for Store<B> {
     fn begin_record(&self, opts: RecordOptions) -> Result<Box<dyn RecordSink>, TraceError> {
         opts.check()?;
         let RecordOptions {
@@ -1366,45 +1123,39 @@ impl StreamingTraceStore for DirStore {
             validated,
             compress,
         } = opts;
-        fs::create_dir_all(&self.dir)?;
-        scrub_before_save(&self.dir, nthreads, domains, scheme == Scheme::St)?;
-        let mut threads = Vec::with_capacity(domains as usize * nthreads as usize);
+        self.unpublish(&opts)?;
+        let open = |blob: Blob, header: &[u8]| -> Result<_, TraceError> {
+            Ok(Mutex::new(OpenStream {
+                stream: self.blobs.create(&blob.name(), header)?,
+                bytes: header.len() as u64,
+                chunks: 0,
+            }))
+        };
+        let mut streams = Vec::with_capacity(domains as usize * nthreads as usize);
         for dom in 0..domains {
+            let dom = dom_tag(domains, dom);
             for tid in 0..nthreads {
-                let tag = dom_tag(domains, dom);
                 let header = codec::encode_thread_stream_header_opt(
-                    scheme, tid, tag, validated, validated, compress,
+                    scheme, tid, dom, validated, validated, compress,
                 );
-                threads.push(Mutex::new(StreamFile::create(
-                    &thread_file(&self.dir, tid, tag),
-                    &header,
-                )?));
+                streams.push(open(Blob::Thread { tid, dom }, &header)?);
             }
         }
-        let st = if scheme == Scheme::St {
-            let mut st = Vec::with_capacity(domains as usize);
+        if scheme == Scheme::St {
             for dom in 0..domains {
-                let tag = dom_tag(domains, dom);
+                let dom = dom_tag(domains, dom);
                 let header =
-                    codec::encode_st_stream_header_opt(tag, validated, validated, compress);
-                st.push(Mutex::new(StreamFile::create(
-                    &st_file(&self.dir, tag),
-                    &header,
-                )?));
+                    codec::encode_st_stream_header_opt(dom, validated, validated, compress);
+                streams.push(open(Blob::St { dom }, &header)?);
             }
-            st
-        } else {
-            Vec::new()
-        };
-        Ok(Box::new(DirRecordSink {
-            dir: self.dir.clone(),
+        }
+        Ok(Box::new(Sink {
+            blobs: Arc::clone(&self.blobs),
             opts,
-            threads,
-            st,
+            streams,
             plan: Mutex::new(None),
             edges: Mutex::new(Vec::new()),
             checkpoint: Mutex::new(None),
-            committed: AtomicBool::new(false),
         }))
     }
 
@@ -1415,124 +1166,44 @@ impl StreamingTraceStore for DirStore {
         compress: bool,
     ) -> Result<IoReport, TraceError> {
         bundle.validate()?;
-        let sink = self.begin_record(
-            RecordOptions::new(
-                bundle.scheme,
-                bundle.nthreads,
-                bundle.domains,
-                bundle.has_validation(),
-            )
-            .with_compression(compress),
-        )?;
-        if self.parallel_io {
-            // Same per-thread I/O parallelism as the one-shot save: every
-            // stream has its own lock, so appenders do not contend.
-            let results: Vec<Result<u64, TraceError>> = std::thread::scope(|s| {
-                let sink = &*sink;
-                let handles: Vec<_> = bundle
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let (dom, tid) = split_stream_index(i, bundle.nthreads);
-                        s.spawn(move || stream_thread_trace(sink, dom, tid, t, records_per_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chunk writer panicked"))
-                    .collect()
-            });
-            for r in results {
-                r?;
-            }
-        } else {
-            for (i, t) in bundle.threads.iter().enumerate() {
-                let (dom, tid) = split_stream_index(i, bundle.nthreads);
-                stream_thread_trace(&*sink, dom, tid, t, records_per_chunk)?;
-            }
-        }
-        for (dom, st) in bundle.st.iter().enumerate() {
-            stream_st_trace(&*sink, dom as u32, st, records_per_chunk)?;
-        }
-        if let Some(plan) = &bundle.plan {
-            sink.put_plan(plan)?;
-        }
-        if !bundle.edges.is_empty() {
-            sink.append_edges(&bundle.edges)?;
-        }
-        if let Some(cp) = &bundle.checkpoint {
-            sink.put_checkpoint(cp)?;
-        }
-        sink.commit(bundle.total_records())
+        let sink = self.begin_record(RecordOptions::of_bundle(bundle, compress))?;
+        stream_bundle(sink, bundle, records_per_chunk, B::FAN_OUT)
     }
 }
 
-/// One open chunked stream: writes go to the `*.tmp` sibling of `path`
-/// until the sink commits and renames it into place.
-struct StreamFile {
-    path: PathBuf,
-    writer: Option<std::io::BufWriter<fs::File>>,
+/// One open chunked stream of a [`Sink`], with what was appended so far.
+struct OpenStream<S> {
+    stream: S,
     bytes: u64,
     chunks: u64,
 }
 
-impl StreamFile {
-    fn create(path: &Path, header: &[u8]) -> Result<StreamFile, TraceError> {
-        let tmp = tmp_sibling(path);
-        let mut writer = std::io::BufWriter::new(fs::File::create(&tmp)?);
-        writer.write_all(header)?;
-        Ok(StreamFile {
-            path: path.to_path_buf(),
-            writer: Some(writer),
-            bytes: header.len() as u64,
-            chunks: 0,
-        })
-    }
-
-    fn append(&mut self, chunk: &[u8]) -> Result<u64, TraceError> {
-        let writer = self
-            .writer
-            .as_mut()
-            .ok_or_else(|| TraceError::Corrupt("stream already closed".into()))?;
-        writer.write_all(chunk)?;
-        self.bytes += chunk.len() as u64;
-        self.chunks += 1;
-        Ok(chunk.len() as u64)
-    }
-
-    /// Flush, fsync, and close the temp file, then rename it to its final
-    /// name.
-    fn publish(&mut self) -> Result<(), TraceError> {
-        let mut writer = self
-            .writer
-            .take()
-            .ok_or_else(|| TraceError::Corrupt("stream already closed".into()))?;
-        writer.flush()?;
-        writer.get_ref().sync_all()?;
-        drop(writer);
-        fs::rename(tmp_sibling(&self.path), &self.path)?;
-        Ok(())
-    }
-}
-
-struct DirRecordSink {
-    dir: PathBuf,
+/// The streaming recording of a [`Store`].
+struct Sink<B: Blobs> {
+    blobs: Arc<B>,
     opts: RecordOptions,
-    /// Flat, domain-major streams.
-    threads: Vec<Mutex<StreamFile>>,
-    /// Per-domain ST streams (empty for non-ST).
-    st: Vec<Mutex<StreamFile>>,
-    /// Attached domain plan, written (atomically) at commit.
+    /// Thread streams, flat and domain-major, then — for ST — one shared
+    /// stream per domain.
+    streams: Vec<Mutex<OpenStream<B::Stream>>>,
+    /// Attached domain plan, written at commit.
     plan: Mutex<Option<DomainPlan>>,
     /// Accumulated cross-domain edges, written at commit.
     edges: Mutex<Vec<CrossDomainEdge>>,
-    /// Attached flight-recorder checkpoint, written (atomically) at commit.
+    /// Attached flight-recorder checkpoint, written at commit.
     checkpoint: Mutex<Option<Checkpoint>>,
-    committed: AtomicBool,
 }
 
-impl RecordSink for DirRecordSink {
+impl<B: Blobs> Sink<B> {
+    fn append(&self, index: usize, chunk: &[u8]) -> Result<u64, TraceError> {
+        let mut open = self.streams[index].lock();
+        self.blobs.append(&mut open.stream, chunk)?;
+        open.bytes += chunk.len() as u64;
+        open.chunks += 1;
+        Ok(chunk.len() as u64)
+    }
+}
+
+impl<B: Blobs> RecordSink for Sink<B> {
     fn append_thread_chunk(
         &self,
         dom: u32,
@@ -1542,14 +1213,9 @@ impl RecordSink for DirRecordSink {
         kinds: Option<&[u8]>,
     ) -> Result<u64, TraceError> {
         check_columns(self.opts.validated, sites, kinds)?;
-        if dom >= self.opts.domains || tid >= self.opts.nthreads {
-            return Err(TraceError::Corrupt(format!(
-                "no stream for domain {dom} thread {tid}"
-            )));
-        }
-        let stream = &self.threads[(dom * self.opts.nthreads + tid) as usize];
+        let index = self.opts.stream_index(dom, tid)?;
         let chunk = codec::encode_thread_chunk_opt(values, sites, kinds, self.opts.compress);
-        stream.lock().append(&chunk)
+        self.append(index, &chunk)
     }
 
     fn append_st_chunk(
@@ -1560,22 +1226,18 @@ impl RecordSink for DirRecordSink {
         kinds: Option<&[u8]>,
     ) -> Result<u64, TraceError> {
         check_columns(self.opts.validated, sites, kinds)?;
-        let stream = self
-            .st
-            .get(dom as usize)
-            .ok_or_else(|| TraceError::Corrupt(format!("no st stream for domain {dom}")))?;
+        if self.opts.scheme != Scheme::St || dom >= self.opts.domains {
+            return Err(TraceError::Corrupt(format!(
+                "no st stream for domain {dom}"
+            )));
+        }
+        let index = (self.opts.domains * self.opts.nthreads + dom) as usize;
         let chunk = codec::encode_st_chunk_opt(tids, sites, kinds, self.opts.compress);
-        stream.lock().append(&chunk)
+        self.append(index, &chunk)
     }
 
     fn put_plan(&self, plan: &DomainPlan) -> Result<(), TraceError> {
-        if plan.domains() != self.opts.domains {
-            return Err(TraceError::Corrupt(format!(
-                "plan partitions {} domains but the recording has {}",
-                plan.domains(),
-                self.opts.domains
-            )));
-        }
+        self.opts.check_plan(plan)?;
         *self.plan.lock() = Some(plan.clone());
         Ok(())
     }
@@ -1592,74 +1254,26 @@ impl RecordSink for DirRecordSink {
     }
 
     fn commit(self: Box<Self>, total_records: u64) -> Result<IoReport, TraceError> {
+        let sink = *self;
         let mut report = IoReport::default();
-        for stream in self.threads.iter().chain(self.st.iter()) {
-            let mut s = stream.lock();
-            s.publish()?;
-            report.bytes += s.bytes;
-            report.chunks += s.chunks;
+        // A failure drops the streams not yet published, which discards
+        // them; the manifest is not written and the store stays Empty.
+        for open in sink.streams {
+            let open = open.into_inner();
+            sink.blobs.publish(open.stream)?;
+            report.bytes += open.bytes;
+            report.chunks += open.chunks;
             report.files += 1;
         }
-        let plan = self.plan.lock().take();
-        let plan_sites = match &plan {
-            Some(plan) => {
-                let bytes = codec::encode_plan(plan);
-                report.bytes += write_file_atomic(&plan_file(&self.dir), &bytes)?;
-                report.files += 1;
-                Some(plan.assigned() as u64)
-            }
-            None => None,
-        };
-        let edges = std::mem::take(&mut *self.edges.lock());
-        let edge_count = if edges.is_empty() {
-            None
-        } else {
-            let bytes = codec::encode_edges(&edges);
-            report.bytes += write_file_atomic(&edges_file(&self.dir), &bytes)?;
-            report.files += 1;
-            Some(edges.len() as u64)
-        };
-        let checkpoint = self.checkpoint.lock().take();
-        let has_checkpoint = match &checkpoint {
-            Some(cp) => {
-                let bytes = codec::encode_checkpoint(cp);
-                report.bytes += write_file_atomic(&checkpoint_file(&self.dir), &bytes)?;
-                report.files += 1;
-                true
-            }
-            None => false,
-        };
-        // Manifest last: only now does the directory become loadable.
-        let text = DirStore::render_manifest(
-            self.opts.scheme,
-            self.opts.nthreads,
-            self.opts.domains,
+        commit_trace(
+            &*sink.blobs,
+            &sink.opts,
             total_records,
-            plan_sites,
-            edge_count,
-            has_checkpoint,
-        );
-        report.bytes += write_file_atomic(&manifest_file(&self.dir), text.as_bytes())?;
-        report.files += 1;
-        sync_dir(&self.dir);
-        self.committed.store(true, Ordering::Release);
-        Ok(report)
-    }
-}
-
-impl Drop for DirRecordSink {
-    fn drop(&mut self) {
-        if self.committed.load(Ordering::Acquire) {
-            return;
-        }
-        // Aborted recording: sweep the temp files so only committed data
-        // remains on disk (the directory has no manifest, so it already
-        // reads as Empty).
-        for stream in self.threads.iter().chain(self.st.iter()) {
-            let mut s = stream.lock();
-            s.writer = None;
-            let _ = fs::remove_file(tmp_sibling(&s.path));
-        }
+            sink.plan.into_inner().as_ref(),
+            &sink.edges.into_inner(),
+            sink.checkpoint.into_inner().as_ref(),
+            report,
+        )
     }
 }
 
@@ -1843,26 +1457,24 @@ mod tests {
     }
 
     #[test]
-    fn dirstore_roundtrip_parallel_and_serial() {
-        for parallel in [true, false] {
-            for scheme in [Scheme::St, Scheme::Dc, Scheme::De] {
-                let dir = tempdir(&format!("rt-{parallel}-{}", scheme.name()));
-                let store = DirStore::new(&dir).with_parallel_io(parallel);
-                let bundle = sample_bundle(scheme);
-                store.save(&bundle).unwrap();
-                let (back, _) = store.load().unwrap();
-                assert_eq!(back, bundle);
-                // Per-thread layout on disk, no temp leftovers.
-                assert!(dir.join("thread_0.rtrc").exists());
-                assert!(dir.join("thread_1.rtrc").exists());
-                assert_eq!(dir.join("st.rtrc").exists(), scheme == Scheme::St);
-                assert!(fs::read_dir(&dir).unwrap().all(|e| !e
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .ends_with(".tmp")));
-                fs::remove_dir_all(&dir).unwrap();
-            }
+    fn dirstore_roundtrip_all_schemes() {
+        for scheme in [Scheme::St, Scheme::Dc, Scheme::De] {
+            let dir = tempdir(&format!("rt-{}", scheme.name()));
+            let store = DirStore::new(&dir);
+            let bundle = sample_bundle(scheme);
+            store.save(&bundle).unwrap();
+            let (back, _) = store.load().unwrap();
+            assert_eq!(back, bundle);
+            // Per-thread layout on disk, no temp leftovers.
+            assert!(dir.join("thread_0.rtrc").exists());
+            assert!(dir.join("thread_1.rtrc").exists());
+            assert_eq!(dir.join("st.rtrc").exists(), scheme == Scheme::St);
+            assert!(fs::read_dir(&dir).unwrap().all(|e| !e
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .ends_with(".tmp")));
+            fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -1889,17 +1501,15 @@ mod tests {
 
     #[test]
     fn dirstore_multi_domain_chunked_roundtrip() {
-        for parallel in [true, false] {
-            for scheme in [Scheme::St, Scheme::Dc, Scheme::De] {
-                let dir = tempdir(&format!("mdc-{parallel}-{}", scheme.name()));
-                let store = DirStore::new(&dir).with_parallel_io(parallel);
-                let bundle = sample_multi_domain(scheme);
-                let report = store.save_chunked(&bundle, 1).unwrap();
-                assert!(report.chunks > 0);
-                let (back, _) = store.load().unwrap();
-                assert_eq!(back, bundle, "{scheme:?}");
-                fs::remove_dir_all(&dir).unwrap();
-            }
+        for scheme in [Scheme::St, Scheme::Dc, Scheme::De] {
+            let dir = tempdir(&format!("mdc-{}", scheme.name()));
+            let store = DirStore::new(&dir);
+            let bundle = sample_multi_domain(scheme);
+            let report = store.save_chunked(&bundle, 1).unwrap();
+            assert!(report.chunks > 0);
+            let (back, _) = store.load().unwrap();
+            assert_eq!(back, bundle, "{scheme:?}");
+            fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -2106,6 +1716,36 @@ mod tests {
     }
 
     #[test]
+    fn forged_stream_count_is_corrupt_before_anything_is_spawned() {
+        // The manifest is outside input. This one used to make `load`
+        // collect 300 000 stream ids and spawn a reader thread for each;
+        // the process died with SIGABRT instead of returning an error.
+        let dir = tempdir("forged");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("manifest.txt"),
+            "reomp-trace v1\nscheme dc\nthreads 300000\nrecords 0\n",
+        )
+        .unwrap();
+        let err = DirStore::new(&dir).load().unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Corrupt(msg) if msg.contains("300000")),
+            "expected a stream-count error, got {err}"
+        );
+        // The product of two declared counts must not overflow either.
+        fs::write(
+            dir.join("manifest.txt"),
+            "reomp-trace v1\nscheme st\nthreads 4294967295\ndomains 4294967295\n",
+        )
+        .unwrap();
+        assert!(matches!(
+            DirStore::new(&dir).load(),
+            Err(TraceError::Corrupt(_))
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn save_overwrites_previous_contents() {
         let dir = tempdir("overwrite");
         let store = DirStore::new(&dir);
@@ -2282,26 +1922,6 @@ mod tests {
             matches!(&err, TraceError::Corrupt(msg) if msg.contains("records")),
             "expected a record-count mismatch, got {err}"
         );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sink_writer_handles_roundtrip() {
-        let dir = tempdir("writers");
-        let store = DirStore::new(&dir);
-        let sink = store
-            .begin_record(RecordOptions::new(Scheme::Dc, 2, 1, false))
-            .unwrap();
-        let w0 = sink.thread_writer(0, 0);
-        let w1 = sink.thread_writer(0, 1);
-        w0.append(&[0, 2], None, None).unwrap();
-        w1.append(&[1], None, None).unwrap();
-        w1.append(&[3], None, None).unwrap();
-        sink.commit(4).unwrap();
-        let (bundle, io) = store.load().unwrap();
-        assert_eq!(bundle.threads[0].values, vec![0, 2]);
-        assert_eq!(bundle.threads[1].values, vec![1, 3]);
-        assert_eq!(io.chunks, 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 

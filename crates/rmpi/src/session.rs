@@ -432,7 +432,10 @@ impl MpiTrace {
     /// Load a trace previously written by [`MpiTrace::save_dir`] (either
     /// the pre-domain `v1` layout or the sharded `v2` layout).
     pub fn load_dir(dir: &Path) -> Result<MpiTrace, TraceError> {
-        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).map_err(TraceError::Io)?;
+        let manifest = match std::fs::read_to_string(dir.join("manifest.txt")) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(TraceError::Empty),
+            other => other?,
+        };
         let mut lines = manifest.lines();
         let version = match lines.next() {
             Some("rmpi-trace v1") => 1u32,
@@ -471,7 +474,18 @@ impl MpiTrace {
         } else {
             None
         };
-        let streams = (ranks * domains) as usize;
+        // The manifest is outside input: every (rank, domain) stream is a
+        // file, so bound the declared count by the directory's entries
+        // before allocating for it.
+        let streams = (ranks as usize)
+            .checked_mul(domains as usize)
+            .filter(|&n| n <= std::fs::read_dir(dir).map_or(0, Iterator::count))
+            .ok_or_else(|| {
+                TraceError::Corrupt(format!(
+                    "manifest declares {ranks} ranks × {domains} domains, more streams than \
+                     the directory has files"
+                ))
+            })?;
         let mut recv_streams = Vec::with_capacity(streams);
         let mut waitany_streams = Vec::with_capacity(streams);
         for rank in 0..ranks {
@@ -1224,6 +1238,29 @@ mod tests {
         trace.save_dir(&dir).unwrap();
         let back = MpiTrace::load_dir(&dir).unwrap();
         assert_eq!(back, trace);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forged_rank_count_is_corrupt_and_a_missing_manifest_is_empty() {
+        // The manifest is outside input. This one used to overflow
+        // `ranks * domains` (a panic in debug builds; in release the
+        // wrapped product sized an allocation).
+        let dir = std::env::temp_dir().join(format!("rmpi-trace-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(matches!(MpiTrace::load_dir(&dir), Err(TraceError::Empty)));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(matches!(MpiTrace::load_dir(&dir), Err(TraceError::Empty)));
+        std::fs::write(
+            dir.join("manifest.txt"),
+            "rmpi-trace v2\nranks 4000000000\ndomains 2\n",
+        )
+        .unwrap();
+        let err = MpiTrace::load_dir(&dir).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Corrupt(msg) if msg.contains("4000000000")),
+            "expected a stream-count error, got {err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

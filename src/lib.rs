@@ -28,7 +28,7 @@ pub use reomp_core::{
     Divergence, DomainPlan, DumpTrigger, EpochHistogram, EpochPolicy, FlightRecorder, FlightSink,
     IoReport, MemStore, Mode, RecordOptions, RecordSink, ReplayError, Scheme, Session,
     SessionConfig, SessionReport, Severity, SiteId, StreamingTraceStore, ThreadCtx, Tier,
-    TraceBundle, TraceError, TraceStore, TraceWriter, Verifier, VerifyReport,
+    TraceBundle, TraceError, TraceStore, Verifier, VerifyReport,
 };
 
 pub use rmpi::{

@@ -3,11 +3,18 @@
 //! * a [`DirStore`] record→save→load→replay roundtrip must work from a
 //!   throwaway directory under the OS tempdir and must leave **no files in
 //!   the repository tree** (record files belong to the run, not the source);
+//! * a write killed at any of its backend calls — one-shot or chunked save,
+//!   streaming record, flight dump — must leave the directory `Empty` or
+//!   holding one whole bundle, and a retry must get through;
 //! * [`Scheme::ALL`] must enumerate ST, DC, and DE exactly once each — the
 //!   matrix tests and every benchmark sweep iterate it and silently shrink
 //!   if a scheme goes missing.
 
-use reomp::{ompr, AccessKind, DirStore, Scheme, Session, SessionConfig, SiteId, TraceStore};
+use reomp::core::store::{Blobs, DirBlobs, Store};
+use reomp::{
+    ompr, AccessKind, DirStore, Scheme, Session, SessionConfig, SiteId, StreamingTraceStore,
+    TraceBundle, TraceError, TraceStore,
+};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -37,7 +44,7 @@ impl Drop for TempDir {
     }
 }
 
-fn record_small_run(scheme: Scheme) -> reomp::TraceBundle {
+fn record_small_run(scheme: Scheme) -> TraceBundle {
     let session = Session::record(scheme, 2);
     let cell = ompr::RacyCell::new("smoke:cell", 0u64);
     let rt = ompr::Runtime::new(Arc::clone(&session));
@@ -274,128 +281,183 @@ fn killed_recording_never_yields_a_loadable_corrupt_bundle() {
         // Session dropped without finish(): nothing is committed.
     }
     match store.load() {
-        Err(reomp::core::TraceError::Empty) => {}
+        Err(TraceError::Empty) => {}
         other => panic!("interrupted recording must read as Empty, got {other:?}"),
     }
 }
 
-/// A streaming store whose sinks die after a budget of appends — the
-/// moral equivalent of `kill -9` mid-materialization of a flight dump.
-struct DyingStore {
-    inner: DirStore,
-    budget: Arc<AtomicU32>,
+/// Trips at the `die_at`-th backend call: that call and every later one
+/// fail, as if the process had been killed there, until it is revived.
+struct Fuse {
+    calls: AtomicU32,
+    die_at: AtomicU32,
 }
 
-struct DyingSink {
-    inner: Box<dyn reomp::RecordSink>,
-    budget: Arc<AtomicU32>,
-}
-
-impl DyingSink {
-    fn spend(&self) -> Result<(), reomp::core::TraceError> {
-        if self.budget.fetch_sub(1, Ordering::SeqCst) == 0 {
-            self.budget.store(0, Ordering::SeqCst);
-            return Err(reomp::core::TraceError::Corrupt(
-                "simulated crash mid-materialization".into(),
-            ));
+impl Fuse {
+    fn spend(&self) -> Result<(), TraceError> {
+        let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+        if call >= self.die_at.load(Ordering::SeqCst) {
+            return Err(TraceError::Io(std::io::Error::other(format!(
+                "simulated crash at backend call {call}"
+            ))));
         }
         Ok(())
     }
 }
 
-impl reomp::RecordSink for DyingSink {
-    fn append_thread_chunk(
-        &self,
-        dom: u32,
-        tid: u32,
-        values: &[u64],
-        sites: Option<&[u64]>,
-        kinds: Option<&[u8]>,
-    ) -> Result<u64, reomp::core::TraceError> {
-        self.spend()?;
-        self.inner
-            .append_thread_chunk(dom, tid, values, sites, kinds)
-    }
+/// A directory backend behind a [`Fuse`].
+struct DyingBlobs {
+    inner: DirBlobs,
+    fuse: Arc<Fuse>,
+}
 
-    fn append_st_chunk(
-        &self,
-        dom: u32,
-        tids: &[u32],
-        sites: Option<&[u64]>,
-        kinds: Option<&[u8]>,
-    ) -> Result<u64, reomp::core::TraceError> {
-        self.spend()?;
-        self.inner.append_st_chunk(dom, tids, sites, kinds)
-    }
+impl Blobs for DyingBlobs {
+    type Stream = <DirBlobs as Blobs>::Stream;
+    const COUNTS_MANIFEST: bool = DirBlobs::COUNTS_MANIFEST;
+    const FAN_OUT: bool = DirBlobs::FAN_OUT;
 
-    fn put_plan(&self, plan: &reomp::DomainPlan) -> Result<(), reomp::core::TraceError> {
-        self.inner.put_plan(plan)
+    fn list(&self) -> Result<Vec<String>, TraceError> {
+        self.fuse.spend()?;
+        self.inner.list()
     }
-
-    fn append_edges(
-        &self,
-        edges: &[reomp::CrossDomainEdge],
-    ) -> Result<(), reomp::core::TraceError> {
-        self.inner.append_edges(edges)
+    fn get(&self, name: &str) -> Result<Vec<u8>, TraceError> {
+        self.fuse.spend()?;
+        self.inner.get(name)
     }
-
-    fn put_checkpoint(&self, cp: &reomp::Checkpoint) -> Result<(), reomp::core::TraceError> {
-        self.spend()?;
-        self.inner.put_checkpoint(cp)
+    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        self.fuse.spend()?;
+        self.inner.put(name, bytes)
     }
-
-    fn commit(
-        self: Box<Self>,
-        total_records: u64,
-    ) -> Result<reomp::IoReport, reomp::core::TraceError> {
-        self.spend()?;
-        self.inner.commit(total_records)
+    fn create(&self, name: &str, header: &[u8]) -> Result<Self::Stream, TraceError> {
+        self.fuse.spend()?;
+        self.inner.create(name, header)
+    }
+    fn append(&self, stream: &mut Self::Stream, chunk: &[u8]) -> Result<(), TraceError> {
+        self.fuse.spend()?;
+        self.inner.append(stream, chunk)
+    }
+    fn publish(&self, stream: Self::Stream) -> Result<(), TraceError> {
+        self.fuse.spend()?;
+        self.inner.publish(stream)
+    }
+    fn remove(&self, name: &str) -> Result<(), TraceError> {
+        self.fuse.spend()?;
+        self.inner.remove(name)
+    }
+    fn commit(&self, name: &str, bytes: &[u8]) -> Result<(), TraceError> {
+        self.fuse.spend()?;
+        self.inner.commit(name, bytes)
     }
 }
 
-impl reomp::TraceStore for DyingStore {
-    fn save(
-        &self,
-        bundle: &reomp::TraceBundle,
-    ) -> Result<reomp::IoReport, reomp::core::TraceError> {
-        self.inner.save(bundle)
-    }
-    fn load(&self) -> Result<(reomp::TraceBundle, reomp::IoReport), reomp::core::TraceError> {
-        self.inner.load()
-    }
+/// The bundle `deterministic_run` records when nothing streams.
+fn deterministic_bundle() -> TraceBundle {
+    let session = Session::record(Scheme::Dc, 2);
+    deterministic_run(&session);
+    session.finish().unwrap().bundle.unwrap()
 }
 
-impl reomp::StreamingTraceStore for DyingStore {
-    fn begin_record(
-        &self,
-        opts: reomp::RecordOptions,
-    ) -> Result<Box<dyn reomp::RecordSink>, reomp::core::TraceError> {
-        Ok(Box::new(DyingSink {
-            inner: self.inner.begin_record(opts)?,
-            budget: Arc::clone(&self.budget),
-        }))
+/// A write into a store, reduced to whether it got through.
+type Write = Box<dyn Fn() -> Result<(), String>>;
+
+/// Kill a write at its first backend call, then its second, and so on
+/// until it gets through, each time over a directory that already holds a
+/// committed bundle (three ST threads, so the write also has stale files
+/// to scrub). `setup` receives the store to write to and returns the
+/// write; every failed one is retried once the backend is healthy again.
+///
+/// Whatever the kill point, the directory must load as `Empty`, as the old
+/// bundle (only while the write has not started on it), or as `new`.
+fn fault_campaign(tag: &str, new: &TraceBundle, setup: impl Fn(Store<DyingBlobs>) -> Write) {
+    let old = {
+        let session = Session::record(Scheme::St, 3);
+        for tid in 0..3 {
+            session
+                .register_thread(tid)
+                .gate(SiteId(5), AccessKind::Load, || ());
+        }
+        session.finish().unwrap().bundle.unwrap()
+    };
+    let mut calls_of_a_clean_write = None;
+    for die_at in 1..=500 {
+        let tmp = TempDir::new(&format!("{tag}-{die_at}"));
+        let dir = tmp.0.join("trace");
+        DirStore::new(&dir).save(&old).unwrap();
+
+        let fuse = Arc::new(Fuse {
+            calls: AtomicU32::new(0),
+            die_at: AtomicU32::new(die_at),
+        });
+        let write = setup(Store::with_blobs(DyingBlobs {
+            inner: DirBlobs::new(&dir),
+            fuse: Arc::clone(&fuse),
+        }));
+        let outcome = write();
+        match DirStore::new(&dir).load() {
+            Err(TraceError::Empty) => assert!(outcome.is_err(), "{tag}: a clean write must load"),
+            Ok((found, _)) if found == *new => {}
+            Ok((found, _)) => assert!(
+                outcome.is_err() && found == old,
+                "{tag}: killed at backend call {die_at}, the directory loads as neither bundle"
+            ),
+            Err(e) => {
+                panic!("{tag}: killed at backend call {die_at}, the directory is corrupt: {e}")
+            }
+        }
+        if outcome.is_ok() {
+            calls_of_a_clean_write = Some(die_at - 1);
+            break;
+        }
+
+        fuse.die_at.store(u32::MAX, Ordering::SeqCst);
+        write().unwrap_or_else(|e| panic!("{tag}: retry after a kill at call {die_at}: {e}"));
+        let (found, _) = DirStore::new(&dir).load().unwrap();
+        assert_eq!(found, *new, "{tag}: retry after a kill at call {die_at}");
     }
+    // Unpublish, list, scrub the third thread's file and the ST stream,
+    // write two streams, commit the manifest.
+    let calls = calls_of_a_clean_write.expect("the sweep ends when the write gets through");
+    assert!(calls >= 7, "{tag}: a write of only {calls} backend calls");
 }
 
 #[test]
-fn killed_dump_never_yields_a_loadable_corrupt_bundle() {
-    use reomp::{DumpTrigger, TraceStore};
+fn killed_save_never_yields_a_loadable_corrupt_bundle() {
+    let new = deterministic_bundle();
+    fault_campaign("save", &new, |store| {
+        let new = new.clone();
+        Box::new(move || store.save(&new).map(drop).map_err(|e| e.to_string()))
+    });
+    fault_campaign("save-chunked", &new, |store| {
+        let new = new.clone();
+        Box::new(move || {
+            store
+                .save_chunked_opt(&new, 8, true)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        })
+    });
+}
 
-    let tmp = TempDir::new("killed-dump");
-    let dir = tmp.0.join("trace");
+#[test]
+fn killed_streaming_record_never_yields_a_loadable_corrupt_bundle() {
+    // Appends fail mid-run too: the session latches the error, keeps
+    // gating, and surfaces it from `finish`.
+    fault_campaign("stream", &deterministic_bundle(), |store| {
+        Box::new(move || {
+            let cfg = SessionConfig {
+                flush_records: 8,
+                ..SessionConfig::default()
+            };
+            let session = Session::record_streaming_with(Scheme::Dc, 2, cfg, &store)
+                .map_err(|e| e.to_string())?;
+            deterministic_run(&session);
+            session.finish().map(drop).map_err(|e| e.to_string())
+        })
+    });
+}
 
-    // A committed recording exists in the target directory...
-    DirStore::new(&dir)
-        .save(&record_small_run(Scheme::Dc))
-        .unwrap();
-
-    // ...then a flight session dumps into it and the dump crashes
-    // mid-materialization (after two appends).
-    let budget = Arc::new(AtomicU32::new(2));
-    let store = DyingStore {
-        inner: DirStore::new(&dir),
-        budget: Arc::clone(&budget),
-    };
+/// A flight session over `store` that has run `deterministic_run`.
+fn flight_session(store: impl StreamingTraceStore + 'static) -> Arc<Session> {
     let cfg = SessionConfig {
         flight: Some(2),
         flush_records: 1,
@@ -403,27 +465,36 @@ fn killed_dump_never_yields_a_loadable_corrupt_bundle() {
     };
     let session = Session::record_flight(Scheme::Dc, 2, cfg, store).unwrap();
     deterministic_run(&session);
-    assert!(
-        session.dump(DumpTrigger::Manual).is_err(),
-        "the dump must surface the crash"
-    );
+    session
+}
 
-    // The interrupted dump may leave the directory Empty (manifest
-    // scrubbed before the crash) but NEVER a loadable corrupt bundle.
-    match DirStore::new(&dir).load() {
-        Err(reomp::core::TraceError::Empty) => {}
-        Ok((bundle, _)) => bundle.validate().expect("a loadable bundle must be valid"),
-        Err(e) => panic!("interrupted dump must read Empty or valid, got {e}"),
-    }
+#[test]
+fn killed_dump_never_yields_a_loadable_corrupt_bundle() {
+    use reomp::DumpTrigger;
 
-    // The recorder's window survived the failed materialization: a retry
-    // with a healthy store succeeds and loads as a checkpointed bundle.
-    budget.store(u32::MAX, Ordering::SeqCst);
-    session.dump(DumpTrigger::Manual).unwrap();
-    let (bundle, _) = DirStore::new(&dir).load().unwrap();
-    bundle.validate().unwrap();
-    assert!(bundle.checkpoint.is_some(), "retried dump is checkpointed");
-    assert!(bundle.total_records() > 0);
+    // What a dump of this window holds when nothing goes wrong.
+    let new = {
+        let tmp = TempDir::new("dump-reference");
+        let dir = tmp.0.join("trace");
+        flight_session(DirStore::new(&dir))
+            .dump(DumpTrigger::Manual)
+            .unwrap();
+        DirStore::new(&dir).load().unwrap().0
+    };
+    assert!(new.checkpoint.is_some(), "a dump is checkpointed");
+    assert!(new.total_records() > 0);
+
+    // The recorder's window survives a failed materialization: the retry
+    // is a second dump of the same session.
+    fault_campaign("dump", &new, |store| {
+        let session = flight_session(store);
+        Box::new(move || {
+            session
+                .dump(DumpTrigger::Manual)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        })
+    });
 }
 
 #[test]
