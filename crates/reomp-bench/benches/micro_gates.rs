@@ -221,7 +221,7 @@ fn bench_codec(c: &mut Criterion) {
     });
     let bytes = codec::encode_thread_trace(&trace, Scheme::Dc, 0);
     c.bench_function("codec_decode_10k_values", |b| {
-        b.iter(|| black_box(codec::decode_thread_trace(&bytes).unwrap()));
+        b.iter(|| black_box(codec::decode_thread_records(&bytes).unwrap()));
     });
 }
 

@@ -88,7 +88,7 @@
 //! | [`epoch`] | epoch assignment incl. the store fix-up rule of Table V |
 //! | [`plan`] | race-report-driven site → gate-domain assignment ([`DomainPlan`]) |
 //! | [`trace`] | per-thread and shared trace representations (Fig. 3) |
-//! | [`codec`] | varint/delta binary encoding of record files, incl. the streaming chunk frame |
+//! | [`codec`] | binary encoding of record files: delta varints, a `(site, kind)` label dictionary, the streaming chunk frame (version 1 files: read-only) |
 //! | [`store`] | record-file storage: one trace layer (naming, manifest, save, streaming sink, load) over a blob backend — a directory with one file per thread, or memory |
 //! | [`flight`] | bounded in-situ recording: ring-retained streams, checkpointed windowed dumps |
 //! | [`gate`] | `gate_in`/`gate_out` engines for all scheme × mode pairs |

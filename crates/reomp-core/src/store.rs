@@ -1006,6 +1006,9 @@ impl<B: Blobs> TraceStore for Store<B> {
             files: u64::from(B::COUNTS_MANIFEST),
             ..IoReport::default()
         };
+        // No stream can hold more records than the manifest promises in
+        // all; a run-length coded one that claims to is cut short there.
+        let max_records = manifest.records.unwrap_or(u64::MAX);
 
         let ids: Vec<(u32, u32)> = (0..domains)
             .flat_map(|dom| (0..nthreads).map(move |tid| (dom, tid)))
@@ -1013,7 +1016,7 @@ impl<B: Blobs> TraceStore for Store<B> {
         let loaded = each_stream(B::FAN_OUT, &ids, |_, &(dom, tid)| {
             let tag = dom_tag(domains, dom);
             let bytes = blobs.get(&Blob::Thread { tid, dom: tag }.name())?;
-            let decoded = codec::decode_thread_records(&bytes)?;
+            let decoded = codec::decode_thread_records_within(&bytes, max_records)?;
             if decoded.scheme != scheme || decoded.tid != tid || decoded.domain != tag {
                 return Err(TraceError::Corrupt(format!(
                     "thread file {tid} (domain {dom}): header says scheme {} tid {} domain {:?}",
@@ -1039,7 +1042,8 @@ impl<B: Blobs> TraceStore for Store<B> {
         let mut st = Vec::new();
         for dom in 0..st_streams {
             let tag = dom_tag(domains, dom);
-            let decoded = codec::decode_st_records(&read(Blob::St { dom: tag }, &mut report)?)?;
+            let bytes = read(Blob::St { dom: tag }, &mut report)?;
+            let decoded = codec::decode_st_records_within(&bytes, max_records)?;
             if decoded.domain != tag {
                 return Err(TraceError::Corrupt(format!(
                     "st stream (domain {dom}): header says domain {:?}",
@@ -1612,9 +1616,11 @@ mod tests {
     }
 
     #[test]
-    fn single_domain_save_is_byte_identical_to_legacy_layout() {
-        // The D = 1 on-disk format must not change: domain-less file
-        // names, no FLAG_DOMAINS headers, no `domains` manifest line.
+    fn single_domain_save_is_the_codec_encoding_under_domainless_names() {
+        // What D = 1 keeps of the layout that predates domains: file names
+        // without a domain, no FLAG_DOMAINS headers, no `domains` manifest
+        // line — and every file exactly what the codec encodes for its
+        // thread (the codec's own golden bytes pin the format).
         let dir = tempdir("legacy");
         let store = DirStore::new(&dir);
         let bundle = sample_bundle(Scheme::Dc);
@@ -1634,8 +1640,10 @@ mod tests {
 
     #[test]
     fn legacy_directory_without_domains_line_loads_as_one_domain() {
-        // Simulate a pre-domain trace directory written by an old version:
-        // legacy file names + a manifest without the domains key.
+        // The manifest-level layout that predates domains still loads:
+        // domain-less file names + a manifest without the domains key.
+        // (Record files as an old version encoded them are the business of
+        // `tests/golden_corpus.rs`.)
         let dir = tempdir("olddir");
         fs::create_dir_all(&dir).unwrap();
         let bundle = sample_bundle(Scheme::De);
@@ -1906,12 +1914,15 @@ mod tests {
         // Rewrite thread_0.rtrc with its last chunk dropped.
         let forged = {
             let t = &bundle.threads[0];
-            let mut bytes = codec::encode_thread_stream_header(Scheme::Dc, 0, true, true).to_vec();
+            let mut bytes =
+                codec::encode_thread_stream_header_opt(Scheme::Dc, 0, None, true, true, false)
+                    .to_vec();
             for i in 0..t.values.len() - 1 {
-                bytes.extend_from_slice(&codec::encode_thread_chunk(
+                bytes.extend_from_slice(&codec::encode_thread_chunk_opt(
                     &t.values[i..=i],
                     t.sites.as_ref().map(|s| &s[i..=i]),
                     t.kinds.as_ref().map(|k| &k[i..=i]),
+                    false,
                 ));
             }
             bytes

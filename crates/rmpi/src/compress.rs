@@ -14,7 +14,7 @@
 
 use crate::session::RecvEvent;
 use bytes::{Buf, Bytes, BytesMut};
-use reomp_core::codec::{get_uvarint, put_uvarint, rle_runs, unzigzag, zigzag};
+use reomp_core::codec::{get_uvarint, put_uvarint, unzigzag, zigzag};
 use reomp_core::TraceError;
 
 /// Encode one rank's wildcard-receive stream.
@@ -23,8 +23,7 @@ pub fn encode_events(events: &[RecvEvent]) -> Vec<u8> {
     let mut buf = BytesMut::new();
     put_uvarint(&mut buf, events.len() as u64);
 
-    // Delta each field against its predecessor, then RLE the delta pairs
-    // with the codec pipeline's shared run scanner.
+    // Delta each field against its predecessor, then RLE the delta pairs.
     let mut deltas: Vec<(u64, u64)> = Vec::with_capacity(events.len());
     let (mut prev_src, mut prev_tag) = (0i64, 0i64);
     for e in events {
@@ -35,10 +34,10 @@ pub fn encode_events(events: &[RecvEvent]) -> Vec<u8> {
         prev_tag = i64::from(e.tag);
     }
 
-    for (run_len, &(ds, dt)) in rle_runs(&deltas) {
-        put_uvarint(&mut buf, run_len);
-        put_uvarint(&mut buf, ds);
-        put_uvarint(&mut buf, dt);
+    for run in deltas.chunk_by(|a, b| a == b) {
+        put_uvarint(&mut buf, run.len() as u64);
+        put_uvarint(&mut buf, run[0].0);
+        put_uvarint(&mut buf, run[0].1);
     }
     buf.to_vec()
 }

@@ -1,7 +1,11 @@
 //! Deterministic golden-fixture generator for the static verifier.
 //!
 //! Writes one trace directory per configuration under the output root
-//! (first CLI argument, default `tests/golden/`), each driven by a
+//! (first CLI argument, default `tests/golden_v2/` — `tests/golden/` is
+//! the version 1 corpus, committed as an older build wrote it and never
+//! regenerated: the same driver made it, so fixtures of the same name in
+//! the two corpora hold the same records and carry the same certificate
+//! in different bytes), each driven by a
 //! single-OS-thread round-robin driver so the recorded content — and
 //! therefore the replayability **certificate** — is identical on every
 //! machine and every run:
@@ -22,7 +26,7 @@
 //! fixtures.
 //!
 //! ```bash
-//! cargo run --release --example golden_fixtures            # tests/golden/
+//! cargo run --release --example golden_fixtures            # tests/golden_v2/
 //! cargo run --release --example golden_fixtures /tmp/gold  # elsewhere
 //! ```
 
@@ -103,7 +107,7 @@ fn main() {
     let root = PathBuf::from(
         std::env::args()
             .nth(1)
-            .unwrap_or_else(|| "tests/golden".into()),
+            .unwrap_or_else(|| "tests/golden_v2".into()),
     );
     let domains = std::env::var("REOMP_DOMAINS")
         .ok()

@@ -28,8 +28,8 @@
 //! | 4 | `--verify`: ordering unsoundness (replay would deadlock/diverge) |
 //! | 5 | `--verify`: plan unsoundness (site partition loses ordering) |
 
-use reomp::core::analysis;
 use reomp::core::verify::Tier;
+use reomp::core::{analysis, codec};
 use reomp::{DirStore, EpochHistogram, MpiTrace, TraceStore, Verifier, VerifyReport};
 use rmpi::MpiVerifier;
 use std::process::ExitCode;
@@ -39,7 +39,8 @@ const USAGE: &str = "usage: reomp-inspect <trace-dir> [--timeline [N]] [--diff <
        reomp-inspect --mpi <trace-dir> [--verify]
 
 subcommands
-  (none)       summary: records, domains, partition, flight provenance, epoch histogram
+  (none)       summary: records, domains, partition, flight provenance, what the record
+               streams cost (format version, B/record, label tables), epoch histogram
   --timeline   render the first N accesses (default 40) as per-thread lanes
   --diff       compare against a second trace dir; exit 1 on the first divergence
   --window     flight-recorder breakdown (per-domain retained/evicted); thread dirs only,
@@ -108,6 +109,70 @@ fn print_flight_provenance(bundle: &reomp::TraceBundle) {
         "flight dump: trigger {}, window {} chunk(s)/stream, clock base {:?}",
         cp.trigger, cp.window, cp.base
     );
+}
+
+/// What the record files of one stream family add up to.
+#[derive(Default)]
+struct Family {
+    files: u64,
+    bytes: u64,
+    records: u64,
+    versions: std::collections::BTreeSet<u8>,
+    max_labels: u64,
+}
+
+/// One line per stream family — the per-thread streams, the shared ST
+/// streams — saying what its bytes are: the format version, what a record
+/// costs, and the largest label table any one chunk announces (many
+/// distinct `(site, kind)` pairs per chunk is what makes a trace big).
+fn print_stream_families(dir: &str) {
+    let mut families = [("thread", Family::default()), ("st", Family::default())];
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|e| e.path()) {
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let st = match name.strip_suffix(".rtrc") {
+            Some(stem) if stem.starts_with("thread_") => false,
+            Some(stem) if stem == "st" || stem.starts_with("st.") => true,
+            _ => continue,
+        };
+        let Ok(bytes) = std::fs::read(&path) else {
+            continue;
+        };
+        let decoded = if st {
+            codec::decode_st_records(&bytes).map(|d| (d.trace.len(), d.version, d.max_labels))
+        } else {
+            codec::decode_thread_records(&bytes).map(|d| (d.trace.len(), d.version, d.max_labels))
+        };
+        let Ok((records, version, max_labels)) = decoded else {
+            continue;
+        };
+        let family = &mut families[usize::from(st)].1;
+        family.files += 1;
+        family.bytes += bytes.len() as u64;
+        family.records += records as u64;
+        family.versions.insert(version);
+        family.max_labels = family.max_labels.max(max_labels);
+    }
+    for (name, family) in families {
+        if family.files == 0 {
+            continue;
+        }
+        let versions: Vec<String> = family.versions.iter().map(|v| format!("v{v}")).collect();
+        let per_record = match family.records {
+            0 => "no records".to_string(),
+            n => format!("{:.2} B/record", family.bytes as f64 / n as f64),
+        };
+        println!(
+            "  {name} streams: format {}, {} files, {} bytes, {per_record}, \
+             largest label table {}",
+            versions.join("+"),
+            family.files,
+            family.bytes,
+            family.max_labels,
+        );
+    }
 }
 
 fn inspect_window(bundle: &reomp::TraceBundle) -> ExitCode {
@@ -245,6 +310,7 @@ fn main() -> ExitCode {
                     io.files, io.bytes
                 );
             }
+            print_stream_families(dir);
             let hist = EpochHistogram::from_bundle(&bundle);
             println!("{hist}");
             ExitCode::SUCCESS
