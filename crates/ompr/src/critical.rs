@@ -6,9 +6,9 @@
 //! [`crate::Worker::critical`] does exactly that: the ReOMP gate wraps the
 //! mutex acquisition plus the user region, so the recorded order is the
 //! order threads entered the critical section. In a multi-domain session
-//! a critical gate anchors cross-domain edges, so it always records
-//! through the gate's *locked* slow path — only plain racy loads/stores
-//! ride the lock-free ticket fast path (see [`crate::racy`]).
+//! a critical gate anchors cross-domain edges; under DC/DE it records
+//! through the same lock-free ticket gate as every other access (see
+//! [`crate::racy`]).
 
 use reomp_core::SiteId;
 

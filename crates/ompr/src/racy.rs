@@ -9,12 +9,10 @@
 //! execution with well-defined per-access values — without UB. The gated
 //! accessors live on [`crate::Worker`] (`racy_load`/`racy_store`), which
 //! instrument each instruction with `AccessKind::Load`/`Store`, the only
-//! kinds eligible for DE epoch sharing (Condition 1). Plain loads and
-//! stores are also the accesses that take the recorder's lock-free
-//! ticket-gate fast path (`REOMP_TICKET_GATE`, on by default): a racy
-//! access records through one `fetch_add` on the domain's ticket word
-//! rather than a mutex bracket, which is exactly the hot path these
-//! polling workloads hammer.
+//! kinds eligible for DE epoch sharing (Condition 1). Under DC/DE a racy
+//! access records through the domain's lock-free ticket gate — one
+//! `fetch_add` on the ticket word rather than a mutex bracket — which is
+//! exactly the hot path these polling workloads hammer.
 
 // ORDERING(file): deliberately-relaxed cells — this module *is* the
 // benign-racy test subject. The record/replay gate around each access is

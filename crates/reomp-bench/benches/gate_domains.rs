@@ -2,7 +2,7 @@
 //! workload as the gate is sharded across `D` domains.
 //!
 //! Every thread hammers its own private site, so with `D = 1` the run is
-//! pure gate-lock contention (the global serialization the paper's DC/DE
+//! pure gate contention (the global serialization the paper's DC/DE
 //! schemes keep for *ordering* even though their *storage* is
 //! distributed), while `D = nthreads` removes all cross-thread contention.
 //! The point of the table is the record-throughput column rising
@@ -118,47 +118,6 @@ fn main() {
         }
     }
     println!("\n(speedup column is record-mode, relative to domains = 1)");
-
-    // Lock-free ticket gate vs the legacy mutex gate at D = 1 (every
-    // thread funnels through one domain — the maximum-contention corner
-    // the fast path exists for) and single-threaded (the uncontended
-    // fast-path cost). The acceptance bar: no slower single-threaded,
-    // faster under >= 2-thread contention (needs cores >= 2 to show).
-    println!("\n=== gate_domains: ticket vs locked gate (D = 1) ===");
-    println!(
-        "{:>8} {:>10} {:>14} {:>16} {:>12}",
-        "threads", "gate", "record (s)", "Mrec/s", "ticket/locked"
-    );
-    for scheme in [Scheme::Dc, Scheme::De] {
-        println!("--- {} ---", scheme.name());
-        for nthr in [1, nthreads] {
-            let mut locked_time = None;
-            for (name, ticket_gate) in [("locked", false), ("ticket", true)] {
-                let cfg = SessionConfig {
-                    ticket_gate,
-                    spin: reomp_core::sync::SpinConfig {
-                        spin_hints: 64,
-                        timeout: Some(Duration::from_secs(300)),
-                    },
-                    ..SessionConfig::default()
-                };
-                let record = time_min(|| {
-                    let session = Session::record_with(scheme, nthr, cfg.clone());
-                    disjoint_workload(&session, nthr, iters, 1);
-                    let _ = session.finish().unwrap();
-                });
-                let records = u64::from(nthr) * iters as u64 * 2;
-                let ratio = locked_time.get_or_insert(record).as_secs_f64() / record.as_secs_f64();
-                println!(
-                    "{nthr:>8} {name:>10} {:>14.6} {:>16.2} {:>11.2}x",
-                    record.as_secs_f64(),
-                    records as f64 / record.as_secs_f64() / 1e6,
-                    ratio
-                );
-            }
-        }
-    }
-    println!("(ticket/locked: locked record time over this row's — higher is better for ticket)");
 
     // Planned vs modulo assignment on STRIPED sites (site = tid * 8): the
     // legacy modulo folds every site into domain 0 whenever D divides the

@@ -33,58 +33,33 @@ fn bench_gate_record(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lock-free ticket gate vs the legacy mutex gate, DC record mode: the
-/// single-thread rows measure the uncontended fast path (one `fetch_add`
-/// vs a full lock/unlock bracket); the contended rows put 4 threads on
-/// one domain, where FIFO ticket service replaces mutex arbitration.
-fn bench_ticket_gate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ticket_vs_locked_gate");
+/// DC record admission through the ticket gate: 4 threads on one domain,
+/// where FIFO ticket service is the whole arbitration (the single-thread
+/// row is `gate_record_single_thread/dc` above).
+fn bench_ticket_admission(c: &mut Criterion) {
     let site = SiteId::from_label("micro:ticket");
-    let cfg = |ticket_gate: bool| SessionConfig {
-        ticket_gate,
-        ..SessionConfig::default()
-    };
-    for (name, ticket) in [("ticket", true), ("locked", false)] {
-        group.bench_function(format!("dc_single_thread_{name}"), |b| {
-            b.iter_batched(
-                || Session::record_with(Scheme::Dc, 1, cfg(ticket)),
-                |session| {
-                    let ctx = session.register_thread(0);
-                    for _ in 0..100 {
-                        ctx.gate(site, AccessKind::Store, || black_box(()));
+    c.bench_function("dc_contended_4t_ticket", |b| {
+        b.iter_batched(
+            || Session::record(Scheme::Dc, 4),
+            |session| {
+                std::thread::scope(|s| {
+                    for tid in 0..4 {
+                        let ctx = session.register_thread(tid);
+                        s.spawn(move || {
+                            for _ in 0..50 {
+                                ctx.gate(site, AccessKind::Store, || black_box(()));
+                            }
+                        });
                     }
-                    drop(ctx);
-                    session.finish().unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    for (name, ticket) in [("ticket", true), ("locked", false)] {
-        group.bench_function(format!("dc_contended_4t_{name}"), |b| {
-            b.iter_batched(
-                || Session::record_with(Scheme::Dc, 4, cfg(ticket)),
-                |session| {
-                    std::thread::scope(|s| {
-                        for tid in 0..4 {
-                            let ctx = session.register_thread(tid);
-                            s.spawn(move || {
-                                for _ in 0..50 {
-                                    ctx.gate(site, AccessKind::Store, || black_box(()));
-                                }
-                            });
-                        }
-                    });
-                    session.finish().unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
+                });
+                session.finish().unwrap()
+            },
+            BatchSize::SmallInput,
+        );
+    });
 
-    // The raw admission word, uncontended enter/exit cycle (the record
-    // fast path's whole synchronization cost).
+    // The raw admission word, uncontended enter/exit cycle (a DC/DE
+    // record gate's whole synchronization cost).
     c.bench_function("ticket_word_uncontended_cycle", |b| {
         let gate = reomp_core::clock::TicketGate::new();
         b.iter(|| {
@@ -236,6 +211,6 @@ fn bench_turnstile(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_gate_record, bench_ticket_gate, bench_disjoint_pair, bench_epoch_tracker, bench_codec, bench_turnstile
+    targets = bench_gate_record, bench_ticket_admission, bench_disjoint_pair, bench_epoch_tracker, bench_codec, bench_turnstile
 );
 criterion_main!(benches);

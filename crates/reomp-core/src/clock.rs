@@ -1,6 +1,6 @@
 //! The global logical clock (record side) and the `next_clock` turnstile
 //! (replay side) of DC/DE recording (paper Fig. 5), plus the lock-free
-//! [`TicketGate`] that replaces the gate mutex on the record hot path.
+//! [`TicketGate`] that admits DC/DE record gates in place of the mutex.
 
 use crate::error::ReplayError;
 use crate::shim::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,11 +41,14 @@ impl GlobalClock {
     }
 }
 
-/// A lock-free FIFO ticket gate: the record-side fast path of a gate
+/// A lock-free FIFO ticket gate: the record-side admission of a DC/DE gate
 /// domain (the record mode's counterpart of the replay [`Turnstile`]).
 ///
 /// The paper serializes every gated region under the gate mutex `L`
-/// (Fig. 5 lines 20–24). This gate keeps the *serialization* — regions
+/// (Fig. 5 lines 20–24). A DC/DE session admits **every** record gate —
+/// plain, critical, edge-anchoring — and every out-of-band pause through
+/// this gate instead, and never takes `L`; ST sessions keep `L` and never
+/// build one. This gate keeps the *serialization* — regions
 /// still execute one at a time, in ticket order, which is what makes the
 /// recorded clocks a faithful execution order — but replaces the mutex
 /// with one word of atomics: `enter` is a single `fetch_add` when the gate
@@ -120,9 +123,10 @@ impl TicketGate {
         }
     }
 
-    /// Release the gate to the next ticket holder. `ticket` must be the
-    /// value the matching [`TicketGate::enter`] returned (it is unused at
-    /// runtime but keeps the pairing explicit in the callers).
+    /// Release the gate to the next ticket holder. `ticket` names the
+    /// matching [`TicketGate::enter`]'s value; the gate does not read it
+    /// (the served slot is implicit), so a release path that did not keep
+    /// the ticket may pass any value.
     #[inline]
     pub fn exit(&self, ticket: u32) {
         let _ = ticket;

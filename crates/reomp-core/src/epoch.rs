@@ -1,16 +1,10 @@
 //! Epoch assignment for DE recording (paper §IV-D, Table V).
 //!
 //! Concurrency note: the tracker is pure data mutated only under the
-//! domain's gate exclusion — the `RawLocked` mutex in `session.rs`, or a
-//! served [`TicketGate`](crate::clock::TicketGate) ticket on the
-//! lock-free record fast path — so it needs no `crate::shim` seam: the
-//! model checker exercises it through the gate engines, where the lock
-//! (or ticket word) itself is the scheduling point. DE's *publication*
-//! batching ([`crate::SessionConfig::publish_batch`]) mirrors how this
-//! module
-//! batches runs: the tracker coalesces same-site accesses into one
-//! epoch, the gate coalesces their completion-count stores into one
-//! `published` release per batch.
+//! domain's record admission — for DE always a served
+//! [`TicketGate`](crate::clock::TicketGate) ticket — so it needs no
+//! `crate::shim` seam: the model checker exercises it through the gate
+//! engines, where the ticket word itself is the scheduling point.
 //!
 //! # The rule
 //!

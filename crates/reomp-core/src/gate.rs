@@ -10,11 +10,11 @@
 //! baton — is that domain's instance. With the default single domain this
 //! is exactly the paper's global gate.
 //!
-//! Record-mode summary (all schemes serialize the region — the paper does
-//! it under the domain's lock `L`; DC/DE plain loads and stores instead
-//! enter through the lock-free [`TicketGate`](crate::clock::TicketGate)
-//! unless [`SessionConfig::ticket_gate`](crate::session::SessionConfig)
-//! turns the fast path off):
+//! Record-mode summary. Every scheme serializes the region, and the scheme
+//! alone chooses how: ST under the domain's lock `L`, as in the paper;
+//! DC/DE through the domain's lock-free
+//! [`TicketGate`](crate::clock::TicketGate), for every access — plain,
+//! critical, or anchoring a cross-domain edge:
 //!
 //! ```text
 //! ST  (Fig. 4 l.1-8):  lock; <region>; append tid to shared log; unlock
@@ -27,11 +27,11 @@
 //!                              its owner); exit; write epoch to own file
 //! ```
 //!
-//! The two admission protocols compose seqlock-style: slow-path accesses
-//! (ST, critical sections, cross-domain edge anchors) and
-//! out-of-band pausers take the raw lock **and** a ghost ticket, so they
-//! exclude lock-free entrants too; a `RecordToken` carries which protocol
-//! a gate entered through from `record_in` to its `record_out`.
+//! One protocol per session: out-of-band pausers take the same admission
+//! (a ghost ticket, or `L`), never a second one. `exit_after` runs the
+//! region and exits the gate even when the region unwinds, so a panicking
+//! region still releases its domain — on record, after recording the
+//! access it did run.
 //!
 //! Replay-mode summary:
 //!
@@ -48,60 +48,45 @@
 
 use crate::error::{Divergence, ReplayError};
 use crate::history::AccessRecord;
-use crate::session::{RecEntry, Session, TID_EXHAUSTED, TID_NONE};
+use crate::session::{DomainRecord, RecEntry, Session, TID_EXHAUSTED, TID_NONE};
 use crate::shim::atomic::Ordering;
 use crate::site::{AccessKind, SiteId};
 use crate::sync::SpinWait;
 use crate::Scheme;
 
-/// How a record gate was admitted; returned by [`record_in`], consumed by
-/// the matching [`record_out`] to release the same way.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RecordToken {
-    /// Classic mutex bracket — the session has no ticket gate (ST, or
-    /// `ticket_gate: false`).
-    Locked,
-    /// Slow path of a ticket-gate session: the raw lock **plus** a ghost
-    /// ticket, so lock-free entrants are excluded too.
-    LockedTicket(u32),
-    /// Lock-free fast path: the served ticket is the whole exclusion.
-    Ticket(u32),
+/// Run an admitted gate's region `f`, then `exit` the gate (`gate_out`) —
+/// also when `f` unwinds, after which the panic resumes: the region did
+/// run under the exclusion, so on record the access is recorded, and on
+/// replay its successors are not left waiting for the watchdog.
+///
+/// Not a `Drop` guard: the landing pad a guard puts into every gate call
+/// measured +25 % `dc.record_ns_per_op` on `synth_contended`, where this
+/// catch costs nothing (EXPERIMENTS.md "Record admission per scheme").
+#[inline]
+pub(crate) fn exit_after<R>(f: impl FnOnce() -> R, exit: impl FnOnce()) -> R {
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    exit();
+    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
-/// Record-mode `gate_in` (`set_lock(L)`, Fig. 4 line 1 / Fig. 5 line 20).
-///
-/// Plain DC/DE loads and stores of a ticket-gate session enter through the
-/// domain's [`TicketGate`](crate::clock::TicketGate) — one `fetch_add`
-/// when the gate is idle — instead of the mutex. Accesses that need the
-/// heavier shared bookkeeping route to the locked path: every ST access
-/// (the shared log — ST sessions never construct a ticket gate at all),
-/// and critical-section gates and pending-sync edge anchors (cross-domain
-/// edge stamping). The routing predicate is stable between `record_in` and
-/// `record_out` because only the gating thread itself mutates its
-/// pending-sync slot.
-pub(crate) fn record_in(session: &Session, dom: u32, tid: u32, kind: AccessKind) -> RecordToken {
+/// Record-mode `gate_in` (`set_lock(L)`, Fig. 4 line 1 / Fig. 5 line 20):
+/// take domain `dom`'s one admission — `L` for ST, a served ticket for
+/// DC/DE (one `fetch_add` when the gate is idle) — and note this thread as
+/// its holder while the region runs (see `DomainRecord::pause`). Returns
+/// the holder note replaced, which the matching [`record_out`] restores: a
+/// gate nested inside another domain's region hands that note back.
+pub(crate) fn record_in(session: &Session, dom: u32, tid: u32) -> usize {
     let rec = session.rec.as_ref().expect("record mode");
     let drec = &rec.domains[dom as usize];
-    let Some(ticket) = &drec.ticket else {
-        drec.gate.lock();
+    if drec.admit() {
         session.thread_stats(tid).bump_lock();
-        return RecordToken::Locked;
-    };
-    let multi = session.domains() > 1;
-    if multi && (kind == AccessKind::Critical || session.has_pending_sync(tid)) {
-        // Edge-stamping access: lock first, then queue the ghost ticket
-        // (the one lock→ticket order every two-protocol entrant uses, so
-        // the two admission paths cannot deadlock against each other).
-        drec.gate.lock();
-        session.thread_stats(tid).bump_lock();
-        return RecordToken::LockedTicket(ticket.enter());
     }
-    RecordToken::Ticket(ticket.enter())
+    drec.note_held()
 }
 
 /// Record-mode `gate_out`. `addr` is the memory location used for DE run
-/// grouping (Condition 1 is per-address). `token` must be the value the
-/// matching [`record_in`] returned.
+/// grouping (Condition 1 is per-address); `outer` is what the matching
+/// [`record_in`] returned.
 pub(crate) fn record_out(
     session: &Session,
     dom: u32,
@@ -109,33 +94,22 @@ pub(crate) fn record_out(
     site: SiteId,
     addr: u64,
     kind: AccessKind,
-    token: RecordToken,
+    outer: usize,
 ) {
+    // The region is over: from here this call borrows the core itself, so
+    // nothing else on this thread may.
+    DomainRecord::restore_note(outer);
     let rec = session.rec.as_ref().expect("record mode");
     let drec = &rec.domains[dom as usize];
     let lane = &drec.lanes[tid as usize];
     let stats = session.thread_stats(tid);
     let streaming = rec.stream.is_some();
     let multi = session.domains() > 1;
-    // Release the admission `record_in` granted, in reverse acquisition
-    // order. After this call the gate core must not be touched.
-    let release = || match token {
-        // SAFETY: `record_in` locked on this thread for this token.
-        RecordToken::Locked => unsafe { drec.gate.unlock() },
-        RecordToken::LockedTicket(t) => {
-            drec.ticket
-                .as_ref()
-                .expect("token implies ticket gate")
-                .exit(t);
-            // SAFETY: `record_in` locked on this thread for this token.
-            unsafe { drec.gate.unlock() }
-        }
-        RecordToken::Ticket(t) => drec
-            .ticket
-            .as_ref()
-            .expect("token implies ticket gate")
-            .exit(t),
-    };
+    // Release the admission `record_in` granted. After this call the gate
+    // core must not be touched.
+    // SAFETY: `record_in` admitted this thread, and only this call
+    // releases it.
+    let release = || unsafe { drec.release() };
     // Cross-domain edge sources: a pending barrier snapshot taken at this
     // thread's last sync point, or — for critical-section gates — a fresh
     // snapshot taken below. The snapshot MUST be read before this access
@@ -149,7 +123,7 @@ pub(crate) fn record_out(
     };
     let wants_edge = multi && (kind == AccessKind::Critical || pending.is_some());
     // `Some((seq, counts))` once the anchor position is known: the edge is
-    // appended after the gate lock is released.
+    // appended after the domain's admission is released.
     let mut edge: Option<(u64, Vec<u64>)> = None;
     // Resolve the wait set now for critical gates (a fresh snapshot
     // dominates any pending one — counts are monotone), else the barrier
@@ -175,20 +149,7 @@ pub(crate) fn record_out(
         // observe it through the `published` Release store below, so the
         // RMW itself needs no ordering.
         let seq = lane.seq.fetch_add(1, Ordering::Relaxed);
-        // DE publish batching (`SessionConfig::publish_batch`): plain
-        // accesses release the completion count once per full batch,
-        // mirroring how the epoch tracker batches runs. Edge-anchored and
-        // critical accesses (`wants_edge`) always publish, so sync-point
-        // traffic is counted exactly; skipped publishes only let foreign
-        // snapshots run behind, which weakens — never breaks — the
-        // recorded edges (still a lower bound, still snapshot-before-
-        // publish, hence still acyclic).
-        let publish = session.scheme() != Scheme::De
-            || wants_edge
-            || (clock + 1).is_multiple_of(u64::from(session.cfg.publish_batch));
-        if publish {
-            drec.published.store(clock + 1, Ordering::Release);
-        }
+        drec.published.store(clock + 1, Ordering::Release);
         counts.map(|c| (seq, c))
     };
     match session.scheme() {
@@ -196,9 +157,8 @@ pub(crate) fn record_out(
             // Fig. 4 lines 6-8: record the thread ID to the domain's shared
             // log *before* releasing the lock, so the logged order is the
             // execution order.
-            // SAFETY: ST sessions have no ticket gate, so the token is
-            // always `Locked`; the lock was acquired in `record_in` on
-            // this thread.
+            // SAFETY: `record_in` admitted this thread — for ST, locked
+            // `L` — and `release` below has not run yet.
             let core = unsafe { drec.gate.get() };
             let builder = core.st.as_mut().expect("st builder");
             builder.push(tid, site, kind);
@@ -242,8 +202,9 @@ pub(crate) fn record_out(
             // epoch tracker turn it into this access's value (X = X_C; DC
             // is X = 0).
             let (clock, value) = {
-                // SAFETY: `token` grants exclusive core access — the gate
-                // lock and/or the currently-served ticket (see RecordToken).
+                // SAFETY: `record_in` admitted this thread — for DC/DE,
+                // with the currently-served ticket — and `release` below
+                // has not run yet.
                 let core = unsafe { drec.gate.get() };
                 let clock = core.clock;
                 core.clock += 1;
@@ -278,7 +239,7 @@ pub(crate) fn record_out(
                 (clock, value)
             };
             release();
-            // Line 24 happens *after* unlock: the write to the thread's own
+            // Line 24 happens *after* the exit: the write to the thread's own
             // record file overlaps other threads' region execution
             // (§IV-C3). Only this thread appends to its lane, so the lane
             // is in clock order by construction.
@@ -871,12 +832,12 @@ mod tests {
             assert!(!session.has_pending_sync(0), "only on its own thread");
             c1.gate(b, AccessKind::Store, || ());
             // The anchor took the snapshot and cleared the flag: the next
-            // store goes back to the lock-free path and stamps nothing.
+            // store stamps nothing.
             assert!(!session.has_pending_sync(1), "flag cleared after take");
             c1.gate(b, AccessKind::Store, || ());
         }
         let report = session.finish().unwrap();
-        assert_eq!(report.stats.lock_acquires, 1, "only the anchor locked");
+        assert_eq!(report.stats.lock_acquires, 0, "the anchor rides the ticket");
         let bundle = report.bundle.unwrap();
         assert_eq!(bundle.edges.len(), 1, "{:?}", bundle.edges);
         let e = &bundle.edges[0];
@@ -1130,54 +1091,70 @@ mod tests {
         assert!(report.failure.unwrap().contains("watchdog"));
     }
 
-    #[test]
-    fn ticket_gate_traces_identical_to_locked_gate() {
-        // The lock-free fast path must be trace-invisible: a deterministic
-        // (sequentially driven) workload recorded with the ticket gate and
-        // with the legacy mutex must produce *equal* bundles, for every
-        // scheme — `TraceBundle: Eq` makes this the D=1 byte-identity pin.
-        for scheme in [Scheme::St, Scheme::Dc, Scheme::De] {
-            let bundles = [true, false].map(|ticket_gate| {
-                let session = Session::record_with(
-                    scheme,
-                    2,
-                    SessionConfig {
-                        ticket_gate,
-                        ..Default::default()
-                    },
-                );
-                let ctx0 = session.register_thread(0);
-                let ctx1 = session.register_thread(1);
-                // A fixed interleaving, driven from this one test thread.
-                ctx0.gate(SITE, AccessKind::Load, || ());
-                ctx1.gate(SITE, AccessKind::Store, || ());
-                ctx1.gate(SiteId(9), AccessKind::Store, || ());
-                ctx0.gate(SiteId(9), AccessKind::Load, || ());
-                drop(ctx0);
-                drop(ctx1);
-                session.finish().unwrap().bundle.unwrap()
-            });
-            assert_eq!(bundles[0], bundles[1], "trace diverged for {scheme:?}");
-        }
-        // Publish batching is record-side communication elision only — at
-        // D=1 it must leave the DE trace untouched as well.
-        let bundles = [1u32, 4].map(|publish_batch| {
-            let session = Session::record_with(
-                Scheme::De,
-                1,
-                SessionConfig {
-                    publish_batch,
-                    ..Default::default()
-                },
-            );
-            let ctx = session.register_thread(0);
-            for _ in 0..3 {
-                ctx.gate(SITE, AccessKind::Store, || ());
-            }
-            drop(ctx);
-            session.finish().unwrap().bundle.unwrap()
+    /// Run `f` on a thread of its own and fail — instead of hanging the
+    /// test binary — if it has not returned within ten seconds.
+    fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
         });
-        assert_eq!(bundles[0], bundles[1], "publish batching changed the trace");
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(out) => {
+                worker.join().unwrap();
+                out
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what}: HUNG"),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+        }
+    }
+
+    /// Thread 0 enters `SITE`'s gate and panics inside the region; thread
+    /// 1 then passes the same gate.
+    fn panic_then_gate(session: &Arc<Session>) {
+        let ctx0 = session.register_thread(0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx0.gate(SITE, AccessKind::Store, || {
+                panic!("deliberate panic in a gated region")
+            })
+        }));
+        assert!(unwound.is_err());
+        let ctx1 = session.register_thread(1);
+        ctx1.gate(SITE, AccessKind::Store, || ());
+    }
+
+    #[test]
+    fn a_panicking_recorded_region_releases_its_domain() {
+        for scheme in Scheme::ALL {
+            let session = Session::record(scheme, 2);
+            let s = Arc::clone(&session);
+            within_deadline(&format!("{scheme:?} record"), move || panic_then_gate(&s));
+            // The unwound region ran under the exclusion, so it is recorded.
+            let report = session.finish().unwrap();
+            assert_eq!(report.stats.records_written, 2, "{scheme:?}");
+            report.bundle.unwrap().validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_panicking_replayed_region_admits_its_successor() {
+        for scheme in Scheme::ALL {
+            let session = Session::record(scheme, 2);
+            {
+                let c0 = session.register_thread(0);
+                let c1 = session.register_thread(1);
+                c0.gate(SITE, AccessKind::Store, || ());
+                c1.gate(SITE, AccessKind::Store, || ());
+            }
+            let bundle = session.finish().unwrap().bundle.unwrap();
+            // The default 30 s watchdog outlasts the deadline: only a
+            // released gate lets thread 1 in in time.
+            let replay = Session::replay(bundle).unwrap();
+            let r = Arc::clone(&replay);
+            within_deadline(&format!("{scheme:?} replay"), move || panic_then_gate(&r));
+            let report = replay.finish().unwrap();
+            assert_eq!(report.failure, None, "{scheme:?}");
+            assert_eq!(report.fully_consumed, Some(true), "{scheme:?}");
+        }
     }
 
     #[test]

@@ -12,11 +12,8 @@
 //! to `REOMP_DIR` chunk-by-chunk as the run records),
 //! `REOMP_FLUSH_RECORDS` (streaming flush threshold), `REOMP_DOMAINS`
 //! (gate-domain count, see below), `REOMP_SPIN_TIMEOUT` (replay
-//! watchdog in seconds, `0` disables it), `REOMP_TICKET_GATE`
-//! (`0`/`false`/`off` routes every record gate through the legacy mutex
-//! instead of the lock-free ticket fast path), and `REOMP_PUBLISH_BATCH`
-//! (DE completion-count publication batch, see
-//! [`SessionConfig::publish_batch`]).
+//! watchdog in seconds, `0` disables it). How a record gate is admitted
+//! is not configurable: the scheme chooses it (see [`crate::gate`]).
 //!
 //! # Gate domains
 //!
@@ -89,6 +86,7 @@ use crate::store::{
 use crate::sync::{BatonLock, CachePadded, RawLocked, SpinConfig, CACHE_LINE};
 use crate::trace::{CrossDomainEdge, DumpTrigger, StTrace, ThreadTrace, TraceBundle};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -217,30 +215,6 @@ pub struct SessionConfig {
     /// Run the per-chunk RLE compression stage on streamed record files
     /// (`REOMP_COMPRESS=1`).
     pub compress: bool,
-    /// Record DC/DE plain loads and stores through the lock-free
-    /// [`TicketGate`] instead of the gate mutex
-    /// (`REOMP_TICKET_GATE`, default on). The region is still serialized —
-    /// in ticket order — so the recorded trace is identical; only the
-    /// synchronization changes (one `fetch_add` in, one out, no lock).
-    /// ST and critical-section/edge-anchored accesses keep the locked
-    /// path (entered alongside a ghost ticket so the two paths compose).
-    /// `false` forces the classic mutex bracket everywhere.
-    pub ticket_gate: bool,
-    /// Multi-domain DE record runs: publish a domain's completion count to
-    /// *other* domains once per `publish_batch` accesses instead of on
-    /// every access, batching the `Release` stores the way
-    /// [`EpochTracker`] already batches run epochs (clamped to ≥ 1;
-    /// `REOMP_PUBLISH_BATCH`). Critical and edge-anchored accesses always
-    /// publish their completion immediately, so sync-point traffic — the
-    /// accesses cross-domain edges exist to order — is counted exactly; a
-    /// foreign snapshot may observe a domain's *plain* load/store count up
-    /// to `publish_batch − 1` low, weakening (never breaking) the edge: the
-    /// recorded waits stay a sound lower bound and stay acyclic, because
-    /// batching only delays a publish, and a snapshot is still taken
-    /// strictly before its own access publishes. `1` — the default —
-    /// publishes every access (the pre-batching behavior, byte-identical
-    /// traces).
-    pub publish_batch: u32,
 }
 
 impl Default for SessionConfig {
@@ -256,8 +230,6 @@ impl Default for SessionConfig {
             plan: None,
             flight: None,
             compress: false,
-            ticket_gate: true,
-            publish_batch: 1,
         }
     }
 }
@@ -285,7 +257,8 @@ pub(crate) struct RecEntry {
     pub kind: u8,
 }
 
-/// State guarded by a domain's gate lock `L` during record runs.
+/// State guarded by a domain's record admission (lock `L` for ST, the
+/// ticket gate for DC/DE) during record runs.
 ///
 /// The layout is pinned (`repr(C)` plus ballast) because ST's contended
 /// hand-off is sensitive to where the ST builder's `Vec` headers sit
@@ -303,7 +276,8 @@ pub(crate) struct RecCore {
     /// ST shared log builder (None for DC/DE).
     pub st: Option<StBuilder>,
     /// The paper's `global_clock` (Fig. 5 line 22), one per domain. Kept as
-    /// a plain field because it is only touched under the domain's lock.
+    /// a plain field because it is only touched under the domain's
+    /// admission.
     pub clock: u64,
 }
 
@@ -364,34 +338,35 @@ pub(crate) struct RecordLane {
     pub seq: AtomicU64,
 }
 
-/// One gate domain's record-side state: its own lock + clock + tracker and
-/// its own set of per-thread lanes. Aligned to [`CACHE_LINE`] so the words
-/// every entrant of one domain writes (lock, ticket, `published`) never
-/// share a line with another domain's.
+/// One gate domain's record-side state: its own admission + clock +
+/// tracker and its own set of per-thread lanes. Aligned to [`CACHE_LINE`]
+/// so the words every entrant of one domain writes (lock or ticket,
+/// `published`) never share a line with another domain's.
 #[repr(align(128))]
 pub(crate) struct DomainRecord {
-    /// Gate lock + state; locked at `gate_in`, unlocked at `gate_out`.
+    /// Gate state, behind the lock `L` that admits ST sessions (locked at
+    /// `gate_in`, unlocked at `gate_out`). DC/DE sessions never lock it.
     pub gate: RawLocked<RecCore>,
-    /// Lock-free fast-path admission (`Some` only when this session can
-    /// take the fast path at all: [`SessionConfig::ticket_gate`] on and a
-    /// clocked scheme). When present, **every**
-    /// accessor of [`DomainRecord::gate`]'s core holds a currently-served
-    /// ticket: plain DC/DE loads and stores hold *only* the ticket (no
-    /// lock), while the slow paths and out-of-band pausers take the raw
-    /// lock first and then a ghost ticket — so either kind of entrant
-    /// excludes both. The RecCore hand-off then rides the ticket word's
-    /// acquire/release pair, not the mutex.
+    /// The admission of DC/DE sessions (`Some` exactly when the scheme is
+    /// clocked): **every** accessor of [`DomainRecord::gate`]'s core —
+    /// plain, critical and edge-anchoring gates alike, and out-of-band
+    /// pausers with a ghost ticket — holds the currently-served ticket, so
+    /// the `RecCore` hand-off rides the ticket word's acquire/release pair.
     pub ticket: Option<TicketGate>,
     /// Per-thread lanes, indexed by `tid`.
     pub lanes: Box<[CachePadded<RecordLane>]>,
     /// Number of accesses this domain has completed (mirrors the clock):
-    /// written under the domain's gate exclusion (lock and/or served
-    /// ticket), read lock-free by *other* domains' gates when they stamp
-    /// a cross-domain edge. For DE it may trail the clock by up to
-    /// `publish_batch - 1` plain accesses (see
-    /// [`SessionConfig::publish_batch`]); pause points re-sync it. Only
-    /// maintained for multi-domain sessions.
+    /// written under the domain's admission, read lock-free by *other*
+    /// domains' gates when they stamp a cross-domain edge. Only maintained
+    /// for multi-domain sessions.
     pub published: AtomicU64,
+}
+
+thread_local! {
+    /// The [`DomainRecord`] (by address; 0 for none) whose admission this
+    /// thread holds while a recorded region runs — set by `gate::record_in`,
+    /// restored when the region ends.
+    static HELD: Cell<usize> = const { Cell::new(0) };
 }
 
 // `repr(align)` takes a literal; keep the two domain types in step with
@@ -416,25 +391,73 @@ impl RecordLane {
 }
 
 impl DomainRecord {
-    /// Out-of-band exclusive access to the gate core (`finish`, residue
-    /// flushes, flight dumps, trace assembly): takes the raw lock and —
-    /// when the lock-free fast path is active — also claims a **ghost
-    /// ticket**, so both mutex holders and ticket holders are excluded.
-    /// The ghost ticket assigns no clock; it only occupies the served slot
-    /// while `f` runs, which is why pausing leaves no hole in the recorded
-    /// clock sequence.
-    pub(crate) fn pause<R>(&self, f: impl FnOnce(&mut RecCore) -> R) -> R {
-        self.gate.lock();
-        let ghost = self.ticket.as_ref().map(|t| t.enter());
-        // SAFETY: the raw lock is held, and when a ticket gate is present
-        // the ghost ticket above is the currently-served one — either way
-        // this thread is the unique accessor (see the `ticket` field docs).
-        let out = f(unsafe { self.gate.get() });
-        if let (Some(gate), Some(t)) = (self.ticket.as_ref(), ghost) {
-            gate.exit(t);
+    /// Take this domain's one record admission: a served ticket when the
+    /// scheme is clocked, lock `L` (ST) otherwise. Returns whether it
+    /// locked `L` — what `lock_acquires` counts.
+    #[inline]
+    pub(crate) fn admit(&self) -> bool {
+        match &self.ticket {
+            Some(ticket) => {
+                ticket.enter();
+                false
+            }
+            None => {
+                self.gate.lock();
+                true
+            }
         }
-        // SAFETY: locked above on this thread.
-        unsafe { self.gate.unlock() };
+    }
+
+    /// Give back the admission [`DomainRecord::admit`] granted.
+    ///
+    /// # Safety
+    /// The calling thread holds it: a matching `admit` on this thread,
+    /// not yet released.
+    #[inline]
+    pub(crate) unsafe fn release(&self) {
+        match &self.ticket {
+            // The served slot is implicit; `exit` does not read the ticket.
+            Some(ticket) => ticket.exit(0),
+            // SAFETY: forwarded contract — for ST, `admit` locked `L`.
+            None => unsafe { self.gate.unlock() },
+        }
+    }
+
+    /// Note this thread as the holder of this domain's admission while a
+    /// recorded region runs; returns the note it replaces.
+    #[inline]
+    pub(crate) fn note_held(&self) -> usize {
+        HELD.with(|held| held.replace(self as *const Self as usize))
+    }
+
+    /// Put back the note [`DomainRecord::note_held`] replaced.
+    #[inline]
+    pub(crate) fn restore_note(outer: usize) {
+        HELD.with(|held| held.set(outer));
+    }
+
+    /// Out-of-band exclusive access to the gate core (`finish`, residue
+    /// flushes, flight dumps, trace assembly) through the session's one
+    /// admission: `L` for ST, a **ghost ticket** for DC/DE. A ghost ticket
+    /// assigns no clock; it only occupies the served slot while `f` runs,
+    /// which is why pausing leaves no hole in the recorded clock sequence.
+    ///
+    /// On a thread whose recorded region holds the admission already — a
+    /// panic hook's dump — `f` runs at once instead of waiting for itself:
+    /// the region has not touched the core since it was admitted.
+    pub(crate) fn pause<R>(&self, f: impl FnOnce(&mut RecCore) -> R) -> R {
+        if HELD.with(Cell::get) == self as *const Self as usize {
+            // SAFETY: this thread holds the admission and is inside the
+            // region, where nothing borrows the core (`record_out` takes
+            // it only after the note is restored).
+            return f(unsafe { self.gate.get() });
+        }
+        self.admit();
+        // SAFETY: admitted above, so this thread is the unique accessor
+        // (see the `ticket` field docs).
+        let out = f(unsafe { self.gate.get() });
+        // SAFETY: admitted above on this thread.
+        unsafe { self.release() };
         out
     }
 }
@@ -824,18 +847,6 @@ impl Session {
                 ),
             }
         }
-        if let Some(b) = Self::positive_env_knob("REOMP_PUBLISH_BATCH") {
-            match u32::try_from(b) {
-                Ok(b) => cfg.publish_batch = b,
-                Err(_) => eprintln!(
-                    "reomp: REOMP_PUBLISH_BATCH={b} out of range; keeping {}",
-                    cfg.publish_batch
-                ),
-            }
-        }
-        if let Ok(s) = std::env::var("REOMP_TICKET_GATE") {
-            cfg.ticket_gate = !matches!(s.to_ascii_lowercase().as_str(), "0" | "false" | "off");
-        }
         // Replay watchdog override: seconds, `0` disables the watchdog
         // entirely (oversubscribed CI boxes legitimately exceed the 30 s
         // default on long DE replays).
@@ -885,7 +896,7 @@ impl Session {
     /// Malformed values fall back to the built-in default (`None`, as
     /// before); an explicit `0` — always a configuration mistake for
     /// these knobs (a modulo-by-zero domain count, a never-flushing
-    /// stream, a never-publishing batch) — is clamped to 1 with a warning
+    /// stream) — is clamped to 1 with a warning
     /// instead of being silently absorbed.
     fn positive_env_knob(name: &str) -> Option<u64> {
         let raw = std::env::var(name).ok()?;
@@ -920,11 +931,10 @@ impl Session {
     ) -> Session {
         assert!(nthreads > 0, "a session needs at least one thread");
         cfg.domains = cfg.effective_domains();
-        // The ≥ 1 clamps live here, once, so every consumer — the ST
-        // streaming steal, `maybe_flush_thread`, the publish cadence —
-        // sees the same value and the record/flush paths cannot disagree.
+        // The ≥ 1 clamp lives here, once, so every consumer — the ST
+        // streaming steal, `maybe_flush_thread` — sees the same value and
+        // the record/flush paths cannot disagree.
         cfg.flush_records = cfg.flush_records.max(1);
-        cfg.publish_batch = cfg.publish_batch.max(1);
         if let Some(bundle) = &bundle {
             // A trace replays against exactly the partition it was
             // recorded with: the stamped plan when one exists, the legacy
@@ -933,15 +943,14 @@ impl Session {
             cfg.plan = bundle.plan.clone();
         }
         let domains = cfg.domains;
-        // The fast path exists only where it is sound AND profitable:
-        // ST serializes through the shared log builder (always locked) and
-        // would take the ghost-ticket slow path on every access, paying
-        // two RMWs for nothing.
-        let fast_path = cfg.ticket_gate && scheme != Scheme::St;
+        // The scheme chooses the admission: ST records under `L` (a ticket
+        // doubles its contended cost, EXPERIMENTS.md "Record admission per
+        // scheme"), DC/DE through the ticket gate.
+        let clocked = scheme != Scheme::St;
         let rec = (mode == Mode::Record).then(|| RecordState {
             domains: (0..domains)
                 .map(|_| DomainRecord {
-                    ticket: fast_path.then(TicketGate::new),
+                    ticket: clocked.then(TicketGate::new),
                     gate: RawLocked::new(RecCore::new(
                         (scheme == Scheme::De).then(|| EpochTracker::new(cfg.epoch_policy, 0)),
                         (scheme == Scheme::St).then(|| StBuilder {
@@ -1129,10 +1138,9 @@ impl Session {
         slot.sync_pending.store(true, Ordering::Release);
     }
 
-    /// Whether `tid` has an unconsumed barrier snapshot. A routing peek
-    /// for the record fast path — one load of a flag on the thread's own
-    /// line, no lock: only `tid` itself sets or takes its snapshot, so the
-    /// answer cannot change between `record_in` and `record_out`.
+    /// Whether `tid` has an unconsumed barrier snapshot: one load of a
+    /// flag on the thread's own line, no lock (only `tid` itself sets or
+    /// takes its snapshot).
     #[inline]
     pub(crate) fn has_pending_sync(&self, tid: u32) -> bool {
         self.slots[tid as usize]
@@ -1355,12 +1363,6 @@ impl Session {
                     core.clock
                 });
                 floors.push(clock);
-                if self.cfg.domains > 1 {
-                    // Publish batching may have left `published` lagging
-                    // the clock; a pause is a quiescent point, so sync it
-                    // for any snapshot taken after this flush.
-                    drec.published.store(clock, Ordering::Release);
-                }
             }
             // ST: steal whatever this domain's shared builder still holds.
             if self.scheme == Scheme::St {
@@ -1613,8 +1615,11 @@ impl std::fmt::Debug for Session {
 /// Chain the process panic hook so a panic dumps `session`'s flight
 /// recorder (trigger [`DumpTrigger::Panic`]) before the previous hook
 /// runs. Holds only a weak reference; once the session is gone the hook
-/// falls through to the previous one. The dump is best-effort: a panic
-/// *inside* a gate leaves that access mid-flight.
+/// falls through to the previous one. A panic *inside* a gated region
+/// dumps the window as it stood when the region was entered — its thread
+/// holds that domain's admission, so the dump reads the domain without
+/// waiting for it — and the panicking access is recorded after the dump,
+/// when its gate releases during the unwind.
 ///
 /// The standard panic hook is process-global — install this once per
 /// process, for the one session whose window matters.
@@ -1702,7 +1707,9 @@ impl ThreadCtx {
 
     /// Fallible gate with an explicit address: returns the replay error
     /// instead of panicking. The session is marked failed and all other
-    /// waiters are released either way.
+    /// waiters are released either way. If `f` panics, the gate still
+    /// exits — recording the access, or handing replay on to its
+    /// successor — before the panic resumes.
     pub fn try_gate_at<R>(
         &self,
         site: SiteId,
@@ -1724,10 +1731,10 @@ impl ThreadCtx {
             Mode::Record => {
                 let dom = session.domain_of(site);
                 stats.bump_domain_gate(dom);
-                let token = gate::record_in(session, dom, self.tid, kind);
-                let out = f();
-                gate::record_out(session, dom, self.tid, site, addr, kind, token);
-                Ok(out)
+                let outer = gate::record_in(session, dom, self.tid);
+                Ok(gate::exit_after(f, || {
+                    gate::record_out(session, dom, self.tid, site, addr, kind, outer)
+                }))
             }
             Mode::Replay => {
                 let dom = session.domain_of(site);
@@ -1736,9 +1743,9 @@ impl ThreadCtx {
                     session.fail(&e);
                     return Err(e);
                 }
-                let out = f();
-                gate::replay_out(session, dom, self.tid);
-                Ok(out)
+                Ok(gate::exit_after(f, || {
+                    gate::replay_out(session, dom, self.tid)
+                }))
             }
         }
     }
@@ -1897,41 +1904,25 @@ mod tests {
         // of falling through to divide-by-zero / never-flush behavior.
         std::env::set_var("REOMP_DOMAINS", "0");
         std::env::set_var("REOMP_FLUSH_RECORDS", "0");
-        std::env::set_var("REOMP_PUBLISH_BATCH", "0");
         let s = Session::from_env(2).unwrap();
         assert_eq!(s.cfg.domains, 1, "REOMP_DOMAINS=0 clamps to 1");
         assert_eq!(s.cfg.flush_records, 1, "REOMP_FLUSH_RECORDS=0 clamps to 1");
-        assert_eq!(s.cfg.publish_batch, 1, "REOMP_PUBLISH_BATCH=0 clamps to 1");
 
-        // Values that parse but overflow the u32 knobs keep the default
+        // A value that parses but overflows the u32 knob keeps the default
         // (clamping REOMP_DOMAINS to u32::MAX would try to allocate four
         // billion domain records).
         std::env::set_var("REOMP_DOMAINS", "4294967296");
-        std::env::set_var("REOMP_PUBLISH_BATCH", "4294967296");
         let s = Session::from_env(2).unwrap();
         assert_eq!(s.cfg.domains, 1);
-        assert_eq!(s.cfg.publish_batch, 1);
 
-        // Sanity: in-range values land, and the ticket gate is on by
-        // default but can be disabled.
+        // Sanity: in-range values land.
         std::env::set_var("REOMP_FLUSH_RECORDS", "64");
-        std::env::set_var("REOMP_PUBLISH_BATCH", "8");
         let s = Session::from_env(2).unwrap();
         assert_eq!(s.cfg.flush_records, 64);
-        assert_eq!(s.cfg.publish_batch, 8);
-        assert!(s.cfg.ticket_gate, "ticket gate defaults to on");
-        std::env::set_var("REOMP_TICKET_GATE", "off");
-        let s = Session::from_env(2).unwrap();
-        assert!(!s.cfg.ticket_gate);
-        std::env::set_var("REOMP_TICKET_GATE", "1");
-        let s = Session::from_env(2).unwrap();
-        assert!(s.cfg.ticket_gate);
 
         std::env::remove_var("REOMP_DOMAINS");
         std::env::remove_var("REOMP_SPIN_TIMEOUT");
         std::env::remove_var("REOMP_FLUSH_RECORDS");
-        std::env::remove_var("REOMP_PUBLISH_BATCH");
-        std::env::remove_var("REOMP_TICKET_GATE");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every sync type the gate primitives are built from — atomics, the
 //! guard-style mutex, `Instant`, `yield_now`, `spin_loop` — is imported
 //! through this module instead of `std::sync`/`parking_lot` directly;
-//! that includes the lock-free record fast path
+//! that includes the DC/DE record admission
 //! ([`TicketGate`](crate::clock::TicketGate) and its `Backoff` spin,
 //! whose `spin_loop`/`yield_now` hints become scheduling points
 //! in-model). A

@@ -259,7 +259,9 @@ pub struct StatsSnapshot {
     pub gates: u64,
     /// Gate passages per [`AccessKind`] (indexed by `AccessKind::code()`).
     pub gates_by_kind: [u64; 7],
-    /// Gate-lock acquisitions (serialization events).
+    /// Acquisitions of the lock `L`: one per ST record gate and per baton
+    /// won in ST replay. DC/DE record through the ticket gate and never
+    /// take it, so for them this stays 0.
     pub lock_acquires: u64,
     /// Inter-thread communication events during replay (§IV-C2).
     pub comms: u64,

@@ -13,8 +13,8 @@
 //! * `RawLocked` (crate-private) — a mutex whose critical section *spans* `gate_in` →
 //!   `gate_out`, i.e. lock and unlock happen in different function calls
 //!   with arbitrary user code in between (the `set_lock(L)` … `unset_lock(L)`
-//!   bracket of Figs. 4/5 record modes). It wraps `parking_lot::RawMutex`
-//!   plus an `UnsafeCell` for the guarded state.
+//!   bracket of Fig. 4's record mode, which ST sessions use). It wraps
+//!   `parking_lot::RawMutex` plus an `UnsafeCell` for the guarded state.
 
 use crate::error::ReplayError;
 use crate::shim::atomic::{AtomicBool, Ordering};
@@ -262,13 +262,13 @@ impl Backoff {
 /// [`RawLocked::lock`] must be paired with exactly one [`RawLocked::unlock`]
 /// on the same thread, and [`RawLocked::get`] may only be called between
 /// them — **or**, equivalently, the calling thread is the unique holder of
-/// an external exclusion protocol layered over this state. The gate engines
-/// uphold this two ways: the locked paths lock at `gate_in` and access +
-/// unlock at `gate_out`; the lock-free fast path of
-/// [`TicketGate`](crate::clock::TicketGate) sessions instead holds the
-/// domain's currently-served ticket (every accessor — fast, slow, or
-/// out-of-band pauser — holds a served ticket there, so at most one thread
-/// touches the state at a time; see `DomainRecord` in `session.rs`).
+/// an external exclusion protocol that *replaces* the lock for this state.
+/// One protocol per session: an ST session locks at `gate_in`, then
+/// accesses and unlocks at `gate_out`; a DC/DE session never locks at
+/// all, and every accessor — gate or out-of-band pauser — holds the
+/// domain's currently-served [`TicketGate`](crate::clock::TicketGate)
+/// ticket instead (see `DomainRecord` in `session.rs`). The two are never
+/// mixed on one state.
 pub(crate) struct RawLocked<T> {
     raw: RawMutex,
     /// Model-checker seam: when the lock is created inside a
@@ -323,7 +323,8 @@ impl<T> RawLocked<T> {
     /// Access the guarded state.
     ///
     /// # Safety
-    /// The calling thread must currently hold the lock.
+    /// The calling thread must currently hold the lock, or the exclusion
+    /// that replaces it (see the type's safety contract).
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn get(&self) -> &mut T {
         // SAFETY: exclusive access is guaranteed by the held lock.
@@ -333,8 +334,7 @@ impl<T> RawLocked<T> {
     /// Run `f` under the lock (convenience for non-split critical sections).
     ///
     /// Session-level pausers go through `DomainRecord::pause` instead,
-    /// which also queues a ghost ticket when a ticket gate is present;
-    /// this raw bracket remains for states with no layered protocol.
+    /// which takes whichever admission the session uses.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.lock();

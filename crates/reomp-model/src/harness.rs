@@ -123,7 +123,7 @@ impl TicketApi for TicketGate {
 /// load-then-store) increment through the gate. Exclusion comes from FIFO
 /// ticket service; *visibility* comes from the Acquire `enter` (RMW and
 /// spin load) pairing with the predecessor's Release `exit` — exactly the
-/// pairing the RecCore hand-off rides on the record fast path. A relaxed
+/// pairing the RecCore hand-off rides on DC/DE record gates. A relaxed
 /// mutant on either side loses an update in some schedule.
 pub fn ticket_handoff<T: TicketApi>(
     make: impl Fn() -> T + Send + Sync + 'static,
@@ -369,10 +369,9 @@ fn model_spin() -> SpinConfig {
 /// dictates: a run of `n` same-site stores records `n − 1` times its
 /// first clock and once its last.
 ///
-/// The session takes the mutex bracket (`ticket_gate: false`): the
-/// protocol under test sits inside the exclusion whichever admission
-/// grants it, and the blocking lock keeps the space enumerable
-/// ([`ticket_gate_equivalence`] covers streaming DE through the ticket).
+/// Admission is DE's production one — the ticket gate — so the fix-up
+/// post and the floor store sit inside a served ticket, and the owner's
+/// flush runs right after its ticket exit.
 pub fn epoch_floor_publication(
     threads: u32,
     program: &'static [AccessKind],
@@ -385,7 +384,6 @@ pub fn epoch_floor_publication(
             threads,
             SessionConfig {
                 flush_records: 1,
-                ticket_gate: false,
                 spin: model_spin(),
                 ..SessionConfig::default()
             },
@@ -537,20 +535,15 @@ pub fn flight_evict_vs_dump(cfg: &Config) -> Report {
     })
 }
 
-/// Tentpole equivalence harness: the lock-free ticket fast path must be
-/// observationally equivalent to the locked gate. A two-thread
-/// benign-racy workload records through the ticket gate (D = 1 — every
-/// access takes the fast path, no mutex bracket); in every schedule the
-/// bundle must validate and its replay must reproduce both the
-/// per-access values and the final state of the racy cell — the same
-/// contract the locked gate's scheme tests pin outside the model. With
+/// Ticket-gate record → replay equivalence: a two-thread benign-racy
+/// workload records through the ticket gate (no mutex anywhere); in every
+/// schedule the bundle must validate and its replay must reproduce both
+/// the per-access values and the final state of the racy cell. With
 /// `streaming_de` the recording is a DE run streamed with a one-record
 /// flush threshold, so the floor store and every owner-side flush happen
-/// under (or right after) a served ticket rather than the mutex.
-/// (Byte-identity of deterministic traces across the two gates is pinned
-/// separately by `ticket_gate_traces_identical_to_locked_gate` in
-/// `reomp-core`; replay is gate-agnostic, so reproducing a ticket-recorded
-/// trace through the same turnstiles *is* the equivalence statement.)
+/// under (or right after) a served ticket. (D = 1 trace bytes are pinned
+/// outside the model by `tests/golden_corpus.rs` and the fixture
+/// regeneration.)
 pub fn ticket_gate_equivalence(streaming_de: bool, cfg: &Config) -> Report {
     shuttle::check(cfg.clone(), move || {
         let site = SiteId(5);
@@ -588,10 +581,7 @@ pub fn ticket_gate_equivalence(streaming_de: bool, cfg: &Config) -> Report {
         };
         let (final_rec, observed_rec) = run(&record);
         let report = record.finish().expect("record finish");
-        assert_eq!(
-            report.stats.lock_acquires, 0,
-            "every access must take the lock-free path"
-        );
+        assert_eq!(report.stats.lock_acquires, 0, "DC/DE never take the lock");
         let bundle = match report.bundle {
             Some(bundle) => bundle,
             None => store.load().expect("committed store loads").0,
@@ -618,14 +608,15 @@ pub fn ticket_gate_equivalence(streaming_de: bool, cfg: &Config) -> Report {
     })
 }
 
-/// Batched DE publication composed with the two admission protocols, on
-/// the real engines: a two-domain DE record run with `publish_batch = 4`
-/// (plain accesses skip most `published` stores) where each thread makes
-/// one plain fast-path access and one critical slow-path access (lock +
-/// ghost ticket) that anchors a cross-domain edge. Lagged publication may
-/// only *weaken* the edge snapshots — acyclicity and replayability must
-/// survive, so replay terminates in every schedule.
-pub fn batched_cross_domain_record_replay(cfg: &Config) -> Report {
+/// Critical-anchored cross-domain edges through the ticket, on the real
+/// engines: a two-domain DE record run where each thread makes one plain
+/// store in its own domain and then one critical section in the other,
+/// which snapshots the other domain's completion count and anchors an
+/// edge — both admitted by the ticket gate alone. The snapshot is taken
+/// inside the served ticket, before the access publishes its own
+/// completion, so the edge set stays acyclic and replay terminates in
+/// every schedule.
+pub fn ticket_critical_edge_record_replay(cfg: &Config) -> Report {
     shuttle::check(cfg.clone(), move || {
         // SiteId(2) % 2 = domain 0, SiteId(3) % 2 = domain 1.
         let sites = [SiteId(2), SiteId(3)];
@@ -649,7 +640,6 @@ pub fn batched_cross_domain_record_replay(cfg: &Config) -> Report {
             2,
             SessionConfig {
                 domains: 2,
-                publish_batch: 4,
                 spin: model_spin(),
                 ..SessionConfig::default()
             },
@@ -657,7 +647,7 @@ pub fn batched_cross_domain_record_replay(cfg: &Config) -> Report {
         workload(&session);
         let report = session.finish().expect("record finish");
         let bundle = report.bundle.expect("in-memory bundle");
-        bundle.validate().expect("batched bundle validates");
+        bundle.validate().expect("recorded bundle validates");
 
         let replay = Session::replay_with(
             bundle,

@@ -213,56 +213,6 @@ impl TicketApi for MutTicket {
     }
 }
 
-/// Mini-model of DE publish batching's soundness invariant: the batched
-/// `published` count must stay a **lower bound** on completed work —
-/// batching may only *defer* the store to a batch boundary already
-/// reached (round down). With `overshoot` the publisher rounds the clock
-/// *up* to the next boundary — the plausible off-by-a-batch refactor —
-/// and claims completions that have not happened: a foreign edge snapshot
-/// taken at that moment records a wait replay can never satisfy if the
-/// run ends first. The observer reads `published` before the ground
-/// truth (which only grows), so any observed excess is real.
-pub fn batch_publish_mini(overshoot: bool, cfg: &Config) -> Report {
-    shuttle::check(cfg.clone(), move || {
-        const BATCH: u64 = 2;
-        let completed = Arc::new(AtomicU64::new(0));
-        let published = Arc::new(AtomicU64::new(0));
-        let publisher = {
-            let completed = Arc::clone(&completed);
-            let published = Arc::clone(&published);
-            shuttle::thread::spawn(move || {
-                for clock in 0..3u64 {
-                    // The access completes (under gate exclusion in the
-                    // real engine)...
-                    completed.store(clock + 1, Ordering::Release);
-                    // ...then its completion count is published per batch.
-                    if overshoot {
-                        published.store((clock + BATCH) / BATCH * BATCH, Ordering::Release);
-                    } else if (clock + 1) % BATCH == 0 {
-                        published.store(clock + 1, Ordering::Release);
-                    }
-                }
-            })
-        };
-        let observer = {
-            let completed = Arc::clone(&completed);
-            let published = Arc::clone(&published);
-            shuttle::thread::spawn(move || {
-                let p = published.load(Ordering::Acquire);
-                let c = completed.load(Ordering::Acquire);
-                assert!(
-                    p <= c,
-                    "published count {p} overshoots completed work {c}: a \
-                     foreign snapshot would record a wait on accesses that \
-                     never happened"
-                );
-            })
-        };
-        publisher.join().unwrap();
-        observer.join().unwrap();
-    })
-}
-
 /// Mini-model of `stamp_clocked`'s cross-domain edge protocol: two
 /// domains, each with a `published` completion stamp; the thread in
 /// domain `i` snapshots the *other* domain's stamp for its edge and then

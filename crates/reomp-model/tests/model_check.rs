@@ -7,8 +7,8 @@
 //! * **Mutation sweep** — every seeded defect in `reomp_model::mutants`
 //!   (flipped `Ordering`s — including the relaxed ticket `fetch_add` —
 //!   store-instead-of-swap release, edge snapshot after publish, floor
-//!   raised before the fix-up is posted, batch-publish overshoot, chunked dump,
-//!   disabled watchdog) must be *caught*: the checker must report a
+//!   raised before the fix-up is posted, chunked dump, disabled watchdog)
+//!   must be *caught*: the checker must report a
 //!   violation against the corresponding harness. The sweep is the
 //!   harnesses' sensitivity proof — a harness that cannot see the seeded
 //!   defect would not see the real regression either.
@@ -20,14 +20,14 @@
 //! `report.complete` — a full enumeration of every interleaving the
 //! dependence relation distinguishes. The three spin-wait-heavy harnesses
 //! (`turnstile_admit_order`, `turnstile_epoch_group`,
-//! `cross_domain_record_replay` — and the session-level ticket-gate
-//! harnesses `ticket_gate_equivalence` and
-//! `batched_cross_domain_record_replay`, whose record fast path and
-//! replay turnstiles both spin) are budgeted instead: every failed
-//! spin re-check is its own scheduling point, so their (finite) spaces
-//! grow combinatorially with the number of re-checks and full
-//! enumeration is out of reach; exhaustive mode raises their budget to
-//! [`HEAVY_SCHEDULES`] schedules rather than asserting completeness.
+//! `cross_domain_record_replay` — and the session-level harnesses
+//! `ticket_gate_equivalence` and `ticket_critical_edge_record_replay`,
+//! whose record ticket gate and replay turnstiles both spin) are budgeted
+//! instead: every failed spin re-check is its own scheduling point, so
+//! their (finite) spaces grow combinatorially with the number of
+//! re-checks and full enumeration is out of reach; exhaustive mode raises
+//! their budget to [`HEAVY_SCHEDULES`] schedules rather than asserting
+//! completeness.
 
 use reomp_core::clock::TicketGate;
 use reomp_core::sync::BatonLock;
@@ -214,10 +214,10 @@ fn clean_ticket_gate_equivalence_streaming_de() {
 }
 
 #[test]
-fn clean_batched_cross_domain_record_replay() {
+fn clean_ticket_critical_edge_record_replay() {
     assert_clean_budgeted(
-        "batched_cross_domain_record_replay",
-        &h::batched_cross_domain_record_replay(&heavy_cfg()),
+        "ticket_critical_edge_record_replay",
+        &h::ticket_critical_edge_record_replay(&heavy_cfg()),
     );
 }
 
@@ -272,10 +272,6 @@ fn control_faithful_minis() {
     assert_clean("edge_stamp_mini clean", &m::edge_stamp_mini(false, &cfg()));
     assert_clean("floor_mini clean", &m::floor_mini(false, &cfg()));
     assert_clean("flight_mini clean", &m::flight_mini(false, &cfg()));
-    assert_clean(
-        "batch_publish_mini clean",
-        &m::batch_publish_mini(false, &cfg()),
-    );
 }
 
 // ---------------------------------------------------------- mutation sweep
@@ -331,14 +327,6 @@ fn mutant_ticket_relaxed_exit_is_caught() {
     assert_caught(
         "relaxed-exit ticket gate",
         &h::ticket_handoff(m::MutTicket::relaxed_exit, &cfg()),
-    );
-}
-
-#[test]
-fn mutant_batch_publish_overshoot_is_caught() {
-    assert_caught(
-        "batch publish overshoot",
-        &m::batch_publish_mini(true, &cfg()),
     );
 }
 

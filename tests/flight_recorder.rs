@@ -12,7 +12,8 @@ use reomp::{
     SiteId, TraceBundle, TraceStore,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("reomp-flight-{tag}-{}", std::process::id()));
@@ -323,34 +324,70 @@ fn windowed_replay_reproduces_the_dumped_tail() {
 }
 
 /// The panic hook is a dump trigger: a panic while a flight session is
-/// recording materializes the window with `DumpTrigger::Panic`.
+/// recording materializes the window with `DumpTrigger::Panic` — also a
+/// panic inside a gated region, whose own thread holds the domain's
+/// admission (ST: the lock, DC: the ticket) while the hook dumps.
 #[test]
 fn panic_hook_dumps_the_window() {
-    let dir = tmp_dir("panic");
-    let cfg = SessionConfig {
-        flight: Some(2),
-        flush_records: 2,
-        ..SessionConfig::default()
-    };
-    let session = Session::record_flight(Scheme::Dc, 1, cfg, DirStore::new(&dir)).unwrap();
-    install_panic_dump(&session);
-    let ctx = session.register_thread(0);
-    let site = SiteId::from_label("flight.rs:panic");
-    for _ in 0..10 {
-        ctx.gate(site, AccessKind::Store, || {});
-    }
-    let result = std::panic::catch_unwind(|| panic!("deliberate test panic"));
-    assert!(result.is_err());
-    let dumps = session.dumps();
-    assert_eq!(dumps.len(), 1, "the panic hook must dump exactly once");
-    assert_eq!(dumps[0].0, DumpTrigger::Panic);
+    for scheme in [Scheme::Dc, Scheme::St] {
+        let dir = tmp_dir(&format!("panic-{scheme}"));
+        let cfg = SessionConfig {
+            flight: Some(2),
+            flush_records: 2,
+            ..SessionConfig::default()
+        };
+        let session = Session::record_flight(scheme, 1, cfg, DirStore::new(&dir)).unwrap();
+        install_panic_dump(&session);
+        // On a thread of its own, under a deadline: a dump waiting for an
+        // admission its own thread holds, or a gate left unreleased by the
+        // unwind, must fail this test rather than hang the binary.
+        let (tx, rx) = mpsc::channel();
+        let recorder = Arc::clone(&session);
+        let worker = std::thread::spawn(move || {
+            let ctx = recorder.register_thread(0);
+            let site = SiteId::from_label("flight.rs:panic");
+            for _ in 0..10 {
+                ctx.gate(site, AccessKind::Store, || {});
+            }
+            let outside = std::panic::catch_unwind(|| panic!("deliberate test panic"));
+            let inside = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.gate(site, AccessKind::Store, || {
+                    panic!("deliberate panic in a gate")
+                })
+            }));
+            // The unwound gate released its domain.
+            ctx.gate(site, AccessKind::Store, || {});
+            let _ = tx.send((outside.is_err(), inside.is_err()));
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(unwound) => assert_eq!(unwound, (true, true), "{scheme}"),
+            Err(e) => {
+                // A panic here would run the same hook, whose dump may wait
+                // for the admission the stuck worker holds: exit instead.
+                eprintln!("panic_hook_dumps_the_window: {scheme}: HUNG or died ({e})");
+                std::process::exit(101);
+            }
+        }
+        worker.join().unwrap();
+        let dumps = session.dumps();
+        assert_eq!(dumps.len(), 2, "{scheme}: one dump per panic");
+        assert!(dumps
+            .iter()
+            .all(|(trigger, _)| *trigger == DumpTrigger::Panic));
 
-    let (window, _) = DirStore::new(&dir).load().unwrap();
-    window.validate().unwrap();
-    let cp = window.checkpoint.unwrap();
-    assert_eq!(cp.trigger, DumpTrigger::Panic);
-    assert!(cp.base_of(0) > 0, "ten records must overflow the window");
-    let _ = std::fs::remove_dir_all(&dir);
+        let (window, _) = DirStore::new(&dir).load().unwrap();
+        window.validate().unwrap();
+        let cp = window.checkpoint.unwrap();
+        assert_eq!(cp.trigger, DumpTrigger::Panic);
+        assert!(
+            cp.base_of(0) > 0,
+            "{scheme}: ten records must overflow the window"
+        );
+        // The next scheme's hook chains to this one, which falls through
+        // once the session is gone.
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A replay divergence is a dump trigger: wiring a replay session to a

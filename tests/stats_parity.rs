@@ -4,7 +4,12 @@
 //! values the session-global `Stats` block reported. The literals below
 //! were captured on the parent commit (bc3797f) with this same schedule,
 //! and survived DE's move to owner-written record lanes unchanged (the
-//! fix-up count *is* `deferred_finalizations`).
+//! fix-up count *is* `deferred_finalizations`). One literal moved since,
+//! on purpose: the DC/DE D=2 record rows counted `locks: 4` while the two
+//! criticals and the two sync-point anchors took the lock beside their
+//! ticket; every DC/DE access is now admitted by the ticket alone, so
+//! those rows count 0 — and ST's `locks == gates` is the witness that
+//! only ST takes the lock.
 
 use reomp::core::StatsSnapshot;
 use reomp::{AccessKind, DomainPlan, Scheme, Session, SessionConfig, SiteId};
@@ -95,11 +100,11 @@ fn expected(scheme: Scheme, domains: u32, replay: bool) -> Row {
         (Scheme::St, 2, true) => Row { gates: 50, by_kind: K, written: 0, read: 50, validate: 50, comms: 50, locks: 50, deferred: 0, sync_edges: 0, edge_waits: 4 },
         (Scheme::Dc, 1, false) => Row { gates: 50, by_kind: K, written: 50, read: 0, validate: 0, comms: 0, locks: 0, deferred: 0, sync_edges: 0, edge_waits: 0 },
         (Scheme::Dc, 1, true) => Row { gates: 50, by_kind: K, written: 0, read: 50, validate: 50, comms: 50, locks: 0, deferred: 0, sync_edges: 0, edge_waits: 0 },
-        (Scheme::Dc, 2, false) => Row { gates: 50, by_kind: K, written: 50, read: 0, validate: 0, comms: 0, locks: 4, deferred: 0, sync_edges: 4, edge_waits: 0 },
+        (Scheme::Dc, 2, false) => Row { gates: 50, by_kind: K, written: 50, read: 0, validate: 0, comms: 0, locks: 0, deferred: 0, sync_edges: 4, edge_waits: 0 },
         (Scheme::Dc, 2, true) => Row { gates: 50, by_kind: K, written: 0, read: 50, validate: 50, comms: 50, locks: 0, deferred: 0, sync_edges: 0, edge_waits: 4 },
         (Scheme::De, 1, false) => Row { gates: 50, by_kind: K, written: 50, read: 0, validate: 0, comms: 0, locks: 0, deferred: 6, sync_edges: 0, edge_waits: 0 },
         (Scheme::De, 1, true) => Row { gates: 50, by_kind: K, written: 0, read: 50, validate: 50, comms: 50, locks: 0, deferred: 0, sync_edges: 0, edge_waits: 0 },
-        (Scheme::De, 2, false) => Row { gates: 50, by_kind: K, written: 50, read: 0, validate: 0, comms: 0, locks: 4, deferred: 6, sync_edges: 4, edge_waits: 0 },
+        (Scheme::De, 2, false) => Row { gates: 50, by_kind: K, written: 50, read: 0, validate: 0, comms: 0, locks: 0, deferred: 6, sync_edges: 4, edge_waits: 0 },
         (Scheme::De, 2, true) => Row { gates: 50, by_kind: K, written: 0, read: 50, validate: 50, comms: 50, locks: 0, deferred: 0, sync_edges: 0, edge_waits: 4 },
         other => panic!("no parent-commit row for {other:?}"),
     }
