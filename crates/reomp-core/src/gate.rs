@@ -284,7 +284,7 @@ pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
             // Fig. 4 line 17 (`unset_lock(L)`): invalidate `next_tid` so a
             // stale match cannot re-admit this thread, then release the
             // baton — one inter-thread communication (ST-3/ST-4 in Fig. 6).
-            drep.next_tid.store(TID_NONE, Ordering::Release);
+            drep.st.next_tid.store(TID_NONE, Ordering::Release);
             session.thread_stats(tid).bump_comms(1);
             if session.domains() > 1 {
                 // Mirror the completion count so other domains'
@@ -292,7 +292,7 @@ pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
                 // communication — the baton hand-off above is ST's).
                 drep.turnstile.complete();
             }
-            drep.baton.release();
+            drep.st.baton.release();
         }
         Scheme::Dc | Scheme::De => {
             // Fig. 5 line 34: `next_clock++` — the single inter-thread
@@ -320,7 +320,7 @@ fn replay_in_st(
         if drep.turnstile.is_aborted() {
             return Err(ReplayError::Aborted);
         }
-        let next = drep.next_tid.load(Ordering::Acquire);
+        let next = drep.st.next_tid.load(Ordering::Acquire);
         if next == TID_EXHAUSTED {
             return Err(ReplayError::TraceExhausted {
                 thread: tid,
@@ -332,7 +332,7 @@ fn replay_in_st(
             // before publishing `next_tid` with Release; the Acquire load
             // of `next_tid` above already ordered those writes before us,
             // so these follow-up loads can be Relaxed.
-            let seq = drep.st_pos.load(Ordering::Relaxed).saturating_sub(1) as u64;
+            let seq = drep.st.st_pos.load(Ordering::Relaxed).saturating_sub(1) as u64;
             // Enforce any cross-domain edge anchored at this stream
             // position before entering the region.
             session.wait_edges(dom, tid, seq, site)?;
@@ -342,9 +342,9 @@ fn replay_in_st(
                 stats.bump_validate();
                 // ORDERING: covered by the `next_tid` Acquire above
                 // (see the `st_pos` justification).
-                let recorded_site = SiteId(drep.next_site.load(Ordering::Relaxed));
+                let recorded_site = SiteId(drep.st.next_site.load(Ordering::Relaxed));
                 let recorded_kind =
-                    AccessKind::from_code(drep.next_kind.load(Ordering::Relaxed) as u8);
+                    AccessKind::from_code(drep.st.next_kind.load(Ordering::Relaxed) as u8);
                 if recorded_site != site || recorded_kind != Some(kind) {
                     return Err(Divergence {
                         thread: tid,
@@ -372,17 +372,17 @@ fn replay_in_st(
         }
         // Lines 12-13: any thread may become the reader by winning the
         // baton; it stays locked until the *replayed* thread's gate_out.
-        if drep.baton.try_acquire() {
+        if drep.st.baton.try_acquire() {
             stats.bump_lock();
             // ORDERING: `st_pos` is only written while holding the baton;
             // winning `try_acquire` (Acquire CAS) synchronized with the
             // previous holder's Release, so this Relaxed load sees the
             // latest position.
-            let pos = drep.st_pos.load(Ordering::Relaxed);
+            let pos = drep.st.st_pos.load(Ordering::Relaxed);
             if pos >= st.len() {
                 // More accesses are being attempted than were recorded.
-                drep.next_tid.store(TID_EXHAUSTED, Ordering::Release);
-                drep.baton.release();
+                drep.st.next_tid.store(TID_EXHAUSTED, Ordering::Release);
+                drep.st.baton.release();
                 return Err(ReplayError::TraceExhausted {
                     thread: tid,
                     available: st.len() as u64,
@@ -393,16 +393,18 @@ fn replay_in_st(
             // `next_tid` Release store below ("publish last"); until then
             // only the baton holder touches them, so they can be Relaxed.
             if let Some(sites) = &st.sites {
-                drep.next_site.store(sites[pos], Ordering::Relaxed);
+                drep.st.next_site.store(sites[pos], Ordering::Relaxed);
             }
             if let Some(kinds) = &st.kinds {
-                drep.next_kind
+                drep.st
+                    .next_kind
                     .store(u32::from(kinds[pos]), Ordering::Relaxed);
             }
-            drep.st_pos.store(pos + 1, Ordering::Relaxed);
+            // ORDERING: published by the `next_tid` Release below, as above.
+            drep.st.st_pos.store(pos + 1, Ordering::Relaxed);
             // Publish last, with Release, so the matching thread sees the
             // site/kind written above.
-            drep.next_tid.store(next_tid, Ordering::Release);
+            drep.st.next_tid.store(next_tid, Ordering::Release);
             stats.bump_record_read();
             if next_tid != tid {
                 // ST-2 in Fig. 6: `next_tid` must travel from the reader to
@@ -413,7 +415,7 @@ fn replay_in_st(
             continue;
         }
         spin.step(tid, site, u64::from(tid), || {
-            u64::from(drep.next_tid.load(Ordering::Acquire))
+            u64::from(drep.st.next_tid.load(Ordering::Acquire))
         })?;
     }
 }
@@ -427,6 +429,7 @@ fn replay_in_distributed(
 ) -> Result<(), ReplayError> {
     let rep = session.rep.as_ref().expect("replay mode");
     let drep = &rep.domains[dom as usize];
+    let lane = &drep.lanes[tid as usize];
     let trace = rep.bundle.thread(dom, tid);
     let stats = session.thread_stats(tid);
 
@@ -435,9 +438,9 @@ fn replay_in_distributed(
     // admission (at the bottom), so a failed attempt — exhaustion,
     // divergence, edge-wait or turnstile timeout — leaves the record in
     // place for a retry instead of silently consuming it.
-    // ORDERING: `cursors[tid]` is the thread's private position in its own
+    // ORDERING: `lane.cursor` is the thread's private position in its own
     // per-thread trace; no other thread reads or writes it.
-    let pos = drep.cursors[tid as usize].load(Ordering::Relaxed);
+    let pos = lane.cursor.load(Ordering::Relaxed);
     if pos >= trace.len() {
         return Err(ReplayError::TraceExhausted {
             thread: tid,
@@ -488,7 +491,7 @@ fn replay_in_distributed(
     // above returned without touching the cursor, so a retry re-reads the
     // same position (pinned by the retry regression test).
     // ORDERING: thread-private cursor, see the load above.
-    drep.cursors[tid as usize].store(pos + 1, Ordering::Relaxed);
+    lane.cursor.store(pos + 1, Ordering::Relaxed);
     session.push_replay_history(
         dom,
         AccessRecord {
@@ -962,6 +965,64 @@ mod tests {
             other => panic!("expected divergence, got {other}"),
         }
         let _ = replay.finish().unwrap();
+    }
+
+    #[test]
+    fn divergence_history_merges_both_threads_lanes() {
+        // Two threads alternate on one site — thread 0 loads, thread 1
+        // stores, so no two neighbours share a DE epoch. Replay admits the
+        // first 10 accesses and then takes a wrong turn: with a 4-entry
+        // ring per lane, the report must still name the domain's last 4
+        // admissions, from both threads, newest first.
+        for scheme in Scheme::ALL {
+            let kinds = [AccessKind::Load, AccessKind::Store];
+            let access = |i: usize| (i % 2, kinds[i % 2]);
+            let session = Session::record(scheme, 2);
+            {
+                let ctxs = [session.register_thread(0), session.register_thread(1)];
+                for i in 0..11 {
+                    let (tid, kind) = access(i);
+                    ctxs[tid].gate(SITE, kind, || ());
+                }
+            }
+            let bundle = session.finish().unwrap().bundle.unwrap();
+            let cfg = SessionConfig {
+                ring_capacity: 4,
+                ..Default::default()
+            };
+            let replay = Session::replay_with(bundle, cfg).unwrap();
+            let err = {
+                let ctxs = [replay.register_thread(0), replay.register_thread(1)];
+                for i in 0..10 {
+                    let (tid, kind) = access(i);
+                    ctxs[tid].try_gate(SITE, kind, || ()).unwrap();
+                }
+                ctxs[0]
+                    .try_gate(SiteId(0xbad), AccessKind::Load, || ())
+                    .unwrap_err()
+            };
+            let ReplayError::Divergence(d) = err else {
+                panic!("{scheme:?}: expected divergence, got {err}");
+            };
+            let who: Vec<(u32, AccessKind)> =
+                d.history.iter().map(|r| (r.thread, r.kind)).collect();
+            let expect: Vec<(u32, AccessKind)> = (6..10)
+                .rev()
+                .map(|i| {
+                    let (tid, kind) = access(i);
+                    (tid as u32, kind)
+                })
+                .collect();
+            assert_eq!(who, expect, "{scheme:?}");
+            let positions: Vec<u64> = d.history.iter().map(|r| r.clock).collect();
+            if scheme == Scheme::De {
+                assert!(positions.windows(2).all(|w| w[0] >= w[1]), "{positions:?}");
+            } else {
+                // ST's stream index and DC's clock are the admission order.
+                assert_eq!(positions, vec![9, 8, 7, 6], "{scheme:?}");
+            }
+            let _ = replay.finish().unwrap();
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //!
 //! The run-tracking in [`crate::epoch`] computes epochs exactly from O(1)
 //! state, so recording keeps no ring at all. The type has two users:
-//! replay, where every domain keeps the last N accesses it admitted and
-//! attaches them to a divergence report, and the tests, which cross-check
-//! the run-based epochs against the paper-faithful backward-looking
-//! [`HistoryRing::lookup_xc`].
+//! replay, where every thread keeps the last N accesses it had admitted in
+//! each domain — on a line only it writes — and a divergence report
+//! merges the domain's rings into its last N, newest first; and the tests,
+//! which cross-check the run-based epochs against the paper-faithful
+//! backward-looking [`HistoryRing::lookup_xc`].
 
 use crate::site::{AccessKind, SiteId};
 

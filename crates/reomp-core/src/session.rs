@@ -1,7 +1,9 @@
 //! Session orchestration: one [`Session`] per record or replay run.
 //!
 //! A session owns the shared gate state (the paper's `global_clock`,
-//! `next_clock`, `next_tid`, lock `L`, and trace buffers) plus statistics.
+//! `next_clock` and lock `L`, and ST replay's `next_tid` with its baton —
+//! each on a line of its own per domain) plus the per-thread lanes
+//! (record buffers, replay cursors and divergence history) and statistics.
 //! Runtime threads obtain a [`ThreadCtx`] via [`Session::register_thread`]
 //! and wrap each shared-memory access region in [`ThreadCtx::gate`].
 //!
@@ -172,9 +174,11 @@ pub struct SessionConfig {
     /// DE run-boundary policy (see [`EpochPolicy`]).
     pub epoch_policy: EpochPolicy,
     /// Replay only: how many of the accesses a domain admitted last are
-    /// kept and attached to a divergence report (see
-    /// [`crate::history`]). `0` disables the history; record runs ignore
-    /// it.
+    /// attached to a divergence report (see [`crate::history`]). Each
+    /// (domain, thread) keeps a ring of this capacity, written only by
+    /// that thread; the domain's rings are merged when a divergence is
+    /// reported. Memory: D × T × `ring_capacity` × 24 B. `0` disables the
+    /// history; record runs ignore it.
     pub ring_capacity: usize,
     /// Replay spin-wait/watchdog policy.
     pub spin: SpinConfig,
@@ -369,10 +373,8 @@ thread_local! {
     static HELD: Cell<usize> = const { Cell::new(0) };
 }
 
-// `repr(align)` takes a literal; keep the two domain types in step with
-// the padding constant.
+// `repr(align)` takes a literal; keep it in step with the padding constant.
 const _: () = assert!(std::mem::align_of::<DomainRecord>() == CACHE_LINE);
-const _: () = assert!(std::mem::align_of::<DomainReplay>() == CACHE_LINE);
 
 impl RecordLane {
     /// Apply the posted fix-ups to `buf` (this lane's locked buffer). The
@@ -524,29 +526,45 @@ impl StreamState {
 pub(crate) const TID_NONE: u32 = u32::MAX;
 pub(crate) const TID_EXHAUSTED: u32 = u32::MAX - 1;
 
-/// One gate domain's replay-side state, aligned to [`CACHE_LINE`] like its
-/// record-side counterpart.
-#[repr(align(128))]
-pub(crate) struct DomainReplay {
-    /// The `next_clock` turnstile (DC/DE) — also used as the abort flag
-    /// for ST replay.
-    pub turnstile: Turnstile,
-    /// Per-thread read positions into this domain's per-thread traces,
-    /// indexed by `tid`, each on a line only its thread writes.
-    pub cursors: Box<[CachePadded<AtomicUsize>]>,
-    /// ST: the baton lock `L` of Fig. 4.
-    pub baton: BatonLock,
-    /// ST: shared read position into this domain's record stream.
-    pub st_pos: AtomicUsize,
-    /// ST: the published `next_tid` (Fig. 4 line 13).
-    pub next_tid: AtomicU32,
-    /// ST: site hash published with `next_tid` for replay validation.
-    pub next_site: AtomicU64,
-    /// ST: kind code published with `next_tid`.
-    pub next_kind: AtomicU32,
-    /// Last-N accesses this domain admitted, newest first — attached to
-    /// divergence reports (capacity 0 disables it).
+/// One thread's replay-side state in one gate domain, the counterpart of
+/// [`RecordLane`]: only the owning thread's gates write it.
+pub(crate) struct ReplayLane {
+    /// Read position into the thread's own trace for this domain (DC/DE).
+    pub cursor: AtomicUsize,
+    /// The last accesses this thread had admitted in this domain, newest
+    /// first. A mutex (uncontended on the hot path) because a diverging
+    /// thread merges every lane of its domain into the report (see
+    /// [`Session::replay_history`]).
     pub history: Mutex<HistoryRing>,
+}
+
+/// ST replay's turn words (Fig. 4 l.10–17), together on one line: the
+/// baton reader writes them all, and every waiter spins on `next_tid`.
+pub(crate) struct StTurn {
+    /// The baton lock `L` of Fig. 4.
+    pub baton: BatonLock,
+    /// Shared read position into this domain's record stream.
+    pub st_pos: AtomicUsize,
+    /// The published `next_tid` (Fig. 4 line 13).
+    pub next_tid: AtomicU32,
+    /// Site hash published with `next_tid` for replay validation.
+    pub next_site: AtomicU64,
+    /// Kind code published with `next_tid`.
+    pub next_kind: AtomicU32,
+}
+
+/// One gate domain's replay-side state. A replay gate writes the one line
+/// its protocol communicates through — the turnstile (DC/DE) or the ST
+/// turn line (plus the turnstile's completion count when ST runs with
+/// D > 1) — and everything else it writes is on its own lane.
+pub(crate) struct DomainReplay {
+    /// The `next_clock` turnstile (DC/DE) — also ST's abort flag, and the
+    /// completion count cross-domain edges wait on.
+    pub turnstile: CachePadded<Turnstile>,
+    /// ST: the baton and the words published with `next_tid`.
+    pub st: CachePadded<StTurn>,
+    /// Per-thread lanes, indexed by `tid`.
+    pub lanes: Box<[CachePadded<ReplayLane>]>,
 }
 
 pub(crate) struct ReplayState {
@@ -971,17 +989,25 @@ impl Session {
         let rep = bundle.map(|bundle| ReplayState {
             domains: (0..domains)
                 .map(|dom| DomainReplay {
-                    cursors: (0..nthreads).map(|_| CachePadded::default()).collect(),
                     // Windowed (flight-recorder) bundles start each
                     // domain's completed-access count at the checkpointed
                     // base; full traces start at 0 as always.
-                    turnstile: Turnstile::starting_at(bundle.clock_base(dom)),
-                    baton: BatonLock::new(),
-                    st_pos: AtomicUsize::new(0),
-                    next_tid: AtomicU32::new(TID_NONE),
-                    next_site: AtomicU64::new(0),
-                    next_kind: AtomicU32::new(0),
-                    history: Mutex::new(HistoryRing::new(ring_capacity)),
+                    turnstile: CachePadded(Turnstile::starting_at(bundle.clock_base(dom))),
+                    st: CachePadded(StTurn {
+                        baton: BatonLock::new(),
+                        st_pos: AtomicUsize::new(0),
+                        next_tid: AtomicU32::new(TID_NONE),
+                        next_site: AtomicU64::new(0),
+                        next_kind: AtomicU32::new(0),
+                    }),
+                    lanes: (0..nthreads)
+                        .map(|_| {
+                            CachePadded(ReplayLane {
+                                cursor: AtomicUsize::new(0),
+                                history: Mutex::new(HistoryRing::new(ring_capacity)),
+                            })
+                        })
+                        .collect(),
                 })
                 .collect(),
             edges: bundle.edge_index(),
@@ -1253,28 +1279,40 @@ impl Session {
         self.failure.lock().clone()
     }
 
-    /// Append one admitted access to a domain's replay history ring.
+    /// Append one admitted access to the history ring of the lane
+    /// `(dom, rec.thread)` — a line only that thread writes.
     #[inline]
     pub(crate) fn push_replay_history(&self, dom: u32, rec: AccessRecord) {
         if self.cfg.ring_capacity == 0 {
             return;
         }
         if let Some(rep) = &self.rep {
-            rep.domains[dom as usize].history.lock().push(rec);
+            rep.domains[dom as usize].lanes[rec.thread as usize]
+                .history
+                .lock()
+                .push(rec);
         }
     }
 
-    /// Snapshot a domain's replay history, newest first (for diagnostics).
+    /// The last `ring_capacity` accesses domain `dom` admitted, newest
+    /// first (for divergence reports): the merge of its lanes' rings,
+    /// ordered by recorded position — stream index (ST), clock (DC) or
+    /// epoch (DE) — with ties broken by thread. The domain's last N
+    /// accesses are among the union of each thread's last N, so the merge
+    /// loses none of them.
     pub(crate) fn replay_history(&self, dom: u32) -> Vec<AccessRecord> {
-        match &self.rep {
-            Some(rep) if self.cfg.ring_capacity > 0 => rep.domains[dom as usize]
-                .history
-                .lock()
-                .iter_recent()
-                .copied()
-                .collect(),
-            _ => Vec::new(),
+        let cap = self.cfg.ring_capacity;
+        let Some(rep) = self.rep.as_ref().filter(|_| cap > 0) else {
+            return Vec::new();
+        };
+        let mut merged = Vec::new();
+        for lane in rep.domains[dom as usize].lanes.iter() {
+            merged.extend(lane.history.lock().iter_recent().copied());
         }
+        // Stable: a thread's own equal-epoch DE entries stay newest first.
+        merged.sort_by(|a, b| b.clock.cmp(&a.clock).then(a.thread.cmp(&b.thread)));
+        merged.truncate(cap);
+        merged
     }
 
     /// Finish the run: flush pending DE stores, assemble the trace bundle
@@ -1308,11 +1346,11 @@ impl Session {
                     rep.domains
                         .iter()
                         .zip(&rep.bundle.st)
-                        .all(|(d, st)| d.st_pos.load(Ordering::SeqCst) == st.len())
+                        .all(|(d, st)| d.st.st_pos.load(Ordering::SeqCst) == st.len())
                 } else {
                     rep.domains.iter().enumerate().all(|(dom, d)| {
-                        d.cursors.iter().enumerate().all(|(tid, c)| {
-                            c.load(Ordering::SeqCst)
+                        d.lanes.iter().enumerate().all(|(tid, lane)| {
+                            lane.cursor.load(Ordering::SeqCst)
                                 >= rep.bundle.thread(dom as u32, tid as u32).len()
                         })
                     })
@@ -2072,7 +2110,11 @@ mod tests {
         padded::<DomainRecord>("DomainRecord");
         padded::<DomainReplay>("DomainReplay");
         padded::<CachePadded<RecordLane>>("record lane");
-        padded::<CachePadded<AtomicUsize>>("replay cursor");
+        padded::<CachePadded<ReplayLane>>("replay lane");
+        // ST's five turn words fit one 64-byte line (the model build's
+        // instrumented atomics are larger).
+        #[cfg(not(any(reomp_model, feature = "model")))]
+        assert!(size_of::<StTurn>() <= 64, "StTurn spans more than a line");
 
         // Neighbours in the actual containers are at least a line apart.
         fn apart<T>(a: &T, b: &T) -> bool {
@@ -2104,14 +2146,28 @@ mod tests {
         let replay = Session::replay(s.finish().unwrap().bundle.unwrap()).unwrap();
         let rep = replay.rep.as_ref().unwrap();
         assert!(apart(&rep.domains[0], &rep.domains[1]));
-        assert!(apart(
-            &rep.domains[0].cursors[0],
-            &rep.domains[0].cursors[1]
-        ));
-        assert!(apart(
-            &rep.domains[0].cursors[0],
-            &rep.domains[1].cursors[1]
-        ));
+        // The `CACHE_LINE` blocks `x` occupies.
+        fn blocks<T>(x: &T) -> std::ops::RangeInclusive<usize> {
+            let start = x as *const T as usize;
+            start / CACHE_LINE..=(start + size_of::<T>() - 1) / CACHE_LINE
+        }
+        fn disjoint<A, B>(a: &A, b: &B) -> bool {
+            let (a, b) = (blocks(a), blocks(b));
+            a.end() < b.start() || b.end() < a.start()
+        }
+        for d in rep.domains.iter() {
+            // The turnstile the DC/DE waiters spin on shares no line with
+            // the ST turn words or with any thread's lane.
+            let turnstile: &Turnstile = &d.turnstile;
+            assert!(disjoint(turnstile, &*d.st));
+            for lane in d.lanes.iter() {
+                assert!(disjoint(turnstile, &**lane));
+                assert!(disjoint(&*d.st, &**lane));
+            }
+            assert!(apart(&d.lanes[0], &d.lanes[1]));
+            assert!(apart(&d.lanes[0].history, &d.lanes[1].history));
+        }
+        assert!(apart(&rep.domains[0].lanes[0], &rep.domains[1].lanes[1]));
     }
 
     #[test]
