@@ -1,72 +1,42 @@
-//! Criterion microbenchmarks of the building blocks: single-gate record
-//! cost per scheme, epoch-tracker throughput, trace codec, and turnstile
-//! operations. These quantify the constant factors behind the figure-level
-//! results.
+//! Gate micro-benchmarks `bench/`'s per-layer ledger has no row for: DC
+//! record admission under four-way contention, and what a second thread
+//! costs a thread that shares nothing with it. Single-gate, clock, codec
+//! and epoch-tracker costs are `bench/`'s `gate.*`, `clock.*`, `codec.*`
+//! and `epoch.*` layers.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use reomp_core::codec;
-use reomp_core::epoch::{EpochPolicy, EpochTracker};
 use reomp_core::{AccessKind, DomainPlan, Scheme, Session, SessionConfig, SiteId};
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
-
-fn bench_gate_record(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gate_record_single_thread");
-    let site = SiteId::from_label("micro:gate");
-    for scheme in Scheme::ALL {
-        group.bench_function(scheme.name(), |b| {
-            b.iter_batched(
-                || Session::record(scheme, 1),
-                |session| {
-                    let ctx = session.register_thread(0);
-                    for _ in 0..100 {
-                        ctx.gate(site, AccessKind::Store, || black_box(()));
-                    }
-                    drop(ctx);
-                    session.finish().unwrap()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
+use std::time::{Duration, Instant};
 
 /// DC record admission through the ticket gate: 4 threads on one domain,
-/// where FIFO ticket service is the whole arbitration (the single-thread
-/// row is `gate_record_single_thread/dc` above).
-fn bench_ticket_admission(c: &mut Criterion) {
+/// where FIFO ticket service is the whole arbitration. One sample spawns
+/// the threads, gates 4 × 50 accesses and finishes the session (session
+/// construction excluded); prints the mean ns per sample.
+fn bench_ticket_admission() {
+    const SAMPLES: u32 = 20;
     let site = SiteId::from_label("micro:ticket");
-    c.bench_function("dc_contended_4t_ticket", |b| {
-        b.iter_batched(
-            || Session::record(Scheme::Dc, 4),
-            |session| {
-                std::thread::scope(|s| {
-                    for tid in 0..4 {
-                        let ctx = session.register_thread(tid);
-                        s.spawn(move || {
-                            for _ in 0..50 {
-                                ctx.gate(site, AccessKind::Store, || black_box(()));
-                            }
-                        });
+    let mut total = Duration::ZERO;
+    for _ in 0..SAMPLES {
+        let session = Session::record(Scheme::Dc, 4);
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            for tid in 0..4 {
+                let ctx = session.register_thread(tid);
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        ctx.gate(site, AccessKind::Store, || black_box(()));
                     }
                 });
-                session.finish().unwrap()
-            },
-            BatchSize::SmallInput,
-        );
-    });
-
-    // The raw admission word, uncontended enter/exit cycle (a DC/DE
-    // record gate's whole synchronization cost).
-    c.bench_function("ticket_word_uncontended_cycle", |b| {
-        let gate = reomp_core::clock::TicketGate::new();
-        b.iter(|| {
-            let t = gate.enter();
-            gate.exit(black_box(t));
+            }
         });
-    });
+        black_box(session.finish().unwrap());
+        total += t0.elapsed();
+    }
+    println!(
+        "dc_contended_4t_ticket {:>14.1} ns/iter ({SAMPLES} iters)",
+        total.as_nanos() as f64 / f64::from(SAMPLES)
+    );
 }
 
 /// What a second thread costs a thread that shares nothing with it: one
@@ -74,12 +44,10 @@ fn bench_ticket_admission(c: &mut Criterion) {
 /// sites of a two-domain plan — no site, domain, lock or record file in
 /// common — per scheme, record and replay. `pair ÷ solo` is 1.0 when a
 /// gated access writes thread- and domain-owned cache lines only, and it
-/// is what a session-global word on the hot path shows up in.
-///
-/// Timed by hand rather than through `Criterion`: the row of interest is a
-/// ratio of two runs, and each run's figure is a per-thread wall time
-/// between a start barrier and the thread's last gate.
-fn bench_disjoint_pair(_c: &mut Criterion) {
+/// is what a session-global word on the hot path shows up in. Each run's
+/// figure is a per-thread wall time between a start barrier and the
+/// thread's last gate.
+fn bench_disjoint_pair() {
     const OPS: usize = 200_000;
     const REPS: usize = 5;
     let sites = [SiteId(0xd15_0000), SiteId(0xd15_0001)];
@@ -153,64 +121,7 @@ fn bench_disjoint_pair(_c: &mut Criterion) {
     }
 }
 
-fn bench_epoch_tracker(c: &mut Criterion) {
-    let mut group = c.benchmark_group("epoch_tracker_observe");
-    for policy in [EpochPolicy::Contiguous, EpochPolicy::PerAddress] {
-        group.bench_function(policy.name(), |b| {
-            b.iter_batched(
-                || EpochTracker::new(policy, 64),
-                |mut tracker| {
-                    for clock in 0..1_000u64 {
-                        let addr = clock % 7;
-                        let kind = if clock % 3 == 0 {
-                            AccessKind::Store
-                        } else {
-                            AccessKind::Load
-                        };
-                        black_box(tracker.observe(
-                            (clock % 4) as u32,
-                            SiteId(addr + 1),
-                            addr,
-                            kind,
-                            clock,
-                        ));
-                    }
-                    tracker.flush()
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
+fn main() {
+    bench_ticket_admission();
+    bench_disjoint_pair();
 }
-
-fn bench_codec(c: &mut Criterion) {
-    let values: Vec<u64> = (0..10_000u64).map(|i| i * 3 / 2).collect();
-    let trace = reomp_core::trace::ThreadTrace {
-        values,
-        sites: None,
-        kinds: None,
-    };
-    c.bench_function("codec_encode_10k_values", |b| {
-        b.iter(|| black_box(codec::encode_thread_trace(&trace, Scheme::Dc, 0)));
-    });
-    let bytes = codec::encode_thread_trace(&trace, Scheme::Dc, 0);
-    c.bench_function("codec_decode_10k_values", |b| {
-        b.iter(|| black_box(codec::decode_thread_records(&bytes).unwrap()));
-    });
-}
-
-fn bench_turnstile(c: &mut Criterion) {
-    c.bench_function("turnstile_uncontended_advance", |b| {
-        let t = reomp_core::clock::Turnstile::new();
-        let stats = reomp_core::stats::Stats::new();
-        b.iter(|| black_box(t.advance(&stats)));
-    });
-}
-
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_gate_record, bench_ticket_admission, bench_disjoint_pair, bench_epoch_tracker, bench_codec, bench_turnstile
-);
-criterion_main!(benches);

@@ -2111,9 +2111,7 @@ mod tests {
         padded::<DomainReplay>("DomainReplay");
         padded::<CachePadded<RecordLane>>("record lane");
         padded::<CachePadded<ReplayLane>>("replay lane");
-        // ST's five turn words fit one 64-byte line (the model build's
-        // instrumented atomics are larger).
-        #[cfg(not(any(reomp_model, feature = "model")))]
+        // ST's five turn words fit one 64-byte line.
         assert!(size_of::<StTurn>() <= 64, "StTurn spans more than a line");
 
         // Neighbours in the actual containers are at least a line apart.

@@ -6,16 +6,17 @@
 //! that includes the DC/DE record admission
 //! ([`TicketGate`](crate::clock::TicketGate) and its `Backoff` spin,
 //! whose `spin_loop`/`yield_now` hints become scheduling points
-//! in-model). A
-//! normal build re-exports the real types, so there is zero overhead and
-//! no behaviour change. Building with the `model` cargo feature (or
-//! loom-style with `RUSTFLAGS="--cfg reomp_model"`) swaps in the vendored
-//! `shuttle` model checker's instrumented shims, which dispatch at
-//! runtime: outside a `shuttle::check` execution they forward to the same
-//! `std` types; inside one, every operation becomes a scheduling point
-//! against shuttle's store-buffer memory model. That runtime dispatch is
-//! what makes the feature safe to unify workspace-wide — `reomp-model`
-//! turning it on does not perturb the tier-1 test suite.
+//! in-model). A normal build re-exports the real types. Building with
+//! `--cfg reomp_model` swaps in the vendored `shuttle` model checker's
+//! instrumented shims, which dispatch at runtime: outside a
+//! `shuttle::check` execution they forward to the same `std` types, but
+//! every operation pays that dispatch (and the atomics are larger than a
+//! word); inside one, every operation becomes a scheduling point against
+//! shuttle's store-buffer memory model.
+//!
+//! The cfg is set in one place: `crates/reomp-core-model`, which compiles
+//! these sources a second time for `reomp-model` alone. Every other crate,
+//! binary, test and benchmark links the plain build.
 //!
 //! Deliberately **not** routed through the seam:
 //!
@@ -27,7 +28,7 @@
 //!   harnesses, so they cannot block a controlled thread against a parked
 //!   one (the one hazard an un-shimmed lock poses inside the model).
 
-#[cfg(not(any(reomp_model, feature = "model")))]
+#[cfg(not(reomp_model))]
 mod backend {
     pub use parking_lot::Mutex;
     pub use std::hint::spin_loop;
@@ -36,7 +37,7 @@ mod backend {
     pub use std::time::Instant;
 }
 
-#[cfg(any(reomp_model, feature = "model"))]
+#[cfg(reomp_model)]
 mod backend {
     pub use shuttle::hint::spin_loop;
     pub use shuttle::sync::atomic;
@@ -46,3 +47,21 @@ mod backend {
 }
 
 pub(crate) use backend::*;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The build every crate outside the model checker links carries the
+    /// real primitives: word-sized atomics and parking_lot's mutex, not
+    /// shuttle's dispatching shims.
+    #[test]
+    fn backend_is_std_outside_the_model_build() {
+        use std::any::TypeId;
+        assert_eq!(std::mem::size_of::<atomic::AtomicU64>(), 8);
+        assert_eq!(
+            TypeId::of::<Mutex<u64>>(),
+            TypeId::of::<parking_lot::Mutex<u64>>()
+        );
+    }
+}

@@ -276,7 +276,7 @@ pub(crate) struct RawLocked<T> {
     /// scheduler (so the gate bracket is explored as a scheduling point)
     /// and `raw` is never touched. Outside a model, `acquire`/`release`
     /// return `false` and the `RawMutex` does its usual job.
-    #[cfg(any(reomp_model, feature = "model"))]
+    #[cfg(reomp_model)]
     model: shuttle::sync::RawLock,
     cell: UnsafeCell<T>,
 }
@@ -292,7 +292,7 @@ impl<T> RawLocked<T> {
     pub(crate) fn new(value: T) -> Self {
         RawLocked {
             raw: RawMutex::INIT,
-            #[cfg(any(reomp_model, feature = "model"))]
+            #[cfg(reomp_model)]
             model: shuttle::sync::RawLock::new(),
             cell: UnsafeCell::new(value),
         }
@@ -300,7 +300,7 @@ impl<T> RawLocked<T> {
 
     /// Acquire the lock (blocking). This is `set_lock(L)` of Figs. 4/5.
     pub(crate) fn lock(&self) {
-        #[cfg(any(reomp_model, feature = "model"))]
+        #[cfg(reomp_model)]
         if self.model.acquire() {
             return;
         }
@@ -312,7 +312,7 @@ impl<T> RawLocked<T> {
     /// # Safety
     /// The calling thread must currently hold the lock via [`Self::lock`].
     pub(crate) unsafe fn unlock(&self) {
-        #[cfg(any(reomp_model, feature = "model"))]
+        #[cfg(reomp_model)]
         if self.model.release() {
             return;
         }

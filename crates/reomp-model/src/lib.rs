@@ -5,10 +5,12 @@
 //! [`Turnstile`](reomp_core::clock::Turnstile),
 //! [`SpinWait`](reomp_core::sync::SpinWait), the DE epoch/floor machinery
 //! and the [`FlightRecorder`](reomp_core::FlightRecorder) — under the
-//! vendored `shuttle` model checker. `reomp-core` is compiled with its
-//! `model` feature, which routes every atomic, mutex, `Instant`, yield and
-//! spin hint through `crate::shim` onto shuttle's instrumented types; the
-//! harnesses here then explore *every* interleaving of small 2–3-thread
+//! vendored `shuttle` model checker. The `reomp_core` this crate links is
+//! `crates/reomp-core-model`: the same sources built with
+//! `--cfg reomp_model`, which routes every atomic, mutex, `Instant`, yield
+//! and spin hint through `crate::shim` onto shuttle's instrumented types
+//! (every other crate links the plain build). The harnesses here then
+//! explore *every* interleaving of small 2–3-thread
 //! scenarios (with sleep-set/DPOR-lite reduction), including the
 //! store-buffer reorderings that `Relaxed` atomics permit.
 //!

@@ -8,7 +8,7 @@ use reomp::core::trace::ThreadTrace;
 use reomp::{DirStore, Scheme, TraceBundle, TraceError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// The system allocator, counting live bytes and their high-water mark.
 struct Counting;
@@ -36,13 +36,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// One measurement at a time: the counters are the process's.
-static MEASURING: Mutex<()> = Mutex::new(());
+/// One test at a time: the counters are the process's, so a test that
+/// allocates while another one measures (building a 1 MiB input, say)
+/// would count against the other's bound. Every test holds it throughout.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Run `f` and return its result with the most bytes that were live during
-/// it, beyond what was live when it started.
+/// it, beyond what was live when it started. The caller holds [`serial`].
 fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
     let result = f();
@@ -99,6 +104,7 @@ fn bomb(version: u8, nbytes: usize) -> Vec<u8> {
 
 #[test]
 fn rle_decode_bomb_returns_corrupt_in_memory_bounded_by_the_input() {
+    let _serial = serial();
     // The file of the report: 65 554 bytes asking for 268 435 456 records
     // (2 GiB of clocks, ten seconds, on the commit before the fix).
     let file = bomb(1, 65_536);
@@ -126,6 +132,7 @@ fn rle_decode_bomb_returns_corrupt_in_memory_bounded_by_the_input() {
 
 #[test]
 fn a_valid_run_still_may_not_outgrow_what_the_manifest_promises() {
+    let _serial = serial();
     // A well-formed compressed stream (one run of 4096 × its size, exact
     // length) is legitimate to the codec; the store knows the recording's
     // total and cuts it short there, before the records are materialized.
@@ -184,6 +191,7 @@ fn decode_chunk(version: u8, flags: u8, chunk: &[u8]) -> Result<codec::DecodedTh
 
 #[test]
 fn malformed_label_columns_are_corrupt_not_panics() {
+    let _serial = serial();
     const COLUMNS: u8 = 1 | 2; // sites | kinds
     let (good, labels) = labelled_chunk();
     let decoded = decode_chunk(2, COLUMNS, &good).unwrap();
@@ -240,6 +248,7 @@ fn malformed_label_columns_are_corrupt_not_panics() {
 
 #[test]
 fn a_payload_under_the_other_versions_header_is_corrupt() {
+    let _serial = serial();
     const COLUMNS: u8 = 1 | 2;
     let (v2_chunk, _) = labelled_chunk();
     assert_corrupt(decode_chunk(1, COLUMNS, &v2_chunk), "v2 payload, v1 header");
