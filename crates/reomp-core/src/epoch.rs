@@ -187,16 +187,14 @@ impl EpochTracker {
 
     /// Smallest clock of any store still pending inside the tracker, or
     /// `None` when no observed access can still receive a [`Fixup`].
-    /// Streaming recorders use this as the flush watermark: records with
-    /// clocks below it are final in their owners' lanes once the fix-ups
-    /// posted so far are applied.
+    /// Record sessions read it after every access as the lane flush
+    /// floor: records with clocks below it are final in their owners'
+    /// lanes once the fix-ups posted so far are applied.
     #[must_use]
     pub fn min_pending_clock(&self) -> Option<u64> {
-        let contiguous = self.pending.map(|p| p.clock);
-        let per_addr = self.addr_pending.values().map(|p| p.clock).min();
-        match (contiguous, per_addr) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        match self.policy {
+            EpochPolicy::Contiguous => self.pending.map(|p| p.clock),
+            EpochPolicy::PerAddress => self.addr_pending.values().map(|p| p.clock).min(),
         }
     }
 

@@ -221,8 +221,8 @@ pub enum FinishError {
     ThreadsActive(u32),
     /// `finish` was already called on this session.
     AlreadyFinished,
-    /// A streaming record run failed to flush or commit its trace; the
-    /// store was left without a loadable (possibly corrupt) bundle.
+    /// A record run failed to flush into or commit its sink; a store was
+    /// left without a loadable (possibly corrupt) bundle.
     Stream(TraceError),
 }
 
@@ -236,7 +236,7 @@ impl fmt::Display for FinishError {
                 )
             }
             FinishError::AlreadyFinished => write!(f, "session already finished"),
-            FinishError::Stream(e) => write!(f, "streaming trace persistence failed: {e}"),
+            FinishError::Stream(e) => write!(f, "record trace persistence failed: {e}"),
         }
     }
 }

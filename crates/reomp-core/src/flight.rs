@@ -9,6 +9,12 @@
 //! wrong** (a detected race, a replay divergence, a panic, or an explicit
 //! [`Session::dump`](crate::session::Session::dump)).
 //!
+//! The same rings are the sink of every buffered record run
+//! ([`Session::record_with`](crate::session::Session::record_with)): with
+//! an unbounded window nothing is ever evicted, each stream grows one
+//! chunk in place, and `finish` takes the streams over as the run's
+//! [`TraceBundle`].
+//!
 //! # Window semantics
 //!
 //! Streams are the same flat domain-major `(thread, domain)` streams the
@@ -45,7 +51,7 @@ use crate::plan::DomainPlan;
 use crate::shim::atomic::{AtomicU64, Ordering};
 use crate::shim::Mutex;
 use crate::store::{check_columns, IoReport, RecordOptions, RecordSink, StreamingTraceStore};
-use crate::trace::{Checkpoint, CrossDomainEdge, DumpTrigger};
+use crate::trace::{Checkpoint, CrossDomainEdge, DumpTrigger, StTrace, ThreadTrace, TraceBundle};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -53,12 +59,37 @@ use std::sync::Arc;
 /// without a count.
 pub const DEFAULT_WINDOW: u32 = 8;
 
+/// The window of a ring that never evicts: the buffered record sink.
+pub(crate) const UNBOUNDED: u32 = u32::MAX;
+
 /// One retained chunk of a record stream, kept decoded so eviction can
 /// trim by record value without re-parsing.
 struct ChunkBuf<T> {
     data: Vec<T>,
     sites: Option<Vec<u64>>,
     kinds: Option<Vec<u8>>,
+}
+
+impl<T: Copy> ChunkBuf<T> {
+    fn new(data: &[T], sites: Option<&[u64]>, kinds: Option<&[u8]>) -> Self {
+        ChunkBuf {
+            data: data.to_vec(),
+            sites: sites.map(<[u64]>::to_vec),
+            kinds: kinds.map(<[u8]>::to_vec),
+        }
+    }
+
+    /// Append records to the chunk. The columns match: every chunk of a
+    /// recorder carries site/kind columns exactly when it validates.
+    fn extend(&mut self, data: &[T], sites: Option<&[u64]>, kinds: Option<&[u8]>) {
+        self.data.extend_from_slice(data);
+        if let (Some(s), Some(more)) = (&mut self.sites, sites) {
+            s.extend_from_slice(more);
+        }
+        if let (Some(k), Some(more)) = (&mut self.kinds, kinds) {
+            k.extend_from_slice(more);
+        }
+    }
 }
 
 impl<T> ChunkBuf<T> {
@@ -105,6 +136,40 @@ impl<T> StreamRing<T> {
 
     fn records(&self) -> u64 {
         self.chunks.iter().map(|c| c.len() as u64).sum()
+    }
+
+    /// Take the one chunk an unbounded ring holds, without a copy.
+    /// Site/kind columns are present exactly when `validated`, also for
+    /// an empty stream.
+    fn take_whole(&mut self, validated: bool) -> ChunkBuf<T>
+    where
+        T: Copy,
+    {
+        debug_assert!(self.chunks.len() <= 1, "an unbounded ring holds one chunk");
+        self.chunks.pop_front().unwrap_or_else(|| {
+            ChunkBuf::new(&[], validated.then_some(&[]), validated.then_some(&[]))
+        })
+    }
+
+    /// Append one chunk's records and return their retention weight. A
+    /// ring with an [`UNBOUNDED`] window never evicts and nothing reads
+    /// its chunk boundaries, so it grows its one chunk in place instead.
+    fn append(
+        &mut self,
+        window: u32,
+        data: &[T],
+        sites: Option<&[u64]>,
+        kinds: Option<&[u8]>,
+    ) -> u64
+    where
+        T: Copy,
+    {
+        match self.chunks.back_mut() {
+            Some(back) if window == UNBOUNDED => back.extend(data, sites, kinds),
+            _ => self.chunks.push_back(ChunkBuf::new(data, sites, kinds)),
+        }
+        use std::mem::size_of_val;
+        (size_of_val(data) + sites.map_or(0, size_of_val) + kinds.map_or(0, size_of_val)) as u64
     }
 }
 
@@ -186,18 +251,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The recording's options (what a dump's `begin_record` will use).
-    #[must_use]
-    pub fn options(&self) -> RecordOptions {
-        self.opts
-    }
-
-    /// Configured window (chunks per stream).
-    #[must_use]
-    pub fn window(&self) -> u32 {
-        self.window
-    }
-
     /// Peak chunks any single stream retained at once so far.
     #[must_use]
     pub fn retained_peak(&self) -> u64 {
@@ -262,14 +315,8 @@ impl FlightRecorder {
     ) -> Result<u64, TraceError> {
         check_columns(self.opts.validated, sites, kinds)?;
         let idx = self.opts.stream_index(dom, tid)?;
-        let chunk = ChunkBuf {
-            data: values.to_vec(),
-            sites: sites.map(<[u64]>::to_vec),
-            kinds: kinds.map(<[u8]>::to_vec),
-        };
-        let weight = chunk.weight();
         let mut state = self.state.lock();
-        state.threads[idx].chunks.push_back(chunk);
+        let weight = state.threads[idx].append(self.window, values, sites, kinds);
         self.enforce_window(&mut state, dom);
         self.note_peak(&state);
         Ok(weight)
@@ -283,12 +330,6 @@ impl FlightRecorder {
         kinds: Option<&[u8]>,
     ) -> Result<u64, TraceError> {
         check_columns(self.opts.validated, sites, kinds)?;
-        let chunk = ChunkBuf {
-            data: tids.to_vec(),
-            sites: sites.map(<[u64]>::to_vec),
-            kinds: kinds.map(<[u8]>::to_vec),
-        };
-        let weight = chunk.weight();
         let mut state = self.state.lock();
         if dom as usize >= state.st.len() {
             return Err(TraceError::Corrupt(format!(
@@ -296,7 +337,7 @@ impl FlightRecorder {
             )));
         }
         let ring = &mut state.st[dom as usize];
-        ring.chunks.push_back(chunk);
+        let weight = ring.append(self.window, tids, sites, kinds);
         let mut dropped = 0;
         while ring.chunks.len() > self.window as usize {
             let evicted = ring.chunks.pop_front().expect("non-empty ring");
@@ -425,6 +466,49 @@ impl FlightRecorder {
         report.retained_peak = self.retained_peak();
         report.evicted = self.evicted();
         Ok(report)
+    }
+
+    /// Drain the rings, the plan and the edges appended through the sink
+    /// into one bundle — how a buffered recording (an [`UNBOUNDED`]
+    /// window, so nothing was evicted) finishes. Leaves the recorder empty.
+    #[must_use]
+    pub(crate) fn take_bundle(&self) -> TraceBundle {
+        let mut state = self.state.lock();
+        let validated = self.opts.validated;
+        let threads = state
+            .threads
+            .iter_mut()
+            .map(|ring| {
+                let c = ring.take_whole(validated);
+                ThreadTrace {
+                    values: c.data,
+                    sites: c.sites,
+                    kinds: c.kinds,
+                }
+            })
+            .collect();
+        let st = state
+            .st
+            .iter_mut()
+            .map(|ring| {
+                let c = ring.take_whole(validated);
+                StTrace {
+                    tids: c.data,
+                    sites: c.sites,
+                    kinds: c.kinds,
+                }
+            })
+            .collect();
+        TraceBundle {
+            scheme: self.opts.scheme,
+            nthreads: self.opts.nthreads,
+            domains: self.opts.domains,
+            threads,
+            st,
+            plan: state.plan.take(),
+            edges: std::mem::take(&mut state.edges),
+            checkpoint: None,
+        }
     }
 }
 

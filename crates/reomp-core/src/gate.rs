@@ -103,7 +103,6 @@ pub(crate) fn record_out(
     let drec = &rec.domains[dom as usize];
     let lane = &drec.lanes[tid as usize];
     let stats = session.thread_stats(tid);
-    let streaming = rec.stream.is_some();
     let multi = session.domains() > 1;
     // Release the admission `record_in` granted. After this call the gate
     // core must not be touched.
@@ -172,14 +171,18 @@ pub(crate) fn record_out(
                     edge = Some((count - 1, counts));
                 }
             }
-            // Streaming: steal a full shared log under the lock (the order
-            // is already captured); encode and write it after unlock.
+            // Steal a full shared log under the lock (the order is
+            // already captured); hand it to the sink after unlock.
             // `flush_records` is clamped to >= 1 once in `Session::build`.
-            let stolen = if streaming && builder.tids.len() >= session.cfg.flush_records {
+            let n = builder.tids.len();
+            let stolen = if n >= session.cfg.flush_records {
+                // Leave the builder as much room as it had, so it does not
+                // regrow from empty after every steal.
+                let cols = if builder.validate { n } else { 0 };
                 Some((
-                    std::mem::take(&mut builder.tids),
-                    std::mem::take(&mut builder.sites),
-                    std::mem::take(&mut builder.kinds),
+                    std::mem::replace(&mut builder.tids, Vec::with_capacity(n)),
+                    std::mem::replace(&mut builder.sites, Vec::with_capacity(cols)),
+                    std::mem::replace(&mut builder.kinds, Vec::with_capacity(cols)),
                 ))
             } else {
                 None
@@ -188,12 +191,12 @@ pub(crate) fn record_out(
             // lock: steal order is execution order, and holding st_order
             // across the append keeps two stolen batches from reaching the
             // domain's stream file out of order.
-            let order_guard = stolen.is_some().then(|| {
-                rec.stream.as_ref().expect("streaming state").st_order[dom as usize].lock()
-            });
+            let order_guard = stolen.is_some().then(|| rec.st_order[dom as usize].lock());
             release();
             if let Some((tids, sites, kinds)) = stolen {
-                session.flush_st_records(dom, &tids, &sites, &kinds, tid);
+                if let Err(e) = session.append_st_chunk(dom, &tids, &sites, &kinds, stats) {
+                    rec.record_failure(e);
+                }
             }
             drop(order_guard);
         }
@@ -201,7 +204,9 @@ pub(crate) fn record_out(
             // Fig. 5 lines 22-24: assign the clock and — for DE — let the
             // epoch tracker turn it into this access's value (X = X_C; DC
             // is X = 0).
-            let (clock, value) = {
+            // `floor`: below it, this lane's entries are final once its
+            // mailbox is drained (see `Session::flush_lane`).
+            let (clock, value, floor) = {
                 // SAFETY: `record_in` admitted this thread — for DC/DE,
                 // with the currently-served ticket — and `release` below
                 // has not run yet.
@@ -211,8 +216,8 @@ pub(crate) fn record_out(
                 if multi {
                     edge = stamp_clocked(clock);
                 }
-                let value = match &mut core.tracker {
-                    None => clock,
+                match &mut core.tracker {
+                    None => (clock, clock, u64::MAX),
                     Some(tracker) => {
                         let observed = tracker.observe(tid, site, addr, kind, clock);
                         // A store's value is provisional for one access
@@ -225,33 +230,31 @@ pub(crate) fn record_out(
                             owner.fixups.lock().push((fix.clock, fix.epoch));
                             stats.bump_deferred();
                         }
-                        // Streaming: raise the flush floor only AFTER the
-                        // fix-up is posted, still inside the exclusion, so
-                        // an owner that reads floor F finds the fix-up of
-                        // every entry below F in its mailbox.
-                        if let Some(stream) = &rec.stream {
-                            let floor = tracker.min_pending_clock().unwrap_or(clock + 1);
-                            stream.floors[dom as usize].store(floor, Ordering::Release);
-                        }
-                        observed.value
+                        // The floor is read here, under this admission and
+                        // after the fix-up above: a store below it was
+                        // resolved under this admission or an earlier one,
+                        // so its fix-up is already in its owner's mailbox.
+                        let floor = tracker.min_pending_clock().unwrap_or(u64::MAX);
+                        (clock, observed.value, floor)
                     }
-                };
-                (clock, value)
+                }
             };
             release();
             // Line 24 happens *after* the exit: the write to the thread's own
             // record file overlaps other threads' region execution
             // (§IV-C3). Only this thread appends to its lane, so the lane
-            // is in clock order by construction.
-            lane.buf.lock().push(RecEntry {
+            // is in clock order by construction. One lock covers the push
+            // and the threshold check; a full lane flushes under it.
+            stats.bump_record_written();
+            let mut buf = lane.buf.lock();
+            buf.push(RecEntry {
                 clock,
                 value,
                 site: site.raw(),
                 kind: kind.code(),
             });
-            stats.bump_record_written();
-            if streaming {
-                session.maybe_flush_thread(dom, tid);
+            if buf.len() >= session.cfg.flush_records {
+                session.flush_lane(dom, tid, floor, buf);
             }
         }
     }

@@ -10,9 +10,9 @@
 //! Like the paper's `libreomp.so` (§V), the mode can be chosen with
 //! environment variables: `REOMP_MODE` (`off`/`record`/`replay`),
 //! `REOMP_SCHEME` (`st`/`dc`/`de`), `REOMP_EPOCH_POLICY`, `REOMP_DIR`
-//! for the record-file directory, `REOMP_STREAM` (`1` streams the trace
-//! to `REOMP_DIR` chunk-by-chunk as the run records),
-//! `REOMP_FLUSH_RECORDS` (streaming flush threshold), `REOMP_DOMAINS`
+//! for the record-file directory (a record run streams its trace there
+//! chunk by chunk), `REOMP_FLIGHT` (record into a bounded flight window
+//! instead), `REOMP_FLUSH_RECORDS` (lane flush threshold), `REOMP_DOMAINS`
 //! (gate-domain count, see below), `REOMP_SPIN_TIMEOUT` (replay
 //! watchdog in seconds, `0` disables it). How a record gate is admitted
 //! is not configurable: the scheme chooses it (see [`crate::gate`]).
@@ -54,39 +54,43 @@
 //! The soundness contract is: **aliased sites co-locate, or edges restore
 //! their order at the synchronization points that separate them.**
 //!
-//! # Streaming record runs
+//! # The record pipeline
 //!
-//! [`Session::record_streaming`] attaches a [`RecordSink`] from a
-//! [`StreamingTraceStore`]: whenever a thread's own lane reaches
-//! [`SessionConfig::flush_records`] entries, that thread encodes the
-//! lane's stable prefix as a chunk and appends it to its record stream,
-//! so the session never holds more than a bounded window of the trace in
-//! memory. ST/DC records are stable as soon as they are buffered. A DE
-//! store record is provisional until the next access shows whether it
-//! needs a fix-up (see [`crate::epoch`]), so each domain keeps a *floor*:
-//! the tracker's [`min_pending_clock`](EpochTracker::min_pending_clock),
-//! stored with `Release` under the gate exclusion *after* any fix-up the
-//! same access posted. The flushing owner `Acquire`-loads the floor, then
-//! drains its fix-up mailbox, then persists the entries below the floor —
-//! so every fix-up for an entry it persists was applied first. `finish`
-//! flushes the residue and atomically commits the store (manifest last).
+//! Every record session flushes into exactly one [`RecordSink`]:
+//! [`Session::record_with`] into an unbounded [`FlightRecorder`] ring
+//! that becomes the report's bundle, [`Session::record_streaming_with`]
+//! into a [`StreamingTraceStore`], [`Session::record_flight`] into a
+//! bounded ring. Whenever a thread's own lane holds
+//! [`SessionConfig::flush_records`] stable entries, that thread moves
+//! them into the sink as one chunk, so no lane holds more than a bounded
+//! window of the trace. ST/DC records are stable as soon as they are
+//! buffered. A DE store record is provisional until the next access shows
+//! whether it needs a fix-up (see [`crate::epoch`]), so the owner's gate
+//! reads a *floor* — the tracker's
+//! [`min_pending_clock`](EpochTracker::min_pending_clock) — under its own
+//! admission, after any fix-up that access posted. Every entry below the
+//! floor was resolved under that admission or an earlier one, so its
+//! fix-up is already in the owner's mailbox when the owner drains it and
+//! flushes the entries below the floor. `finish` flushes the residue,
+//! stamps the plan and the edges, and commits the sink (a store writes
+//! its manifest last).
 
 use crate::clock::{TicketGate, Turnstile};
 use crate::epoch::{EpochPolicy, EpochTracker};
 use crate::error::{FinishError, ReplayError, TraceError};
-use crate::flight::{FlightRecorder, FlightSink, DEFAULT_WINDOW};
+use crate::flight::{FlightRecorder, FlightSink, DEFAULT_WINDOW, UNBOUNDED};
 use crate::gate;
 use crate::history::{AccessRecord, HistoryRing};
 use crate::plan::DomainPlan;
 use crate::shim::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use crate::shim::Mutex;
+use crate::shim::{Mutex, MutexGuard};
 use crate::site::{AccessKind, SiteId};
 use crate::stats::{EpochHistogram, Stats, StatsSnapshot};
 use crate::store::{
     DirStore, IoReport, RecordOptions, RecordSink, StreamingTraceStore, TraceStore,
 };
 use crate::sync::{BatonLock, CachePadded, RawLocked, SpinConfig, CACHE_LINE};
-use crate::trace::{CrossDomainEdge, DumpTrigger, StTrace, ThreadTrace, TraceBundle};
+use crate::trace::{CrossDomainEdge, DumpTrigger, TraceBundle};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -188,10 +192,9 @@ pub struct SessionConfig {
     /// recorder (the instrumentation plan produced by the race-detection
     /// step of the toolflow, Fig. 2 step (1)).
     pub gate_plan: Option<HashSet<SiteId>>,
-    /// Streaming record runs: flush a per-thread buffer to its record
-    /// stream once it holds this many stable records (clamped to ≥ 1).
-    /// Ignored unless the session was created with
-    /// [`Session::record_streaming`].
+    /// Record runs: flush a per-thread lane into the session's sink once
+    /// it holds this many stable records (clamped to ≥ 1), which bounds
+    /// every lane at about this many 32-byte entries.
     pub flush_records: usize,
     /// Number of independent gate domains sites are partitioned across
     /// (clamped to ≥ 1). `1` — the default — reproduces the classic
@@ -467,52 +470,26 @@ impl DomainRecord {
 pub(crate) struct RecordState {
     /// Per-domain gate instances (length = configured domain count).
     pub domains: Box<[DomainRecord]>,
-    /// Attached streaming sink, when the session records incrementally.
-    pub stream: Option<StreamState>,
-    /// Cross-domain happens-before edges collected so far (multi-domain
-    /// sessions only; appended outside the gate locks).
-    pub edges: Mutex<Vec<CrossDomainEdge>>,
-}
-
-/// Streaming-record state: the sink plus the per-domain flush watermarks.
-pub(crate) struct StreamState {
-    /// The store's sink; read-locked for concurrent appends (each
-    /// stream serializes its own writes), write-locked only to take it
-    /// at commit time.
+    /// The session's one sink; read-locked for concurrent appends (each
+    /// stream serializes its own writes), write-locked only to take it at
+    /// commit time.
     pub sink: RwLock<Option<Box<dyn RecordSink>>>,
-    /// Per-domain flush watermarks: records with clocks strictly below a
-    /// domain's floor are final in their owners' lanes (once the posted
-    /// fix-ups are applied) and safe to persist. `u64::MAX` for ST/DC (records are stable on arrival);
-    /// for DE the tracker's pending-store minimum, stored under the gate
-    /// exclusion after the access's fix-up (if any) was posted.
-    pub floors: Vec<AtomicU64>,
     /// Per-domain chunk-order locks for the shared ST streams: acquired
     /// *before* the domain's gate lock is released when a batch is stolen,
-    /// so two stolen batches can never append to that domain's file out of
-    /// execution order.
+    /// so two stolen batches can never append to that domain's stream out
+    /// of execution order.
     pub st_order: Vec<Mutex<()>>,
     /// Set after the first append failure; flushing stops and `finish`
     /// surfaces the error instead of committing a partial trace.
     pub failed: AtomicBool,
     /// The first append failure.
     pub error: Mutex<Option<TraceError>>,
+    /// Cross-domain happens-before edges collected so far (multi-domain
+    /// sessions only; appended outside the gate locks).
+    pub edges: Mutex<Vec<CrossDomainEdge>>,
 }
 
-impl StreamState {
-    fn new(sink: Box<dyn RecordSink>, scheme: Scheme, domains: u32) -> StreamState {
-        StreamState {
-            sink: RwLock::new(Some(sink)),
-            // DE starts with nothing stable recorded; ST/DC buffers only
-            // ever hold stable records.
-            floors: (0..domains)
-                .map(|_| AtomicU64::new(if scheme == Scheme::De { 0 } else { u64::MAX }))
-                .collect(),
-            st_order: (0..domains).map(|_| Mutex::new(())).collect(),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-        }
-    }
-
+impl RecordState {
     pub(crate) fn record_failure(&self, e: TraceError) {
         let mut slot = self.error.lock();
         if slot.is_none() {
@@ -577,12 +554,13 @@ pub(crate) struct ReplayState {
     pub edges: HashMap<(u32, u32, u64), Vec<(u32, u64)>>,
 }
 
-/// Flight-recorder control state of a bounded record run: the shared
-/// bounded recorder, the store a dump materializes into, and the dumps
-/// taken so far.
+/// The ring behind a buffered or bounded record run: the shared recorder,
+/// the store a dump materializes into (bounded runs only — a buffered
+/// run's unbounded ring becomes its bundle instead), and the dumps taken
+/// so far.
 struct FlightCtl {
     recorder: Arc<FlightRecorder>,
-    target: Box<dyn StreamingTraceStore>,
+    target: Option<Box<dyn StreamingTraceStore>>,
     dumps: Mutex<Vec<(DumpTrigger, IoReport)>>,
 }
 
@@ -618,7 +596,8 @@ pub struct Session {
     slots: Box<[CachePadded<ThreadSlot>]>,
     pub(crate) rec: Option<RecordState>,
     pub(crate) rep: Option<ReplayState>,
-    /// Bounded-recording control (set only by [`Session::record_flight`]).
+    /// The ring of a [`Session::record_with`] or
+    /// [`Session::record_flight`] run.
     flight: Option<FlightCtl>,
     /// Invoked (once) on the first replay failure — the divergence trigger
     /// a linked flight recorder's dump hangs off.
@@ -633,7 +612,6 @@ impl Session {
     #[must_use]
     pub fn passthrough(nthreads: u32) -> Arc<Session> {
         Arc::new(Session::build(
-            Mode::Passthrough,
             Scheme::De,
             nthreads,
             SessionConfig::default(),
@@ -648,48 +626,31 @@ impl Session {
         Session::record_with(scheme, nthreads, SessionConfig::default())
     }
 
-    /// Start a record run with explicit configuration.
+    /// Start a record run with explicit configuration. Its lanes flush
+    /// into an in-memory ring that never evicts, and the finished report
+    /// carries the bundle.
     #[must_use]
     pub fn record_with(scheme: Scheme, nthreads: u32, cfg: SessionConfig) -> Arc<Session> {
-        Arc::new(Session::build(
-            Mode::Record,
-            scheme,
-            nthreads,
-            cfg,
-            None,
-            None,
+        Arc::new(Session::record_into_ring(
+            scheme, nthreads, cfg, UNBOUNDED, None,
         ))
     }
 
     /// Start a record run that streams its trace into `store` as it runs
-    /// (default configuration; see [`SessionConfig::flush_records`]).
+    /// (see [`SessionConfig::flush_records`]).
     ///
-    /// The trace never has to fit in memory: full per-thread buffers are
+    /// The trace never has to fit in memory: full per-thread lanes are
     /// appended to the store as self-delimiting chunks, and
     /// [`Session::finish`] commits the store atomically. The finished
     /// report carries the [`IoReport`] instead of an in-memory bundle.
-    pub fn record_streaming(
-        scheme: Scheme,
-        nthreads: u32,
-        store: &dyn StreamingTraceStore,
-    ) -> Result<Arc<Session>, TraceError> {
-        Session::record_streaming_with(scheme, nthreads, SessionConfig::default(), store)
-    }
-
-    /// [`Session::record_streaming`] with explicit configuration.
     pub fn record_streaming_with(
         scheme: Scheme,
         nthreads: u32,
         cfg: SessionConfig,
         store: &dyn StreamingTraceStore,
     ) -> Result<Arc<Session>, TraceError> {
-        let domains = cfg.effective_domains();
-        let sink = store.begin_record(
-            RecordOptions::new(scheme, nthreads, domains, cfg.validate_sites)
-                .with_compression(cfg.compress),
-        )?;
+        let sink = store.begin_record(Session::record_options(scheme, nthreads, &cfg))?;
         Ok(Arc::new(Session::build(
-            Mode::Record,
             scheme,
             nthreads,
             cfg,
@@ -717,25 +678,48 @@ impl Session {
     where
         S: StreamingTraceStore + 'static,
     {
-        let domains = cfg.effective_domains();
         let window = cfg.flight.unwrap_or(DEFAULT_WINDOW);
-        let opts = RecordOptions::new(scheme, nthreads, domains, cfg.validate_sites)
-            .with_compression(cfg.compress);
-        let recorder = Arc::new(FlightRecorder::new(opts, window));
-        let sink: Box<dyn RecordSink> = Box::new(FlightSink::new(Arc::clone(&recorder)));
-        let mut session = Session::build(Mode::Record, scheme, nthreads, cfg, None, Some(sink));
-        session.flight = Some(FlightCtl {
-            recorder,
-            target: Box::new(store),
-            dumps: Mutex::new(Vec::new()),
-        });
-        Ok(Arc::new(session))
+        Ok(Arc::new(Session::record_into_ring(
+            scheme,
+            nthreads,
+            cfg,
+            window,
+            Some(Box::new(store)),
+        )))
     }
 
-    /// The flight recorder behind a bounded record run, if any.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref().map(|ctl| &ctl.recorder)
+    /// A record session whose sink is a [`FlightRecorder`] ring of
+    /// `window` chunks per stream, dumping into `target` when one is given.
+    fn record_into_ring(
+        scheme: Scheme,
+        nthreads: u32,
+        cfg: SessionConfig,
+        window: u32,
+        target: Option<Box<dyn StreamingTraceStore>>,
+    ) -> Session {
+        let recorder = Arc::new(FlightRecorder::new(
+            Session::record_options(scheme, nthreads, &cfg),
+            window,
+        ));
+        let sink = Box::new(FlightSink::new(Arc::clone(&recorder)));
+        let mut session = Session::build(scheme, nthreads, cfg, None, Some(sink));
+        session.flight = Some(FlightCtl {
+            recorder,
+            target,
+            dumps: Mutex::new(Vec::new()),
+        });
+        session
+    }
+
+    /// The options a record session's sink is opened with.
+    fn record_options(scheme: Scheme, nthreads: u32, cfg: &SessionConfig) -> RecordOptions {
+        RecordOptions::new(
+            scheme,
+            nthreads,
+            cfg.effective_domains(),
+            cfg.validate_sites,
+        )
+        .with_compression(cfg.compress)
     }
 
     /// Dumps taken so far on a bounded record run: `(trigger, io)` per
@@ -755,23 +739,19 @@ impl Session {
     /// applied, and the shared ST builders) are flushed into the window
     /// first, so the dump ends at the program's current position. A DE
     /// store still pending keeps its own clock, exactly as at the end of
-    /// a run. The dump is a
-    /// consistent snapshot when gates are quiescent; concurrent gated
-    /// accesses may straddle it. Fails on sessions without a flight
-    /// recorder.
+    /// a run. The dump is a consistent snapshot when gates are quiescent;
+    /// concurrent gated accesses may straddle it. Fails unless the session
+    /// was started with [`Session::record_flight`].
     pub fn dump(&self, trigger: DumpTrigger) -> Result<IoReport, TraceError> {
-        let ctl = self
+        let (ctl, target) = self
             .flight
             .as_ref()
-            .ok_or_else(|| TraceError::Corrupt("session has no flight recorder".into()))?;
-        let rec = self
-            .rec
-            .as_ref()
-            .ok_or_else(|| TraceError::Corrupt("dump on a non-record session".into()))?;
-        let stream = rec.stream.as_ref().expect("flight runs stream");
-        if stream.failed.load(Ordering::SeqCst) {
+            .and_then(|ctl| Some((ctl, ctl.target.as_deref()?)))
+            .ok_or_else(|| TraceError::Corrupt("session has no flight window to dump".into()))?;
+        let rec = self.rec.as_ref().expect("flight runs record");
+        if rec.failed.load(Ordering::SeqCst) {
             return Err(TraceError::Corrupt(
-                "an earlier streaming flush failed; the window is incomplete".into(),
+                "an earlier lane flush failed; the window is incomplete".into(),
             ));
         }
         let floors = self.flush_residues()?;
@@ -779,13 +759,9 @@ impl Session {
         // `finish` still owns them.
         let mut edges = rec.edges.lock().clone();
         edges.sort_by_key(|e| (e.domain, e.thread, e.seq));
-        let io = ctl.recorder.dump_into(
-            &*ctl.target,
-            trigger,
-            self.cfg.plan.as_ref(),
-            &edges,
-            floors,
-        )?;
+        let io = ctl
+            .recorder
+            .dump_into(target, trigger, self.cfg.plan.as_ref(), &edges, floors)?;
         ctl.dumps.lock().push((trigger, io));
         Ok(io)
     }
@@ -827,7 +803,6 @@ impl Session {
         let nthreads = bundle.nthreads;
         cfg.domains = bundle.domains;
         Ok(Arc::new(Session::build(
-            Mode::Replay,
             scheme,
             nthreads,
             cfg,
@@ -837,8 +812,10 @@ impl Session {
     }
 
     /// Build a session from the `REOMP_MODE`/`REOMP_SCHEME`/`REOMP_DIR`
-    /// environment, loading the trace from the directory store for replay.
-    /// Unset or `off` mode yields a passthrough session.
+    /// environment: a record run streams its trace into the directory
+    /// store (or keeps a flight window when `REOMP_FLIGHT` is set), a
+    /// replay run loads it from there. Unset or `off` mode yields a
+    /// passthrough session.
     pub fn from_env(nthreads: u32) -> Result<Arc<Session>, TraceError> {
         let mode = std::env::var("REOMP_MODE").unwrap_or_else(|_| "off".into());
         let scheme = std::env::var("REOMP_SCHEME")
@@ -874,9 +851,6 @@ impl Session {
         {
             cfg.spin.timeout = (secs > 0).then(|| Duration::from_secs(secs));
         }
-        let stream = std::env::var("REOMP_STREAM")
-            .map(|s| matches!(s.to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-            .unwrap_or(false);
         cfg.compress = std::env::var("REOMP_COMPRESS")
             .map(|s| matches!(s.to_ascii_lowercase().as_str(), "1" | "true" | "on"))
             .unwrap_or(false);
@@ -885,28 +859,20 @@ impl Session {
             .and_then(|s| s.parse::<u32>().ok())
             .filter(|&n| n > 0);
         match mode.to_ascii_lowercase().as_str() {
-            // Bounded in-situ recording takes precedence over plain
-            // streaming: the flight window IS a streaming sink, just a
-            // bounded one that only persists on a trigger.
+            // A record run persists into `REOMP_DIR`: streamed as it
+            // records, or — with a flight window — only when a dump
+            // trigger fires.
             "record" if cfg.flight.is_some() => {
                 Session::record_flight(scheme, nthreads, cfg, Session::env_store())
             }
-            "record" if stream => {
+            "record" => {
                 Session::record_streaming_with(scheme, nthreads, cfg, &Session::env_store())
             }
-            "record" => Ok(Session::record_with(scheme, nthreads, cfg)),
             "replay" => {
                 let (bundle, _) = Session::env_store().load()?;
                 Session::replay_with(bundle, cfg)
             }
-            _ => Ok(Arc::new(Session::build(
-                Mode::Passthrough,
-                scheme,
-                nthreads,
-                cfg,
-                None,
-                None,
-            ))),
+            _ => Ok(Arc::new(Session::build(scheme, nthreads, cfg, None, None))),
         }
     }
 
@@ -939,8 +905,9 @@ impl Session {
         DirStore::new(dir)
     }
 
+    /// The session's mode follows from what it is given: a record sink
+    /// (its one sink), a bundle to replay, or neither (passthrough).
     fn build(
-        mode: Mode,
         scheme: Scheme,
         nthreads: u32,
         mut cfg: SessionConfig,
@@ -948,10 +915,15 @@ impl Session {
         sink: Option<Box<dyn RecordSink>>,
     ) -> Session {
         assert!(nthreads > 0, "a session needs at least one thread");
+        let mode = match (&sink, &bundle) {
+            (Some(_), _) => Mode::Record,
+            (None, Some(_)) => Mode::Replay,
+            (None, None) => Mode::Passthrough,
+        };
         cfg.domains = cfg.effective_domains();
         // The ≥ 1 clamp lives here, once, so every consumer — the ST
-        // streaming steal, `maybe_flush_thread` — sees the same value and
-        // the record/flush paths cannot disagree.
+        // steal, the lane flush — sees the same value and the record/flush
+        // paths cannot disagree.
         cfg.flush_records = cfg.flush_records.max(1);
         if let Some(bundle) = &bundle {
             // A trace replays against exactly the partition it was
@@ -965,7 +937,7 @@ impl Session {
         // doubles its contended cost, EXPERIMENTS.md "Record admission per
         // scheme"), DC/DE through the ticket gate.
         let clocked = scheme != Scheme::St;
-        let rec = (mode == Mode::Record).then(|| RecordState {
+        let rec = sink.map(|sink| RecordState {
             domains: (0..domains)
                 .map(|_| DomainRecord {
                     ticket: clocked.then(TicketGate::new),
@@ -982,7 +954,10 @@ impl Session {
                     published: AtomicU64::new(0),
                 })
                 .collect(),
-            stream: sink.map(|s| StreamState::new(s, scheme, domains)),
+            sink: RwLock::new(Some(sink)),
+            st_order: (0..domains).map(|_| Mutex::new(())).collect(),
+            failed: AtomicBool::new(false),
+            error: Mutex::new(None),
             edges: Mutex::new(Vec::new()),
         });
         let ring_capacity = cfg.ring_capacity;
@@ -1103,7 +1078,7 @@ impl Session {
     }
 
     /// The session's own counter slot, for work no thread context owns
-    /// (`finish`, the streaming commit, flight dumps).
+    /// (`finish`, the sink commit, flight dumps).
     fn session_stats(&self) -> &Stats {
         &self.slots[self.nthreads as usize].stats
     }
@@ -1315,9 +1290,10 @@ impl Session {
         merged
     }
 
-    /// Finish the run: flush pending DE stores, assemble the trace bundle
-    /// (record mode), and produce the final report. All [`ThreadCtx`]s must
-    /// have been dropped.
+    /// Finish the run and produce the final report. A record run flushes
+    /// its residue into its sink, stamps the domain plan and the edges,
+    /// and commits the sink; a buffered run's ring then becomes the
+    /// report's bundle. All [`ThreadCtx`]s must have been dropped.
     pub fn finish(&self) -> Result<SessionReport, FinishError> {
         let active = self.active.load(Ordering::SeqCst);
         if active != 0 {
@@ -1333,11 +1309,14 @@ impl Session {
         match self.mode {
             Mode::Passthrough => {}
             Mode::Record => {
-                let rec = self.rec.as_ref().expect("record state");
-                if rec.stream.is_some() {
-                    io = Some(self.commit_streaming().map_err(FinishError::Stream)?);
-                } else {
-                    bundle = Some(self.assemble_bundle());
+                let committed = self.commit().map_err(FinishError::Stream)?;
+                match self.flight.as_ref().filter(|ctl| ctl.target.is_none()) {
+                    Some(ctl) => {
+                        let buffered = ctl.recorder.take_bundle();
+                        debug_assert!(buffered.validate().is_ok(), "buffered bundle is consistent");
+                        bundle = Some(buffered);
+                    }
+                    None => io = Some(committed),
                 }
             }
             Mode::Replay => {
@@ -1383,10 +1362,10 @@ impl Session {
         })
     }
 
-    /// Flush everything still buffered in the session into the attached
-    /// sink: the shared ST builders and the per-thread lanes, fix-ups
-    /// applied. Returns DE's per-domain clock floors (empty for ST/DC) —
-    /// the epoch-floor provenance a flight-recorder dump checkpoints.
+    /// Flush everything still buffered in the session into its sink: the
+    /// shared ST builders and the per-thread lanes, fix-ups applied.
+    /// Returns DE's per-domain clock floors (empty for ST/DC) — the
+    /// epoch-floor provenance a flight-recorder dump checkpoints.
     fn flush_residues(&self) -> Result<Vec<u64>, TraceError> {
         let rec = self.rec.as_ref().expect("record state");
         let mut floors = Vec::new();
@@ -1434,38 +1413,40 @@ impl Session {
         Ok(floors)
     }
 
-    /// Flush all residual records of a streaming record run and commit the
-    /// sink (manifest written last by the store).
-    fn commit_streaming(&self) -> Result<IoReport, TraceError> {
+    /// Flush all residual records into the sink, stamp the domain plan and
+    /// the collected cross-domain edges, and commit the sink (a store
+    /// writes its manifest last).
+    fn commit(&self) -> Result<IoReport, TraceError> {
         let rec = self.rec.as_ref().expect("record state");
-        let stream = rec.stream.as_ref().expect("streaming state");
         // Surface a mid-run flush failure instead of committing a trace
         // with holes in it.
-        if let Some(e) = stream.error.lock().take() {
+        if let Some(e) = rec.error.lock().take() {
             return Err(e);
         }
         self.flush_residues()?;
-        // Stamp the domain plan and the collected cross-domain edges
-        // before the manifest is published.
-        {
-            let guard = stream.sink.read();
-            let sink = guard
-                .as_ref()
-                .ok_or_else(|| TraceError::Corrupt("streaming sink already committed".into()))?;
+        self.with_sink(|sink| {
             if let Some(plan) = &self.cfg.plan {
                 sink.put_plan(plan)?;
             }
             let edges = self.drain_edges();
-            if !edges.is_empty() {
-                sink.append_edges(&edges)?;
+            if edges.is_empty() {
+                Ok(())
+            } else {
+                sink.append_edges(&edges)
             }
-        }
-        let sink = stream
-            .sink
-            .write()
-            .take()
-            .ok_or_else(|| TraceError::Corrupt("streaming sink already committed".into()))?;
+        })?;
+        let sink = rec.sink.write().take().ok_or_else(sink_committed)?;
         sink.commit(self.stats().records_written)
+    }
+
+    /// Run `f` on the session's sink, unless it was committed already.
+    fn with_sink<R>(
+        &self,
+        f: impl FnOnce(&dyn RecordSink) -> Result<R, TraceError>,
+    ) -> Result<R, TraceError> {
+        let rec = self.rec.as_ref().expect("record state");
+        let guard = rec.sink.read();
+        f(guard.as_deref().ok_or_else(sink_committed)?)
     }
 
     /// Encode `entries` as one chunk and append it to thread `tid`'s
@@ -1478,25 +1459,21 @@ impl Session {
         entries: &[RecEntry],
         stats: &Stats,
     ) -> Result<(), TraceError> {
-        let rec = self.rec.as_ref().expect("record state");
-        let stream = rec.stream.as_ref().expect("streaming state");
         let validate = self.cfg.validate_sites;
         let values: Vec<u64> = entries.iter().map(|e| e.value).collect();
         let sites: Option<Vec<u64>> = validate.then(|| entries.iter().map(|e| e.site).collect());
         let kinds: Option<Vec<u8>> = validate.then(|| entries.iter().map(|e| e.kind).collect());
-        let guard = stream.sink.read();
-        let sink = guard
-            .as_ref()
-            .ok_or_else(|| TraceError::Corrupt("streaming sink already committed".into()))?;
-        let bytes =
-            sink.append_thread_chunk(dom, tid, &values, sites.as_deref(), kinds.as_deref())?;
+        let bytes = self.with_sink(|sink| {
+            sink.append_thread_chunk(dom, tid, &values, sites.as_deref(), kinds.as_deref())
+        })?;
         stats.add_io_written(bytes);
         stats.bump_chunk_flush();
         Ok(())
     }
 
     /// Append one chunk of a domain's shared ST stream.
-    fn append_st_chunk(
+    #[cold]
+    pub(crate) fn append_st_chunk(
         &self,
         dom: u32,
         tids: &[u32],
@@ -1504,60 +1481,52 @@ impl Session {
         kinds: &[u8],
         stats: &Stats,
     ) -> Result<(), TraceError> {
-        let rec = self.rec.as_ref().expect("record state");
-        let stream = rec.stream.as_ref().expect("streaming state");
         let validate = self.cfg.validate_sites;
-        let guard = stream.sink.read();
-        let sink = guard
-            .as_ref()
-            .ok_or_else(|| TraceError::Corrupt("streaming sink already committed".into()))?;
-        let bytes = sink.append_st_chunk(
-            dom,
-            tids,
-            validate.then_some(sites),
-            validate.then_some(kinds),
-        )?;
+        let bytes = self.with_sink(|sink| {
+            sink.append_st_chunk(
+                dom,
+                tids,
+                validate.then_some(sites),
+                validate.then_some(kinds),
+            )
+        })?;
         stats.add_io_written(bytes);
         stats.bump_chunk_flush();
         Ok(())
     }
 
-    /// Hot-path flush check, run by thread `tid` after one of its gates:
-    /// if its lane in domain `dom` reached the flush threshold, persist
-    /// the lane's stable prefix (clocks below the domain's floor) as one
-    /// chunk. Failures are latched and surfaced at `finish`.
-    pub(crate) fn maybe_flush_thread(&self, dom: u32, tid: u32) {
-        let Some(rec) = self.rec.as_ref() else { return };
-        let Some(stream) = rec.stream.as_ref() else {
-            return;
-        };
+    /// The lane flush, run by thread `tid` when the gate that just
+    /// appended to its lane in domain `dom` (`buf`, still locked) found
+    /// the lane at the flush threshold: persist the lane's stable prefix
+    /// as one chunk. `floor` is what that gate read under its own
+    /// admission — DE's oldest pending store, `u64::MAX` when nothing can
+    /// change — so every entry below it is final once the mailbox is
+    /// drained. Failures are latched and surfaced at `finish`.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn flush_lane(
+        &self,
+        dom: u32,
+        tid: u32,
+        floor: u64,
+        mut buf: MutexGuard<'_, Vec<RecEntry>>,
+    ) {
+        let rec = self.rec.as_ref().expect("record state");
         // ORDERING: `failed` is a sticky go/no-go hint; a stale `false`
         // only means one more flush attempt whose error is latched again
         // under `error`'s mutex, and a stale `true` skips work that would
         // be discarded anyway. Nothing is published through this flag.
-        if stream.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        // Already clamped ≥ 1 in `Session::build`.
-        let threshold = self.cfg.flush_records;
-        // The floor is read BEFORE the mailbox is drained: whoever raised
-        // it past an entry posted that entry's fix-up first (both under
-        // the gate exclusion), so this Acquire makes the drain below see
-        // every fix-up for the entries about to be persisted.
-        let floor = stream.floors[dom as usize].load(Ordering::Acquire);
-        let lane = &rec.domains[dom as usize].lanes[tid as usize];
-        let mut buf = lane.buf.lock();
-        if buf.len() < threshold {
+        if rec.failed.load(Ordering::Relaxed) {
             return;
         }
         // The threshold counts *stable* entries: a DE store still pending
         // (at or above the floor) is not yet part of any chunk, so chunk
         // boundaries do not depend on when provisional entries arrive.
         let cut = buf.partition_point(|e| e.clock < floor);
-        if cut < threshold {
+        if cut < self.cfg.flush_records {
             return;
         }
-        lane.apply_fixups(&mut buf);
+        rec.domains[dom as usize].lanes[tid as usize].apply_fixups(&mut buf);
         // Append while still holding the lane lock: a flight dump may
         // collect this lane's residue concurrently, and two drained
         // batches must reach the stream in the order they were drained.
@@ -1565,26 +1534,7 @@ impl Session {
         buf.drain(..cut);
         drop(buf);
         if let Err(e) = result {
-            stream.record_failure(e);
-        }
-    }
-
-    /// Hot-path ST flush: thread `by` appends the prefix it stole from a
-    /// domain's shared stream.
-    pub(crate) fn flush_st_records(
-        &self,
-        dom: u32,
-        tids: &[u32],
-        sites: &[u64],
-        kinds: &[u8],
-        by: u32,
-    ) {
-        let Some(rec) = self.rec.as_ref() else { return };
-        let Some(stream) = rec.stream.as_ref() else {
-            return;
-        };
-        if let Err(e) = self.append_st_chunk(dom, tids, sites, kinds, self.thread_stats(by)) {
-            stream.record_failure(e);
+            rec.record_failure(e);
         }
     }
 
@@ -1595,48 +1545,11 @@ impl Session {
         edges.sort_by_key(|e| (e.domain, e.thread, e.seq));
         edges
     }
+}
 
-    fn assemble_bundle(&self) -> TraceBundle {
-        let rec = self.rec.as_ref().expect("record state");
-        let validate = self.cfg.validate_sites;
-
-        let mut st = Vec::new();
-        let mut threads = Vec::with_capacity(rec.domains.len() * self.nthreads as usize);
-        for drec in rec.domains.iter() {
-            if self.scheme == Scheme::St {
-                let stream = drec.pause(|core| {
-                    core.st.take().map(|b| StTrace {
-                        tids: b.tids,
-                        sites: validate.then_some(b.sites),
-                        kinds: validate.then_some(b.kinds),
-                    })
-                });
-                st.push(stream.expect("st builder"));
-            }
-            for lane in drec.lanes.iter() {
-                let mut entries = std::mem::take(&mut *lane.buf.lock());
-                lane.apply_fixups(&mut entries);
-                threads.push(ThreadTrace {
-                    values: entries.iter().map(|e| e.value).collect(),
-                    sites: validate.then(|| entries.iter().map(|e| e.site).collect()),
-                    kinds: validate.then(|| entries.iter().map(|e| e.kind).collect()),
-                });
-            }
-        }
-
-        let bundle = TraceBundle {
-            scheme: self.scheme,
-            nthreads: self.nthreads,
-            domains: self.cfg.domains,
-            threads,
-            st,
-            plan: self.cfg.plan.clone(),
-            edges: self.drain_edges(),
-            checkpoint: None,
-        };
-        debug_assert!(bundle.validate().is_ok(), "assembled bundle is consistent");
-        bundle
-    }
+/// The error of an append or stamp after the sink was committed.
+fn sink_committed() -> TraceError {
+    TraceError::Corrupt("record sink already committed".into())
 }
 
 impl std::fmt::Debug for Session {
@@ -1818,10 +1731,11 @@ pub struct SessionReport {
     /// stays zero). A lopsided breakdown means the site→domain partition
     /// is not spreading the load.
     pub domain_gates: Vec<u64>,
-    /// The recorded trace (record mode only; `None` for streaming record
-    /// runs, whose trace lives in the store).
+    /// The recorded trace (buffered record runs only; a streaming or
+    /// flight run's trace lives in its store or ring).
     pub bundle: Option<TraceBundle>,
-    /// I/O totals of the committed trace (streaming record runs only).
+    /// I/O totals of the committed trace (streaming and flight record
+    /// runs only).
     pub io: Option<IoReport>,
     /// Replay mode: whether every recorded access was consumed.
     pub fully_consumed: Option<bool>,
@@ -2036,42 +1950,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_record_persists_plan_and_edges() {
-        use crate::store::{MemStore, TraceStore};
-        let a = SiteId(0xa);
-        let b = SiteId(0xb);
-        let plan = DomainPlan::with_assignments(2, [(a, 0), (b, 1)]);
-        let drive = |session: &Arc<Session>| {
-            let c0 = session.register_thread(0);
-            let c1 = session.register_thread(1);
-            for _ in 0..3 {
-                c0.gate(a, AccessKind::Critical, || ());
-            }
-            c1.gate(b, AccessKind::Critical, || ());
-        };
-        let cfg = SessionConfig {
-            plan: Some(plan.clone()),
-            ..Default::default()
-        };
-        let s = Session::record_with(Scheme::Dc, 2, cfg.clone());
-        drive(&s);
-        let one_shot = s.finish().unwrap().bundle.unwrap();
-        assert!(!one_shot.edges.is_empty());
-
-        let store = MemStore::new();
-        let cfg = SessionConfig {
-            flush_records: 2,
-            ..cfg
-        };
-        let s = Session::record_streaming_with(Scheme::Dc, 2, cfg, &store).unwrap();
-        drive(&s);
-        s.finish().unwrap();
-        let (loaded, _) = store.load().unwrap();
-        assert_eq!(loaded, one_shot, "streamed plan+edges ≡ one-shot");
-        assert_eq!(loaded.plan.as_ref(), Some(&plan));
-    }
-
-    #[test]
     fn multi_domain_record_produces_per_domain_streams() {
         let cfg = SessionConfig {
             domains: 2,
@@ -2252,6 +2130,48 @@ mod tests {
                 assert!(report.stats.chunk_flushes > 0, "{scheme:?}/{domains}");
                 let (loaded, _) = store.load().unwrap();
                 assert_eq!(loaded, bundle, "{scheme:?}/{domains}: streamed ≡ one-shot");
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_lanes_stay_bounded_and_flush_into_the_same_bundle() {
+        const GATES: usize = 10_000;
+        const FLUSH: usize = 64;
+        // Three threads take turns on two sites in blocks of six stores
+        // (cross-thread store runs, so DE posts fix-ups) and six loads.
+        let run = |scheme: Scheme, flush_records: usize| {
+            let cfg = SessionConfig {
+                flush_records,
+                ..Default::default()
+            };
+            let s = Session::record_with(scheme, 3, cfg);
+            let ctxs: Vec<_> = (0..3).map(|t| s.register_thread(t)).collect();
+            let lanes = &s.rec.as_ref().unwrap().domains[0].lanes;
+            let mut peak = 0;
+            for i in 0..GATES {
+                let kind = [AccessKind::Store, AccessKind::Load][i / 6 % 2];
+                ctxs[i % 3].gate(SiteId(1 + (i / 12 % 2) as u64), kind, || ());
+                peak = lanes
+                    .iter()
+                    .map(|l| l.buf.lock().len())
+                    .fold(peak, usize::max);
+            }
+            drop(ctxs);
+            (s.finish().unwrap(), peak)
+        };
+        for scheme in [Scheme::Dc, Scheme::De] {
+            let (bounded, peak) = run(scheme, FLUSH);
+            assert!(peak <= FLUSH, "{scheme:?}: a lane held {peak} entries");
+            let (whole, _) = run(scheme, usize::MAX);
+            assert_eq!(bounded.bundle, whole.bundle, "{scheme:?}");
+            assert_eq!(bounded.bundle.unwrap().total_records(), GATES as u64);
+            assert!(bounded.stats.chunk_flushes > whole.stats.chunk_flushes);
+            if scheme == Scheme::De {
+                assert!(
+                    bounded.stats.deferred_finalizations > 0,
+                    "fix-ups exercised"
+                );
             }
         }
     }

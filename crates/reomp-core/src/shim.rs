@@ -30,7 +30,7 @@
 
 #[cfg(not(reomp_model))]
 mod backend {
-    pub use parking_lot::Mutex;
+    pub use parking_lot::{Mutex, MutexGuard};
     pub use std::hint::spin_loop;
     pub use std::sync::atomic;
     pub use std::thread::yield_now;
@@ -41,7 +41,7 @@ mod backend {
 mod backend {
     pub use shuttle::hint::spin_loop;
     pub use shuttle::sync::atomic;
-    pub use shuttle::sync::Mutex;
+    pub use shuttle::sync::{Mutex, MutexGuard};
     pub use shuttle::thread::yield_now;
     pub use shuttle::time::Instant;
 }

@@ -15,11 +15,11 @@
 //! `nthreads + 1` of them, each on cache lines of its own:
 //!
 //! * `slot[tid]` is written by thread `tid`'s gates only — `try_gate_at`,
-//!   the record/replay gate engines, the edge waits and the streaming
+//!   the record/replay gate engines, the edge waits and the lane
 //!   flushes a gate triggers all bump the slot of the thread that runs
 //!   them;
-//! * the last slot belongs to the session: `finish`, the streaming
-//!   commit and flight-recorder dumps — everything that has no thread
+//! * the last slot belongs to the session: `finish`, its residue flush
+//!   and sink commit, and flight-recorder dumps — everything that has no thread
 //!   context — count there.
 //!
 //! [`Session::stats`](crate::Session::stats) and

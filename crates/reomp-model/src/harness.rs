@@ -361,17 +361,17 @@ fn model_spin() -> SpinConfig {
 /// other threads' gates. Each of `threads` threads runs `program` on one
 /// site: with three threads storing, the run has middle stores whose
 /// fix-ups are posted by a *different* thread than the one about to flush
-/// them. The
-/// floor protocol — fix-up posted, then the floor raised with `Release`,
-/// both under the gate exclusion; the owner `Acquire`-loads the floor,
-/// then drains its mailbox, then flushes — must leave the committed store
-/// with every record exactly once and every epoch what the clock order
-/// dictates: a run of `n` same-site stores records `n − 1` times its
-/// first clock and once its last.
+/// them.
 ///
-/// Admission is DE's production one — the ticket gate — so the fix-up
-/// post and the floor store sit inside a served ticket, and the owner's
-/// flush runs right after its ticket exit.
+/// The floor is read under admission: each gate posts its fix-up (if any)
+/// and then reads the tracker's oldest pending store — both inside its
+/// served ticket — and its owner flushes only the lane entries below that
+/// floor, after draining its mailbox. An entry below the floor was
+/// resolved under that ticket or an earlier one, and the ticket hand-off
+/// (plus the mailbox mutex) orders its fix-up before the drain. The
+/// committed store must hold every record exactly once and every epoch
+/// the clock order dictates: a run of `n` same-site stores records `n − 1`
+/// times its first clock and once its last.
 pub fn epoch_floor_publication(
     threads: u32,
     program: &'static [AccessKind],
@@ -540,7 +540,7 @@ pub fn flight_evict_vs_dump(cfg: &Config) -> Report {
 /// schedule the bundle must validate and its replay must reproduce both
 /// the per-access values and the final state of the racy cell. With
 /// `streaming_de` the recording is a DE run streamed with a one-record
-/// flush threshold, so the floor store and every owner-side flush happen
+/// flush threshold, so the floor read and every owner-side flush happen
 /// under (or right after) a served ticket. (D = 1 trace bytes are pinned
 /// outside the model by `tests/golden_corpus.rs` and the fixture
 /// regeneration.)

@@ -6,8 +6,8 @@
 //!   over the real primitives and must finish with no violation.
 //! * **Mutation sweep** — every seeded defect in `reomp_model::mutants`
 //!   (flipped `Ordering`s — including the relaxed ticket `fetch_add` —
-//!   store-instead-of-swap release, edge snapshot after publish, floor
-//!   raised before the fix-up is posted, chunked dump, disabled watchdog)
+//!   store-instead-of-swap release, edge snapshot after publish, chunked
+//!   dump, disabled watchdog)
 //!   must be *caught*: the checker must report a
 //!   violation against the corresponding harness. The sweep is the
 //!   harnesses' sensitivity proof — a harness that cannot see the seeded
@@ -270,7 +270,6 @@ fn control_faithful_ticket() {
 #[test]
 fn control_faithful_minis() {
     assert_clean("edge_stamp_mini clean", &m::edge_stamp_mini(false, &cfg()));
-    assert_clean("floor_mini clean", &m::floor_mini(false, &cfg()));
     assert_clean("flight_mini clean", &m::flight_mini(false, &cfg()));
 }
 
@@ -336,11 +335,6 @@ fn mutant_edge_snapshot_after_publish_is_caught() {
         "edge snapshot after publish",
         &m::edge_stamp_mini(true, &cfg()),
     );
-}
-
-#[test]
-fn mutant_floor_before_fixup_is_caught() {
-    assert_caught("floor before fix-up", &m::floor_mini(true, &cfg()));
 }
 
 #[test]

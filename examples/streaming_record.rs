@@ -3,8 +3,8 @@
 //!
 //! The paper notes that record-and-replay scalability is ultimately bounded
 //! by file-system usage (§II-B); tools like rr and iReplayer stream their
-//! records incrementally for exactly this reason. `Session::record_streaming`
-//! does the same: whenever a per-thread buffer reaches the configured flush
+//! records incrementally for exactly this reason. `Session::record_streaming_with`
+//! does the same: whenever a per-thread lane reaches the configured flush
 //! threshold, its stable prefix is appended to that thread's record file as
 //! a self-delimiting chunk, so the in-memory footprint stays bounded no
 //! matter how long the run is. `finish` commits the directory atomically —

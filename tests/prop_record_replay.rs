@@ -102,6 +102,7 @@ proptest! {
             2..4,
         ),
         domains_idx in 0usize..3,
+        flush_records in 1usize..8,
     ) {
         // Sweep gate-domain counts alongside schemes: the generated
         // programs hash their sites across domains, so D > 1 exercises the
@@ -112,8 +113,11 @@ proptest! {
             .and_then(|s| s.parse::<u32>().ok())
             .filter(|&d| d >= 1)
             .unwrap_or([1u32, 2, 4][domains_idx]);
+        // A small flush threshold makes the concurrent buffered runs flush
+        // their lanes mid-run, while other threads post DE fix-ups.
         let cfg = reomp::SessionConfig {
             domains,
+            flush_records,
             ..reomp::SessionConfig::default()
         };
         for scheme in Scheme::ALL {

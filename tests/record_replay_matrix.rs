@@ -3,7 +3,7 @@
 //! through the on-disk format.
 
 use reomp::miniapps::{amg, hacc, hpccg, minife, quicksilver, AppOutput};
-use reomp::{ompr::Runtime, DirStore, MemStore, Scheme, Session, SessionConfig, TraceStore};
+use reomp::{ompr::Runtime, DirStore, MemStore, Mode, Scheme, Session, SessionConfig, TraceStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -254,15 +254,33 @@ fn replay_with_different_thread_count_fails_cleanly() {
 
 #[test]
 fn scheme_env_roundtrip_matches_direct_construction() {
-    // from_env is exercised directly elsewhere; here check scheme parsing
-    // agreement with trace headers after a store roundtrip.
+    // An env-configured record run streams into `REOMP_DIR`; an
+    // env-configured replay loads it back, with nothing saved in between.
+    // No other test in this binary reads these three variables.
+    let dir = std::env::temp_dir().join(format!("reomp-env-roundtrip-{}", std::process::id()));
     for scheme in Scheme::ALL {
-        let session = Session::record(scheme, 2);
-        let _ = run_app("minife", &session);
-        let bundle = session.finish().unwrap().bundle.unwrap();
-        assert_eq!(bundle.scheme, scheme);
-        let store = MemStore::new();
-        store.save(&bundle).unwrap();
-        assert_eq!(store.load().unwrap().0.scheme, scheme);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("REOMP_DIR", &dir);
+        std::env::set_var("REOMP_SCHEME", scheme.name());
+        std::env::set_var("REOMP_MODE", "record");
+        let session = Session::from_env(2).unwrap();
+        assert_eq!((session.mode(), session.scheme()), (Mode::Record, scheme));
+        let recorded = run_app("minife", &session);
+        let report = session.finish().unwrap();
+        assert!(report.io.is_some(), "{scheme}: an env record run persists");
+        assert_eq!(DirStore::new(&dir).load().unwrap().0.scheme, scheme);
+
+        std::env::set_var("REOMP_MODE", "replay");
+        let session = Session::from_env(2).unwrap();
+        assert_eq!(session.mode(), Mode::Replay);
+        let replayed = run_app("minife", &session);
+        let report = session.finish().unwrap();
+        assert_eq!(report.failure, None, "{scheme}");
+        assert_eq!(report.fully_consumed, Some(true), "{scheme}");
+        assert_eq!(replayed, recorded, "{scheme}");
     }
+    for var in ["REOMP_DIR", "REOMP_SCHEME", "REOMP_MODE"] {
+        std::env::remove_var(var);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
