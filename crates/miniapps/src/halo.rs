@@ -212,11 +212,6 @@ fn rank_step_loop(
     );
 
     let mut energy = 0.0;
-    // A rank-scope thread context (tid 0): rank-level barriers note their
-    // synchronization point through it so multi-domain thread traces
-    // carry the cross-domain edge the barrier establishes. Dropped before
-    // `finish` by scoping.
-    let rank_ctx = session.register_thread(0);
 
     for step in 0..cfg.steps {
         let phase = (step % u64::from(NPHASES)) as u32;
@@ -269,9 +264,14 @@ fn rank_step_loop(
         // cross-domain edge.
         let local: f64 = slab.to_vec().iter().map(|v| v * v).sum();
         energy = rank.allreduce_sum_f64(&[local]).expect("allreduce")[0];
+        // The barrier notes its synchronization point through a
+        // rank-scope context for tid 0, so multi-domain thread traces
+        // carry the cross-domain edge it establishes. Registered only
+        // here, between parallel regions: tid 0's worker context is gone
+        // by now, and a tid has one live context at a time.
+        let rank_ctx = session.register_thread(0);
         rank.barrier_with(Some(&rank_ctx));
     }
-    drop(rank_ctx);
 
     AppOutput {
         checksum: checksum_f64s(&slab.to_vec()),

@@ -174,7 +174,7 @@ impl DomainPlanner {
             .collect();
         ordered.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        let mut plan = DomainPlan::new(domains);
+        let mut assignments = Vec::new();
         let mut load = vec![0u64; domains as usize];
         for (w, _, members) in ordered {
             // Least-loaded domain, lowest id on ties.
@@ -182,11 +182,9 @@ impl DomainPlanner {
                 .min_by_key(|&d| (load[d as usize], d))
                 .unwrap_or(0);
             load[dom as usize] += w;
-            for site in members {
-                plan.set(site, dom);
-            }
+            assignments.extend(members.into_iter().map(|site| (site, dom)));
         }
-        plan
+        DomainPlan::with_assignments(domains, assignments)
     }
 }
 

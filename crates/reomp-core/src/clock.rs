@@ -282,17 +282,17 @@ mod tests {
     #[test]
     fn turnstile_exact_admits_in_order() {
         let t = Arc::new(Turnstile::new());
-        let stats = Arc::new(Stats::new());
         let cfg = SpinConfig::default();
         let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
 
         std::thread::scope(|s| {
             // Three waiters with clocks 2, 1, 0 — they must complete 0,1,2.
+            // Each counts into a `Stats` of its own: a slot has one writer.
             for clock in [2u64, 1, 0] {
                 let t = Arc::clone(&t);
-                let stats = Arc::clone(&stats);
                 let order = Arc::clone(&order);
                 s.spawn(move || {
+                    let stats = Stats::new();
                     t.wait_exact(clock, clock as u32, SiteId(1), &cfg, &stats)
                         .unwrap();
                     order.lock().push(clock);
@@ -307,7 +307,6 @@ mod tests {
     #[test]
     fn turnstile_at_least_admits_epoch_group_concurrently() {
         let t = Arc::new(Turnstile::new());
-        let stats = Arc::new(Stats::new());
         let cfg = SpinConfig::default();
         // Epochs 0,0,0 then 3: first three admitted immediately in any order.
         let concurrent = Arc::new(AtomicU64::new(0));
@@ -315,10 +314,10 @@ mod tests {
         std::thread::scope(|s| {
             for tid in 0..3u32 {
                 let t = Arc::clone(&t);
-                let stats = Arc::clone(&stats);
                 let concurrent = Arc::clone(&concurrent);
                 let peak = Arc::clone(&peak);
                 s.spawn(move || {
+                    let stats = Stats::new();
                     t.wait_at_least(0, tid, SiteId(1), &cfg, &stats).unwrap();
                     let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
@@ -335,21 +334,20 @@ mod tests {
             peak.load(Ordering::SeqCst)
         );
         // The epoch-3 access is admitted only after all three completed.
-        t.wait_at_least(3, 9, SiteId(1), &cfg, &stats).unwrap();
+        t.wait_at_least(3, 9, SiteId(1), &cfg, &Stats::new())
+            .unwrap();
     }
 
     #[test]
     fn abort_releases_waiters() {
         let t = Arc::new(Turnstile::new());
-        let stats = Arc::new(Stats::new());
         let cfg = SpinConfig {
             spin_hints: 4,
             timeout: None,
         };
         std::thread::scope(|s| {
             let t2 = Arc::clone(&t);
-            let stats2 = Arc::clone(&stats);
-            let waiter = s.spawn(move || t2.wait_exact(100, 0, SiteId(1), &cfg, &stats2));
+            let waiter = s.spawn(move || t2.wait_exact(100, 0, SiteId(1), &cfg, &Stats::new()));
             std::thread::sleep(std::time::Duration::from_millis(10));
             t.abort();
             match waiter.join().unwrap() {

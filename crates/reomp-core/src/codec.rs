@@ -887,7 +887,7 @@ pub fn decode_plan(mut buf: &[u8]) -> Result<DomainPlan, TraceError> {
     }
     // Every entry costs at least 9 bytes; bound before building the map.
     let count = get_count(&mut buf, 9, "plan entry")?;
-    let mut plan = DomainPlan::new(domains);
+    let mut assignments = Vec::with_capacity(count);
     for _ in 0..count {
         if buf.remaining() < 8 {
             return Err(TraceError::Corrupt("plan entry truncated".into()));
@@ -900,12 +900,14 @@ pub fn decode_plan(mut buf: &[u8]) -> Result<DomainPlan, TraceError> {
             .ok_or_else(|| {
                 TraceError::Corrupt(format!("plan assigns a site to domain {dom} of {domains}"))
             })?;
-        plan.set(SiteId(site), dom);
+        assignments.push((SiteId(site), dom));
     }
     if buf.has_remaining() {
         return Err(TraceError::Corrupt("plan has trailing bytes".into()));
     }
-    Ok(plan)
+    // One sort for the whole section; a site listed twice keeps its last
+    // assignment.
+    Ok(DomainPlan::with_assignments(domains, assignments))
 }
 
 /// Serialize the cross-domain happens-before edges:
@@ -1508,6 +1510,44 @@ mod tests {
             1, // domain varint
         ];
         assert_eq!(&bytes[..], expected);
+    }
+
+    #[test]
+    fn plan_decode_keeps_the_last_of_unsorted_duplicates() {
+        // A hand-built section, sites out of order and two listed twice.
+        let listed: [(u64, u32); 6] = [(9, 2), (1, 0), (9, 1), (5, 3), (1, 3), (0xdead, 2)];
+        let mut buf = BytesMut::new();
+        buf.put_slice(b"RTPL");
+        buf.put_u8(1);
+        buf.put_u8(FLAG_PLAN);
+        buf.put_u32_le(4);
+        put_uvarint(&mut buf, listed.len() as u64);
+        for (site, dom) in listed {
+            buf.put_u64_le(site);
+            put_uvarint(&mut buf, u64::from(dom));
+        }
+        let plan = decode_plan(&buf.freeze()).unwrap();
+        assert_eq!(
+            plan.sorted_assignments(),
+            vec![(1, 3), (5, 3), (9, 1), (0xdead, 2)]
+        );
+        // Reference semantics: one map insert per entry, in section order,
+        // so the last insert of a site wins.
+        let mut reference = std::collections::HashMap::new();
+        for (site, dom) in listed {
+            reference.insert(site, dom);
+        }
+        for raw in (0..64).chain([0xdead, u64::MAX]) {
+            let expect = reference
+                .get(&raw)
+                .copied()
+                .unwrap_or_else(|| DomainPlan::hashed_fallback(4, SiteId(raw)));
+            assert_eq!(plan.domain_of(SiteId(raw)), expect, "site {raw}");
+        }
+        // Re-encoding is canonical and stable from then on.
+        let canonical = encode_plan(&plan);
+        assert_eq!(decode_plan(&canonical).unwrap(), plan);
+        assert_eq!(encode_plan(&decode_plan(&canonical).unwrap()), canonical);
     }
 
     #[test]

@@ -478,7 +478,7 @@ mod tests {
         // must equal clock - lookup_xc for loads (the backward-looking X_C
         // is exact for loads).
         let mut t = EpochTracker::new(EpochPolicy::Contiguous, 128);
-        let mut audit = HistoryRing::new(128);
+        let audit = HistoryRing::new(128);
         let pattern = [Load, Load, Store, Store, Store, Load, Store, Load, Load];
         let mut clock = 0u64;
         for _ in 0..6 {

@@ -144,10 +144,11 @@ pub(crate) fn record_out(
     let stamp_clocked = |clock: u64| -> Option<(u64, Vec<u64>)> {
         let counts = wants_edge.then(|| edge_counts(session)).flatten();
         // ORDERING: the lane's `seq` is only ever advanced by its owning
-        // thread (it is that thread's record count); cross-thread readers
-        // observe it through the `published` Release store below, so the
-        // RMW itself needs no ordering.
-        let seq = lane.seq.fetch_add(1, Ordering::Relaxed);
+        // thread (it is that thread's record count), so a load and a store
+        // advance it without a locked instruction; cross-thread readers
+        // observe it through the `published` Release store below.
+        let seq = lane.seq.load(Ordering::Relaxed);
+        lane.seq.store(seq + 1, Ordering::Relaxed);
         drec.published.store(clock + 1, Ordering::Release);
         counts.map(|c| (seq, c))
     };
@@ -165,7 +166,12 @@ pub(crate) fn record_out(
             if multi {
                 // Snapshot (for the edge) strictly before self-publish.
                 let counts = wants_edge.then(|| edge_counts(session)).flatten();
-                let count = drec.published.fetch_add(1, Ordering::AcqRel) + 1;
+                // ORDERING: only `L`'s holder writes `published`, and `L`'s
+                // acquire ordered the previous holder's store before this
+                // load; the Release store publishes to other domains'
+                // edge snapshots, which read it with Acquire.
+                let count = drec.published.load(Ordering::Relaxed) + 1;
+                drec.published.store(count, Ordering::Release);
                 if let Some(counts) = counts {
                     // ST anchors at the access's shared-stream index.
                     edge = Some((count - 1, counts));

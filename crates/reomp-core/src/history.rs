@@ -11,7 +11,25 @@
 //! merges the domain's rings into its last N, newest first; and the tests,
 //! which cross-check the run-based epochs against the paper-faithful
 //! backward-looking [`HistoryRing::lookup_xc`].
+//!
+//! # One writer, readers that do not stop it
+//!
+//! A replay gate pushes into its own ring on every admission, so the push
+//! takes no lock and no locked instruction: the owner stores the entry's
+//! three words into the next slot and then publishes a push count with a
+//! Release store. A reader on another thread — the diverging thread that
+//! builds the report — reads the count (Acquire), copies the last `N`
+//! entries, reads the count again, and drops every copy the owner may
+//! have overwritten meanwhile. The ring keeps one slot more than it
+//! shows, so push `p` rewrites the slot of push `p - N - 1`: with `c`
+//! pushes counted at the second read — and push `c` perhaps in flight —
+//! the entries from push `c - N` on are intact, which on a quiet ring is
+//! all `N` of them. The word stores are Release and the reader's word
+//! loads Acquire (plain moves on x86), so a copy that saw any word of
+//! push `p` is followed by a count read of at least `p`. Every entry
+//! [`HistoryRing::snapshot`] returns was really pushed, newest first.
 
+use crate::shim::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::site::{AccessKind, SiteId};
 
 /// One entry of the access history.
@@ -27,81 +45,114 @@ pub struct AccessRecord {
     pub thread: u32,
 }
 
-/// Fixed-capacity ring buffer of the most recent accesses.
-#[derive(Debug, Clone)]
+/// One ring slot: `clock`, `site`, and `thread << 8 | kind`.
+type Slot = [AtomicU64; 3];
+
+/// Fixed-capacity ring of the most recent accesses, written by one thread
+/// at a time and readable from any (see the module docs).
+#[derive(Debug)]
 pub struct HistoryRing {
-    buf: Vec<AccessRecord>,
-    head: usize,
-    len: usize,
+    /// `capacity + 1` slots (none when the capacity is 0): the spare one
+    /// is the slot a push in flight may be rewriting.
+    slots: Box<[Slot]>,
+    /// The slot the next push writes. Owner-only.
+    head: AtomicUsize,
+    /// Records pushed so far, published after each push's words.
+    pushed: AtomicU64,
 }
 
 impl HistoryRing {
     /// Ring holding up to `capacity` records (capacity 0 disables history).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        let slots = if capacity == 0 { 0 } else { capacity + 1 };
         HistoryRing {
-            buf: Vec::with_capacity(capacity),
-            head: 0,
-            len: 0,
+            slots: (0..slots).map(|_| Slot::default()).collect(),
+            head: AtomicUsize::new(0),
+            pushed: AtomicU64::new(0),
         }
     }
 
     /// Maximum number of records retained.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.buf.capacity()
+        self.slots.len().saturating_sub(1)
     }
 
     /// Current number of records retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.pushed
+            .load(Ordering::Acquire)
+            .min(self.capacity() as u64) as usize
     }
 
     /// Whether no records are retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Append a record, discarding the oldest if full.
-    pub fn push(&mut self, rec: AccessRecord) {
-        if self.buf.capacity() == 0 {
+    /// Append a record, discarding the oldest if full. Only one thread at
+    /// a time may push (a replay lane's owner); no locked instruction.
+    #[inline]
+    pub fn push(&self, rec: AccessRecord) {
+        let slots = self.slots.len();
+        if slots == 0 {
             return;
         }
-        if self.buf.len() < self.buf.capacity() {
-            self.buf.push(rec);
-            self.len = self.buf.len();
-        } else {
-            self.buf[self.head] = rec;
-            // A compare, not `% len`: this runs in every replay gate.
-            self.head += 1;
-            if self.head == self.buf.len() {
-                self.head = 0;
-            }
-        }
+        // ORDERING: `head` and `pushed` are written by the pushing thread
+        // alone, so its own Relaxed loads see its own last stores.
+        let head = self.head.load(Ordering::Relaxed);
+        let pushed = self.pushed.load(Ordering::Relaxed);
+        // Release on the words: a reader whose Acquire load sees one of
+        // them also sees the `pushed` store that preceded this push.
+        let slot = &self.slots[head];
+        slot[0].store(rec.clock, Ordering::Release);
+        slot[1].store(rec.site.raw(), Ordering::Release);
+        slot[2].store(
+            u64::from(rec.thread) << 8 | u64::from(rec.kind.code()),
+            Ordering::Release,
+        );
+        // A compare, not `% slots`: this runs in every replay gate.
+        let next = if head + 1 == slots { 0 } else { head + 1 };
+        // ORDERING: owner-only index, read back only by the owner.
+        self.head.store(next, Ordering::Relaxed);
+        self.pushed.store(pushed + 1, Ordering::Release);
     }
 
-    /// The `i`-th most recent record (0 = newest). `None` if evicted or
-    /// never recorded.
+    /// The retained records, newest first — callable from any thread while
+    /// the owner keeps pushing. Entries the owner overwrote during the copy
+    /// are dropped from the old end, so the result may be shorter than
+    /// [`HistoryRing::len`], but every entry in it was really pushed.
     #[must_use]
-    pub fn recent(&self, i: usize) -> Option<&AccessRecord> {
-        if i >= self.len {
-            return None;
-        }
-        if self.buf.len() < self.buf.capacity() {
-            // Not yet wrapped: newest is at the end.
-            self.buf.get(self.len - 1 - i)
-        } else {
-            let newest = (self.head + self.buf.len() - 1) % self.buf.len();
-            let idx = (newest + self.buf.len() - i) % self.buf.len();
-            self.buf.get(idx)
-        }
-    }
-
-    /// Iterate newest-first.
-    pub fn iter_recent(&self) -> impl Iterator<Item = &AccessRecord> {
-        (0..self.len).filter_map(move |i| self.recent(i))
+    pub fn snapshot(&self) -> Vec<AccessRecord> {
+        let slots = self.slots.len() as u64;
+        let end = self.pushed.load(Ordering::Acquire);
+        let n = end.min(self.capacity() as u64);
+        let words: Vec<[u64; 3]> = (end - n..end)
+            .rev()
+            .map(|k| {
+                self.slots[(k % slots) as usize]
+                    .each_ref()
+                    .map(|w| w.load(Ordering::Acquire))
+            })
+            .collect();
+        // Push `p` rewrites push `p - slots`'s slot; with `again` pushes
+        // counted now and push `again` perhaps in flight, the entries from
+        // push `again + 1 - slots` on are intact.
+        let again = self.pushed.load(Ordering::Acquire);
+        let first_intact = (again + 1).saturating_sub(slots);
+        let keep = end.saturating_sub(first_intact).min(n) as usize;
+        words[..keep]
+            .iter()
+            .map(|&[clock, site, tk]| AccessRecord {
+                clock,
+                site: SiteId(site),
+                kind: AccessKind::from_code(tk as u8).expect("a pushed kind code"),
+                thread: (tk >> 8) as u32,
+            })
+            .collect()
     }
 
     /// Paper-faithful `X_C` computation by history lookup (§IV-D): the
@@ -124,21 +175,17 @@ impl HistoryRing {
         if !kind.is_epoch_eligible() {
             return Some(0);
         }
-        let mut xc = 0u64;
-        for i in 0..self.len {
-            let rec = self.recent(i).expect("index < len");
-            if rec.site == site && rec.kind == kind {
-                xc += 1;
-            } else {
-                return Some(xc);
-            }
-        }
-        if (self.len as u64) == xc && self.len == self.capacity() && self.capacity() > 0 {
+        let recent = self.snapshot();
+        let xc = recent
+            .iter()
+            .take_while(|rec| rec.site == site && rec.kind == kind)
+            .count();
+        if xc == recent.len() && xc == self.capacity() && xc > 0 {
             // Every retained record matched: the run may continue past the
             // evicted horizon.
             None
         } else {
-            Some(xc)
+            Some(xc as u64)
         }
     }
 }
@@ -158,30 +205,29 @@ mod tests {
 
     #[test]
     fn push_and_recent_before_wrap() {
-        let mut r = HistoryRing::new(4);
+        let r = HistoryRing::new(4);
         assert!(r.is_empty());
         r.push(rec(0, 1, AccessKind::Load));
         r.push(rec(1, 1, AccessKind::Load));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.recent(0).unwrap().clock, 1);
-        assert_eq!(r.recent(1).unwrap().clock, 0);
-        assert!(r.recent(2).is_none());
+        let clocks: Vec<u64> = r.snapshot().iter().map(|a| a.clock).collect();
+        assert_eq!(clocks, vec![1, 0]);
     }
 
     #[test]
     fn wraps_and_discards_oldest() {
-        let mut r = HistoryRing::new(3);
+        let r = HistoryRing::new(3);
         for c in 0..7 {
             r.push(rec(c, 1, AccessKind::Load));
         }
         assert_eq!(r.len(), 3);
-        let recents: Vec<u64> = r.iter_recent().map(|a| a.clock).collect();
+        let recents: Vec<u64> = r.snapshot().iter().map(|a| a.clock).collect();
         assert_eq!(recents, vec![6, 5, 4]);
     }
 
     #[test]
     fn zero_capacity_is_inert() {
-        let mut r = HistoryRing::new(0);
+        let r = HistoryRing::new(0);
         r.push(rec(0, 1, AccessKind::Load));
         assert!(r.is_empty());
         assert_eq!(r.lookup_xc(SiteId(1), AccessKind::Load), Some(0));
@@ -196,7 +242,7 @@ mod tests {
         // Note: the *recorded* X_C for x5 in Table V is 0, because the
         // grouping is invalidated by x6 being a load — that forward-looking
         // adjustment is the epoch tracker's deferral job, not the ring's.
-        let mut r = HistoryRing::new(16);
+        let r = HistoryRing::new(16);
         let site = SiteId(0xa);
         let seq = [
             (AccessKind::Load, 0u64),
@@ -216,7 +262,7 @@ mod tests {
 
     #[test]
     fn xc_breaks_on_other_site() {
-        let mut r = HistoryRing::new(8);
+        let r = HistoryRing::new(8);
         r.push(rec(0, 1, AccessKind::Load));
         r.push(rec(1, 2, AccessKind::Load)); // different site
         assert_eq!(r.lookup_xc(SiteId(1), AccessKind::Load), Some(0));
@@ -225,7 +271,7 @@ mod tests {
 
     #[test]
     fn xc_breaks_on_kind_change() {
-        let mut r = HistoryRing::new(8);
+        let r = HistoryRing::new(8);
         r.push(rec(0, 1, AccessKind::Store));
         r.push(rec(1, 1, AccessKind::Store));
         assert_eq!(r.lookup_xc(SiteId(1), AccessKind::Load), Some(0));
@@ -234,7 +280,7 @@ mod tests {
 
     #[test]
     fn xc_reports_truncation_when_ring_too_short() {
-        let mut r = HistoryRing::new(2);
+        let r = HistoryRing::new(2);
         for c in 0..5 {
             r.push(rec(c, 1, AccessKind::Load));
         }
@@ -245,7 +291,7 @@ mod tests {
 
     #[test]
     fn ineligible_kinds_always_zero() {
-        let mut r = HistoryRing::new(4);
+        let r = HistoryRing::new(4);
         r.push(rec(0, 1, AccessKind::Critical));
         r.push(rec(1, 1, AccessKind::Critical));
         assert_eq!(r.lookup_xc(SiteId(1), AccessKind::Critical), Some(0));

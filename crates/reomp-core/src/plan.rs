@@ -23,9 +23,13 @@
 //! identical partition from the bundle. Plan-less multi-domain recordings
 //! keep the legacy raw-modulo partition so PR 3 trace directories replay
 //! unchanged.
+//!
+//! A planned session resolves the domain on every gated access, so the
+//! lookup is a binary search over the assignments sorted by site — no
+//! hash of the site on the per-access path. Building a plan sorts once
+//! (O(n log n)); when a site is assigned twice, the last assignment wins.
 
 use crate::site::{splitmix64, SiteId};
-use std::collections::HashMap;
 
 /// An explicit `SiteId → domain` assignment plus a mixed-hash fallback for
 /// unassigned sites.
@@ -36,7 +40,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainPlan {
     domains: u32,
-    assign: HashMap<u64, u32>,
+    /// `(raw site, domain)`, sorted by site, one entry per site.
+    assign: Box<[(u64, u32)]>,
 }
 
 impl Default for DomainPlan {
@@ -55,11 +60,12 @@ impl DomainPlan {
     pub fn new(domains: u32) -> DomainPlan {
         DomainPlan {
             domains: domains.max(1),
-            assign: HashMap::new(),
+            assign: Box::default(),
         }
     }
 
-    /// A plan with explicit assignments.
+    /// A plan with explicit assignments; when a site is assigned more than
+    /// once, the last assignment wins.
     ///
     /// # Panics
     /// Panics when an assignment names a domain `>= domains` (a plan that
@@ -70,23 +76,58 @@ impl DomainPlan {
         assignments: impl IntoIterator<Item = (SiteId, u32)>,
     ) -> DomainPlan {
         let mut plan = DomainPlan::new(domains);
-        for (site, dom) in assignments {
-            plan.set(site, dom);
-        }
+        let mut assign: Vec<(u64, u32)> = assignments
+            .into_iter()
+            .map(|(site, dom)| {
+                plan.check(site, dom);
+                (site.raw(), dom)
+            })
+            .collect();
+        // Stable, so equal sites keep their order and the last one of
+        // each run is the last assignment.
+        assign.sort_by_key(|&(site, _)| site);
+        assign.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 = later.1;
+            }
+            same
+        });
+        plan.assign = assign.into_boxed_slice();
         plan
     }
 
-    /// Pin `site` to `dom`.
+    /// Pin `site` to `dom`. O(n) per call: build a large plan with
+    /// [`DomainPlan::with_assignments`].
     ///
     /// # Panics
     /// Panics when `dom >= domains`.
     pub fn set(&mut self, site: SiteId, dom: u32) {
+        self.check(site, dom);
+        match self.position(site) {
+            Ok(i) => self.assign[i].1 = dom,
+            Err(i) => {
+                let mut assign = std::mem::take(&mut self.assign).into_vec();
+                assign.insert(i, (site.raw(), dom));
+                self.assign = assign.into_boxed_slice();
+            }
+        }
+    }
+
+    /// Panic unless `dom` is one of the plan's domains.
+    fn check(&self, site: SiteId, dom: u32) {
         assert!(
             dom < self.domains,
             "plan assigns {site} to domain {dom} but only {} domains exist",
             self.domains
         );
-        self.assign.insert(site.raw(), dom);
+    }
+
+    /// Where `site` is (`Ok`) or would be (`Err`) in the sorted
+    /// assignments.
+    #[inline]
+    fn position(&self, site: SiteId) -> Result<usize, usize> {
+        self.assign.binary_search_by_key(&site.raw(), |&(s, _)| s)
     }
 
     /// Number of gate domains the plan partitions sites across.
@@ -115,9 +156,9 @@ impl DomainPlan {
         if self.domains <= 1 {
             return 0;
         }
-        match self.assign.get(&site.raw()) {
-            Some(&dom) => dom,
-            None => Self::hashed_fallback(self.domains, site),
+        match self.position(site) {
+            Ok(i) => self.assign[i].1,
+            Err(_) => Self::hashed_fallback(self.domains, site),
         }
     }
 
@@ -152,14 +193,12 @@ impl DomainPlan {
     /// iteration order the codec serializes.
     #[must_use]
     pub fn sorted_assignments(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self.assign.iter().map(|(&s, &d)| (s, d)).collect();
-        v.sort_unstable();
-        v
+        self.assign.to_vec()
     }
 
-    /// Iterate the explicit assignments in unspecified order.
+    /// Iterate the explicit assignments, sorted by raw site id.
     pub fn iter(&self) -> impl Iterator<Item = (SiteId, u32)> + '_ {
-        self.assign.iter().map(|(&s, &d)| (SiteId(s), d))
+        self.assign.iter().map(|&(s, d)| (SiteId(s), d))
     }
 }
 
@@ -237,6 +276,20 @@ mod tests {
         assert_eq!(plan.domain_of(SiteId(u64::MAX)), 0);
         // Default must uphold the same domains >= 1 invariant.
         assert_eq!(DomainPlan::default(), DomainPlan::new(1));
+    }
+
+    #[test]
+    fn last_assignment_wins() {
+        let (a, b) = (SiteId(7), SiteId(3));
+        let plan = DomainPlan::with_assignments(4, [(a, 1), (b, 2), (a, 3), (b, 0), (a, 2)]);
+        assert_eq!(plan.sorted_assignments(), vec![(3, 0), (7, 2)]);
+        let mut set = DomainPlan::new(4);
+        for (site, dom) in [(a, 1), (b, 2), (a, 3), (b, 0), (a, 2)] {
+            set.set(site, dom);
+        }
+        assert_eq!(set, plan, "set and with_assignments agree");
+        assert_eq!(plan.domain_of(a), 2);
+        assert_eq!(plan.domain_of(b), 0);
     }
 
     #[test]

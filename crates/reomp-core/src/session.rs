@@ -94,6 +94,7 @@ use crate::trace::{CrossDomainEdge, DumpTrigger, TraceBundle};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -181,8 +182,8 @@ pub struct SessionConfig {
     /// attached to a divergence report (see [`crate::history`]). Each
     /// (domain, thread) keeps a ring of this capacity, written only by
     /// that thread; the domain's rings are merged when a divergence is
-    /// reported. Memory: D × T × `ring_capacity` × 24 B. `0` disables the
-    /// history; record runs ignore it.
+    /// reported. Memory: D × T × (`ring_capacity` + 1) × 24 B. `0`
+    /// disables the history; record runs ignore it.
     pub ring_capacity: usize,
     /// Replay spin-wait/watchdog policy.
     pub spin: SpinConfig,
@@ -340,8 +341,9 @@ pub(crate) struct RecordLane {
     /// Drained by whoever is about to move entries out of `buf`.
     pub fixups: Mutex<Vec<(u64, u64)>>,
     /// The thread's access count in this domain — the `seq` a
-    /// cross-domain edge anchors at. Bumped under the gate exclusion;
-    /// only maintained for multi-domain sessions.
+    /// cross-domain edge anchors at. Advanced by the owner alone, with a
+    /// load and a store, under the gate exclusion; only maintained for
+    /// multi-domain sessions.
     pub seq: AtomicU64,
 }
 
@@ -508,11 +510,11 @@ pub(crate) const TID_EXHAUSTED: u32 = u32::MAX - 1;
 pub(crate) struct ReplayLane {
     /// Read position into the thread's own trace for this domain (DC/DE).
     pub cursor: AtomicUsize,
-    /// The last accesses this thread had admitted in this domain, newest
-    /// first. A mutex (uncontended on the hot path) because a diverging
-    /// thread merges every lane of its domain into the report (see
-    /// [`Session::replay_history`]).
-    pub history: Mutex<HistoryRing>,
+    /// The last accesses this thread had admitted in this domain. Only
+    /// the owner pushes; a diverging thread copies every lane's ring of
+    /// its domain into the report without stopping the owners (see
+    /// [`HistoryRing::snapshot`] and [`Session::replay_history`]).
+    pub history: HistoryRing,
 }
 
 /// ST replay's turn words (Fig. 4 l.10–17), together on one line: the
@@ -564,14 +566,19 @@ struct FlightCtl {
     dumps: Mutex<Vec<(DumpTrigger, IoReport)>>,
 }
 
-/// One thread's session-side state: its counter slot and its pending
-/// barrier snapshot. Kept in a [`CachePadded`] so everything a gate of
-/// thread `tid` writes outside the gate domain is on lines only `tid`
-/// writes.
+/// One thread's session-side state: its counter slot, its registration
+/// flag and its pending barrier snapshot. Kept in a [`CachePadded`] so
+/// everything a gate of thread `tid` writes outside the gate domain is on
+/// lines only `tid` writes.
 #[derive(Default)]
 pub(crate) struct ThreadSlot {
     /// The thread's counters (see [`crate::stats`] for the slot model).
     pub stats: Stats,
+    /// Whether a [`ThreadCtx`] for this `tid` is live: swapped in by
+    /// [`Session::register_thread`], cleared when the context drops. It
+    /// keeps the slot's writer unique, and its Release/Acquire pair hands
+    /// the counters from one registration to the next.
+    live: AtomicBool,
     /// Whether `sync_snapshot` holds an unconsumed snapshot. Set and
     /// cleared only by the owning thread (from [`ThreadCtx::sync_point`]
     /// and from its next gated access), so the record gates peek at it
@@ -602,6 +609,10 @@ pub struct Session {
     /// Invoked (once) on the first replay failure — the divergence trigger
     /// a linked flight recorder's dump hangs off.
     failure_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// Taken by the session slot's writers — `finish`'s residue flush and
+    /// [`Session::dump`], which may run concurrently — so that slot, too,
+    /// has one writer at a time. Cold: never touched by a gate.
+    session_writer: Mutex<()>,
     active: AtomicU32,
     finished: AtomicBool,
     failure: Mutex<Option<String>>,
@@ -979,7 +990,7 @@ impl Session {
                         .map(|_| {
                             CachePadded(ReplayLane {
                                 cursor: AtomicUsize::new(0),
-                                history: Mutex::new(HistoryRing::new(ring_capacity)),
+                                history: HistoryRing::new(ring_capacity),
                             })
                         })
                         .collect(),
@@ -1005,6 +1016,7 @@ impl Session {
             rep,
             flight: None,
             failure_hook: Mutex::new(None),
+            session_writer: Mutex::new(()),
             active: AtomicU32::new(0),
             finished: AtomicBool::new(false),
             failure: Mutex::new(None),
@@ -1078,7 +1090,8 @@ impl Session {
     }
 
     /// The session's own counter slot, for work no thread context owns
-    /// (`finish`, the sink commit, flight dumps).
+    /// (`finish`, the sink commit, flight dumps). Its writers hold
+    /// `session_writer`.
     fn session_stats(&self) -> &Stats {
         &self.slots[self.nthreads as usize].stats
     }
@@ -1087,8 +1100,13 @@ impl Session {
     ///
     /// The returned context is the handle through which the thread passes
     /// gates. A `tid` may be re-registered in a later parallel region after
-    /// the previous context was dropped; cursors and clocks persist across
-    /// regions.
+    /// the previous context was dropped, on any OS thread; cursors, clocks
+    /// and counters persist across regions.
+    ///
+    /// # Panics
+    /// Panics when `tid >= nthreads`, when the session has finished, and
+    /// when `tid` still has a live context: each thread's lanes and
+    /// counters have one writer at a time (see [`crate::stats`]).
     #[must_use]
     pub fn register_thread(self: &Arc<Self>, tid: u32) -> ThreadCtx {
         assert!(
@@ -1100,10 +1118,17 @@ impl Session {
             !self.finished.load(Ordering::SeqCst),
             "session already finished"
         );
+        // Acquire: the previous context's last counter stores (its drop
+        // cleared the flag with Release) come before this one's first.
+        assert!(
+            !self.slots[tid as usize].live.swap(true, Ordering::AcqRel),
+            "tid {tid} already has a live ThreadCtx"
+        );
         self.active.fetch_add(1, Ordering::SeqCst);
         ThreadCtx {
             session: Arc::clone(self),
             tid,
+            _one_writer: PhantomData,
         }
     }
 
@@ -1264,7 +1289,6 @@ impl Session {
         if let Some(rep) = &self.rep {
             rep.domains[dom as usize].lanes[rec.thread as usize]
                 .history
-                .lock()
                 .push(rec);
         }
     }
@@ -1282,7 +1306,7 @@ impl Session {
         };
         let mut merged = Vec::new();
         for lane in rep.domains[dom as usize].lanes.iter() {
-            merged.extend(lane.history.lock().iter_recent().copied());
+            merged.extend(lane.history.snapshot());
         }
         // Stable: a thread's own equal-epoch DE entries stay newest first.
         merged.sort_by(|a, b| b.clock.cmp(&a.clock).then(a.thread.cmp(&b.thread)));
@@ -1394,6 +1418,7 @@ impl Session {
                 });
                 if let Some((tids, sites, kinds)) = stolen {
                     if !tids.is_empty() {
+                        let _turn = self.session_writer.lock();
                         self.append_st_chunk(dom, &tids, &sites, &kinds, self.session_stats())?;
                     }
                 }
@@ -1405,6 +1430,7 @@ impl Session {
                 let mut buf = lane.buf.lock();
                 lane.apply_fixups(&mut buf);
                 if !buf.is_empty() {
+                    let _turn = self.session_writer.lock();
                     self.append_thread_chunk(dom, tid as u32, &buf, self.session_stats())?;
                     buf.clear();
                 }
@@ -1586,10 +1612,15 @@ pub fn install_panic_dump(session: &Arc<Session>) {
 }
 
 /// Per-thread gate handle (the instrumented thread's view of `libreomp`).
+///
+/// `Send` but not `Sync`: it may move to another thread, but two threads
+/// cannot gate through one context at once — its thread's lanes and
+/// counters have one writer at a time.
 #[derive(Debug)]
 pub struct ThreadCtx {
     session: Arc<Session>,
     tid: u32,
+    _one_writer: PhantomData<Cell<()>>,
 }
 
 impl ThreadCtx {
@@ -1704,6 +1735,10 @@ impl ThreadCtx {
 
 impl Drop for ThreadCtx {
     fn drop(&mut self) {
+        // Release: hands this context's counters to the next registration.
+        self.session.slots[self.tid as usize]
+            .live
+            .store(false, Ordering::Release);
         self.session.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -2044,6 +2079,45 @@ mod tests {
             assert!(apart(&d.lanes[0].history, &d.lanes[1].history));
         }
         assert!(apart(&rep.domains[0].lanes[0], &rep.domains[1].lanes[1]));
+    }
+
+    #[test]
+    fn a_tid_has_one_live_context_at_a_time() {
+        const PER_HOP: u64 = 5_000;
+        const HOPS: u64 = 6;
+        let s = Session::record(Scheme::Dc, 2);
+        let ctx = s.register_thread(0);
+        let second =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.register_thread(0)));
+        assert!(
+            second.is_err(),
+            "a second live context for tid 0 is refused"
+        );
+        drop(s.register_thread(1));
+        for _ in 0..PER_HOP {
+            ctx.gate(SiteId(0), AccessKind::Load, || ());
+        }
+        drop(ctx);
+        // The tid hops across OS threads, one registration at a time: the
+        // counts each context leaves behind are where the next one finds
+        // them.
+        for _ in 1..HOPS {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let ctx = s.register_thread(0);
+                for _ in 0..PER_HOP {
+                    ctx.gate(SiteId(0), AccessKind::Store, || ());
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let report = s.finish().unwrap();
+        let t0 = &report.thread_stats[0];
+        assert_eq!(t0.gates, HOPS * PER_HOP);
+        assert_eq!(t0.records_written, HOPS * PER_HOP);
+        assert_eq!(t0.gates_of(AccessKind::Load), PER_HOP);
+        assert_eq!(report.stats.gates, HOPS * PER_HOP);
     }
 
     #[test]

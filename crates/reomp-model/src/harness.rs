@@ -12,6 +12,7 @@
 //! stale `Relaxed` reads from shuttle's per-location store buffers.
 
 use reomp_core::clock::{TicketGate, Turnstile};
+use reomp_core::history::{AccessRecord, HistoryRing};
 use reomp_core::stats::Stats;
 use reomp_core::sync::{BatonLock, SpinConfig};
 use reomp_core::{
@@ -44,21 +45,27 @@ impl BatonApi for BatonLock {
 
 /// Turnstile-like admission surface for the real [`Turnstile`] and its
 /// mutants. Waits are infallible here: harness configs keep the watchdog
-/// generous enough that a timeout would itself be a bug.
+/// generous enough that a timeout would itself be a bug. `tid` (below
+/// [`TURNSTILE_THREADS`]) names the calling harness thread.
 pub trait TurnstileApi: Send + Sync + 'static {
     /// Block until exactly `clock` accesses completed (DC admission).
-    fn wait_exact(&self, clock: u64);
+    fn wait_exact(&self, tid: usize, clock: u64);
     /// Block until at least `epoch` accesses completed (DE admission).
-    fn wait_at_least(&self, epoch: u64);
+    fn wait_at_least(&self, tid: usize, epoch: u64);
     /// Complete one access.
-    fn advance(&self);
+    fn advance(&self, tid: usize);
 }
 
-/// The real turnstile plus the spin policy and stats its waits need.
+/// How many threads the turnstile harnesses run.
+pub const TURNSTILE_THREADS: usize = 3;
+
+/// The real turnstile plus the spin policy and the stats its waits need —
+/// one [`Stats`] per harness thread, as a session keeps one slot per
+/// thread: a slot has one writer at a time.
 pub struct RealTurnstile {
     turnstile: Turnstile,
     spin: SpinConfig,
-    stats: Stats,
+    stats: [Stats; TURNSTILE_THREADS],
 }
 
 impl RealTurnstile {
@@ -73,7 +80,7 @@ impl RealTurnstile {
                 spin_hints: 1,
                 timeout: Some(Duration::from_millis(200)),
             },
-            stats: Stats::new(),
+            stats: Default::default(),
         }
     }
 }
@@ -85,19 +92,105 @@ impl Default for RealTurnstile {
 }
 
 impl TurnstileApi for RealTurnstile {
-    fn wait_exact(&self, clock: u64) {
+    fn wait_exact(&self, tid: usize, clock: u64) {
         self.turnstile
-            .wait_exact(clock, 0, SiteId(1), &self.spin, &self.stats)
+            .wait_exact(clock, tid as u32, SiteId(1), &self.spin, &self.stats[tid])
             .expect("turnstile wait failed");
     }
-    fn wait_at_least(&self, epoch: u64) {
+    fn wait_at_least(&self, tid: usize, epoch: u64) {
         self.turnstile
-            .wait_at_least(epoch, 0, SiteId(1), &self.spin, &self.stats)
+            .wait_at_least(epoch, tid as u32, SiteId(1), &self.spin, &self.stats[tid])
             .expect("turnstile wait failed");
     }
-    fn advance(&self) {
-        self.turnstile.advance(&self.stats);
+    fn advance(&self, tid: usize) {
+        self.turnstile.advance(&self.stats[tid]);
     }
+}
+
+/// Owner-written history-ring surface for the real [`HistoryRing`] and
+/// its mutant: one thread pushes, any thread snapshots.
+pub trait RingApi: Send + Sync + 'static {
+    /// Append a record (owner only).
+    fn push(&self, rec: AccessRecord);
+    /// The retained records, newest first, from any thread.
+    fn snapshot(&self) -> Vec<AccessRecord>;
+}
+
+impl RingApi for HistoryRing {
+    fn push(&self, rec: AccessRecord) {
+        HistoryRing::push(self, rec);
+    }
+    fn snapshot(&self) -> Vec<AccessRecord> {
+        HistoryRing::snapshot(self)
+    }
+}
+
+/// The record a ring harness pushes `i`-th: every field derives from `i`,
+/// so a copy mixing two pushes' words is recognizable.
+fn ring_record(i: u64) -> AccessRecord {
+    AccessRecord {
+        clock: i,
+        site: SiteId(0x51_7e00 + i),
+        kind: if i.is_multiple_of(2) {
+            AccessKind::Load
+        } else {
+            AccessKind::Store
+        },
+        thread: i as u32 + 1,
+    }
+}
+
+/// Divergence-history snapshots against a pushing owner: the owner pushes
+/// four records through a ring of capacity two — three slots, so the
+/// fourth push rewrites the first — while
+/// another thread takes a snapshot, as a diverging replay thread does with
+/// its domain's lanes. Every returned entry must be one that was really
+/// pushed, newest first, with no gap. A reader that trusts the count it
+/// read before copying returns a slot the owner rewrote meanwhile — torn,
+/// or newer than its neighbours.
+pub fn history_ring_snapshot<R: RingApi>(
+    make: impl Fn(usize) -> R + Send + Sync + 'static,
+    cfg: &Config,
+) -> Report {
+    const CAPACITY: usize = 2;
+    const PUSHES: u64 = 4;
+    shuttle::check(cfg.clone(), move || {
+        let ring = Arc::new(make(CAPACITY));
+        let owner = {
+            let ring = Arc::clone(&ring);
+            shuttle::thread::spawn(move || {
+                for i in 0..PUSHES {
+                    ring.push(ring_record(i));
+                }
+            })
+        };
+        let reader = {
+            let ring = Arc::clone(&ring);
+            shuttle::thread::spawn(move || ring.snapshot())
+        };
+        owner.join().unwrap();
+        let got = reader.join().unwrap();
+        assert!(got.len() <= CAPACITY, "snapshot outgrew the ring: {got:?}");
+        for (i, rec) in got.iter().enumerate() {
+            assert!(
+                rec.clock < PUSHES && *rec == ring_record(rec.clock),
+                "snapshot returned an entry never pushed: {rec:?}"
+            );
+            assert_eq!(
+                rec.clock + i as u64,
+                got[0].clock,
+                "snapshot is not newest first without gaps: {got:?}"
+            );
+        }
+        assert_eq!(
+            ring.snapshot(),
+            (PUSHES - CAPACITY as u64..PUSHES)
+                .rev()
+                .map(ring_record)
+                .collect::<Vec<_>>(),
+            "a quiescent ring returns exactly its last pushes"
+        );
+    })
 }
 
 /// Ticket-gate admission surface for the real [`TicketGate`] and its
@@ -258,13 +351,14 @@ pub fn turnstile_admit_order<T: TurnstileApi>(
         let order = Arc::new(Mutex::new(Vec::new()));
         let handles: Vec<_> = [2u64, 1, 0]
             .into_iter()
-            .map(|clock| {
+            .enumerate()
+            .map(|(tid, clock)| {
                 let t = Arc::clone(&t);
                 let order = Arc::clone(&order);
                 shuttle::thread::spawn(move || {
-                    t.wait_exact(clock);
+                    t.wait_exact(tid, clock);
                     order.lock().push(clock);
-                    t.advance();
+                    t.advance(tid);
                 })
             })
             .collect();
@@ -290,13 +384,14 @@ pub fn turnstile_epoch_group<T: TurnstileApi>(
         let order = Arc::new(Mutex::new(Vec::new()));
         let handles: Vec<_> = [(0u64, 'a'), (0, 'b'), (2, 'c')]
             .into_iter()
-            .map(|(epoch, tag)| {
+            .enumerate()
+            .map(|(tid, (epoch, tag))| {
                 let t = Arc::clone(&t);
                 let order = Arc::clone(&order);
                 shuttle::thread::spawn(move || {
-                    t.wait_at_least(epoch);
+                    t.wait_at_least(tid, epoch);
                     order.lock().push(tag);
-                    t.advance();
+                    t.advance(tid);
                 })
             })
             .collect();
@@ -328,14 +423,14 @@ pub fn turnstile_handoff_visibility<T: TurnstileApi>(
             let data = Arc::clone(&data);
             shuttle::thread::spawn(move || {
                 data.store(42, Ordering::Relaxed);
-                t.advance();
+                t.advance(0);
             })
         };
         let reader = {
             let t = Arc::clone(&t);
             let data = Arc::clone(&data);
             shuttle::thread::spawn(move || {
-                t.wait_at_least(1);
+                t.wait_at_least(1, 1);
                 assert_eq!(
                     data.load(Ordering::Relaxed),
                     42,

@@ -7,7 +7,8 @@
 //! * **Mutation sweep** — every seeded defect in `reomp_model::mutants`
 //!   (flipped `Ordering`s — including the relaxed ticket `fetch_add` —
 //!   store-instead-of-swap release, edge snapshot after publish, chunked
-//!   dump, disabled watchdog)
+//!   dump, disabled watchdog, a history snapshot that skips its count
+//!   re-read)
 //!   must be *caught*: the checker must report a
 //!   violation against the corresponding harness. The sweep is the
 //!   harnesses' sensitivity proof — a harness that cannot see the seeded
@@ -30,6 +31,7 @@
 //! completeness.
 
 use reomp_core::clock::TicketGate;
+use reomp_core::history::HistoryRing;
 use reomp_core::sync::BatonLock;
 use reomp_model::harness as h;
 use reomp_model::harness::RealTurnstile;
@@ -222,6 +224,14 @@ fn clean_ticket_critical_edge_record_replay() {
 }
 
 #[test]
+fn clean_history_ring_snapshot() {
+    assert_clean(
+        "history_ring_snapshot",
+        &h::history_ring_snapshot(HistoryRing::new, &cfg()),
+    );
+}
+
+#[test]
 fn clean_spinwait_watchdog() {
     assert_clean(
         "spinwait_watchdog",
@@ -264,6 +274,14 @@ fn control_faithful_ticket() {
     assert_clean(
         "faithful ticket / handoff",
         &h::ticket_handoff(m::MutTicket::faithful, &cfg()),
+    );
+}
+
+#[test]
+fn control_faithful_ring() {
+    assert_clean(
+        "faithful ring / snapshot",
+        &h::history_ring_snapshot(m::MutRing::faithful, &cfg()),
     );
 }
 
@@ -340,6 +358,14 @@ fn mutant_edge_snapshot_after_publish_is_caught() {
 #[test]
 fn mutant_flight_chunked_dump_is_caught() {
     assert_caught("chunked flight dump", &m::flight_mini(true, &cfg()));
+}
+
+#[test]
+fn mutant_ring_without_reread_is_caught() {
+    assert_caught(
+        "history ring snapshot without the count re-read",
+        &h::history_ring_snapshot(m::MutRing::without_reread, &cfg()),
+    );
 }
 
 #[test]
