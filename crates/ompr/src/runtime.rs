@@ -221,9 +221,9 @@ mod tests {
         // The ompr constructs (racy cells, criticals, reductions) hash
         // their sites across gate domains transparently: a multi-domain
         // recording made through the runtime must replay bit-for-bit.
-        use reomp_core::SessionConfig;
+        use reomp_core::{DomainPlan, SessionConfig};
         let cfg = SessionConfig {
-            domains: 4,
+            plan: Some(DomainPlan::new(4)),
             ..SessionConfig::default()
         };
         let run = |session: Arc<Session>| {

@@ -61,7 +61,7 @@ impl EventSink for Detector {
 mod tests {
     use super::*;
     use ompr::{Critical, RacyCell, Runtime};
-    use reomp_core::Session;
+    use reomp_core::{Session, SiteId};
     use std::sync::Arc;
 
     fn detect(nthreads: u32, body: impl Fn(&ompr::Worker) + Sync) -> RaceReport {
@@ -177,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_feeds_gate_plan() {
+    fn report_feeds_the_instrumentation_plan() {
         let cell = RacyCell::new("det:plan", 0u64);
         let cs = Critical::new("det:plan-cs");
         let report = detect(2, |w| {
@@ -185,7 +185,10 @@ mod tests {
             w.critical(&cs, || {});
         });
         let plan = crate::instrumentation_plan(&report, [cs.site()]);
-        assert!(plan.contains(&cell.site()));
-        assert!(plan.contains(&cs.site()));
+        assert!(plan.is_closed());
+        assert_eq!(plan.assigned(), 2);
+        assert_eq!(plan.route(cell.site()), Some(0));
+        assert_eq!(plan.route(cs.site()), Some(0));
+        assert_eq!(plan.route(SiteId::from_label("det:unrelated")), None);
     }
 }

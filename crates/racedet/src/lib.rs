@@ -10,11 +10,12 @@
 //! Freund, PLDI'09 — the same epoch-based happens-before analysis TSan v2
 //! uses) to find conflicting unsynchronized accesses. The resulting
 //! [`RaceReport`] yields the set of racy [`SiteId`]s, which becomes the
-//! session's *instrumentation plan* (`SessionConfig::gate_plan`) — and,
-//! through [`DomainPlanner`], the session's *domain plan*
-//! (`SessionConfig::plan`): racing/aliased sites co-locate in one gate
-//! domain, the remaining sites are load-balanced across domains by
-//! observed gate frequency.
+//! session's site map (`SessionConfig::plan`, a [`DomainPlan`]): the
+//! *instrumentation plan* ([`instrumentation_plan`]) is the closed
+//! one-domain plan that gates exactly those sites, and [`DomainPlanner`]
+//! spreads them over gate domains — racing/aliased sites co-locate in one
+//! domain, the remaining sites are load-balanced by observed gate
+//! frequency.
 //!
 //! A deliberately simple [`oracle`] (full vector-clock history comparison)
 //! is provided for differential testing.
@@ -57,17 +58,17 @@ pub use plan::{domain_plan, DomainPlanner};
 pub use report::{RaceInfo, RaceReport};
 pub use vc::VectorClock;
 
-use reomp_core::SiteId;
+use reomp_core::{DomainPlan, SiteId};
 
-/// Build an instrumentation plan (the sites that must be gated) from a race
-/// report plus the always-gated construct sites (criticals, atomics,
-/// reductions are identifiable statically, §III).
+/// Build an instrumentation plan from a race report plus the always-gated
+/// construct sites (criticals, atomics, reductions are identifiable
+/// statically, §III): the closed one-domain plan that gates exactly those
+/// sites and lets every other site bypass the recorder.
 #[must_use]
 pub fn instrumentation_plan(
     report: &RaceReport,
     always_gated: impl IntoIterator<Item = SiteId>,
-) -> std::collections::HashSet<SiteId> {
-    let mut plan = report.racy_sites();
-    plan.extend(always_gated);
-    plan
+) -> DomainPlan {
+    let sites = report.racy_sites().into_iter().chain(always_gated);
+    DomainPlan::with_assignments(1, sites.map(|site| (site, 0))).closed()
 }

@@ -16,7 +16,7 @@
 //!   PR 4 proptest can only witness dynamically: every pair of *racing*
 //!   accesses recorded in **different** gate domains must be ordered by
 //!   the cross-domain edge graph. A racing pair split across domains with
-//!   no connecting edge is exactly the legacy-modulo soundness hole —
+//!   no connecting edge is exactly the blind-partition soundness hole —
 //!   replay would not reproduce their relative order.
 //!
 //! The soundness check works at access granularity: within one domain the
@@ -459,7 +459,7 @@ mod tests {
         }
     }
 
-    /// Two domains, one thread each… the legacy-modulo shape: sites 2 and
+    /// Two domains, one thread each… the blind-partition shape: sites 2 and
     /// 3 alias the same address but land in different domains with no
     /// edges.
     fn split_bundle(edges: Vec<CrossDomainEdge>) -> TraceBundle {

@@ -1,10 +1,10 @@
 //! The domain planner: race report → [`DomainPlan`].
 //!
-//! The toolflow's race-detection step (Fig. 2 step (1)) already decides
-//! *which* sites are gated (`instrumentation_plan`). This module closes the
-//! ROADMAP's "derive both from one race report" item: the same report also
-//! decides *where* each gated site lives when the order-recording gate is
-//! sharded into domains.
+//! The toolflow's race-detection step (Fig. 2 step (1)) decides *which*
+//! sites are gated (`instrumentation_plan`, a closed one-domain plan). The
+//! same report also decides *where* each gated site lives when the
+//! order-recording gate is sharded into domains; a closed planner plan
+//! answers both at once.
 //!
 //! Two constraints drive the assignment:
 //!
@@ -134,10 +134,15 @@ impl DomainPlanner {
         let mut members: BTreeMap<u32, u64> = BTreeMap::new();
         let sites: Vec<SiteId> = self.sites.iter().copied().collect();
         for &site in &sites {
-            *members.entry(prev.domain_of(site)).or_insert(0) += 1;
+            if let Some(dom) = prev.route(site) {
+                *members.entry(dom).or_insert(0) += 1;
+            }
         }
         for site in sites {
-            let dom = prev.domain_of(site);
+            // A site the previous plan left ungated has no domain data.
+            let Some(dom) = prev.route(site) else {
+                continue;
+            };
             let Some(&gates) = domain_gates.get(dom as usize) else {
                 continue;
             };
@@ -149,8 +154,9 @@ impl DomainPlanner {
 
     /// Produce the plan: racing-site groups co-locate, groups are assigned
     /// greedily (heaviest first) to the least-loaded domain, and every
-    /// observed site ends up explicitly pinned. Deterministic for a given
-    /// input set.
+    /// observed site ends up explicitly pinned — so `build().closed()` is
+    /// the closed plan that gates exactly the sites the planner was given.
+    /// Deterministic for a given input set.
     #[must_use]
     pub fn build(mut self) -> DomainPlan {
         let domains = self.domains;
@@ -288,8 +294,8 @@ mod tests {
 
     #[test]
     fn feedback_credits_previous_domain_load() {
-        // Previous run under the legacy modulo put sites 2 and 4 in domain
-        // 0 (raw % 2 == 0) and site 3 in domain 1. Domain 0 was 100× as
+        // Previous run under a plan that put sites 2 and 4 in domain 0 and
+        // site 3 in domain 1. Domain 0 was 100× as
         // hot; after feedback the two even sites are the heavy ones and
         // end up separated for balance.
         let report = RaceReport::default();

@@ -23,10 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Each thread performs `iters` load+store pairs on its own site,
-/// `site = tid * stride`. With `stride == 1` the legacy modulo spreads the
-/// threads evenly across `D | nthreads` domains; with a stride divisible
-/// by `D` it stripes every site into domain 0 — the load-balance defect
-/// the plan's mixed-hash fallback and explicit assignment both fix.
+/// `site = tid * stride`.
 fn disjoint_workload(session: &Arc<Session>, nthreads: u32, iters: usize, stride: u64) {
     std::thread::scope(|s| {
         for tid in 0..nthreads {
@@ -43,6 +40,15 @@ fn disjoint_workload(session: &Arc<Session>, nthreads: u32, iters: usize, stride
             });
         }
     });
+}
+
+/// The plan that pins thread `t`'s site (`t * stride`) to domain
+/// `t mod D`: threads spread evenly across `D | nthreads` domains.
+fn spread(domains: u32, nthreads: u32, stride: u64) -> DomainPlan {
+    DomainPlan::with_assignments(
+        domains,
+        (0..nthreads).map(|t| (SiteId(u64::from(t) * stride), t % domains)),
+    )
 }
 
 fn main() {
@@ -79,7 +85,7 @@ fn main() {
                 continue;
             }
             let cfg = SessionConfig {
-                domains,
+                plan: Some(spread(domains, nthreads, 1)),
                 // Replay of a heavily oversubscribed disjoint workload can
                 // legitimately take a while on small hosts.
                 spin: reomp_core::sync::SpinConfig {
@@ -119,13 +125,12 @@ fn main() {
     }
     println!("\n(speedup column is record-mode, relative to domains = 1)");
 
-    // Planned vs modulo assignment on STRIPED sites (site = tid * 8): the
-    // legacy modulo folds every site into domain 0 whenever D divides the
-    // stride, so sharding buys nothing; an explicit plan (site i → i mod D)
-    // — or the planned hash fallback — restores the spread. The imbalance
-    // is visible in record throughput whenever cores ≥ threads.
+    // Planned vs hashed assignment on STRIPED sites (site = tid * 8): the
+    // hash fallback spreads them by chance, an explicit plan (site i →
+    // i mod D) evenly. The imbalance is visible in record throughput
+    // whenever cores ≥ threads.
     let stride = 8u64;
-    println!("\n=== gate_domains: planned vs modulo on striped sites (stride {stride}) ===");
+    println!("\n=== gate_domains: planned vs hash on striped sites (stride {stride}) ===");
     println!(
         "{:>8} {:>12} {:>14} {:>14} {:>14}",
         "domains", "partition", "record (s)", "Mrec/s", "max dom share"
@@ -134,19 +139,13 @@ fn main() {
         if domains > nthreads {
             continue;
         }
-        let planned = DomainPlan::with_assignments(
-            domains,
-            (0..nthreads).map(|t| (SiteId(u64::from(t) * stride), t % domains)),
-        );
-        let partitions: [(&str, Option<DomainPlan>); 3] = [
-            ("modulo", None),
-            ("hash", Some(DomainPlan::new(domains))),
-            ("planned", Some(planned)),
+        let partitions = [
+            ("hash", DomainPlan::new(domains)),
+            ("planned", spread(domains, nthreads, stride)),
         ];
         for (name, plan) in partitions {
             let cfg = SessionConfig {
-                domains,
-                plan,
+                plan: Some(plan),
                 spin: reomp_core::sync::SpinConfig {
                     spin_hints: 64,
                     timeout: Some(Duration::from_secs(300)),

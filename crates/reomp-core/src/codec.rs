@@ -44,7 +44,7 @@
 //!   stays within two bytes per chunk of its plain encoding (only runs that
 //!   pay for their head are coded as runs). Labels are never run-length
 //!   coded.
-//! * A multi-domain recording ([`crate::session::SessionConfig::domains`])
+//! * A multi-domain recording ([`crate::session::SessionConfig::plan`])
 //!   stamps every file with its domain id; single-domain files never set
 //!   the flag and decode with `domain: None`.
 //!
@@ -94,6 +94,9 @@ pub const FLAG_PLAN: u8 = 16;
 /// Header flag marking a stream whose chunks run-length code their value
 /// column ([`encode_thread_chunk_opt`]); only valid with [`FLAG_CHUNKED`].
 pub const FLAG_COMPRESSED: u8 = 32;
+/// Plan-section flag: the plan is closed — sites it does not list are
+/// ungated ([`DomainPlan::closed`]).
+pub const FLAG_UNGATED: u8 = 64;
 
 /// Records a run-length coded payload without a label column may claim per
 /// byte, where the usual `count <= nbytes` bound does not apply: more than
@@ -851,16 +854,24 @@ pub(crate) fn decode_st_records_within(
 /// Serialize a [`DomainPlan`] as the trace's plan section:
 ///
 /// ```text
-/// magic "RTPL" | version u8 | flags u8 (= FLAG_PLAN) | domains u32le |
-/// count varint | count × (site u64le | domain varint)   — sorted by site
+/// magic "RTPL" | version u8 | flags u8 (FLAG_PLAN [| FLAG_UNGATED]) |
+/// domains u32le | count varint | count × (site u64le | domain varint)
+///                                                        — sorted by site
 /// ```
+///
+/// # Panics
+/// Panics on the plan-less `raw % D` partition, which is never stamped.
 #[must_use]
 pub fn encode_plan(plan: &DomainPlan) -> Bytes {
+    assert!(
+        !plan.is_legacy(),
+        "the plan-less raw % D partition is never stamped"
+    );
     let entries = plan.sorted_assignments();
     let mut buf = BytesMut::with_capacity(16 + entries.len() * 10);
     buf.put_slice(MAGIC_PLAN);
     buf.put_u8(VERSION_1);
-    buf.put_u8(FLAG_PLAN);
+    buf.put_u8(FLAG_PLAN | if plan.is_closed() { FLAG_UNGATED } else { 0 });
     buf.put_u32_le(plan.domains());
     put_uvarint(&mut buf, entries.len() as u64);
     for (site, dom) in entries {
@@ -880,6 +891,12 @@ pub fn decode_plan(mut buf: &[u8]) -> Result<DomainPlan, TraceError> {
     let flags = buf.get_u8();
     if flags & FLAG_PLAN == 0 {
         return Err(TraceError::Corrupt("plan section without FLAG_PLAN".into()));
+    }
+    // A reader that skipped a flag it does not know would misroute replay.
+    if flags & !(FLAG_PLAN | FLAG_UNGATED) != 0 {
+        return Err(TraceError::Corrupt(format!(
+            "plan section with unknown flags {flags:#04x}"
+        )));
     }
     let domains = buf.get_u32_le();
     if domains == 0 {
@@ -907,7 +924,9 @@ pub fn decode_plan(mut buf: &[u8]) -> Result<DomainPlan, TraceError> {
     }
     // One sort for the whole section; a site listed twice keeps its last
     // assignment.
-    Ok(DomainPlan::with_assignments(domains, assignments))
+    let plan = DomainPlan::with_assignments(domains, assignments);
+    let closed = flags & FLAG_UNGATED != 0;
+    Ok(if closed { plan.closed() } else { plan })
 }
 
 /// Serialize the cross-domain happens-before edges:
@@ -1490,9 +1509,12 @@ mod tests {
         );
         let bytes = encode_plan(&plan);
         assert_eq!(decode_plan(&bytes).unwrap(), plan);
-        // Empty plans (pure hash fallback) roundtrip too.
+        // Empty plans (pure hash fallback) roundtrip too, and so do closed
+        // ones.
         let empty = DomainPlan::new(2);
         assert_eq!(decode_plan(&encode_plan(&empty)).unwrap(), empty);
+        let closed = plan.closed();
+        assert_eq!(decode_plan(&encode_plan(&closed)).unwrap(), closed);
     }
 
     #[test]

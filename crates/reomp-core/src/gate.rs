@@ -4,7 +4,7 @@
 //! paper's Figure 4 (ST) and Figure 5 (DC/DE) it implements.
 //!
 //! Every engine operates on one **gate domain** (see
-//! [`SessionConfig::domains`](crate::session::SessionConfig::domains)):
+//! [`SessionConfig::plan`](crate::session::SessionConfig::plan)):
 //! the caller resolves the site to its domain once, and all state below —
 //! lock `L`, `global_clock`, the epoch tracker, the replay turnstile and
 //! baton — is that domain's instance. With the default single domain this
@@ -519,6 +519,7 @@ mod tests {
     //! Cross-crate integration tests live in the workspace `tests/` tree.
 
     use crate::error::ReplayError;
+    use crate::plan::DomainPlan;
     use crate::session::{Scheme, Session, SessionConfig};
     use crate::site::{AccessKind, SiteId};
     use crate::sync::SpinConfig;
@@ -663,7 +664,7 @@ mod tests {
         for scheme in Scheme::ALL {
             for domains in [1u32, 2, 4] {
                 let cfg = SessionConfig {
-                    domains,
+                    plan: Some(DomainPlan::new(domains)),
                     ..Default::default()
                 };
                 let session = Session::record_with(scheme, 4, cfg.clone());
@@ -691,7 +692,10 @@ mod tests {
         // cross-domain concurrency the sharding exists for. With D = 1 the
         // same trace interleaving would force thread 1 to wait.
         let cfg = SessionConfig {
-            domains: 2,
+            plan: Some(DomainPlan::with_assignments(
+                2,
+                [(SiteId(2), 0), (SiteId(3), 1)],
+            )),
             ..Default::default()
         };
         let session = Session::record_with(Scheme::Dc, 2, cfg);
@@ -738,10 +742,10 @@ mod tests {
     }
 
     /// Two-domain plan pinning site A in domain 0 and site B in domain 1.
-    fn two_domain_plan() -> (crate::plan::DomainPlan, SiteId, SiteId) {
+    fn two_domain_plan() -> (DomainPlan, SiteId, SiteId) {
         let a = SiteId(0xaaaa);
         let b = SiteId(0xbbbb);
-        let plan = crate::plan::DomainPlan::with_assignments(2, [(a, 0), (b, 1)]);
+        let plan = DomainPlan::with_assignments(2, [(a, 0), (b, 1)]);
         (plan, a, b)
     }
 

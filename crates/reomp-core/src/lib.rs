@@ -86,7 +86,7 @@
 //! | [`clock`] | `global_clock` and the `next_clock` turnstile (Fig. 5) |
 //! | [`history`] | last-N access ring: replay divergence history and the §IV-D `X_C` audit |
 //! | [`epoch`] | epoch assignment incl. the store fix-up rule of Table V |
-//! | [`plan`] | race-report-driven site → gate-domain assignment ([`DomainPlan`]) |
+//! | [`plan`] | the site map: which sites are gated and which gate domain orders each ([`DomainPlan`]) |
 //! | [`trace`] | per-thread and shared trace representations (Fig. 3) |
 //! | [`codec`] | binary encoding of record files: delta varints, a `(site, kind)` label dictionary, the streaming chunk frame (version 1 files: read-only) |
 //! | [`store`] | record-file storage: one trace layer (naming, manifest, save, streaming sink, load) over a blob backend — a directory with one file per thread, or memory |
@@ -123,7 +123,8 @@ pub use error::{Divergence, ReplayError, TraceError};
 pub use flight::{FlightRecorder, FlightSink};
 pub use plan::DomainPlan;
 pub use session::{
-    install_panic_dump, Mode, Scheme, Session, SessionConfig, SessionReport, ThreadCtx,
+    env_plan_and_window, install_panic_dump, Mode, Scheme, Session, SessionConfig, SessionReport,
+    ThreadCtx,
 };
 pub use site::{AccessKind, SiteId};
 pub use stats::{EpochHistogram, StatsSnapshot};

@@ -1,45 +1,43 @@
-//! Domain planning: explicit site → gate-domain assignment.
+//! The site map: one [`DomainPlan`] decides, for every site, whether it is
+//! gated and which gate domain orders it — the decision the paper's
+//! toolflow (§III, Fig. 2) makes once, before recording.
 //!
-//! PR 3's gate domains partitioned sites with a blind `site.raw() % D`
-//! hash. That partition has two defects the planning layer fixes:
+//! A plan pins sites to domains and has one rule for the sites it does not
+//! list: the **hashed** fallback (the default; splitmix64 then modulo, so
+//! sequential site ids do not stripe into adjacent domains as a blind
+//! `raw % D` does), **ungated** for a [closed](DomainPlan::closed) plan
+//! (the toolflow's instrumentation plan), or `raw % D`, which is never
+//! chosen for a recording or stamped: [`TraceBundle::partition`] builds it
+//! only to read a plan-less multi-domain bundle.
 //!
-//! 1. **Soundness.** Two *aliased* sites — distinct instrumentation sites
-//!    that touch the same memory cell — may hash into different domains,
-//!    and multi-domain recording keeps no order *between* domains, so the
-//!    relative order of those racing accesses is silently lost. A
-//!    [`DomainPlan`] lets the race-detection toolflow pin every group of
-//!    aliased/racing sites into **one** domain (see
-//!    `racedet::DomainPlanner`), restoring the paper's ordering guarantee
-//!    for exactly the accesses that need it.
-//! 2. **Load balance.** Site ids derived from indexed labels are often
-//!    sequential; raw modulo stripes adjacent sites into adjacent domains
-//!    and can pile a hot loop's sites onto one domain. Sites *not*
-//!    explicitly assigned by a plan fall back to a splitmix64-mixed hash
-//!    before the modulo, which spreads any site-id pattern evenly.
+//! Pinning is what makes multi-domain recording sound: two *aliased* sites
+//! (distinct sites, same memory cell) may fall into different domains
+//! under any fallback, and multi-domain recording keeps no order between
+//! domains; `racedet::DomainPlanner` pins every aliased or racing group
+//! into **one** domain. A recording stamps its plan, the ungated rule
+//! included ([`crate::codec::encode_plan`]), and replay reconstructs the
+//! identical map from the bundle. The per-access lookup is a binary search
+//! over the sorted pins; when a site is pinned twice, the last pin wins.
 //!
-//! A plan is part of the trace: recordings made with a plan stamp it into
-//! the store (`plan` manifest line + `plan.rtrc` section, see
-//! [`crate::codec::encode_plan`]), and replay sessions reconstruct the
-//! identical partition from the bundle. Plan-less multi-domain recordings
-//! keep the legacy raw-modulo partition so PR 3 trace directories replay
-//! unchanged.
-//!
-//! A planned session resolves the domain on every gated access, so the
-//! lookup is a binary search over the assignments sorted by site — no
-//! hash of the site on the per-access path. Building a plan sorts once
-//! (O(n log n)); when a site is assigned twice, the last assignment wins.
+//! [`TraceBundle::partition`]: crate::trace::TraceBundle::partition
 
 use crate::site::{splitmix64, SiteId};
 
-/// An explicit `SiteId → domain` assignment plus a mixed-hash fallback for
-/// unassigned sites.
-///
-/// The partition is a pure function of the site id: record and replay
-/// evaluate it identically, which is what makes per-domain order streams
-/// replayable at all.
+/// What a plan does with a site it does not list (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unlisted {
+    Hashed,
+    Ungated,
+    Modulo,
+}
+
+/// The site map: explicit `SiteId → domain` pins plus a rule for every
+/// other site (see the [module docs](self)). A pure function of the site
+/// id, so record and replay evaluate it identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainPlan {
     domains: u32,
+    unlisted: Unlisted,
     /// `(raw site, domain)`, sorted by site, one entry per site.
     assign: Box<[(u64, u32)]>,
 }
@@ -55,12 +53,22 @@ impl Default for DomainPlan {
 
 impl DomainPlan {
     /// An empty plan over `domains` gate domains (clamped to ≥ 1): every
-    /// site falls back to the mixed-hash partition.
+    /// site is gated and falls back to the mixed-hash partition.
     #[must_use]
     pub fn new(domains: u32) -> DomainPlan {
         DomainPlan {
             domains: domains.max(1),
+            unlisted: Unlisted::Hashed,
             assign: Box::default(),
+        }
+    }
+
+    /// The plan-less multi-domain partition, `raw % D`: what a bundle
+    /// recorded before plans existed was routed by.
+    pub(crate) fn legacy_modulo(domains: u32) -> DomainPlan {
+        DomainPlan {
+            unlisted: Unlisted::Modulo,
+            ..DomainPlan::new(domains)
         }
     }
 
@@ -95,6 +103,16 @@ impl DomainPlan {
         });
         plan.assign = assign.into_boxed_slice();
         plan
+    }
+
+    /// This plan with its unlisted sites ungated: only the pinned sites
+    /// pass through the recorder.
+    #[must_use]
+    pub fn closed(self) -> DomainPlan {
+        DomainPlan {
+            unlisted: Unlisted::Ungated,
+            ..self
+        }
     }
 
     /// Pin `site` to `dom`. O(n) per call: build a large plan with
@@ -142,24 +160,51 @@ impl DomainPlan {
         self.assign.len()
     }
 
-    /// Whether the plan pins no sites (pure hash fallback).
+    /// Whether the plan pins no sites.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.assign.is_empty()
     }
 
-    /// The domain of `site`: the explicit assignment when pinned, the
-    /// mixed-hash fallback otherwise.
+    /// Whether unlisted sites are ungated (see [`DomainPlan::closed`]).
+    #[must_use]
+    pub fn is_closed(&self) -> bool {
+        self.unlisted == Unlisted::Ungated
+    }
+
+    /// Whether this is the plan-less `raw % D` partition, which no
+    /// recording may stamp.
+    pub(crate) fn is_legacy(&self) -> bool {
+        self.unlisted == Unlisted::Modulo
+    }
+
+    /// The one lookup: the domain that orders `site`, or `None` when the
+    /// plan leaves it ungated.
+    #[inline]
+    #[must_use]
+    pub fn route(&self, site: SiteId) -> Option<u32> {
+        if self.domains == 1 && self.unlisted != Unlisted::Ungated {
+            return Some(0);
+        }
+        match self.position(site) {
+            Ok(i) => Some(self.assign[i].1),
+            Err(_) => match self.unlisted {
+                Unlisted::Hashed => Some(Self::hashed_fallback(self.domains, site)),
+                Unlisted::Ungated => None,
+                Unlisted::Modulo => Some((site.raw() % u64::from(self.domains)) as u32),
+            },
+        }
+    }
+
+    /// The domain of a gated `site`.
+    ///
+    /// # Panics
+    /// Panics when a closed plan leaves `site` ungated.
     #[inline]
     #[must_use]
     pub fn domain_of(&self, site: SiteId) -> u32 {
-        if self.domains <= 1 {
-            return 0;
-        }
-        match self.position(site) {
-            Ok(i) => self.assign[i].1,
-            Err(_) => Self::hashed_fallback(self.domains, site),
-        }
+        self.route(site)
+            .unwrap_or_else(|| panic!("the closed plan leaves {site} ungated"))
     }
 
     /// The mixed-hash fallback partition: splitmix64 over the raw site id,
@@ -175,30 +220,11 @@ impl DomainPlan {
         }
     }
 
-    /// The legacy plan-less partition (`raw % D`) used by PR 3 recordings
-    /// and by sessions configured with a bare domain count. Kept distinct
-    /// from [`DomainPlan::hashed_fallback`] so old traces replay with the
-    /// partition they were recorded under.
-    #[inline]
-    #[must_use]
-    pub fn legacy_modulo(domains: u32, site: SiteId) -> u32 {
-        if domains <= 1 {
-            0
-        } else {
-            (site.raw() % u64::from(domains)) as u32
-        }
-    }
-
     /// Explicit assignments sorted by raw site id — the deterministic
     /// iteration order the codec serializes.
     #[must_use]
     pub fn sorted_assignments(&self) -> Vec<(u64, u32)> {
         self.assign.to_vec()
-    }
-
-    /// Iterate the explicit assignments, sorted by raw site id.
-    pub fn iter(&self) -> impl Iterator<Item = (SiteId, u32)> + '_ {
-        self.assign.iter().map(|&(s, d)| (SiteId(s), d))
     }
 }
 
@@ -247,9 +273,10 @@ mod tests {
             );
         }
         // The legacy modulo demonstrably fails the same distribution.
+        let modulo = DomainPlan::legacy_modulo(domains);
         let mut legacy = vec![0u32; domains as usize];
         for i in 0..4096u64 {
-            legacy[DomainPlan::legacy_modulo(domains, SiteId(i * 4)) as usize] += 1;
+            legacy[modulo.domain_of(SiteId(i * 4)) as usize] += 1;
         }
         assert_eq!(legacy[0], 4096, "raw modulo stripes stride-4 ids");
     }
@@ -297,6 +324,5 @@ mod tests {
         let plan =
             DomainPlan::with_assignments(4, [(SiteId(9), 1), (SiteId(1), 3), (SiteId(4), 0)]);
         assert_eq!(plan.sorted_assignments(), vec![(1, 3), (4, 0), (9, 1)]);
-        assert_eq!(plan.iter().count(), 3);
     }
 }

@@ -13,37 +13,37 @@
 //! for the record-file directory (a record run streams its trace there
 //! chunk by chunk), `REOMP_FLIGHT` (record into a bounded flight window
 //! instead), `REOMP_FLUSH_RECORDS` (lane flush threshold), `REOMP_DOMAINS`
-//! (gate-domain count, see below), `REOMP_SPIN_TIMEOUT` (replay
+//! (gate-domain count, see below and [`env_plan_and_window`]),
+//! `REOMP_SPIN_TIMEOUT` (replay
 //! watchdog in seconds, `0` disables it). How a record gate is admitted
 //! is not configurable: the scheme chooses it (see [`crate::gate`]).
 //!
 //! # Gate domains
 //!
-//! By default every gated access serializes through **one** gate lock and
-//! one clock, regardless of which site it touches — the paper's layout.
-//! [`SessionConfig::domains`] partitions sites across `D` independent gate
-//! instances (*domains*): site `s` always belongs to domain
-//! `s.raw() % D`, each domain owns its own lock, clock, epoch tracker, and
-//! replay turnstile, and record files become per-thread **per-domain**
-//! streams. Threads touching sites in different domains no longer contend
-//! in record mode and replay concurrently in replay mode.
+//! One [`DomainPlan`], the session's *site map* (resolved once, when the
+//! session is built), decides for every site whether it is gated and which
+//! gate domain orders it. Without a [`SessionConfig::plan`] every gated
+//! access serializes through **one** gate lock and one clock — the paper's
+//! layout. A plan over `D` domains gives each domain its own lock, clock,
+//! epoch tracker, replay turnstile and per-thread record streams, so
+//! threads on sites in different domains neither contend in record mode
+//! nor wait for each other in replay; a closed plan also lets the sites it
+//! does not list bypass the recorder. Replay runs the map the bundle
+//! carries ([`TraceBundle::partition`]).
 //!
 //! Sharding is *sound* when ordering only ever matters within a domain:
 //! the recorded order stream of each domain is complete for the sites it
-//! contains (the partition is a pure function of the site id, identical in
+//! contains (the map is a pure function of the site id, identical in
 //! record and replay), so the paper's ordering requirement — and the
 //! Contiguous-policy monotonicity argument in [`crate::epoch`] — hold per
 //! stream. What multi-domain recording does **not** capture per se is the
 //! relative order of two racing accesses *to the same memory* made through
 //! sites in different domains. Two mechanisms close that gap:
 //!
-//! * **Domain plans** ([`SessionConfig::plan`]): an explicit
-//!   [`DomainPlan`] — typically produced by `racedet::DomainPlanner` from
-//!   a race report — co-locates every group of aliased/racing sites in one
-//!   domain (so their order is recorded) and spreads the remaining sites
-//!   with a mixed-hash fallback. The plan is stamped into the trace and
-//!   reconstructed on replay; a plan-less multi-domain session keeps the
-//!   legacy `site.raw() % D` partition for PR 3 trace compatibility.
+//! * **Pinned sites**: a plan — typically produced by
+//!   `racedet::DomainPlanner` from a race report — co-locates every group
+//!   of aliased/racing sites in one domain (so their order is recorded)
+//!   and spreads the remaining sites with a mixed-hash fallback.
 //! * **Cross-domain happens-before edges**: at barrier
 //!   ([`ThreadCtx::sync_point`]) and critical-section gates of a
 //!   multi-domain record run, the session stamps a sparse vector of the
@@ -93,7 +93,7 @@ use crate::sync::{BatonLock, CachePadded, RawLocked, SpinConfig, CACHE_LINE};
 use crate::trace::{CrossDomainEdge, DumpTrigger, TraceBundle};
 use parking_lot::RwLock;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,6 +173,46 @@ pub enum Mode {
     Replay,
 }
 
+/// `REOMP_DOMAINS` and `REOMP_FLIGHT`, read one way for thread and rank
+/// sessions: `D > 1` domains is an empty (hashed, stamped) plan, anything
+/// else one domain (`0` and counts beyond `u32` with a warning); the
+/// flight window is `n` when `n` is a positive `u32`.
+#[must_use]
+pub fn env_plan_and_window() -> (Option<DomainPlan>, Option<u32>) {
+    let plan = positive_env_knob("REOMP_DOMAINS")
+        // Not clamped to u32::MAX: that would allocate 4 billion domains.
+        .and_then(|d| {
+            u32::try_from(d).ok().or_else(|| {
+                eprintln!("reomp: REOMP_DOMAINS={d} out of range; keeping 1");
+                None
+            })
+        })
+        .filter(|&d| d > 1)
+        .map(DomainPlan::new);
+    let window = std::env::var("REOMP_FLIGHT")
+        .ok()
+        .and_then(|s| s.parse::<u32>().ok())
+        .filter(|&n| n > 0);
+    (plan, window)
+}
+
+/// Parse a strictly-positive integer knob from the environment.
+/// Malformed values yield `None` (the built-in default); an explicit `0`
+/// — always a configuration mistake for these knobs (a domain-less
+/// session, a never-flushing stream) — is clamped to 1 with a warning
+/// instead of being silently absorbed.
+fn positive_env_knob(name: &str) -> Option<u64> {
+    let raw = std::env::var(name).ok()?;
+    match raw.trim().parse::<u64>() {
+        Ok(0) => {
+            eprintln!("reomp: {name}=0 is degenerate; clamping to 1");
+            Some(1)
+        }
+        Ok(n) => Some(n),
+        Err(_) => None,
+    }
+}
+
 /// Tuning knobs for a session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -189,30 +229,15 @@ pub struct SessionConfig {
     pub spin: SpinConfig,
     /// Record per-access sites and kinds so replay can detect divergence.
     pub validate_sites: bool,
-    /// If set, only these sites are gated; everything else bypasses the
-    /// recorder (the instrumentation plan produced by the race-detection
-    /// step of the toolflow, Fig. 2 step (1)).
-    pub gate_plan: Option<HashSet<SiteId>>,
     /// Record runs: flush a per-thread lane into the session's sink once
     /// it holds this many stable records (clamped to ≥ 1), which bounds
     /// every lane at about this many 32-byte entries.
     pub flush_records: usize,
-    /// Number of independent gate domains sites are partitioned across
-    /// (clamped to ≥ 1). `1` — the default — reproduces the classic
-    /// single-gate behavior and trace format byte-for-byte; larger values
-    /// let accesses to sites in different domains record and replay
-    /// concurrently (see the module docs for when that is sound). Replay
-    /// sessions always use the domain count stamped in the trace. Without
-    /// a [`SessionConfig::plan`], sites partition with the legacy
-    /// `site.raw() % D` modulo.
-    pub domains: u32,
-    /// Explicit site → domain assignment (see [`DomainPlan`] and
-    /// `racedet::DomainPlanner`). When set it **overrides**
-    /// [`SessionConfig::domains`] with its own domain count, pins each
-    /// planned site to its domain, and spreads unplanned sites with a
-    /// splitmix64-mixed hash instead of the striping raw modulo. The plan
-    /// is stamped into recorded traces; replay sessions always use the
-    /// plan stamped in the trace (or the legacy modulo when none is).
+    /// The site map of a record run (see [`DomainPlan`] and
+    /// `racedet::DomainPlanner`). `None` — the default — is one domain that
+    /// gates every site: the classic single-gate behavior and trace format
+    /// byte-for-byte. Stamped into the trace exactly when set; replay
+    /// ignores it and runs the map the bundle carries.
     pub plan: Option<DomainPlan>,
     /// Bounded in-situ recording: retain only the last `n` chunks of every
     /// `(thread, domain)` record stream in memory (`REOMP_FLIGHT=<n>`)
@@ -232,26 +257,11 @@ impl Default for SessionConfig {
             ring_capacity: 64,
             spin: SpinConfig::default(),
             validate_sites: true,
-            gate_plan: None,
             flush_records: 4096,
-            domains: 1,
             plan: None,
             flight: None,
             compress: false,
         }
-    }
-}
-
-impl SessionConfig {
-    /// The domain count the session will actually run with: the plan's
-    /// count when a plan is set, the raw knob otherwise (clamped to ≥ 1).
-    #[must_use]
-    pub fn effective_domains(&self) -> u32 {
-        self.plan
-            .as_ref()
-            .map(DomainPlan::domains)
-            .unwrap_or(self.domains)
-            .max(1)
     }
 }
 
@@ -595,6 +605,8 @@ pub(crate) struct ThreadSlot {
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Session {
     pub(crate) cfg: SessionConfig,
+    /// The site map every gate consults (see the module docs).
+    plan: DomainPlan,
     mode: Mode,
     scheme: Scheme,
     nthreads: u32,
@@ -727,7 +739,7 @@ impl Session {
         RecordOptions::new(
             scheme,
             nthreads,
-            cfg.effective_domains(),
+            cfg.plan.as_ref().map_or(1, DomainPlan::domains),
             cfg.validate_sites,
         )
         .with_compression(cfg.compress)
@@ -802,17 +814,16 @@ impl Session {
     }
 
     /// Start a replay run with explicit configuration. The session's
-    /// domain count always comes from the bundle (a trace can only be
-    /// replayed against the partition it was recorded with), so
-    /// [`SessionConfig::domains`] is ignored here.
+    /// site map always comes from the bundle (a trace can only be
+    /// replayed under the map it was recorded with), so
+    /// [`SessionConfig::plan`] is ignored here.
     pub fn replay_with(
         bundle: TraceBundle,
-        mut cfg: SessionConfig,
+        cfg: SessionConfig,
     ) -> Result<Arc<Session>, TraceError> {
         bundle.validate()?;
         let scheme = bundle.scheme;
         let nthreads = bundle.nthreads;
-        cfg.domains = bundle.domains;
         Ok(Arc::new(Session::build(
             scheme,
             nthreads,
@@ -839,20 +850,10 @@ impl Session {
                 cfg.epoch_policy = policy;
             }
         }
-        if let Some(n) = Self::positive_env_knob("REOMP_FLUSH_RECORDS") {
+        if let Some(n) = positive_env_knob("REOMP_FLUSH_RECORDS") {
             cfg.flush_records = usize::try_from(n).unwrap_or(usize::MAX);
         }
-        if let Some(d) = Self::positive_env_knob("REOMP_DOMAINS") {
-            match u32::try_from(d) {
-                Ok(d) => cfg.domains = d,
-                // Don't "clamp" to u32::MAX here — that would allocate four
-                // billion gate instances. An absurd count keeps the default.
-                Err(_) => eprintln!(
-                    "reomp: REOMP_DOMAINS={d} out of range; keeping {}",
-                    cfg.domains
-                ),
-            }
-        }
+        (cfg.plan, cfg.flight) = env_plan_and_window();
         // Replay watchdog override: seconds, `0` disables the watchdog
         // entirely (oversubscribed CI boxes legitimately exceed the 30 s
         // default on long DE replays).
@@ -865,10 +866,6 @@ impl Session {
         cfg.compress = std::env::var("REOMP_COMPRESS")
             .map(|s| matches!(s.to_ascii_lowercase().as_str(), "1" | "true" | "on"))
             .unwrap_or(false);
-        cfg.flight = std::env::var("REOMP_FLIGHT")
-            .ok()
-            .and_then(|s| s.parse::<u32>().ok())
-            .filter(|&n| n > 0);
         match mode.to_ascii_lowercase().as_str() {
             // A record run persists into `REOMP_DIR`: streamed as it
             // records, or — with a flight window — only when a dump
@@ -884,24 +881,6 @@ impl Session {
                 Session::replay_with(bundle, cfg)
             }
             _ => Ok(Arc::new(Session::build(scheme, nthreads, cfg, None, None))),
-        }
-    }
-
-    /// Parse a strictly-positive integer knob from the environment.
-    /// Malformed values fall back to the built-in default (`None`, as
-    /// before); an explicit `0` — always a configuration mistake for
-    /// these knobs (a modulo-by-zero domain count, a never-flushing
-    /// stream) — is clamped to 1 with a warning
-    /// instead of being silently absorbed.
-    fn positive_env_knob(name: &str) -> Option<u64> {
-        let raw = std::env::var(name).ok()?;
-        match raw.trim().parse::<u64>() {
-            Ok(0) => {
-                eprintln!("reomp: {name}=0 is degenerate; clamping to 1");
-                Some(1)
-            }
-            Ok(n) => Some(n),
-            Err(_) => None,
         }
     }
 
@@ -931,19 +910,16 @@ impl Session {
             (None, Some(_)) => Mode::Replay,
             (None, None) => Mode::Passthrough,
         };
-        cfg.domains = cfg.effective_domains();
         // The ≥ 1 clamp lives here, once, so every consumer — the ST
         // steal, the lane flush — sees the same value and the record/flush
         // paths cannot disagree.
         cfg.flush_records = cfg.flush_records.max(1);
-        if let Some(bundle) = &bundle {
-            // A trace replays against exactly the partition it was
-            // recorded with: the stamped plan when one exists, the legacy
-            // modulo otherwise.
-            cfg.domains = bundle.domains;
-            cfg.plan = bundle.plan.clone();
-        }
-        let domains = cfg.domains;
+        // A trace replays under exactly the site map it was recorded with.
+        let plan = match &bundle {
+            Some(bundle) => bundle.partition(),
+            None => cfg.plan.clone().unwrap_or_default(),
+        };
+        let domains = plan.domains();
         // The scheme chooses the admission: ST records under `L` (a ticket
         // doubles its contended cost, EXPERIMENTS.md "Record admission per
         // scheme"), DC/DE through the ticket gate.
@@ -1009,6 +985,7 @@ impl Session {
                 })
                 .collect(),
             cfg,
+            plan,
             mode,
             scheme,
             nthreads,
@@ -1044,30 +1021,21 @@ impl Session {
     /// Number of gate domains (≥ 1).
     #[must_use]
     pub fn domains(&self) -> u32 {
-        self.cfg.domains
+        self.plan.domains()
     }
 
-    /// The gate domain site `site` belongs to: a fixed partition that
-    /// record and replay compute identically — the session's
-    /// [`DomainPlan`] when one is set, the legacy `raw % D` modulo
-    /// otherwise.
-    #[inline]
+    /// The configuration the session runs with (what
+    /// [`Session::from_env`] read, for one).
     #[must_use]
-    pub fn domain_of(&self, site: SiteId) -> u32 {
-        let d = self.cfg.domains;
-        if d <= 1 {
-            0
-        } else if let Some(plan) = &self.cfg.plan {
-            plan.domain_of(site)
-        } else {
-            DomainPlan::legacy_modulo(d, site)
-        }
+    pub fn config(&self) -> &SessionConfig {
+        &self.cfg
     }
 
-    /// The session's domain plan, if it runs with one.
+    /// The session's site map: whether a site is gated, and which domain
+    /// orders it. Record and replay of one trace compute it identically.
     #[must_use]
-    pub fn plan(&self) -> Option<&DomainPlan> {
-        self.cfg.plan.as_ref()
+    pub fn plan(&self) -> &DomainPlan {
+        &self.plan
     }
 
     /// Live statistics snapshot: the sum over every thread's slot and the
@@ -1136,7 +1104,7 @@ impl Session {
     /// multi-domain). Index `d` is domain `d`'s count.
     pub(crate) fn snapshot_domain_counts(&self) -> Option<Vec<u64>> {
         let rec = self.rec.as_ref()?;
-        if self.cfg.domains <= 1 {
+        if self.domains() <= 1 {
             return None;
         }
         Some(
@@ -1584,7 +1552,7 @@ impl std::fmt::Debug for Session {
             .field("mode", &self.mode)
             .field("scheme", &self.scheme)
             .field("nthreads", &self.nthreads)
-            .field("domains", &self.cfg.domains)
+            .field("domains", &self.domains())
             .finish_non_exhaustive()
     }
 }
@@ -1700,18 +1668,15 @@ impl ThreadCtx {
         f: impl FnOnce() -> R,
     ) -> Result<R, ReplayError> {
         let session = &*self.session;
-        // Instrumentation-plan bypass: ungated sites run untouched.
-        if let Some(plan) = &session.cfg.gate_plan {
-            if !plan.contains(&site) {
-                return Ok(f());
-            }
-        }
+        // A site the plan leaves ungated runs untouched.
+        let Some(dom) = session.plan.route(site) else {
+            return Ok(f());
+        };
         let stats = session.thread_stats(self.tid);
         stats.bump_gate(kind);
         match session.mode {
             Mode::Passthrough => Ok(f()),
             Mode::Record => {
-                let dom = session.domain_of(site);
                 stats.bump_domain_gate(dom);
                 let outer = gate::record_in(session, dom, self.tid);
                 Ok(gate::exit_after(f, || {
@@ -1719,7 +1684,6 @@ impl ThreadCtx {
                 }))
             }
             Mode::Replay => {
-                let dom = session.domain_of(site);
                 stats.bump_domain_gate(dom);
                 if let Err(e) = gate::replay_in(session, dom, self.tid, site, kind) {
                     session.fail(&e);
@@ -1762,8 +1726,8 @@ pub struct SessionReport {
     pub thread_stats: Vec<StatsSnapshot>,
     /// Gate passages per gate domain (empty for single-domain sessions;
     /// for multi-domain record/replay runs it sums to `stats.gates` —
-    /// passthrough gates never resolve a domain, so there the breakdown
-    /// stays zero). A lopsided breakdown means the site→domain partition
+    /// passthrough gates count no domain, so there the breakdown stays
+    /// zero). A lopsided breakdown means the site→domain partition
     /// is not spreading the load.
     pub domain_gates: Vec<u64>,
     /// The recorded trace (buffered record runs only; a streaming or
@@ -1840,24 +1804,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_plan_bypasses_unplanned_sites() {
-        let gated = SiteId::from_label("gated");
-        let free = SiteId::from_label("free");
-        let cfg = SessionConfig {
-            gate_plan: Some([gated].into_iter().collect()),
-            ..Default::default()
-        };
-        let s = Session::record_with(Scheme::Dc, 1, cfg);
-        let ctx = s.register_thread(0);
-        ctx.gate(gated, AccessKind::Load, || ());
-        ctx.gate(free, AccessKind::Load, || ());
-        drop(ctx);
-        let report = s.finish().unwrap();
-        assert_eq!(report.stats.gates, 1, "only the planned site is gated");
-        assert_eq!(report.bundle.unwrap().total_records(), 1);
-    }
-
-    #[test]
     fn from_env_defaults_to_passthrough() {
         // REOMP_MODE is not set in the test environment.
         let s = Session::from_env(2).unwrap();
@@ -1872,7 +1818,7 @@ mod tests {
         std::env::set_var("REOMP_DOMAINS", "4");
         std::env::set_var("REOMP_SPIN_TIMEOUT", "120");
         let s = Session::from_env(2).unwrap();
-        assert_eq!(s.cfg.domains, 4);
+        assert_eq!(s.domains(), 4);
         assert_eq!(s.cfg.spin.timeout, Some(Duration::from_secs(120)));
 
         // 0 disables the watchdog entirely (oversubscribed-CI escape hatch).
@@ -1880,27 +1826,17 @@ mod tests {
         let s = Session::from_env(2).unwrap();
         assert_eq!(s.cfg.spin.timeout, None);
 
-        // Garbage values fall back to the defaults.
-        std::env::set_var("REOMP_DOMAINS", "zero");
+        // Garbage values fall back to the defaults. (`REOMP_DOMAINS`'s
+        // degenerate values: `tests/site_map.rs`.)
         std::env::set_var("REOMP_SPIN_TIMEOUT", "soon");
         let s = Session::from_env(2).unwrap();
-        assert_eq!(s.cfg.domains, 1);
         assert_eq!(s.cfg.spin.timeout, SpinConfig::default().timeout);
 
-        // Degenerate-but-parseable values clamp (with a warning) instead
-        // of falling through to divide-by-zero / never-flush behavior.
-        std::env::set_var("REOMP_DOMAINS", "0");
+        // A degenerate-but-parseable value clamps (with a warning) instead
+        // of falling through to never-flush behavior.
         std::env::set_var("REOMP_FLUSH_RECORDS", "0");
         let s = Session::from_env(2).unwrap();
-        assert_eq!(s.cfg.domains, 1, "REOMP_DOMAINS=0 clamps to 1");
         assert_eq!(s.cfg.flush_records, 1, "REOMP_FLUSH_RECORDS=0 clamps to 1");
-
-        // A value that parses but overflows the u32 knob keeps the default
-        // (clamping REOMP_DOMAINS to u32::MAX would try to allocate four
-        // billion domain records).
-        std::env::set_var("REOMP_DOMAINS", "4294967296");
-        let s = Session::from_env(2).unwrap();
-        assert_eq!(s.cfg.domains, 1);
 
         // Sanity: in-range values land.
         std::env::set_var("REOMP_FLUSH_RECORDS", "64");
@@ -1915,28 +1851,32 @@ mod tests {
     #[test]
     fn domain_partition_is_stable_and_total() {
         let cfg = SessionConfig {
-            domains: 4,
+            plan: Some(DomainPlan::new(4)),
             ..Default::default()
         };
         let s = Session::record_with(Scheme::Dc, 1, cfg);
         assert_eq!(s.domains(), 4);
         for raw in 0..64u64 {
             let site = SiteId(raw);
-            let dom = s.domain_of(site);
+            let dom = s.plan().domain_of(site);
             assert!(dom < 4);
-            assert_eq!(dom, s.domain_of(site), "partition must be a function");
+            assert_eq!(
+                dom,
+                s.plan().domain_of(site),
+                "partition must be a function"
+            );
         }
         // D = 1 (and the clamped 0) always map to domain 0.
         let s = Session::record_with(
             Scheme::Dc,
             1,
             SessionConfig {
-                domains: 0,
+                plan: Some(DomainPlan::new(0)),
                 ..Default::default()
             },
         );
         assert_eq!(s.domains(), 1, "domain count clamps to >= 1");
-        assert_eq!(s.domain_of(SiteId(u64::MAX)), 0);
+        assert_eq!(s.plan().domain_of(SiteId(u64::MAX)), 0);
     }
 
     #[test]
@@ -1951,9 +1891,9 @@ mod tests {
         };
         let s = Session::record_with(Scheme::Dc, 1, cfg);
         assert_eq!(s.domains(), 2);
-        assert_eq!(s.domain_of(a), 1);
-        assert_eq!(s.domain_of(b), 0);
-        assert_eq!(s.plan(), Some(&plan));
+        assert_eq!(s.plan().domain_of(a), 1);
+        assert_eq!(s.plan().domain_of(b), 0);
+        assert_eq!(s.plan(), &plan);
         let ctx = s.register_thread(0);
         ctx.gate(a, AccessKind::Store, || ());
         drop(ctx);
@@ -1965,29 +1905,15 @@ mod tests {
         // Replay reconstructs the plan from the bundle even when the
         // caller's config has none.
         let replay = Session::replay(bundle).unwrap();
-        assert_eq!(replay.domain_of(a), 1);
-        assert_eq!(replay.domain_of(b), 0);
-    }
-
-    #[test]
-    fn plan_overrides_raw_domain_knob() {
-        let cfg = SessionConfig {
-            domains: 2,
-            plan: Some(DomainPlan::new(4)),
-            ..Default::default()
-        };
-        assert_eq!(cfg.effective_domains(), 4);
-        let s = Session::record_with(Scheme::Dc, 1, cfg);
-        assert_eq!(s.domains(), 4);
-        // Unplanned sites take the mixed-hash fallback, not the modulo.
-        let site = SiteId(6);
-        assert_eq!(s.domain_of(site), DomainPlan::hashed_fallback(4, site));
+        assert_eq!(replay.plan().domain_of(a), 1);
+        assert_eq!(replay.plan().domain_of(b), 0);
     }
 
     #[test]
     fn multi_domain_record_produces_per_domain_streams() {
+        let plan = DomainPlan::with_assignments(2, [(SiteId(2), 0), (SiteId(3), 1)]);
         let cfg = SessionConfig {
-            domains: 2,
+            plan: Some(plan),
             ..Default::default()
         };
         let s = Session::record_with(Scheme::Dc, 2, cfg);
@@ -2032,7 +1958,7 @@ mod tests {
             (a as *const T as usize).abs_diff(b as *const T as usize) >= CACHE_LINE
         }
         let cfg = SessionConfig {
-            domains: 2,
+            plan: Some(DomainPlan::new(2)),
             ..Default::default()
         };
         let s = Session::record_with(Scheme::Dc, 2, cfg);
@@ -2181,7 +2107,7 @@ mod tests {
         for domains in [1u32, 3] {
             for scheme in Scheme::ALL {
                 let cfg = SessionConfig {
-                    domains,
+                    plan: Some(DomainPlan::new(domains)),
                     ..Default::default()
                 };
                 let s = Session::record_with(scheme, 2, cfg.clone());
@@ -2192,7 +2118,7 @@ mod tests {
                 let store = MemStore::new();
                 let cfg = SessionConfig {
                     flush_records: 4,
-                    domains,
+                    plan: Some(DomainPlan::new(domains)),
                     ..Default::default()
                 };
                 let s = Session::record_streaming_with(scheme, 2, cfg, &store).unwrap();

@@ -27,7 +27,7 @@
 //! (cross-domain happens-before edges) and `checkpoint.rtrc` (the
 //! [`Checkpoint`] of a flight-recorder dump). A recording made with `D > 1`
 //! gate domains (see
-//! [`SessionConfig::domains`](crate::session::SessionConfig::domains))
+//! [`SessionConfig::plan`](crate::session::SessionConfig::plan))
 //! stores one record stream per thread **per domain** —
 //! `thread_<tid>.d<dom>.rtrc`, `st.d<dom>.rtrc` — and its manifest carries a
 //! `domains D` line. Single-domain recordings keep the classic names and
@@ -734,7 +734,7 @@ struct Manifest {
     domains: u32,
     records: Option<u64>,
     /// Explicit site count of the stamped plan (`None`: no plan section —
-    /// the recording partitioned with the legacy modulo).
+    /// see [`TraceBundle::partition`]).
     plan_sites: Option<u64>,
     /// Cross-domain edge count (`None`: no edge section).
     edges: Option<u64>,

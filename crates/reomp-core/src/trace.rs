@@ -12,7 +12,7 @@
 //! # Gate domains
 //!
 //! A bundle recorded with `D` *gate domains* (see
-//! [`SessionConfig::domains`](crate::session::SessionConfig::domains))
+//! [`SessionConfig::plan`](crate::session::SessionConfig::plan))
 //! holds one independent order stream **per domain**: sites are statically
 //! partitioned across domains, each domain runs its own gate lock and
 //! clock, and ordering is only recorded *within* a domain. The layout is
@@ -23,9 +23,9 @@
 //!
 //! Multi-domain bundles additionally carry:
 //!
-//! * [`TraceBundle::plan`] — the [`DomainPlan`] the recording partitioned
-//!   sites with, so replay reconstructs the identical assignment (`None`
-//!   means the legacy `site.raw() % D` partition of plan-less recordings);
+//! * [`TraceBundle::plan`] — the [`DomainPlan`] the recording routed
+//!   sites with, so replay reconstructs the identical map
+//!   ([`TraceBundle::partition`]);
 //! * [`TraceBundle::edges`] — sparse **cross-domain happens-before
 //!   edges** ([`CrossDomainEdge`]) stamped at barrier and critical-section
 //!   gates. Each edge anchors at one recorded access and lists the minimum
@@ -307,9 +307,8 @@ pub struct TraceBundle {
     /// Shared ST streams, one per domain (non-empty iff
     /// `scheme == Scheme::St`).
     pub st: Vec<StTrace>,
-    /// The site → domain plan the recording was partitioned with; `None`
-    /// for single-domain bundles and for plan-less (legacy modulo)
-    /// multi-domain recordings.
+    /// The site map the recording was made with; `None` for plan-less
+    /// recordings (see [`TraceBundle::partition`]).
     pub plan: Option<DomainPlan>,
     /// Cross-domain happens-before edges (empty for single-domain
     /// bundles and for traces from before edges existed).
@@ -335,6 +334,19 @@ impl TraceBundle {
     #[must_use]
     pub fn st_stream(&self, dom: u32) -> Option<&StTrace> {
         self.st.get(dom as usize)
+    }
+
+    /// The site map this bundle was recorded under, and so replays under:
+    /// the stamped plan; else, for a plan-less multi-domain bundle, the
+    /// `raw % D` partition such recordings were made with; else one
+    /// domain.
+    #[must_use]
+    pub fn partition(&self) -> DomainPlan {
+        match &self.plan {
+            Some(plan) => plan.clone(),
+            None if self.domains > 1 => DomainPlan::legacy_modulo(self.domains),
+            None => DomainPlan::new(1),
+        }
     }
 
     /// Whether this bundle uses the shared-stream (ST) layout.

@@ -32,7 +32,6 @@
 //! hostile bundle cannot balloon the report.
 
 use crate::error::TraceError;
-use crate::plan::DomainPlan;
 use crate::session::Scheme;
 use crate::site::SiteId;
 use crate::trace::TraceBundle;
@@ -651,21 +650,16 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
 }
 
 /// The Plan tier: every access must have been recorded in the domain the
-/// bundle's partition routes its site to (the stamped [`DomainPlan`], or
-/// the legacy `site % D` modulo for plan-less bundles). A mismatched plan
+/// bundle's site map ([`TraceBundle::partition`]) routes its site to, and,
+/// under a closed plan, only at a site the plan gates. A mismatched plan
 /// stamp silently reroutes replay's gates — the access would wait on the
-/// wrong turnstile.
+/// wrong turnstile, or bypass the gate altogether.
 fn plan_agreement(bundle: &TraceBundle, out: &mut VerifyReport) {
     out.checks += 1;
-    if bundle.domains <= 1 || !bundle.has_validation() {
+    let plan = bundle.partition();
+    if (bundle.domains <= 1 && !plan.is_closed()) || !bundle.has_validation() {
         return;
     }
-    let route = |site: SiteId| -> u32 {
-        match &bundle.plan {
-            Some(plan) => plan.domain_of(site),
-            None => DomainPlan::legacy_modulo(bundle.domains, site),
-        }
-    };
     let label = if bundle.plan.is_some() {
         "stamped plan"
     } else {
@@ -674,21 +668,20 @@ fn plan_agreement(bundle: &TraceBundle, out: &mut VerifyReport) {
     let mut n = 0usize;
     let mut check_stream = |dom: u32, who: String, sites: &[u64], out: &mut VerifyReport| {
         for (i, &raw) in sites.iter().enumerate() {
-            let want = route(SiteId(raw));
-            if want != dom {
-                push_capped(
-                    out,
-                    &mut n,
-                    Diagnostic::error(
-                        Tier::Plan,
-                        format!("{who} access {i}"),
-                        format!(
-                            "site {raw:#x} recorded in domain {dom} but the {label} \
-                             routes it to domain {want}"
-                        ),
-                    ),
-                );
-            }
+            let routed = match plan.route(SiteId(raw)) {
+                Some(want) if want == dom => continue,
+                Some(want) => format!("routes it to domain {want}"),
+                None => "leaves it ungated".into(),
+            };
+            push_capped(
+                out,
+                &mut n,
+                Diagnostic::error(
+                    Tier::Plan,
+                    format!("{who} access {i}"),
+                    format!("site {raw:#x} recorded in domain {dom} but the {label} {routed}"),
+                ),
+            );
         }
     };
     if bundle.is_st() {
@@ -732,7 +725,7 @@ fn certificate(bundle: &TraceBundle) -> Certificate {
     }
     match &bundle.plan {
         Some(plan) => {
-            h.u8(1);
+            h.u8(if plan.is_closed() { 2 } else { 1 });
             h.u64(u64::from(plan.domains()));
             for (site, dom) in plan.sorted_assignments() {
                 h.u64(site);
@@ -805,6 +798,7 @@ fn hash_columns(h: &mut Fnv, sites: &Option<Vec<u64>>, kinds: &Option<Vec<u8>>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::DomainPlan;
     use crate::site::AccessKind;
     use crate::trace::{Checkpoint, CrossDomainEdge, DumpTrigger, ThreadTrace};
 

@@ -16,8 +16,8 @@ use reomp_core::history::{AccessRecord, HistoryRing};
 use reomp_core::stats::Stats;
 use reomp_core::sync::{BatonLock, SpinConfig};
 use reomp_core::{
-    AccessKind, DumpTrigger, FlightRecorder, FlightSink, MemStore, RecordOptions, RecordSink,
-    Scheme, Session, SessionConfig, SiteId, TraceStore,
+    AccessKind, DomainPlan, DumpTrigger, FlightRecorder, FlightSink, MemStore, RecordOptions,
+    RecordSink, Scheme, Session, SessionConfig, SiteId, TraceStore,
 };
 use shuttle::sync::atomic::{AtomicU64, Ordering};
 use shuttle::sync::Mutex;
@@ -531,13 +531,14 @@ pub fn epoch_floor_publication(
 /// as a timeout panic or livelock.
 pub fn cross_domain_record_replay(cfg: &Config) -> Report {
     shuttle::check(cfg.clone(), move || {
-        // SiteId(2) % 2 = domain 0, SiteId(3) % 2 = domain 1.
+        // Site 2 is pinned to domain 0, site 3 to domain 1.
         let sites = [SiteId(2), SiteId(3)];
+        let plan = DomainPlan::with_assignments(2, [(sites[0], 0), (sites[1], 1)]);
         let session = Session::record_with(
             Scheme::Dc,
             2,
             SessionConfig {
-                domains: 2,
+                plan: Some(plan),
                 spin: model_spin(),
                 ..SessionConfig::default()
             },
@@ -713,8 +714,9 @@ pub fn ticket_gate_equivalence(streaming_de: bool, cfg: &Config) -> Report {
 /// every schedule.
 pub fn ticket_critical_edge_record_replay(cfg: &Config) -> Report {
     shuttle::check(cfg.clone(), move || {
-        // SiteId(2) % 2 = domain 0, SiteId(3) % 2 = domain 1.
+        // Site 2 is pinned to domain 0, site 3 to domain 1.
         let sites = [SiteId(2), SiteId(3)];
+        let plan = DomainPlan::with_assignments(2, [(sites[0], 0), (sites[1], 1)]);
         let workload = |session: &Arc<Session>| {
             let handles: Vec<_> = (0..2u32)
                 .map(|tid| {
@@ -734,7 +736,7 @@ pub fn ticket_critical_edge_record_replay(cfg: &Config) -> Report {
             Scheme::De,
             2,
             SessionConfig {
-                domains: 2,
+                plan: Some(plan),
                 spin: model_spin(),
                 ..SessionConfig::default()
             },

@@ -11,7 +11,7 @@
 //!   non-deterministic, exactly the message races ReMPI exists to tame;
 //! * a receive-order recorder — [`MpiSession`] logs, per **(rank ×
 //!   domain)** stream (classic ReMPI keeps one per-process record file;
-//!   [`MpiSessionConfig::domains`] shards it across receive-site domains
+//!   [`MpiSessionConfig::plan`] shards it across receive-site domains
 //!   the way the thread gate's domains shard the order-recording gate),
 //!   which source each wildcard receive matched, and enforces the same
 //!   matching during replay. Trace encoding includes a delta/RLE

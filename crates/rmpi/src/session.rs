@@ -4,10 +4,14 @@
 //! Classic ReMPI keeps one receive-order record file per rank; every
 //! wildcard receive and `waitany` of a rank serializes through that single
 //! stream. Mirroring the thread gate's *gate domains*
-//! ([`reomp_core::SessionConfig::domains`]), the recorder here partitions
+//! ([`reomp_core::SessionConfig::plan`]), the recorder here partitions
 //! receive **sites** — the *requested* `(src, tag)` of a call, hashed to a
 //! [`SiteId`] by [`recv_site`]/[`waitany_site`] — across `D` independent
-//! order streams per rank through the same [`DomainPlan`] machinery. Each
+//! order streams per rank through one resolved [`DomainPlan`], the same
+//! site map the thread gate runs. A rank session records every wildcard
+//! receive, so its plan is never closed, and it has no `raw % D` rule: a
+//! recording stamps its plan only when the plan pins a site, and a
+//! plan-less trace is routed by the hashed fallback. Each
 //! `(rank, domain)` stream owns its own log in record mode and its own
 //! cursor in replay mode, so receives routed to different domains (e.g.
 //! different tags) record and replay concurrently inside one rank — the
@@ -190,8 +194,8 @@ pub struct MpiTrace {
     /// single-stream-per-rank recording).
     pub domains: u32,
     /// The site → domain plan the recording partitioned receive sites
-    /// with; `None` means the hashed fallback partition
-    /// ([`DomainPlan::hashed_fallback`]) over `domains`.
+    /// with, stamped when it pins a site; `None` means the hashed fallback
+    /// partition ([`DomainPlan::hashed_fallback`]) over `domains`.
     pub plan: Option<DomainPlan>,
     /// Wildcard-receive streams, flat and rank-major: index
     /// `rank * domains + dom`, each in that stream's receive order.
@@ -284,18 +288,16 @@ impl MpiTrace {
             .sum()
     }
 
-    /// The receive-order domain of `site` under this trace's partition —
-    /// the stamped plan when one exists, the hashed fallback otherwise.
+    /// The receive-order domain of `site` under this trace's partition.
     #[must_use]
     pub fn domain_of(&self, site: SiteId) -> u32 {
-        domain_of(self.domains, self.plan.as_ref(), site)
+        self.matching_thread_plan().domain_of(site)
     }
 
-    /// The thread-session [`DomainPlan`] this trace's partition requires
-    /// of a hybrid run — the trace-side counterpart of
-    /// [`MpiSession::matching_thread_plan`]: the stamped plan when one
-    /// exists, else a bare plan whose hashed fallback matches the
-    /// trace's own fallback partition.
+    /// The site map this trace was recorded under, and so replays under —
+    /// the stamped plan, else the hashed fallback over `domains` — and the
+    /// thread-session plan a hybrid run needs (the trace-side counterpart
+    /// of [`MpiSession::matching_thread_plan`]).
     #[must_use]
     pub fn matching_thread_plan(&self) -> DomainPlan {
         self.plan
@@ -333,6 +335,11 @@ impl MpiTrace {
                     plan.domains(),
                     self.domains
                 )));
+            }
+            if plan.is_closed() {
+                return Err(TraceError::Corrupt(
+                    "rmpi plan leaves receive sites ungated".into(),
+                ));
             }
         }
         if let Some(cp) = &self.checkpoint {
@@ -527,20 +534,6 @@ impl MpiTrace {
     }
 }
 
-/// The `(rank × domain)` partition shared by sessions and traces: the
-/// explicit plan when one is set, [`DomainPlan::hashed_fallback`]
-/// otherwise. (There is no legacy-modulo variant here — rmpi had no
-/// multi-domain format before the hashed partition existed.)
-fn domain_of(domains: u32, plan: Option<&DomainPlan>, site: SiteId) -> u32 {
-    if domains <= 1 {
-        return 0;
-    }
-    match plan {
-        Some(plan) => plan.domain_of(site),
-        None => DomainPlan::hashed_fallback(domains, site),
-    }
-}
-
 /// Session mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MpiMode {
@@ -555,14 +548,12 @@ pub enum MpiMode {
 /// Tuning knobs for an [`MpiSession`].
 #[derive(Debug, Clone)]
 pub struct MpiSessionConfig {
-    /// Number of receive-order domains per rank (clamped to ≥ 1). `1` —
-    /// the default — reproduces the classic single-stream recording and
-    /// trace layout byte-for-byte.
-    pub domains: u32,
-    /// Explicit receive-site → domain assignment. When set it
-    /// **overrides** [`MpiSessionConfig::domains`] with its own count
-    /// (mirroring [`reomp_core::SessionConfig::plan`]); the plan is
-    /// stamped into the trace and reconstructed by replay.
+    /// The receive-site map (mirroring [`reomp_core::SessionConfig::plan`]):
+    /// the number of receive-order domains per rank and the domain of
+    /// every site. `None` — the default — is one domain, the classic
+    /// single-stream recording and trace layout byte-for-byte. A plan that
+    /// pins sites is stamped into the trace and reconstructed by replay.
+    /// Never closed: every wildcard receive is recorded.
     pub plan: Option<DomainPlan>,
     /// Replay: events retained per `(rank × domain)` stream for
     /// divergence diagnostics (`0` disables the history).
@@ -578,7 +569,6 @@ pub struct MpiSessionConfig {
 impl Default for MpiSessionConfig {
     fn default() -> MpiSessionConfig {
         MpiSessionConfig {
-            domains: 1,
             plan: None,
             history_capacity: 16,
             flight: None,
@@ -587,45 +577,27 @@ impl Default for MpiSessionConfig {
 }
 
 impl MpiSessionConfig {
-    /// A plan-less config over `domains` receive-order domains.
+    /// A config over `domains` receive-order domains, routed by the
+    /// hashed fallback.
     #[must_use]
     pub fn with_domains(domains: u32) -> MpiSessionConfig {
         MpiSessionConfig {
-            domains,
+            plan: Some(DomainPlan::new(domains)),
             ..MpiSessionConfig::default()
         }
     }
 
-    /// Read `REOMP_DOMAINS` (the same knob the thread gate uses) for the
-    /// domain count and `REOMP_FLIGHT` (shared with the thread gate's
-    /// flight recorder) for the bounded-retention window; everything else
+    /// Read `REOMP_DOMAINS` and `REOMP_FLIGHT` exactly as a thread
+    /// session does ([`reomp_core::env_plan_and_window`]); everything else
     /// stays at the defaults.
     #[must_use]
     pub fn from_env() -> MpiSessionConfig {
-        let domains = std::env::var("REOMP_DOMAINS")
-            .ok()
-            .and_then(|s| s.parse::<u32>().ok())
-            .filter(|&d| d >= 1)
-            .unwrap_or(1);
-        let flight = std::env::var("REOMP_FLIGHT")
-            .ok()
-            .and_then(|s| s.parse::<u32>().ok())
-            .filter(|&n| n >= 1);
+        let (plan, flight) = reomp_core::env_plan_and_window();
         MpiSessionConfig {
+            plan,
             flight,
-            ..MpiSessionConfig::with_domains(domains)
+            ..MpiSessionConfig::default()
         }
-    }
-
-    /// The domain count the session will actually run with: the plan's
-    /// count when a plan is set, the raw knob otherwise (clamped to ≥ 1).
-    #[must_use]
-    pub fn effective_domains(&self) -> u32 {
-        self.plan
-            .as_ref()
-            .map(DomainPlan::domains)
-            .unwrap_or(self.domains)
-            .max(1)
     }
 }
 
@@ -671,8 +643,8 @@ impl std::fmt::Display for MpiDivergence {
 pub struct MpiSession {
     mode: MpiMode,
     nranks: u32,
-    domains: u32,
-    plan: Option<DomainPlan>,
+    /// The receive-site map every receive consults.
+    plan: DomainPlan,
     history_capacity: usize,
     flight: Option<u32>,
     logs: Vec<Mutex<Vec<RecvEvent>>>,
@@ -728,21 +700,19 @@ impl MpiSession {
         trace.validate()?;
         let nranks = trace.nranks();
         let cfg = MpiSessionConfig {
-            domains: trace.domains,
-            plan: trace.plan.clone(),
+            plan: Some(trace.matching_thread_plan()),
             ..MpiSessionConfig::default()
         };
         Ok(Self::build(MpiMode::Replay, nranks, cfg, Some(trace)))
     }
 
     fn build(mode: MpiMode, nranks: u32, cfg: MpiSessionConfig, trace: Option<MpiTrace>) -> Self {
-        let domains = cfg.effective_domains();
-        let streams = (nranks * domains) as usize;
+        let plan = cfg.plan.unwrap_or_default();
+        let streams = (nranks * plan.domains()) as usize;
         MpiSession {
             mode,
             nranks,
-            domains,
-            plan: cfg.plan,
+            plan,
             history_capacity: cfg.history_capacity,
             flight: cfg.flight.map(|n| n.max(1)),
             logs: (0..streams).map(|_| Mutex::new(Vec::new())).collect(),
@@ -771,13 +741,7 @@ impl MpiSession {
     /// Number of receive-order domains per rank (≥ 1).
     #[must_use]
     pub fn domains(&self) -> u32 {
-        self.domains
-    }
-
-    /// The session's receive-site plan, if it runs with one.
-    #[must_use]
-    pub fn plan(&self) -> Option<&DomainPlan> {
-        self.plan.as_ref()
+        self.plan.domains()
     }
 
     /// The receive-order domain `site` belongs to — a fixed partition
@@ -785,7 +749,7 @@ impl MpiSession {
     #[inline]
     #[must_use]
     pub fn domain_of(&self, site: SiteId) -> u32 {
-        domain_of(self.domains, self.plan.as_ref(), site)
+        self.plan.domain_of(site)
     }
 
     /// A [`DomainPlan`] for the per-rank **thread** sessions of a hybrid
@@ -797,14 +761,12 @@ impl MpiSession {
     /// stream out of recorded order).
     #[must_use]
     pub fn matching_thread_plan(&self) -> DomainPlan {
-        self.plan
-            .clone()
-            .unwrap_or_else(|| DomainPlan::new(self.domains))
+        self.plan.clone()
     }
 
     fn stream_index(&self, rank: u32, dom: u32) -> usize {
-        debug_assert!(rank < self.nranks && dom < self.domains);
-        (rank * self.domains + dom) as usize
+        debug_assert!(rank < self.nranks && dom < self.domains());
+        (rank * self.domains() + dom) as usize
     }
 
     fn push_history(&self, stream: usize, ev: RecvEvent) {
@@ -948,8 +910,8 @@ impl MpiSession {
                 .collect(),
         });
         MpiTrace {
-            domains: self.domains,
-            plan: self.plan.clone(),
+            domains: self.domains(),
+            plan: (!self.plan.is_empty()).then(|| self.plan.clone()),
             recv_streams: self
                 .logs
                 .iter()
@@ -985,7 +947,7 @@ impl MpiSession {
         };
         let mut out = Vec::new();
         for rank in 0..self.nranks {
-            for dom in 0..self.domains {
+            for dom in 0..self.domains() {
                 let stream = self.stream_index(rank, dom);
                 // Windowed replays free-run the first `base` calls of a
                 // stream; only calls past the base consume the recording.
@@ -1479,9 +1441,8 @@ mod tests {
     #[test]
     fn flight_trace_roundtrips_through_the_v3_dir_layout() {
         let cfg = MpiSessionConfig {
-            domains: 2,
             flight: Some(2),
-            ..MpiSessionConfig::default()
+            ..MpiSessionConfig::with_domains(2)
         };
         let s = MpiSession::record_with(2, cfg);
         for i in 0..5u32 {

@@ -2,16 +2,17 @@
 //! sharded across 4 domains, persist the per-domain trace layout, and
 //! replay it divergence-free.
 //!
-//! Sites are partitioned as `site.raw() % domains`, so threads hammering
-//! their own sites never contend on a gate lock in record mode and
-//! proceed through independent turnstiles in replay.
+//! A `DomainPlan` pins thread `t`'s site to domain `t mod D`, so threads
+//! hammering their own sites never contend on a gate lock in record mode
+//! (when `D` ≥ threads) and proceed through independent turnstiles in
+//! replay. The plan travels with the trace; replay reads it back.
 //!
 //! ```bash
 //! cargo run --release --example gate_domains
 //! REOMP_DOMAINS=8 cargo run --release --example gate_domains   # pick the dial
 //! ```
 
-use reomp::{AccessKind, DirStore, Scheme, Session, SessionConfig, SiteId, TraceStore};
+use reomp::{AccessKind, DirStore, DomainPlan, Scheme, Session, SessionConfig, SiteId, TraceStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,8 +49,12 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("reomp-domains-{}", std::process::id()));
     let store = DirStore::new(&dir);
 
-    let cfg = SessionConfig {
+    let plan = DomainPlan::with_assignments(
         domains,
+        (0..THREADS).map(|t| (SiteId(u64::from(t)), t % domains)),
+    );
+    let cfg = SessionConfig {
+        plan: Some(plan.clone()),
         ..SessionConfig::default()
     };
     let session = Session::record_with(Scheme::De, THREADS, cfg);
@@ -70,7 +75,7 @@ fn main() {
     );
 
     let (loaded, _) = store.load().expect("load trace");
-    assert_eq!(loaded.domains, domains, "domain count rides in the trace");
+    assert_eq!(loaded.plan, Some(plan), "the plan rides in the trace");
     let session = Session::replay(loaded).expect("valid trace");
     let replayed = disjoint_program(&session);
     let report = session.finish().expect("finish replay");

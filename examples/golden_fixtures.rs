@@ -138,7 +138,6 @@ fn main() {
         "dc_planned",
         Scheme::Dc,
         SessionConfig {
-            domains,
             plan: Some(plan),
             ..SessionConfig::default()
         },

@@ -4,13 +4,15 @@
 //!    detector attached (the paper's ThreadSanitizer step) to find the
 //!    racy sites;
 //! 2. **Instrumentation plan** — racy sites + statically known construct
-//!    sites become the gate plan (the paper's LLVM-pass step);
+//!    sites become a closed one-domain `DomainPlan` (the paper's LLVM-pass
+//!    step): every other site is ungated;
 //! 3. **Record** — run with gates enabled only on planned sites;
-//! 4. **Replay** — reproduce the run from the record files on disk;
-//! 5. **Domain plan** — the SAME race report plus the record run's
-//!    per-domain gate frequency drive a `DomainPlan`: racing sites
-//!    co-locate in one gate domain, the rest load-balance, and a planned
-//!    multi-domain record/replay reproduces the run with sharded gates
+//! 4. **Replay** — reproduce the run from the record files on disk; the
+//!    plan travels with the trace, so replay needs no configuration;
+//! 5. **Domain plan** — the SAME race report plus a probe run's
+//!    per-domain gate frequency drive a closed multi-domain `DomainPlan`:
+//!    racing sites co-locate in one gate domain, the rest load-balance,
+//!    and a planned record/replay reproduces the run with sharded gates
 //!    (cross-domain edges stamped at the criticals keep inter-domain
 //!    order at sync points).
 //!
@@ -18,9 +20,7 @@
 //! cargo run --example toolflow
 //! ```
 
-use reomp::{
-    core::SessionConfig, ompr, racedet, DirStore, DomainPlan, Scheme, Session, TraceStore,
-};
+use reomp::{core::SessionConfig, ompr, racedet, DirStore, Scheme, Session, TraceStore};
 use std::sync::Arc;
 
 /// The application under test: a racy flag + counter, plus a properly
@@ -90,16 +90,16 @@ fn main() {
     let plan = racedet::instrumentation_plan(&report, [app.safe.site()]);
     println!(
         "step 2: instrumentation plan has {} sites (2 racy + 1 critical)",
-        plan.len()
+        plan.assigned()
     );
 
     // Step 3: record with only the planned sites gated.
     let cfg = SessionConfig {
-        gate_plan: Some(plan.clone()),
+        plan: Some(plan),
         ..SessionConfig::default()
     };
     let app = TestApp::new();
-    let session = Session::record_with(Scheme::De, threads, cfg.clone());
+    let session = Session::record_with(Scheme::De, threads, cfg);
     let (counter, safe_total) = app.run(&session, None);
     let record_report = session.finish().expect("finish");
     println!(
@@ -118,10 +118,11 @@ fn main() {
         dir.display()
     );
 
-    // Step 4: replay from disk.
+    // Step 4: replay from disk; the stamped plan tells replay which sites
+    // are gated.
     let (bundle, _) = store.load().expect("load");
     let app = TestApp::new();
-    let session = Session::replay_with(bundle, cfg).expect("valid bundle");
+    let session = Session::replay(bundle).expect("valid bundle");
     let (replayed_counter, replayed_safe) = app.run(&session, None);
     let report = session.finish().expect("finish");
     assert_eq!(report.failure, None);
@@ -132,11 +133,13 @@ fn main() {
     // Step 5: domain planning — detect once, shard soundly.
     let domains = 4;
     println!("step 5: domain plan over {domains} gate domains");
-    // Probe run under the empty (hash-fallback) plan to observe per-domain
+    // Probe run under the planner's unit-weight plan to observe per-domain
     // gate frequency — the planner's feedback signal.
-    let probe = DomainPlan::new(domains);
+    let planner = racedet::DomainPlanner::new(domains)
+        .observe_report(&detector.report())
+        .weight(app.safe.site(), 0);
+    let probe = planner.clone().build().closed();
     let probe_cfg = SessionConfig {
-        gate_plan: Some(plan.clone()),
         plan: Some(probe.clone()),
         ..SessionConfig::default()
     };
@@ -145,14 +148,13 @@ fn main() {
     let _ = probe_app.run(&session, None);
     let probe_report = session.finish().expect("finish");
     println!(
-        "        probe gates/domain {:?} (hash fallback)",
+        "        probe gates/domain {:?} (unit weights)",
         probe_report.domain_gates
     );
-    let domain_plan = racedet::DomainPlanner::new(domains)
-        .observe_report(&detector.report())
-        .weight(app.safe.site(), 0)
+    let domain_plan = planner
         .feedback(&probe, &probe_report.domain_gates)
-        .build();
+        .build()
+        .closed();
     println!(
         "        {} site(s) pinned; counter -> domain {}, flag -> domain {}, critical -> domain {}",
         domain_plan.assigned(),
@@ -161,12 +163,11 @@ fn main() {
         domain_plan.domain_of(app.safe.site()),
     );
     let cfg = SessionConfig {
-        gate_plan: Some(plan),
         plan: Some(domain_plan),
         ..SessionConfig::default()
     };
     let app = TestApp::new();
-    let session = Session::record_with(Scheme::De, threads, cfg.clone());
+    let session = Session::record_with(Scheme::De, threads, cfg);
     let (planned_counter, _) = app.run(&session, None);
     let planned_report = session.finish().expect("finish");
     println!(
@@ -178,7 +179,7 @@ fn main() {
     let (bundle, _) = store.load().expect("load planned trace");
     assert!(bundle.plan.is_some(), "plan travels with the trace");
     let app = TestApp::new();
-    let session = Session::replay_with(bundle, cfg).expect("valid bundle");
+    let session = Session::replay(bundle).expect("valid bundle");
     let (replayed, _) = app.run(&session, None);
     let rep = session.finish().expect("finish");
     assert_eq!(rep.failure, None);

@@ -291,13 +291,19 @@ fn main() -> ExitCode {
                 for dom in 0..bundle.domains {
                     println!("  domain {dom}: {} records", bundle.domain_records(dom));
                 }
-                match &bundle.plan {
-                    Some(plan) => println!(
-                        "  partition: planned ({} pinned sites, mixed-hash fallback)",
-                        plan.assigned()
-                    ),
-                    None => println!("  partition: legacy modulo (no plan)"),
-                }
+            }
+            match &bundle.plan {
+                Some(plan) => println!(
+                    "  partition: planned ({} pinned sites, {})",
+                    plan.assigned(),
+                    if plan.is_closed() {
+                        "unlisted sites ungated"
+                    } else {
+                        "mixed-hash fallback"
+                    }
+                ),
+                None if bundle.domains > 1 => println!("  partition: legacy modulo (no plan)"),
+                None => {}
             }
             if io.chunks > 0 {
                 println!(

@@ -3,9 +3,9 @@
 //! out of proportion to the input. This binary counts what it allocates, so
 //! "in bounded memory" is asserted, not assumed.
 
-use reomp::core::codec::{self, FLAG_CHUNKED, FLAG_COMPRESSED};
+use reomp::core::codec::{self, FLAG_CHUNKED, FLAG_COMPRESSED, FLAG_PLAN, FLAG_UNGATED};
 use reomp::core::trace::ThreadTrace;
-use reomp::{DirStore, Scheme, TraceBundle, TraceError, TraceStore};
+use reomp::{DirStore, DomainPlan, Scheme, SiteId, TraceBundle, TraceError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -281,4 +281,24 @@ fn a_payload_under_the_other_versions_header_is_corrupt() {
         codec::decode_thread_records(&one_chunk(2, COLUMNS | FLAG_COMPRESSED, &payload)),
         "v1 compressed payload, v2 header",
     );
+}
+
+#[test]
+fn a_plan_section_with_an_unknown_flag_is_corrupt() {
+    let _serial = serial();
+    let plan = DomainPlan::with_assignments(2, [(SiteId(3), 1)]);
+    let good = codec::encode_plan(&plan).to_vec();
+    assert_eq!(good[5], FLAG_PLAN);
+    assert_eq!(codec::decode_plan(&good).unwrap(), plan);
+    let mut closed = good.clone();
+    closed[5] |= FLAG_UNGATED;
+    assert_eq!(codec::decode_plan(&closed).unwrap(), plan.closed());
+    // A reader that skipped a bit it does not know would misroute replay.
+    for bit in (0..8).map(|b| 1u8 << b) {
+        if bit & (FLAG_PLAN | FLAG_UNGATED) == 0 {
+            let mut stray = good.clone();
+            stray[5] |= bit;
+            assert_corrupt(codec::decode_plan(&stray), &format!("flag {bit:#04x}"));
+        }
+    }
 }

@@ -70,7 +70,7 @@ fn windowed_dump_is_the_tail_of_an_unbounded_recording() {
             let tag = format!("{scheme}/D={domains}/W={wchunks}");
             let nthreads = 3;
             let cfg = SessionConfig {
-                domains,
+                plan: Some(reomp::DomainPlan::new(domains)),
                 ..SessionConfig::default()
             };
 

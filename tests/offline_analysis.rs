@@ -3,7 +3,7 @@
 //! * `racedet::offline` re-runs FastTrack over a *recorded trace* — no
 //!   threads, no second execution — and must reproduce what the live
 //!   detector found on the same program (the toolflow `RacyApp`).
-//! * The static plan-soundness analysis must reject the legacy-modulo
+//! * The static plan-soundness analysis must reject a blind partition's
 //!   split of aliased sites that `prop_domain_plan`'s `#[should_panic]`
 //!   case demonstrates dynamically — here it is caught at verify time,
 //!   without spawning a replay — and its race report feeds the
@@ -84,8 +84,9 @@ fn offline_reproduces_live_detector_on_toolflow_app() {
 }
 
 /// Aliased sites for one shared address, chosen (as in
-/// `tests/prop_domain_plan.rs`) so the legacy `raw % 2` partition splits
-/// them across domains: address 0 → sites 2 (alias A) and 3 (alias B).
+/// `tests/prop_domain_plan.rs`) so a blind two-domain partition — an
+/// empty plan's hash — splits them across domains: address 0 → sites 2
+/// (alias A) and 3 (alias B).
 fn site_of(side: bool) -> SiteId {
     SiteId(2 + u64::from(side))
 }
@@ -115,18 +116,25 @@ fn record_aliased(cfg: SessionConfig) -> reomp::TraceBundle {
 }
 
 /// The static analogue of `prop_domain_plan`'s `#[should_panic]` replay
-/// divergence: under the blind modulo partition the two aliases of one
-/// address record into different domains with no ordering edge between
+/// divergence: under a blind partition (an empty plan, once `raw % D`) the
+/// two aliases of one address record into different domains with no
+/// ordering edge between
 /// them, so the recorded store order is unreplayable — and the offline
 /// analysis proves it from the artifacts, no replay spawned. Its race
 /// report then drives the `DomainPlanner` to the co-locating plan.
 #[test]
 fn plan_soundness_statically_rejects_legacy_modulo() {
+    let blind = reomp::DomainPlan::new(2);
+    assert_ne!(
+        blind.domain_of(site_of(false)),
+        blind.domain_of(site_of(true)),
+        "precondition: the hash splits the aliases"
+    );
     let bundle = record_aliased(SessionConfig {
-        domains: 2, // blind partition, no plan
+        plan: Some(blind.clone()),
         ..SessionConfig::default()
     });
-    assert!(bundle.plan.is_none());
+    assert_eq!(bundle.plan, Some(blind));
     assert!(bundle.validate().is_ok(), "the split trace LOOKS fine");
 
     // The offline sweep sees the cross-domain stores unordered → race.
@@ -169,7 +177,6 @@ fn planned_bundle_is_statically_sound() {
     plan.set(site_of(false), 1);
     plan.set(site_of(true), 1);
     let bundle = record_aliased(SessionConfig {
-        domains: 2,
         plan: Some(plan),
         ..SessionConfig::default()
     });

@@ -3,12 +3,13 @@
 //! Two *aliased* sites — distinct instrumentation sites touching the same
 //! memory cell — must record into the same gate domain, or replay loses
 //! their relative order (multi-domain traces record no order between
-//! domains outside of sync edges). The blind `site.raw() % D` partition
-//! can split them; a race-report-driven [`DomainPlan`] provably co-locates
+//! domains outside of sync edges). A blind partition — an empty plan's
+//! hash, or the `site.raw() % D` of plan-less recordings before it — can
+//! split them; a race-report-driven [`DomainPlan`] provably co-locates
 //! them.
 //!
 //! * `legacy_modulo_splits_aliased_sites_and_loses_their_order` is the
-//!   `#[should_panic]` demonstration against the legacy modulo path: the
+//!   `#[should_panic]` demonstration against a blind partition: the
 //!   replayed per-address order differs from the recorded one.
 //! * The property test drives random aliased-site programs under a planned
 //!   D = 4 session and checks the replayed access order over each racing
@@ -18,7 +19,7 @@
 use proptest::prelude::*;
 use reomp::racedet::report::AccessSide;
 use reomp::racedet::{RaceInfo, RaceReport};
-use reomp::{AccessKind, Scheme, Session, SessionConfig, SiteId, TraceStore};
+use reomp::{AccessKind, DomainPlan, Scheme, Session, SessionConfig, SiteId, TraceStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,10 +27,9 @@ use std::time::Duration;
 /// Each address is reachable through TWO distinct sites (the alias).
 type Op = (u8, bool, bool);
 
-/// Site id for address `addr` through alias side `side`. Chosen so that
-/// under the legacy modulo with D = 2 the two aliases of every address land
-/// in DIFFERENT domains (even/odd raw values; 0 is avoided — it is the
-/// race reports' "unknown prior access" placeholder).
+/// Site id for address `addr` through alias side `side` (0 is avoided —
+/// it is the race reports' "unknown prior access" placeholder). The two
+/// aliases of address 0 land in DIFFERENT domains of an empty D = 2 plan.
 fn site_of(addr: u8, side: bool) -> SiteId {
     SiteId(u64::from(addr) * 2 + 2 + u64::from(side))
 }
@@ -132,29 +132,34 @@ fn replay_cfg() -> SessionConfig {
     }
 }
 
-/// The demonstration the ISSUE asks for: with the legacy modulo partition,
-/// aliased sites split across domains and a replay that schedules the
+/// With a blind partition, aliased sites split across domains and a
+/// replay that schedules the
 /// domains differently reorders the accesses to the SAME address — the
 /// per-address order assertion fails. (The planned path below makes the
 /// same assertion and passes.)
 #[test]
 #[should_panic(expected = "aliased-site order must replay")]
 fn legacy_modulo_splits_aliased_sites_and_loses_their_order() {
-    // One address, two aliases: site 0 → domain 0, site 1 → domain 1
-    // under `raw % 2`. Thread 0 writes through alias A, thread 1 through
-    // alias B, strictly interleaved by the deterministic driver.
+    // One address, two aliases that an empty two-domain plan splits.
+    // Thread 0 writes through alias A, thread 1 through alias B, strictly
+    // interleaved from one test thread.
     let programs: Vec<Vec<Op>> = vec![
         vec![(0, false, true); 4], // t0: 4 stores via alias A
         vec![(0, true, true); 4],  // t1: 4 stores via alias B
     ];
+    let blind = DomainPlan::new(2);
+    assert_ne!(
+        blind.domain_of(site_of(0, false)),
+        blind.domain_of(site_of(0, true)),
+        "precondition: the hash splits the aliases"
+    );
     let cfg = SessionConfig {
-        domains: 2, // blind partition, no plan
+        plan: Some(blind),
         ..Default::default()
     };
     let session = Session::record_with(Scheme::Dc, 2, cfg);
     let recorded = execute(&programs, &session, false);
     let bundle = session.finish().unwrap().bundle.unwrap();
-    assert!(bundle.plan.is_none());
 
     // Replay with thread 1 running to completion before thread 0 starts:
     // legal for the per-domain turnstiles (each domain's stream admits its

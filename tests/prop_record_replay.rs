@@ -116,7 +116,7 @@ proptest! {
         // A small flush threshold makes the concurrent buffered runs flush
         // their lanes mid-run, while other threads post DE fix-ups.
         let cfg = reomp::SessionConfig {
-            domains,
+            plan: Some(reomp::DomainPlan::new(domains)),
             flush_records,
             ..reomp::SessionConfig::default()
         };

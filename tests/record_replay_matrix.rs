@@ -3,7 +3,9 @@
 //! through the on-disk format.
 
 use reomp::miniapps::{amg, hacc, hpccg, minife, quicksilver, AppOutput};
-use reomp::{ompr::Runtime, DirStore, MemStore, Mode, Scheme, Session, SessionConfig, TraceStore};
+use reomp::{
+    ompr::Runtime, DirStore, DomainPlan, MemStore, Mode, Scheme, Session, SessionConfig, TraceStore,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,7 +24,7 @@ fn domain_sweep() -> Vec<u32> {
 
 fn config_with_domains(domains: u32) -> SessionConfig {
     SessionConfig {
-        domains,
+        plan: Some(DomainPlan::new(domains)),
         ..SessionConfig::default()
     }
 }

@@ -121,7 +121,6 @@ fn drive(session: &Arc<Session>) {
 fn session_cfg(domains: u32, flight: Option<u32>) -> SessionConfig {
     SessionConfig {
         flush_records: 4,
-        domains,
         plan: plan(domains),
         flight,
         ..SessionConfig::default()

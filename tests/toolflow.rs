@@ -2,10 +2,10 @@
 //! replay — including the paper's footnote 1 property ("even if the
 //! developers do not fix such bugs, it does not hamper the ability of
 //! ReOMP record-and-replay"), and the domain-planned variant: one race
-//! report drives BOTH the gate plan (which sites) and the domain plan
-//! (where they record).
+//! report drives one closed `DomainPlan` that says both which sites are
+//! gated and where they record.
 
-use reomp::{core::SessionConfig, ompr, racedet, DomainPlan, Scheme, Session, TraceStore};
+use reomp::{core::SessionConfig, ompr, racedet, Scheme, Session, TraceStore};
 use std::sync::Arc;
 
 struct RacyApp {
@@ -65,11 +65,11 @@ fn detect_plan_record_replay() {
 
     // Record with the plan: `cold`'s accesses bypass the recorder.
     let cfg = SessionConfig {
-        gate_plan: Some(plan),
+        plan: Some(plan),
         ..SessionConfig::default()
     };
     let app = RacyApp::new();
-    let session = Session::record_with(Scheme::De, threads, cfg.clone());
+    let session = Session::record_with(Scheme::De, threads, cfg);
     let recorded = app.run(&session, None);
     let report = session.finish().unwrap();
     let bundle = report.bundle.unwrap();
@@ -80,9 +80,9 @@ fn detect_plan_record_replay() {
         "cold accesses must not be gated"
     );
 
-    // Replay with the same plan.
+    // Replay under the plan the trace carries.
     let app = RacyApp::new();
-    let session = Session::replay_with(bundle, cfg).unwrap();
+    let session = Session::replay(bundle).unwrap();
     let replayed = app.run(&session, None);
     let report = session.finish().unwrap();
     assert_eq!(report.failure, None);
@@ -91,10 +91,10 @@ fn detect_plan_record_replay() {
 
 #[test]
 fn detect_plan_record_replay_with_domain_plan() {
-    // The full planned pipeline over gate domains: detect → initial
-    // multi-domain record (hashed fallback plan) → planner consumes the
-    // race report + the run's `domain_gates` frequency feedback → planned
-    // record → replay from disk. One race report drives both plans.
+    // The full planned pipeline over gate domains: detect → probe record
+    // under the planner's unit-weight plan → planner consumes the race
+    // report + the run's `domain_gates` frequency feedback → planned
+    // record → replay from disk. One race report drives one closed plan.
     let threads = 4;
     let domains = 4;
 
@@ -107,39 +107,41 @@ fn detect_plan_record_replay_with_domain_plan() {
     let report = detector.report();
     assert!(!report.is_clean());
 
-    // Feedback run: record under an empty (hash-fallback) plan to observe
-    // the per-domain gate frequency.
-    let probe_plan = DomainPlan::new(domains);
+    // Feedback run: record under the planner's unit-weight plan to
+    // observe the per-domain gate frequency.
+    let planner = racedet::DomainPlanner::new(domains)
+        .observe_report(&report)
+        .weight(app.cs.site(), 0);
+    let probe_plan = planner.clone().build().closed();
     let cfg = SessionConfig {
-        gate_plan: Some(racedet::instrumentation_plan(&report, [app.cs.site()])),
         plan: Some(probe_plan.clone()),
         ..SessionConfig::default()
     };
     let app = RacyApp::new();
-    let session = Session::record_with(Scheme::Dc, threads, cfg.clone());
+    let session = Session::record_with(Scheme::Dc, threads, cfg);
     let _ = app.run(&session, None);
     let feedback = session.finish().unwrap();
     assert_eq!(feedback.domain_gates.len(), domains as usize);
 
     // Plan: racing sites co-locate; the critical construct site is
-    // weighted by the observed per-domain load.
-    let plan = racedet::DomainPlanner::new(domains)
-        .observe_report(&report)
-        .weight(app.cs.site(), 0)
+    // weighted by the observed per-domain load; `cold` stays ungated.
+    let plan = planner
         .feedback(&probe_plan, &feedback.domain_gates)
-        .build();
+        .build()
+        .closed();
     let hot_dom = plan.domain_of(app.hot.site());
     assert!(hot_dom < domains);
-    assert!(plan.assigned() >= 2, "hot + cs sites pinned");
+    assert_eq!(plan.assigned(), 2, "hot + cs sites pinned");
+    assert_eq!(plan.route(app.cold.site()), None);
 
-    // Record with both plans, persist to disk (plan + edges travel with
-    // the trace), replay from disk.
+    // Record with the plan, persist to disk (plan + edges travel with the
+    // trace), replay from disk.
     let cfg = SessionConfig {
         plan: Some(plan.clone()),
-        ..cfg
+        ..SessionConfig::default()
     };
     let app = RacyApp::new();
-    let session = Session::record_with(Scheme::Dc, threads, cfg.clone());
+    let session = Session::record_with(Scheme::Dc, threads, cfg);
     let recorded = app.run(&session, None);
     let rec_report = session.finish().unwrap();
     assert!(
@@ -158,7 +160,7 @@ fn detect_plan_record_replay_with_domain_plan() {
     assert_eq!(loaded, bundle, "plan and edges survive the store");
 
     let app = RacyApp::new();
-    let session = Session::replay_with(loaded, cfg).unwrap();
+    let session = Session::replay(loaded).unwrap();
     let replayed = app.run(&session, None);
     let rep_report = session.finish().unwrap();
     assert_eq!(rep_report.failure, None);
