@@ -11,7 +11,7 @@
 //! instrument each instruction with `AccessKind::Load`/`Store`, the only
 //! kinds eligible for DE epoch sharing (Condition 1). Under DC/DE a racy
 //! access records through the domain's lock-free ticket gate — one
-//! `fetch_add` on the ticket word rather than a mutex bracket — which is
+//! `fetch_add` on its ticket dispenser rather than a mutex bracket — which is
 //! exactly the hot path these polling workloads hammer.
 
 // ORDERING(file): deliberately-relaxed cells — this module *is* the

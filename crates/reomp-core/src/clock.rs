@@ -51,74 +51,68 @@ impl GlobalClock {
 /// build one. This gate keeps the *serialization* — regions
 /// still execute one at a time, in ticket order, which is what makes the
 /// recorded clocks a faithful execution order — but replaces the mutex
-/// with one word of atomics: `enter` is a single `fetch_add` when the gate
-/// is idle (the common, uncontended case), `exit` a single `fetch_add`.
-/// No parking, no lock-owner bookkeeping, no `RawLocked` bracket.
+/// with two words of atomics on one line: `enter` is one `fetch_add` plus
+/// one load when the gate is idle (the common, uncontended case), `exit`
+/// one load and one store. One locked instruction per access, no parking,
+/// no lock-owner bookkeeping, no `RawLocked` bracket.
 ///
 /// # Protocol
 ///
-/// Both halves live in one `AtomicU64`: the **ticket** counter in the high
-/// 32 bits (bumped by `enter`), the **serving** counter in the low 32 bits
-/// (bumped by `exit`). A thread enters by taking the next ticket; it holds
-/// the gate when `serving == ticket`, and releases it by bumping `serving`.
-/// Packing both counters into one word makes the ticket-grab itself the
-/// synchronizing read: the `enter` RMW returns the serving count of the
-/// moment the ticket was issued, so the idle-gate case enters with exactly
-/// one atomic instruction and zero extra loads.
+/// `next` is the ticket dispenser, bumped by `enter`; `serving` is the
+/// ticket now admitted, written only by the thread that holds it. A thread
+/// enters by taking the next ticket; it holds the gate when `serving`
+/// equals its ticket, and releases it by storing `ticket + 1` into
+/// `serving`. Because no other thread writes `serving` while it is held,
+/// the release needs no RMW: a load of the holder's own value and a
+/// Release store. The Acquire load of `serving` that admits the next
+/// holder pairs with that store and carries the gate-state hand-off.
 ///
-/// # Capacity
-///
-/// 32-bit halves bound a domain to `u32::MAX` gated accesses per record
-/// run (≈ 4.3 billion; the `exit` of access 2³²−1 would carry into the
-/// ticket half). `enter` panics on exhaustion instead of corrupting the
-/// order — long runs shard across domains or stream in windows well before
-/// that.
+/// Both counters are 64-bit, so no run exhausts them.
 #[derive(Debug, Default)]
+#[repr(C, align(16))]
 pub struct TicketGate {
-    /// `ticket` (high 32 bits) | `serving` (low 32 bits).
-    word: AtomicU64,
+    /// The next ticket to issue (bumped by every `enter`).
+    next: AtomicU64,
+    /// The ticket being served (written only by its holder).
+    serving: AtomicU64,
 }
 
 impl TicketGate {
-    const TICKET_ONE: u64 = 1 << 32;
-
     /// An idle gate: next ticket 0, serving 0.
     #[must_use]
     pub const fn new() -> Self {
         TicketGate {
-            word: AtomicU64::new(0),
+            next: AtomicU64::new(0),
+            serving: AtomicU64::new(0),
         }
     }
 
     /// Take the next ticket and wait until it is served; returns the
-    /// ticket for the matching [`TicketGate::exit`].
+    /// ticket (its low 32 bits) for the matching [`TicketGate::exit`].
     ///
-    /// The fetch_add's `Acquire` success ordering is load-bearing on the
-    /// **immediate-entry** path: when the RMW observes `serving == ticket`
-    /// it is reading the previous holder's `Release` exit, and that
-    /// acquire/release pairing is what publishes the predecessor's gate
-    /// state (clock, tracker) to us. Weakening it to `Relaxed` would let
-    /// this thread enter on a stale view — the exact mutant the model
-    /// sweep proves caught.
+    /// The `serving` load's `Acquire` is load-bearing, also on the
+    /// **immediate-entry** path: observing `serving == ticket` reads the
+    /// previous holder's `Release` exit, and that acquire/release pairing
+    /// is what publishes the predecessor's gate state (clock, tracker) to
+    /// us. Weakening it to `Relaxed` would let this thread enter on a
+    /// stale view — the exact mutant the model sweep proves caught.
     #[inline]
     pub fn enter(&self) -> u32 {
-        let w = self.word.fetch_add(Self::TICKET_ONE, Ordering::Acquire);
-        let ticket = (w >> 32) as u32;
-        assert!(
-            ticket != u32::MAX,
-            "ticket gate exhausted: 2^32 gated accesses in one domain \
-             (shard across more domains or record in windows)"
-        );
-        if w as u32 == ticket {
-            return ticket;
+        // ORDERING: the dispenser publishes nothing — the RMW's atomicity
+        // alone makes tickets unique and FIFO; the hand-off rides on the
+        // `serving` Acquire load below.
+        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
+        // ORDERING: Acquire pairs with the predecessor's Release `exit`,
+        // publishing the gate state it wrote before leaving.
+        if self.serving.load(Ordering::Acquire) == ticket {
+            return ticket as u32;
         }
         let mut backoff = Backoff::new();
         loop {
             backoff.snooze();
-            // ORDERING: Acquire pairs with the predecessor's Release
-            // `exit`, publishing the gate state it wrote before leaving.
-            if self.word.load(Ordering::Acquire) as u32 == ticket {
-                return ticket;
+            // ORDERING: as above.
+            if self.serving.load(Ordering::Acquire) == ticket {
+                return ticket as u32;
             }
         }
     }
@@ -130,9 +124,12 @@ impl TicketGate {
     #[inline]
     pub fn exit(&self, ticket: u32) {
         let _ = ticket;
+        // ORDERING: only the holder writes `serving`, and this thread's
+        // entry read the value it holds, so a Relaxed load returns it.
+        let served = self.serving.load(Ordering::Relaxed);
         // ORDERING: Release publishes everything written inside the served
-        // section to the successor's Acquire entry (RMW or spin load).
-        self.word.fetch_add(1, Ordering::Release);
+        // section to the successor's Acquire entry load.
+        self.serving.store(served + 1, Ordering::Release);
     }
 }
 
@@ -415,6 +412,44 @@ mod tests {
             g.exit(t0);
         });
         assert_eq!(*order.lock(), vec![1, 2], "FIFO admission by ticket");
+    }
+
+    /// An idle gate whose next ticket is `ticket`, as if `ticket`
+    /// accesses had passed through it.
+    fn ticket_gate_at(ticket: u64) -> TicketGate {
+        TicketGate {
+            next: AtomicU64::new(ticket),
+            serving: AtomicU64::new(ticket),
+        }
+    }
+
+    #[test]
+    fn ticket_gate_crosses_the_32_bit_boundary() {
+        // A gate 2^32 − 2 tickets in: the next four accesses cross where
+        // a 32-bit ticket half would have wrapped into the serving half.
+        let g = Arc::new(ticket_gate_at((1 << 32) - 2));
+        for _ in 0..4 {
+            let t = g.enter();
+            g.exit(t);
+        }
+        assert_eq!(g.next.load(Ordering::Relaxed), (1 << 32) + 2);
+        assert_eq!(g.serving.load(Ordering::Relaxed), (1 << 32) + 2);
+        // Still exclusive and live under contention past the boundary.
+        let counter = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (g, counter) = (Arc::clone(&g), Arc::clone(&counter));
+                s.spawn(move || {
+                    for _ in 0..1_000 {
+                        let t = g.enter();
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
+                        g.exit(t);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 2_000);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! domain's record admission — for DE always a served
 //! [`TicketGate`](crate::clock::TicketGate) ticket — so it needs no
 //! `crate::shim` seam: the model checker exercises it through the gate
-//! engines, where the ticket word itself is the scheduling point.
+//! engines, where the ticket gate's words are the scheduling points.
 //!
 //! # The rule
 //!

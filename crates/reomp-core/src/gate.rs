@@ -71,7 +71,7 @@ pub(crate) fn exit_after<R>(f: impl FnOnce() -> R, exit: impl FnOnce()) -> R {
 
 /// Record-mode `gate_in` (`set_lock(L)`, Fig. 4 line 1 / Fig. 5 line 20):
 /// take domain `dom`'s one admission — `L` for ST, a served ticket for
-/// DC/DE (one `fetch_add` when the gate is idle) — and note this thread as
+/// DC/DE (one `fetch_add` and one load when the gate is idle) — and note this thread as
 /// its holder while the region runs (see `DomainRecord::pause`). Returns
 /// the holder note replaced, which the matching [`record_out`] restores: a
 /// gate nested inside another domain's region hands that note back.
@@ -249,18 +249,18 @@ pub(crate) fn record_out(
             // Line 24 happens *after* the exit: the write to the thread's own
             // record file overlaps other threads' region execution
             // (§IV-C3). Only this thread appends to its lane, so the lane
-            // is in clock order by construction. One lock covers the push
-            // and the threshold check; a full lane flushes under it.
+            // is in clock order by construction, and the append is a slot
+            // write plus a length store — no lock. A lane at the threshold
+            // flushes under its cold lock.
             stats.bump_record_written();
-            let mut buf = lane.buf.lock();
-            buf.push(RecEntry {
+            let len = lane.push(RecEntry {
                 clock,
                 value,
                 site: site.raw(),
                 kind: kind.code(),
             });
-            if buf.len() >= session.cfg.flush_records {
-                session.flush_lane(dom, tid, floor, buf);
+            if len >= session.cfg.flush_records {
+                session.flush_lane(dom, tid, floor);
             }
         }
     }

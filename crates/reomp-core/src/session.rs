@@ -60,8 +60,9 @@
 //! [`Session::record_with`] into an unbounded [`FlightRecorder`] ring
 //! that becomes the report's bundle, [`Session::record_streaming_with`]
 //! into a [`StreamingTraceStore`], [`Session::record_flight`] into a
-//! bounded ring. Whenever a thread's own lane holds
-//! [`SessionConfig::flush_records`] stable entries, that thread moves
+//! bounded ring. A thread appends to its own lane without a lock (the
+//! lane is owner-written, see `RecordLane`). Whenever that lane holds
+//! [`SessionConfig::flush_records`] stable entries, the thread moves
 //! them into the sink as one chunk, so no lane holds more than a bounded
 //! window of the trace. ST/DC records are stable as soon as they are
 //! buffered. A DE store record is provisional until the next access shows
@@ -92,7 +93,7 @@ use crate::store::{
 use crate::sync::{BatonLock, CachePadded, RawLocked, SpinConfig, CACHE_LINE};
 use crate::trace::{CrossDomainEdge, DumpTrigger, TraceBundle};
 use parking_lot::RwLock;
-use std::cell::Cell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -267,7 +268,7 @@ impl Default for SessionConfig {
 
 /// One record of a thread's lane, in clock order. `value` is final for
 /// every scheme except a DE store's, which a fix-up may still lower.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RecEntry {
     pub clock: u64,
     pub value: u64,
@@ -336,19 +337,41 @@ impl StBuilder {
 /// "own record file" of Fig. 3-(b), here one per thread *per domain*.
 /// Lives on cache lines of its own (`DomainRecord::lanes`), so the append
 /// that follows every gate stays on a line only this thread writes.
+///
+/// The record buffer is **owner-written**: only the owning thread writes
+/// entries. It fills the slot at `len` and then publishes `len + 1` with a
+/// Release store, so an append takes no lock and no locked instruction.
+/// Every path that reads or rewrites *published* entries holds the lane's
+/// cold `taken` mutex: the owner's threshold flush and its grow/compact,
+/// and the foreign drains of `finish` and [`Session::dump`]. A foreign
+/// drain flushes the live entries `[taken, len)` and advances `taken`;
+/// only the owner moves entries (compacting the live ones to the front),
+/// and only under that mutex, so an entry never moves while another thread
+/// may read it.
 #[derive(Default)]
 pub(crate) struct RecordLane {
-    /// Records not yet flushed or assembled, in clock order: between
-    /// `record_in` and `finish`/`dump` only the owning thread appends to
-    /// or drains it. A mutex (uncontended on the hot path) because
-    /// `finish` and a flight `dump` collect the residue from another
-    /// thread.
-    pub buf: Mutex<Vec<RecEntry>>,
+    /// The entry storage, in clock order. Slots below `len` are published;
+    /// the owner writes the slot at `len` without a lock. Replaced (grown)
+    /// and compacted by the owner alone, under `taken`.
+    slots: UnsafeCell<Box<[UnsafeCell<RecEntry>]>>,
+    /// Slots written, counted from the start of `slots`. Written only by
+    /// the owner; Release-stored after the slot it publishes.
+    ///
+    /// A `std` atomic in every build, not routed through `crate::shim`:
+    /// the slots it publishes are plain memory, which the model checker
+    /// never reorders, and every other thread reads it under the cold
+    /// lock — so an instrumented length would add scheduling points and
+    /// nothing the model could check. Its slot-then-length ordering is
+    /// checked on instrumented slots by `reomp-model`'s `lane_mini`.
+    len: std::sync::atomic::AtomicUsize,
+    /// The cold lock, and the leading slots a foreign drain has already
+    /// flushed: the live entries are `[taken, len)`.
+    taken: Mutex<usize>,
     /// DE fix-up mailbox: `(clock, epoch)` corrections to store entries of
     /// this lane, posted under the gate exclusion by whichever thread's
     /// access resolved the store — the only cross-thread write a lane
     /// sees, and only for the non-first, non-final stores of a run.
-    /// Drained by whoever is about to move entries out of `buf`.
+    /// Drained by whoever is about to move entries out of the lane.
     pub fixups: Mutex<Vec<(u64, u64)>>,
     /// The thread's access count in this domain — the `seq` a
     /// cross-domain edge anchors at. Advanced by the owner alone, with a
@@ -356,6 +379,12 @@ pub(crate) struct RecordLane {
     /// multi-domain sessions.
     pub seq: AtomicU64,
 }
+
+// SAFETY: `slots` is shared under the protocol in the type docs: the owner
+// writes only slots at or past `len` without the `taken` lock, every other
+// access to entries (and every replacement of the storage) holds it, and
+// `RecEntry` is plain `Copy` data. Every other field is `Sync` itself.
+unsafe impl Sync for RecordLane {}
 
 /// One gate domain's record-side state: its own admission + clock +
 /// tracker and its own set of per-thread lanes. Aligned to [`CACHE_LINE`]
@@ -370,7 +399,8 @@ pub(crate) struct DomainRecord {
     /// clocked): **every** accessor of [`DomainRecord::gate`]'s core —
     /// plain, critical and edge-anchoring gates alike, and out-of-band
     /// pausers with a ghost ticket — holds the currently-served ticket, so
-    /// the `RecCore` hand-off rides the ticket word's acquire/release pair.
+    /// the `RecCore` hand-off rides the gate's `serving` release/acquire
+    /// pair.
     pub ticket: Option<TicketGate>,
     /// Per-thread lanes, indexed by `tid`.
     pub lanes: Box<[CachePadded<RecordLane>]>,
@@ -391,15 +421,111 @@ thread_local! {
 // `repr(align)` takes a literal; keep it in step with the padding constant.
 const _: () = assert!(std::mem::align_of::<DomainRecord>() == CACHE_LINE);
 
+/// The first storage a lane allocates, in entries; it doubles when full.
+const LANE_FIRST_SLOTS: usize = 16;
+
 impl RecordLane {
-    /// Apply the posted fix-ups to `buf` (this lane's locked buffer). The
-    /// target of a fix-up is missing only while a flight dump races the
-    /// owner between its gate and its append; such a fix-up waits in the
-    /// mailbox for the next drain.
-    fn apply_fixups(&self, buf: &mut [RecEntry]) {
+    /// Append `entry` (owner only) and return the lane's length counted
+    /// from the start of its storage: the number of live entries, plus
+    /// whatever a foreign drain took since the owner last held the cold
+    /// lock — so a length at the flush threshold sends the owner to
+    /// [`Session::flush_lane`], which compacts and counts exactly.
+    #[inline]
+    pub(crate) fn push(&self, entry: RecEntry) -> usize {
+        // ORDERING: only the owner writes `len`; this is its own last
+        // store.
+        let n = self.len.load(Ordering::Relaxed);
+        // SAFETY: the storage is replaced only by the owner — this thread —
+        // and only inside `push_cold`, so this shared borrow cannot
+        // overlap a replacement.
+        let slots = unsafe { &*self.slots.get() };
+        let Some(slot) = slots.get(n) else {
+            return self.push_cold(entry);
+        };
+        // SAFETY: slot `n` is at the published length: no other thread
+        // reads it before the store below publishes it, and only the
+        // owner writes slots.
+        unsafe { *slot.get() = entry };
+        // ORDERING: Release publishes the slot to a drain's Acquire load
+        // of `len`.
+        self.len.store(n + 1, Ordering::Release);
+        n + 1
+    }
+
+    /// [`RecordLane::push`] into full storage: under the cold lock,
+    /// compact, grow if still full, then append.
+    #[cold]
+    #[inline(never)]
+    fn push_cold(&self, entry: RecEntry) -> usize {
+        let mut taken = self.taken.lock();
+        self.compact(&mut taken);
+        // ORDERING: only the owner writes `len`.
+        let n = self.len.load(Ordering::Relaxed);
+        // SAFETY: the owner holds the cold lock, so no drain holds a
+        // borrow of the storage, and the owner holds none elsewhere.
+        let slots = unsafe { &mut *self.slots.get() };
+        if n == slots.len() {
+            let cap = (2 * n).max(LANE_FIRST_SLOTS);
+            let mut grown: Box<[UnsafeCell<RecEntry>]> =
+                std::iter::repeat_with(UnsafeCell::default)
+                    .take(cap)
+                    .collect();
+            for (dst, src) in grown.iter_mut().zip(slots.iter_mut()) {
+                *dst.get_mut() = *src.get_mut();
+            }
+            *slots = grown;
+        }
+        *slots[n].get_mut() = entry;
+        // ORDERING: Release, as in `push`.
+        self.len.store(n + 1, Ordering::Release);
+        n + 1
+    }
+
+    /// The live entries `[taken, len)`, for the holder of the cold lock
+    /// (`taken` is its guard) to read, fix up and flush.
+    fn live<'g>(&'g self, taken: &'g mut MutexGuard<'_, usize>) -> &'g mut [RecEntry] {
+        // ORDERING: Acquire pairs with the owner's Release publish: every
+        // slot below the loaded length is written.
+        let len = self.len.load(Ordering::Acquire);
+        // SAFETY: the cold lock is held, so the owner is not replacing or
+        // compacting the storage, and no other lock holder borrows it; the
+        // owner writes only slots at or past `len`, so `[taken, len)` is
+        // this holder's alone. `UnsafeCell<RecEntry>` has `RecEntry`'s
+        // layout.
+        let live = unsafe { &(&*self.slots.get())[**taken..len] };
+        // SAFETY: as above — the cells are this holder's alone.
+        unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(live.as_ptr()), live.len()) }
+    }
+
+    /// Move the live entries to the front of the storage (owner only,
+    /// under the cold lock), so that `len` counts exactly the live entries.
+    fn compact(&self, taken: &mut MutexGuard<'_, usize>) {
+        let gone = std::mem::replace(&mut **taken, 0);
+        if gone == 0 {
+            return;
+        }
+        // ORDERING: only the owner writes `len`.
+        let n = self.len.load(Ordering::Relaxed);
+        // SAFETY: the owner holds the cold lock: no drain borrows the
+        // storage, and the owner has no other borrow of it.
+        let slots = unsafe { &mut *self.slots.get() };
+        for i in gone..n {
+            let entry = *slots[i].get_mut();
+            *slots[i - gone].get_mut() = entry;
+        }
+        // ORDERING: Release, as in `push`; the entries moved above are
+        // also ordered before the next drain by the cold lock.
+        self.len.store(n - gone, Ordering::Release);
+    }
+
+    /// Apply the posted fix-ups to `live` (this lane's live entries, under
+    /// its cold lock). The target of a fix-up is missing only while a
+    /// flight dump races the owner between its gate and its append; such a
+    /// fix-up waits in the mailbox for the next drain.
+    fn apply_fixups(&self, live: &mut [RecEntry]) {
         self.fixups.lock().retain(|&(clock, epoch)| {
-            match buf.binary_search_by_key(&clock, |e| e.clock) {
-                Ok(i) => buf[i].value = epoch,
+            match live.binary_search_by_key(&clock, |e| e.clock) {
+                Ok(i) => live[i].value = epoch,
                 Err(_) => return true,
             }
             false
@@ -1393,14 +1519,19 @@ impl Session {
             }
             // Per-thread residues.
             for (tid, lane) in drec.lanes.iter().enumerate() {
-                // Held across the append, like the owner's own flush, so a
-                // dump racing it cannot reorder the stream's chunks.
-                let mut buf = lane.buf.lock();
-                lane.apply_fixups(&mut buf);
-                if !buf.is_empty() {
+                // The cold lock is held across the append, like the owner's
+                // own flush, so a dump racing it cannot reorder the
+                // stream's chunks. The owner keeps appending meanwhile;
+                // this drain takes what it has published and advances
+                // `taken` past it.
+                let mut taken = lane.taken.lock();
+                let live = lane.live(&mut taken);
+                let n = live.len();
+                lane.apply_fixups(live);
+                if n > 0 {
                     let _turn = self.session_writer.lock();
-                    self.append_thread_chunk(dom, tid as u32, &buf, self.session_stats())?;
-                    buf.clear();
+                    self.append_thread_chunk(dom, tid as u32, live, self.session_stats())?;
+                    *taken += n;
                 }
             }
         }
@@ -1490,21 +1621,16 @@ impl Session {
     }
 
     /// The lane flush, run by thread `tid` when the gate that just
-    /// appended to its lane in domain `dom` (`buf`, still locked) found
-    /// the lane at the flush threshold: persist the lane's stable prefix
-    /// as one chunk. `floor` is what that gate read under its own
-    /// admission — DE's oldest pending store, `u64::MAX` when nothing can
-    /// change — so every entry below it is final once the mailbox is
-    /// drained. Failures are latched and surfaced at `finish`.
+    /// appended to its lane in domain `dom` found the lane's length at the
+    /// flush threshold: under the lane's cold lock, persist the lane's
+    /// stable prefix as one chunk and compact the rest to the front.
+    /// `floor` is what that gate read under its own admission — DE's
+    /// oldest pending store, `u64::MAX` when nothing can change — so every
+    /// entry below it is final once the mailbox is drained. Failures are
+    /// latched and surfaced at `finish`.
     #[cold]
     #[inline(never)]
-    pub(crate) fn flush_lane(
-        &self,
-        dom: u32,
-        tid: u32,
-        floor: u64,
-        mut buf: MutexGuard<'_, Vec<RecEntry>>,
-    ) {
+    pub(crate) fn flush_lane(&self, dom: u32, tid: u32, floor: u64) {
         let rec = self.rec.as_ref().expect("record state");
         // ORDERING: `failed` is a sticky go/no-go hint; a stale `false`
         // only means one more flush attempt whose error is latched again
@@ -1513,23 +1639,25 @@ impl Session {
         if rec.failed.load(Ordering::Relaxed) {
             return;
         }
+        let lane = &rec.domains[dom as usize].lanes[tid as usize];
+        let mut taken = lane.taken.lock();
+        let live = lane.live(&mut taken);
         // The threshold counts *stable* entries: a DE store still pending
         // (at or above the floor) is not yet part of any chunk, so chunk
         // boundaries do not depend on when provisional entries arrive.
-        let cut = buf.partition_point(|e| e.clock < floor);
-        if cut < self.cfg.flush_records {
-            return;
+        let cut = live.partition_point(|e| e.clock < floor);
+        if cut >= self.cfg.flush_records {
+            lane.apply_fixups(live);
+            // Append while still holding the cold lock: a flight dump may
+            // collect this lane's residue concurrently, and two drained
+            // batches must reach the stream in the order they were drained.
+            let result = self.append_thread_chunk(dom, tid, &live[..cut], self.thread_stats(tid));
+            *taken += cut;
+            if let Err(e) = result {
+                rec.record_failure(e);
+            }
         }
-        rec.domains[dom as usize].lanes[tid as usize].apply_fixups(&mut buf);
-        // Append while still holding the lane lock: a flight dump may
-        // collect this lane's residue concurrently, and two drained
-        // batches must reach the stream in the order they were drained.
-        let result = self.append_thread_chunk(dom, tid, &buf[..cut], self.thread_stats(tid));
-        buf.drain(..cut);
-        drop(buf);
-        if let Err(e) = result {
-            rec.record_failure(e);
-        }
+        lane.compact(&mut taken);
     }
 
     /// Drain the collected cross-domain edges in deterministic order.
@@ -1953,6 +2081,11 @@ mod tests {
         // ST's five turn words fit one 64-byte line.
         assert!(size_of::<StTurn>() <= 64, "StTurn spans more than a line");
 
+        // The `CACHE_LINE` blocks `x` occupies.
+        fn blocks<T>(x: &T) -> std::ops::RangeInclusive<usize> {
+            let start = x as *const T as usize;
+            start / CACHE_LINE..=(start + size_of::<T>() - 1) / CACHE_LINE
+        }
         // Neighbours in the actual containers are at least a line apart.
         fn apart<T>(a: &T, b: &T) -> bool {
             (a as *const T as usize).abs_diff(b as *const T as usize) >= CACHE_LINE
@@ -1977,17 +2110,34 @@ mod tests {
             &rec.domains[0].lanes[0].fixups,
             &rec.domains[0].lanes[1].fixups
         ));
+        // The words the owner writes on every append — the storage header,
+        // the published length, `seq` — sit on the lane's own line.
+        assert!(
+            size_of::<RecordLane>() <= CACHE_LINE,
+            "RecordLane spans a line"
+        );
+        for lane in rec.domains.iter().flat_map(|d| d.lanes.iter()) {
+            let line = blocks(&**lane);
+            assert_eq!(blocks(&lane.slots), line);
+            assert_eq!(blocks(&lane.len), line);
+            assert_eq!(blocks(&lane.seq), line);
+        }
+        // The ticket gate's two words share one 64-byte line.
+        assert!(
+            size_of::<TicketGate>() <= 64,
+            "TicketGate spans more than a line"
+        );
+        for d in rec.domains.iter() {
+            let ticket = d.ticket.as_ref().expect("DC builds a ticket gate");
+            let start = ticket as *const TicketGate as usize;
+            assert_eq!(start / 64, (start + size_of::<TicketGate>() - 1) / 64);
+        }
         let c0 = s.register_thread(0);
         c0.gate(SiteId(2), AccessKind::Store, || ());
         drop(c0);
         let replay = Session::replay(s.finish().unwrap().bundle.unwrap()).unwrap();
         let rep = replay.rep.as_ref().unwrap();
         assert!(apart(&rep.domains[0], &rep.domains[1]));
-        // The `CACHE_LINE` blocks `x` occupies.
-        fn blocks<T>(x: &T) -> std::ops::RangeInclusive<usize> {
-            let start = x as *const T as usize;
-            start / CACHE_LINE..=(start + size_of::<T>() - 1) / CACHE_LINE
-        }
         fn disjoint<A, B>(a: &A, b: &B) -> bool {
             let (a, b) = (blocks(a), blocks(b));
             a.end() < b.start() || b.end() < a.start()
@@ -2154,7 +2304,7 @@ mod tests {
                 ctxs[i % 3].gate(SiteId(1 + (i / 12 % 2) as u64), kind, || ());
                 peak = lanes
                     .iter()
-                    .map(|l| l.buf.lock().len())
+                    .map(|l| l.live(&mut l.taken.lock()).len())
                     .fold(peak, usize::max);
             }
             drop(ctxs);
@@ -2309,6 +2459,58 @@ mod tests {
             "every fix-up found its entry"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mid_run_dumps_leave_the_recorded_bundle_unchanged() {
+        // Three threads take turns on store runs that cross threads (so
+        // DE posts fix-ups into lanes that have not flushed them yet) and
+        // loads that end each run. Dumping at two points where no store
+        // is pending drains every lane from a foreign thread mid-run; the
+        // final window must equal the one of the same run without them.
+        let x = SiteId(0xfeed);
+        let run = |flush_records: usize, dump_at: &[usize]| {
+            let dir = flight_dir(&format!("dumps-{flush_records}-{}", dump_at.len()));
+            let store = DirStore::new(&dir);
+            let cfg = SessionConfig {
+                flight: Some(1 << 16),
+                flush_records,
+                ..Default::default()
+            };
+            let s = Session::record_flight(Scheme::De, 3, cfg, DirStore::new(&dir)).unwrap();
+            let ctxs: Vec<_> = (0..3).map(|t| s.register_thread(t)).collect();
+            for round in 0..12 {
+                for (i, ctx) in ctxs.iter().enumerate().take(1 + round % 3) {
+                    ctx.gate(x, AccessKind::Store, || ());
+                    ctxs[(i + round) % 3].gate(x, AccessKind::Store, || ());
+                }
+                ctxs[round % 3].gate(x, AccessKind::Load, || ());
+                if dump_at.contains(&round) {
+                    s.dump(DumpTrigger::Manual).unwrap();
+                }
+            }
+            drop(ctxs);
+            s.dump(DumpTrigger::Manual).unwrap();
+            let report = s.finish().unwrap();
+            assert!(report.stats.deferred_finalizations > 0, "fix-ups exercised");
+            let (bundle, _) = store.load().unwrap();
+            bundle.validate().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            bundle
+        };
+        for flush_records in [2, 64] {
+            let quiet = run(flush_records, &[]);
+            let dumped = run(flush_records, &[3, 7]);
+            assert_eq!(quiet.total_records(), dumped.total_records());
+            for tid in 0..3 {
+                assert_eq!(
+                    quiet.thread(0, tid).values,
+                    dumped.thread(0, tid).values,
+                    "flush_records {flush_records}, thread {tid}"
+                );
+            }
+            assert_eq!(quiet, dumped, "flush_records {flush_records}");
+        }
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! * [`crate::stats`] counters — monotonic diagnostics that never feed
 //!   back into control flow; shimming them would only blow up the model's
 //!   state space.
+//! * A record lane's published length (`RecordLane::len` in `session.rs`)
+//!   — it publishes plain-memory slots the model does not reorder, and
+//!   other threads read it only under the lane's (shimmed) cold lock;
+//!   the publication order is checked by `reomp-model`'s `lane_mini`.
 //! * [`crate::store`] internals and the session's sink `RwLock` — only
 //!   ever contended by the single dumping/finishing thread in the
 //!   harnesses, so they cannot block a controlled thread against a parked

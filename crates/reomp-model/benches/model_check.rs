@@ -53,6 +53,9 @@ fn run_cross_domain_record_replay(cfg: &Config) -> Report {
 fn run_flight_evict_vs_dump(cfg: &Config) -> Report {
     h::flight_evict_vs_dump(cfg)
 }
+fn run_lane_owner_vs_drain(cfg: &Config) -> Report {
+    h::lane_owner_vs_drain(cfg)
+}
 fn run_spinwait_watchdog(cfg: &Config) -> Report {
     h::spinwait_watchdog(Some(Duration::from_millis(50)), cfg)
 }
@@ -93,6 +96,10 @@ const ROWS: &[Row] = &[
     Row {
         name: "flight_evict_vs_dump",
         run: run_flight_evict_vs_dump,
+    },
+    Row {
+        name: "lane_owner_vs_drain",
+        run: run_lane_owner_vs_drain,
     },
     Row {
         name: "spinwait_watchdog",

@@ -16,8 +16,9 @@ use reomp_core::history::{AccessRecord, HistoryRing};
 use reomp_core::stats::Stats;
 use reomp_core::sync::{BatonLock, SpinConfig};
 use reomp_core::{
-    AccessKind, DomainPlan, DumpTrigger, FlightRecorder, FlightSink, MemStore, RecordOptions,
-    RecordSink, Scheme, Session, SessionConfig, SiteId, TraceStore,
+    AccessKind, DomainPlan, DumpTrigger, FlightRecorder, FlightSink, IoReport, MemStore,
+    RecordOptions, RecordSink, Scheme, Session, SessionConfig, SiteId, StreamingTraceStore,
+    TraceBundle, TraceError, TraceStore,
 };
 use shuttle::sync::atomic::{AtomicU64, Ordering};
 use shuttle::sync::Mutex;
@@ -756,6 +757,170 @@ pub fn ticket_critical_edge_record_replay(cfg: &Config) -> Report {
         .expect("replay session");
         workload(&replay);
         replay.finish().expect("replay finish");
+    })
+}
+
+/// A [`MemStore`] a flight session can own while the harness keeps a
+/// handle to load what the session's dumps wrote.
+struct SharedMem(Arc<MemStore>);
+
+impl TraceStore for SharedMem {
+    fn save(&self, bundle: &TraceBundle) -> Result<IoReport, TraceError> {
+        self.0.save(bundle)
+    }
+    fn load(&self) -> Result<(TraceBundle, IoReport), TraceError> {
+        self.0.load()
+    }
+}
+
+impl StreamingTraceStore for SharedMem {
+    fn begin_record(&self, opts: RecordOptions) -> Result<Box<dyn RecordSink>, TraceError> {
+        self.0.begin_record(opts)
+    }
+}
+
+/// Foreign drain vs the owner-written record lane, on the real engines:
+/// thread 0 gates five DC loads into a flight session with a two-record
+/// flush threshold — so its appends, its threshold flushes and its lane's
+/// first allocation all race — while another thread runs
+/// [`Session::dump`], whose residue flush drains thread 0's lane from
+/// outside. The final dump must hold every record exactly once, in clock
+/// order: a drain that lost the owner's unpublished slot, took an entry
+/// twice, or let a compaction move entries under it breaks the sequence.
+pub fn lane_owner_vs_drain(cfg: &Config) -> Report {
+    const GATES: u64 = 5;
+    shuttle::check(cfg.clone(), move || {
+        let store = Arc::new(MemStore::default());
+        let session = Session::record_flight(
+            Scheme::Dc,
+            1,
+            SessionConfig {
+                flush_records: 2,
+                flight: Some(64),
+                spin: model_spin(),
+                ..SessionConfig::default()
+            },
+            SharedMem(Arc::clone(&store)),
+        )
+        .expect("flight session");
+        let owner = {
+            let session = Arc::clone(&session);
+            shuttle::thread::spawn(move || {
+                let ctx = session.register_thread(0);
+                for _ in 0..GATES {
+                    ctx.gate(SiteId(9), AccessKind::Load, || ());
+                }
+            })
+        };
+        let dumper = {
+            let session = Arc::clone(&session);
+            shuttle::thread::spawn(move || {
+                session.dump(DumpTrigger::Manual).expect("mid-run dump");
+            })
+        };
+        owner.join().unwrap();
+        dumper.join().unwrap();
+        session.dump(DumpTrigger::Manual).expect("final dump");
+        session.finish().expect("flight finish");
+        let (bundle, _) = store.load().expect("dumped store loads");
+        assert_eq!(
+            bundle.thread(0, 0).values,
+            (0..GATES).collect::<Vec<_>>(),
+            "a record was lost, duplicated or reordered between owner and drain"
+        );
+    })
+}
+
+/// Run `body` once as a single model thread and return what it returns:
+/// the one-schedule execution the locked-instruction counts are taken in.
+fn run_once<T: Send + 'static>(body: impl Fn() -> T + Send + Sync + 'static) -> T {
+    let out = Arc::new(std::sync::Mutex::new(None));
+    let slot = Arc::clone(&out);
+    let report = shuttle::check(
+        Config {
+            max_schedules: Some(1),
+            ..Config::default()
+        },
+        move || {
+            *slot.lock().unwrap() = Some(body());
+        },
+    );
+    if let Some(v) = report.violation {
+        panic!("counting run failed:\n{v}");
+    }
+    let value = out.lock().unwrap().take();
+    value.expect("the body ran")
+}
+
+/// Locked instructions executed by `f`, which must not spawn.
+fn locked_in(f: impl FnOnce()) -> u64 {
+    let before = shuttle::locked_instructions().expect("inside a model execution");
+    f();
+    shuttle::locked_instructions().expect("inside a model execution") - before
+}
+
+/// The locked instructions — RMWs, compare-exchanges and mutex
+/// acquisitions, as [`shuttle::locked_instructions`] counts them — that one
+/// warm gate of `scheme` executes, recording (`replay == false`) or
+/// replaying, in a one-thread session over `domains` gate domains.
+/// `program` is the thread's whole access sequence on one site: every
+/// access but the last warms the session (lane storage, cursors), the
+/// last is counted. A replay replays the recording of the same program.
+/// [`crate::shuttle`] counts only shimmed primitives; `stats.rs` is
+/// plain `std` and is held to plain loads and stores by a source guard.
+#[must_use]
+pub fn gate_locked_instructions(
+    scheme: Scheme,
+    replay: bool,
+    domains: u32,
+    program: &'static [AccessKind],
+) -> u64 {
+    run_once(move || {
+        let site = SiteId(11);
+        let config = || SessionConfig {
+            plan: (domains > 1).then(|| DomainPlan::new(domains)),
+            spin: model_spin(),
+            ..SessionConfig::default()
+        };
+        let drive = |session: &Arc<Session>| -> u64 {
+            let ctx = session.register_thread(0);
+            let (last, warm) = program.split_last().expect("a non-empty program");
+            for &kind in warm {
+                ctx.gate(site, kind, || ());
+            }
+            locked_in(|| ctx.gate(site, *last, || ()))
+        };
+        let record = Session::record_with(scheme, 1, config());
+        let recorded = drive(&record);
+        let bundle = record
+            .finish()
+            .expect("record finish")
+            .bundle
+            .expect("bundle");
+        if !replay {
+            return recorded;
+        }
+        let session = Session::replay_with(bundle, config()).expect("replay session");
+        let replayed = drive(&session);
+        session.finish().expect("replay finish");
+        replayed
+    })
+}
+
+/// The locked instructions one warm `enter` + `exit` pair of a ticket
+/// gate executes.
+#[must_use]
+pub fn ticket_locked_instructions<T: TicketApi>(
+    make: impl Fn() -> T + Send + Sync + 'static,
+) -> u64 {
+    run_once(move || {
+        let gate = make();
+        let t = gate.enter();
+        gate.exit(t);
+        locked_in(|| {
+            let t = gate.enter();
+            gate.exit(t);
+        })
     })
 }
 

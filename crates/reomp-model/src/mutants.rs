@@ -224,36 +224,41 @@ impl RingApi for MutRing {
     }
 }
 
-/// A `TicketGate` copy with the orderings on its packed ticket word
-/// parameterized — the mutation target is the Acquire `enter` (both the
-/// ticket-grab RMW and the spin load) / Release `exit` pairing that
-/// publishes the predecessor's gate state to the next holder.
+/// A `TicketGate` copy with the orderings on its `serving` word
+/// parameterized — the mutation target is the Acquire `serving` load of
+/// `enter` / Release `serving` store of `exit` pairing that publishes the
+/// predecessor's gate state to the next holder — plus the exit the split
+/// layout retired: a `fetch_add` on `serving`.
 pub struct MutTicket {
-    /// `ticket` (high 32 bits) | `serving` (low 32 bits), as in the real
-    /// gate.
-    word: AtomicU64,
+    /// The next ticket to issue, as in the real gate.
+    next: AtomicU64,
+    /// The ticket being served, as in the real gate.
+    serving: AtomicU64,
     enter_order: Ordering,
     exit_order: Ordering,
+    /// `true` = exit with a `fetch_add` (an RMW) instead of a load and a
+    /// store.
+    exit_rmw: bool,
 }
 
-const TICKET_ONE: u64 = 1 << 32;
-
 impl MutTicket {
-    /// The real orderings: Acquire entry, Release exit.
+    /// The real protocol: Acquire `serving` load on entry, Release store
+    /// on exit.
     #[must_use]
     pub fn faithful() -> Self {
         MutTicket {
-            word: AtomicU64::new(0),
+            next: AtomicU64::new(0),
+            serving: AtomicU64::new(0),
             enter_order: Ordering::Acquire,
             exit_order: Ordering::Release,
+            exit_rmw: false,
         }
     }
 
-    /// Flipped `Ordering`: a `Relaxed` ticket `fetch_add` (and spin
-    /// load). FIFO admission survives — RMWs always read the latest word
-    /// — but the immediate-entry path no longer synchronizes with the
-    /// predecessor's exit, so the new holder can enter on a stale view of
-    /// the gated state.
+    /// Flipped `Ordering`: a `Relaxed` `serving` load (immediate and spin).
+    /// FIFO admission survives — tickets are still unique — but entry no
+    /// longer synchronizes with the predecessor's exit, so the new holder
+    /// can enter on a stale view of the gated state.
     #[must_use]
     pub fn relaxed_enter() -> Self {
         MutTicket {
@@ -262,8 +267,8 @@ impl MutTicket {
         }
     }
 
-    /// Flipped `Ordering`: a `Relaxed` exit publishes nothing to the
-    /// successor's Acquire entry.
+    /// Flipped `Ordering`: a `Relaxed` `serving` store publishes nothing
+    /// to the successor's Acquire entry.
     #[must_use]
     pub fn relaxed_exit() -> Self {
         MutTicket {
@@ -271,25 +276,99 @@ impl MutTicket {
             ..MutTicket::faithful()
         }
     }
+
+    /// The packed-word habit: `exit` bumps `serving` with a `fetch_add`.
+    /// Still correct, but a second locked instruction on every gate — what
+    /// the locked-instruction budget must catch.
+    #[must_use]
+    pub fn rmw_exit() -> Self {
+        MutTicket {
+            exit_rmw: true,
+            ..MutTicket::faithful()
+        }
+    }
 }
 
 impl TicketApi for MutTicket {
     fn enter(&self) -> u32 {
-        let w = self.word.fetch_add(TICKET_ONE, self.enter_order);
-        let ticket = (w >> 32) as u32;
-        if w as u32 == ticket {
-            return ticket;
-        }
-        loop {
+        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
+        while self.serving.load(self.enter_order) != ticket {
             shuttle::thread::yield_now();
-            if self.word.load(self.enter_order) as u32 == ticket {
-                return ticket;
-            }
         }
+        ticket as u32
     }
     fn exit(&self, _ticket: u32) {
-        self.word.fetch_add(1, self.exit_order);
+        if self.exit_rmw {
+            self.serving.fetch_add(1, self.exit_order);
+        } else {
+            let served = self.serving.load(Ordering::Relaxed);
+            self.serving.store(served + 1, self.exit_order);
+        }
     }
+}
+
+/// Mini-model of the owner-written record lane: the owner writes a slot
+/// and then publishes the lane length with a Release store; a drain
+/// holding the lane's cold lock reads the length with Acquire, takes the
+/// published slots and advances its `taken` mark. Every appended entry
+/// must be drained exactly once, in order.
+///
+/// With `publish_first` the owner publishes the length before it writes
+/// the slot — the defect — and a drain scheduled in between takes a slot
+/// that was never written.
+pub fn lane_mini(publish_first: bool, cfg: &Config) -> Report {
+    const ENTRIES: u64 = 3;
+    struct Lane {
+        slots: [AtomicU64; ENTRIES as usize],
+        len: AtomicU64,
+        taken: Mutex<u64>,
+    }
+    fn drain(lane: &Lane, out: &mut Vec<u64>) {
+        let mut taken = lane.taken.lock();
+        let len = lane.len.load(Ordering::Acquire);
+        for slot in &lane.slots[*taken as usize..len as usize] {
+            out.push(slot.load(Ordering::Relaxed));
+        }
+        *taken = len;
+    }
+    shuttle::check(cfg.clone(), move || {
+        let lane = Arc::new(Lane {
+            slots: Default::default(),
+            len: AtomicU64::new(0),
+            taken: Mutex::new(0),
+        });
+        let owner = {
+            let lane = Arc::clone(&lane);
+            shuttle::thread::spawn(move || {
+                for n in 0..ENTRIES {
+                    let slot = &lane.slots[n as usize];
+                    if publish_first {
+                        lane.len.store(n + 1, Ordering::Release);
+                        slot.store(n + 1, Ordering::Relaxed);
+                    } else {
+                        slot.store(n + 1, Ordering::Relaxed);
+                        lane.len.store(n + 1, Ordering::Release);
+                    }
+                }
+            })
+        };
+        let drainer = {
+            let lane = Arc::clone(&lane);
+            shuttle::thread::spawn(move || {
+                let mut out = Vec::new();
+                drain(&lane, &mut out);
+                out
+            })
+        };
+        owner.join().unwrap();
+        let mut drained = drainer.join().unwrap();
+        drain(&lane, &mut drained);
+        assert_eq!(
+            drained,
+            (1..=ENTRIES).collect::<Vec<_>>(),
+            "a drain took an unwritten slot, or an entry twice"
+        );
+    })
 }
 
 /// Mini-model of `stamp_clocked`'s cross-domain edge protocol: two

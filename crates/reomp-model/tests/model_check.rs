@@ -5,14 +5,19 @@
 //! * **Clean-tree checks** — every harness in `reomp_model::harness` runs
 //!   over the real primitives and must finish with no violation.
 //! * **Mutation sweep** — every seeded defect in `reomp_model::mutants`
-//!   (flipped `Ordering`s — including the relaxed ticket `fetch_add` —
-//!   store-instead-of-swap release, edge snapshot after publish, chunked
-//!   dump, disabled watchdog, a history snapshot that skips its count
-//!   re-read)
+//!   (flipped `Ordering`s — including a relaxed ticket `serving` load or
+//!   store — store-instead-of-swap release, edge snapshot after publish,
+//!   chunked dump, disabled watchdog, a history snapshot that skips its
+//!   count re-read, a record lane that publishes its length before
+//!   writing the slot)
 //!   must be *caught*: the checker must report a
 //!   violation against the corresponding harness. The sweep is the
 //!   harnesses' sensitivity proof — a harness that cannot see the seeded
 //!   defect would not see the real regression either.
+//! * **Locked-instruction budget** — one warm gate per scheme × mode ×
+//!   D ∈ {1, 2}, counted by the model (RMWs, compare-exchanges, mutex
+//!   acquisitions), must match README's table exactly; a ticket exit
+//!   that is a `fetch_add` again must break it.
 //!
 //! By default each harness runs under a schedule cap and a wall-time cap
 //! so the suite stays tier-1-sized. Setting `REOMP_MODEL_EXHAUSTIVE=1`
@@ -33,6 +38,7 @@
 use reomp_core::clock::TicketGate;
 use reomp_core::history::HistoryRing;
 use reomp_core::sync::BatonLock;
+use reomp_core::Scheme;
 use reomp_model::harness as h;
 use reomp_model::harness::RealTurnstile;
 use reomp_model::mutants as m;
@@ -224,6 +230,11 @@ fn clean_ticket_critical_edge_record_replay() {
 }
 
 #[test]
+fn clean_lane_owner_vs_drain() {
+    assert_clean("lane_owner_vs_drain", &h::lane_owner_vs_drain(&cfg()));
+}
+
+#[test]
 fn clean_history_ring_snapshot() {
     assert_clean(
         "history_ring_snapshot",
@@ -289,6 +300,7 @@ fn control_faithful_ring() {
 fn control_faithful_minis() {
     assert_clean("edge_stamp_mini clean", &m::edge_stamp_mini(false, &cfg()));
     assert_clean("flight_mini clean", &m::flight_mini(false, &cfg()));
+    assert_clean("lane_mini clean", &m::lane_mini(false, &cfg()));
 }
 
 // ---------------------------------------------------------- mutation sweep
@@ -361,6 +373,14 @@ fn mutant_flight_chunked_dump_is_caught() {
 }
 
 #[test]
+fn mutant_lane_publish_before_write_is_caught() {
+    assert_caught(
+        "record lane publishing its length before writing the slot",
+        &m::lane_mini(true, &cfg()),
+    );
+}
+
+#[test]
 fn mutant_ring_without_reread_is_caught() {
     assert_caught(
         "history ring snapshot without the count re-read",
@@ -375,6 +395,73 @@ fn mutant_watchdog_disabled_is_caught() {
         matches!(kind, ViolationKind::Livelock { .. }),
         "disabled watchdog should surface as a livelock, got {kind:?}"
     );
+}
+
+// ------------------------------------------------- locked-instruction budget
+
+/// README's "locked instructions per gate" column, counted by the model
+/// (RMWs, compare-exchanges and mutex acquisitions of one warm gate):
+/// `(scheme, replay, D = 1, D = 2)`. ST replay counts a gate that wins the
+/// baton and reads its own record; at D > 1 it also bumps the turnstile's
+/// completion count.
+const GATE_BUDGET: [(Scheme, bool, u64, u64); 6] = [
+    (Scheme::St, false, 1, 1),
+    (Scheme::Dc, false, 1, 1),
+    (Scheme::De, false, 1, 1),
+    (Scheme::St, true, 2, 3),
+    (Scheme::Dc, true, 1, 1),
+    (Scheme::De, true, 1, 1),
+];
+
+#[test]
+fn locked_instruction_budget_per_gate() {
+    use reomp_core::AccessKind::{Load, Store};
+    let mut measured = Vec::new();
+    for (scheme, replay, d1, d2) in GATE_BUDGET {
+        let at =
+            |domains| h::gate_locked_instructions(scheme, replay, domains, &[Load, Load, Load]);
+        measured.push((scheme, replay, at(1), at(2)));
+        assert_eq!(
+            (at(1), at(2)),
+            (d1, d2),
+            "{scheme:?} {} gate: locked instructions at D = 1, 2",
+            if replay { "replay" } else { "record" }
+        );
+    }
+    // A DE store that proves the previous store of its run keeps the
+    // run's epoch posts a fix-up: the owner's mailbox mutex on top.
+    assert_eq!(
+        h::gate_locked_instructions(Scheme::De, false, 1, &[Store, Store, Store]),
+        2,
+        "DE record gate posting a fix-up"
+    );
+    eprintln!("locked instructions per warm gate (scheme, replay, D=1, D=2): {measured:?}");
+}
+
+#[test]
+fn ticket_gate_budget_is_one_locked_instruction() {
+    assert_eq!(h::ticket_locked_instructions(TicketGate::new), 1);
+    assert_eq!(h::ticket_locked_instructions(m::MutTicket::faithful), 1);
+}
+
+#[test]
+fn mutant_ticket_rmw_exit_breaks_the_budget() {
+    assert_eq!(
+        h::ticket_locked_instructions(m::MutTicket::rmw_exit),
+        2,
+        "an exit `fetch_add` is a second locked instruction per gate"
+    );
+}
+
+/// `stats.rs` is outside the shim seam — its counters are plain `std`
+/// atomics the model does not count — so a guard holds it to plain loads
+/// and stores: no RMW may hide on the per-gate path there.
+#[test]
+fn stats_counters_use_no_rmw() {
+    let src = include_str!("../../reomp-core/src/stats.rs");
+    for rmw in ["fetch_", ".swap(", "compare_exchange"] {
+        assert!(!src.contains(rmw), "stats.rs contains `{rmw}`");
+    }
 }
 
 // ------------------------------------------------------------ ordering audit
