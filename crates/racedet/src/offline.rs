@@ -45,9 +45,9 @@ use std::fmt;
 pub enum OfflineError {
     /// The bundle failed structural validation.
     Corrupt(String),
-    /// The bundle has no per-access site/kind validation columns
-    /// (recorded with `validate_sites: false`), so the access sequence
-    /// cannot be reconstructed.
+    /// The bundle has no per-access site/kind validation columns (a trace
+    /// written without them), so the access sequence cannot be
+    /// reconstructed.
     MissingValidation,
     /// The cross-domain edges contain a wait cycle; no merged order
     /// exists.

@@ -81,18 +81,6 @@ pub enum EpochPolicy {
 }
 
 impl EpochPolicy {
-    /// Parse from the `REOMP_EPOCH_POLICY` environment value.
-    #[must_use]
-    pub fn from_str_opt(s: &str) -> Option<EpochPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "contiguous" => Some(EpochPolicy::Contiguous),
-            "per-address" | "peraddress" | "per_address" | "per-site" | "persite" => {
-                Some(EpochPolicy::PerAddress)
-            }
-            _ => None,
-        }
-    }
-
     /// Stable name used in manifests.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -527,21 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_parsing() {
-        assert_eq!(
-            EpochPolicy::from_str_opt("contiguous"),
-            Some(EpochPolicy::Contiguous)
-        );
-        assert_eq!(
-            EpochPolicy::from_str_opt("per-address"),
-            Some(EpochPolicy::PerAddress)
-        );
-        assert_eq!(
-            EpochPolicy::from_str_opt("per-site"),
-            Some(EpochPolicy::PerAddress),
-            "legacy spelling accepted"
-        );
-        assert_eq!(EpochPolicy::from_str_opt("bogus"), None);
+    fn policy_names() {
         assert_eq!(EpochPolicy::Contiguous.name(), "contiguous");
         assert_eq!(EpochPolicy::PerAddress.name(), "per-address");
     }

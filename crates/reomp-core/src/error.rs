@@ -54,11 +54,11 @@ impl From<io::Error> for TraceError {
 
 /// A replay run diverged from the recorded run.
 ///
-/// With `validate_sites` enabled (the default), traces carry the site and
-/// kind of every access, so a replay executing a *different* access than
-/// recorded is caught at the gate instead of silently replaying a wrong
-/// order — the failure mode the paper attributes to Chimera's timeout-based
-/// *weak locks* (§VII).
+/// Every recording carries the site and kind of every access, and replay
+/// checks them wherever the trace has them, so a replay executing a
+/// *different* access than recorded is caught at the gate instead of
+/// silently replaying a wrong order — the failure mode the paper
+/// attributes to Chimera's timeout-based *weak locks* (§VII).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Thread on which the divergence was observed.

@@ -184,11 +184,10 @@ pub(crate) fn record_out(
             let stolen = if n >= session.cfg.flush_records {
                 // Leave the builder as much room as it had, so it does not
                 // regrow from empty after every steal.
-                let cols = if builder.validate { n } else { 0 };
                 Some((
                     std::mem::replace(&mut builder.tids, Vec::with_capacity(n)),
-                    std::mem::replace(&mut builder.sites, Vec::with_capacity(cols)),
-                    std::mem::replace(&mut builder.kinds, Vec::with_capacity(cols)),
+                    std::mem::replace(&mut builder.sites, Vec::with_capacity(n)),
+                    std::mem::replace(&mut builder.kinds, Vec::with_capacity(n)),
                 ))
             } else {
                 None
@@ -347,7 +346,7 @@ fn replay_in_st(
             session.wait_edges(dom, tid, seq, site)?;
             // Line 11 exit: it is this thread's turn. Validate against the
             // published record before entering the region.
-            if session.cfg.validate_sites && st.sites.is_some() {
+            if st.sites.is_some() {
                 stats.bump_validate();
                 // ORDERING: covered by the `next_tid` Acquire above
                 // (see the `st_pos` justification).
@@ -461,22 +460,20 @@ fn replay_in_distributed(
 
     // Validate before waiting: a divergence is certain regardless of the
     // turnstile, and failing early avoids a guaranteed watchdog timeout.
-    if session.cfg.validate_sites {
-        if let (Some(recorded_site), recorded_kind) = (trace.site_at(pos), trace.kind_at(pos)) {
-            stats.bump_validate();
-            if recorded_site != site || recorded_kind != Some(kind) {
-                return Err(Divergence {
-                    thread: tid,
-                    domain: dom,
-                    seq: pos as u64,
-                    recorded_site: Some(recorded_site),
-                    actual_site: site,
-                    recorded_kind,
-                    actual_kind: kind,
-                    history: session.replay_history(dom),
-                }
-                .into());
+    if let (Some(recorded_site), recorded_kind) = (trace.site_at(pos), trace.kind_at(pos)) {
+        stats.bump_validate();
+        if recorded_site != site || recorded_kind != Some(kind) {
+            return Err(Divergence {
+                thread: tid,
+                domain: dom,
+                seq: pos as u64,
+                recorded_site: Some(recorded_site),
+                actual_site: site,
+                recorded_kind,
+                actual_kind: kind,
+                history: session.replay_history(dom),
             }
+            .into());
         }
     }
 

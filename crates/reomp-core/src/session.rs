@@ -9,14 +9,13 @@
 //!
 //! Like the paper's `libreomp.so` (§V), the mode can be chosen with
 //! environment variables: `REOMP_MODE` (`off`/`record`/`replay`),
-//! `REOMP_SCHEME` (`st`/`dc`/`de`), `REOMP_EPOCH_POLICY`, `REOMP_DIR`
-//! for the record-file directory (a record run streams its trace there
-//! chunk by chunk), `REOMP_FLIGHT` (record into a bounded flight window
-//! instead), `REOMP_FLUSH_RECORDS` (lane flush threshold), `REOMP_DOMAINS`
-//! (gate-domain count, see below and [`env_plan_and_window`]),
-//! `REOMP_SPIN_TIMEOUT` (replay
-//! watchdog in seconds, `0` disables it). How a record gate is admitted
-//! is not configurable: the scheme chooses it (see [`crate::gate`]).
+//! `REOMP_SCHEME` (`st`/`dc`/`de`), `REOMP_DIR` for the record-file
+//! directory (a record run streams its trace there chunk by chunk),
+//! `REOMP_FLIGHT` (record into a bounded flight window instead),
+//! `REOMP_DOMAINS` (gate-domain count, see below and
+//! [`env_plan_and_window`]), `REOMP_SPIN_TIMEOUT` (replay watchdog in
+//! seconds, `0` disables it). How a record gate is admitted is not
+//! configurable: the scheme chooses it (see [`crate::gate`]).
 //!
 //! # Gate domains
 //!
@@ -176,17 +175,22 @@ pub enum Mode {
 
 /// `REOMP_DOMAINS` and `REOMP_FLIGHT`, read one way for thread and rank
 /// sessions: `D > 1` domains is an empty (hashed, stamped) plan, anything
-/// else one domain (`0` and counts beyond `u32` with a warning); the
-/// flight window is `n` when `n` is a positive `u32`.
+/// else one domain (`0` and counts beyond `u32` with a warning, malformed
+/// values silently); the flight window is `n` when `n` is a positive
+/// `u32`.
 #[must_use]
 pub fn env_plan_and_window() -> (Option<DomainPlan>, Option<u32>) {
-    let plan = positive_env_knob("REOMP_DOMAINS")
-        // Not clamped to u32::MAX: that would allocate 4 billion domains.
-        .and_then(|d| {
-            u32::try_from(d).ok().or_else(|| {
-                eprintln!("reomp: REOMP_DOMAINS={d} out of range; keeping 1");
+    let plan = std::env::var("REOMP_DOMAINS")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<u64>().ok())
+        .and_then(|d| match u32::try_from(d) {
+            // Not clamped to u32::MAX: that would allocate 4 billion
+            // domains; and a domain-less session is always a mistake.
+            Ok(0) | Err(_) => {
+                eprintln!("reomp: REOMP_DOMAINS={d} is degenerate; keeping 1");
                 None
-            })
+            }
+            Ok(d) => Some(d),
         })
         .filter(|&d| d > 1)
         .map(DomainPlan::new);
@@ -195,23 +199,6 @@ pub fn env_plan_and_window() -> (Option<DomainPlan>, Option<u32>) {
         .and_then(|s| s.parse::<u32>().ok())
         .filter(|&n| n > 0);
     (plan, window)
-}
-
-/// Parse a strictly-positive integer knob from the environment.
-/// Malformed values yield `None` (the built-in default); an explicit `0`
-/// — always a configuration mistake for these knobs (a domain-less
-/// session, a never-flushing stream) — is clamped to 1 with a warning
-/// instead of being silently absorbed.
-fn positive_env_knob(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(0) => {
-            eprintln!("reomp: {name}=0 is degenerate; clamping to 1");
-            Some(1)
-        }
-        Ok(n) => Some(n),
-        Err(_) => None,
-    }
 }
 
 /// Tuning knobs for a session.
@@ -228,8 +215,6 @@ pub struct SessionConfig {
     pub ring_capacity: usize,
     /// Replay spin-wait/watchdog policy.
     pub spin: SpinConfig,
-    /// Record per-access sites and kinds so replay can detect divergence.
-    pub validate_sites: bool,
     /// Record runs: flush a per-thread lane into the session's sink once
     /// it holds this many stable records (clamped to ≥ 1), which bounds
     /// every lane at about this many 32-byte entries.
@@ -246,8 +231,7 @@ pub struct SessionConfig {
     /// unless [`Session::dump`] (or a panic/divergence trigger) fires.
     /// `None` — the default — records unbounded.
     pub flight: Option<u32>,
-    /// Run the per-chunk RLE compression stage on streamed record files
-    /// (`REOMP_COMPRESS=1`).
+    /// Run the per-chunk RLE compression stage on streamed record files.
     pub compress: bool,
 }
 
@@ -257,7 +241,6 @@ impl Default for SessionConfig {
             epoch_policy: EpochPolicy::default(),
             ring_capacity: 64,
             spin: SpinConfig::default(),
-            validate_sites: true,
             flush_records: 4096,
             plan: None,
             flight: None,
@@ -320,16 +303,13 @@ pub(crate) struct StBuilder {
     pub tids: Vec<u32>,
     pub sites: Vec<u64>,
     pub kinds: Vec<u8>,
-    pub validate: bool,
 }
 
 impl StBuilder {
     pub(crate) fn push(&mut self, tid: u32, site: SiteId, kind: AccessKind) {
         self.tids.push(tid);
-        if self.validate {
-            self.sites.push(site.raw());
-            self.kinds.push(kind.code());
-        }
+        self.sites.push(site.raw());
+        self.kinds.push(kind.code());
     }
 }
 
@@ -866,7 +846,8 @@ impl Session {
             scheme,
             nthreads,
             cfg.plan.as_ref().map_or(1, DomainPlan::domains),
-            cfg.validate_sites,
+            // Every recording writes the site/kind columns.
+            true,
         )
         .with_compression(cfg.compress)
     }
@@ -971,14 +952,6 @@ impl Session {
             .and_then(|s| Scheme::parse(&s))
             .unwrap_or(Scheme::De);
         let mut cfg = SessionConfig::default();
-        if let Ok(p) = std::env::var("REOMP_EPOCH_POLICY") {
-            if let Some(policy) = EpochPolicy::from_str_opt(&p) {
-                cfg.epoch_policy = policy;
-            }
-        }
-        if let Some(n) = positive_env_knob("REOMP_FLUSH_RECORDS") {
-            cfg.flush_records = usize::try_from(n).unwrap_or(usize::MAX);
-        }
         (cfg.plan, cfg.flight) = env_plan_and_window();
         // Replay watchdog override: seconds, `0` disables the watchdog
         // entirely (oversubscribed CI boxes legitimately exceed the 30 s
@@ -989,9 +962,6 @@ impl Session {
         {
             cfg.spin.timeout = (secs > 0).then(|| Duration::from_secs(secs));
         }
-        cfg.compress = std::env::var("REOMP_COMPRESS")
-            .map(|s| matches!(s.to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-            .unwrap_or(false);
         match mode.to_ascii_lowercase().as_str() {
             // A record run persists into `REOMP_DIR`: streamed as it
             // records, or — with a flight window — only when a dump
@@ -1060,7 +1030,6 @@ impl Session {
                             tids: Vec::new(),
                             sites: Vec::new(),
                             kinds: Vec::new(),
-                            validate: cfg.validate_sites,
                         }),
                     )),
                     lanes: (0..nthreads).map(|_| CachePadded::default()).collect(),
@@ -1584,12 +1553,11 @@ impl Session {
         entries: &[RecEntry],
         stats: &Stats,
     ) -> Result<(), TraceError> {
-        let validate = self.cfg.validate_sites;
         let values: Vec<u64> = entries.iter().map(|e| e.value).collect();
-        let sites: Option<Vec<u64>> = validate.then(|| entries.iter().map(|e| e.site).collect());
-        let kinds: Option<Vec<u8>> = validate.then(|| entries.iter().map(|e| e.kind).collect());
+        let sites: Vec<u64> = entries.iter().map(|e| e.site).collect();
+        let kinds: Vec<u8> = entries.iter().map(|e| e.kind).collect();
         let bytes = self.with_sink(|sink| {
-            sink.append_thread_chunk(dom, tid, &values, sites.as_deref(), kinds.as_deref())
+            sink.append_thread_chunk(dom, tid, &values, Some(&sites), Some(&kinds))
         })?;
         stats.add_io_written(bytes);
         stats.bump_chunk_flush();
@@ -1606,15 +1574,8 @@ impl Session {
         kinds: &[u8],
         stats: &Stats,
     ) -> Result<(), TraceError> {
-        let validate = self.cfg.validate_sites;
-        let bytes = self.with_sink(|sink| {
-            sink.append_st_chunk(
-                dom,
-                tids,
-                validate.then_some(sites),
-                validate.then_some(kinds),
-            )
-        })?;
+        let bytes =
+            self.with_sink(|sink| sink.append_st_chunk(dom, tids, Some(sites), Some(kinds)))?;
         stats.add_io_written(bytes);
         stats.bump_chunk_flush();
         Ok(())
@@ -1960,20 +1921,8 @@ mod tests {
         let s = Session::from_env(2).unwrap();
         assert_eq!(s.cfg.spin.timeout, SpinConfig::default().timeout);
 
-        // A degenerate-but-parseable value clamps (with a warning) instead
-        // of falling through to never-flush behavior.
-        std::env::set_var("REOMP_FLUSH_RECORDS", "0");
-        let s = Session::from_env(2).unwrap();
-        assert_eq!(s.cfg.flush_records, 1, "REOMP_FLUSH_RECORDS=0 clamps to 1");
-
-        // Sanity: in-range values land.
-        std::env::set_var("REOMP_FLUSH_RECORDS", "64");
-        let s = Session::from_env(2).unwrap();
-        assert_eq!(s.cfg.flush_records, 64);
-
         std::env::remove_var("REOMP_DOMAINS");
         std::env::remove_var("REOMP_SPIN_TIMEOUT");
-        std::env::remove_var("REOMP_FLUSH_RECORDS");
     }
 
     #[test]
@@ -2513,25 +2462,40 @@ mod tests {
         }
     }
 
+    /// Recording always writes the site/kind columns, but a trace without
+    /// them (an older file, or one stripped on purpose) still persists in
+    /// chunks and replays, unvalidated.
     #[test]
-    fn streaming_record_without_validation() {
-        use crate::store::{MemStore, TraceStore};
-        let store = MemStore::new();
-        let cfg = SessionConfig {
-            validate_sites: false,
-            flush_records: 2,
-            ..Default::default()
-        };
-        let s = Session::record_streaming_with(Scheme::Dc, 1, cfg, &store).unwrap();
+    fn chunked_bundle_without_columns_replays_unvalidated() {
+        use crate::store::{MemStore, StreamingTraceStore, TraceStore};
+        let s = Session::record(Scheme::Dc, 1);
         let ctx = s.register_thread(0);
         for _ in 0..7 {
             ctx.gate(SiteId(9), AccessKind::Load, || ());
         }
         drop(ctx);
-        s.finish().unwrap();
+        let mut bundle = s.finish().unwrap().bundle.unwrap();
+        assert!(bundle.has_validation());
+        bundle.threads[0].sites = None;
+        bundle.threads[0].kinds = None;
+
+        let store = MemStore::new();
+        store.save_chunked(&bundle, 2).unwrap();
         let (loaded, _) = store.load().unwrap();
-        assert_eq!(loaded.threads[0].values.len(), 7);
+        assert_eq!(loaded, bundle);
         assert_eq!(loaded.threads[0].sites, None);
+
+        // Another site than recorded: with the columns this diverges.
+        let s = Session::replay(loaded).unwrap();
+        let ctx = s.register_thread(0);
+        for _ in 0..7 {
+            ctx.try_gate(SiteId(10), AccessKind::Store, || ()).unwrap();
+        }
+        drop(ctx);
+        let report = s.finish().unwrap();
+        assert_eq!(report.fully_consumed, Some(true));
+        assert_eq!(report.stats.records_read, 7);
+        assert_eq!(report.stats.validate_checks, 0);
     }
 
     #[test]

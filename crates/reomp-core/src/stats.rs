@@ -81,8 +81,6 @@ pub struct Stats {
     deferred_finalizations: AtomicU64,
     chunk_flushes: AtomicU64,
     io_bytes_written: AtomicU64,
-    io_bytes_read: AtomicU64,
-    io_files: AtomicU64,
     validate_checks: AtomicU64,
     sync_edges: AtomicU64,
     edge_waits: AtomicU64,
@@ -219,18 +217,6 @@ impl Stats {
         bump(&self.io_bytes_written, bytes);
     }
 
-    /// Account bytes read from a record file.
-    #[inline]
-    pub fn add_io_read(&self, bytes: u64) {
-        bump(&self.io_bytes_read, bytes);
-    }
-
-    /// Count one record file touched.
-    #[inline]
-    pub fn bump_io_files(&self) {
-        bump(&self.io_files, 1);
-    }
-
     /// Count one replay-validation comparison.
     #[inline]
     pub fn bump_validate(&self) {
@@ -269,8 +255,6 @@ impl Stats {
             deferred_finalizations: self.deferred_finalizations.load(Ordering::Relaxed),
             chunk_flushes: self.chunk_flushes.load(Ordering::Relaxed),
             io_bytes_written: self.io_bytes_written.load(Ordering::Relaxed),
-            io_bytes_read: self.io_bytes_read.load(Ordering::Relaxed),
-            io_files: self.io_files.load(Ordering::Relaxed),
             validate_checks: self.validate_checks.load(Ordering::Relaxed),
             sync_edges: self.sync_edges.load(Ordering::Relaxed),
             edge_waits: self.edge_waits.load(Ordering::Relaxed),
@@ -305,10 +289,6 @@ pub struct StatsSnapshot {
     pub chunk_flushes: u64,
     /// Bytes written to record files.
     pub io_bytes_written: u64,
-    /// Bytes read from record files.
-    pub io_bytes_read: u64,
-    /// Record files touched.
-    pub io_files: u64,
     /// Replay-validation comparisons performed.
     pub validate_checks: u64,
     /// Cross-domain happens-before edges recorded (record mode, D > 1).
@@ -334,8 +314,6 @@ impl StatsSnapshot {
             deferred_finalizations,
             chunk_flushes,
             io_bytes_written,
-            io_bytes_read,
-            io_files,
             validate_checks,
             sync_edges,
             edge_waits,
@@ -353,8 +331,6 @@ impl StatsSnapshot {
         self.deferred_finalizations += deferred_finalizations;
         self.chunk_flushes += chunk_flushes;
         self.io_bytes_written += io_bytes_written;
-        self.io_bytes_read += io_bytes_read;
-        self.io_files += io_files;
         self.validate_checks += validate_checks;
         self.sync_edges += sync_edges;
         self.edge_waits += edge_waits;
@@ -400,11 +376,7 @@ impl fmt::Display for StatsSnapshot {
         writeln!(f, "records read:       {}", self.records_read)?;
         writeln!(f, "deferred stores:    {}", self.deferred_finalizations)?;
         writeln!(f, "chunk flushes:      {}", self.chunk_flushes)?;
-        writeln!(
-            f,
-            "trace I/O:          {} B out, {} B in, {} files",
-            self.io_bytes_written, self.io_bytes_read, self.io_files
-        )?;
+        writeln!(f, "trace I/O:          {} B out", self.io_bytes_written)?;
         writeln!(f, "validate checks:    {}", self.validate_checks)?;
         write!(
             f,

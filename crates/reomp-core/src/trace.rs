@@ -45,9 +45,10 @@ use std::collections::HashMap;
 pub struct ThreadTrace {
     /// Clock (DC) or epoch (DE) of each gate passage, in program order.
     pub values: Vec<u64>,
-    /// Raw site hash per access, when recorded with validation.
+    /// Raw site hash per access. Every recording writes it; `None` only
+    /// in a trace without validation columns (an older file).
     pub sites: Option<Vec<u64>>,
-    /// Kind code per access, when recorded with validation.
+    /// Kind code per access, present exactly when `sites` is.
     pub kinds: Option<Vec<u8>>,
 }
 
@@ -113,9 +114,10 @@ impl ThreadTrace {
 pub struct StTrace {
     /// Thread IDs in the order threads passed gates.
     pub tids: Vec<u32>,
-    /// Raw site hash per access, when recorded with validation.
+    /// Raw site hash per access. Every recording writes it; `None` only
+    /// in a trace without validation columns (an older file).
     pub sites: Option<Vec<u64>>,
-    /// Kind code per access, when recorded with validation.
+    /// Kind code per access, present exactly when `sites` is.
     pub kinds: Option<Vec<u8>>,
 }
 

@@ -42,20 +42,30 @@ pub fn encode_events(events: &[RecvEvent]) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Decode one rank's wildcard-receive stream.
+/// Decode one rank's wildcard-receive stream. The bytes are outside
+/// input: a count the bytes cannot back is not reserved up front, and a
+/// run longer than the events left is rejected.
 pub fn decode_events(bytes: &[u8]) -> Result<Vec<RecvEvent>, TraceError> {
     let mut buf = Bytes::copy_from_slice(bytes);
-    let count = get_uvarint(&mut buf)? as usize;
-    let mut out = Vec::with_capacity(count);
+    let count = get_uvarint(&mut buf)?;
+    let count = usize::try_from(count)
+        .map_err(|_| TraceError::Corrupt(format!("event count {count} out of range")))?;
+    // A run costs at least three bytes; a long run grows the vector as it
+    // decodes instead.
+    let mut out = Vec::with_capacity(count.min(buf.remaining() / 3));
     let (mut prev_src, mut prev_tag) = (0i64, 0i64);
     while out.len() < count {
-        let run_len = get_uvarint(&mut buf)? as usize;
-        if run_len == 0 {
-            return Err(TraceError::Corrupt("zero-length RLE run".into()));
-        }
+        let left = count - out.len();
+        let run_len = get_uvarint(&mut buf)?;
+        let run_len = usize::try_from(run_len)
+            .ok()
+            .filter(|n| (1..=left).contains(n))
+            .ok_or_else(|| {
+                TraceError::Corrupt(format!("bad run of {run_len} with {left} events to go"))
+            })?;
         let ds = unzigzag(get_uvarint(&mut buf)?);
         let dt = unzigzag(get_uvarint(&mut buf)?);
-        for _ in 0..run_len.min(count - out.len()) {
+        for _ in 0..run_len {
             prev_src += ds;
             prev_tag += dt;
             let src = u32::try_from(prev_src)
@@ -138,6 +148,41 @@ mod tests {
         bytes.push(0xff); // trailing garbage
         assert!(decode_events(&bytes).is_err());
         assert!(decode_events(&[]).is_err(), "missing count");
+    }
+
+    #[test]
+    fn forged_count_and_runs_are_corrupt() {
+        // A 2^62 count followed by one well-formed run: the reservation is
+        // bounded by the bytes, and the stream ends short of the count.
+        let mut huge = BytesMut::new();
+        put_uvarint(&mut huge, 1 << 62);
+        huge.extend_from_slice(&[1, 2, 0]);
+        // A run of 5 with 2 events to go, and a run of none.
+        for bytes in [&huge[..], &[2, 5, 2, 0], &[2, 0, 2, 0]] {
+            let got = decode_events(bytes);
+            assert!(
+                matches!(got, Err(TraceError::Corrupt(_))),
+                "{bytes:?}: {got:?}"
+            );
+        }
+        assert_eq!(
+            decode_events(&[2, 2, 2, 0]).unwrap(),
+            vec![ev(1, 0), ev(2, 0)]
+        );
+    }
+
+    #[test]
+    fn forged_stream_fails_load_dir_as_corrupt() {
+        use crate::session::MpiTrace;
+        let trace = MpiTrace::single(vec![vec![ev(1, 0), ev(2, 0)]], vec![vec![]]);
+        let dir = std::env::temp_dir().join(format!("rmpi-forged-stream-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        trace.save_dir(&dir).unwrap();
+        assert_eq!(MpiTrace::load_dir(&dir).unwrap(), trace);
+        std::fs::write(dir.join("rank_0.rmpi"), [2, 5, 2, 0]).unwrap();
+        let got = MpiTrace::load_dir(&dir);
+        assert!(matches!(got, Err(TraceError::Corrupt(_))), "{got:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     proptest::proptest! {

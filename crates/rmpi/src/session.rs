@@ -546,7 +546,7 @@ pub enum MpiMode {
 }
 
 /// Tuning knobs for an [`MpiSession`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MpiSessionConfig {
     /// The receive-site map (mirroring [`reomp_core::SessionConfig::plan`]):
     /// the number of receive-order domains per rank and the domain of
@@ -555,25 +555,12 @@ pub struct MpiSessionConfig {
     /// pins sites is stamped into the trace and reconstructed by replay.
     /// Never closed: every wildcard receive is recorded.
     pub plan: Option<DomainPlan>,
-    /// Replay: events retained per `(rank × domain)` stream for
-    /// divergence diagnostics (`0` disables the history).
-    pub history_capacity: usize,
     /// Record: `Some(n)` bounds in-situ retention to the last `n` events
     /// per `(rank × domain)` stream (the rmpi leg of the flight
     /// recorder); [`MpiSession::finish`] then stamps an [`MpiCheckpoint`]
     /// with the per-stream evicted counts. `None` (the default) retains
     /// everything, as the classic recorder does.
     pub flight: Option<u32>,
-}
-
-impl Default for MpiSessionConfig {
-    fn default() -> MpiSessionConfig {
-        MpiSessionConfig {
-            plan: None,
-            history_capacity: 16,
-            flight: None,
-        }
-    }
 }
 
 impl MpiSessionConfig {
@@ -588,16 +575,11 @@ impl MpiSessionConfig {
     }
 
     /// Read `REOMP_DOMAINS` and `REOMP_FLIGHT` exactly as a thread
-    /// session does ([`reomp_core::env_plan_and_window`]); everything else
-    /// stays at the defaults.
+    /// session does ([`reomp_core::env_plan_and_window`]).
     #[must_use]
     pub fn from_env() -> MpiSessionConfig {
         let (plan, flight) = reomp_core::env_plan_and_window();
-        MpiSessionConfig {
-            plan,
-            flight,
-            ..MpiSessionConfig::default()
-        }
+        MpiSessionConfig { plan, flight }
     }
 }
 
@@ -645,7 +627,6 @@ pub struct MpiSession {
     nranks: u32,
     /// The receive-site map every receive consults.
     plan: DomainPlan,
-    history_capacity: usize,
     flight: Option<u32>,
     logs: Vec<Mutex<Vec<RecvEvent>>>,
     waitany_logs: Vec<Mutex<Vec<u32>>>,
@@ -657,6 +638,10 @@ pub struct MpiSession {
     history: Vec<Mutex<VecDeque<RecvEvent>>>,
     trace: Option<MpiTrace>,
 }
+
+/// Events a replay retains per `(rank × domain)` stream for divergence
+/// diagnostics.
+const HISTORY_CAPACITY: usize = 16;
 
 impl MpiSession {
     /// Free-running session.
@@ -713,7 +698,6 @@ impl MpiSession {
             mode,
             nranks,
             plan,
-            history_capacity: cfg.history_capacity,
             flight: cfg.flight.map(|n| n.max(1)),
             logs: (0..streams).map(|_| Mutex::new(Vec::new())).collect(),
             waitany_logs: (0..streams).map(|_| Mutex::new(Vec::new())).collect(),
@@ -770,11 +754,8 @@ impl MpiSession {
     }
 
     fn push_history(&self, stream: usize, ev: RecvEvent) {
-        if self.history_capacity == 0 {
-            return;
-        }
         let mut h = self.history[stream].lock();
-        if h.len() == self.history_capacity {
+        if h.len() == HISTORY_CAPACITY {
             h.pop_front();
         }
         h.push_back(ev);

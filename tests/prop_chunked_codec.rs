@@ -277,10 +277,10 @@ proptest! {
         records_per_chunk in 1usize..17,
         st_run in (0u8..2).prop_map(|b| b == 1),
     ) {
-        // The per-chunk RLE compression stage (REOMP_COMPRESS) must be
-        // invisible to the loader: the compressed streaming save decodes
-        // to exactly the bundle the plain save produces, for arbitrary
-        // record contents and chunk sizes.
+        // The per-chunk RLE compression stage (`SessionConfig::compress`)
+        // must be invisible to the loader: the compressed streaming save
+        // decodes to exactly the bundle the plain save produces, for
+        // arbitrary record contents and chunk sizes.
         let bundle = build_bundle(&per_thread, with_cols, st_run);
         prop_assert!(bundle.validate().is_ok());
 
