@@ -145,6 +145,18 @@ impl TicketGate {
 /// Every gate-out advances the turnstile by one, so its value always equals
 /// the number of *completed* gated accesses. Under the contiguous-run epoch
 /// policy the admission rule is safe; see `epoch.rs` for the argument.
+///
+/// # Who writes `next`
+///
+/// DC admits exactly one thread at each value — a domain's clocks are a
+/// permutation, which `TraceBundle::validate` checks before any replay —
+/// and ST's multi-domain mirror is written only by the baton's current
+/// holder. Both gate-outs therefore have the counter to themselves, and
+/// advance it as [`TicketGate::exit`] releases `serving`: a load of their
+/// own value and a Release store ([`Turnstile::advance_exclusive`],
+/// [`Turnstile::complete`]). DE admits a whole epoch group at once, whose
+/// members complete concurrently, so its gate-out keeps the `fetch_add`
+/// ([`Turnstile::advance`]).
 #[derive(Debug, Default)]
 pub struct Turnstile {
     next: AtomicU64,
@@ -243,23 +255,43 @@ impl Turnstile {
         }
     }
 
-    /// `next_clock++` at gate-out (Fig. 5 line 34). Counts one inter-thread
-    /// communication: the new value is what wakes the next waiter (DC-1 in
-    /// Fig. 7).
+    /// `next_clock++` at gate-out (Fig. 5 line 34) when other threads may
+    /// advance concurrently — DE's epoch groups. Counts one inter-thread
+    /// communication: the new value is what wakes the next waiter.
     #[inline]
     pub fn advance(&self, stats: &Stats) -> u64 {
         stats.bump_comms(1);
         self.next.fetch_add(1, Ordering::AcqRel) + 1
     }
 
+    /// `next_clock++` at a DC gate-out: the caller is the one thread the
+    /// turnstile admitted at its current value, so no other thread writes
+    /// it until this store (see "Who writes `next`"). Counts one
+    /// inter-thread communication, as [`Turnstile::advance`] does (DC-1 in
+    /// Fig. 7).
+    #[inline]
+    pub fn advance_exclusive(&self, stats: &Stats) -> u64 {
+        stats.bump_comms(1);
+        self.complete()
+    }
+
     /// Advance the completed-access count *without* counting a paper
     /// communication. ST replay uses this in multi-domain sessions: the
     /// baton hand-off is ST's real communication; the turnstile only
     /// mirrors the completion count so other domains' cross-domain edges
-    /// have something to wait on.
+    /// have something to wait on. Only the baton's holder calls it, so it
+    /// is the sole writer, as in [`Turnstile::advance_exclusive`].
     #[inline]
     pub fn complete(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::AcqRel) + 1
+        // ORDERING: the caller is the counter's only writer and its
+        // admission (an Acquire load of this value, or the baton chain
+        // that ordered the previous holder's store before it) already
+        // observed the current value, so a Relaxed load returns it.
+        let done = self.next.load(Ordering::Relaxed) + 1;
+        // ORDERING: Release publishes the completed access to the waiter
+        // this value admits, pairing with its Acquire load.
+        self.next.store(done, Ordering::Release);
+        done
     }
 }
 
@@ -293,7 +325,7 @@ mod tests {
                     t.wait_exact(clock, clock as u32, SiteId(1), &cfg, &stats)
                         .unwrap();
                     order.lock().push(clock);
-                    t.advance(&stats);
+                    t.advance_exclusive(&stats);
                 });
             }
         });

@@ -297,14 +297,20 @@ pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
             if session.domains() > 1 {
                 // Mirror the completion count so other domains'
                 // cross-domain edges can wait on this domain (not a paper
-                // communication — the baton hand-off above is ST's).
+                // communication — the baton hand-off above is ST's). The
+                // baton is still held, so this thread is its only writer.
                 drep.turnstile.complete();
             }
             drep.st.baton.release();
         }
-        Scheme::Dc | Scheme::De => {
-            // Fig. 5 line 34: `next_clock++` — the single inter-thread
-            // communication of DC/DE replay (DC-1 in Fig. 7).
+        // Fig. 5 line 34: `next_clock++` — the single inter-thread
+        // communication of DC/DE replay (DC-1 in Fig. 7). DC admitted this
+        // thread alone at its clock, so it is the turnstile's only writer;
+        // DE's same-epoch threads advance concurrently.
+        Scheme::Dc => {
+            drep.turnstile.advance_exclusive(session.thread_stats(tid));
+        }
+        Scheme::De => {
             drep.turnstile.advance(session.thread_stats(tid));
         }
     }

@@ -34,7 +34,7 @@
 use crate::error::TraceError;
 use crate::session::Scheme;
 use crate::site::SiteId;
-use crate::trace::TraceBundle;
+use crate::trace::{ThreadTrace, TraceBundle};
 
 /// Upper bound on diagnostics emitted by one check family; the overflow is
 /// summarized in a final diagnostic instead of enumerated.
@@ -350,6 +350,17 @@ pub(crate) fn structural(bundle: &TraceBundle) -> Result<(), TraceError> {
     }
     if let Some(cp) = &bundle.checkpoint {
         cp.check(bundle.domains)?;
+        // The base is an unbounded varint on disk: every clock, ceiling,
+        // floor and edge bound below computes `base + records`, so a
+        // forged base must stop here instead of wrapping there.
+        for dom in 0..bundle.domains {
+            let (base, records) = (cp.base_of(dom), bundle.domain_records(dom));
+            if base.checked_add(records).is_none() {
+                return Err(TraceError::Corrupt(format!(
+                    "domain {dom}: clock base {base} + {records} records overflows the clock"
+                )));
+            }
+        }
     }
     if bundle.scheme == Scheme::Dc {
         // DC clocks are per-domain: within each domain, the clocks across
@@ -359,19 +370,8 @@ pub(crate) fn structural(bundle: &TraceBundle) -> Result<(), TraceError> {
         // window's start).
         for (dom, chunk) in bundle.threads.chunks(bundle.nthreads as usize).enumerate() {
             let base = bundle.clock_base(dom as u32);
-            let mut clocks: Vec<u64> = chunk
-                .iter()
-                .flat_map(|t| t.values.iter().copied())
-                .collect();
-            clocks.sort_unstable();
-            for (expect, got) in clocks.iter().enumerate() {
-                if *got != base + expect as u64 {
-                    return Err(TraceError::Corrupt(format!(
-                        "domain {dom}: DC clocks are not a permutation of {base}..{} \
-                         (found {got} at rank {expect})",
-                        base + clocks.len() as u64
-                    )));
-                }
+            if !is_permutation(chunk, base) {
+                sorted_permutation(dom, chunk, base)?;
             }
         }
     }
@@ -385,6 +385,65 @@ pub(crate) fn structural(bundle: &TraceBundle) -> Result<(), TraceError> {
         }
     }
     check_edges(bundle)
+}
+
+/// Whether the clocks of `streams` are exactly `base..base + n`, `n`
+/// being their total count: every clock in range and none seen twice
+/// (so, by pigeonhole, each seen once). One pass over an `n`-bit set and
+/// no copy of the clocks. The set word being filled stays in a register
+/// while consecutive clocks land in it, as a thread's increasing clocks
+/// do, instead of a load and store per clock that stall on forwarding.
+fn is_permutation(streams: &[ThreadTrace], base: u64) -> bool {
+    let n: u64 = streams.iter().map(|t| t.values.len() as u64).sum();
+    if n == 0 {
+        return true;
+    }
+    let mut seen = vec![0u64; n.div_ceil(64) as usize];
+    for t in streams {
+        // `word` holds `seen[at]` with this stream's clocks so far in it.
+        let (mut at, mut word) = (0usize, seen[0]);
+        for &clock in &t.values {
+            // Below `base` wraps past `n` too.
+            let rank = clock.wrapping_sub(base);
+            if rank >= n {
+                return false;
+            }
+            let i = (rank / 64) as usize;
+            if i != at {
+                seen[at] = word;
+                (at, word) = (i, seen[i]);
+            }
+            let bit = 1u64 << (rank % 64);
+            if word & bit != 0 {
+                return false;
+            }
+            word |= bit;
+        }
+        seen[at] = word;
+    }
+    true
+}
+
+/// The permutation check by sorting a copy, run only once
+/// [`is_permutation`] has failed: it names the first clock out of place,
+/// the error text `validate()` has always returned.
+#[cold]
+fn sorted_permutation(dom: usize, streams: &[ThreadTrace], base: u64) -> Result<(), TraceError> {
+    let mut clocks: Vec<u64> = streams
+        .iter()
+        .flat_map(|t| t.values.iter().copied())
+        .collect();
+    clocks.sort_unstable();
+    for (expect, got) in clocks.iter().enumerate() {
+        if *got != base + expect as u64 {
+            return Err(TraceError::Corrupt(format!(
+                "domain {dom}: DC clocks are not a permutation of {base}..{} \
+                 (found {got} at rank {expect})",
+                base + clocks.len() as u64
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Structural consistency of the cross-domain edges: anchors must name
@@ -1017,6 +1076,166 @@ mod tests {
             "{} diagnostics",
             report.diagnostics.len()
         );
+    }
+
+    /// The DC permutation check as it stood before the set pass: sort a
+    /// copy of each domain's clocks and compare rank by rank. The set pass
+    /// must accept exactly what this accepts and fail with its text.
+    fn sorted_reference(b: &TraceBundle) -> Result<(), TraceError> {
+        for (dom, chunk) in b.threads.chunks(b.nthreads as usize).enumerate() {
+            let base = b.clock_base(dom as u32);
+            let mut clocks: Vec<u64> = chunk
+                .iter()
+                .flat_map(|t| t.values.iter().copied())
+                .collect();
+            clocks.sort_unstable();
+            for (expect, got) in clocks.iter().enumerate() {
+                if *got != base + expect as u64 {
+                    return Err(TraceError::Corrupt(format!(
+                        "domain {dom}: DC clocks are not a permutation of {base}..{} \
+                         (found {got} at rank {expect})",
+                        base + clocks.len() as u64
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A DC bundle of `nthreads` threads whose domain `d` holds the
+    /// `(thread, clock)` records `domains[d]`, over a checkpoint with the
+    /// given bases.
+    fn dc_window(nthreads: u32, bases: Vec<u64>, domains: &[Vec<(u32, u64)>]) -> TraceBundle {
+        let mut threads = vec![ThreadTrace::default(); domains.len() * nthreads as usize];
+        for (dom, clocks) in domains.iter().enumerate() {
+            for &(tid, clock) in clocks {
+                threads[dom * nthreads as usize + tid as usize]
+                    .values
+                    .push(clock);
+            }
+        }
+        TraceBundle {
+            plan: None,
+            edges: vec![],
+            checkpoint: Some(Checkpoint {
+                base: bases,
+                floors: vec![],
+                window: 1,
+                trigger: DumpTrigger::Manual,
+            }),
+            scheme: Scheme::Dc,
+            nthreads,
+            domains: domains.len() as u32,
+            threads,
+            st: vec![],
+        }
+    }
+
+    #[test]
+    fn permutation_set_pass_agrees_with_the_sort() {
+        // Random clock multisets: a permutation of base..base+n dealt to
+        // 1–4 threads, then 0–3 defects — a duplicate, a gap, a clock
+        // below the base or past the end, one clock dropped or added.
+        let mut state = 0x5eed_u64;
+        let mut rng = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            crate::site::splitmix64(state) % bound.max(1)
+        };
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..6_000 {
+            let nthreads = 1 + rng(4) as u32;
+            let ndomains = 1 + rng(2) as usize;
+            let mut bases = Vec::new();
+            let mut domains = Vec::new();
+            for _ in 0..ndomains {
+                let base = match rng(4) {
+                    0 => 0,
+                    1 => rng(1_000),
+                    2 => u64::MAX - 1_000 - rng(1_000),
+                    _ => rng(1 << 40),
+                };
+                let n = if rng(2) == 0 { rng(10) } else { rng(300) };
+                let mut clocks: Vec<(u32, u64)> = (base..base + n)
+                    .map(|c| (rng(u64::from(nthreads)) as u32, c))
+                    .collect();
+                for _ in 0..rng(4) {
+                    let len = clocks.len() as u64;
+                    let at = rng(len) as usize;
+                    let tid = rng(u64::from(nthreads)) as u32;
+                    match rng(6) {
+                        0 if len > 1 => clocks[at].1 = clocks[rng(len) as usize].1,
+                        1 if len > 0 => clocks[at].1 = base + len + rng(3),
+                        2 if len > 0 => clocks[at].1 = base.wrapping_sub(1 + rng(3)),
+                        3 if len > 0 => {
+                            clocks.remove(at);
+                        }
+                        4 => clocks.push((tid, base + rng(len + 2))),
+                        _ => {}
+                    }
+                }
+                // Half the cases keep each thread's clocks increasing, as
+                // a recording does; the rest deal them in any order.
+                if rng(2) == 0 {
+                    clocks.sort_by_key(|&(_, c)| c);
+                } else {
+                    for i in (1..clocks.len()).rev() {
+                        clocks.swap(i, rng(i as u64 + 1) as usize);
+                    }
+                }
+                bases.push(base);
+                domains.push(clocks);
+            }
+            let b = dc_window(nthreads, bases, &domains);
+            let want = sorted_reference(&b).map_err(|e| e.to_string());
+            let got = structural(&b).map_err(|e| e.to_string());
+            assert_eq!(got, want, "case {case}: {b:?}");
+            if want.is_ok() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(
+            accepted > 1_000 && rejected > 1_000,
+            "{accepted} / {rejected}"
+        );
+    }
+
+    #[test]
+    fn forged_checkpoint_base_is_corrupt_not_a_panic() {
+        // Bases whose `base + records` wraps: DC (the permutation bound),
+        // DE (the epoch ceiling and the floor check) and an edge wait
+        // (the available count) must all stop at the structural tier.
+        let dc = dc_window(1, vec![u64::MAX], &[vec![(0, 0), (0, 1)]]);
+        let mut de = dc_window(1, vec![u64::MAX - 1], &[vec![(0, 0), (0, 1)]]);
+        de.scheme = Scheme::De;
+        de.checkpoint.as_mut().unwrap().floors = vec![u64::MAX];
+        let mut edged = dc_window(1, vec![0, u64::MAX], &[vec![(0, 0)], vec![(0, 5)]]);
+        edged.edges = vec![CrossDomainEdge {
+            domain: 0,
+            thread: 0,
+            seq: 0,
+            waits: vec![(1, 1)],
+        }];
+        for (what, b) in [("dc", &dc), ("de", &de), ("edge", &edged)] {
+            let err = b.validate().unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Corrupt(m) if m.contains("overflows the clock")),
+                "{what}: {err}"
+            );
+            let report = Verifier::new().verify(b);
+            assert_eq!(
+                report.worst_tier(),
+                Some(Tier::Structural),
+                "{what}: {report}"
+            );
+            assert!(report.certificate.is_none());
+        }
+        // The largest base that does not wrap is a window like any other.
+        let n = 3;
+        let base = u64::MAX - n;
+        let widest = dc_window(1, vec![base], &[(base..base + n).map(|c| (0, c)).collect()]);
+        assert!(Verifier::new().verify(&widest).is_clean());
     }
 
     #[test]

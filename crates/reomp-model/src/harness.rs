@@ -53,7 +53,11 @@ pub trait TurnstileApi: Send + Sync + 'static {
     fn wait_exact(&self, tid: usize, clock: u64);
     /// Block until at least `epoch` accesses completed (DE admission).
     fn wait_at_least(&self, tid: usize, epoch: u64);
-    /// Complete one access.
+    /// Complete one access as the counter's only writer (DC's gate-out,
+    /// ST's mirror): a load and a store.
+    fn advance_exclusive(&self, tid: usize);
+    /// Complete one access while others may complete too (DE's epoch
+    /// groups): a read-modify-write.
     fn advance(&self, tid: usize);
 }
 
@@ -102,6 +106,9 @@ impl TurnstileApi for RealTurnstile {
         self.turnstile
             .wait_at_least(epoch, tid as u32, SiteId(1), &self.spin, &self.stats[tid])
             .expect("turnstile wait failed");
+    }
+    fn advance_exclusive(&self, tid: usize) {
+        self.turnstile.advance_exclusive(&self.stats[tid]);
     }
     fn advance(&self, tid: usize) {
         self.turnstile.advance(&self.stats[tid]);
@@ -342,7 +349,8 @@ pub fn baton_racing_releases<B: BatonApi>(
 }
 
 /// DC admission order ≡ recorded clocks: three waiters with clocks 2, 1, 0
-/// must complete in clock order no matter how they are scheduled.
+/// must complete in clock order no matter how they are scheduled. Each
+/// completes with DC's owner store.
 pub fn turnstile_admit_order<T: TurnstileApi>(
     make: impl Fn() -> T + Send + Sync + 'static,
     cfg: &Config,
@@ -359,7 +367,7 @@ pub fn turnstile_admit_order<T: TurnstileApi>(
                 shuttle::thread::spawn(move || {
                     t.wait_exact(tid, clock);
                     order.lock().push(clock);
-                    t.advance(tid);
+                    t.advance_exclusive(tid);
                 })
             })
             .collect();
@@ -375,7 +383,8 @@ pub fn turnstile_admit_order<T: TurnstileApi>(
 }
 
 /// DE epoch-group admission: two epoch-0 accesses are admitted in either
-/// order, but the epoch-2 access only after both completed.
+/// order, but the epoch-2 access only after both completed. The two
+/// complete concurrently, so a lost update strands the epoch-2 access.
 pub fn turnstile_epoch_group<T: TurnstileApi>(
     make: impl Fn() -> T + Send + Sync + 'static,
     cfg: &Config,
@@ -408,10 +417,13 @@ pub fn turnstile_epoch_group<T: TurnstileApi>(
     })
 }
 
-/// Turnstile hand-off visibility: data written (Relaxed) before `advance`
-/// must be visible to the waiter it admits. The AcqRel `fetch_add` in
-/// `advance` paired with the Acquire load in the wait loop is what carries
-/// the edge — a relaxed mutant lets the waiter read stale data.
+/// Turnstile hand-off visibility: data written (Relaxed) before an
+/// advance must be visible to the waiter it admits, through both advances.
+/// Thread 0 writes and hands clock 1 to thread 1 with the owner store
+/// (DC), which reads, writes back and hands clock 2 to thread 0 with the
+/// RMW (DE). The Release store and the AcqRel `fetch_add`, paired with
+/// the Acquire load in the wait loop, carry the edges — a relaxed mutant
+/// lets a waiter read stale data.
 pub fn turnstile_handoff_visibility<T: TurnstileApi>(
     make: impl Fn() -> T + Send + Sync + 'static,
     cfg: &Config,
@@ -424,7 +436,13 @@ pub fn turnstile_handoff_visibility<T: TurnstileApi>(
             let data = Arc::clone(&data);
             shuttle::thread::spawn(move || {
                 data.store(42, Ordering::Relaxed);
-                t.advance(0);
+                t.advance_exclusive(0);
+                t.wait_at_least(0, 2);
+                assert_eq!(
+                    data.load(Ordering::Relaxed),
+                    43,
+                    "the RMW advance did not publish the second writer's data"
+                );
             })
         };
         let reader = {
@@ -435,8 +453,10 @@ pub fn turnstile_handoff_visibility<T: TurnstileApi>(
                 assert_eq!(
                     data.load(Ordering::Relaxed),
                     42,
-                    "turnstile admission did not publish the writer's data"
+                    "the owner-store advance did not publish the writer's data"
                 );
+                data.store(43, Ordering::Relaxed);
+                t.advance(1);
             })
         };
         writer.join().unwrap();

@@ -98,22 +98,29 @@ impl BatonApi for MutBaton {
 }
 
 /// A turnstile copy with parameterized orderings on the completed-access
-/// counter — the mutation target is the AcqRel `advance` / Acquire wait
-/// pairing that publishes the admitted thread's data.
+/// counter — the mutation targets are the Release owner store / AcqRel
+/// `advance` / Acquire wait pairing that publishes the admitted thread's
+/// data, and which advance DE uses.
 pub struct MutTurnstile {
     next: AtomicU64,
-    advance_order: Ordering,
+    store_order: Ordering,
+    rmw_order: Ordering,
     wait_order: Ordering,
+    /// `true` = DE advances with the owner store, as DC does.
+    de_owner_store: bool,
 }
 
 impl MutTurnstile {
-    /// The real orderings (AcqRel advance, Acquire wait loads).
+    /// The real protocol: Release owner store, AcqRel `fetch_add`,
+    /// Acquire wait loads.
     #[must_use]
     pub fn faithful() -> Self {
         MutTurnstile {
             next: AtomicU64::new(0),
-            advance_order: Ordering::AcqRel,
+            store_order: Ordering::Release,
+            rmw_order: Ordering::AcqRel,
             wait_order: Ordering::Acquire,
+            de_owner_store: false,
         }
     }
 
@@ -123,9 +130,21 @@ impl MutTurnstile {
     #[must_use]
     pub fn relaxed() -> Self {
         MutTurnstile {
-            next: AtomicU64::new(0),
-            advance_order: Ordering::Relaxed,
+            store_order: Ordering::Relaxed,
+            rmw_order: Ordering::Relaxed,
             wait_order: Ordering::Relaxed,
+            ..MutTurnstile::faithful()
+        }
+    }
+
+    /// DE's gate-out takes DC's owner store "to save the locked
+    /// instruction": two same-epoch threads both load `e` and both store
+    /// `e + 1`, losing a completion, and the next epoch never opens.
+    #[must_use]
+    pub fn de_owner_store() -> Self {
+        MutTurnstile {
+            de_owner_store: true,
+            ..MutTurnstile::faithful()
         }
     }
 }
@@ -141,8 +160,16 @@ impl TurnstileApi for MutTurnstile {
             shuttle::thread::yield_now();
         }
     }
-    fn advance(&self, _tid: usize) {
-        self.next.fetch_add(1, self.advance_order);
+    fn advance_exclusive(&self, _tid: usize) {
+        let done = self.next.load(Ordering::Relaxed);
+        self.next.store(done + 1, self.store_order);
+    }
+    fn advance(&self, tid: usize) {
+        if self.de_owner_store {
+            self.advance_exclusive(tid);
+        } else {
+            self.next.fetch_add(1, self.rmw_order);
+        }
     }
 }
 

@@ -11,7 +11,8 @@
 //! carry the strings pinned here.
 
 use reomp::core::codec;
-use reomp::{DirStore, TraceBundle, TraceStore, Verifier};
+use reomp::core::verify::Tier;
+use reomp::{DirStore, TraceBundle, TraceError, TraceStore, Verifier};
 use std::path::{Path, PathBuf};
 
 /// `(fixture, certificate)` of every core fixture.
@@ -103,4 +104,39 @@ fn v2_corpus_carries_the_certificates_of_the_v1_fixtures_of_the_same_name() {
         let (v1, _) = load_verified(&corpus("golden").join(name));
         assert_eq!(bundle, v1, "{name}: the corpora hold different records");
     }
+}
+
+#[test]
+fn forged_checkpoint_base_is_corrupt_not_a_panic() {
+    // `flight_dc` with its checkpoint's clock base rewritten to the
+    // largest varint: `base + records` wraps, which the loader and the
+    // verifier must report as corruption, in debug and release alike.
+    let fixture = corpus("golden_v2").join("flight_dc");
+    let forged = std::env::temp_dir().join(format!("reomp-forged-base-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&forged);
+    std::fs::create_dir_all(&forged).expect("create forged dir");
+    for entry in std::fs::read_dir(&fixture).expect("read fixture dir") {
+        let path = entry.expect("dir entry").path();
+        std::fs::copy(&path, forged.join(path.file_name().unwrap())).expect("copy fixture");
+    }
+    let section = forged.join("checkpoint.rtrc");
+    let mut checkpoint =
+        codec::decode_checkpoint(&std::fs::read(&section).expect("read checkpoint"))
+            .expect("fixture checkpoint decodes");
+    checkpoint.base = vec![u64::MAX];
+    std::fs::write(&section, codec::encode_checkpoint(&checkpoint)).expect("write forged base");
+
+    let loaded = DirStore::new(&forged).load();
+    let _ = std::fs::remove_dir_all(&forged);
+    match loaded {
+        Err(TraceError::Corrupt(msg)) => assert!(msg.contains("overflows the clock"), "{msg}"),
+        other => panic!("forged base loaded as {other:?}"),
+    }
+
+    // The same bundle handed to the verifier directly.
+    let (mut bundle, _) = load_verified(&fixture);
+    bundle.checkpoint.as_mut().expect("a windowed fixture").base = vec![u64::MAX];
+    let report = Verifier::new().verify(&bundle);
+    assert_eq!(report.worst_tier(), Some(Tier::Structural), "{report}");
+    assert!(report.certificate.is_none());
 }
