@@ -70,52 +70,46 @@ impl fmt::Display for OfflineError {
 
 impl std::error::Error for OfflineError {}
 
-/// One reconstructed access: where it was recorded and what it did.
-#[derive(Debug, Clone, Copy)]
+/// One reconstructed access: where it was recorded, what it did, and
+/// what it knew.
+#[derive(Debug, Clone)]
 struct TraceAccess {
     /// Gate domain the access was recorded in.
     dom: u32,
-    /// 1-based absolute position within its domain (clock-base aware).
-    abs: u64,
-    /// Index into the merged order (and the `vcs` table).
-    pos: usize,
     /// Thread that performed it.
     tid: u32,
     site: SiteId,
     kind: AccessKind,
+    /// `vc[d]` = number of domain-`d` accesses known complete when the
+    /// access ran (clock-base aware). Its own domain's component counts
+    /// itself: the access's 1-based absolute position in that domain.
+    vc: Vec<u64>,
 }
 
-/// The merged access sequence plus per-access domain vector clocks.
-struct MergedView {
-    accesses: Vec<TraceAccess>,
-    /// `vcs[pos][d]` = number of domain-`d` accesses known complete when
-    /// access `pos` ran (its own domain component includes itself).
-    vcs: Vec<Vec<u64>>,
-}
-
-impl MergedView {
-    /// Whether access `x` happens-before (or equals) access `y` under the
-    /// per-domain total orders plus the cross-domain edges.
-    fn ordered(&self, x: &TraceAccess, y: &TraceAccess) -> bool {
-        self.vcs[y.pos][x.dom as usize] >= x.abs
+impl TraceAccess {
+    /// Whether `self` happens-before (or equals) `y` under the per-domain
+    /// total orders plus the cross-domain edges.
+    fn ordered_before(&self, y: &TraceAccess) -> bool {
+        let d = self.dom as usize;
+        y.vc[d] >= self.vc[d]
     }
 }
 
 /// Reconstruct the merged order with sites, kinds, and domain vector
 /// clocks. Fails (never panics) on corrupt, validation-less, or cyclic
 /// input.
-fn merged_view(bundle: &TraceBundle) -> Result<MergedView, OfflineError> {
+fn merged_view(bundle: &TraceBundle) -> Result<Vec<TraceAccess>, OfflineError> {
     bundle
         .validate()
         .map_err(|e| OfflineError::Corrupt(e.to_string()))?;
     if !bundle.has_validation() {
         return Err(OfflineError::MissingValidation);
     }
-    if !bundle.edges_consistent() {
+    let order = bundle.linearize();
+    if !order.consistent {
         return Err(OfflineError::CyclicEdges);
     }
     let d = bundle.domains as usize;
-    let order = bundle.merged_order();
     let index = bundle.edge_index();
     let is_st = bundle.is_st();
 
@@ -128,41 +122,29 @@ fn merged_view(bundle: &TraceBundle) -> Result<MergedView, OfflineError> {
             vc
         })
         .collect();
-    let mut emitted: Vec<u64> = (0..d).map(|dom| bundle.clock_base(dom as u32)).collect();
     // Per domain: merged position of its 1st, 2nd, … retained access.
     let mut hist: Vec<Vec<usize>> = vec![Vec::new(); d];
-    let mut vcs: Vec<Vec<u64>> = Vec::with_capacity(order.len());
-    let mut accesses: Vec<TraceAccess> = Vec::with_capacity(order.len());
+    let mut accesses: Vec<TraceAccess> = Vec::with_capacity(order.accesses.len());
 
-    for (pos, &(dom, _value, tid, seq)) in order.iter().enumerate() {
-        let dx = dom as usize;
-        let i = seq as usize;
-        let (site, kind_code) = if is_st {
-            let st = &bundle.st[dx];
-            let sites = st.sites.as_ref().ok_or(OfflineError::MissingValidation)?;
-            let kinds = st.kinds.as_ref().ok_or(OfflineError::MissingValidation)?;
-            (sites[i], kinds[i])
-        } else {
-            let t = bundle.thread(dom, tid);
-            let sites = t.sites.as_ref().ok_or(OfflineError::MissingValidation)?;
-            let kinds = t.kinds.as_ref().ok_or(OfflineError::MissingValidation)?;
-            (sites[i], kinds[i])
+    for a in &order.accesses {
+        let dx = a.domain as usize;
+        // Recordings write kinds with sites (checked above), so a missing
+        // kind is a byte that decodes to none.
+        let (Some(site), Some(kind)) = (a.site, a.kind) else {
+            let at = format!("access {} of domain {}", a.seq, a.domain);
+            return Err(OfflineError::Corrupt(format!("bad kind code at {at}")));
         };
-        let kind = AccessKind::from_code(kind_code).ok_or_else(|| {
-            OfflineError::Corrupt(format!("bad kind code {kind_code} in domain {dom}"))
-        })?;
 
         // Join the edge waits: the anchor happens-after the waited
         // domain's c-th access — and everything that access knew.
-        let key = (dom, if is_st { 0 } else { tid }, seq);
+        let key = (a.domain, if is_st { 0 } else { a.thread }, a.seq);
         if let Some(waits) = index.get(&key) {
             for &(j, c) in waits {
                 let jx = j as usize;
                 let base = bundle.clock_base(j);
                 if c > base {
                     if let Some(&h) = hist[jx].get((c - base - 1) as usize) {
-                        let snap = vcs[h].clone();
-                        for (slot, &v) in cur[dx].iter_mut().zip(&snap) {
+                        for (slot, &v) in cur[dx].iter_mut().zip(&accesses[h].vc) {
                             *slot = (*slot).max(v);
                         }
                     }
@@ -170,21 +152,19 @@ fn merged_view(bundle: &TraceBundle) -> Result<MergedView, OfflineError> {
                 cur[dx][jx] = cur[dx][jx].max(c);
             }
         }
-        emitted[dx] += 1;
-        cur[dx][dx] = emitted[dx];
+        // Joins only ever learn of this domain's earlier accesses.
+        cur[dx][dx] += 1;
 
-        vcs.push(cur[dx].clone());
-        hist[dx].push(pos);
+        hist[dx].push(accesses.len());
         accesses.push(TraceAccess {
-            dom,
-            abs: emitted[dx],
-            pos,
-            tid,
-            site: SiteId(site),
+            dom: a.domain,
+            tid: a.thread,
+            site,
             kind,
+            vc: cur[dx].clone(),
         });
     }
-    Ok(MergedView { accesses, vcs })
+    Ok(accesses)
 }
 
 /// Run FastTrack over the recorded order, treating each site hash as its
@@ -210,14 +190,12 @@ pub fn offline_report_with(
     bundle: &TraceBundle,
     addr_of: impl Fn(SiteId) -> u64,
 ) -> Result<RaceReport, OfflineError> {
-    let view = merged_view(bundle)?;
+    let accesses = merged_view(bundle)?;
     let mut ft = FastTrack::new(bundle.nthreads);
     for tid in 0..bundle.nthreads {
         ft.fork(ompr::events::MAIN_TID, tid);
     }
-    let mut events = 0u64;
-    for a in &view.accesses {
-        events += 1;
+    for a in &accesses {
         match a.kind {
             AccessKind::Load => ft.access(a.tid, addr_of(a.site), a.site, Access::Read),
             AccessKind::Store => ft.access(a.tid, addr_of(a.site), a.site, Access::Write),
@@ -229,7 +207,7 @@ pub fn offline_report_with(
     }
     Ok(RaceReport {
         races: ft.take_races(),
-        events_analysed: events,
+        events_analysed: accesses.len() as u64,
     })
 }
 
@@ -310,7 +288,7 @@ pub fn check_plan_soundness_with(
             .map_err(|e| OfflineError::Corrupt(e.to_string()))?;
         return Ok(PlanSoundness::default());
     }
-    let view = merged_view(bundle)?;
+    let accesses = merged_view(bundle)?;
     let racy_addrs = report.racy_addrs();
     if racy_addrs.is_empty() {
         return Ok(PlanSoundness::default());
@@ -318,7 +296,7 @@ pub fn check_plan_soundness_with(
 
     // Group this trace's accesses by aliased address, merged order kept.
     let mut by_addr: HashMap<u64, Vec<&TraceAccess>> = HashMap::new();
-    for a in &view.accesses {
+    for a in &accesses {
         let addr = addr_of(a.site);
         if racy_addrs.contains(&addr) {
             by_addr.entry(addr).or_default().push(a);
@@ -331,7 +309,7 @@ pub fn check_plan_soundness_with(
         if x.dom == y.dom {
             return; // the domain gate totally orders them
         }
-        if view.ordered(x, y) {
+        if x.ordered_before(y) {
             out.proven_pairs += 1;
             return;
         }
@@ -427,7 +405,7 @@ pub fn plan_soundness_diagnostics(bundle: &TraceBundle, report: &RaceReport) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reomp_core::trace::{CrossDomainEdge, ThreadTrace};
+    use reomp_core::trace::{CrossDomainEdge, StTrace, ThreadTrace};
     use reomp_core::{Scheme, TraceBundle};
 
     const LOAD: u8 = AccessKind::Load as u8;
@@ -535,6 +513,26 @@ mod tests {
         assert!(matches!(
             offline_report(&b).unwrap_err(),
             OfflineError::Corrupt(_)
+        ));
+        // An ST kind byte that decodes to no kind passes the structural
+        // tier (the verifier flags it as an ordering error).
+        let st = TraceBundle {
+            plan: None,
+            edges: vec![],
+            checkpoint: None,
+            scheme: Scheme::St,
+            nthreads: 1,
+            domains: 1,
+            threads: vec![ThreadTrace::default()],
+            st: vec![StTrace {
+                tids: vec![0],
+                sites: Some(vec![7]),
+                kinds: Some(vec![99]),
+            }],
+        };
+        assert!(matches!(
+            offline_report(&st).unwrap_err(),
+            OfflineError::Corrupt(msg) if msg.contains("bad kind code")
         ));
     }
 

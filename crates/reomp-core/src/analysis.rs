@@ -1,75 +1,19 @@
-//! Post-hoc trace analysis: summaries, global interleavings, ASCII
-//! timelines, and trace *diffing*.
+//! Post-hoc trace analysis: summaries, ASCII timelines, and trace
+//! *diffing*.
 //!
 //! Record-and-replay earns its keep during debugging, and debugging needs
 //! to *look at* traces: which thread did what when, and — when a replay
 //! diverges or two recordings differ — where exactly the first difference
-//! sits. The `reomp-inspect` binary in the workspace root wraps this
-//! module for the command line.
+//! sits. The order shown is [`TraceBundle::linearize`]'s: each domain's
+//! recorded order, merged through the cross-domain edges. The
+//! `reomp-inspect` binary in the workspace root wraps this module for the
+//! command line.
 
 use crate::session::Scheme;
 use crate::site::{AccessKind, SiteId};
-use crate::trace::TraceBundle;
+use crate::trace::{StTrace, ThreadTrace, TraceBundle};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// One access in a reconstructed global order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineEntry {
-    /// Gate domain the access was recorded in (0 for single-domain runs).
-    pub domain: u32,
-    /// Recorded value (clock for DC, epoch for DE, sequence index for ST).
-    pub value: u64,
-    /// Executing thread.
-    pub thread: u32,
-    /// Site, when the trace carries validation columns.
-    pub site: Option<SiteId>,
-    /// Kind, when the trace carries validation columns.
-    pub kind: Option<AccessKind>,
-}
-
-/// Reconstruct the access order of a bundle, domain by domain.
-///
-/// * ST: the shared stream *is* the order.
-/// * DC: clocks are a total order.
-/// * DE: epochs are a partial order; entries sharing a value were
-///   concurrent in replay (ties are broken by thread ID for determinism).
-///
-/// Multi-domain bundles have **no** recorded cross-domain order; the
-/// timeline lists each domain's order in turn.
-#[must_use]
-pub fn timeline(bundle: &TraceBundle) -> Vec<TimelineEntry> {
-    let mut out = Vec::with_capacity(bundle.total_records() as usize);
-    if bundle.is_st() {
-        for (dom, st) in bundle.st.iter().enumerate() {
-            for (i, &tid) in st.tids.iter().enumerate() {
-                out.push(TimelineEntry {
-                    domain: dom as u32,
-                    value: i as u64,
-                    thread: tid,
-                    site: st.sites.as_ref().map(|s| SiteId(s[i])),
-                    kind: st.kinds.as_ref().and_then(|k| AccessKind::from_code(k[i])),
-                });
-            }
-        }
-        return out;
-    }
-    let nthreads = bundle.nthreads.max(1) as usize;
-    for (idx, t) in bundle.threads.iter().enumerate() {
-        let (dom, tid) = (idx / nthreads, idx % nthreads);
-        for i in 0..t.len() {
-            out.push(TimelineEntry {
-                domain: dom as u32,
-                value: t.values[i],
-                thread: tid as u32,
-                site: t.site_at(i),
-                kind: t.kind_at(i),
-            });
-        }
-    }
-    out.sort_by_key(|e| (e.domain, e.value, e.thread));
-    out
-}
 
 /// Aggregate facts about one bundle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,7 +95,8 @@ pub fn summarize(bundle: &TraceBundle) -> TraceSummary {
     let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut sites = std::collections::HashSet::new();
     let mut per_thread = vec![0u64; bundle.nthreads as usize];
-    for e in timeline(bundle) {
+    let order = bundle.linearize();
+    for e in &order.accesses {
         per_thread[e.thread as usize] += 1;
         if let Some(kind) = e.kind {
             *kinds.entry(kind.name()).or_insert(0) += 1;
@@ -169,47 +114,12 @@ pub fn summarize(bundle: &TraceBundle) -> TraceSummary {
         kinds,
         planned_sites: bundle.plan.as_ref().map(|p| p.assigned() as u64),
         edges: bundle.edges.len() as u64,
-        edges_consistent: bundle.edges.is_empty() || bundle.edges_consistent(),
+        edges_consistent: order.consistent,
     }
 }
 
-/// Reconstruct one interleaved cross-domain timeline using the bundle's
-/// happens-before edges: each domain's internal order is preserved, and an
-/// edge's anchor never precedes the foreign accesses it waited on. For
-/// edge-less multi-domain bundles this is `None` — there is no recorded
-/// basis for interleaving them.
-#[must_use]
-pub fn interleaved_timeline(bundle: &TraceBundle) -> Option<Vec<TimelineEntry>> {
-    if bundle.domains <= 1 || bundle.edges.is_empty() {
-        return None;
-    }
-    let merged = bundle.merged_order();
-    let mut out = Vec::with_capacity(merged.len());
-    for (domain, value, thread, seq) in merged {
-        let (site, kind) = if bundle.is_st() {
-            let st = &bundle.st[domain as usize];
-            (
-                st.sites.as_ref().map(|s| SiteId(s[seq as usize])),
-                st.kinds
-                    .as_ref()
-                    .and_then(|k| AccessKind::from_code(k[seq as usize])),
-            )
-        } else {
-            let t = bundle.thread(domain, thread);
-            (t.site_at(seq as usize), t.kind_at(seq as usize))
-        };
-        out.push(TimelineEntry {
-            domain,
-            value,
-            thread,
-            site,
-            kind,
-        });
-    }
-    Some(out)
-}
-
-/// Render the first `max_events` accesses as per-thread lanes:
+/// Render the first `max_events` accesses of the recorded order as
+/// per-thread lanes:
 ///
 /// ```text
 /// value    T0 T1 T2
@@ -220,7 +130,7 @@ pub fn interleaved_timeline(bundle: &TraceBundle) -> Option<Vec<TimelineEntry>> 
 pub fn ascii_timeline(bundle: &TraceBundle, max_events: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let events = timeline(bundle);
+    let events = bundle.linearize().accesses;
     let _ = write!(out, "{:>8} ", "value");
     for tid in 0..bundle.nthreads {
         let _ = write!(out, " T{tid:<2}");
@@ -233,21 +143,13 @@ pub fn ascii_timeline(bundle: &TraceBundle, max_events: usize) -> String {
             let _ = write!(out, "{:>8} ", e.value);
         }
         for tid in 0..bundle.nthreads {
-            if tid == e.thread {
-                let mark = match e.kind {
-                    Some(AccessKind::Load) => 'L',
-                    Some(AccessKind::Store) => 'S',
-                    Some(AccessKind::AtomicRmw) => 'A',
-                    Some(AccessKind::Critical) => 'C',
-                    Some(AccessKind::Reduction) => 'R',
-                    Some(AccessKind::Ordered) => 'O',
-                    Some(AccessKind::MpiOp) => 'M',
-                    None => '*',
-                };
-                let _ = write!(out, " {mark}  ");
-            } else {
-                let _ = write!(out, " .  ");
-            }
+            // The executing thread's lane shows the kind's initial.
+            let mark = match e.kind {
+                _ if tid != e.thread => '.',
+                Some(kind) => char::from(kind.name().as_bytes()[0].to_ascii_uppercase()),
+                None => '*',
+            };
+            let _ = write!(out, " {mark}  ");
         }
         out.push('\n');
     }
@@ -267,15 +169,17 @@ pub enum TraceDiff {
     },
     /// Identical.
     Equal,
-    /// First differing access on some thread.
+    /// First differing access on some stream.
     FirstDivergence {
         /// Gate domain whose streams differ (0 for single-domain traces).
         domain: u32,
-        /// Thread whose streams differ.
-        thread: u32,
-        /// Index of the first differing access in that thread's stream.
+        /// Thread whose streams differ; `None` for the domain's shared ST
+        /// stream, whose entries record thread ids instead of values.
+        thread: Option<u32>,
+        /// Index of the first differing access in that stream.
         index: u64,
-        /// `(value, site, kind)` in the left trace, if present.
+        /// `(value, site, kind)` in the left trace, if present; on an ST
+        /// stream the value is the recorded thread id.
         left: Option<(u64, Option<SiteId>, Option<AccessKind>)>,
         /// Same for the right trace.
         right: Option<(u64, Option<SiteId>, Option<AccessKind>)>,
@@ -294,14 +198,18 @@ impl fmt::Display for TraceDiff {
                 left,
                 right,
             } => {
+                let (stream, value) = match thread {
+                    Some(tid) => (format!("thread {tid}"), "value"),
+                    None => ("the shared ST stream".to_string(), "thread"),
+                };
                 write!(
                     f,
-                    "first divergence on thread {thread} (domain {domain}) at access #{index}: "
+                    "first divergence on {stream} (domain {domain}) at access #{index}: "
                 )?;
                 let side = |s: &Option<(u64, Option<SiteId>, Option<AccessKind>)>| match s {
                     None => "<stream ends>".to_string(),
                     Some((v, site, kind)) => {
-                        let mut txt = format!("value {v}");
+                        let mut txt = format!("{value} {v}");
                         if let Some(k) = kind {
                             txt.push_str(&format!(" {k}"));
                         }
@@ -336,54 +244,41 @@ pub fn diff(a: &TraceBundle, b: &TraceBundle) -> TraceDiff {
             what: format!("{} vs {} gate domains", a.domains, b.domains),
         };
     }
-    // ST: compare the shared streams as thread 0-attributed events.
+    // ST: a domain's shared stream records which thread passed each
+    // gate, so its entries carry thread ids where DC/DE's carry values.
     if a.is_st() && b.is_st() {
-        for (dom, (sa, sb)) in a.st.iter().zip(&b.st).enumerate() {
+        let entry = |s: &StTrace, i: usize| {
+            s.tids
+                .get(i)
+                .map(|&tid| (u64::from(tid), s.site_at(i), s.kind_at(i)))
+        };
+        for (domain, (sa, sb)) in (0..).zip(a.st.iter().zip(&b.st)) {
             let n = sa.len().max(sb.len());
-            for i in 0..n {
-                let la = sa.tids.get(i).map(|&t| {
-                    (
-                        u64::from(t),
-                        sa.sites.as_ref().map(|s| SiteId(s[i])),
-                        sa.kinds.as_ref().and_then(|k| AccessKind::from_code(k[i])),
-                    )
-                });
-                let rb = sb.tids.get(i).map(|&t| {
-                    (
-                        u64::from(t),
-                        sb.sites.as_ref().map(|s| SiteId(s[i])),
-                        sb.kinds.as_ref().and_then(|k| AccessKind::from_code(k[i])),
-                    )
-                });
-                if la != rb {
-                    return TraceDiff::FirstDivergence {
-                        domain: dom as u32,
-                        thread: 0,
-                        index: i as u64,
-                        left: la,
-                        right: rb,
-                    };
-                }
+            if let Some(i) = (0..n).find(|&i| entry(sa, i) != entry(sb, i)) {
+                return TraceDiff::FirstDivergence {
+                    domain,
+                    thread: None,
+                    index: i as u64,
+                    left: entry(sa, i),
+                    right: entry(sb, i),
+                };
             }
         }
         return TraceDiff::Equal;
     }
+    let entry =
+        |t: &ThreadTrace, i: usize| t.values.get(i).map(|&v| (v, t.site_at(i), t.kind_at(i)));
     let nthreads = a.nthreads.max(1) as usize;
     for (idx, (ta, tb)) in a.threads.iter().zip(&b.threads).enumerate() {
-        let (dom, tid) = (idx / nthreads, idx % nthreads);
         let n = ta.len().max(tb.len());
-        for i in 0..n {
-            let la = ta.values.get(i).map(|&v| (v, ta.site_at(i), ta.kind_at(i)));
-            let rb = tb.values.get(i).map(|&v| (v, tb.site_at(i), tb.kind_at(i)));
-            if la != rb {
-                return TraceDiff::FirstDivergence {
-                    domain: dom as u32,
-                    thread: tid as u32,
-                    index: i as u64,
-                    left: la,
-                    right: rb,
-                };
-            }
+        if let Some(i) = (0..n).find(|&i| entry(ta, i) != entry(tb, i)) {
+            return TraceDiff::FirstDivergence {
+                domain: (idx / nthreads) as u32,
+                thread: Some((idx % nthreads) as u32),
+                index: i as u64,
+                left: entry(ta, i),
+                right: entry(tb, i),
+            };
         }
     }
     TraceDiff::Equal
@@ -392,7 +287,6 @@ pub fn diff(a: &TraceBundle, b: &TraceBundle) -> TraceDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{StTrace, ThreadTrace};
 
     fn dc_bundle() -> TraceBundle {
         TraceBundle {
@@ -420,7 +314,7 @@ mod tests {
 
     #[test]
     fn timeline_orders_dc_by_clock() {
-        let tl = timeline(&dc_bundle());
+        let tl = dc_bundle().linearize().accesses;
         let threads: Vec<u32> = tl.iter().map(|e| e.thread).collect();
         assert_eq!(threads, vec![0, 1, 1, 0]);
         assert_eq!(tl[0].kind, Some(AccessKind::Load));
@@ -443,7 +337,7 @@ mod tests {
                 kinds: None,
             }],
         };
-        let tl = timeline(&b);
+        let tl = b.linearize().accesses;
         assert_eq!(
             tl.iter().map(|e| e.thread).collect::<Vec<_>>(),
             vec![1, 0, 1]
@@ -485,7 +379,7 @@ mod tests {
             ],
             st: vec![],
         };
-        let tl = timeline(&b);
+        let tl = b.linearize().accesses;
         // Domain-major order; thread ids recovered modulo nthreads.
         assert_eq!(
             tl.iter()
@@ -503,7 +397,7 @@ mod tests {
         c.threads[3].values = vec![9];
         match diff(&b, &c) {
             TraceDiff::FirstDivergence { domain, thread, .. } => {
-                assert_eq!((domain, thread), (1, 1));
+                assert_eq!((domain, thread), (1, Some(1)));
             }
             other => panic!("expected divergence, got {other:?}"),
         }
@@ -517,50 +411,63 @@ mod tests {
     #[test]
     fn interleaved_timeline_respects_edges() {
         use crate::trace::CrossDomainEdge;
-        // Two domains: d0 holds t0's clocks [0,1], d1 holds t1's clock
-        // [0]. The edge forces d1's access after both of d0's.
+        let order = |b: &TraceBundle| {
+            b.linearize()
+                .accesses
+                .iter()
+                .map(|e| (e.domain, e.thread, e.value))
+                .collect::<Vec<_>>()
+        };
+        // Two domains: d0 holds t1's clock [0], d1 holds t0's clocks
+        // [0,1]. The edge forces d0's access after both of d1's, against
+        // the domain-major order an edge-less bundle takes.
         let mut b = TraceBundle {
             scheme: Scheme::Dc,
             nthreads: 2,
             domains: 2,
             threads: vec![
-                ThreadTrace {
-                    values: vec![0, 1],
-                    sites: Some(vec![7, 8]),
-                    kinds: Some(vec![0, 1]),
-                },
-                ThreadTrace::default(),
                 ThreadTrace::default(),
                 ThreadTrace {
                     values: vec![0],
                     sites: Some(vec![9]),
                     kinds: Some(vec![3]),
                 },
+                ThreadTrace {
+                    values: vec![0, 1],
+                    sites: Some(vec![7, 8]),
+                    kinds: Some(vec![0, 1]),
+                },
+                ThreadTrace::default(),
             ],
             st: vec![],
             plan: None,
             edges: vec![CrossDomainEdge {
-                domain: 1,
+                domain: 0,
                 thread: 1,
                 seq: 0,
-                waits: vec![(0, 2)],
+                waits: vec![(1, 2)],
             }],
             checkpoint: None,
         };
         b.validate().unwrap();
-        let tl = interleaved_timeline(&b).expect("edges present");
+        let tl = b.linearize().accesses;
         assert_eq!(
-            tl.iter()
-                .map(|e| (e.domain, e.thread, e.value))
-                .collect::<Vec<_>>(),
-            vec![(0, 0, 0), (0, 0, 1), (1, 1, 0)],
-            "the d1 anchor must come after both d0 accesses"
+            order(&b),
+            vec![(1, 0, 0), (1, 0, 1), (0, 1, 0)],
+            "the d0 anchor must come after both d1 accesses"
         );
         assert_eq!(tl[2].site, Some(SiteId(9)));
         assert_eq!(tl[2].kind, Some(AccessKind::Critical));
-        // Edge-less multi-domain bundles have no interleaving basis.
+        // The ASCII timeline shows the same interleaving.
+        let text = ascii_timeline(&b, 10);
+        let rows: Vec<&str> = text.lines().skip(1).map(str::trim_start).collect();
+        assert!(
+            rows[0].starts_with("d1:0") && rows[2].starts_with("d0:0"),
+            "{text}"
+        );
+        // Edge-less, the domains follow one another.
         b.edges.clear();
-        assert!(interleaved_timeline(&b).is_none());
+        assert_eq!(order(&b), vec![(0, 1, 0), (1, 0, 0), (1, 0, 1)]);
 
         // ST bundle: the anchor is the shared-stream index.
         let st = TraceBundle {
@@ -570,30 +477,30 @@ mod tests {
             threads: vec![ThreadTrace::default(); 4],
             st: vec![
                 StTrace {
-                    tids: vec![0, 0],
-                    sites: Some(vec![1, 2]),
-                    kinds: Some(vec![0, 0]),
-                },
-                StTrace {
                     tids: vec![1],
                     sites: Some(vec![3]),
                     kinds: Some(vec![3]),
                 },
+                StTrace {
+                    tids: vec![0, 0],
+                    sites: Some(vec![1, 2]),
+                    kinds: Some(vec![0, 0]),
+                },
             ],
             plan: None,
             edges: vec![CrossDomainEdge {
-                domain: 1,
+                domain: 0,
                 thread: 1,
                 seq: 0,
-                waits: vec![(0, 2)],
+                waits: vec![(1, 2)],
             }],
             checkpoint: None,
         };
         st.validate().unwrap();
-        let tl = interleaved_timeline(&st).expect("edges present");
+        let tl = st.linearize().accesses;
         assert_eq!(
             tl.iter().map(|e| (e.domain, e.thread)).collect::<Vec<_>>(),
-            vec![(0, 0), (0, 0), (1, 1)]
+            vec![(1, 0), (1, 0), (0, 1)]
         );
         assert_eq!(tl[2].site, Some(SiteId(3)));
     }
@@ -649,7 +556,7 @@ mod tests {
                 right,
                 ..
             } => {
-                assert_eq!(thread, 1);
+                assert_eq!(thread, Some(1));
                 assert_eq!(index, 1);
                 assert_eq!(left.unwrap().0, 2);
                 assert_eq!(right.unwrap().0, 5);
@@ -668,12 +575,58 @@ mod tests {
                 right,
                 ..
             } => {
-                assert_eq!((thread, index), (0, 1));
+                assert_eq!((thread, index), (Some(0), 1));
                 assert_eq!(right, None);
             }
             other => panic!("expected divergence, got {other:?}"),
         }
         let text = diff(&a, &b).to_string();
         assert!(text.contains("thread 1"), "{text}");
+    }
+
+    #[test]
+    fn diff_names_the_st_stream_and_both_threads() {
+        let st = |tids: Vec<u32>| TraceBundle {
+            plan: None,
+            edges: vec![],
+            checkpoint: None,
+            scheme: Scheme::St,
+            nthreads: 3,
+            domains: 2,
+            threads: vec![ThreadTrace::default(); 6],
+            st: vec![
+                StTrace {
+                    tids: vec![0, 1],
+                    sites: Some(vec![7, 7]),
+                    kinds: Some(vec![0, 0]),
+                },
+                StTrace {
+                    sites: Some(vec![9; tids.len()]),
+                    kinds: Some(vec![1; tids.len()]),
+                    tids,
+                },
+            ],
+        };
+        let (a, b) = (st(vec![2, 1, 0]), st(vec![2, 0, 1]));
+        assert_eq!(diff(&a, &a), TraceDiff::Equal);
+        let d = diff(&a, &b);
+        assert_eq!(
+            d,
+            TraceDiff::FirstDivergence {
+                domain: 1,
+                thread: None,
+                index: 1,
+                left: Some((1, Some(SiteId(9)), Some(AccessKind::Store))),
+                right: Some((0, Some(SiteId(9)), Some(AccessKind::Store))),
+            }
+        );
+        let text = d.to_string();
+        assert!(
+            text.starts_with("first divergence on the shared ST stream (domain 1) at access #1: ")
+                && text.contains("thread 1 store at ")
+                && text.contains(" vs thread 0 store at "),
+            "{text}"
+        );
+        assert!(!text.contains("value"), "{text}");
     }
 }

@@ -87,14 +87,14 @@
 //! | [`history`] | last-N access ring: replay divergence history and the §IV-D `X_C` audit |
 //! | [`epoch`] | epoch assignment incl. the store fix-up rule of Table V |
 //! | [`plan`] | the site map: which sites are gated and which gate domain orders each ([`DomainPlan`]) |
-//! | [`trace`] | per-thread and shared trace representations (Fig. 3) |
+//! | [`trace`] | per-thread and shared trace representations (Fig. 3); `linearize`, the recorded order every tool reads |
 //! | [`codec`] | binary encoding of record files: delta varints, a `(site, kind)` label dictionary, the streaming chunk frame (version 1 files: read-only) |
 //! | [`store`] | record-file storage: one trace layer (naming, manifest, save, streaming sink, load) over a blob backend — a directory with one file per thread, or memory |
 //! | [`flight`] | bounded in-situ recording: ring-retained streams, checkpointed windowed dumps |
 //! | [`gate`] | `gate_in`/`gate_out` engines for all scheme × mode pairs |
 //! | [`session`] | run orchestration, env-var mode switching (§V) |
 //! | [`stats`] | counters behind Table VI and the Fig. 20 epoch histogram |
-//! | [`analysis`] | trace summaries, timelines, and diffing (debug tooling) |
+//! | [`analysis`] | trace summaries, timelines of the linearized order, and diffing (debug tooling) |
 //! | [`verify`] | static trace verification: tiered soundness diagnostics + replayability certificates |
 
 #![warn(missing_docs)]

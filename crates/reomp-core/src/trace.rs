@@ -33,6 +33,11 @@
 //!   domains at that point; replay's per-domain turnstiles wait for those
 //!   counts before admitting the anchor, restoring inter-domain order at
 //!   synchronization points.
+//!
+//! [`TraceBundle::linearize`] rebuilds the one order all of this
+//! describes — each domain's chain, merged through the edges — for the
+//! tools that read traces: analysis, verification and offline race
+//! detection.
 
 use crate::error::TraceError;
 use crate::plan::DomainPlan;
@@ -68,19 +73,13 @@ impl ThreadTrace {
     /// Site of access `i`, if validation data is present.
     #[must_use]
     pub fn site_at(&self, i: usize) -> Option<SiteId> {
-        self.sites
-            .as_ref()
-            .and_then(|s| s.get(i))
-            .map(|&raw| SiteId(raw))
+        self.sites.as_ref()?.get(i).map(|&raw| SiteId(raw))
     }
 
     /// Kind of access `i`, if validation data is present.
     #[must_use]
     pub fn kind_at(&self, i: usize) -> Option<AccessKind> {
-        self.kinds
-            .as_ref()
-            .and_then(|k| k.get(i))
-            .and_then(|&code| AccessKind::from_code(code))
+        AccessKind::from_code(*self.kinds.as_ref()?.get(i)?)
     }
 
     pub(crate) fn check(&self, who: &str) -> Result<(), TraceError> {
@@ -132,6 +131,18 @@ impl StTrace {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.tids.is_empty()
+    }
+
+    /// Site of access `i`, if validation data is present.
+    #[must_use]
+    pub fn site_at(&self, i: usize) -> Option<SiteId> {
+        self.sites.as_ref()?.get(i).map(|&raw| SiteId(raw))
+    }
+
+    /// Kind of access `i`, if validation data is present.
+    #[must_use]
+    pub fn kind_at(&self, i: usize) -> Option<AccessKind> {
+        AccessKind::from_code(*self.kinds.as_ref()?.get(i)?)
     }
 
     pub(crate) fn check(&self, nthreads: u32) -> Result<(), TraceError> {
@@ -294,6 +305,35 @@ impl Checkpoint {
     }
 }
 
+/// One access of the order [`TraceBundle::linearize`] reconstructs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OrderedAccess {
+    /// Gate domain the access was recorded in (0 for single-domain runs).
+    pub domain: u32,
+    /// Position of the access in its stream: the domain's shared stream
+    /// (ST) or `thread`'s stream in the domain (DC/DE). Edge anchors name
+    /// accesses by it.
+    pub seq: u64,
+    /// Recorded value: clock (DC), epoch (DE), or `seq` (ST).
+    pub value: u64,
+    /// Executing thread.
+    pub thread: u32,
+    /// Site, when the trace carries validation columns.
+    pub site: Option<SiteId>,
+    /// Kind, when the trace carries validation columns.
+    pub kind: Option<AccessKind>,
+}
+
+/// The recorded order of a bundle, from [`TraceBundle::linearize`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Linearization {
+    /// Every recorded access, exactly once.
+    pub accesses: Vec<OrderedAccess>,
+    /// Whether the cross-domain edges admit an interleaving (always true
+    /// for a genuine recording; `false` flags cyclic, corrupt edges).
+    pub consistent: bool,
+}
+
 /// A complete recording: everything needed to replay one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceBundle {
@@ -404,11 +444,7 @@ impl TraceBundle {
         let mut map: HashMap<(u32, u32, u64), Vec<(u32, u64)>> = HashMap::new();
         let st = self.is_st();
         for e in &self.edges {
-            let key = if st {
-                (e.domain, 0, e.seq)
-            } else {
-                (e.domain, e.thread, e.seq)
-            };
+            let key = (e.domain, if st { 0 } else { e.thread }, e.seq);
             let waits = map.entry(key).or_default();
             for &(dom, count) in &e.waits {
                 match waits.iter_mut().find(|(d, _)| *d == dom) {
@@ -440,135 +476,123 @@ impl TraceBundle {
         }
     }
 
-    /// Reconstruct the global access order as `(clock, thread)` pairs
-    /// (DC/DE bundles only; DE orders ties by epoch then arbitrarily).
-    /// Used by analysis tooling and tests.
+    /// Reconstruct the recorded order: every access exactly once.
     ///
-    /// Multi-domain bundles **with cross-domain edges** are merged into one
-    /// interleaved view that respects every domain's internal order *and*
-    /// every edge (an anchor is only emitted once its foreign wait counts
-    /// are satisfied), so the result is a linearization the recorded run
-    /// could actually have taken at sync granularity. Edge-less
-    /// multi-domain bundles fall back to sorting by raw clock value, which
-    /// is only meaningful per domain.
+    /// Each domain keeps its own order — ST stream order; DC/DE by
+    /// `(value, thread, seq)`, so DE breaks an epoch's ties by thread —
+    /// and the cross-domain edges merge the domains: an anchor follows
+    /// every foreign access it waits on. Edge-less domains follow one
+    /// another (domain-major), as nothing orders them. Where every
+    /// domain's next access waits on an edge, a DE domain may go on with
+    /// another member of that access's epoch, as its replay does.
+    /// Domains are tried lowest first, so the order is deterministic.
+    ///
+    /// Cyclic edges (corrupt input) leave a remainder no merge admits; it
+    /// is appended domain-major and [`Linearization::consistent`] is
+    /// `false`, so callers still see every access.
     #[must_use]
-    pub fn global_order(&self) -> Vec<(u64, u32)> {
-        if self.domains > 1 && !self.edges.is_empty() {
-            return self
-                .merged_order()
-                .into_iter()
-                .map(|(_, v, tid, _)| (v, tid))
-                .collect();
-        }
-        let mut out: Vec<(u64, u32)> = Vec::with_capacity(self.total_records() as usize);
-        let nthreads = self.nthreads.max(1) as usize;
-        for (i, t) in self.threads.iter().enumerate() {
-            // The thread index is recovered modulo `nthreads`, never by a
-            // raw `as u32` narrowing: the flat index can exceed u32 range
-            // before validation, and the modulus is what the layout means.
-            let tid = (i % nthreads) as u32;
-            for &v in &t.values {
-                out.push((v, tid));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Each domain's internal order as `(value, thread, per-anchor seq)`
-    /// triples: ST stream order, or DC/DE clock order (DE epoch ties broken
-    /// by thread id for determinism).
-    fn domain_sequences(&self) -> Vec<Vec<(u64, u32, u64)>> {
-        let mut out = Vec::with_capacity(self.domains as usize);
-        if self.is_st() {
-            for st in &self.st {
-                out.push(
-                    st.tids
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &tid)| (i as u64, tid, i as u64))
-                        .collect(),
-                );
-            }
-            return out;
-        }
-        let n = self.nthreads.max(1) as usize;
-        for chunk in self.threads.chunks(n) {
-            let mut seq: Vec<(u64, u32, u64)> = chunk
+    pub fn linearize(&self) -> Linearization {
+        let per_domain: Vec<Vec<OrderedAccess>> = if self.is_st() {
+            self.st
                 .iter()
-                .enumerate()
-                .flat_map(|(tid, t)| {
-                    t.values
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, &v)| (v, tid as u32, i as u64))
+                .zip(0..)
+                .map(|(st, domain)| {
+                    (0..st.len())
+                        .map(|i| OrderedAccess {
+                            domain,
+                            seq: i as u64,
+                            value: i as u64,
+                            thread: st.tids[i],
+                            site: st.site_at(i),
+                            kind: st.kind_at(i),
+                        })
+                        .collect()
                 })
-                .collect();
-            seq.sort_unstable();
-            out.push(seq);
-        }
-        out
-    }
-
-    /// Topologically merge all domains into one order respecting the
-    /// cross-domain edges: `(domain, value, thread, seq)` per access. If
-    /// the edges are cyclic (corrupt input), the un-mergeable remainder is
-    /// appended in domain-major order; [`TraceBundle::edges_consistent`]
-    /// reports whether that happened.
-    #[must_use]
-    pub fn merged_order(&self) -> Vec<(u32, u64, u32, u64)> {
-        self.merge_domains().0
-    }
-
-    /// Whether the cross-domain edges admit a full interleaving (no cycle
-    /// among edge constraints — always true for genuinely recorded
-    /// traces).
-    #[must_use]
-    pub fn edges_consistent(&self) -> bool {
-        self.merge_domains().1
-    }
-
-    fn merge_domains(&self) -> (Vec<(u32, u64, u32, u64)>, bool) {
-        let seqs = self.domain_sequences();
+                .collect()
+        } else {
+            // A stream's thread is its flat index modulo `nthreads`, never
+            // a narrowing of the flat index.
+            let n = self.nthreads.max(1) as usize;
+            self.threads
+                .chunks(n)
+                .zip(0..)
+                .map(|(streams, domain)| {
+                    let mut order: Vec<OrderedAccess> = streams
+                        .iter()
+                        .zip(0..)
+                        .flat_map(|(t, thread)| {
+                            (0..t.len()).map(move |i| OrderedAccess {
+                                domain,
+                                seq: i as u64,
+                                value: t.values[i],
+                                thread,
+                                site: t.site_at(i),
+                                kind: t.kind_at(i),
+                            })
+                        })
+                        .collect();
+                    order.sort_unstable_by_key(|a| (a.value, a.thread, a.seq));
+                    order
+                })
+                .collect()
+        };
         let index = self.edge_index();
-        let d = self.domains as usize;
-        let mut ptr = vec![0usize; d];
+        let st = self.is_st();
+        let waits_met = |a: &OrderedAccess, emitted: &[u64]| {
+            let key = (a.domain, if st { 0 } else { a.thread }, a.seq);
+            index.get(&key).is_none_or(|waits| {
+                waits
+                    .iter()
+                    .all(|&(j, c)| emitted.get(j as usize).is_some_and(|&e| e >= c))
+            })
+        };
+        let mut done: Vec<Vec<bool>> = per_domain.iter().map(|o| vec![false; o.len()]).collect();
+        let mut next = vec![0usize; per_domain.len()];
         // Edge waits are absolute completed-access counts; a windowed
         // bundle's domains already completed `clock_base` accesses before
         // the retained window starts.
-        let mut emitted: Vec<u64> = (0..d).map(|dom| self.clock_base(dom as u32)).collect();
-        let mut out = Vec::with_capacity(self.total_records() as usize);
+        let mut emitted: Vec<u64> = (0..per_domain.len() as u32)
+            .map(|dom| self.clock_base(dom))
+            .collect();
+        let mut accesses = Vec::with_capacity(self.total_records() as usize);
         loop {
-            let mut progressed = false;
-            for dom in 0..d {
-                let Some(&(value, tid, seq)) = seqs[dom].get(ptr[dom]) else {
-                    continue;
-                };
-                let ready = index
-                    .get(&(dom as u32, if self.is_st() { 0 } else { tid }, seq))
-                    .map(|waits| waits.iter().all(|&(j, c)| emitted[j as usize] >= c))
-                    .unwrap_or(true);
-                if ready {
-                    out.push((dom as u32, value, tid, seq));
-                    ptr[dom] += 1;
-                    emitted[dom] += 1;
-                    progressed = true;
-                    break;
-                }
+            // The head of the lowest domain whose edge waits are met; when
+            // every head waits, another access of a head's value that is its
+            // thread's next. Only a DE epoch has such siblings: its members
+            // are mutually unordered, so an anchor does not hold them back.
+            let heads = (0..per_domain.len()).map(|dom| (dom, next[dom]));
+            let siblings = (0..per_domain.len()).flat_map(|dom| {
+                let order = &per_domain[dom];
+                let head = order.get(next[dom]).map(|a| a.value);
+                (next[dom] + 1..order.len())
+                    .take_while(move |&i| Some(order[i].value) == head)
+                    .map(move |i| (dom, i))
+            });
+            let Some((dom, i)) = heads.chain(siblings).find(|&(dom, i)| {
+                let (order, done) = (&per_domain[dom], &done[dom]);
+                order.get(i).is_some_and(|a| {
+                    !done[i]
+                        && (i == next[dom] || done[i - 1] || order[i - 1].thread != a.thread)
+                        && waits_met(a, &emitted)
+                })
+            }) else {
+                break;
+            };
+            accesses.push(per_domain[dom][i]);
+            done[dom][i] = true;
+            emitted[dom] += 1;
+            while done[dom].get(next[dom]) == Some(&true) {
+                next[dom] += 1;
             }
-            if !progressed {
-                let stuck = (0..d).any(|dom| ptr[dom] < seqs[dom].len());
-                if stuck {
-                    // Cyclic (corrupt) edges: emit the rest domain-major so
-                    // callers still see every access.
-                    for (dom, seq) in seqs.iter().enumerate() {
-                        for &(value, tid, s) in &seq[ptr[dom]..] {
-                            out.push((dom as u32, value, tid, s));
-                        }
-                    }
-                }
-                return (out, !stuck);
-            }
+        }
+        // Cyclic edges: the accesses no merge admits follow, domain-major.
+        let consistent = accesses.len() == done.iter().map(Vec::len).sum::<usize>();
+        for (order, done) in per_domain.iter().zip(&done) {
+            accesses.extend(order.iter().zip(done).filter(|(_, &d)| !d).map(|(a, _)| *a));
+        }
+        Linearization {
+            accesses,
+            consistent,
         }
     }
 }
@@ -742,17 +766,32 @@ mod tests {
 
     #[test]
     fn global_order_sorts_clocks() {
-        let order = dc_bundle().global_order();
-        assert_eq!(order, vec![(0, 0), (1, 1), (2, 1), (3, 0)]);
+        // A single-domain DC bundle linearizes by clock, whichever thread
+        // holds it.
+        let lin = dc_bundle().linearize();
+        assert!(lin.consistent);
+        assert_eq!(
+            lin.accesses
+                .iter()
+                .map(|a| (a.value, a.thread))
+                .collect::<Vec<_>>(),
+            vec![(0, 0), (1, 1), (2, 1), (3, 0)]
+        );
     }
 
     #[test]
-    fn global_order_recovers_tid_modulo_nthreads() {
+    fn linearize_recovers_tid_modulo_nthreads() {
         // Regression: the thread index used to be a raw `as u32` narrowing
         // of the flat vector index, which for multi-domain bundles is the
         // *stream* index, not the thread id.
-        let order = dc_bundle_two_domains().global_order();
-        assert!(order.iter().all(|&(_, tid)| tid < 2), "{order:?}");
+        let lin = dc_bundle_two_domains().linearize();
+        assert_eq!(
+            lin.accesses
+                .iter()
+                .map(|a| (a.domain, a.value, a.thread))
+                .collect::<Vec<_>>(),
+            vec![(0, 0, 0), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0)]
+        );
     }
 
     fn edge(domain: u32, thread: u32, seq: u64, waits: Vec<(u32, u64)>) -> CrossDomainEdge {
@@ -807,22 +846,24 @@ mod tests {
 
     #[test]
     fn merged_order_respects_edges() {
-        // Domain 0: t0 clocks [0,2], t1 clock [1]; domain 1: t1 [1], t0 [0].
+        // Domain 0: t0 clocks [0,2], t1 clock [1]; domain 1: t1 [0], t0 [1].
         // Edge: domain 0's access at clock 2 (t0, seq 1) must come after
         // BOTH of domain 1's accesses.
         let mut b = dc_bundle_two_domains();
         b.edges = vec![edge(0, 0, 1, vec![(1, 2)])];
         b.validate().unwrap();
-        assert!(b.edges_consistent());
-        let order = b.merged_order();
-        assert_eq!(order.len(), 5);
-        let pos_anchor = order
+        let lin = b.linearize();
+        assert!(lin.consistent);
+        let order: Vec<(u32, u64, u32)> = lin
+            .accesses
             .iter()
-            .position(|&(d, v, t, _)| (d, v, t) == (0, 2, 0))
-            .unwrap();
+            .map(|a| (a.domain, a.value, a.thread))
+            .collect();
+        assert_eq!(order.len(), 5);
+        let pos_anchor = order.iter().position(|&o| o == (0, 2, 0)).unwrap();
         let pos_last_d1 = order
             .iter()
-            .position(|&(d, v, _, _)| (d, v) == (1, 1))
+            .position(|&(d, v, _)| (d, v) == (1, 1))
             .unwrap();
         assert!(
             pos_anchor > pos_last_d1,
@@ -832,15 +873,23 @@ mod tests {
         let d0: Vec<u64> = order
             .iter()
             .filter(|&&(d, ..)| d == 0)
-            .map(|&(_, v, ..)| v)
+            .map(|&(_, v, _)| v)
             .collect();
         assert_eq!(d0, vec![0, 1, 2]);
-        // global_order reflects the merged view when edges exist.
-        assert_eq!(b.global_order().len(), 5);
+        // Without the edge the domains follow one another.
+        assert_eq!(
+            dc_bundle_two_domains()
+                .linearize()
+                .accesses
+                .iter()
+                .map(|a| (a.domain, a.value))
+                .collect::<Vec<_>>(),
+            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        );
     }
 
     #[test]
-    fn cyclic_edges_detected_as_inconsistent() {
+    fn cyclic_edges_linearize_inconsistently() {
         // Two edges forming a wait cycle: domain 0's first access needs
         // all of domain 1, and domain 1's first access needs all of
         // domain 0. A genuine recording can never produce this.
@@ -848,9 +897,52 @@ mod tests {
         b.edges = vec![edge(0, 0, 0, vec![(1, 2)]), edge(1, 1, 0, vec![(0, 3)])];
         // Structurally valid…
         b.validate().unwrap();
-        // …but not mergeable; every access is still emitted exactly once.
-        assert!(!b.edges_consistent());
-        assert_eq!(b.merged_order().len(), 5);
+        // …but not mergeable; every access is still there exactly once,
+        // the unmergeable remainder domain-major.
+        let lin = b.linearize();
+        assert!(!lin.consistent);
+        assert_eq!(
+            lin,
+            Linearization {
+                consistent: false,
+                ..dc_bundle_two_domains().linearize()
+            }
+        );
+    }
+
+    #[test]
+    fn de_epoch_siblings_pass_a_waiting_anchor() {
+        // Domain 1's epoch 0 holds t0's and t1's accesses; t0's waits for
+        // domain 0, whose only access waits for one access of domain 1.
+        // Ordering the epoch by thread alone would deadlock; replay runs
+        // t1's access first, and so does the linearization.
+        let b = TraceBundle {
+            scheme: Scheme::De,
+            nthreads: 2,
+            domains: 2,
+            threads: [vec![0], vec![], vec![0], vec![0]]
+                .into_iter()
+                .map(|values| ThreadTrace {
+                    values,
+                    sites: None,
+                    kinds: None,
+                })
+                .collect(),
+            st: vec![],
+            plan: None,
+            edges: vec![edge(0, 0, 0, vec![(1, 1)]), edge(1, 0, 0, vec![(0, 1)])],
+            checkpoint: None,
+        };
+        b.validate().unwrap();
+        let lin = b.linearize();
+        assert!(lin.consistent);
+        assert_eq!(
+            lin.accesses
+                .iter()
+                .map(|a| (a.domain, a.thread))
+                .collect::<Vec<_>>(),
+            vec![(1, 1), (0, 0), (1, 0)]
+        );
     }
 
     #[test]
@@ -944,9 +1036,9 @@ mod tests {
         });
         b.edges = vec![edge(0, 0, 1, vec![(1, 7)])];
         b.validate().unwrap();
-        // The merged view seeds domain 1's emitted count at its base, so
-        // the anchor is admitted once both retained records are out.
-        assert!(b.edges_consistent());
+        // The merge seeds domain 1's emitted count at its base, so the
+        // anchor is admitted once both retained records are out.
+        assert!(b.linearize().consistent);
         b.edges = vec![edge(0, 0, 1, vec![(1, 8)])];
         assert!(b.validate().is_err());
     }

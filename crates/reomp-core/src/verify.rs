@@ -633,9 +633,10 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
     // Edge-graph acyclicity: a genuine recording snapshots other domains'
     // clocks strictly before publishing its own, so the edge constraints
     // always admit the recorded interleaving. A wait cycle means the
-    // edges were tampered with — replay would deadlock.
+    // edges were tampered with — replay would deadlock. An edge-less
+    // bundle skips the merge: nothing can form a cycle.
     out.checks += 1;
-    if !bundle.edges.is_empty() && !bundle.edges_consistent() {
+    if !bundle.edges.is_empty() && !bundle.linearize().consistent {
         out.diagnostics.push(Diagnostic::error(
             Tier::Ordering,
             "edges",

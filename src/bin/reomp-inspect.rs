@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reomp-inspect <trace-dir>                 summary + epoch histogram
-//! reomp-inspect <trace-dir> --timeline [N]  first N accesses as lanes
+//! reomp-inspect <trace-dir> --timeline [N]  first N recorded accesses as lanes
 //! reomp-inspect <trace-dir> --diff <dir2>   first divergence between runs
 //! reomp-inspect <trace-dir> --window        flight-recorder window summary
 //! reomp-inspect <trace-dir> --verify        static replayability verification
@@ -41,7 +41,9 @@ const USAGE: &str = "usage: reomp-inspect <trace-dir> [--timeline [N]] [--diff <
 subcommands
   (none)       summary: records, domains, partition, flight provenance, what the record
                streams cost (format version, B/record, label tables), epoch histogram
-  --timeline   render the first N accesses (default 40) as per-thread lanes
+  --timeline   render the first N accesses (default 40) of the recorded order as
+               per-thread lanes; multi-domain traces interleave their domains
+               through the cross-domain edges (domain by domain without edges)
   --diff       compare against a second trace dir; exit 1 on the first divergence
   --window     flight-recorder breakdown (per-domain retained/evicted); thread dirs only,
                not combinable with --mpi (the --mpi summary prints window provenance)
@@ -281,8 +283,8 @@ fn main() -> ExitCode {
 
     match args.get(1).map(String::as_str) {
         None => {
-            // summarize() already computes the edge count and runs the
-            // (potentially expensive) consistency merge once; reuse it.
+            // summarize() already counts the edges and checks them with
+            // one linearization; reuse it.
             println!("{}", analysis::summarize(&bundle));
             print_flight_provenance(&bundle);
             if bundle.domains > 1 {
@@ -324,7 +326,11 @@ fn main() -> ExitCode {
         Some("--verify") => verify_bundle(&bundle),
         Some("--window") => inspect_window(&bundle),
         Some("--timeline") => {
-            let n = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(40usize);
+            let n = match args.get(2).map(|s| s.parse()) {
+                None => 40usize,
+                Some(Ok(n)) => n,
+                Some(Err(_)) => return usage(),
+            };
             print!("{}", analysis::ascii_timeline(&bundle, n));
             ExitCode::SUCCESS
         }

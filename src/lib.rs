@@ -15,7 +15,7 @@
 //! * [`miniapps`] — AMG/QuickSilver/miniFE/HACC/HPCCG workload kernels used
 //!   by the paper's evaluation.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `README.md` for a tour.
 
 pub use miniapps;
 pub use ompr;

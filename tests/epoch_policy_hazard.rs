@@ -1,6 +1,6 @@
 //! Failure-injection demonstration of the per-address epoch-policy hazard
-//! that DESIGN.md documents (and the reason `EpochPolicy::Contiguous` is
-//! this implementation's default).
+//! (and the reason `EpochPolicy::Contiguous` is this implementation's
+//! default).
 //!
 //! Under the paper-literal per-address Condition 1, epochs are not
 //! monotone in clock order: a load belonging to an *old* run can carry a
