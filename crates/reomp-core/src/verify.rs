@@ -132,7 +132,7 @@ impl std::fmt::Display for Diagnostic {
 /// digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
-    /// FNV-1a digest over the canonical bundle serialization.
+    /// [`Digest`] over the canonical bundle serialization.
     pub digest: u64,
     /// Human-readable summary of what was certified
     /// (`scheme=… threads=… domains=… records=… edges=…`).
@@ -141,7 +141,7 @@ pub struct Certificate {
 
 impl std::fmt::Display for Certificate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "reomp-cert-v1 {:016x} {}", self.digest, self.detail)
+        write!(f, "reomp-cert-v2 {:016x} {}", self.digest, self.detail)
     }
 }
 
@@ -219,32 +219,43 @@ impl std::fmt::Display for VerifyReport {
     }
 }
 
-/// Incremental FNV-1a hasher for certificate digests (the same function
-/// [`SiteId::from_label`] uses for site hashes; deterministic and
-/// dependency-free). Public so sibling verifiers (e.g. `rmpi`'s) mint
-/// certificates from the identical digest function.
+/// Word digest for certificates: every field enters as one `u64` through
+/// `h = (h ^ w) * K`, rotated. `K` is odd, so each step is a bijection in
+/// both the state and the word, and any single-field change moves the
+/// digest. Deterministic and dependency-free. Public so sibling verifiers
+/// (e.g. `rmpi`'s) mint certificates from the identical function.
 #[derive(Clone, Copy)]
-pub struct Fnv(u64);
+pub struct Digest(u64);
 
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+impl Digest {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    const R: u32 = 29;
 
-    /// A fresh hasher at the FNV offset basis.
+    /// A fresh digest at the seed.
     #[must_use]
-    pub fn new() -> Fnv {
-        Fnv(Self::OFFSET)
+    pub fn new() -> Digest {
+        Digest(Self::SEED)
     }
 
-    /// Mix one byte.
-    pub fn u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+    /// Mix one word.
+    #[inline]
+    pub fn u64(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(Self::K).rotate_left(Self::R);
     }
 
-    /// Mix a u64, little-endian byte order.
-    pub fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.u8(b);
+    /// Mix a byte column, 8 bytes per little-endian word with a
+    /// zero-padded tail. Its length is not mixed: the caller's is.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        let words = bytes.chunks_exact(8);
+        let tail = words.remainder();
+        for w in words {
+            self.u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.u64(u64::from_le_bytes(w));
         }
     }
 
@@ -255,9 +266,9 @@ impl Fnv {
     }
 }
 
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
+impl Default for Digest {
+    fn default() -> Digest {
+        Digest::new()
     }
 }
 
@@ -763,10 +774,10 @@ fn plan_agreement(bundle: &TraceBundle, out: &mut VerifyReport) {
 
 /// Deterministic digest over the bundle: header, every stream (values,
 /// sites, kinds), the plan's sorted assignments, every edge, and the
-/// checkpoint. Canonical and allocation-free beyond the hasher itself.
+/// checkpoint, one [`Digest`] word per field. Allocation-free.
 fn certificate(bundle: &TraceBundle) -> Certificate {
-    let mut h = Fnv::new();
-    h.u8(bundle.scheme.code());
+    let mut h = Digest::new();
+    h.u64(u64::from(bundle.scheme.code()));
     h.u64(u64::from(bundle.nthreads));
     h.u64(u64::from(bundle.domains));
     for t in &bundle.threads {
@@ -785,14 +796,14 @@ fn certificate(bundle: &TraceBundle) -> Certificate {
     }
     match &bundle.plan {
         Some(plan) => {
-            h.u8(if plan.is_closed() { 2 } else { 1 });
+            h.u64(if plan.is_closed() { 2 } else { 1 });
             h.u64(u64::from(plan.domains()));
             for (site, dom) in plan.sorted_assignments() {
                 h.u64(site);
                 h.u64(u64::from(dom));
             }
         }
-        None => h.u8(0),
+        None => h.u64(0),
     }
     h.u64(bundle.edges.len() as u64);
     for e in &bundle.edges {
@@ -807,14 +818,14 @@ fn certificate(bundle: &TraceBundle) -> Certificate {
     }
     match &bundle.checkpoint {
         Some(cp) => {
-            h.u8(1);
-            h.u8(cp.trigger.code());
+            h.u64(1);
+            h.u64(u64::from(cp.trigger.code()));
             h.u64(u64::from(cp.window));
             for &b in cp.base.iter().chain(&cp.floors) {
                 h.u64(b);
             }
         }
-        None => h.u8(0),
+        None => h.u64(0),
     }
     Certificate {
         digest: h.finish(),
@@ -834,24 +845,22 @@ fn certificate(bundle: &TraceBundle) -> Certificate {
     }
 }
 
-fn hash_columns(h: &mut Fnv, sites: &Option<Vec<u64>>, kinds: &Option<Vec<u8>>) {
+fn hash_columns(h: &mut Digest, sites: &Option<Vec<u64>>, kinds: &Option<Vec<u8>>) {
     match sites {
         Some(s) => {
-            h.u8(1);
+            h.u64(1);
             for &v in s {
                 h.u64(v);
             }
         }
-        None => h.u8(0),
+        None => h.u64(0),
     }
     match kinds {
         Some(k) => {
-            h.u8(1);
-            for &v in k {
-                h.u8(v);
-            }
+            h.u64(1);
+            h.bytes(k);
         }
-        None => h.u8(0),
+        None => h.u64(0),
     }
 }
 
@@ -860,7 +869,7 @@ mod tests {
     use super::*;
     use crate::plan::DomainPlan;
     use crate::site::AccessKind;
-    use crate::trace::{Checkpoint, CrossDomainEdge, DumpTrigger, ThreadTrace};
+    use crate::trace::{Checkpoint, CrossDomainEdge, DumpTrigger, StTrace, ThreadTrace};
 
     fn dc_bundle() -> TraceBundle {
         TraceBundle {
@@ -900,6 +909,181 @@ mod tests {
         let c = v.verify(&tweaked);
         assert!(c.is_clean());
         assert_ne!(a.certificate, c.certificate);
+    }
+
+    #[test]
+    fn digest_known_answer() {
+        // Three records in one DC domain: thread 0 at clocks 0 and 2 on
+        // site 7, thread 1 at clock 1 on site 9.
+        let bundle = TraceBundle {
+            plan: None,
+            edges: vec![],
+            checkpoint: None,
+            scheme: Scheme::Dc,
+            nthreads: 2,
+            domains: 1,
+            threads: vec![
+                ThreadTrace {
+                    values: vec![0, 2],
+                    sites: Some(vec![7, 7]),
+                    kinds: Some(vec![1, 0]),
+                },
+                ThreadTrace {
+                    values: vec![1],
+                    sites: Some(vec![9]),
+                    kinds: Some(vec![2]),
+                },
+            ],
+            st: vec![],
+        };
+        // Its canonical words, one per field.
+        let words = [
+            1, 2, 1, // scheme, nthreads, domains
+            2, 0, 2, 1, 7, 7, 1, 0x01, // thread 0: len, values, sites, kinds [1, 0]
+            1, 1, 1, 9, 1, 2, // thread 1
+            0, 0, 0, // no plan, no edges, no checkpoint
+        ];
+        let mut h = Digest::new();
+        for w in words {
+            h.u64(w);
+        }
+        assert_eq!(h.finish(), 0xf5da_7f48_2686_b17e);
+        let report = Verifier::new().verify(&bundle);
+        assert_eq!(
+            report.certificate.expect("clean").to_string(),
+            "reomp-cert-v2 f5da7f482686b17e scheme=dc threads=2 domains=1 records=3 edges=0"
+        );
+
+        // A byte column packs little-endian, its tail zero-padded.
+        let (mut packed, mut words) = (Digest::new(), Digest::new());
+        packed.bytes(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        words.u64(0x0807_0605_0403_0201);
+        words.u64(9);
+        assert_eq!(packed.finish(), words.finish());
+    }
+
+    /// A DE bundle with every optional section: an open plan, an edge, a
+    /// checkpoint with floors, and an 11-record kinds column (one packed
+    /// word and a 3-byte tail).
+    fn sectioned_bundle() -> TraceBundle {
+        let mut plan = DomainPlan::new(2);
+        plan.set(SiteId(1), 0);
+        plan.set(SiteId(2), 1);
+        TraceBundle {
+            plan: Some(plan),
+            edges: vec![CrossDomainEdge {
+                domain: 1,
+                thread: 0,
+                seq: 0,
+                waits: vec![(0, 1)],
+            }],
+            checkpoint: Some(Checkpoint {
+                base: vec![0, 0],
+                floors: vec![0, 0],
+                window: 4,
+                trigger: DumpTrigger::Manual,
+            }),
+            scheme: Scheme::De,
+            nthreads: 1,
+            domains: 2,
+            threads: vec![
+                ThreadTrace {
+                    values: (0..11).collect(),
+                    sites: Some(vec![1; 11]),
+                    kinds: Some(vec![0; 11]),
+                },
+                ThreadTrace {
+                    values: vec![0],
+                    sites: Some(vec![2]),
+                    kinds: Some(vec![1]),
+                },
+            ],
+            st: vec![],
+        }
+    }
+
+    #[test]
+    fn digest_moves_on_every_single_field_change() {
+        // The digest does not depend on the verdict, so `certificate` is
+        // called directly: some mutations below are not valid bundles.
+        type Mutation = fn(&mut TraceBundle);
+        let cases: [(&str, Mutation); 23] = [
+            ("value", |b| b.threads[0].values[3] = 99),
+            ("site", |b| b.threads[1].sites = Some(vec![3])),
+            ("sites column absent", |b| b.threads[1].sites = None),
+            ("kinds column absent", |b| b.threads[1].kinds = None),
+            ("scheme", |b| b.scheme = Scheme::Dc),
+            ("nthreads", |b| b.nthreads = 2),
+            ("domains", |b| b.domains = 3),
+            ("plan closed", |b| {
+                b.plan = b.plan.take().map(DomainPlan::closed)
+            }),
+            ("plan absent", |b| b.plan = None),
+            ("plan assignment", |b| {
+                b.plan.as_mut().unwrap().set(SiteId(2), 0);
+            }),
+            ("plan domains", |b| {
+                let mut plan = DomainPlan::new(3);
+                plan.set(SiteId(1), 0);
+                plan.set(SiteId(2), 1);
+                b.plan = Some(plan);
+            }),
+            ("edges absent", |b| b.edges.clear()),
+            ("edge domain", |b| b.edges[0].domain = 0),
+            ("edge thread", |b| b.edges[0].thread = 1),
+            ("edge seq", |b| b.edges[0].seq = 1),
+            ("edge wait domain", |b| b.edges[0].waits[0].0 = 1),
+            ("edge wait count", |b| b.edges[0].waits[0].1 = 2),
+            ("edge waits absent", |b| b.edges[0].waits.clear()),
+            ("checkpoint absent", |b| b.checkpoint = None),
+            ("checkpoint trigger", |b| {
+                b.checkpoint.as_mut().unwrap().trigger = DumpTrigger::Panic;
+            }),
+            ("checkpoint window", |b| {
+                b.checkpoint.as_mut().unwrap().window = 5
+            }),
+            ("checkpoint base", |b| {
+                b.checkpoint.as_mut().unwrap().base[1] = 1
+            }),
+            ("checkpoint floor", |b| {
+                b.checkpoint.as_mut().unwrap().floors[0] = 1
+            }),
+        ];
+        let base = certificate(&sectioned_bundle()).digest;
+        let moved = |what: String, b: &TraceBundle| {
+            assert_ne!(certificate(b).digest, base, "{what} left the digest");
+        };
+        for (what, mutate) in cases {
+            let mut b = sectioned_bundle();
+            mutate(&mut b);
+            moved(what.to_string(), &b);
+        }
+        // Every byte position of the packed word, then of the tail word.
+        for at in 0..11 {
+            let mut b = sectioned_bundle();
+            b.threads[0].kinds.as_mut().unwrap()[at] = AccessKind::Critical.code();
+            moved(format!("kind {at}"), &b);
+        }
+
+        // The ST tid column.
+        let st = |tids: Vec<u32>| TraceBundle {
+            plan: None,
+            edges: vec![],
+            checkpoint: None,
+            scheme: Scheme::St,
+            nthreads: 2,
+            domains: 1,
+            threads: vec![],
+            st: vec![StTrace {
+                tids,
+                sites: None,
+                kinds: None,
+            }],
+        };
+        assert_ne!(
+            certificate(&st(vec![0, 1, 0])).digest,
+            certificate(&st(vec![0, 0, 1])).digest
+        );
     }
 
     #[test]

@@ -66,8 +66,12 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<RecvEvent>, TraceError> {
         let ds = unzigzag(get_uvarint(&mut buf)?);
         let dt = unzigzag(get_uvarint(&mut buf)?);
         for _ in 0..run_len {
-            prev_src += ds;
-            prev_tag += dt;
+            let (Some(s), Some(t)) = (prev_src.checked_add(ds), prev_tag.checked_add(dt)) else {
+                return Err(TraceError::Corrupt(format!(
+                    "delta ({ds}, {dt}) overflows ({prev_src}, {prev_tag})"
+                )));
+            };
+            (prev_src, prev_tag) = (s, t);
             let src = u32::try_from(prev_src)
                 .map_err(|_| TraceError::Corrupt(format!("src {prev_src} out of range")))?;
             let tag = u32::try_from(prev_tag)
@@ -169,6 +173,29 @@ mod tests {
             decode_events(&[2, 2, 2, 0]).unwrap(),
             vec![ev(1, 0), ev(2, 0)]
         );
+    }
+
+    #[test]
+    fn forged_delta_overflow_is_corrupt() {
+        // Event (5, 0), then a delta of i64::MAX on the source: the sum
+        // overflows i64 before it could be range-checked as a u32.
+        let mut forged = BytesMut::new();
+        for v in [2, 1, 10, 0, 1, u64::MAX - 1, 0] {
+            put_uvarint(&mut forged, v);
+        }
+        // The same on the tag. (A decoded field is never negative, so the
+        // most negative delta cannot overflow.)
+        let mut tag = BytesMut::new();
+        for v in [2, 1, 0, 10, 1, 0, u64::MAX - 1] {
+            put_uvarint(&mut tag, v);
+        }
+        for bytes in [&forged[..], &tag[..]] {
+            let got = decode_events(bytes);
+            assert!(
+                matches!(got, Err(TraceError::Corrupt(_))),
+                "{bytes:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!
 //! A clean trace earns the same [`Certificate`] type the thread verifier
 //! mints, digesting every stream, the plan, and the checkpoint with the
-//! identical FNV function — `reomp-inspect --mpi --verify` prints it and
-//! CI diffs it.
+//! identical word [`Digest`] — `reomp-inspect --mpi --verify` prints it,
+//! CI diffs it and `tests/golden_corpus.rs` pins it.
 
 use crate::session::MpiTrace;
 use reomp_core::plan::DomainPlan;
 use reomp_core::verify::{
-    Certificate, Diagnostic, Fnv, Severity, Tier, VerifyReport, MAX_DIAGS_PER_CHECK,
+    Certificate, Diagnostic, Digest, Severity, Tier, VerifyReport, MAX_DIAGS_PER_CHECK,
 };
 
 /// The static MPI-trace verifier. Stateless, like
@@ -199,7 +199,7 @@ fn push_capped(out: &mut VerifyReport, count: &mut usize, diag: Diagnostic) {
 /// Deterministic digest over the trace: header, every stream, the plan's
 /// sorted assignments, and the checkpoint.
 fn certificate(trace: &MpiTrace) -> Certificate {
-    let mut h = Fnv::new();
+    let mut h = Digest::new();
     h.u64(u64::from(trace.domains));
     h.u64(trace.recv_streams.len() as u64);
     for stream in &trace.recv_streams {
@@ -217,25 +217,25 @@ fn certificate(trace: &MpiTrace) -> Certificate {
     }
     match &trace.plan {
         Some(plan) => {
-            h.u8(1);
+            h.u64(1);
             h.u64(u64::from(plan.domains()));
             for (site, dom) in plan.sorted_assignments() {
                 h.u64(site);
                 h.u64(u64::from(dom));
             }
         }
-        None => h.u8(0),
+        None => h.u64(0),
     }
     match &trace.checkpoint {
         Some(cp) => {
-            h.u8(1);
-            h.u8(cp.trigger.code());
+            h.u64(1);
+            h.u64(u64::from(cp.trigger.code()));
             h.u64(u64::from(cp.window));
             for &b in cp.recv_bases.iter().chain(&cp.waitany_bases) {
                 h.u64(b);
             }
         }
-        None => h.u8(0),
+        None => h.u64(0),
     }
     Certificate {
         digest: h.finish(),

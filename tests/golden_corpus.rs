@@ -8,36 +8,44 @@
 //! A fixture's certificate digests the in-memory bundle, not the bytes on
 //! disk, so content that survives a format change keeps its certificate:
 //! both corpora, and a version 1 fixture saved again by this build, must
-//! carry the strings pinned here.
+//! carry the strings pinned here. The strings are `reomp-cert-v2`: the word
+//! digest (`verify::Digest`) over the same canonical fields the byte-wise
+//! FNV-1a of `reomp-cert-v1` hashed. Each pin changes only with the
+//! certificate's canonical serialization or digest function.
 
 use reomp::core::codec;
 use reomp::core::verify::Tier;
-use reomp::{DirStore, TraceBundle, TraceError, TraceStore, Verifier};
+use reomp::{DirStore, MpiTrace, MpiVerifier, TraceBundle, TraceError, TraceStore, Verifier};
 use std::path::{Path, PathBuf};
 
 /// `(fixture, certificate)` of every core fixture.
 const CERTIFICATES: [(&str, &str); 5] = [
     (
         "st_d1",
-        "reomp-cert-v1 fea1821b1d6a518b scheme=st threads=2 domains=1 records=54 edges=0",
+        "reomp-cert-v2 5503cea6eb64692d scheme=st threads=2 domains=1 records=54 edges=0",
     ),
     (
         "dc_d1",
-        "reomp-cert-v1 e1d4d25d0bad5fb4 scheme=dc threads=2 domains=1 records=54 edges=0",
+        "reomp-cert-v2 88ffec6466e5183d scheme=dc threads=2 domains=1 records=54 edges=0",
     ),
     (
         "de_d1",
-        "reomp-cert-v1 a0eafcf2b73e09b9 scheme=de threads=2 domains=1 records=54 edges=0",
+        "reomp-cert-v2 a31b8c8508840f77 scheme=de threads=2 domains=1 records=54 edges=0",
     ),
     (
         "dc_planned",
-        "reomp-cert-v1 40e801e722bea407 scheme=dc threads=2 domains=4 records=54 edges=6",
+        "reomp-cert-v2 ad6b130004167932 scheme=dc threads=2 domains=4 records=54 edges=6",
     ),
     (
         "flight_dc",
-        "reomp-cert-v1 5e6b4d2d915dbe17 scheme=dc threads=2 domains=1 records=14 edges=0 windowed",
+        "reomp-cert-v2 f6787900249fd251 scheme=dc threads=2 domains=1 records=14 edges=0 windowed",
     ),
 ];
+
+/// The certificate of the `rmpi` fixture, minted by `MpiVerifier` from the
+/// same digest.
+const RMPI_CERTIFICATE: &str =
+    "reomp-cert-v2 a3fadcb0d65c805b mpi ranks=2 domains=1 events=4 waitany=3";
 
 fn corpus(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -104,6 +112,21 @@ fn v2_corpus_carries_the_certificates_of_the_v1_fixtures_of_the_same_name() {
         let (v1, _) = load_verified(&corpus("golden").join(name));
         assert_eq!(bundle, v1, "{name}: the corpora hold different records");
     }
+}
+
+#[test]
+fn rmpi_fixture_carries_its_certificate_in_both_corpora() {
+    let mut traces = Vec::new();
+    for name in ["golden", "golden_v2"] {
+        let dir = corpus(name).join("rmpi");
+        let trace = MpiTrace::load_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        let report = MpiVerifier::new().verify(&trace);
+        assert!(report.is_clean(), "{}: {report}", dir.display());
+        let certificate = report.certificate.expect("clean ⇒ certificate");
+        assert_eq!(certificate.to_string(), RMPI_CERTIFICATE, "{name}");
+        traces.push(trace);
+    }
+    assert_eq!(traces[0], traces[1], "the corpora hold different events");
 }
 
 #[test]

@@ -452,8 +452,10 @@ fn dropped_edge_is_caught_by_plan_soundness() {
 
 /// Pin the `VerifyReport` rendering for the PR 3 fixture layout: one
 /// domain, DC, no plan/edges/checkpoint. The digest is part of the pin —
-/// it may only change when the certificate's canonical serialization
-/// changes, which is exactly what this golden test is here to catch.
+/// it may only change when the certificate's canonical serialization or
+/// its digest function changes, which is exactly what this golden test is
+/// here to catch. It was last re-pinned when `reomp-cert-v2` replaced the
+/// byte-wise FNV-1a with the word `verify::Digest`.
 #[test]
 fn golden_report_pr3_layout() {
     let bundle = build(Scheme::Dc, 2, 1, false, &[(0, 1, 0), (1, 1, 0), (0, 1, 1)]);
@@ -461,7 +463,7 @@ fn golden_report_pr3_layout() {
     assert_eq!(
         report.to_string(),
         "verify: clean — 7 checks, 0 warning(s)\n\
-         certificate: reomp-cert-v1 ae599fcb1d7dc295 scheme=dc threads=2 domains=1 \
+         certificate: reomp-cert-v2 0a43e723f5a5a293 scheme=dc threads=2 domains=1 \
          records=3 edges=0\n"
     );
 }
@@ -487,7 +489,7 @@ fn golden_report_pr4_layout() {
     assert_eq!(
         report.to_string(),
         "verify: clean — 7 checks, 0 warning(s)\n\
-         certificate: reomp-cert-v1 5500315f00a50059 scheme=dc threads=2 domains=2 \
+         certificate: reomp-cert-v2 6981274f830f0cca scheme=dc threads=2 domains=2 \
          records=4 edges=1\n"
     );
 }
