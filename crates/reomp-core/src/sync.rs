@@ -100,7 +100,7 @@ impl BatonLock {
 /// Bytes every [`CachePadded`] value is aligned and padded to: two 64-byte
 /// lines, because x86's adjacent-line prefetcher pulls lines in pairs and
 /// some aarch64 parts have 128-byte lines outright.
-pub(crate) const CACHE_LINE: usize = 128;
+pub const CACHE_LINE: usize = 128;
 
 /// `T` on cache lines of its own: aligned to and padded out to
 /// [`CACHE_LINE`] bytes, so that neighbouring elements of a `Vec` (or
@@ -109,7 +109,7 @@ pub(crate) const CACHE_LINE: usize = 128;
 /// these, owned by the writing thread or by the domain it is in.
 #[derive(Debug, Default)]
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub T);
+pub struct CachePadded<T>(pub T);
 
 // `repr(align)` takes a literal; keep it and the constant in step.
 const _: () = assert!(std::mem::align_of::<CachePadded<u8>>() == CACHE_LINE);

@@ -13,7 +13,7 @@
 //! collapse to a handful of bytes.
 
 use crate::session::RecvEvent;
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, BytesMut};
 use reomp_core::codec::{get_uvarint, put_uvarint, unzigzag, zigzag};
 use reomp_core::TraceError;
 
@@ -45,8 +45,7 @@ pub fn encode_events(events: &[RecvEvent]) -> Vec<u8> {
 /// Decode one rank's wildcard-receive stream. The bytes are outside
 /// input: a count the bytes cannot back is not reserved up front, and a
 /// run longer than the events left is rejected.
-pub fn decode_events(bytes: &[u8]) -> Result<Vec<RecvEvent>, TraceError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+pub fn decode_events(mut buf: &[u8]) -> Result<Vec<RecvEvent>, TraceError> {
     let count = get_uvarint(&mut buf)?;
     let count = usize::try_from(count)
         .map_err(|_| TraceError::Corrupt(format!("event count {count} out of range")))?;

@@ -29,14 +29,23 @@
 //! With `D = 1` (the default) everything degenerates to the classic
 //! per-rank single stream, and the on-disk layout is byte-identical to the
 //! pre-domain format (pinned by golden tests).
+//!
+//! Traces persist through the blob backends and the commit protocol of
+//! thread traces ([`reomp_core::store`], [`MpiTrace::save`]);
+//! [`MpiTrace::save_dir`] and [`MpiTrace::load_dir`] run them over a
+//! [`DirBlobs`] directory. Only names, manifest lines and the event codec
+//! are rmpi's own.
 
 use crate::compress::{decode_events, encode_events};
 use crate::message::MpiError;
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, BytesMut};
 use parking_lot::Mutex;
 use reomp_core::codec::{decode_plan, encode_plan, get_uvarint, put_uvarint};
+use reomp_core::store::{Blobs, DirBlobs};
+use reomp_core::sync::CachePadded;
 use reomp_core::{DomainPlan, DumpTrigger, SiteId, TraceError};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -148,7 +157,7 @@ impl MpiCheckpoint {
 
     /// Inverse of [`MpiCheckpoint::encode`].
     pub fn decode(bytes: &[u8]) -> Result<MpiCheckpoint, TraceError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         if buf.remaining() < 6 || &buf.chunk()[..4] != b"RMCP" {
             return Err(TraceError::Corrupt("bad rmpi checkpoint magic".into()));
         }
@@ -184,6 +193,20 @@ impl MpiCheckpoint {
             waitany_bases,
         })
     }
+}
+
+/// The blob an rmpi trace is loadable by: removed first, committed last.
+const MANIFEST: &str = "manifest.txt";
+
+/// The receive and waitany blob names of stream `(rank, dom)`: per-rank
+/// names when there is one domain (the pre-domain layout), domain-tagged
+/// ones otherwise.
+fn stream_names(rank: u32, dom: u32, domains: u32) -> (String, String) {
+    let stem = match domains {
+        1 => format!("rank_{rank}"),
+        _ => format!("rank_{rank}.d{dom}"),
+    };
+    (format!("{stem}.rmpi"), format!("{stem}.waitany.rmpi"))
 }
 
 /// A complete receive-order trace: one stream per `(rank × domain)`
@@ -348,46 +371,24 @@ impl MpiTrace {
         Ok(())
     }
 
-    /// Persist as one compressed file per `(rank × domain)` stream plus a
-    /// manifest, mirroring ReMPI's per-process record files. Single-domain
-    /// traces write the pre-domain `v1` layout **byte-identically** (old
-    /// tooling keeps working); multi-domain traces write a `v2` manifest
-    /// with the domain count, per-domain files carrying the domain id in
-    /// their name, and — when partitioned by an explicit plan — the plan
-    /// as a codec section in `plan.rmpi`. Stale record files from a
-    /// previous layout in the same directory are scrubbed first and the
-    /// manifest is written last.
-    pub fn save_dir(&self, dir: &Path) -> Result<u64, TraceError> {
+    /// Persist as one compressed blob per `(rank × domain)` stream plus a
+    /// manifest, mirroring ReMPI's per-process record files, and return the
+    /// bytes written, manifest included. `D = 1` writes the pre-domain `v1`
+    /// layout **byte-identically**; `D > 1` writes `v2` (a `domains` line,
+    /// domain-tagged names, a stamped plan in `plan.rmpi`); a flight window
+    /// writes `v3` (its checkpoint in `checkpoint.rmpi`). The write runs
+    /// core's commit protocol ([`reomp_core::store`]): remove the manifest,
+    /// sweep stale `*.rmpi` and `*.tmp` blobs, `put` every stream and
+    /// section, `commit` the manifest last — a killed save leaves the old
+    /// trace, [`TraceError::Empty`] or the new trace, never a mix.
+    pub fn save<B: Blobs>(&self, blobs: &B) -> Result<u64, TraceError> {
         self.validate()?;
-        std::fs::create_dir_all(dir)?;
-        // Hygiene (same discipline as DirStore): no manifest while the
-        // directory is in flux, no stale streams from an older layout.
-        let manifest_path = dir.join("manifest.txt");
-        let _ = std::fs::remove_file(&manifest_path);
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.file_name().to_string_lossy().ends_with(".rmpi") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-
-        let mut bytes = 0u64;
         let nranks = self.nranks();
+        let mut files = Vec::with_capacity(2 * self.recv_streams.len() + 2);
         for rank in 0..nranks {
             for dom in 0..self.domains {
-                let recv_name = if self.domains == 1 {
-                    format!("rank_{rank}.rmpi")
-                } else {
-                    format!("rank_{rank}.d{dom}.rmpi")
-                };
-                let wa_name = if self.domains == 1 {
-                    format!("rank_{rank}.waitany.rmpi")
-                } else {
-                    format!("rank_{rank}.d{dom}.waitany.rmpi")
-                };
-                let encoded = encode_events(self.recv_stream(rank, dom));
-                bytes += encoded.len() as u64;
-                std::fs::write(dir.join(recv_name), encoded)?;
+                let (recv, waitany) = stream_names(rank, dom, self.domains);
+                files.push((recv, encode_events(self.recv_stream(rank, dom))));
                 // Waitany indices ride the same event codec as `(idx, 0)`
                 // pairs (delta/RLE loves the small monotone-ish values).
                 let wa: Vec<RecvEvent> = self
@@ -395,54 +396,55 @@ impl MpiTrace {
                     .iter()
                     .map(|&i| RecvEvent { src: i, tag: 0 })
                     .collect();
-                let encoded = encode_events(&wa);
-                bytes += encoded.len() as u64;
-                std::fs::write(dir.join(wa_name), encoded)?;
+                files.push((waitany, encode_events(&wa)));
             }
         }
-
         // Layout version: v1 is the pinned pre-domain single-stream
         // layout, v2 adds domain sharding, v3 adds the flight checkpoint.
         // A full (unbounded) D = 1 trace must stay byte-identical to v1.
-        let mut manifest = if self.checkpoint.is_some() {
-            format!(
-                "rmpi-trace v3\nranks {}\ndomains {}\n",
-                nranks, self.domains
-            )
-        } else if self.domains == 1 {
-            format!("rmpi-trace v1\nranks {}\n", nranks)
-        } else {
-            format!(
-                "rmpi-trace v2\nranks {}\ndomains {}\n",
-                nranks, self.domains
-            )
+        let mut manifest = match (&self.checkpoint, self.domains) {
+            (None, 1) => format!("rmpi-trace v1\nranks {nranks}\n"),
+            (None, d) => format!("rmpi-trace v2\nranks {nranks}\ndomains {d}\n"),
+            (Some(_), d) => format!("rmpi-trace v3\nranks {nranks}\ndomains {d}\n"),
         };
-        if self.domains > 1 {
-            if let Some(plan) = &self.plan {
-                let encoded = encode_plan(plan);
-                bytes += encoded.len() as u64;
-                std::fs::write(dir.join("plan.rmpi"), &encoded)?;
-                manifest.push_str("plan 1\n");
-            }
+        if let (true, Some(plan)) = (self.domains > 1, &self.plan) {
+            files.push(("plan.rmpi".into(), encode_plan(plan).to_vec()));
+            manifest.push_str("plan 1\n");
         }
         if let Some(cp) = &self.checkpoint {
-            let encoded = cp.encode();
-            bytes += encoded.len() as u64;
-            std::fs::write(dir.join("checkpoint.rmpi"), &encoded)?;
+            files.push(("checkpoint.rmpi".into(), cp.encode()));
             manifest.push_str("flight 1\n");
         }
-        std::fs::write(&manifest_path, &manifest)?;
-        bytes += manifest.len() as u64;
+
+        blobs.remove(MANIFEST)?;
+        let fresh: HashSet<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        for name in blobs.list()? {
+            if name.ends_with(".tmp") || (name.ends_with(".rmpi") && !fresh.contains(name.as_str()))
+            {
+                blobs.remove(&name)?;
+            }
+        }
+        let mut bytes = manifest.len() as u64;
+        for (name, encoded) in &files {
+            blobs.put(name, encoded)?;
+            bytes += encoded.len() as u64;
+        }
+        blobs.commit(MANIFEST, manifest.as_bytes())?;
         Ok(bytes)
     }
 
-    /// Load a trace previously written by [`MpiTrace::save_dir`] (either
-    /// the pre-domain `v1` layout or the sharded `v2` layout).
-    pub fn load_dir(dir: &Path) -> Result<MpiTrace, TraceError> {
-        let manifest = match std::fs::read_to_string(dir.join("manifest.txt")) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(TraceError::Empty),
-            other => other?,
-        };
+    /// Load a trace written by [`MpiTrace::save`] in any of the `v1`, `v2`
+    /// and `v3` layouts. No manifest is [`TraceError::Empty`]; a missing
+    /// waitany blob (directories from before waitany recording) is an
+    /// empty stream.
+    pub fn load<B: Blobs>(blobs: &B) -> Result<MpiTrace, TraceError> {
+        let manifest = match blobs.get(MANIFEST) {
+            Err(TraceError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(TraceError::Empty)
+            }
+            other => String::from_utf8(other?),
+        }
+        .map_err(|_| TraceError::Corrupt("rmpi manifest is not UTF-8".into()))?;
         let mut lines = manifest.lines();
         let version = match lines.next() {
             Some("rmpi-trace v1") => 1u32,
@@ -450,76 +452,52 @@ impl MpiTrace {
             Some("rmpi-trace v3") => 3,
             _ => return Err(TraceError::Corrupt("bad rmpi manifest header".into())),
         };
-        let ranks: u32 = lines
-            .next()
-            .and_then(|l| l.strip_prefix("ranks "))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| TraceError::Corrupt("bad rank count".into()))?;
-        let (domains, has_plan, has_flight) = if version == 1 {
-            (1u32, false, false)
-        } else {
-            let domains = lines
-                .next()
-                .and_then(|l| l.strip_prefix("domains "))
-                .and_then(|n| n.parse::<u32>().ok())
-                .filter(|&d| d >= 1)
-                .ok_or_else(|| TraceError::Corrupt("bad domain count".into()))?;
-            let rest: Vec<&str> = lines.collect();
-            let has_plan = rest.contains(&"plan 1");
-            let has_flight = version >= 3 && rest.contains(&"flight 1");
-            (domains, has_plan, has_flight)
+        // A zero domain count parses here and fails validation below.
+        let mut count = |key: &str| {
+            let n = lines.next().and_then(|l| l.strip_prefix(key)?.parse().ok());
+            n.ok_or_else(|| TraceError::Corrupt(format!("bad {key}count")))
         };
-        let plan = if has_plan {
-            let bytes = std::fs::read(dir.join("plan.rmpi"))?;
-            Some(decode_plan(&bytes)?)
-        } else {
-            None
-        };
-        let checkpoint = if has_flight {
-            let bytes = std::fs::read(dir.join("checkpoint.rmpi"))?;
-            Some(MpiCheckpoint::decode(&bytes)?)
-        } else {
-            None
-        };
+        let ranks = count("ranks ")?;
+        let domains = if version == 1 { 1 } else { count("domains ")? };
+        // Every line left names a section of a layout that has it; a line
+        // the writer never produces is damage, not a feature to skip.
+        let (mut plan, mut checkpoint) = (None, None);
+        for line in lines {
+            match line {
+                "plan 1" if version >= 2 => plan = Some(decode_plan(&blobs.get("plan.rmpi")?)?),
+                "flight 1" if version == 3 => {
+                    checkpoint = Some(MpiCheckpoint::decode(&blobs.get("checkpoint.rmpi")?)?);
+                }
+                _ => {
+                    return Err(TraceError::Corrupt(format!(
+                        "unknown line {line:?} in an rmpi v{version} manifest"
+                    )))
+                }
+            }
+        }
         // The manifest is outside input: every (rank, domain) stream is a
-        // file, so bound the declared count by the directory's entries
-        // before allocating for it.
+        // blob, so bound the declared count by the blobs held before
+        // allocating for it.
+        let held = blobs.list()?.len();
         let streams = (ranks as usize)
             .checked_mul(domains as usize)
-            .filter(|&n| n <= std::fs::read_dir(dir).map_or(0, Iterator::count))
+            .filter(|&n| n <= held)
             .ok_or_else(|| {
                 TraceError::Corrupt(format!(
                     "manifest declares {ranks} ranks × {domains} domains, more streams than \
-                     the directory has files"
+                     the store holds blobs"
                 ))
             })?;
         let mut recv_streams = Vec::with_capacity(streams);
         let mut waitany_streams = Vec::with_capacity(streams);
         for rank in 0..ranks {
             for dom in 0..domains {
-                let (recv_name, wa_name) = if domains == 1 {
-                    (
-                        format!("rank_{rank}.rmpi"),
-                        format!("rank_{rank}.waitany.rmpi"),
-                    )
-                } else {
-                    (
-                        format!("rank_{rank}.d{dom}.rmpi"),
-                        format!("rank_{rank}.d{dom}.waitany.rmpi"),
-                    )
-                };
-                let bytes = std::fs::read(dir.join(recv_name))?;
-                recv_streams.push(decode_events(&bytes)?);
-                let wa_path = dir.join(wa_name);
-                let wa = if wa_path.exists() {
-                    decode_events(&std::fs::read(wa_path)?)?
-                        .into_iter()
-                        .map(|e| e.src)
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                waitany_streams.push(wa);
+                let (recv, waitany) = stream_names(rank, dom, domains);
+                recv_streams.push(decode_events(&blobs.get(&recv)?)?);
+                waitany_streams.push(match blobs.get(&waitany) {
+                    Err(TraceError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+                    other => decode_events(&other?)?.into_iter().map(|e| e.src).collect(),
+                });
             }
         }
         let trace = MpiTrace {
@@ -531,6 +509,16 @@ impl MpiTrace {
         };
         trace.validate()?;
         Ok(trace)
+    }
+
+    /// [`MpiTrace::save`] into the directory `dir`, created on first write.
+    pub fn save_dir(&self, dir: &Path) -> Result<u64, TraceError> {
+        self.save(&DirBlobs::new(dir))
+    }
+
+    /// [`MpiTrace::load`] from the directory `dir`.
+    pub fn load_dir(dir: &Path) -> Result<MpiTrace, TraceError> {
+        MpiTrace::load(&DirBlobs::new(dir))
     }
 }
 
@@ -620,6 +608,88 @@ impl std::fmt::Display for MpiDivergence {
     }
 }
 
+/// One `(rank × domain)` stream's share of an [`OrderLog`].
+#[derive(Debug)]
+struct Lane<T> {
+    /// Record: the retained choices.
+    log: Mutex<Vec<T>>,
+    /// Choices evicted before the retained tail: counted by a flight
+    /// recording, taken from the checkpoint by a windowed replay.
+    base: AtomicU64,
+    /// Replay: calls made so far.
+    cursor: AtomicUsize,
+}
+
+/// One kind of recorded choice — the `(src, tag)` wildcard receives
+/// matched, or the request index `waitany` calls completed — across every
+/// `(rank × domain)` stream of a session. Each stream's lane is on cache
+/// lines of its own, because different ranks (and the threads of one rank
+/// in different domains) drive different streams concurrently.
+#[derive(Debug)]
+struct OrderLog<T>(Vec<CachePadded<Lane<T>>>);
+
+impl<T: Copy> OrderLog<T> {
+    fn new(streams: usize, bases: Option<&[u64]>) -> Self {
+        let lane = |s| Lane {
+            log: Mutex::new(Vec::new()),
+            base: AtomicU64::new(bases.map_or(0, |b: &[u64]| b[s])),
+            cursor: AtomicUsize::new(0),
+        };
+        OrderLog((0..streams).map(|s| CachePadded(lane(s))).collect())
+    }
+
+    /// Record `choice` into `stream`; a flight `window` retains only the
+    /// newest choices and counts the evicted ones into the stream's base.
+    fn log(&self, stream: usize, choice: T, window: Option<u32>) {
+        let lane = &self.0[stream];
+        let mut log = lane.log.lock();
+        log.push(choice);
+        if let Some(window) = window {
+            let excess = log.len().saturating_sub(window as usize);
+            if excess > 0 {
+                log.drain(..excess);
+                lane.base.fetch_add(excess as u64, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Replay: the choice the next call of `stream` must make out of its
+    /// `recorded` tail — `Ok(None)` for the `base` calls evicted before a
+    /// dump (they free-run), `Err(())` past the tail.
+    fn next(&self, stream: usize, recorded: &[T]) -> Result<Option<T>, ()> {
+        let lane = &self.0[stream];
+        let pos = lane.cursor.fetch_add(1, Ordering::Relaxed);
+        match pos.checked_sub(lane.base.load(Ordering::Relaxed) as usize) {
+            None => Ok(None),
+            Some(pos) => recorded.get(pos).map(|&c| Some(c)).ok_or(()),
+        }
+    }
+
+    /// Replay: how many of the `recorded` choices of `stream` the calls so
+    /// far consumed.
+    fn consumed(&self, stream: usize, recorded: usize) -> usize {
+        let lane = &self.0[stream];
+        let calls = lane.cursor.load(Ordering::Relaxed);
+        calls
+            .saturating_sub(lane.base.load(Ordering::Relaxed) as usize)
+            .min(recorded)
+    }
+
+    fn bases(&self) -> Vec<u64> {
+        self.0
+            .iter()
+            .map(|l| l.base.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    fn take(&self) -> Vec<Vec<T>> {
+        self.0
+            .iter()
+            .map(|l| std::mem::take(&mut *l.log.lock()))
+            .collect()
+    }
+}
+
 /// Shared record/replay state for one [`crate::World`] run.
 #[derive(Debug)]
 pub struct MpiSession {
@@ -628,13 +698,8 @@ pub struct MpiSession {
     /// The receive-site map every receive consults.
     plan: DomainPlan,
     flight: Option<u32>,
-    logs: Vec<Mutex<Vec<RecvEvent>>>,
-    waitany_logs: Vec<Mutex<Vec<u32>>>,
-    // Record + flight: events evicted per stream (the checkpoint bases).
-    recv_bases: Vec<AtomicU64>,
-    waitany_bases: Vec<AtomicU64>,
-    cursors: Vec<AtomicUsize>,
-    waitany_cursors: Vec<AtomicUsize>,
+    recvs: OrderLog<RecvEvent>,
+    waitanys: OrderLog<u32>,
     history: Vec<Mutex<VecDeque<RecvEvent>>>,
     trace: Option<MpiTrace>,
 }
@@ -694,17 +759,14 @@ impl MpiSession {
     fn build(mode: MpiMode, nranks: u32, cfg: MpiSessionConfig, trace: Option<MpiTrace>) -> Self {
         let plan = cfg.plan.unwrap_or_default();
         let streams = (nranks * plan.domains()) as usize;
+        let checkpoint = trace.as_ref().and_then(|t| t.checkpoint.as_ref());
         MpiSession {
             mode,
             nranks,
             plan,
             flight: cfg.flight.map(|n| n.max(1)),
-            logs: (0..streams).map(|_| Mutex::new(Vec::new())).collect(),
-            waitany_logs: (0..streams).map(|_| Mutex::new(Vec::new())).collect(),
-            recv_bases: (0..streams).map(|_| AtomicU64::new(0)).collect(),
-            waitany_bases: (0..streams).map(|_| AtomicU64::new(0)).collect(),
-            cursors: (0..streams).map(|_| AtomicUsize::new(0)).collect(),
-            waitany_cursors: (0..streams).map(|_| AtomicUsize::new(0)).collect(),
+            recvs: OrderLog::new(streams, checkpoint.map(|cp| &cp.recv_bases[..])),
+            waitanys: OrderLog::new(streams, checkpoint.map(|cp| &cp.waitany_bases[..])),
             history: (0..streams).map(|_| Mutex::new(VecDeque::new())).collect(),
             trace,
         }
@@ -773,15 +835,7 @@ impl MpiSession {
     pub fn log_recv(&self, rank: u32, dom: u32, src: u32, tag: u32) {
         if self.mode == MpiMode::Record {
             let stream = self.stream_index(rank, dom);
-            let mut log = self.logs[stream].lock();
-            log.push(RecvEvent { src, tag });
-            if let Some(window) = self.flight {
-                let excess = log.len().saturating_sub(window as usize);
-                if excess > 0 {
-                    log.drain(..excess);
-                    self.recv_bases[stream].fetch_add(excess as u64, Ordering::Relaxed);
-                }
-            }
+            self.recvs.log(stream, RecvEvent { src, tag }, self.flight);
         }
     }
 
@@ -793,29 +847,20 @@ impl MpiSession {
         }
         let trace = self.trace.as_ref().expect("replay has trace");
         let stream = self.stream_index(rank, dom);
-        let pos = self.cursors[stream].fetch_add(1, Ordering::Relaxed);
-        // Windowed replay: the first `base` receives of this stream were
-        // evicted before the dump — free-run them (no enforcement is
-        // possible) and start enforcing at the retained tail.
-        let base = trace
-            .checkpoint
-            .as_ref()
-            .map_or(0, |cp| cp.recv_bases[stream] as usize);
-        let Some(pos) = pos.checked_sub(base) else {
-            return Ok(None);
-        };
-        match trace.recv_stream(rank, dom).get(pos).copied() {
-            Some(ev) => {
-                self.push_history(stream, ev);
-                Ok(Some(ev))
-            }
-            None => Err(MpiError::ReplayExhausted {
+        let recorded = trace.recv_stream(rank, dom);
+        let ev = self
+            .recvs
+            .next(stream, recorded)
+            .map_err(|()| MpiError::ReplayExhausted {
                 rank,
                 domain: dom,
-                consumed: trace.recv_stream(rank, dom).len(),
+                consumed: recorded.len(),
                 history: self.history_snapshot(stream),
-            }),
+            })?;
+        if let Some(ev) = ev {
+            self.push_history(stream, ev);
         }
+        Ok(ev)
     }
 
     /// Record one `waitany` completion choice into `(rank, dom)` (record
@@ -824,15 +869,7 @@ impl MpiSession {
     pub fn log_waitany(&self, rank: u32, dom: u32, index: u32) {
         if self.mode == MpiMode::Record {
             let stream = self.stream_index(rank, dom);
-            let mut log = self.waitany_logs[stream].lock();
-            log.push(index);
-            if let Some(window) = self.flight {
-                let excess = log.len().saturating_sub(window as usize);
-                if excess > 0 {
-                    log.drain(..excess);
-                    self.waitany_bases[stream].fetch_add(excess as u64, Ordering::Relaxed);
-                }
-            }
+            self.waitanys.log(stream, index, self.flight);
         }
     }
 
@@ -843,23 +880,14 @@ impl MpiSession {
             return Ok(None);
         }
         let trace = self.trace.as_ref().expect("replay has trace");
-        let stream = self.stream_index(rank, dom);
-        let pos = self.waitany_cursors[stream].fetch_add(1, Ordering::Relaxed);
-        let base = trace
-            .checkpoint
-            .as_ref()
-            .map_or(0, |cp| cp.waitany_bases[stream] as usize);
-        let Some(pos) = pos.checked_sub(base) else {
-            return Ok(None);
-        };
-        match trace.waitany_stream(rank, dom).get(pos).copied() {
-            Some(idx) => Ok(Some(idx)),
-            None => Err(MpiError::WaitanyExhausted {
+        let recorded = trace.waitany_stream(rank, dom);
+        self.waitanys
+            .next(self.stream_index(rank, dom), recorded)
+            .map_err(|()| MpiError::WaitanyExhausted {
                 rank,
                 domain: dom,
-                consumed: trace.waitany_stream(rank, dom).len(),
-            }),
-        }
+                consumed: recorded.len(),
+            })
     }
 
     /// Extract the recorded trace (record mode). Flight sessions stamp a
@@ -879,30 +907,14 @@ impl MpiSession {
         let checkpoint = self.flight.map(|window| MpiCheckpoint {
             window,
             trigger,
-            recv_bases: self
-                .recv_bases
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            waitany_bases: self
-                .waitany_bases
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            recv_bases: self.recvs.bases(),
+            waitany_bases: self.waitanys.bases(),
         });
         MpiTrace {
             domains: self.domains(),
             plan: (!self.plan.is_empty()).then(|| self.plan.clone()),
-            recv_streams: self
-                .logs
-                .iter()
-                .map(|l| std::mem::take(&mut *l.lock()))
-                .collect(),
-            waitany_streams: self
-                .waitany_logs
-                .iter()
-                .map(|l| std::mem::take(&mut *l.lock()))
-                .collect(),
+            recv_streams: self.recvs.take(),
+            waitany_streams: self.waitanys.take(),
             checkpoint,
         }
     }
@@ -930,24 +942,10 @@ impl MpiSession {
         for rank in 0..self.nranks {
             for dom in 0..self.domains() {
                 let stream = self.stream_index(rank, dom);
-                // Windowed replays free-run the first `base` calls of a
-                // stream; only calls past the base consume the recording.
-                let (recv_base, wa_base) = trace.checkpoint.as_ref().map_or((0, 0), |cp| {
-                    (
-                        cp.recv_bases[stream] as usize,
-                        cp.waitany_bases[stream] as usize,
-                    )
-                });
                 let recv_recorded = trace.recv_stream(rank, dom).len();
-                let recv_consumed = self.cursors[stream]
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(recv_base)
-                    .min(recv_recorded);
+                let recv_consumed = self.recvs.consumed(stream, recv_recorded);
                 let waitany_recorded = trace.waitany_stream(rank, dom).len();
-                let waitany_consumed = self.waitany_cursors[stream]
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(wa_base)
-                    .min(waitany_recorded);
+                let waitany_consumed = self.waitanys.consumed(stream, waitany_recorded);
                 if recv_consumed < recv_recorded || waitany_consumed < waitany_recorded {
                     out.push(MpiDivergence {
                         rank,
@@ -968,6 +966,7 @@ impl MpiSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reomp_core::store::MemBlobs;
 
     #[test]
     fn record_log_and_finish() {
@@ -1237,6 +1236,70 @@ mod tests {
         assert!(!dir.join("plan.rmpi").exists(), "stale plan scrubbed");
         assert_eq!(MpiTrace::load_dir(&dir).unwrap(), single);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A two-rank, two-domain trace that stamps its plan.
+    fn planned_trace() -> MpiTrace {
+        let site = recv_site(0, crate::ANY_SOURCE, 7);
+        MpiTrace {
+            domains: 2,
+            plan: Some(DomainPlan::with_assignments(2, [(site, 1)])),
+            recv_streams: vec![vec![RecvEvent { src: 1, tag: 7 }], vec![], vec![], vec![]],
+            waitany_streams: vec![vec![0], vec![], vec![], vec![]],
+            checkpoint: None,
+        }
+    }
+
+    #[test]
+    fn manifest_lines_the_writer_never_writes_are_corrupt() {
+        // These used to load: a damaged `plan 1` as a plan-less trace
+        // (replay then routed receives by the hashed fallback instead of
+        // the stamped plan), and `flight 1` outside v3 was dropped.
+        let trace = planned_trace();
+        let blobs = MemBlobs::default();
+        trace.save(&blobs).unwrap();
+        assert_eq!(MpiTrace::load(&blobs).unwrap(), trace);
+        for manifest in [
+            "rmpi-trace v2\nranks 2\ndomains 2\nplam 1\n",
+            "rmpi-trace v2\nranks 2\ndomains 2\nplan 1\nflight 1\n",
+            "rmpi-trace v2\nranks 2\ndomains 2\nplan 2\n",
+            "rmpi-trace v1\nranks 2\nplan 1\n",
+        ] {
+            blobs.put(MANIFEST, manifest.as_bytes()).unwrap();
+            let got = MpiTrace::load(&blobs);
+            assert!(
+                matches!(&got, Err(TraceError::Corrupt(msg)) if msg.contains("unknown line")),
+                "{manifest:?}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn save_counts_every_byte_it_writes() {
+        // Streams, sections and the manifest, in every layout version: the
+        // count the benchmark's `trace_bytes_per_op` is made of.
+        let cfg = MpiSessionConfig {
+            flight: Some(2),
+            ..MpiSessionConfig::with_domains(2)
+        };
+        let flight = MpiSession::record_with(1, cfg);
+        for i in 0..5u32 {
+            flight.log_recv(0, 1, i, 3);
+        }
+        let single = MpiTrace::single(vec![vec![RecvEvent { src: 2, tag: 5 }]], vec![vec![1]]);
+        for (trace, version) in [
+            (single, "v1"),
+            (planned_trace(), "v2"),
+            (flight.finish(), "v3"),
+        ] {
+            let blobs = MemBlobs::default();
+            let bytes = trace.save(&blobs).unwrap();
+            let names = blobs.list().unwrap();
+            let held: usize = names.iter().map(|n| blobs.get(n).unwrap().len()).sum();
+            assert_eq!(bytes, held as u64, "{version}: {names:?}");
+            let manifest = String::from_utf8(blobs.get(MANIFEST).unwrap()).unwrap();
+            assert!(manifest.starts_with(&format!("rmpi-trace {version}\n")));
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! `<trace-dir>` is a directory written by `DirStore` (one record file per
 //! thread plus `manifest.txt`), e.g. the `REOMP_DIR` of a record run —
 //! or, with `--mpi`, one written by `MpiTrace::save_dir` (one record file
-//! per rank × receive-order domain). `--window` only applies to thread
+//! per rank × receive-order domain, committed manifest-last like a
+//! `DirStore`). `--window` only applies to thread
 //! trace dirs; combine rmpi window inspection into the plain `--mpi`
 //! summary, which prints flight provenance when present.
 //!

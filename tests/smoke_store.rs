@@ -4,19 +4,21 @@
 //!   throwaway directory under the OS tempdir and must leave **no files in
 //!   the repository tree** (record files belong to the run, not the source);
 //! * a write killed at any of its backend calls — one-shot or chunked save,
-//!   streaming record, flight dump — must leave the directory `Empty` or
-//!   holding one whole bundle, and a retry must get through;
+//!   streaming record, flight dump, rmpi receive-order save — must leave the
+//!   directory `Empty` or holding one whole trace, and a retry must get
+//!   through;
 //! * [`Scheme::ALL`] must enumerate ST, DC, and DE exactly once each — the
 //!   matrix tests and every benchmark sweep iterate it and silently shrink
 //!   if a scheme goes missing.
 
 use reomp::core::store::{Blobs, DirBlobs, Store};
+use reomp::rmpi::{recv_site, ANY_SOURCE};
 use reomp::{
-    ompr, AccessKind, DirStore, Scheme, Session, SessionConfig, SiteId, StreamingTraceStore,
-    TraceBundle, TraceError, TraceStore,
+    ompr, AccessKind, DirStore, DomainPlan, MpiSession, MpiSessionConfig, MpiTrace, Scheme,
+    Session, SessionConfig, SiteId, StreamingTraceStore, TraceBundle, TraceError, TraceStore,
 };
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -360,45 +362,60 @@ fn deterministic_bundle() -> TraceBundle {
 /// A write into a store, reduced to whether it got through.
 type Write = Box<dyn Fn() -> Result<(), String>>;
 
+/// A trace kind a fault campaign commits to a directory and reads back.
+trait Persisted: PartialEq + std::fmt::Debug + Sized {
+    fn persist(&self, dir: &Path);
+    fn restore(dir: &Path) -> Result<Self, TraceError>;
+}
+
+impl Persisted for TraceBundle {
+    fn persist(&self, dir: &Path) {
+        DirStore::new(dir).save(self).unwrap();
+    }
+    fn restore(dir: &Path) -> Result<Self, TraceError> {
+        DirStore::new(dir).load().map(|(bundle, _)| bundle)
+    }
+}
+
+impl Persisted for MpiTrace {
+    fn persist(&self, dir: &Path) {
+        self.save_dir(dir).unwrap();
+    }
+    fn restore(dir: &Path) -> Result<Self, TraceError> {
+        MpiTrace::load_dir(dir)
+    }
+}
+
 /// Kill a write at its first backend call, then its second, and so on
-/// until it gets through, each time over a directory that already holds a
-/// committed bundle (three ST threads, so the write also has stale files
-/// to scrub). `setup` receives the store to write to and returns the
-/// write; every failed one is retried once the backend is healthy again.
+/// until it gets through, each time over a directory that already holds
+/// `old`, committed (chosen so the write also has stale files to scrub).
+/// `setup` receives the backend to write through and returns the write;
+/// every failed one is retried once the backend is healthy again.
 ///
-/// Whatever the kill point, the directory must load as `Empty`, as the old
-/// bundle (only while the write has not started on it), or as `new`.
-fn fault_campaign(tag: &str, new: &TraceBundle, setup: impl Fn(Store<DyingBlobs>) -> Write) {
-    let old = {
-        let session = Session::record(Scheme::St, 3);
-        for tid in 0..3 {
-            session
-                .register_thread(tid)
-                .gate(SiteId(5), AccessKind::Load, || ());
-        }
-        session.finish().unwrap().bundle.unwrap()
-    };
+/// Whatever the kill point, the directory must load as `Empty`, as `old`
+/// (only while the write has not started on it), or as `new`.
+fn fault_campaign<T: Persisted>(tag: &str, old: &T, new: &T, setup: impl Fn(DyingBlobs) -> Write) {
     let mut calls_of_a_clean_write = None;
     for die_at in 1..=500 {
         let tmp = TempDir::new(&format!("{tag}-{die_at}"));
         let dir = tmp.0.join("trace");
-        DirStore::new(&dir).save(&old).unwrap();
+        old.persist(&dir);
 
         let fuse = Arc::new(Fuse {
             calls: AtomicU32::new(0),
             die_at: AtomicU32::new(die_at),
         });
-        let write = setup(Store::with_blobs(DyingBlobs {
+        let write = setup(DyingBlobs {
             inner: DirBlobs::new(&dir),
             fuse: Arc::clone(&fuse),
-        }));
+        });
         let outcome = write();
-        match DirStore::new(&dir).load() {
+        match T::restore(&dir) {
             Err(TraceError::Empty) => assert!(outcome.is_err(), "{tag}: a clean write must load"),
-            Ok((found, _)) if found == *new => {}
-            Ok((found, _)) => assert!(
-                outcome.is_err() && found == old,
-                "{tag}: killed at backend call {die_at}, the directory loads as neither bundle"
+            Ok(found) if found == *new => {}
+            Ok(found) => assert!(
+                outcome.is_err() && found == *old,
+                "{tag}: killed at backend call {die_at}, the directory loads as neither trace"
             ),
             Err(e) => {
                 panic!("{tag}: killed at backend call {die_at}, the directory is corrupt: {e}")
@@ -411,24 +428,36 @@ fn fault_campaign(tag: &str, new: &TraceBundle, setup: impl Fn(Store<DyingBlobs>
 
         fuse.die_at.store(u32::MAX, Ordering::SeqCst);
         write().unwrap_or_else(|e| panic!("{tag}: retry after a kill at call {die_at}: {e}"));
-        let (found, _) = DirStore::new(&dir).load().unwrap();
+        let found = T::restore(&dir).unwrap();
         assert_eq!(found, *new, "{tag}: retry after a kill at call {die_at}");
     }
-    // Unpublish, list, scrub the third thread's file and the ST stream,
-    // write two streams, commit the manifest.
+    // Unpublish, list, scrub at least two stale files, write at least two
+    // streams, commit the manifest.
     let calls = calls_of_a_clean_write.expect("the sweep ends when the write gets through");
     assert!(calls >= 7, "{tag}: a write of only {calls} backend calls");
 }
 
+/// A committed bundle of three ST threads: a two-thread DC write over it
+/// has the third thread's file and the ST stream to scrub.
+fn three_st_threads() -> TraceBundle {
+    let session = Session::record(Scheme::St, 3);
+    for tid in 0..3 {
+        session
+            .register_thread(tid)
+            .gate(SiteId(5), AccessKind::Load, || ());
+    }
+    session.finish().unwrap().bundle.unwrap()
+}
+
 #[test]
 fn killed_save_never_yields_a_loadable_corrupt_bundle() {
-    let new = deterministic_bundle();
-    fault_campaign("save", &new, |store| {
-        let new = new.clone();
+    let (old, new) = (three_st_threads(), deterministic_bundle());
+    fault_campaign("save", &old, &new, |blobs| {
+        let (store, new) = (Store::with_blobs(blobs), new.clone());
         Box::new(move || store.save(&new).map(drop).map_err(|e| e.to_string()))
     });
-    fault_campaign("save-chunked", &new, |store| {
-        let new = new.clone();
+    fault_campaign("save-chunked", &old, &new, |blobs| {
+        let (store, new) = (Store::with_blobs(blobs), new.clone());
         Box::new(move || {
             store
                 .save_chunked_opt(&new, 8, true)
@@ -442,18 +471,24 @@ fn killed_save_never_yields_a_loadable_corrupt_bundle() {
 fn killed_streaming_record_never_yields_a_loadable_corrupt_bundle() {
     // Appends fail mid-run too: the session latches the error, keeps
     // gating, and surfaces it from `finish`.
-    fault_campaign("stream", &deterministic_bundle(), |store| {
-        Box::new(move || {
-            let cfg = SessionConfig {
-                flush_records: 8,
-                ..SessionConfig::default()
-            };
-            let session = Session::record_streaming_with(Scheme::Dc, 2, cfg, &store)
-                .map_err(|e| e.to_string())?;
-            deterministic_run(&session);
-            session.finish().map(drop).map_err(|e| e.to_string())
-        })
-    });
+    fault_campaign(
+        "stream",
+        &three_st_threads(),
+        &deterministic_bundle(),
+        |blobs| {
+            let store = Store::with_blobs(blobs);
+            Box::new(move || {
+                let cfg = SessionConfig {
+                    flush_records: 8,
+                    ..SessionConfig::default()
+                };
+                let session = Session::record_streaming_with(Scheme::Dc, 2, cfg, &store)
+                    .map_err(|e| e.to_string())?;
+                deterministic_run(&session);
+                session.finish().map(drop).map_err(|e| e.to_string())
+            })
+        },
+    );
 }
 
 /// A flight session over `store` that has run `deterministic_run`.
@@ -486,8 +521,8 @@ fn killed_dump_never_yields_a_loadable_corrupt_bundle() {
 
     // The recorder's window survives a failed materialization: the retry
     // is a second dump of the same session.
-    fault_campaign("dump", &new, |store| {
-        let session = flight_session(store);
+    fault_campaign("dump", &three_st_threads(), &new, |blobs| {
+        let session = flight_session(Store::with_blobs(blobs));
         Box::new(move || {
             session
                 .dump(DumpTrigger::Manual)
@@ -495,6 +530,59 @@ fn killed_dump_never_yields_a_loadable_corrupt_bundle() {
                 .map_err(|e| e.to_string())
         })
     });
+}
+
+/// Two ranks' receive-order trace, routed by `plan`.
+fn mpi_trace(plan: DomainPlan, events: u32) -> MpiTrace {
+    let cfg = MpiSessionConfig {
+        plan: Some(plan),
+        ..MpiSessionConfig::default()
+    };
+    let session = MpiSession::record_with(2, cfg);
+    for i in 0..events {
+        for rank in 0..2 {
+            let site = recv_site(rank, ANY_SOURCE, i % 3);
+            session.log_recv(rank, session.domain_of(site), 1 - rank, i % 3);
+        }
+        session.log_waitany(0, 0, i % 2);
+    }
+    session.finish()
+}
+
+/// A committed D = 4 trace that stamps its plan: a D = 1 save over it has
+/// every `rank_<r>.d<dom>` stream and `plan.rmpi` to sweep.
+fn planned_mpi_trace() -> MpiTrace {
+    let plan = DomainPlan::with_assignments(4, [(recv_site(0, ANY_SOURCE, 1), 3)]);
+    let trace = mpi_trace(plan, 6);
+    assert!(
+        trace.plan.is_some(),
+        "the plan pins a site, so it is stamped"
+    );
+    trace
+}
+
+#[test]
+fn killed_rmpi_save_never_yields_a_loadable_corrupt_trace() {
+    let new = mpi_trace(DomainPlan::new(1), 9);
+    fault_campaign("rmpi-save", &planned_mpi_trace(), &new, |blobs| {
+        let new = new.clone();
+        Box::new(move || new.save(&blobs).map(drop).map_err(|e| e.to_string()))
+    });
+}
+
+#[test]
+fn rmpi_save_sweeps_a_leftover_temp_blob() {
+    let tmp = TempDir::new("rmpi-tmp");
+    let dir = tmp.0.join("mpi");
+    mpi_trace(DomainPlan::new(1), 3).save_dir(&dir).unwrap();
+    // A write killed between creating and renaming its temp file.
+    std::fs::write(dir.join("rank_0.rmpi.tmp"), b"half a stream").unwrap();
+    // The next save writes no `rank_0.rmpi`, so only the sweep removes it.
+    let planned = planned_mpi_trace();
+    planned.save_dir(&dir).unwrap();
+    assert!(!dir.join("rank_0.rmpi.tmp").exists(), "leftover temp blob");
+    assert!(!dir.join("rank_0.rmpi").exists(), "stale D = 1 stream");
+    assert_eq!(MpiTrace::load_dir(&dir).unwrap(), planned);
 }
 
 #[test]
