@@ -204,7 +204,9 @@ impl Turnstile {
     /// DC wait: block until the turnstile equals `clock`.
     ///
     /// Returns the number of spin iterations (a proxy for the wait cost
-    /// reported in §VI-A).
+    /// reported in §VI-A). Inline, the admitted case is one Acquire load
+    /// and a compare; waiting is `Turnstile::wait_slow`'s.
+    #[inline]
     pub fn wait_exact(
         &self,
         clock: u64,
@@ -213,10 +215,14 @@ impl Turnstile {
         cfg: &SpinConfig,
         stats: &Stats,
     ) -> Result<u64, ReplayError> {
-        self.wait_impl(clock, thread, site, cfg, stats, |cur| cur == clock)
+        if self.next.load(Ordering::Acquire) == clock {
+            return Ok(0);
+        }
+        self.wait_slow(clock, true, thread, site, cfg, stats)
     }
 
     /// DE wait: block until the turnstile is at least `epoch`.
+    #[inline]
     pub fn wait_at_least(
         &self,
         epoch: u64,
@@ -225,21 +231,26 @@ impl Turnstile {
         cfg: &SpinConfig,
         stats: &Stats,
     ) -> Result<u64, ReplayError> {
-        self.wait_impl(epoch, thread, site, cfg, stats, |cur| cur >= epoch)
+        if self.next.load(Ordering::Acquire) >= epoch {
+            return Ok(0);
+        }
+        self.wait_slow(epoch, false, thread, site, cfg, stats)
     }
 
-    fn wait_impl(
+    /// The spin behind a wait that was not admitted at once: until the
+    /// turnstile equals `target` (`exact`) or reaches it, the session
+    /// aborts, or the watchdog expires.
+    #[cold]
+    #[inline(never)]
+    fn wait_slow(
         &self,
         target: u64,
+        exact: bool,
         thread: u32,
         site: SiteId,
         cfg: &SpinConfig,
         stats: &Stats,
-        admitted: impl Fn(u64) -> bool,
     ) -> Result<u64, ReplayError> {
-        if admitted(self.next.load(Ordering::Acquire)) {
-            return Ok(0);
-        }
         stats.bump_waits();
         let mut spin = SpinWait::new(cfg);
         loop {
@@ -247,7 +258,7 @@ impl Turnstile {
                 return Err(ReplayError::Aborted);
             }
             let cur = self.next.load(Ordering::Acquire);
-            if admitted(cur) {
+            if cur == target || (!exact && cur > target) {
                 stats.add_spin_iters(spin.iterations());
                 return Ok(spin.iterations());
             }

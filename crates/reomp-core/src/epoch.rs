@@ -276,7 +276,7 @@ impl EpochTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{AccessRecord, HistoryRing};
+    use crate::history::{lookup_xc, newest_first, AccessRecord};
 
     const X: SiteId = SiteId(0xaaaa);
     const Y: SiteId = SiteId(0xbbbb);
@@ -466,12 +466,13 @@ mod tests {
         // must equal clock - lookup_xc for loads (the backward-looking X_C
         // is exact for loads).
         let mut t = EpochTracker::new(EpochPolicy::Contiguous, 128);
-        let audit = HistoryRing::new(128);
+        let mut audit = Vec::new();
         let pattern = [Load, Load, Store, Store, Store, Load, Store, Load, Load];
         let mut clock = 0u64;
         for _ in 0..6 {
             for &kind in &pattern {
-                let xc = audit.lookup_xc(X, kind).expect("ring long enough");
+                let recent = newest_first(audit.clone(), 128);
+                let xc = lookup_xc(&recent, 128, X, kind).expect("ring long enough");
                 let obs = t.observe(0, X, X.raw(), kind, clock);
                 if kind == Load {
                     assert_eq!(obs.value, clock - xc, "load at clock {clock}");

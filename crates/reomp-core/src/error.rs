@@ -78,10 +78,10 @@ pub struct Divergence {
     /// Kind the replaying program actually executed.
     pub actual_kind: AccessKind,
     /// The last N accesses this domain admitted before the divergence,
-    /// newest first — the post-mortem context the
-    /// [`HistoryRing`](crate::history::HistoryRing) exists for. Empty when
-    /// the session was configured with
-    /// [`ring_capacity`](crate::session::SessionConfig::ring_capacity) 0.
+    /// newest first, read back from the trace below the replay cursors
+    /// (see [`crate::history`]). Empty when the session was configured
+    /// with [`ring_capacity`](crate::session::SessionConfig::ring_capacity)
+    /// 0.
     pub history: Vec<AccessRecord>,
 }
 

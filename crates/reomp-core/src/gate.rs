@@ -47,7 +47,6 @@
 //! ```
 
 use crate::error::{Divergence, ReplayError};
-use crate::history::AccessRecord;
 use crate::session::{DomainRecord, RecEntry, Session, TID_EXHAUSTED, TID_NONE};
 use crate::shim::atomic::Ordering;
 use crate::site::{AccessKind, SiteId};
@@ -270,6 +269,11 @@ pub(crate) fn record_out(
 
 /// Replay-mode `gate_in`. Blocks until the recorded order of domain `dom`
 /// admits this access; validates site/kind when the trace carries them.
+///
+/// Inline, an admitted access is the paper's load and compare plus those
+/// checks; every wait and every error is built out of line (`#[cold]`),
+/// so a [`ReplayError`] exists only on failure.
+#[inline(always)]
 pub(crate) fn replay_in(
     session: &Session,
     dom: u32,
@@ -284,6 +288,7 @@ pub(crate) fn replay_in(
 }
 
 /// Replay-mode `gate_out`.
+#[inline(always)]
 pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
     let rep = session.rep.as_ref().expect("replay mode");
     let drep = &rep.domains[dom as usize];
@@ -316,6 +321,43 @@ pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
     }
 }
 
+/// The report of a validation failure at position `seq` of domain `dom`,
+/// `recorded` against `actual` (site, kind): built only on failure, with
+/// the domain's admitted history read back from the trace.
+#[cold]
+#[inline(never)]
+fn diverged(
+    session: &Session,
+    dom: u32,
+    tid: u32,
+    seq: u64,
+    (recorded_site, recorded_kind): (SiteId, Option<AccessKind>),
+    (site, kind): (SiteId, AccessKind),
+) -> ReplayError {
+    Divergence {
+        thread: tid,
+        domain: dom,
+        seq,
+        recorded_site: Some(recorded_site),
+        actual_site: site,
+        recorded_kind,
+        actual_kind: kind,
+        history: session.replay_history(dom, seq),
+    }
+    .into()
+}
+
+/// More accesses were attempted than `available` records.
+#[cold]
+#[inline(never)]
+fn exhausted(tid: u32, available: usize) -> ReplayError {
+    ReplayError::TraceExhausted {
+        thread: tid,
+        available: available as u64,
+    }
+}
+
+#[inline(always)]
 fn replay_in_st(
     session: &Session,
     dom: u32,
@@ -325,63 +367,66 @@ fn replay_in_st(
 ) -> Result<(), ReplayError> {
     let rep = session.rep.as_ref().expect("replay mode");
     let drep = &rep.domains[dom as usize];
+    // Fig. 4 line 11: the turn is this thread's once a baton reader has
+    // published its tid; anything else — reading the next record, waiting
+    // for another thread's turn, abort, exhaustion — is `st_turn`'s.
+    if drep.turnstile.is_aborted() || drep.st.next_tid.load(Ordering::Acquire) != tid {
+        st_turn(session, dom, tid, site)?;
+    }
+    // ORDERING: the reader stored `st_pos` (and site/kind below) before
+    // publishing `next_tid` with Release; the Acquire load of `next_tid`
+    // that found this thread's tid already ordered those writes before us,
+    // so these follow-up loads can be Relaxed.
+    let seq = drep.st.st_pos.load(Ordering::Relaxed).saturating_sub(1) as u64;
+    // Enforce any cross-domain edge anchored at this stream position
+    // before entering the region.
+    if !rep.edges.is_empty() {
+        session.wait_edges(dom, tid, seq, site)?;
+    }
+    // It is this thread's turn. Validate against the published record
+    // before entering the region.
+    let st = rep.bundle.st_stream(dom).expect("st trace");
+    if st.sites.is_some() {
+        session.thread_stats(tid).bump_validate();
+        // ORDERING: covered by the `next_tid` Acquire above (see the
+        // `st_pos` justification).
+        let recorded_site = SiteId(drep.st.next_site.load(Ordering::Relaxed));
+        let recorded_kind = AccessKind::from_code(drep.st.next_kind.load(Ordering::Relaxed) as u8);
+        if recorded_site != site || recorded_kind != Some(kind) {
+            return Err(diverged(
+                session,
+                dom,
+                tid,
+                seq,
+                (recorded_site, recorded_kind),
+                (site, kind),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Fig. 4 lines 10-15 until `next_tid` names this thread: any thread may
+/// become the reader by winning the baton, and every other one spins.
+/// Returns once this thread's turn is published, or with the abort,
+/// exhaustion or watchdog error that ends the wait.
+#[cold]
+#[inline(never)]
+fn st_turn(session: &Session, dom: u32, tid: u32, site: SiteId) -> Result<(), ReplayError> {
+    let rep = session.rep.as_ref().expect("replay mode");
+    let drep = &rep.domains[dom as usize];
     let st = rep.bundle.st_stream(dom).expect("st trace");
     let stats = session.thread_stats(tid);
     let mut spin = SpinWait::new(&session.cfg.spin);
-
-    // Fig. 4 lines 10-15.
     loop {
         if drep.turnstile.is_aborted() {
             return Err(ReplayError::Aborted);
         }
         let next = drep.st.next_tid.load(Ordering::Acquire);
         if next == TID_EXHAUSTED {
-            return Err(ReplayError::TraceExhausted {
-                thread: tid,
-                available: st.len() as u64,
-            });
+            return Err(exhausted(tid, st.len()));
         }
         if next == tid {
-            // ORDERING: the reader stored `st_pos` (and site/kind below)
-            // before publishing `next_tid` with Release; the Acquire load
-            // of `next_tid` above already ordered those writes before us,
-            // so these follow-up loads can be Relaxed.
-            let seq = drep.st.st_pos.load(Ordering::Relaxed).saturating_sub(1) as u64;
-            // Enforce any cross-domain edge anchored at this stream
-            // position before entering the region.
-            session.wait_edges(dom, tid, seq, site)?;
-            // Line 11 exit: it is this thread's turn. Validate against the
-            // published record before entering the region.
-            if st.sites.is_some() {
-                stats.bump_validate();
-                // ORDERING: covered by the `next_tid` Acquire above
-                // (see the `st_pos` justification).
-                let recorded_site = SiteId(drep.st.next_site.load(Ordering::Relaxed));
-                let recorded_kind =
-                    AccessKind::from_code(drep.st.next_kind.load(Ordering::Relaxed) as u8);
-                if recorded_site != site || recorded_kind != Some(kind) {
-                    return Err(Divergence {
-                        thread: tid,
-                        domain: dom,
-                        seq,
-                        recorded_site: Some(recorded_site),
-                        actual_site: site,
-                        recorded_kind,
-                        actual_kind: kind,
-                        history: session.replay_history(dom),
-                    }
-                    .into());
-                }
-            }
-            session.push_replay_history(
-                dom,
-                AccessRecord {
-                    clock: seq,
-                    site,
-                    kind,
-                    thread: tid,
-                },
-            );
             return Ok(());
         }
         // Lines 12-13: any thread may become the reader by winning the
@@ -397,10 +442,7 @@ fn replay_in_st(
                 // More accesses are being attempted than were recorded.
                 drep.st.next_tid.store(TID_EXHAUSTED, Ordering::Release);
                 drep.st.baton.release();
-                return Err(ReplayError::TraceExhausted {
-                    thread: tid,
-                    available: st.len() as u64,
-                });
+                return Err(exhausted(tid, st.len()));
             }
             let next_tid = st.tids[pos];
             // ORDERING: these stores are published to other threads by the
@@ -434,6 +476,7 @@ fn replay_in_st(
     }
 }
 
+#[inline(always)]
 fn replay_in_distributed(
     session: &Session,
     dom: u32,
@@ -452,42 +495,38 @@ fn replay_in_distributed(
     // admission (at the bottom), so a failed attempt — exhaustion,
     // divergence, edge-wait or turnstile timeout — leaves the record in
     // place for a retry instead of silently consuming it.
-    // ORDERING: `lane.cursor` is the thread's private position in its own
-    // per-thread trace; no other thread reads or writes it.
+    // ORDERING: `lane.cursor` is written only by this thread; a diverging
+    // thread's report may read it (see `Session::replay_history`).
     let pos = lane.cursor.load(Ordering::Relaxed);
-    if pos >= trace.len() {
-        return Err(ReplayError::TraceExhausted {
-            thread: tid,
-            available: trace.len() as u64,
-        });
-    }
-    let value = trace.values[pos];
+    let Some(&value) = trace.values.get(pos) else {
+        return Err(exhausted(tid, trace.len()));
+    };
     stats.bump_record_read();
 
     // Validate before waiting: a divergence is certain regardless of the
     // turnstile, and failing early avoids a guaranteed watchdog timeout.
-    if let (Some(recorded_site), recorded_kind) = (trace.site_at(pos), trace.kind_at(pos)) {
+    if let Some(recorded_site) = trace.site_at(pos) {
         stats.bump_validate();
+        let recorded_kind = trace.kind_at(pos);
         if recorded_site != site || recorded_kind != Some(kind) {
-            return Err(Divergence {
-                thread: tid,
-                domain: dom,
-                seq: pos as u64,
-                recorded_site: Some(recorded_site),
-                actual_site: site,
-                recorded_kind,
-                actual_kind: kind,
-                history: session.replay_history(dom),
-            }
-            .into());
+            return Err(diverged(
+                session,
+                dom,
+                tid,
+                pos as u64,
+                (recorded_site, recorded_kind),
+                (site, kind),
+            ));
         }
     }
 
     // Cross-domain edges: wait for the stamped foreign-domain counts
     // before taking this domain's own turn.
-    session.wait_edges(dom, tid, pos as u64, site)?;
+    if !rep.edges.is_empty() {
+        session.wait_edges(dom, tid, pos as u64, site)?;
+    }
 
-    // Fig. 5 line 32.
+    // Fig. 5 line 32: one load and a compare when admitted at once.
     match session.scheme() {
         Scheme::Dc => {
             drep.turnstile
@@ -502,17 +541,8 @@ fn replay_in_distributed(
     // Admission succeeded: consume the record now. A timed-out `try_gate`
     // above returned without touching the cursor, so a retry re-reads the
     // same position (pinned by the retry regression test).
-    // ORDERING: thread-private cursor, see the load above.
+    // ORDERING: owner-written cursor, see the load above.
     lane.cursor.store(pos + 1, Ordering::Relaxed);
-    session.push_replay_history(
-        dom,
-        AccessRecord {
-            clock: value,
-            site,
-            kind,
-            thread: tid,
-        },
-    );
     Ok(())
 }
 

@@ -84,7 +84,7 @@
 //! | [`site`] | race-instance hashes used as thread lock IDs (§III) |
 //! | [`sync`] | the baton lock of ST replay (Fig. 4/6) and spin-wait policy |
 //! | [`clock`] | `global_clock` and the `next_clock` turnstile (Fig. 5) |
-//! | [`history`] | last-N access ring: replay divergence history and the §IV-D `X_C` audit |
+//! | [`history`] | the access records a divergence report carries, merged newest first |
 //! | [`epoch`] | epoch assignment incl. the store fix-up rule of Table V |
 //! | [`plan`] | the site map: which sites are gated and which gate domain orders each ([`DomainPlan`]) |
 //! | [`trace`] | per-thread and shared trace representations (Fig. 3); `linearize`, the recorded order every tool reads |

@@ -3,7 +3,7 @@
 //! A session owns the shared gate state (the paper's `global_clock`,
 //! `next_clock` and lock `L`, and ST replay's `next_tid` with its baton —
 //! each on a line of its own per domain) plus the per-thread lanes
-//! (record buffers, replay cursors and divergence history) and statistics.
+//! (record buffers and replay cursors) and statistics.
 //! Runtime threads obtain a [`ThreadCtx`] via [`Session::register_thread`]
 //! and wrap each shared-memory access region in [`ThreadCtx::gate`].
 //!
@@ -80,7 +80,7 @@ use crate::epoch::{EpochPolicy, EpochTracker};
 use crate::error::{FinishError, ReplayError, TraceError};
 use crate::flight::{FlightRecorder, FlightSink, DEFAULT_WINDOW, UNBOUNDED};
 use crate::gate;
-use crate::history::{AccessRecord, HistoryRing};
+use crate::history::{newest_first, AccessRecord};
 use crate::plan::DomainPlan;
 use crate::shim::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::shim::{Mutex, MutexGuard};
@@ -207,10 +207,10 @@ pub struct SessionConfig {
     /// DE run-boundary policy (see [`EpochPolicy`]).
     pub epoch_policy: EpochPolicy,
     /// Replay only: how many of the accesses a domain admitted last are
-    /// attached to a divergence report (see [`crate::history`]). Each
-    /// (domain, thread) keeps a ring of this capacity, written only by
-    /// that thread; the domain's rings are merged when a divergence is
-    /// reported. Memory: D × T × (`ring_capacity` + 1) × 24 B. `0`
+    /// attached to a divergence report (see [`crate::history`]). It only
+    /// bounds the report: the accesses are read back from the trace below
+    /// the replay cursors when a divergence is reported, so replay keeps
+    /// no per-lane memory for them and a gate does no work for them. `0`
     /// disables the history; record runs ignore it.
     pub ring_capacity: usize,
     /// Replay spin-wait/watchdog policy.
@@ -624,13 +624,10 @@ pub(crate) const TID_EXHAUSTED: u32 = u32::MAX - 1;
 /// One thread's replay-side state in one gate domain, the counterpart of
 /// [`RecordLane`]: only the owning thread's gates write it.
 pub(crate) struct ReplayLane {
-    /// Read position into the thread's own trace for this domain (DC/DE).
+    /// Read position into the thread's own trace for this domain (DC/DE):
+    /// the records below it are the accesses this thread was admitted
+    /// for, which is where [`Session::replay_history`] reads them back.
     pub cursor: AtomicUsize,
-    /// The last accesses this thread had admitted in this domain. Only
-    /// the owner pushes; a diverging thread copies every lane's ring of
-    /// its domain into the report without stopping the owners (see
-    /// [`HistoryRing::snapshot`] and [`Session::replay_history`]).
-    pub history: HistoryRing,
 }
 
 /// ST replay's turn words (Fig. 4 l.10–17), together on one line: the
@@ -1042,7 +1039,6 @@ impl Session {
             error: Mutex::new(None),
             edges: Mutex::new(Vec::new()),
         });
-        let ring_capacity = cfg.ring_capacity;
         let rep = bundle.map(|bundle| ReplayState {
             domains: (0..domains)
                 .map(|dom| DomainReplay {
@@ -1061,7 +1057,6 @@ impl Session {
                         .map(|_| {
                             CachePadded(ReplayLane {
                                 cursor: AtomicUsize::new(0),
-                                history: HistoryRing::new(ring_capacity),
                             })
                         })
                         .collect(),
@@ -1275,7 +1270,10 @@ impl Session {
 
     /// Enforce the cross-domain edge anchored at `(dom, tid, seq)`, if one
     /// was recorded: wait until every listed foreign domain's turnstile
-    /// reaches its stamped count.
+    /// reaches its stamped count. Out of line: a replay gate calls it only
+    /// when the bundle has edges at all.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn wait_edges(
         &self,
         dom: u32,
@@ -1284,9 +1282,6 @@ impl Session {
         site: SiteId,
     ) -> Result<(), ReplayError> {
         let Some(rep) = &self.rep else { return Ok(()) };
-        if rep.edges.is_empty() {
-            return Ok(());
-        }
         let key = (dom, if rep.bundle.is_st() { 0 } else { tid }, seq);
         let Some(waits) = rep.edges.get(&key) else {
             return Ok(());
@@ -1314,6 +1309,8 @@ impl Session {
     /// legitimately retry the access once the predecessor shows up. Other
     /// stuck threads carry their own watchdogs. Aborting every turnstile
     /// here would poison those retries with [`ReplayError::Aborted`].
+    #[cold]
+    #[inline(never)]
     pub(crate) fn fail(&self, err: &ReplayError) {
         {
             let mut slot = self.failure.lock();
@@ -1342,39 +1339,48 @@ impl Session {
         self.failure.lock().clone()
     }
 
-    /// Append one admitted access to the history ring of the lane
-    /// `(dom, rec.thread)` — a line only that thread writes.
-    #[inline]
-    pub(crate) fn push_replay_history(&self, dom: u32, rec: AccessRecord) {
-        if self.cfg.ring_capacity == 0 {
-            return;
-        }
-        if let Some(rep) = &self.rep {
-            rep.domains[dom as usize].lanes[rec.thread as usize]
-                .history
-                .push(rec);
-        }
-    }
-
     /// The last `ring_capacity` accesses domain `dom` admitted, newest
-    /// first (for divergence reports): the merge of its lanes' rings,
-    /// ordered by recorded position — stream index (ST), clock (DC) or
-    /// epoch (DE) — with ties broken by thread. The domain's last N
-    /// accesses are among the union of each thread's last N, so the merge
-    /// loses none of them.
-    pub(crate) fn replay_history(&self, dom: u32) -> Vec<AccessRecord> {
+    /// first (for divergence reports), read back from the trace: ST's are
+    /// the shared stream below `st_seq`, the record being validated (every
+    /// record below it was admitted in stream order); a DC/DE thread's are
+    /// its stream below its cursor, which advances only on admission. The
+    /// lanes' windows are merged by [`newest_first`]. Records without
+    /// validation columns have no site or kind to report and are skipped;
+    /// a recording always writes the columns.
+    pub(crate) fn replay_history(&self, dom: u32, st_seq: u64) -> Vec<AccessRecord> {
         let cap = self.cfg.ring_capacity;
         let Some(rep) = self.rep.as_ref().filter(|_| cap > 0) else {
             return Vec::new();
         };
-        let mut merged = Vec::new();
-        for lane in rep.domains[dom as usize].lanes.iter() {
-            merged.extend(lane.history.snapshot());
+        let access = |clock, site: Option<SiteId>, kind: Option<AccessKind>, thread| {
+            Some(AccessRecord {
+                clock,
+                site: site?,
+                kind: kind?,
+                thread,
+            })
+        };
+        let mut recent = Vec::new();
+        if let Some(st) = rep.bundle.st_stream(dom) {
+            let end = st_seq as usize;
+            recent.extend(
+                (end.saturating_sub(cap)..end)
+                    .rev()
+                    .filter_map(|p| access(p as u64, st.site_at(p), st.kind_at(p), st.tids[p])),
+            );
+        } else {
+            for (tid, lane) in (0..).zip(rep.domains[dom as usize].lanes.iter()) {
+                let trace = rep.bundle.thread(dom, tid);
+                // ORDERING: another thread's cursor only grows and the
+                // trace below it is immutable, so any value read names
+                // records that thread really was admitted for.
+                let end = lane.cursor.load(Ordering::Relaxed);
+                recent.extend((end.saturating_sub(cap)..end).rev().filter_map(|p| {
+                    access(trace.values[p], trace.site_at(p), trace.kind_at(p), tid)
+                }));
+            }
         }
-        // Stable: a thread's own equal-epoch DE entries stay newest first.
-        merged.sort_by(|a, b| b.clock.cmp(&a.clock).then(a.thread.cmp(&b.thread)));
-        merged.truncate(cap);
-        merged
+        newest_first(recent, cap)
     }
 
     /// Finish the run and produce the final report. A record run flushes
@@ -2101,7 +2107,6 @@ mod tests {
                 assert!(disjoint(&*d.st, &**lane));
             }
             assert!(apart(&d.lanes[0], &d.lanes[1]));
-            assert!(apart(&d.lanes[0].history, &d.lanes[1].history));
         }
         assert!(apart(&rep.domains[0].lanes[0], &rep.domains[1].lanes[1]));
     }

@@ -154,6 +154,8 @@ impl Default for SpinConfig {
 pub struct SpinWait<'a> {
     cfg: &'a SpinConfig,
     iters: u64,
+    /// Steps left until the next yield and watchdog check.
+    countdown: u32,
     started: Option<Instant>,
 }
 
@@ -164,8 +166,14 @@ impl<'a> SpinWait<'a> {
         SpinWait {
             cfg,
             iters: 0,
+            countdown: Self::cadence(cfg),
             started: None,
         }
+    }
+
+    /// Steps between yields: `spin_hints` clamped to `1..=4096`.
+    fn cadence(cfg: &SpinConfig) -> u32 {
+        cfg.spin_hints.clamp(1, 4096)
     }
 
     /// Total loop iterations performed so far.
@@ -182,7 +190,8 @@ impl<'a> SpinWait<'a> {
     /// watchdog (a `spin_hints: u32::MAX` config used to spin ~4 billion
     /// iterations before the *first* timeout check — and because the
     /// timeout clock also started at the first yield, the watchdog was
-    /// effectively unreachable).
+    /// effectively unreachable). A countdown, reset at each yield, keeps
+    /// the cadence without a division per step.
     #[inline]
     pub fn step(
         &mut self,
@@ -195,10 +204,9 @@ impl<'a> SpinWait<'a> {
         // watchdog measures the whole wait.
         let started = *self.started.get_or_insert_with(Instant::now);
         self.iters += 1;
-        if self
-            .iters
-            .is_multiple_of(u64::from(self.cfg.spin_hints.clamp(1, 4096)))
-        {
+        self.countdown -= 1;
+        if self.countdown == 0 {
+            self.countdown = Self::cadence(self.cfg);
             crate::shim::yield_now();
             if let Some(limit) = self.cfg.timeout {
                 if started.elapsed() > limit {

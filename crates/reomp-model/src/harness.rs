@@ -12,7 +12,6 @@
 //! stale `Relaxed` reads from shuttle's per-location store buffers.
 
 use reomp_core::clock::{TicketGate, Turnstile};
-use reomp_core::history::{AccessRecord, HistoryRing};
 use reomp_core::stats::Stats;
 use reomp_core::sync::{BatonLock, SpinConfig};
 use reomp_core::{
@@ -113,92 +112,6 @@ impl TurnstileApi for RealTurnstile {
     fn advance(&self, tid: usize) {
         self.turnstile.advance(&self.stats[tid]);
     }
-}
-
-/// Owner-written history-ring surface for the real [`HistoryRing`] and
-/// its mutant: one thread pushes, any thread snapshots.
-pub trait RingApi: Send + Sync + 'static {
-    /// Append a record (owner only).
-    fn push(&self, rec: AccessRecord);
-    /// The retained records, newest first, from any thread.
-    fn snapshot(&self) -> Vec<AccessRecord>;
-}
-
-impl RingApi for HistoryRing {
-    fn push(&self, rec: AccessRecord) {
-        HistoryRing::push(self, rec);
-    }
-    fn snapshot(&self) -> Vec<AccessRecord> {
-        HistoryRing::snapshot(self)
-    }
-}
-
-/// The record a ring harness pushes `i`-th: every field derives from `i`,
-/// so a copy mixing two pushes' words is recognizable.
-fn ring_record(i: u64) -> AccessRecord {
-    AccessRecord {
-        clock: i,
-        site: SiteId(0x51_7e00 + i),
-        kind: if i.is_multiple_of(2) {
-            AccessKind::Load
-        } else {
-            AccessKind::Store
-        },
-        thread: i as u32 + 1,
-    }
-}
-
-/// Divergence-history snapshots against a pushing owner: the owner pushes
-/// four records through a ring of capacity two — three slots, so the
-/// fourth push rewrites the first — while
-/// another thread takes a snapshot, as a diverging replay thread does with
-/// its domain's lanes. Every returned entry must be one that was really
-/// pushed, newest first, with no gap. A reader that trusts the count it
-/// read before copying returns a slot the owner rewrote meanwhile — torn,
-/// or newer than its neighbours.
-pub fn history_ring_snapshot<R: RingApi>(
-    make: impl Fn(usize) -> R + Send + Sync + 'static,
-    cfg: &Config,
-) -> Report {
-    const CAPACITY: usize = 2;
-    const PUSHES: u64 = 4;
-    shuttle::check(cfg.clone(), move || {
-        let ring = Arc::new(make(CAPACITY));
-        let owner = {
-            let ring = Arc::clone(&ring);
-            shuttle::thread::spawn(move || {
-                for i in 0..PUSHES {
-                    ring.push(ring_record(i));
-                }
-            })
-        };
-        let reader = {
-            let ring = Arc::clone(&ring);
-            shuttle::thread::spawn(move || ring.snapshot())
-        };
-        owner.join().unwrap();
-        let got = reader.join().unwrap();
-        assert!(got.len() <= CAPACITY, "snapshot outgrew the ring: {got:?}");
-        for (i, rec) in got.iter().enumerate() {
-            assert!(
-                rec.clock < PUSHES && *rec == ring_record(rec.clock),
-                "snapshot returned an entry never pushed: {rec:?}"
-            );
-            assert_eq!(
-                rec.clock + i as u64,
-                got[0].clock,
-                "snapshot is not newest first without gaps: {got:?}"
-            );
-        }
-        assert_eq!(
-            ring.snapshot(),
-            (PUSHES - CAPACITY as u64..PUSHES)
-                .rev()
-                .map(ring_record)
-                .collect::<Vec<_>>(),
-            "a quiescent ring returns exactly its last pushes"
-        );
-    })
 }
 
 /// Ticket-gate admission surface for the real [`TicketGate`] and its

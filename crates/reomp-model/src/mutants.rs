@@ -12,9 +12,7 @@
 //! The mutated copies live here, not behind `cfg` flags in `reomp-core`:
 //! the production crate carries no intentionally-wrong code paths.
 
-use crate::harness::{BatonApi, RingApi, TicketApi, TurnstileApi};
-use reomp_core::history::AccessRecord;
-use reomp_core::{AccessKind, SiteId};
+use crate::harness::{BatonApi, TicketApi, TurnstileApi};
 use shuttle::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use shuttle::sync::Mutex;
 use shuttle::{Config, Report};
@@ -170,84 +168,6 @@ impl TurnstileApi for MutTurnstile {
         } else {
             self.next.fetch_add(1, self.rmw_order);
         }
-    }
-}
-
-/// A `HistoryRing` copy (one spare slot, as in the real ring) whose
-/// snapshot can skip the second count read —
-/// the "the copy is already bounded by the count" shortcut. `faithful()`
-/// re-reads the count after copying and drops the entries the owner may
-/// have rewritten meanwhile, as the real ring does.
-pub struct MutRing {
-    slots: Vec<[AtomicU64; 3]>,
-    pushed: AtomicU64,
-    reread: bool,
-}
-
-impl MutRing {
-    /// The real protocol: re-read the count, drop overwritten copies.
-    #[must_use]
-    pub fn faithful(capacity: usize) -> Self {
-        MutRing {
-            slots: (0..=capacity).map(|_| Default::default()).collect(),
-            pushed: AtomicU64::new(0),
-            reread: true,
-        }
-    }
-
-    /// Skipped re-read: every copied slot is trusted, including one the
-    /// owner rewrote while it was being copied.
-    #[must_use]
-    pub fn without_reread(capacity: usize) -> Self {
-        MutRing {
-            reread: false,
-            ..MutRing::faithful(capacity)
-        }
-    }
-}
-
-impl RingApi for MutRing {
-    fn push(&self, rec: AccessRecord) {
-        let pushed = self.pushed.load(Ordering::Relaxed);
-        let slot = &self.slots[(pushed % self.slots.len() as u64) as usize];
-        slot[0].store(rec.clock, Ordering::Release);
-        slot[1].store(rec.site.raw(), Ordering::Release);
-        slot[2].store(
-            u64::from(rec.thread) << 8 | u64::from(rec.kind.code()),
-            Ordering::Release,
-        );
-        self.pushed.store(pushed + 1, Ordering::Release);
-    }
-
-    fn snapshot(&self) -> Vec<AccessRecord> {
-        let slots = self.slots.len() as u64;
-        let end = self.pushed.load(Ordering::Acquire);
-        let n = end.min(slots - 1);
-        let words: Vec<[u64; 3]> = (end - n..end)
-            .rev()
-            .map(|k| {
-                self.slots[(k % slots) as usize]
-                    .each_ref()
-                    .map(|w| w.load(Ordering::Acquire))
-            })
-            .collect();
-        let keep = if self.reread {
-            let again = self.pushed.load(Ordering::Acquire);
-            end.saturating_sub((again + 1).saturating_sub(slots)).min(n) as usize
-        } else {
-            words.len()
-        };
-        words[..keep]
-            .iter()
-            .map(|&[clock, site, tk]| AccessRecord {
-                clock,
-                site: SiteId(site),
-                // A torn copy may pair any pushed kind code with any
-                // clock; all of them are valid codes.
-                kind: AccessKind::from_code(tk as u8).expect("a pushed kind code"),
-                thread: (tk >> 8) as u32,
-            })
-            .collect()
     }
 }
 

@@ -7,9 +7,8 @@
 //! * **Mutation sweep** — every seeded defect in `reomp_model::mutants`
 //!   (flipped `Ordering`s — including a relaxed ticket `serving` load or
 //!   store — store-instead-of-swap release, edge snapshot after publish,
-//!   chunked dump, disabled watchdog, a history snapshot that skips its
-//!   count re-read, a record lane that publishes its length before
-//!   writing the slot)
+//!   chunked dump, disabled watchdog, a record lane that publishes its
+//!   length before writing the slot)
 //!   must be *caught*: the checker must report a
 //!   violation against the corresponding harness. The sweep is the
 //!   harnesses' sensitivity proof — a harness that cannot see the seeded
@@ -36,7 +35,6 @@
 //! completeness.
 
 use reomp_core::clock::TicketGate;
-use reomp_core::history::HistoryRing;
 use reomp_core::sync::BatonLock;
 use reomp_core::Scheme;
 use reomp_model::harness as h;
@@ -235,14 +233,6 @@ fn clean_lane_owner_vs_drain() {
 }
 
 #[test]
-fn clean_history_ring_snapshot() {
-    assert_clean(
-        "history_ring_snapshot",
-        &h::history_ring_snapshot(HistoryRing::new, &cfg()),
-    );
-}
-
-#[test]
 fn clean_spinwait_watchdog() {
     assert_clean(
         "spinwait_watchdog",
@@ -293,14 +283,6 @@ fn control_faithful_ticket() {
     assert_clean(
         "faithful ticket / handoff",
         &h::ticket_handoff(m::MutTicket::faithful, &cfg()),
-    );
-}
-
-#[test]
-fn control_faithful_ring() {
-    assert_clean(
-        "faithful ring / snapshot",
-        &h::history_ring_snapshot(m::MutRing::faithful, &cfg()),
     );
 }
 
@@ -393,14 +375,6 @@ fn mutant_lane_publish_before_write_is_caught() {
     assert_caught(
         "record lane publishing its length before writing the slot",
         &m::lane_mini(true, &cfg()),
-    );
-}
-
-#[test]
-fn mutant_ring_without_reread_is_caught() {
-    assert_caught(
-        "history ring snapshot without the count re-read",
-        &h::history_ring_snapshot(m::MutRing::without_reread, &cfg()),
     );
 }
 

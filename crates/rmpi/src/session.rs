@@ -611,8 +611,8 @@ impl std::fmt::Display for MpiDivergence {
 /// One `(rank × domain)` stream's share of an [`OrderLog`].
 #[derive(Debug)]
 struct Lane<T> {
-    /// Record: the retained choices.
-    log: Mutex<Vec<T>>,
+    /// Record: the retained choices, oldest first.
+    log: Mutex<VecDeque<T>>,
     /// Choices evicted before the retained tail: counted by a flight
     /// recording, taken from the checkpoint by a windowed replay.
     base: AtomicU64,
@@ -631,7 +631,7 @@ struct OrderLog<T>(Vec<CachePadded<Lane<T>>>);
 impl<T: Copy> OrderLog<T> {
     fn new(streams: usize, bases: Option<&[u64]>) -> Self {
         let lane = |s| Lane {
-            log: Mutex::new(Vec::new()),
+            log: Mutex::new(VecDeque::new()),
             base: AtomicU64::new(bases.map_or(0, |b: &[u64]| b[s])),
             cursor: AtomicUsize::new(0),
         };
@@ -640,16 +640,15 @@ impl<T: Copy> OrderLog<T> {
 
     /// Record `choice` into `stream`; a flight `window` retains only the
     /// newest choices and counts the evicted ones into the stream's base.
+    /// Eviction pops the oldest choice off the ring: O(1) per call at any
+    /// window.
     fn log(&self, stream: usize, choice: T, window: Option<u32>) {
         let lane = &self.0[stream];
         let mut log = lane.log.lock();
-        log.push(choice);
-        if let Some(window) = window {
-            let excess = log.len().saturating_sub(window as usize);
-            if excess > 0 {
-                log.drain(..excess);
-                lane.base.fetch_add(excess as u64, Ordering::Relaxed);
-            }
+        log.push_back(choice);
+        if window.is_some_and(|w| log.len() > w as usize) {
+            log.pop_front();
+            lane.base.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -685,7 +684,7 @@ impl<T: Copy> OrderLog<T> {
     fn take(&self) -> Vec<Vec<T>> {
         self.0
             .iter()
-            .map(|l| std::mem::take(&mut *l.log.lock()))
+            .map(|l| Vec::from(std::mem::take(&mut *l.log.lock())))
             .collect()
     }
 }
@@ -700,12 +699,11 @@ pub struct MpiSession {
     flight: Option<u32>,
     recvs: OrderLog<RecvEvent>,
     waitanys: OrderLog<u32>,
-    history: Vec<Mutex<VecDeque<RecvEvent>>>,
     trace: Option<MpiTrace>,
 }
 
-/// Events a replay retains per `(rank × domain)` stream for divergence
-/// diagnostics.
+/// Consumed events a replay diagnostic reports per `(rank × domain)`
+/// stream.
 const HISTORY_CAPACITY: usize = 16;
 
 impl MpiSession {
@@ -767,7 +765,6 @@ impl MpiSession {
             flight: cfg.flight.map(|n| n.max(1)),
             recvs: OrderLog::new(streams, checkpoint.map(|cp| &cp.recv_bases[..])),
             waitanys: OrderLog::new(streams, checkpoint.map(|cp| &cp.waitany_bases[..])),
-            history: (0..streams).map(|_| Mutex::new(VecDeque::new())).collect(),
             trace,
         }
     }
@@ -815,17 +812,23 @@ impl MpiSession {
         (rank * self.domains() + dom) as usize
     }
 
-    fn push_history(&self, stream: usize, ev: RecvEvent) {
-        let mut h = self.history[stream].lock();
-        if h.len() == HISTORY_CAPACITY {
-            h.pop_front();
-        }
-        h.push_back(ev);
-    }
-
-    fn history_snapshot(&self, stream: usize) -> Vec<RecvEvent> {
-        // Newest first, like the thread gate's divergence history.
-        self.history[stream].lock().iter().rev().copied().collect()
+    /// The last [`HISTORY_CAPACITY`] receive events `(rank, dom)`'s replay
+    /// consumed, newest first like the thread gate's divergence history:
+    /// read back from the recorded stream below its cursor, so a receive
+    /// keeps no history of its own.
+    fn history_snapshot(&self, rank: u32, dom: u32) -> Vec<RecvEvent> {
+        let Some(trace) = self.trace.as_ref() else {
+            return Vec::new();
+        };
+        let recorded = trace.recv_stream(rank, dom);
+        let consumed = self
+            .recvs
+            .consumed(self.stream_index(rank, dom), recorded.len());
+        recorded[consumed.saturating_sub(HISTORY_CAPACITY)..consumed]
+            .iter()
+            .rev()
+            .copied()
+            .collect()
     }
 
     /// Record one matched wildcard receive into `(rank, dom)` (record mode
@@ -846,21 +849,15 @@ impl MpiSession {
             return Ok(None);
         }
         let trace = self.trace.as_ref().expect("replay has trace");
-        let stream = self.stream_index(rank, dom);
         let recorded = trace.recv_stream(rank, dom);
-        let ev = self
-            .recvs
-            .next(stream, recorded)
+        self.recvs
+            .next(self.stream_index(rank, dom), recorded)
             .map_err(|()| MpiError::ReplayExhausted {
                 rank,
                 domain: dom,
                 consumed: recorded.len(),
-                history: self.history_snapshot(stream),
-            })?;
-        if let Some(ev) = ev {
-            self.push_history(stream, ev);
-        }
-        Ok(ev)
+                history: self.history_snapshot(rank, dom),
+            })
     }
 
     /// Record one `waitany` completion choice into `(rank, dom)` (record
@@ -954,7 +951,7 @@ impl MpiSession {
                         recv_recorded,
                         waitany_consumed,
                         waitany_recorded,
-                        history: self.history_snapshot(stream),
+                        history: self.history_snapshot(rank, dom),
                     });
                 }
             }
@@ -1449,6 +1446,45 @@ mod tests {
         assert_eq!(cp.trigger, DumpTrigger::Panic);
         assert_eq!(cp.recv_bases, vec![7]);
         assert_eq!(cp.waitany_bases, vec![7]);
+    }
+
+    #[test]
+    fn flight_eviction_keeps_the_exact_tail_and_base() {
+        // A long seeded recording through full windows: whatever the
+        // eviction does per call, the window must end as the last
+        // `window` receives, with every earlier one counted in the base.
+        const RECEIVES: usize = 200_000;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let events: Vec<RecvEvent> = (0..RECEIVES)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                RecvEvent {
+                    src: (x % 7) as u32,
+                    tag: (x >> 8) as u32 % 5,
+                }
+            })
+            .collect();
+        for window in [64u32, 4096] {
+            let cfg = MpiSessionConfig {
+                flight: Some(window),
+                ..MpiSessionConfig::default()
+            };
+            let s = MpiSession::record_with(1, cfg);
+            for e in &events {
+                s.log_recv(0, 0, e.src, e.tag);
+            }
+            let trace = s.finish();
+            let evicted = RECEIVES - window as usize;
+            assert_eq!(
+                trace.recv_stream(0, 0),
+                &events[evicted..],
+                "window {window}"
+            );
+            let cp = trace.checkpoint.as_ref().unwrap();
+            assert_eq!(cp.recv_bases, vec![evicted as u64], "window {window}");
+        }
     }
 
     #[test]

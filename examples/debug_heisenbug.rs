@@ -14,9 +14,9 @@
 //! The replay section at the end shows the other half of the diagnostics
 //! story: when a *patched* program is replayed against the buggy trace and
 //! takes a different path, the divergence report includes the last-N
-//! accesses the gate admitted before the mismatch (the `HistoryRing`), so
-//! you see *what led up to* the divergence, not just the mismatching
-//! access.
+//! accesses the gate admitted before the mismatch (read back from the
+//! trace below the replay cursors), so you see *what led up to* the
+//! divergence, not just the mismatching access.
 
 use reomp::{ompr, AccessKind, ReplayError, Scheme, Session, SiteId, TraceBundle};
 use std::sync::Arc;
