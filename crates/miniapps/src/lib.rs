@@ -139,6 +139,22 @@ impl std::fmt::Display for App {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompr::Runtime;
+    use reomp_core::{Scheme, Session};
+
+    /// Record `run` under every scheme and replay it: the replay must run
+    /// clean and reproduce the output bit for bit.
+    pub(crate) fn replays_bitwise<O: PartialEq + std::fmt::Debug>(run: impl Fn(&Runtime) -> O) {
+        for scheme in Scheme::ALL {
+            let session = Session::record(scheme, 4);
+            let recorded = run(&Runtime::new(session.clone()));
+            let bundle = session.finish().unwrap().bundle.unwrap();
+            let session = Session::replay(bundle).unwrap();
+            let replayed = run(&Runtime::new(session.clone()));
+            assert_eq!(session.finish().unwrap().failure, None, "{scheme:?}");
+            assert_eq!(replayed, recorded, "{scheme:?}");
+        }
+    }
 
     #[test]
     fn checksums_are_order_sensitive() {

@@ -228,19 +228,7 @@ mod tests {
 
     #[test]
     fn record_replay_bitwise_identical_all_schemes() {
-        let cfg = small();
-        for scheme in Scheme::ALL {
-            let session = Session::record(scheme, 4);
-            let rt = Runtime::new(session.clone());
-            let recorded = run(&rt, &cfg);
-            let bundle = session.finish().unwrap().bundle.unwrap();
-
-            let session = Session::replay(bundle).unwrap();
-            let rt = Runtime::new(session.clone());
-            let replayed = run(&rt, &cfg);
-            assert_eq!(session.finish().unwrap().failure, None, "{scheme:?}");
-            assert_eq!(replayed, recorded, "{scheme:?}");
-        }
+        crate::tests::replays_bitwise(|rt| run(rt, &small()));
     }
 
     #[test]

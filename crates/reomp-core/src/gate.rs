@@ -380,8 +380,8 @@ fn replay_in_st(
     let seq = drep.st.st_pos.load(Ordering::Relaxed).saturating_sub(1) as u64;
     // Enforce any cross-domain edge anchored at this stream position
     // before entering the region.
-    if !rep.edges.is_empty() {
-        session.wait_edges(dom, tid, seq, site)?;
+    if drep.st.anchors.due(seq) {
+        session.wait_edges(&drep.st.anchors, tid, site)?;
     }
     // It is this thread's turn. Validate against the published record
     // before entering the region.
@@ -522,8 +522,8 @@ fn replay_in_distributed(
 
     // Cross-domain edges: wait for the stamped foreign-domain counts
     // before taking this domain's own turn.
-    if !rep.edges.is_empty() {
-        session.wait_edges(dom, tid, pos as u64, site)?;
+    if lane.anchors.due(pos as u64) {
+        session.wait_edges(&lane.anchors, tid, site)?;
     }
 
     // Fig. 5 line 32: one load and a compare when admitted at once.
@@ -556,7 +556,7 @@ mod tests {
     use crate::session::{Scheme, Session, SessionConfig};
     use crate::site::{AccessKind, SiteId};
     use crate::sync::SpinConfig;
-    use crate::trace::TraceBundle;
+    use crate::trace::{CrossDomainEdge, TraceBundle};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -596,31 +596,6 @@ mod tests {
             u64::from(nthreads) * iters as u64 * 2
         );
         (sum, order, report.bundle.unwrap())
-    }
-
-    #[test]
-    fn record_replay_preserves_result_all_schemes() {
-        for scheme in Scheme::ALL {
-            let (sum, store_order, bundle) = record_racy(scheme, 4, 25);
-            assert_eq!(bundle.total_records(), 4 * 25 * 2);
-
-            let replay = Session::replay(bundle).unwrap();
-            let (replay_sum, replay_order) = racy_workload(&replay, 4, 25);
-            let report = replay.finish().unwrap();
-            assert_eq!(report.failure, None, "{scheme:?}");
-            assert_eq!(report.fully_consumed, Some(true), "{scheme:?}");
-            assert_eq!(
-                replay_sum, sum,
-                "{scheme:?}: replay must reproduce the racy final value"
-            );
-            // ST and DC reproduce the exact store interleaving. DE may
-            // permute *within* an epoch, but stores that change the final
-            // value are serialized, so the value check above is the
-            // contract; for ST/DC also check the order verbatim.
-            if scheme != Scheme::De {
-                assert_eq!(replay_order, store_order, "{scheme:?}");
-            }
-        }
     }
 
     #[test]
@@ -668,54 +643,6 @@ mod tests {
         let (_, _, dc_bundle) = record_racy(Scheme::Dc, 2, 5);
         assert!(!dc_bundle.is_st());
         assert!(dc_bundle.threads.iter().all(|t| !t.is_empty()));
-    }
-
-    /// Sites 0..domains map to distinct domains (raw % domains), so every
-    /// thread touching "its own" site gives a perfectly disjoint workload.
-    fn disjoint_workload(session: &Arc<Session>, nthreads: u32, iters: usize) -> Vec<u64> {
-        let cells: Vec<AtomicU64> = (0..nthreads).map(|_| AtomicU64::new(0)).collect();
-        std::thread::scope(|s| {
-            for tid in 0..nthreads {
-                let ctx = session.register_thread(tid);
-                let cell = &cells[tid as usize];
-                s.spawn(move || {
-                    let site = SiteId(u64::from(tid));
-                    for _ in 0..iters {
-                        let v = ctx.gate(site, AccessKind::Load, || cell.load(Ordering::Relaxed));
-                        ctx.gate(site, AccessKind::Store, || {
-                            cell.store(v + 1, Ordering::Relaxed)
-                        });
-                    }
-                });
-            }
-        });
-        cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    #[test]
-    fn multi_domain_record_replay_is_divergence_free_all_schemes() {
-        for scheme in Scheme::ALL {
-            for domains in [1u32, 2, 4] {
-                let cfg = SessionConfig {
-                    plan: Some(DomainPlan::new(domains)),
-                    ..Default::default()
-                };
-                let session = Session::record_with(scheme, 4, cfg.clone());
-                let recorded = disjoint_workload(&session, 4, 20);
-                let report = session.finish().unwrap();
-                let bundle = report.bundle.unwrap();
-                assert_eq!(bundle.domains, domains, "{scheme:?}");
-                bundle.validate().unwrap();
-
-                let replay = Session::replay(bundle).unwrap();
-                assert_eq!(replay.domains(), domains);
-                let replayed = disjoint_workload(&replay, 4, 20);
-                let report = replay.finish().unwrap();
-                assert_eq!(report.failure, None, "{scheme:?} D={domains}");
-                assert_eq!(report.fully_consumed, Some(true), "{scheme:?} D={domains}");
-                assert_eq!(replayed, recorded, "{scheme:?} D={domains}");
-            }
-        }
     }
 
     #[test]
@@ -805,16 +732,24 @@ mod tests {
             }
             let report = session.finish().unwrap();
             assert!(report.stats.sync_edges >= 1, "{scheme:?}");
-            let bundle = report.bundle.unwrap();
+            let mut bundle = report.bundle.unwrap();
             bundle.validate().unwrap();
             assert!(bundle.plan.is_some(), "{scheme:?}: plan stamped");
             let edge = bundle
                 .edges
                 .iter()
                 .find(|e| e.domain == 1)
-                .unwrap_or_else(|| panic!("{scheme:?}: domain-1 edge missing: {:?}", bundle.edges));
+                .unwrap_or_else(|| panic!("{scheme:?}: domain-1 edge missing: {:?}", bundle.edges))
+                .clone();
             assert_eq!(edge.seq, 0, "{scheme:?}");
             assert_eq!(edge.waits, vec![(0, 3)], "{scheme:?}");
+            // A weaker edge on the same anchor, listed first, merges into
+            // the recorded one by max: the anchor still waits once, for 3.
+            let weaker = CrossDomainEdge {
+                waits: vec![(0, 2)],
+                ..edge
+            };
+            bundle.edges.insert(0, weaker);
 
             // Replay with real threads: thread 1 starts first, but its
             // critical must not complete until thread 0 finished all
@@ -851,7 +786,7 @@ mod tests {
             let report = replay.finish().unwrap();
             assert_eq!(report.failure, None, "{scheme:?}");
             assert_eq!(report.fully_consumed, Some(true), "{scheme:?}");
-            assert!(report.stats.edge_waits >= 1, "{scheme:?}");
+            assert_eq!(report.stats.edge_waits, 1, "{scheme:?}");
             assert_eq!(
                 *order.lock(),
                 vec![0, 0, 0, 1],

@@ -93,7 +93,6 @@ use crate::sync::{BatonLock, CachePadded, RawLocked, SpinConfig, CACHE_LINE};
 use crate::trace::{CrossDomainEdge, DumpTrigger, TraceBundle};
 use parking_lot::RwLock;
 use std::cell::{Cell, UnsafeCell};
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
@@ -628,6 +627,51 @@ pub(crate) struct ReplayLane {
     /// the records below it are the accesses this thread was admitted
     /// for, which is where [`Session::replay_history`] reads them back.
     pub cursor: AtomicUsize,
+    /// The cross-domain edges anchored in this thread's stream (DC/DE).
+    pub anchors: Anchors,
+}
+
+/// One replay stream's cross-domain edge anchors, sorted by position and
+/// walked by a cursor that only the stream's current gate-holder advances
+/// (a DC/DE lane's owner; ST's turn holder, under the baton). A gate
+/// compares its position with [`Anchors::due`] alone: a stream with no
+/// anchor left pays one predictable branch and no lookup.
+///
+/// `std` atomics in every build, like [`RecordLane`]'s `len`: one writer
+/// at a time, handed on by the admission the model checker already
+/// instruments, so shim atomics would add scheduling points and nothing
+/// the model could check.
+pub(crate) struct Anchors {
+    /// One entry per anchored access, ascending by position.
+    list: Box<[Anchor]>,
+    /// Index into `list` of the next anchor not yet waited for.
+    next: std::sync::atomic::AtomicUsize,
+    /// `list[next]`'s position, or `u64::MAX` past the last anchor.
+    due: std::sync::atomic::AtomicU64,
+}
+
+/// An anchored access's stream position and its waits, `(foreign domain,
+/// completed count)`, merged by max over the edges anchored there (see
+/// [`TraceBundle::edge_index`]).
+type Anchor = (u64, Vec<(u32, u64)>);
+
+impl Anchors {
+    fn new(mut list: Vec<Anchor>) -> Anchors {
+        list.sort_unstable_by_key(|a| a.0);
+        Anchors {
+            due: std::sync::atomic::AtomicU64::new(list.first().map_or(u64::MAX, |a| a.0)),
+            list: list.into_boxed_slice(),
+            next: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether the access at stream position `seq` is the next anchor.
+    #[inline(always)]
+    pub(crate) fn due(&self, seq: u64) -> bool {
+        // ORDERING: written only by the stream's gate-holder, whose
+        // admission ordered every earlier holder's store before this load.
+        self.due.load(Ordering::Relaxed) == seq
+    }
 }
 
 /// ST replay's turn words (Fig. 4 l.10–17), together on one line: the
@@ -643,6 +687,8 @@ pub(crate) struct StTurn {
     pub next_site: AtomicU64,
     /// Kind code published with `next_tid`.
     pub next_kind: AtomicU32,
+    /// The cross-domain edges anchored in this domain's shared stream.
+    pub anchors: Anchors,
 }
 
 /// One gate domain's replay-side state. A replay gate writes the one line
@@ -663,10 +709,6 @@ pub(crate) struct ReplayState {
     pub bundle: TraceBundle,
     /// Per-domain replay gates (length = the bundle's domain count).
     pub domains: Box<[DomainReplay]>,
-    /// Edge waits keyed by anchor — `(domain, thread, seq)` for DC/DE,
-    /// `(domain, 0, stream index)` for ST (see
-    /// [`TraceBundle::edge_index`]).
-    pub edges: HashMap<(u32, u32, u64), Vec<(u32, u64)>>,
 }
 
 /// The ring behind a buffered or bounded record run: the shared recorder,
@@ -1039,31 +1081,52 @@ impl Session {
             error: Mutex::new(None),
             edges: Mutex::new(Vec::new()),
         });
-        let rep = bundle.map(|bundle| ReplayState {
-            domains: (0..domains)
-                .map(|dom| DomainReplay {
-                    // Windowed (flight-recorder) bundles start each
-                    // domain's completed-access count at the checkpointed
-                    // base; full traces start at 0 as always.
-                    turnstile: CachePadded(Turnstile::starting_at(bundle.clock_base(dom))),
-                    st: CachePadded(StTurn {
-                        baton: BatonLock::new(),
-                        st_pos: AtomicUsize::new(0),
-                        next_tid: AtomicU32::new(TID_NONE),
-                        next_site: AtomicU64::new(0),
-                        next_kind: AtomicU32::new(0),
-                    }),
-                    lanes: (0..nthreads)
-                        .map(|_| {
-                            CachePadded(ReplayLane {
-                                cursor: AtomicUsize::new(0),
+        let rep = bundle.map(|bundle| {
+            // Each anchor goes to the stream it is counted in: ST keys
+            // name the domain's shared stream (thread 0), DC/DE keys a
+            // thread's lane. `validate` bounded every key.
+            let st = bundle.is_st();
+            let streams = if st { 1 } else { nthreads };
+            let mut anchors: Vec<Vec<Anchor>> = vec![Vec::new(); (domains * streams) as usize];
+            for ((dom, tid, seq), waits) in bundle.edge_index() {
+                anchors[(dom * streams + tid) as usize].push((seq, waits));
+            }
+            let mut anchors = anchors.into_iter().map(Anchors::new);
+            // Streams are built domain-major, each domain's in tid order.
+            let mut take = |owns: bool| {
+                if owns {
+                    anchors.next().expect("one anchor list per stream")
+                } else {
+                    Anchors::new(Vec::new())
+                }
+            };
+            ReplayState {
+                domains: (0..domains)
+                    .map(|dom| DomainReplay {
+                        // Windowed (flight-recorder) bundles start each
+                        // domain's completed-access count at the checkpointed
+                        // base; full traces start at 0 as always.
+                        turnstile: CachePadded(Turnstile::starting_at(bundle.clock_base(dom))),
+                        st: CachePadded(StTurn {
+                            baton: BatonLock::new(),
+                            st_pos: AtomicUsize::new(0),
+                            next_tid: AtomicU32::new(TID_NONE),
+                            next_site: AtomicU64::new(0),
+                            next_kind: AtomicU32::new(0),
+                            anchors: take(st),
+                        }),
+                        lanes: (0..nthreads)
+                            .map(|_| {
+                                CachePadded(ReplayLane {
+                                    cursor: AtomicUsize::new(0),
+                                    anchors: take(!st),
+                                })
                             })
-                        })
-                        .collect(),
-                })
-                .collect(),
-            edges: bundle.edge_index(),
-            bundle,
+                            .collect(),
+                    })
+                    .collect(),
+                bundle,
+            }
         });
         Session {
             slots: (0..=nthreads)
@@ -1268,26 +1331,24 @@ impl Session {
         }
     }
 
-    /// Enforce the cross-domain edge anchored at `(dom, tid, seq)`, if one
-    /// was recorded: wait until every listed foreign domain's turnstile
-    /// reaches its stamped count. Out of line: a replay gate calls it only
-    /// when the bundle has edges at all.
+    /// Enforce the stream's next cross-domain edge, which
+    /// [`Anchors::due`] says anchors at the gating access: wait until every
+    /// listed foreign domain's turnstile reaches its stamped count, then
+    /// move the stream's cursor to its next anchor. A failed wait leaves
+    /// the cursor in place, so a retried access waits again.
     #[cold]
     #[inline(never)]
     pub(crate) fn wait_edges(
         &self,
-        dom: u32,
+        anchors: &Anchors,
         tid: u32,
-        seq: u64,
         site: SiteId,
     ) -> Result<(), ReplayError> {
-        let Some(rep) = &self.rep else { return Ok(()) };
-        let key = (dom, if rep.bundle.is_st() { 0 } else { tid }, seq);
-        let Some(waits) = rep.edges.get(&key) else {
-            return Ok(());
-        };
+        let rep = self.rep.as_ref().expect("replay mode");
+        // ORDERING: the cursor is the gate-holder's own (see `Anchors`).
+        let next = anchors.next.load(Ordering::Relaxed);
         let stats = self.thread_stats(tid);
-        for &(j, count) in waits {
+        for &(j, count) in &anchors.list[next].1 {
             stats.bump_edge_wait();
             rep.domains[j as usize].turnstile.wait_at_least(
                 count,
@@ -1297,6 +1358,12 @@ impl Session {
                 stats,
             )?;
         }
+        let due = anchors.list.get(next + 1).map_or(u64::MAX, |a| a.0);
+        // ORDERING: as above; the next holder is ordered after this one by
+        // the stream's admission.
+        anchors.next.store(next + 1, Ordering::Relaxed);
+        // ORDERING: as above.
+        anchors.due.store(due, Ordering::Relaxed);
         Ok(())
     }
 

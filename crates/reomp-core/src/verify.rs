@@ -179,6 +179,21 @@ impl VerifyReport {
         self.errors().map(|d| d.tier).min()
     }
 
+    /// Push `diag` as the `count`-th finding of one check family: the
+    /// first [`MAX_DIAGS_PER_CHECK`] verbatim, the next one as a single
+    /// "suppressed" summary line, the rest dropped.
+    pub fn push_capped(&mut self, count: &mut usize, diag: Diagnostic) {
+        *count += 1;
+        match (*count).cmp(&(MAX_DIAGS_PER_CHECK + 1)) {
+            std::cmp::Ordering::Less => self.diagnostics.push(diag),
+            std::cmp::Ordering::Equal => self.diagnostics.push(Diagnostic {
+                message: "further findings of this kind suppressed".into(),
+                ..diag
+            }),
+            std::cmp::Ordering::Greater => {}
+        }
+    }
+
     /// Fold externally produced diagnostics (e.g. `racedet::offline`'s
     /// plan-soundness findings) into this report. Any absorbed error
     /// revokes the certificate.
@@ -514,20 +529,6 @@ fn check_edges(bundle: &TraceBundle) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Push `diag` unless the family already hit its cap; returns whether the
-/// cap was just reached (the caller then emits one summary line).
-fn push_capped(out: &mut VerifyReport, count: &mut usize, diag: Diagnostic) {
-    *count += 1;
-    match (*count).cmp(&(MAX_DIAGS_PER_CHECK + 1)) {
-        std::cmp::Ordering::Less => out.diagnostics.push(diag),
-        std::cmp::Ordering::Equal => out.diagnostics.push(Diagnostic {
-            message: "further findings of this kind suppressed".into(),
-            ..diag
-        }),
-        std::cmp::Ordering::Greater => {}
-    }
-}
-
 /// The Ordering tier: would replay actually drive this order to
 /// completion? Runs only on structurally sound bundles.
 fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
@@ -542,8 +543,7 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
         for (i, t) in bundle.threads.iter().enumerate() {
             if !t.values.is_empty() {
                 let (dom, tid) = (i / bundle.nthreads as usize, i % bundle.nthreads as usize);
-                push_capped(
-                    out,
+                out.push_capped(
                     &mut n,
                     Diagnostic::error(
                         Tier::Ordering,
@@ -563,8 +563,7 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
                 .iter()
                 .position(|&k| crate::site::AccessKind::from_code(k).is_none())
             {
-                push_capped(
-                    out,
+                out.push_capped(
                     &mut n,
                     Diagnostic::error(
                         Tier::Ordering,
@@ -590,8 +589,7 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
         for (i, t) in bundle.threads.iter().enumerate() {
             if let Some(w) = t.values.windows(2).position(|w| w[0] >= w[1]) {
                 let (dom, tid) = (i / bundle.nthreads as usize, i % bundle.nthreads as usize);
-                push_capped(
-                    out,
+                out.push_capped(
                     &mut n,
                     Diagnostic::error(
                         Tier::Ordering,
@@ -623,8 +621,7 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
             for tid in 0..bundle.nthreads {
                 let t = bundle.thread(dom, tid);
                 if let Some(pos) = t.values.iter().position(|&v| v > ceiling) {
-                    push_capped(
-                        out,
+                    out.push_capped(
                         &mut n,
                         Diagnostic::error(
                             Tier::Ordering,
@@ -682,8 +679,7 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
                 let floor = cp.floors[dom as usize];
                 let base = cp.base_of(dom);
                 if floor < base + bundle.domain_records(dom) {
-                    push_capped(
-                        out,
+                    out.push_capped(
                         &mut n,
                         Diagnostic::error(
                             Tier::Ordering,
@@ -700,8 +696,7 @@ fn ordering(bundle: &TraceBundle, out: &mut VerifyReport) {
                 for tid in 0..bundle.nthreads {
                     let t = bundle.thread(dom, tid);
                     if let Some(pos) = t.values.iter().position(|&v| v >= floor) {
-                        push_capped(
-                            out,
+                        out.push_capped(
                             &mut n,
                             Diagnostic::error(
                                 Tier::Ordering,
@@ -744,8 +739,7 @@ fn plan_agreement(bundle: &TraceBundle, out: &mut VerifyReport) {
                 Some(want) => format!("routes it to domain {want}"),
                 None => "leaves it ungated".into(),
             };
-            push_capped(
-                out,
+            out.push_capped(
                 &mut n,
                 Diagnostic::error(
                     Tier::Plan,

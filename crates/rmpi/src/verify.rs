@@ -87,8 +87,7 @@ fn ordering(trace: &MpiTrace, out: &mut VerifyReport) {
     for (s, stream) in trace.recv_streams.iter().enumerate() {
         let (rank, dom) = (s as u32 / domains, s as u32 % domains);
         if let Some(pos) = stream.iter().position(|e| e.src >= nranks) {
-            push_capped(
-                out,
+            out.push_capped(
                 &mut n,
                 Diagnostic {
                     tier: Tier::Ordering,
@@ -118,8 +117,7 @@ fn ordering(trace: &MpiTrace, out: &mut VerifyReport) {
             let (rank, dom) = (s as u32 / domains, s as u32 % domains);
             for (what, len) in [("receive", recv.len() as u64), ("waitany", wa.len() as u64)] {
                 if len > window {
-                    push_capped(
-                        out,
+                    out.push_capped(
                         &mut n,
                         Diagnostic {
                             tier: Tier::Ordering,
@@ -182,18 +180,6 @@ pub fn verify_hybrid(trace: &MpiTrace, thread_plan: &DomainPlan) -> Vec<Diagnost
         }
     }
     out
-}
-
-fn push_capped(out: &mut VerifyReport, count: &mut usize, diag: Diagnostic) {
-    *count += 1;
-    match (*count).cmp(&(MAX_DIAGS_PER_CHECK + 1)) {
-        std::cmp::Ordering::Less => out.diagnostics.push(diag),
-        std::cmp::Ordering::Equal => out.diagnostics.push(Diagnostic {
-            message: "further findings of this kind suppressed".into(),
-            ..diag
-        }),
-        std::cmp::Ordering::Greater => {}
-    }
 }
 
 /// Deterministic digest over the trace: header, every stream, the plan's

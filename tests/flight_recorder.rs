@@ -1,35 +1,26 @@
 //! Integration: the bounded in-situ **flight recorder** — retention
 //! stays within the window, dumps are valid checkpoint-stamped bundles
-//! equal to the tail of an unbounded recording of the same run, windowed
-//! replay reproduces the tail deterministically, and every trigger path
-//! (manual, panic hook, replay divergence) materializes a window. The
-//! hybrid leg drives rmpi's `(rank × domain)` bounded retention through
-//! a real `World` run.
+//! equal to the tail of an unbounded recording of the same run, every
+//! trigger path (manual, panic hook, replay divergence) materializes a
+//! window, and a windowed dump replays its tail under the record→replay
+//! matrix's admission-order oracle. The hybrid leg drives rmpi's
+//! `(rank × domain)` bounded retention through a real `World` run.
 
+mod common;
+
+use common::oracle::{check, AdmissionLog};
 use reomp::rmpi::{MpiSession, MpiSessionConfig, ANY_SOURCE};
 use reomp::{
-    install_panic_dump, rmpi, AccessKind, DirStore, DumpTrigger, Scheme, Session, SessionConfig,
-    SiteId, TraceBundle, TraceStore,
+    install_panic_dump, rmpi, AccessKind, DirStore, DomainPlan, DumpTrigger, Scheme, Session,
+    SessionConfig, SiteId, TraceStore,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("reomp-flight-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Window (chunks per stream) for the tail-equality sweep. `REOMP_FLIGHT`
-/// (the CI flight leg sets 4) pins it, like `REOMP_DOMAINS` pins the
-/// domain sweeps; default 2.
-fn swept_window() -> u32 {
-    std::env::var("REOMP_FLIGHT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|w| (1..=16).contains(w))
-        .unwrap_or(2)
 }
 
 /// A deterministic multi-thread access sequence driven from one OS
@@ -58,19 +49,18 @@ fn drive_fixed_sequence(session: &Arc<Session>, nthreads: u32, accesses: usize) 
 
 /// The windowed dump must be exactly the tail of an unbounded recording
 /// of the same access sequence: per-stream suffixes plus a checkpoint
-/// base accounting for everything evicted — for every scheme and for
-/// D ∈ {1, 4}.
+/// base accounting for everything evicted — for every scheme, for
+/// D ∈ {1, 4} and for windows of 2 and 4 chunks.
 #[test]
 fn windowed_dump_is_the_tail_of_an_unbounded_recording() {
-    let wchunks = swept_window();
-    // Scale the run with the window so every swept window still evicts.
-    let accesses = 100 * wchunks as usize;
-    for scheme in Scheme::ALL {
-        for domains in [1u32, 4] {
+    for wchunks in [2u32, 4] {
+        // Scale the run with the window so every window still evicts.
+        let accesses = 100 * wchunks as usize;
+        for (scheme, domains) in Scheme::ALL.into_iter().flat_map(|s| [(s, 1u32), (s, 4)]) {
             let tag = format!("{scheme}/D={domains}/W={wchunks}");
             let nthreads = 3;
             let cfg = SessionConfig {
-                plan: Some(reomp::DomainPlan::new(domains)),
+                plan: Some(DomainPlan::new(domains)),
                 ..SessionConfig::default()
             };
 
@@ -80,7 +70,7 @@ fn windowed_dump_is_the_tail_of_an_unbounded_recording() {
             let full_bundle = full.finish().unwrap().bundle.unwrap();
 
             // Bounded recording: `window` chunks × 4 records/chunk.
-            let dir = tmp_dir(&format!("tail-{scheme}-{domains}"));
+            let dir = tmp_dir(&format!("tail-{scheme}-{domains}-{wchunks}"));
             let flight_cfg = SessionConfig {
                 flight: Some(wchunks),
                 flush_records: 4,
@@ -154,58 +144,10 @@ fn windowed_dump_is_the_tail_of_an_unbounded_recording() {
     }
 }
 
-/// Replay one windowed bundle: each thread re-issues exactly its
-/// retained accesses (site and kind read back from the validated
-/// streams), and the admitted order must reproduce the dumped tail.
-fn replay_window_and_log(window: &TraceBundle) -> Vec<Vec<(u64, u32)>> {
-    let nthreads = window.nthreads;
-    let domains = window.domains;
-    let replay = Session::replay(window.clone()).unwrap();
-    let logs: Vec<Mutex<Vec<(u64, u32)>>> = (0..domains).map(|_| Mutex::new(Vec::new())).collect();
-    let order: Vec<AtomicU64> = (0..domains).map(|_| AtomicU64::new(0)).collect();
-    std::thread::scope(|s| {
-        for tid in 0..nthreads {
-            let ctx = replay.register_thread(tid);
-            let logs = &logs;
-            let order = &order;
-            let window = &window;
-            s.spawn(move || {
-                for dom in 0..domains {
-                    // This driver only supports workloads where each
-                    // thread stays inside one domain (checked below), so
-                    // iterating domains in order is the program order.
-                    let t = window.thread(dom, tid);
-                    let sites = t.sites.as_ref().expect("validated bundle");
-                    let kinds = t.kinds.as_ref().expect("validated bundle");
-                    for i in 0..t.values.len() {
-                        let site = SiteId(sites[i]);
-                        let kind = AccessKind::from_code(kinds[i]).unwrap();
-                        ctx.gate(site, kind, || {
-                            let seq = order[dom as usize].fetch_add(1, Ordering::SeqCst);
-                            logs[dom as usize].lock().unwrap().push((seq, tid));
-                        });
-                    }
-                }
-            });
-        }
-    });
-    let report = replay.finish().unwrap();
-    assert_eq!(report.failure, None, "windowed replay diverged");
-    assert_eq!(report.fully_consumed, Some(true));
-    logs.into_iter()
-        .map(|l| {
-            let mut v = l.into_inner().unwrap();
-            v.sort_unstable();
-            v
-        })
-        .collect()
-}
-
-/// Record a real (nondeterministically scheduled) multi-threaded run
-/// into a flight window, dump it, and replay the dump: the replayed
-/// admission order must equal the dumped tail's clock order for DC, and
-/// respect the dumped tail's epochs for DE — at D = 1 and with a 4-domain
-/// plan.
+/// Record a real multi-threaded run into a flight window that evicts,
+/// dump it, and replay the dump with each thread re-issuing exactly its
+/// retained accesses: the oracle holds on the windowed bundle, whose
+/// turnstiles start at the checkpointed base.
 #[test]
 fn windowed_replay_reproduces_the_dumped_tail() {
     for scheme in [Scheme::Dc, Scheme::De] {
@@ -213,12 +155,12 @@ fn windowed_replay_reproduces_the_dumped_tail() {
             let tag = format!("{scheme}/D={domains}");
             // Threads 2d and 2d+1 share the one site of domain d, so each
             // thread's program order stays inside a single domain and the
-            // replay driver can re-issue it faithfully.
+            // replay driver can re-issue it from the window alone.
             let nthreads = 2 * domains;
             let sites: Vec<SiteId> = (0..domains)
                 .map(|d| SiteId::from_label(&format!("flight.rs:replay{d}")))
                 .collect();
-            let plan = reomp::DomainPlan::with_assignments(
+            let plan = DomainPlan::with_assignments(
                 domains,
                 sites.iter().enumerate().map(|(d, &s)| (s, d as u32)),
             );
@@ -237,10 +179,9 @@ fn windowed_replay_reproduces_the_dumped_tail() {
                     let site = sites[(tid / 2) as usize];
                     s.spawn(move || {
                         for i in 0..20u64 {
-                            let kind = if i % 3 == 0 {
-                                AccessKind::Store
-                            } else {
-                                AccessKind::Load
+                            let kind = match i % 3 {
+                                0 => AccessKind::Store,
+                                _ => AccessKind::Load,
                             };
                             ctx.gate(site, kind, || {});
                         }
@@ -248,77 +189,33 @@ fn windowed_replay_reproduces_the_dumped_tail() {
                 }
             });
             session.dump(DumpTrigger::Manual).unwrap();
-            let report = session.finish().unwrap();
-            assert!(report.io.unwrap().retained_peak <= 3, "{tag}");
-
+            let io = session.finish().unwrap().io.unwrap();
+            assert!(io.retained_peak <= 3 && io.evicted > 0, "{tag}: {io:?}");
             let (window, _) = DirStore::new(&dir).load().unwrap();
-            window.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-            assert!(window.checkpoint.is_some(), "{tag}");
-            assert!(window.total_records() > 0, "{tag}: empty window");
-
-            let logs = replay_window_and_log(&window);
-            for dom in 0..domains {
-                // Expected admission order of domain d: its retained
-                // records sorted by recorded value, labelled with their
-                // thread.
-                let mut expected: Vec<(u64, u32)> = Vec::new();
-                for t in 0..nthreads {
-                    for &v in &window.thread(dom, t).values {
-                        expected.push((v, t));
-                    }
-                }
-                expected.sort_unstable();
-                // The log records (admission seq, tid), sorted by seq.
-                let got = &logs[dom as usize];
-                assert_eq!(got.len(), expected.len(), "{tag}: domain {dom}");
-                if scheme == Scheme::Dc {
-                    // DC values are clocks: admission i must belong to the
-                    // thread owning the i-th clock.
-                    for (i, &(_, tid)) in expected.iter().enumerate() {
-                        assert_eq!(got[i].1, tid, "{tag}: domain {dom} admission {i}");
-                    }
-                    continue;
-                }
-                // DE values are epochs, and the accesses of one epoch are
-                // admitted concurrently: the order inside a run of equal
-                // recorded values is the scheduler's. What the trace pins
-                // is which threads fill each run's admission slots...
-                for run in expected.chunk_by(|a, b| a.0 == b.0) {
-                    let start = expected.partition_point(|e| e.0 < run[0].0);
-                    let mut admitted: Vec<u32> = got[start..start + run.len()]
-                        .iter()
-                        .map(|&(_, tid)| tid)
-                        .collect();
-                    admitted.sort_unstable();
-                    let recorded: Vec<u32> = run.iter().map(|&(_, tid)| tid).collect();
-                    assert_eq!(
-                        admitted, recorded,
-                        "{tag}: domain {dom} epoch {} admitted another epoch's threads",
-                        run[0].0
-                    );
-                }
-                // ...and that every admission falls inside its own epoch:
-                // a thread's j-th admission consumed its j-th record, whose
-                // epoch e admits it no earlier than position e and strictly
-                // before the next recorded epoch opens.
-                let base = window.clock_base(dom);
-                let end = base + expected.len() as u64;
-                for t in 0..nthreads {
-                    let positions = got.iter().zip(base..).filter(|(a, _)| a.1 == t);
-                    for (&epoch, (_, pos)) in window.thread(dom, t).values.iter().zip(positions) {
-                        let next = expected
-                            .iter()
-                            .map(|e| e.0)
-                            .find(|&v| v > epoch)
-                            .unwrap_or(end);
-                        assert!(
-                            (epoch..next).contains(&pos),
-                            "{tag}: domain {dom} thread {t}: position {pos} outside epoch [{epoch}, {next})"
-                        );
-                    }
-                }
-            }
             let _ = std::fs::remove_dir_all(&dir);
+            assert!(window.checkpoint.is_some(), "{tag}");
+
+            let replay = Session::replay(window.clone()).unwrap();
+            let log = AdmissionLog::new(&replay);
+            std::thread::scope(|s| {
+                for tid in 0..nthreads {
+                    let (ctx, log, window) = (replay.register_thread(tid), &log, &window);
+                    s.spawn(move || {
+                        for dom in 0..domains {
+                            let t = window.thread(dom, tid);
+                            for i in 0..t.len() {
+                                let site = t.site_at(i).expect("validated bundle");
+                                let kind = t.kind_at(i).expect("validated bundle");
+                                ctx.gate(site, kind, || log.push(tid, site));
+                            }
+                        }
+                    });
+                }
+            });
+            let report = replay.finish().unwrap();
+            assert_eq!(report.failure, None, "{tag}");
+            assert_eq!(report.fully_consumed, Some(true), "{tag}");
+            check(&window, &log.take()).unwrap_or_else(|e| panic!("{tag}: {e}"));
         }
     }
 }

@@ -11,16 +11,16 @@
 //! * `legacy_modulo_splits_aliased_sites_and_loses_their_order` is the
 //!   `#[should_panic]` demonstration against a blind partition: the
 //!   replayed per-address order differs from the recorded one.
-//! * The property test drives random aliased-site programs under a planned
-//!   D = 4 session and checks the replayed access order over each racing
-//!   address equals the recorded order (which, with one deterministic
-//!   driver, is identical to what a D = 1 session records).
+//! * `planned_session_preserves_aliased_order_under_adversarial_schedule`
+//!   is the planned counterpart under the same adversarial schedule.
+//!
+//! Random aliased-site programs under the toolflow's D = 4 plan are a
+//! column of the record→replay matrix (`record_replay_matrix.rs`).
 
-use proptest::prelude::*;
 use reomp::racedet::report::AccessSide;
 use reomp::racedet::{RaceInfo, RaceReport};
-use reomp::{AccessKind, DomainPlan, Scheme, Session, SessionConfig, SiteId, TraceStore};
-use std::sync::Arc;
+use reomp::{AccessKind, DomainPlan, Scheme, Session, SessionConfig, SiteId};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// One access in a generated program: `(address index, alias side, kind)`.
@@ -34,92 +34,68 @@ fn site_of(addr: u8, side: bool) -> SiteId {
     SiteId(u64::from(addr) * 2 + 2 + u64::from(side))
 }
 
-/// A race report claiming both aliases of every address race — what the
+/// A race report claiming both aliases of `addr` race — what the
 /// detection step of the toolflow would produce for these programs.
-fn alias_report(addrs: impl IntoIterator<Item = u8>) -> RaceReport {
+fn alias_report(addr: u8) -> RaceReport {
+    let race = RaceInfo {
+        addr: u64::from(addr),
+        first_site: site_of(addr, false),
+        first_side: AccessSide::Write,
+        first_tid: 0,
+        second_site: site_of(addr, true),
+        second_side: AccessSide::Write,
+        second_tid: 1,
+    };
     RaceReport {
-        races: addrs
-            .into_iter()
-            .map(|a| RaceInfo {
-                addr: u64::from(a),
-                first_site: site_of(a, false),
-                first_side: AccessSide::Write,
-                first_tid: 0,
-                second_site: site_of(a, true),
-                second_side: AccessSide::Write,
-                second_tid: 1,
-            })
-            .collect(),
+        races: vec![race],
         events_analysed: 0,
     }
 }
 
-/// Execute per-thread programs; returns the per-address access log
+/// Execute per-thread programs — concurrently, or round-robin one access
+/// per thread per turn — and return the per-address access log
 /// `(thread, step)` in the order the gated accesses really executed.
 fn execute(
     programs: &[Vec<Op>],
     session: &Arc<Session>,
     concurrent: bool,
 ) -> Vec<Vec<(u32, usize)>> {
-    let naddrs = 4usize;
-    let logs: Vec<std::sync::Mutex<Vec<(u32, usize)>>> = (0..naddrs)
-        .map(|_| std::sync::Mutex::new(Vec::new()))
-        .collect();
-    let run_thread = |ctx: &reomp::ThreadCtx, program: &[Op]| {
-        for (step, &(addr, side, store)) in program.iter().enumerate() {
-            let kind = if store {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            let tid = ctx.tid();
-            ctx.gate_at(site_of(addr, side), u64::from(addr), kind, || {
-                logs[addr as usize].lock().unwrap().push((tid, step));
-            });
-        }
+    let logs: Vec<Mutex<Vec<(u32, usize)>>> = (0..4).map(|_| Mutex::default()).collect();
+    let access = |ctx: &reomp::ThreadCtx, step: usize, (addr, side, store): Op| {
+        let kind = if store {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        let tid = ctx.tid();
+        ctx.gate_at(site_of(addr, side), u64::from(addr), kind, || {
+            logs[addr as usize].lock().unwrap().push((tid, step));
+        });
     };
+    let ctxs = (0..programs.len() as u32).map(|tid| session.register_thread(tid));
     if concurrent {
         std::thread::scope(|s| {
-            for (tid, program) in programs.iter().enumerate() {
-                let ctx = session.register_thread(tid as u32);
-                let run_thread = &run_thread;
-                s.spawn(move || run_thread(&ctx, program));
+            for (ctx, program) in ctxs.zip(programs) {
+                let access = &access;
+                s.spawn(move || {
+                    for (step, &op) in program.iter().enumerate() {
+                        access(&ctx, step, op);
+                    }
+                });
             }
         });
     } else {
-        // Deterministic round-robin driver: one access per thread per turn.
-        let ctxs: Vec<_> = (0..programs.len())
-            .map(|tid| session.register_thread(tid as u32))
-            .collect();
+        let ctxs: Vec<_> = ctxs.collect();
         let longest = programs.iter().map(Vec::len).max().unwrap_or(0);
         for step in 0..longest {
-            for (tid, program) in programs.iter().enumerate() {
+            for (ctx, program) in ctxs.iter().zip(programs) {
                 if let Some(&op) = program.get(step) {
-                    let (addr, side, store) = op;
-                    let kind = if store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    ctxs[tid].gate_at(site_of(addr, side), u64::from(addr), kind, || {
-                        logs[addr as usize].lock().unwrap().push((tid as u32, step));
-                    });
+                    access(ctx, step, op);
                 }
             }
         }
     }
     logs.into_iter().map(|l| l.into_inner().unwrap()).collect()
-}
-
-/// Planned domain count for the property test: `REOMP_DOMAINS` (the CI
-/// planned-config leg sets 4) pins it; values below 2 are ignored — the
-/// property is about multi-domain sessions.
-fn planned_domains() -> u32 {
-    std::env::var("REOMP_DOMAINS")
-        .ok()
-        .and_then(|s| s.parse::<u32>().ok())
-        .filter(|&d| d >= 2)
-        .unwrap_or(4)
 }
 
 fn replay_cfg() -> SessionConfig {
@@ -166,10 +142,7 @@ fn legacy_modulo_splits_aliased_sites_and_loses_their_order() {
     // own thread immediately), yet it inverts the recorded per-address
     // interleaving.
     let replay = Session::replay_with(bundle, replay_cfg()).unwrap();
-    let naddrs = 4usize;
-    let logs: Vec<std::sync::Mutex<Vec<(u32, usize)>>> = (0..naddrs)
-        .map(|_| std::sync::Mutex::new(Vec::new()))
-        .collect();
+    let logs: Vec<Mutex<Vec<(u32, usize)>>> = (0..4).map(|_| Mutex::default()).collect();
     {
         let c1 = replay.register_thread(1);
         for step in 0..4 {
@@ -195,7 +168,7 @@ fn legacy_modulo_splits_aliased_sites_and_loses_their_order() {
 #[test]
 fn planned_session_preserves_aliased_order_under_adversarial_schedule() {
     let programs: Vec<Vec<Op>> = vec![vec![(0, false, true); 4], vec![(0, true, true); 4]];
-    let plan = reomp::racedet::domain_plan(&alias_report([0]), 2);
+    let plan = reomp::racedet::domain_plan(&alias_report(0), 2);
     assert_eq!(
         plan.domain_of(site_of(0, false)),
         plan.domain_of(site_of(0, true)),
@@ -216,65 +189,4 @@ fn planned_session_preserves_aliased_order_under_adversarial_schedule() {
     let report = replay.finish().unwrap();
     assert_eq!(report.failure, None);
     assert_eq!(replayed, recorded, "aliased-site order must replay");
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..4, 0u8..2, 0u8..2).prop_map(|(a, side, store)| (a, side == 1, store == 1))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        ..ProptestConfig::default()
-    })]
-
-    /// For random aliased-site programs, a planned D = 4 session replays
-    /// the recorded per-address access order exactly (DC and ST — DE
-    /// legitimately permutes within epochs, so there the per-address
-    /// STORE-visible final state is compared via the value check in the
-    /// main prop suite). The trace also survives a store roundtrip with
-    /// its plan and edges.
-    #[test]
-    fn planned_multi_domain_replay_preserves_per_address_order(
-        programs in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..12),
-            2..4,
-        )
-    ) {
-        let domains = planned_domains();
-        let plan = reomp::racedet::domain_plan(&alias_report(0..4), domains);
-        for a in 0..4u8 {
-            prop_assert_eq!(
-                plan.domain_of(site_of(a, false)),
-                plan.domain_of(site_of(a, true)),
-                "aliases of addr {} must co-locate", a
-            );
-        }
-        for scheme in [Scheme::Dc, Scheme::St] {
-            let cfg = SessionConfig {
-                plan: Some(plan.clone()),
-                ..Default::default()
-            };
-            let session = Session::record_with(scheme, programs.len() as u32, cfg);
-            let recorded = execute(&programs, &session, false);
-            let bundle = session.finish().unwrap().bundle.unwrap();
-            prop_assert_eq!(bundle.domains, domains);
-            prop_assert!(bundle.validate().is_ok());
-
-            // Plan travels with the trace through a store.
-            let store = reomp::MemStore::new();
-            store.save(&bundle).unwrap();
-            let (loaded, _) = store.load().unwrap();
-            prop_assert_eq!(&loaded, &bundle);
-
-            let replay = Session::replay_with(loaded, replay_cfg()).unwrap();
-            let replayed = execute(&programs, &replay, true);
-            let report = replay.finish().unwrap();
-            prop_assert_eq!(report.failure, None, "{} replay failed", scheme);
-            prop_assert_eq!(
-                &replayed, &recorded,
-                "{}: per-address order diverged", scheme
-            );
-        }
-    }
 }

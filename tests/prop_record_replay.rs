@@ -6,88 +6,12 @@
 //! state and the same per-thread observation log — the core soundness
 //! property of the whole system.
 
+mod common;
+
+use common::program::{execute, op_strategy};
 use proptest::prelude::*;
-use reomp::{ompr, Scheme, Session};
+use reomp::{Scheme, Session};
 use std::sync::Arc;
-
-/// One gated operation in a generated program.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Racy load of cell `c`; the observed value is logged.
-    Load(u8),
-    /// Racy store of a distinct marker value to cell `c`.
-    Store(u8),
-    /// Racy increment (load + store) of cell `c`.
-    Update(u8),
-    /// Critical-section increment of the safe counter.
-    Critical,
-    /// Atomic add to the atomic accumulator.
-    Atomic,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..3).prop_map(Op::Load),
-        (0u8..3).prop_map(Op::Store),
-        (0u8..3).prop_map(Op::Update),
-        Just(Op::Critical),
-        Just(Op::Atomic),
-    ]
-}
-
-/// Execute the generated program; returns (per-cell finals, observation
-/// checksum) — both must be identical between record and replay.
-fn execute(programs: &[Vec<Op>], session: &Arc<Session>) -> (Vec<u64>, u64) {
-    let nthreads = programs.len() as u32;
-    let cells: Vec<ompr::RacyCell<u64>> = (0..3)
-        .map(|i| ompr::RacyCell::new(&format!("prop:cell{i}"), 0))
-        .collect();
-    let cs = ompr::Critical::new("prop:cs");
-    let safe = std::sync::atomic::AtomicU64::new(0);
-    let acc = ompr::AtomicF64::new(0.0);
-    let acc_site = reomp::SiteId::from_label("prop:atomic");
-    let logs: Vec<std::sync::Mutex<u64>> =
-        (0..nthreads).map(|_| std::sync::Mutex::new(0)).collect();
-
-    let rt = ompr::Runtime::new(Arc::clone(session));
-    rt.parallel(|w| {
-        let tid = w.tid() as usize;
-        let mut log: u64 = 0xcbf2_9ce4_8422_2325;
-        for (step, op) in programs[tid].iter().enumerate() {
-            match *op {
-                Op::Load(c) => {
-                    let v = w.racy_load(&cells[c as usize]);
-                    log = log.rotate_left(7) ^ v;
-                }
-                Op::Store(c) => {
-                    // Distinct marker so final values identify the writer.
-                    let marker = (tid as u64) << 32 | step as u64;
-                    w.racy_store(&cells[c as usize], marker);
-                }
-                Op::Update(c) => {
-                    w.racy_update(&cells[c as usize], |v| v.wrapping_add(1));
-                }
-                Op::Critical => {
-                    w.critical(&cs, || {
-                        safe.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    });
-                }
-                Op::Atomic => {
-                    w.atomic_add_f64(acc_site, &acc, 1.0);
-                }
-            }
-        }
-        *logs[tid].lock().unwrap() = log;
-    });
-
-    let finals: Vec<u64> = cells.iter().map(|c| c.raw_load()).collect();
-    let mut checksum = acc.load(std::sync::atomic::Ordering::Relaxed).to_bits()
-        ^ safe.load(std::sync::atomic::Ordering::Relaxed);
-    for log in &logs {
-        checksum = checksum.rotate_left(13) ^ *log.lock().unwrap();
-    }
-    (finals, checksum)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -98,7 +22,7 @@ proptest! {
     #[test]
     fn random_programs_replay_exactly_under_every_scheme(
         programs in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 0..25),
+            proptest::collection::vec(op_strategy(false), 0..25),
             2..4,
         ),
         domains_idx in 0usize..3,
@@ -122,14 +46,14 @@ proptest! {
         };
         for scheme in Scheme::ALL {
             let session = Session::record_with(scheme, programs.len() as u32, cfg.clone());
-            let recorded = execute(&programs, &session);
+            let recorded = execute(&programs, &session, None);
             let report = session.finish().unwrap();
             let bundle = report.bundle.unwrap();
             prop_assert_eq!(bundle.domains, domains);
             prop_assert!(bundle.validate().is_ok());
 
             let session = Session::replay(bundle).unwrap();
-            let replayed = execute(&programs, &session);
+            let replayed = execute(&programs, &session, None);
             let report = session.finish().unwrap();
             prop_assert_eq!(report.failure, None, "{} D={} replay failed", scheme, domains);
             prop_assert_eq!(
@@ -225,13 +149,13 @@ proptest! {
     #[test]
     fn random_traces_roundtrip_through_the_codec(
         programs in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..15),
+            proptest::collection::vec(op_strategy(false), 1..15),
             2..4,
         )
     ) {
         use reomp::TraceStore;
         let session = Session::record(Scheme::De, programs.len() as u32);
-        let _ = execute(&programs, &session);
+        let _ = execute(&programs, &session, None);
         let bundle = session.finish().unwrap().bundle.unwrap();
         let store = reomp::MemStore::new();
         store.save(&bundle).unwrap();

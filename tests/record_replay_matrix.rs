@@ -1,156 +1,340 @@
-//! Integration: record→replay equivalence for every app × scheme — and,
-//! since gate domains landed, × domain count — plus store roundtrips
-//! through the on-disk format.
+//! Replay is a recording: one admission-order oracle (`common::oracle`)
+//! over one generated app × scheme × D × sink matrix.
+//!
+//! * **Apps**: the five miniapps, plus one seeded program from
+//!   `prop_record_replay`'s generator with aliased sites.
+//! * **Schemes**: ST, DC, DE.
+//! * **D ∈ {1, 4}**: the D = 4 plan is `racedet::domain_plan` over a
+//!   detection run of the same app — the toolflow's plan, which the
+//!   soundness contract covers.
+//! * **Sinks**: buffered (`record_with`), streaming
+//!   (`record_streaming_with` into a `DirStore`, then `load`), flight
+//!   (`record_flight` with a window that evicts nothing, dumped, loaded).
+//!
+//! Every cell records, requires a clean `Verifier::verify`, replays, and
+//! checks the oracle on both runs' logs, output equality, `failure ==
+//! None`, `fully_consumed == Some(true)` and the edge waits the bundle
+//! owes; the oracle must also reject the recording against the bundle
+//! with two records of different threads traded ([`sabotage`]).
+//!
+//! Below the matrix, targeted tests: oversubscription, the hybrid halo,
+//! the environment round trip, a thread-count mismatch. Replay of an
+//! evicting flight window is `flight_recorder.rs`'s, under the same oracle.
 
-use reomp::miniapps::{amg, hacc, hpccg, minife, quicksilver, AppOutput};
+mod common;
+
+use common::oracle::{check, records_of, AdmissionLog, Log};
+use common::program::{execute, op_strategy, Op};
+use proptest::strategy::Strategy;
+use proptest::test_runner::TestRng;
+use reomp::miniapps::{self, halo};
+use reomp::ompr::events::NullSink;
+use reomp::ompr::{EventSink, Runtime};
 use reomp::{
-    ompr::Runtime, DirStore, DomainPlan, MemStore, Mode, Scheme, Session, SessionConfig, TraceStore,
+    racedet, DirStore, DomainPlan, DumpTrigger, Mode, Scheme, Session, SessionConfig,
+    SessionReport, SiteId, TraceBundle, TraceStore, Verifier,
 };
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Domain counts to sweep. `REOMP_DOMAINS` (the CI oversubscription leg
-/// sets it to 4) pins the sweep to one value; the default covers the
-/// single-gate baseline and two sharded layouts.
-fn domain_sweep() -> Vec<u32> {
-    match std::env::var("REOMP_DOMAINS")
-        .ok()
-        .and_then(|s| s.parse::<u32>().ok())
-    {
-        Some(d) if d >= 1 => vec![d],
-        _ => vec![1, 2, 4],
-    }
-}
+const THREADS: u32 = 4;
 
-fn config_with_domains(domains: u32) -> SessionConfig {
-    SessionConfig {
-        plan: Some(DomainPlan::new(domains)),
-        ..SessionConfig::default()
-    }
-}
-
-fn run_app(name: &str, session: &Arc<Session>) -> AppOutput {
-    let rt = Runtime::new(Arc::clone(session));
-    match name {
-        "amg" => amg::run(&rt, &amg::Config::scaled(1)),
-        "quicksilver" => quicksilver::run(&rt, &quicksilver::Config::scaled(1)),
-        "minife" => minife::run(&rt, &minife::Config::scaled(1)),
-        "hacc" => hacc::run(&rt, &hacc::Config::scaled(1)),
-        "hpccg" => hpccg::run(&rt, &hpccg::Config::scaled(1)),
-        other => panic!("unknown app {other}"),
-    }
-}
-
-const APPS: [&str; 5] = ["amg", "quicksilver", "minife", "hacc", "hpccg"];
-
-#[test]
-fn every_app_replays_bitwise_under_every_scheme() {
-    for app in APPS {
-        for scheme in Scheme::ALL {
-            let session = Session::record(scheme, 4);
-            let recorded = run_app(app, &session);
-            let report = session.finish().unwrap();
-            let bundle = report.bundle.unwrap();
-            assert!(bundle.total_records() > 0, "{app}/{scheme}");
-
-            let session = Session::replay(bundle).unwrap();
-            let replayed = run_app(app, &session);
-            let report = session.finish().unwrap();
-            assert_eq!(report.failure, None, "{app}/{scheme}");
-            assert_eq!(report.fully_consumed, Some(true), "{app}/{scheme}");
-            assert_eq!(replayed, recorded, "{app}/{scheme}");
-        }
-    }
-}
-
-#[test]
-fn apps_replay_divergence_free_across_domain_counts() {
-    // The multi-domain acceptance sweep: domains × schemes over real
-    // workloads whose sites scatter across domains. Replay must stay
-    // divergence-free and reproduce the recorded output exactly.
-    for domains in domain_sweep() {
-        for app in ["amg", "hacc"] {
-            for scheme in Scheme::ALL {
-                let tag = format!("{app}/{scheme}/D={domains}");
-                let session = Session::record_with(scheme, 4, config_with_domains(domains));
-                let recorded = run_app(app, &session);
-                let report = session.finish().unwrap();
-                let bundle = report.bundle.unwrap();
-                assert_eq!(bundle.domains, domains, "{tag}");
-                bundle.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-                if domains > 1 {
-                    assert_eq!(
-                        report.domain_gates.iter().sum::<u64>(),
-                        report.stats.gates,
-                        "{tag}: per-domain gate counts must sum to the total"
-                    );
+/// `bundle` with the records of two accesses of different threads that
+/// ran back to back in one domain traded — DC and DE swap their values,
+/// ST moves one entry past the other — so that it is still a well-formed
+/// recording (it validates, linearizes, and keeps each thread's own
+/// order) but orders the two the other way round. `None` when no log has
+/// such a pair.
+fn sabotage(bundle: &TraceBundle, log: &Log) -> Option<TraceBundle> {
+    let stream = |dom: usize, t: u32| dom * bundle.nthreads as usize + t as usize;
+    let ran = records_of(bundle, log).ok()?;
+    let pairs = ran
+        .iter()
+        .enumerate()
+        .flat_map(|(dom, ran)| ran.windows(2).map(move |w| (dom, w[0], w[1])));
+    pairs
+        .filter(|(_, a, b)| a.thread != b.thread && a.value != b.value)
+        .find_map(|(dom, a, b)| {
+            let mut bad = bundle.clone();
+            if let Some(st) = bad.st.get_mut(dom) {
+                // The stream is positional: move whichever of the two has
+                // no entry of its own thread in between past the other.
+                let (i, j) = (a.seq as usize, b.seq as usize);
+                let between = &st.tids[i + 1..j];
+                let (from, to) = match (between.contains(&a.thread), between.contains(&b.thread)) {
+                    (false, _) => (i, j),
+                    (true, false) => (j, i),
+                    (true, true) => return None,
+                };
+                shift(&mut st.tids, from, to);
+                st.sites.iter_mut().for_each(|s| shift(s, from, to));
+                st.kinds.iter_mut().for_each(|k| shift(k, from, to));
+            } else {
+                bad.threads[stream(dom, a.thread)].values[a.seq as usize] = b.value;
+                bad.threads[stream(dom, b.thread)].values[b.seq as usize] = a.value;
+                let rising = |t| bad.threads[stream(dom, t)].values.is_sorted();
+                if !(rising(a.thread) && rising(b.thread)) {
+                    return None;
                 }
+            }
+            (bad.validate().is_ok() && bad.linearize().consistent).then_some(bad)
+        })
+}
 
-                // The bundle also survives the on-disk multi-domain layout.
-                let store = MemStore::new();
-                store.save(&bundle).unwrap();
-                let (loaded, _) = store.load().unwrap();
-                assert_eq!(loaded, bundle, "{tag}");
+/// Move `v[from]` to index `to`, keeping the order of the rest.
+fn shift<T>(v: &mut [T], from: usize, to: usize) {
+    match from < to {
+        true => v[from..=to].rotate_left(1),
+        false => v[to..=from].rotate_right(1),
+    }
+}
 
-                let session = Session::replay(loaded).unwrap();
-                let replayed = run_app(app, &session);
-                let report = session.finish().unwrap();
-                assert_eq!(report.failure, None, "{tag}");
-                assert_eq!(report.fully_consumed, Some(true), "{tag}");
-                assert_eq!(replayed, recorded, "{tag}");
+/// A matrix row: one of the five miniapps, or the seeded program.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum App {
+    Mini(miniapps::App),
+    Seeded,
+}
+
+const MINIFE: App = App::Mini(miniapps::App::MiniFe);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sink {
+    Buffered,
+    Streaming,
+    Flight,
+}
+
+/// `prop_record_replay`'s generator with aliases on, at a fixed seed.
+fn seeded_program() -> Vec<Vec<Op>> {
+    let per_thread = proptest::collection::vec(op_strategy(true), 24..40);
+    let programs = proptest::collection::vec(per_thread, THREADS as usize..=THREADS as usize);
+    programs.generate(&mut TestRng::from_seed(0x5eed_0040))
+}
+
+/// Run `app` under `session` with `sink` attached; its output, printed.
+fn run(app: App, session: &Arc<Session>, sink: Arc<dyn EventSink>) -> String {
+    let rt = Runtime::new(Arc::clone(session)).with_sink(Arc::clone(&sink));
+    match app {
+        // QuickSilver at four times the test size: at one, a thread that
+        // claims every chunk before the others start often runs them all.
+        App::Mini(app) => {
+            let scale = if app == miniapps::App::QuickSilver {
+                4
+            } else {
+                1
+            };
+            format!("{:?}", app.run_scaled(&rt, scale))
+        }
+        App::Seeded => format!("{:?}", execute(&seeded_program(), session, Some(&sink))),
+    }
+}
+
+/// The toolflow's D = 4 plan: detect races in a passthrough run, then
+/// co-locate every racing site group.
+fn toolflow_plan(app: App) -> DomainPlan {
+    let detector = Arc::new(racedet::Detector::new(THREADS));
+    let session = Session::passthrough(THREADS);
+    run(app, &session, detector.clone());
+    session.finish().unwrap();
+    racedet::domain_plan(&detector.report(), 4)
+}
+
+/// Replay `bundle` under a generous watchdog: the log, output and report.
+fn replay(app: App, bundle: TraceBundle) -> (Log, String, SessionReport) {
+    let mut cfg = SessionConfig::default();
+    cfg.spin.timeout = Some(Duration::from_secs(300));
+    let session = Session::replay_with(bundle, cfg).unwrap();
+    let log = AdmissionLog::new(&session);
+    let output = run(app, &session, log.clone());
+    (log.take(), output, session.finish().unwrap())
+}
+
+/// Record `app` through `sink`: the bundle, the oracle's log and the
+/// output, after the record-side checks.
+fn record(
+    app: App,
+    scheme: Scheme,
+    plan: &DomainPlan,
+    sink: Sink,
+    tag: &str,
+) -> (TraceBundle, Log, String) {
+    let (pid, cell) = (std::process::id(), tag.replace('/', "-"));
+    let dir = std::env::temp_dir().join(format!("reomp-matrix-{pid}-{cell}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DirStore::new(&dir);
+    let mut cfg = SessionConfig {
+        plan: Some(plan.clone()),
+        ..SessionConfig::default()
+    };
+    // The persisting sinks flush small chunks, so runs commit many.
+    if sink != Sink::Buffered {
+        cfg.flush_records = 64;
+    }
+    let session = match sink {
+        Sink::Buffered => Session::record_with(scheme, THREADS, cfg),
+        Sink::Streaming => Session::record_streaming_with(scheme, THREADS, cfg, &store).unwrap(),
+        Sink::Flight => {
+            cfg.flight = Some(1 << 16);
+            Session::record_flight(scheme, THREADS, cfg, DirStore::new(&dir)).unwrap()
+        }
+    };
+    let log = AdmissionLog::new(&session);
+    let output = run(app, &session, log.clone());
+    if sink == Sink::Flight {
+        session.dump(DumpTrigger::Manual).unwrap();
+    }
+    let report = session.finish().unwrap();
+    if plan.domains() > 1 {
+        let gates: u64 = report.domain_gates.iter().sum();
+        assert_eq!(gates, report.stats.gates, "{tag}: per-domain gates sum up");
+    }
+    let bundle = match sink {
+        Sink::Buffered => report.bundle.unwrap(),
+        _ => store.load().unwrap().0,
+    };
+    if sink == Sink::Flight {
+        assert_eq!(report.io.unwrap().evicted, 0, "{tag}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(bundle.domains, plan.domains(), "{tag}");
+    let verified = Verifier::new().verify(&bundle);
+    assert!(verified.is_clean(), "{tag}: {verified}");
+    (bundle, log.take(), output)
+}
+
+/// One matrix cell.
+fn cell(app: App, scheme: Scheme, plan: &DomainPlan, sink: Sink) {
+    let tag = format!("{app:?}/{scheme}/D={}/{sink:?}", plan.domains());
+    // A recording in which one thread ran every logged access (the others
+    // found a dynamic loop drained) has no two to trade: record again.
+    let (bundle, recorded, output) = (0..12)
+        .map(|_| record(app, scheme, plan, sink, &tag))
+        .find(|(bundle, log, _)| sabotage(bundle, log).is_some())
+        .unwrap_or_else(|| panic!("{tag}: one thread ran every access"));
+    check(&bundle, &recorded).unwrap_or_else(|e| panic!("{tag}: record: {e}"));
+    if plan.domains() > 1 && app != App::Seeded {
+        assert!(!bundle.edges.is_empty(), "{tag}: barriers stamp edges");
+    }
+    let (replayed, out, report) = replay(app, bundle.clone());
+    assert_eq!(report.failure, None, "{tag}");
+    assert_eq!(report.fully_consumed, Some(true), "{tag}");
+    assert_eq!(out, output, "{tag}: output");
+    check(&bundle, &replayed).unwrap_or_else(|e| panic!("{tag}: replay: {e}"));
+    if scheme != Scheme::De {
+        assert_eq!(replayed, recorded, "{tag}");
+    }
+    let owed = bundle.edge_index().values().map(Vec::len).sum::<usize>();
+    assert_eq!(report.stats.edge_waits, owed as u64, "{tag}: edge waits");
+    let bad = sabotage(&bundle, &recorded).expect("found above");
+    assert!(
+        check(&bad, &recorded).is_err(),
+        "{tag}: the oracle missed a swap"
+    );
+}
+
+/// Every app × scheme × sink cell, under the plan `plan` gives each app.
+fn matrix(plan: impl Fn(App) -> DomainPlan) {
+    let apps = miniapps::App::ALL.map(App::Mini);
+    for app in apps.into_iter().chain([App::Seeded]) {
+        let plan = plan(app);
+        for scheme in Scheme::ALL {
+            for sink in [Sink::Buffered, Sink::Streaming, Sink::Flight] {
+                cell(app, scheme, &plan, sink);
             }
         }
     }
 }
 
+/// The matrix at D = 1.
+#[test]
+fn every_app_replays_bitwise_under_every_scheme() {
+    matrix(|_| DomainPlan::new(1));
+}
+
+/// The matrix at D = 4, under the toolflow's plans; the seeded program's
+/// aliases share a domain there.
+#[test]
+fn apps_replay_divergence_free_across_domain_counts() {
+    let plan = toolflow_plan(App::Seeded);
+    let mut aliased = 0;
+    for op in seeded_program().into_iter().flatten() {
+        if let Op::Alias(c) = op {
+            aliased += 1;
+            let cell = SiteId::from_label(&format!("prop:cell{c}"));
+            let alias = SiteId::from_label(&format!("prop:alias{c}"));
+            assert_eq!(plan.domain_of(cell), plan.domain_of(alias), "cell {c}");
+        }
+    }
+    assert!(aliased > 0, "the seed generates alias stores");
+    matrix(toolflow_plan);
+}
+
+/// A thread count above the cores: twice them, within 8..=16.
+fn oversubscribed() -> u32 {
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get() as u32);
+    (2 * cores).clamp(8, 16)
+}
+
+/// Replay with more threads than cores: waits yield instead of spinning
+/// forever, and a generous watchdog (what `REOMP_SPIN_TIMEOUT` configures
+/// from the environment) must not fire spuriously — the case that used
+/// to hit `ReplayError::Timeout` on loaded CI boxes.
 #[test]
 fn oversubscribed_replay_does_not_trip_watchdog() {
-    // Replay with more threads than cores: waits yield instead of
-    // spinning forever, and a generous watchdog (what REOMP_SPIN_TIMEOUT
-    // configures from the environment) must not fire spuriously. This is
-    // the case that used to hit ReplayError::Timeout on loaded CI boxes.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(2);
-    let threads = (2 * cores).clamp(8, 16);
+    let threads = oversubscribed();
     for scheme in Scheme::ALL {
         for domains in [1u32, 4] {
             let tag = format!("{scheme}/D={domains}/threads={threads}");
-            let mut cfg = config_with_domains(domains);
+            let mut cfg = SessionConfig {
+                plan: Some(DomainPlan::new(domains)),
+                ..SessionConfig::default()
+            };
             cfg.spin.timeout = Some(Duration::from_secs(300));
             let session = Session::record_with(scheme, threads, cfg.clone());
-            let recorded = run_app("minife", &session);
+            let recorded = run(MINIFE, &session, Arc::new(NullSink));
             let bundle = session.finish().unwrap().bundle.unwrap();
 
-            let session = Session::replay_with(bundle, cfg).unwrap();
-            let replayed = run_app("minife", &session);
+            let session = Session::replay_with(bundle.clone(), cfg).unwrap();
+            let log = AdmissionLog::new(&session);
+            let replayed = run(MINIFE, &session, log.clone());
             let report = session.finish().unwrap();
             assert_eq!(report.failure, None, "{tag}");
             assert_eq!(replayed, recorded, "{tag}");
+            check(&bundle, &log.take()).unwrap_or_else(|e| panic!("{tag}: {e}"));
         }
     }
 }
 
+/// Two ranks of a 16-cell hybrid halo, `(steps, seed)`.
+fn halo_config(
+    threads: u32,
+    mpi_domains: u32,
+    scheme: Scheme,
+    (steps, seed): (u64, u64),
+) -> halo::HybridConfig {
+    halo::HybridConfig {
+        cells: 16,
+        steps,
+        ranks: 2,
+        threads,
+        scheme,
+        mpi_domains,
+        site_groups: 2,
+        seed,
+        replay_timeout: Some(Duration::from_secs(300)),
+    }
+}
+
+/// The rmpi counterpart: the hybrid halo driver records (rank × domain)
+/// receive streams and replays them bit-identically for every domain
+/// count.
 #[test]
 fn hybrid_halo_replays_across_mpi_domain_counts() {
-    // The rmpi leg of the domain sweep: the hybrid halo driver records
-    // (rank × domain) receive streams and replays them bit-identically
-    // for every swept domain count (REOMP_DOMAINS pins it in CI).
-    use reomp::miniapps::halo;
-    for domains in domain_sweep() {
+    for domains in [1, 2, 4] {
         for scheme in [Scheme::De, Scheme::Dc] {
             let tag = format!("halo/{scheme}/D={domains}");
-            let cfg = halo::HybridConfig {
-                cells: 16,
-                steps: 4,
-                ranks: 2,
-                threads: 2,
-                scheme,
-                mpi_domains: domains,
-                site_groups: 2,
-                seed: 11,
-                replay_timeout: Some(Duration::from_secs(300)),
-            };
+            let cfg = halo_config(2, domains, scheme, (4, 11));
             let (recorded, traces) = halo::run_hybrid_record(&cfg);
             assert_eq!(traces.mpi.domains, domains, "{tag}");
             traces
@@ -164,80 +348,21 @@ fn hybrid_halo_replays_across_mpi_domain_counts() {
     }
 }
 
+/// More rank threads than cores, multi-domain on both layers: replay
+/// waits yield instead of spinning and a generous watchdog must not fire.
 #[test]
 fn hybrid_halo_oversubscribed_replay_stays_divergence_free() {
-    // More rank threads than cores, multi-domain on both layers: replay
-    // waits yield instead of spinning and a generous watchdog must not
-    // fire — the rmpi counterpart of the thread gate's oversubscription
-    // case.
-    use reomp::miniapps::halo;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(2);
-    let threads = (2 * cores).clamp(8, 16);
-    let domains = domain_sweep().into_iter().max().unwrap_or(4);
-    let cfg = halo::HybridConfig {
-        cells: 16,
-        steps: 3,
-        ranks: 2,
-        threads,
-        scheme: Scheme::De,
-        mpi_domains: domains,
-        site_groups: 2,
-        seed: 23,
-        replay_timeout: Some(Duration::from_secs(300)),
-    };
+    let threads = oversubscribed();
+    let cfg = halo_config(threads, 4, Scheme::De, (3, 23));
     let (recorded, traces) = halo::run_hybrid_record(&cfg);
     let replayed = halo::run_hybrid_replay(&cfg, traces);
-    assert_eq!(replayed, recorded, "D={domains}/threads={threads}");
-}
-
-#[test]
-fn traces_survive_memstore_roundtrip() {
-    for scheme in Scheme::ALL {
-        let session = Session::record(scheme, 3);
-        let recorded = run_app("hacc", &session);
-        let bundle = session.finish().unwrap().bundle.unwrap();
-
-        let store = MemStore::new();
-        store.save(&bundle).unwrap();
-        let (loaded, _) = store.load().unwrap();
-        assert_eq!(loaded, bundle, "{scheme}");
-
-        let session = Session::replay(loaded).unwrap();
-        let replayed = run_app("hacc", &session);
-        assert_eq!(session.finish().unwrap().failure, None, "{scheme}");
-        assert_eq!(replayed, recorded, "{scheme}");
-    }
-}
-
-#[test]
-fn traces_survive_dirstore_roundtrip_like_the_paper() {
-    // The paper's deployment: per-thread record files on tmpfs, written in
-    // a record run, read back in a separate replay run.
-    let dir = std::env::temp_dir().join(format!("reomp-it-dirstore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DirStore::new(&dir);
-
-    let session = Session::record(Scheme::De, 4);
-    let recorded = run_app("hpccg", &session);
-    let report = session.finish().unwrap();
-    let io = report.save_to(&store).unwrap();
-    assert!(io.bytes > 0);
-    assert_eq!(io.files, 4 + 1, "4 thread files + manifest");
-
-    let (bundle, _) = store.load().unwrap();
-    let session = Session::replay(bundle).unwrap();
-    let replayed = run_app("hpccg", &session);
-    assert_eq!(session.finish().unwrap().failure, None);
-    assert_eq!(replayed, recorded);
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(replayed, recorded, "threads={threads}");
 }
 
 #[test]
 fn replay_with_different_thread_count_fails_cleanly() {
     let session = Session::record(Scheme::Dc, 3);
-    let _ = run_app("amg", &session);
+    let _ = run(App::Mini(miniapps::App::Amg), &session, Arc::new(NullSink));
     let bundle = session.finish().unwrap().bundle.unwrap();
 
     // Registering a tid beyond the recorded count must panic (contract),
@@ -267,7 +392,7 @@ fn scheme_env_roundtrip_matches_direct_construction() {
         std::env::set_var("REOMP_MODE", "record");
         let session = Session::from_env(2).unwrap();
         assert_eq!((session.mode(), session.scheme()), (Mode::Record, scheme));
-        let recorded = run_app("minife", &session);
+        let recorded = run(MINIFE, &session, Arc::new(NullSink));
         let report = session.finish().unwrap();
         assert!(report.io.is_some(), "{scheme}: an env record run persists");
         assert_eq!(DirStore::new(&dir).load().unwrap().0.scheme, scheme);
@@ -275,7 +400,7 @@ fn scheme_env_roundtrip_matches_direct_construction() {
         std::env::set_var("REOMP_MODE", "replay");
         let session = Session::from_env(2).unwrap();
         assert_eq!(session.mode(), Mode::Replay);
-        let replayed = run_app("minife", &session);
+        let replayed = run(MINIFE, &session, Arc::new(NullSink));
         let report = session.finish().unwrap();
         assert_eq!(report.failure, None, "{scheme}");
         assert_eq!(report.fully_consumed, Some(true), "{scheme}");
