@@ -11,6 +11,7 @@
 
 use crate::session::Scheme;
 use crate::site::{AccessKind, SiteId};
+use crate::stats::GateCounts;
 use crate::trace::{StTrace, ThreadTrace, TraceBundle};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -89,27 +90,25 @@ impl fmt::Display for TraceSummary {
     }
 }
 
-/// Summarize a bundle.
+/// Summarize a bundle. The record and kind counts are [`GateCounts::of`]'s
+/// — the ones a session reports for the run.
 #[must_use]
 pub fn summarize(bundle: &TraceBundle) -> TraceSummary {
-    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut sites = std::collections::HashSet::new();
-    let mut per_thread = vec![0u64; bundle.nthreads as usize];
+    let counts = GateCounts::of(bundle);
+    let gates_of = |kind| counts.threads.iter().map(|t| t.gates_of(kind)).sum();
+    let kinds = AccessKind::ALL
+        .into_iter()
+        .map(|kind| (kind.name(), gates_of(kind)))
+        .filter(|&(_, n)| n > 0)
+        .collect();
     let order = bundle.linearize();
-    for e in &order.accesses {
-        per_thread[e.thread as usize] += 1;
-        if let Some(kind) = e.kind {
-            *kinds.entry(kind.name()).or_insert(0) += 1;
-        }
-        if let Some(site) = e.site {
-            sites.insert(site);
-        }
-    }
+    let sites: std::collections::HashSet<SiteId> =
+        order.accesses.iter().filter_map(|e| e.site).collect();
     TraceSummary {
         scheme: bundle.scheme,
         nthreads: bundle.nthreads,
         domains: bundle.domains,
-        per_thread,
+        per_thread: counts.threads.iter().map(|t| t.gates).collect(),
         distinct_sites: bundle.has_validation().then_some(sites.len() as u64),
         kinds,
         planned_sites: bundle.plan.as_ref().map(|p| p.assigned() as u64),

@@ -267,27 +267,26 @@ impl Turnstile {
     }
 
     /// `next_clock++` at gate-out (Fig. 5 line 34) when other threads may
-    /// advance concurrently — DE's epoch groups. Counts one inter-thread
-    /// communication: the new value is what wakes the next waiter.
+    /// advance concurrently — DE's epoch groups. This is the one
+    /// inter-thread communication of a DC/DE replay gate, the new value
+    /// being what wakes the next waiter; a session counts it from its
+    /// replay cursors, so `_stats` is left untouched.
     #[inline]
-    pub fn advance(&self, stats: &Stats) -> u64 {
-        stats.bump_comms(1);
+    pub fn advance(&self, _stats: &Stats) -> u64 {
         self.next.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// `next_clock++` at a DC gate-out: the caller is the one thread the
     /// turnstile admitted at its current value, so no other thread writes
-    /// it until this store (see "Who writes `next`"). Counts one
-    /// inter-thread communication, as [`Turnstile::advance`] does (DC-1 in
-    /// Fig. 7).
+    /// it until this store (see "Who writes `next`"). The communication is
+    /// counted as for [`Turnstile::advance`] (DC-1 in Fig. 7).
     #[inline]
-    pub fn advance_exclusive(&self, stats: &Stats) -> u64 {
-        stats.bump_comms(1);
+    pub fn advance_exclusive(&self, _stats: &Stats) -> u64 {
         self.complete()
     }
 
-    /// Advance the completed-access count *without* counting a paper
-    /// communication. ST replay uses this in multi-domain sessions: the
+    /// Advance the completed-access count. ST replay uses this in
+    /// multi-domain sessions, where it is no paper communication: the
     /// baton hand-off is ST's real communication; the turnstile only
     /// mirrors the completion count so other domains' cross-domain edges
     /// have something to wait on. Only the baton's holder calls it, so it

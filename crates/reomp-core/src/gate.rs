@@ -47,7 +47,7 @@
 //! ```
 
 use crate::error::{Divergence, ReplayError};
-use crate::session::{DomainRecord, RecEntry, Session, TID_EXHAUSTED, TID_NONE};
+use crate::session::{DomainRecord, OrderTurn, RecEntry, Session, TID_EXHAUSTED, TID_NONE};
 use crate::shim::atomic::Ordering;
 use crate::site::{AccessKind, SiteId};
 use crate::sync::SpinWait;
@@ -161,7 +161,6 @@ pub(crate) fn record_out(
             let core = unsafe { drec.gate.get() };
             let builder = core.st.as_mut().expect("st builder");
             builder.push(tid, site, kind);
-            stats.bump_record_written();
             if multi {
                 // Snapshot (for the edge) strictly before self-publish.
                 let counts = wants_edge.then(|| edge_counts(session)).flatten();
@@ -180,29 +179,27 @@ pub(crate) fn record_out(
             // already captured); hand it to the sink after unlock.
             // `flush_records` is clamped to >= 1 once in `Session::build`.
             let n = builder.tids.len();
-            let stolen = if n >= session.cfg.flush_records {
+            let stolen = (n >= session.cfg.flush_records).then(|| {
                 // Leave the builder as much room as it had, so it does not
                 // regrow from empty after every steal.
-                Some((
+                let batch = (
                     std::mem::replace(&mut builder.tids, Vec::with_capacity(n)),
                     std::mem::replace(&mut builder.sites, Vec::with_capacity(n)),
                     std::mem::replace(&mut builder.kinds, Vec::with_capacity(n)),
-                ))
-            } else {
-                None
-            };
-            // Acquire the chunk-order lock *before* releasing the gate
-            // lock: steal order is execution order, and holding st_order
-            // across the append keeps two stolen batches from reaching the
-            // domain's stream file out of order.
-            let order_guard = stolen.is_some().then(|| rec.st_order[dom as usize].lock());
+                );
+                // Acquire the chunk-order lock *before* releasing the gate
+                // lock: steal order is execution order, and holding
+                // st_order across the append keeps two stolen batches from
+                // reaching the domain's stream file out of order.
+                (OrderTurn::take(&rec.st_order[dom as usize]), batch)
+            });
             release();
-            if let Some((tids, sites, kinds)) = stolen {
+            if let Some((mut turn, (tids, sites, kinds))) = stolen {
+                turn.count(&tids, &kinds);
                 if let Err(e) = session.append_st_chunk(dom, &tids, &sites, &kinds, stats) {
                     rec.record_failure(e);
                 }
             }
-            drop(order_guard);
         }
         Scheme::Dc | Scheme::De => {
             // Fig. 5 lines 22-24: assign the clock and — for DE — let the
@@ -250,7 +247,6 @@ pub(crate) fn record_out(
             // is in clock order by construction, and the append is a slot
             // write plus a length store — no lock. A lane at the threshold
             // flushes under its cold lock.
-            stats.bump_record_written();
             let len = lane.push(RecEntry {
                 clock,
                 value,
@@ -298,7 +294,6 @@ pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
             // stale match cannot re-admit this thread, then release the
             // baton — one inter-thread communication (ST-3/ST-4 in Fig. 6).
             drep.st.next_tid.store(TID_NONE, Ordering::Release);
-            session.thread_stats(tid).bump_comms(1);
             if session.domains() > 1 {
                 // Mirror the completion count so other domains'
                 // cross-domain edges can wait on this domain (not a paper
@@ -387,7 +382,6 @@ fn replay_in_st(
     // before entering the region.
     let st = rep.bundle.st_stream(dom).expect("st trace");
     if st.sites.is_some() {
-        session.thread_stats(tid).bump_validate();
         // ORDERING: covered by the `next_tid` Acquire above (see the
         // `st_pos` justification).
         let recorded_site = SiteId(drep.st.next_site.load(Ordering::Relaxed));
@@ -461,7 +455,6 @@ fn st_turn(session: &Session, dom: u32, tid: u32, site: SiteId) -> Result<(), Re
             // Publish last, with Release, so the matching thread sees the
             // site/kind written above.
             drep.st.next_tid.store(next_tid, Ordering::Release);
-            stats.bump_record_read();
             if next_tid != tid {
                 // ST-2 in Fig. 6: `next_tid` must travel from the reader to
                 // the replayed thread — the second communication that DC
@@ -501,12 +494,10 @@ fn replay_in_distributed(
     let Some(&value) = trace.values.get(pos) else {
         return Err(exhausted(tid, trace.len()));
     };
-    stats.bump_record_read();
 
     // Validate before waiting: a divergence is certain regardless of the
     // turnstile, and failing early avoids a guaranteed watchdog timeout.
     if let Some(recorded_site) = trace.site_at(pos) {
-        stats.bump_validate();
         let recorded_kind = trace.kind_at(pos);
         if recorded_site != site || recorded_kind != Some(kind) {
             return Err(diverged(

@@ -85,7 +85,9 @@ use crate::plan::DomainPlan;
 use crate::shim::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::shim::{Mutex, MutexGuard};
 use crate::site::{AccessKind, SiteId};
-use crate::stats::{EpochHistogram, Stats, StatsSnapshot};
+use crate::stats::{
+    add_to, count_st, kind_counts, EpochHistogram, GateCounts, Stats, StatsSnapshot,
+};
 use crate::store::{
     DirStore, IoReport, RecordOptions, RecordSink, StreamingTraceStore, TraceStore,
 };
@@ -321,9 +323,10 @@ impl StBuilder {
 /// entries. It fills the slot at `len` and then publishes `len + 1` with a
 /// Release store, so an append takes no lock and no locked instruction.
 /// Every path that reads or rewrites *published* entries holds the lane's
-/// cold `taken` mutex: the owner's threshold flush and its grow/compact,
-/// and the foreign drains of `finish` and [`Session::dump`]. A foreign
-/// drain flushes the live entries `[taken, len)` and advances `taken`;
+/// cold `drained` mutex: the owner's threshold flush and its grow/compact,
+/// the foreign drains of `finish` and [`Session::dump`], and the count of
+/// [`Session::stats`]. A foreign drain flushes the live entries
+/// `[taken, len)` and advances `taken`;
 /// only the owner moves entries (compacting the live ones to the front),
 /// and only under that mutex, so an entry never moves while another thread
 /// may read it.
@@ -343,9 +346,8 @@ pub(crate) struct RecordLane {
     /// nothing the model could check. Its slot-then-length ordering is
     /// checked on instrumented slots by `reomp-model`'s `lane_mini`.
     len: std::sync::atomic::AtomicUsize,
-    /// The cold lock, and the leading slots a foreign drain has already
-    /// flushed: the live entries are `[taken, len)`.
-    taken: Mutex<usize>,
+    /// The cold lock, and what drains have taken from the lane.
+    drained: Mutex<Drained>,
     /// DE fix-up mailbox: `(clock, epoch)` corrections to store entries of
     /// this lane, posted under the gate exclusion by whichever thread's
     /// access resolved the store — the only cross-thread write a lane
@@ -360,7 +362,7 @@ pub(crate) struct RecordLane {
 }
 
 // SAFETY: `slots` is shared under the protocol in the type docs: the owner
-// writes only slots at or past `len` without the `taken` lock, every other
+// writes only slots at or past `len` without the `drained` lock, every other
 // access to entries (and every replacement of the storage) holds it, and
 // `RecEntry` is plain `Copy` data. Every other field is `Sync` itself.
 unsafe impl Sync for RecordLane {}
@@ -395,10 +397,59 @@ thread_local! {
     /// thread holds while a recorded region runs — set by `gate::record_in`,
     /// restored when the region ends.
     static HELD: Cell<usize> = const { Cell::new(0) };
+    /// The chunk-order lock (by address; 0 for none) this thread holds
+    /// while a batch that left an ST builder reaches the stream.
+    static ORDER_HELD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// A domain's chunk-order lock (`RecordState::st_order`), taken before `L`
+/// is released for a batch that leaves the ST builder and held across its
+/// append. Noted per thread, so that the panic hook's dump on a thread
+/// whose append panicked does not wait for the lock its own thread holds.
+pub(crate) struct OrderTurn<'a>(MutexGuard<'a, Vec<[u64; 8]>>);
+
+impl<'a> OrderTurn<'a> {
+    pub(crate) fn take(order: &'a Mutex<Vec<[u64; 8]>>) -> Self {
+        let turn = OrderTurn(order.lock());
+        ORDER_HELD.with(|held| held.set(order as *const _ as usize));
+        turn
+    }
+
+    /// Whether this thread holds `order`.
+    fn held_here(order: &Mutex<Vec<[u64; 8]>>) -> bool {
+        ORDER_HELD.with(Cell::get) == order as *const _ as usize
+    }
+
+    /// Count the batch `tids`/`kinds` into the domain's tally.
+    pub(crate) fn count(&mut self, tids: &[u32], kinds: &[u8]) {
+        count_st(&mut self.0, tids, kinds);
+    }
+}
+
+impl Drop for OrderTurn<'_> {
+    fn drop(&mut self) {
+        ORDER_HELD.with(|held| held.set(0));
+    }
 }
 
 // `repr(align)` takes a literal; keep it in step with the padding constant.
 const _: () = assert!(std::mem::align_of::<DomainRecord>() == CACHE_LINE);
+
+/// What has left a [`RecordLane`], under its cold lock.
+#[derive(Default)]
+struct Drained {
+    /// Leading slots a foreign drain has flushed: the live entries are
+    /// `[taken, len)`.
+    taken: usize,
+    /// The gates of every entry flushed, per kind code (as
+    /// [`kind_counts`]), boxed to keep the lane one line.
+    flushed: Box<[u64; 8]>,
+}
+
+/// The gates `entries` record, per kind code.
+fn tally(entries: &[RecEntry]) -> [u64; 8] {
+    kind_counts(&entries.iter().map(|e| e.kind).collect::<Vec<_>>())
+}
 
 /// The first storage a lane allocates, in entries; it doubles when full.
 const LANE_FIRST_SLOTS: usize = 16;
@@ -436,8 +487,8 @@ impl RecordLane {
     #[cold]
     #[inline(never)]
     fn push_cold(&self, entry: RecEntry) -> usize {
-        let mut taken = self.taken.lock();
-        self.compact(&mut taken);
+        let mut drained = self.drained.lock();
+        self.compact(&mut drained);
         // ORDERING: only the owner writes `len`.
         let n = self.len.load(Ordering::Relaxed);
         // SAFETY: the owner holds the cold lock, so no drain holds a
@@ -461,8 +512,8 @@ impl RecordLane {
     }
 
     /// The live entries `[taken, len)`, for the holder of the cold lock
-    /// (`taken` is its guard) to read, fix up and flush.
-    fn live<'g>(&'g self, taken: &'g mut MutexGuard<'_, usize>) -> &'g mut [RecEntry] {
+    /// (`drained` is its guard) to read, fix up and flush.
+    fn live<'g>(&'g self, drained: &'g mut MutexGuard<'_, Drained>) -> &'g mut [RecEntry] {
         // ORDERING: Acquire pairs with the owner's Release publish: every
         // slot below the loaded length is written.
         let len = self.len.load(Ordering::Acquire);
@@ -471,15 +522,15 @@ impl RecordLane {
         // owner writes only slots at or past `len`, so `[taken, len)` is
         // this holder's alone. `UnsafeCell<RecEntry>` has `RecEntry`'s
         // layout.
-        let live = unsafe { &(&*self.slots.get())[**taken..len] };
+        let live = unsafe { &(&*self.slots.get())[drained.taken..len] };
         // SAFETY: as above — the cells are this holder's alone.
         unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(live.as_ptr()), live.len()) }
     }
 
     /// Move the live entries to the front of the storage (owner only,
     /// under the cold lock), so that `len` counts exactly the live entries.
-    fn compact(&self, taken: &mut MutexGuard<'_, usize>) {
-        let gone = std::mem::replace(&mut **taken, 0);
+    fn compact(&self, drained: &mut MutexGuard<'_, Drained>) {
+        let gone = std::mem::replace(&mut drained.taken, 0);
         if gone == 0 {
             return;
         }
@@ -592,10 +643,12 @@ pub(crate) struct RecordState {
     /// commit time.
     pub sink: RwLock<Option<Box<dyn RecordSink>>>,
     /// Per-domain chunk-order locks for the shared ST streams: acquired
-    /// *before* the domain's gate lock is released when a batch is stolen,
-    /// so two stolen batches can never append to that domain's stream out
-    /// of execution order.
-    pub st_order: Vec<Mutex<()>>,
+    /// *before* the domain's gate lock is released when a batch leaves the
+    /// builder (a gate's steal or a residue flush) and held across its
+    /// append, so two batches can never reach that domain's stream out of
+    /// execution order. Each guards the gates of those batches, per
+    /// thread and kind code.
+    pub st_order: Vec<Mutex<Vec<[u64; 8]>>>,
     /// Set after the first append failure; flushing stops and `finish`
     /// surfaces the error instead of committing a partial trace.
     pub failed: AtomicBool,
@@ -924,13 +977,13 @@ impl Session {
             ));
         }
         let floors = self.flush_residues()?;
-        // Snapshot (not drain) the collected edges: the run continues and
-        // `finish` still owns them.
-        let mut edges = rec.edges.lock().clone();
-        edges.sort_by_key(|e| (e.domain, e.thread, e.seq));
-        let io = ctl
-            .recorder
-            .dump_into(target, trigger, self.cfg.plan.as_ref(), &edges, floors)?;
+        let io = ctl.recorder.dump_into(
+            target,
+            trigger,
+            self.cfg.plan.as_ref(),
+            &self.sorted_edges(),
+            floors,
+        )?;
         ctl.dumps.lock().push((trigger, io));
         Ok(io)
     }
@@ -962,12 +1015,20 @@ impl Session {
     /// Start a replay run with explicit configuration. The session's
     /// site map always comes from the bundle (a trace can only be
     /// replayed under the map it was recorded with), so
-    /// [`SessionConfig::plan`] is ignored here.
+    /// [`SessionConfig::plan`] is ignored here. A bundle whose
+    /// cross-domain edges admit no order of its accesses is refused: its
+    /// replay could only end at the watchdog.
     pub fn replay_with(
         bundle: TraceBundle,
         cfg: SessionConfig,
     ) -> Result<Arc<Session>, TraceError> {
         bundle.validate()?;
+        if !bundle.edges.is_empty() && !bundle.linearize().consistent {
+            let n = bundle.edges.len();
+            return Err(TraceError::Corrupt(format!(
+                "the {n} cross-domain edges admit no order"
+            )));
+        }
         let scheme = bundle.scheme;
         let nthreads = bundle.nthreads;
         Ok(Arc::new(Session::build(
@@ -1076,7 +1137,9 @@ impl Session {
                 })
                 .collect(),
             sink: RwLock::new(Some(sink)),
-            st_order: (0..domains).map(|_| Mutex::new(())).collect(),
+            st_order: (0..domains)
+                .map(|_| Mutex::new(vec![[0; 8]; nthreads as usize]))
+                .collect(),
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
             edges: Mutex::new(Vec::new()),
@@ -1129,14 +1192,7 @@ impl Session {
             }
         });
         Session {
-            slots: (0..=nthreads)
-                .map(|_| {
-                    CachePadded(ThreadSlot {
-                        stats: Stats::with_domains(domains),
-                        ..ThreadSlot::default()
-                    })
-                })
-                .collect(),
+            slots: (0..=nthreads).map(|_| CachePadded::default()).collect(),
             cfg,
             plan,
             mode,
@@ -1191,17 +1247,98 @@ impl Session {
         &self.plan
     }
 
-    /// Live statistics snapshot: the sum over every thread's slot and the
-    /// session's own. Callable while workers are gating; each counter is
-    /// then some value it held during the call, and successive calls
-    /// never go backwards.
+    /// Live statistics snapshot: every thread's slot and the session's
+    /// own, summed, with the counts read back from the records. Callable
+    /// while workers are gating; each counter is then some value it held
+    /// during the call, with two exceptions. On an ST recording the call
+    /// takes each domain's `L` and then its chunk-order lock, so it waits
+    /// out a batch append in flight, and that domain's gates wait with
+    /// it. On an ST replay `gates` and `records_read` can run one ahead
+    /// while a baton reader is between storing the stream position and
+    /// publishing the turn, and step back at the next call.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        let mut total = StatsSnapshot::default();
-        for slot in self.slots.iter() {
-            total.absorb(&slot.stats.snapshot());
+        self.snapshots().1
+    }
+
+    /// Every thread's counters — its slot and its [`Session::gate_counts`]
+    /// — their sum with the session slot's, and the gates per domain.
+    fn snapshots(&self) -> (Vec<StatsSnapshot>, StatsSnapshot, Vec<u64>) {
+        let GateCounts {
+            mut threads,
+            domains,
+        } = self.gate_counts();
+        let mut total = self.session_stats().snapshot();
+        for (s, slot) in threads.iter_mut().zip(self.slots.iter()) {
+            s.absorb(&slot.stats.snapshot());
+            match self.mode {
+                Mode::Record => s.records_written = s.gates,
+                // One `next_clock++` or baton release per admitted gate.
+                Mode::Replay => (s.records_read, s.comms) = (s.gates, s.comms + s.gates),
+                Mode::Passthrough => {}
+            }
+            total.absorb(s);
         }
-        total
+        (threads, total, domains)
+    }
+
+    /// The gate counts the run's records hold (see [`crate::stats`]).
+    fn gate_counts(&self) -> GateCounts {
+        if let Some(rep) = &self.rep {
+            return GateCounts::of_prefixes(&rep.bundle, |dom, stream| {
+                let d = &rep.domains[dom as usize];
+                if !rep.bundle.is_st() {
+                    // ORDERING: owner-written, read as `replay_history`
+                    // reads it; `finish` runs after every context dropped.
+                    return d.lanes[stream as usize].cursor.load(Ordering::Relaxed);
+                }
+                // A turn still published (its gate diverged, or is in its
+                // region) is not admitted yet. The turn is read again after
+                // the position, so the two are from one moment unless a
+                // baton reader stored the position between them and has not
+                // yet published its turn: then the count runs one ahead.
+                loop {
+                    // ORDERING: Acquire pairs with the reader's Release
+                    // publish, which follows its `st_pos` store, so a
+                    // published turn has its position; the Acquire load of
+                    // `st_pos` keeps the second read of the turn after it.
+                    let turn = d.st.next_tid.load(Ordering::Acquire);
+                    let pos = d.st.st_pos.load(Ordering::Acquire);
+                    if d.st.next_tid.load(Ordering::Acquire) == turn {
+                        return pos.saturating_sub(usize::from(turn < self.nthreads));
+                    }
+                }
+            });
+        }
+        let mut counts = GateCounts::new(self.nthreads, self.domains());
+        let Some(rec) = &self.rec else {
+            return counts;
+        };
+        for (dom, drec) in (0..).zip(rec.domains.iter()) {
+            if self.scheme == Scheme::St {
+                // `L`, then the chunk-order lock, as a gate takes them: a
+                // batch is in the builder or in the tally.
+                drec.pause(|core| {
+                    let mut rows = rec.st_order[dom as usize].lock().clone();
+                    let builder = core.st.as_ref().expect("st builder");
+                    count_st(&mut rows, &builder.tids, &builder.kinds);
+                    for (tid, row) in rows.iter().enumerate() {
+                        counts.add(dom, tid, row, false);
+                    }
+                });
+                continue;
+            }
+            for (tid, lane) in drec.lanes.iter().enumerate() {
+                let mut drained = lane.drained.lock();
+                let mut row = *drained.flushed;
+                add_to(&mut row, &tally(lane.live(&mut drained)));
+                counts.add(dom, tid, &row, false);
+            }
+        }
+        for e in rec.edges.lock().iter() {
+            counts.threads[e.thread as usize].sync_edges += 1;
+        }
+        counts
     }
 
     /// Thread `tid`'s counter slot — what its gates bump.
@@ -1327,7 +1464,6 @@ impl Session {
                 seq,
                 waits,
             });
-            self.thread_stats(tid).bump_sync_edge();
         }
     }
 
@@ -1465,50 +1601,20 @@ impl Session {
 
         let mut bundle = None;
         let mut io = None;
-        let mut fully_consumed = None;
-        match self.mode {
-            Mode::Passthrough => {}
-            Mode::Record => {
-                let committed = self.commit().map_err(FinishError::Stream)?;
-                match self.flight.as_ref().filter(|ctl| ctl.target.is_none()) {
-                    Some(ctl) => {
-                        let buffered = ctl.recorder.take_bundle();
-                        debug_assert!(buffered.validate().is_ok(), "buffered bundle is consistent");
-                        bundle = Some(buffered);
-                    }
-                    None => io = Some(committed),
+        if self.mode == Mode::Record {
+            let committed = self.commit().map_err(FinishError::Stream)?;
+            match self.flight.as_ref().filter(|ctl| ctl.target.is_none()) {
+                Some(ctl) => {
+                    let buffered = ctl.recorder.take_bundle();
+                    debug_assert!(buffered.validate().is_ok(), "buffered bundle is consistent");
+                    bundle = Some(buffered);
                 }
-            }
-            Mode::Replay => {
-                let rep = self.rep.as_ref().expect("replay state");
-                let consumed = if rep.bundle.is_st() {
-                    rep.domains
-                        .iter()
-                        .zip(&rep.bundle.st)
-                        .all(|(d, st)| d.st.st_pos.load(Ordering::SeqCst) == st.len())
-                } else {
-                    rep.domains.iter().enumerate().all(|(dom, d)| {
-                        d.lanes.iter().enumerate().all(|(tid, lane)| {
-                            lane.cursor.load(Ordering::SeqCst)
-                                >= rep.bundle.thread(dom as u32, tid as u32).len()
-                        })
-                    })
-                };
-                fully_consumed = Some(consumed);
+                None => io = Some(committed),
             }
         }
-
-        let threads = &self.slots[..self.nthreads as usize];
-        let thread_stats: Vec<StatsSnapshot> =
-            threads.iter().map(|slot| slot.stats.snapshot()).collect();
-        let mut stats = self.session_stats().snapshot();
-        let mut domain_gates = self.session_stats().domain_gates();
-        for (slot, snapshot) in threads.iter().zip(&thread_stats) {
-            stats.absorb(snapshot);
-            for (total, n) in domain_gates.iter_mut().zip(slot.stats.domain_gates()) {
-                *total += n;
-            }
-        }
+        let (thread_stats, stats, domain_gates) = self.snapshots();
+        let fully_consumed =
+            (self.rep.as_ref()).map(|rep| stats.records_read == rep.bundle.total_records());
         Ok(SessionReport {
             scheme: self.scheme,
             mode: self.mode,
@@ -1541,22 +1647,26 @@ impl Session {
                 });
                 floors.push(clock);
             }
-            // ST: steal whatever this domain's shared builder still holds.
-            if self.scheme == Scheme::St {
-                let stolen = drec.pause(|core| {
-                    core.st.as_mut().map(|b| {
-                        (
-                            std::mem::take(&mut b.tids),
-                            std::mem::take(&mut b.sites),
-                            std::mem::take(&mut b.kinds),
-                        )
-                    })
+            // ST: steal what the shared builder still holds, taking the
+            // chunk-order lock before `L` is released, as a gate does.
+            // A panic hook's dump on the thread whose append of a stolen
+            // batch panicked leaves the builder to a later flush: it holds
+            // the chunk-order lock, and would wait for itself.
+            let order = &rec.st_order[dom as usize];
+            if self.scheme == Scheme::St && !OrderTurn::held_here(order) {
+                let (mut turn, (tids, sites, kinds)) = drec.pause(|core| {
+                    let b = core.st.as_mut().expect("st builder");
+                    let batch = (
+                        std::mem::take(&mut b.tids),
+                        std::mem::take(&mut b.sites),
+                        std::mem::take(&mut b.kinds),
+                    );
+                    (OrderTurn::take(order), batch)
                 });
-                if let Some((tids, sites, kinds)) = stolen {
-                    if !tids.is_empty() {
-                        let _turn = self.session_writer.lock();
-                        self.append_st_chunk(dom, &tids, &sites, &kinds, self.session_stats())?;
-                    }
+                if !tids.is_empty() {
+                    turn.count(&tids, &kinds);
+                    let _turn = self.session_writer.lock();
+                    self.append_st_chunk(dom, &tids, &sites, &kinds, self.session_stats())?;
                 }
             }
             // Per-thread residues.
@@ -1566,14 +1676,15 @@ impl Session {
                 // stream's chunks. The owner keeps appending meanwhile;
                 // this drain takes what it has published and advances
                 // `taken` past it.
-                let mut taken = lane.taken.lock();
-                let live = lane.live(&mut taken);
-                let n = live.len();
+                let mut drained = lane.drained.lock();
+                let live = lane.live(&mut drained);
+                let flushed = tally(live);
                 lane.apply_fixups(live);
-                if n > 0 {
+                if !live.is_empty() {
                     let _turn = self.session_writer.lock();
                     self.append_thread_chunk(dom, tid as u32, live, self.session_stats())?;
-                    *taken += n;
+                    drained.taken += live.len();
+                    add_to(&mut drained.flushed, &flushed);
                 }
             }
         }
@@ -1595,7 +1706,7 @@ impl Session {
             if let Some(plan) = &self.cfg.plan {
                 sink.put_plan(plan)?;
             }
-            let edges = self.drain_edges();
+            let edges = self.sorted_edges();
             if edges.is_empty() {
                 Ok(())
             } else {
@@ -1603,7 +1714,7 @@ impl Session {
             }
         })?;
         let sink = rec.sink.write().take().ok_or_else(sink_committed)?;
-        sink.commit(self.stats().records_written)
+        sink.commit(self.gate_counts().threads.iter().map(|t| t.gates).sum())
     }
 
     /// Run `f` on the session's sink, unless it was committed already.
@@ -1674,30 +1785,33 @@ impl Session {
             return;
         }
         let lane = &rec.domains[dom as usize].lanes[tid as usize];
-        let mut taken = lane.taken.lock();
-        let live = lane.live(&mut taken);
+        let mut drained = lane.drained.lock();
+        let live = lane.live(&mut drained);
         // The threshold counts *stable* entries: a DE store still pending
         // (at or above the floor) is not yet part of any chunk, so chunk
         // boundaries do not depend on when provisional entries arrive.
         let cut = live.partition_point(|e| e.clock < floor);
         if cut >= self.cfg.flush_records {
             lane.apply_fixups(live);
+            let flushed = tally(&live[..cut]);
             // Append while still holding the cold lock: a flight dump may
             // collect this lane's residue concurrently, and two drained
             // batches must reach the stream in the order they were drained.
             let result = self.append_thread_chunk(dom, tid, &live[..cut], self.thread_stats(tid));
-            *taken += cut;
+            drained.taken += cut;
+            add_to(&mut drained.flushed, &flushed);
             if let Err(e) = result {
                 rec.record_failure(e);
             }
         }
-        lane.compact(&mut taken);
+        lane.compact(&mut drained);
     }
 
-    /// Drain the collected cross-domain edges in deterministic order.
-    fn drain_edges(&self) -> Vec<CrossDomainEdge> {
+    /// The cross-domain edges collected so far (they stay collected), in
+    /// deterministic order.
+    fn sorted_edges(&self) -> Vec<CrossDomainEdge> {
         let rec = self.rec.as_ref().expect("record state");
-        let mut edges = std::mem::take(&mut *rec.edges.lock());
+        let mut edges = rec.edges.lock().clone();
         edges.sort_by_key(|e| (e.domain, e.thread, e.seq));
         edges
     }
@@ -1830,23 +1944,14 @@ impl ThreadCtx {
         f: impl FnOnce() -> R,
     ) -> Result<R, ReplayError> {
         let session = &*self.session;
-        // A site the plan leaves ungated runs untouched.
-        let Some(dom) = session.plan.route(site) else {
-            return Ok(f());
-        };
-        let stats = session.thread_stats(self.tid);
-        stats.bump_gate(kind);
-        match session.mode {
-            Mode::Passthrough => Ok(f()),
-            Mode::Record => {
-                stats.bump_domain_gate(dom);
+        match (session.mode, session.plan.route(site)) {
+            (Mode::Record, Some(dom)) => {
                 let outer = gate::record_in(session, dom, self.tid);
                 Ok(gate::exit_after(f, || {
                     gate::record_out(session, dom, self.tid, site, addr, kind, outer)
                 }))
             }
-            Mode::Replay => {
-                stats.bump_domain_gate(dom);
+            (Mode::Replay, Some(dom)) => {
                 if let Err(e) = gate::replay_in(session, dom, self.tid, site, kind) {
                     session.fail(&e);
                     return Err(e);
@@ -1855,6 +1960,9 @@ impl ThreadCtx {
                     gate::replay_out(session, dom, self.tid)
                 }))
             }
+            // Passthrough, and a site the plan leaves ungated, run
+            // untouched.
+            _ => Ok(f()),
         }
     }
 }
@@ -1879,18 +1987,16 @@ pub struct SessionReport {
     /// Final statistics: the sum of [`SessionReport::thread_stats`] and
     /// the session's own out-of-band slot.
     pub stats: StatsSnapshot,
-    /// The same counters per thread (index = `tid`): what each thread's
-    /// own gates counted — its passages, the records it wrote or read,
-    /// the waits *it* sat through. What `finish`/commit/dumps did on no
-    /// thread's behalf (the residue chunks) is in `stats` only. This is
-    /// the hook per-thread wait attribution
-    /// builds on.
+    /// The same counters per thread (index = `tid`): its passages and
+    /// records, and what its own gates counted — the waits *it* sat
+    /// through. What `finish`/commit/dumps did on no thread's behalf (the
+    /// residue chunks) is in `stats` only. This is the hook per-thread wait
+    /// attribution builds on.
     pub thread_stats: Vec<StatsSnapshot>,
-    /// Gate passages per gate domain (empty for single-domain sessions;
-    /// for multi-domain record/replay runs it sums to `stats.gates` —
-    /// passthrough gates count no domain, so there the breakdown stays
-    /// zero). A lopsided breakdown means the site→domain partition
-    /// is not spreading the load.
+    /// Admitted gate passages per gate domain, read back from its record
+    /// streams (empty for single-domain sessions; else it sums to
+    /// `stats.gates`). A lopsided breakdown means the site→domain
+    /// partition is not spreading the load.
     pub domain_gates: Vec<u64>,
     /// The recorded trace (buffered record runs only; a streaming or
     /// flight run's trace lives in its store or ring).
@@ -1944,7 +2050,8 @@ mod tests {
         assert_eq!(v, 42);
         drop(ctx);
         let report = s.finish().unwrap();
-        assert_eq!(report.stats.gates, 1);
+        // The closure ran, and a passthrough gate counts nothing.
+        assert_eq!(report.stats, StatsSnapshot::default());
         assert!(report.bundle.is_none());
     }
 
@@ -2298,8 +2405,15 @@ mod tests {
                 assert!(report.bundle.is_none(), "streaming keeps no bundle");
                 let io = report.io.expect("streaming report carries io totals");
                 assert!(io.chunks > 0, "{scheme:?}/{domains}");
-                assert!(report.stats.chunk_flushes > 0, "{scheme:?}/{domains}");
+                // Every run flushes chunks, several per stream at D = 1,
+                // and the manifest counts — `load` checks it — every record.
+                let flushes = if domains > 1 { 1 } else { 6 };
+                assert!(
+                    report.stats.chunk_flushes >= flushes,
+                    "{scheme:?}/{domains}"
+                );
                 let (loaded, _) = store.load().unwrap();
+                assert_eq!(loaded.total_records(), report.stats.records_written);
                 assert_eq!(loaded, bundle, "{scheme:?}/{domains}: streamed ≡ one-shot");
             }
         }
@@ -2325,7 +2439,7 @@ mod tests {
                 ctxs[i % 3].gate(SiteId(1 + (i / 12 % 2) as u64), kind, || ());
                 peak = lanes
                     .iter()
-                    .map(|l| l.live(&mut l.taken.lock()).len())
+                    .map(|l| l.live(&mut l.drained.lock()).len())
                     .fold(peak, usize::max);
             }
             drop(ctxs);
@@ -2568,6 +2682,99 @@ mod tests {
         assert_eq!(report.fully_consumed, Some(true));
         assert_eq!(report.stats.records_read, 7);
         assert_eq!(report.stats.validate_checks, 0);
+    }
+
+    /// A panic in the append of a batch a gate stole from the ST builder,
+    /// under `install_panic_dump`: the hook's dump runs on the thread that
+    /// holds the chunk-order lock, so it leaves the builder to a later
+    /// flush instead of waiting for that lock.
+    #[test]
+    fn panic_in_a_stolen_append_dumps_without_waiting_for_itself() {
+        use crate::flight::FlightSink;
+        /// A flight sink whose second ST append panics.
+        struct PanicsOnce(FlightSink, AtomicU32);
+        impl RecordSink for PanicsOnce {
+            fn append_thread_chunk(
+                &self,
+                dom: u32,
+                tid: u32,
+                values: &[u64],
+                sites: Option<&[u64]>,
+                kinds: Option<&[u8]>,
+            ) -> Result<u64, TraceError> {
+                self.0.append_thread_chunk(dom, tid, values, sites, kinds)
+            }
+            fn append_st_chunk(
+                &self,
+                dom: u32,
+                tids: &[u32],
+                sites: Option<&[u64]>,
+                kinds: Option<&[u8]>,
+            ) -> Result<u64, TraceError> {
+                let n = self.1.load(Ordering::Relaxed);
+                self.1.store(n + 1, Ordering::Relaxed);
+                assert_ne!(n, 1, "deliberate test panic in an append");
+                self.0.append_st_chunk(dom, tids, sites, kinds)
+            }
+            fn put_plan(&self, plan: &DomainPlan) -> Result<(), TraceError> {
+                self.0.put_plan(plan)
+            }
+            fn append_edges(&self, edges: &[CrossDomainEdge]) -> Result<(), TraceError> {
+                self.0.append_edges(edges)
+            }
+            fn put_checkpoint(&self, checkpoint: &crate::Checkpoint) -> Result<(), TraceError> {
+                self.0.put_checkpoint(checkpoint)
+            }
+            fn commit(self: Box<Self>, total_records: u64) -> Result<IoReport, TraceError> {
+                Box::new(self.0).commit(total_records)
+            }
+        }
+        let cfg = SessionConfig {
+            flush_records: 2,
+            flight: Some(8),
+            ..SessionConfig::default()
+        };
+        let opts = Session::record_options(Scheme::St, 1, &cfg);
+        let recorder = Arc::new(FlightRecorder::new(opts, 8));
+        let sink = PanicsOnce(FlightSink::new(Arc::clone(&recorder)), AtomicU32::new(0));
+        let mut session = Session::build(Scheme::St, 1, cfg, None, Some(Box::new(sink)));
+        session.flight = Some(FlightCtl {
+            recorder,
+            target: Some(Box::new(crate::store::MemStore::new())),
+            dumps: Mutex::new(Vec::new()),
+        });
+        let session = Arc::new(session);
+        install_panic_dump(&session);
+        // On a thread of its own, under a deadline: a dump waiting for the
+        // lock its own thread holds must fail this test, not hang it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let recording = Arc::clone(&session);
+        let worker = std::thread::spawn(move || {
+            let ctx = recording.register_thread(0);
+            // The second steal, at the fourth gate, panics in its append.
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for site in 0..4 {
+                    ctx.gate(SiteId(site), AccessKind::Store, || ());
+                }
+            }));
+            ctx.gate(SiteId(4), AccessKind::Store, || ());
+            let _ = tx.send(panicked.is_err());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(panicked) => assert!(panicked),
+            Err(e) => {
+                eprintln!("panic_in_a_stolen_append: HUNG or died ({e})");
+                std::process::exit(101);
+            }
+        }
+        worker.join().unwrap();
+        // The unwind released the lock and its note: a dump flushes the
+        // builder again.
+        session.dump(DumpTrigger::Manual).unwrap();
+        let triggers: Vec<_> = session.dumps().iter().map(|(t, _)| *t).collect();
+        assert_eq!(triggers, [DumpTrigger::Panic, DumpTrigger::Manual]);
+        assert!(session.rec.as_ref().unwrap().domains[0]
+            .pause(|core| { core.st.as_ref().unwrap().tids.is_empty() }));
     }
 
     #[test]

@@ -7,24 +7,36 @@
 //! [`EpochHistogram`] reproduces the Fig. 20 analysis (number of occurrences
 //! of each epoch size and the fraction of epochs with size > 1).
 //!
-//! # Slots: who writes which counter block
+//! # What a gate writes, and what is read back
 //!
-//! The paper's argument for DC/DE is that a gated access touches
-//! thread-local state, so the bookkeeping must not put a shared word back
-//! on that path. A [`Stats`] is therefore one *slot*, and a session holds
-//! `nthreads + 1` of them, each on cache lines of its own:
+//! A gated access touches only the order — one clock and the thread's own
+//! record file — so a gate writes no count the run holds elsewhere.
+//! [`GateCounts`] reads `gates`, `gates_by_kind`, `records_written`,
+//! `records_read`, `validate_checks`, the replay communication of each
+//! admitted gate and the per-domain breakdown back from the records: on
+//! record, from a per-kind tally taken whenever a chunk leaves a lane or
+//! an ST builder (under the lock that orders that stream's appends, before
+//! a flight window can evict it) plus what is still buffered; on replay,
+//! from each DC/DE lane's cursor and each ST domain's stream position.
+//! `sync_edges` counts the collected edges. Counts are of *admitted*
+//! accesses: a replay gate that diverges or runs out of trace is in none,
+//! and a passthrough session counts nothing.
 //!
-//! * `slot[tid]` is written by thread `tid`'s gates only — `try_gate_at`,
-//!   the record/replay gate engines, the edge waits and the lane
-//!   flushes a gate triggers all bump the slot of the thread that runs
-//!   them;
+//! What no record holds — lock acquires, waits, spin iterations, edge
+//! waits, deferred fix-ups, ST's `next_tid` hand-offs, chunk flushes and
+//! bytes — a gate bumps in its thread's [`Stats`] *slot*. A session holds
+//! `nthreads + 1` slots, each on cache lines of its own:
+//!
+//! * `slot[tid]` is written by thread `tid`'s gates only — the
+//!   record/replay gate engines, the edge waits and the lane flushes a
+//!   gate triggers all bump the slot of the thread that runs them;
 //! * the last slot belongs to the session: `finish`, its residue flush
 //!   and sink commit, and flight-recorder dumps — everything that has no thread
 //!   context — count there.
 //!
 //! [`Session::stats`](crate::Session::stats) and
 //! [`SessionReport::stats`](crate::SessionReport) are the sum over the
-//! slots ([`StatsSnapshot::absorb`]);
+//! slots ([`StatsSnapshot::absorb`]) and the derived counts;
 //! [`SessionReport::thread_stats`](crate::SessionReport) is the per-thread
 //! breakdown.
 //!
@@ -60,7 +72,6 @@
 // have been joined, which is the synchronization edge that makes the
 // final report exact.
 use crate::site::AccessKind;
-use crate::sync::CachePadded;
 use crate::trace::TraceBundle;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -71,28 +82,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// with [`Stats::snapshot`].
 #[derive(Debug, Default)]
 pub struct Stats {
-    gates_by_kind: [AtomicU64; 7],
     lock_acquires: AtomicU64,
     comms: AtomicU64,
     waits: AtomicU64,
     spin_iters: AtomicU64,
-    records_written: AtomicU64,
-    records_read: AtomicU64,
     deferred_finalizations: AtomicU64,
     chunk_flushes: AtomicU64,
     io_bytes_written: AtomicU64,
-    validate_checks: AtomicU64,
-    sync_edges: AtomicU64,
     edge_waits: AtomicU64,
-    /// Gate passages per gate domain (empty for single-domain sessions —
-    /// there the breakdown is just `gates`), dense in line-aligned blocks
-    /// of [`DOMAINS_PER_BLOCK`]. One thread writes the whole slice, so the
-    /// entries need no padding from each other; but the slice is a heap
-    /// allocation of its own, and unaligned it could share its first or
-    /// last line with another slot's.
-    domain_gates: Box<[CachePadded<[AtomicU64; DOMAINS_PER_BLOCK]>]>,
-    /// How many entries of `domain_gates` are in use.
-    domains: usize,
 }
 
 /// Add `n` to a counter whose only writer is the calling thread: a load
@@ -102,37 +99,11 @@ fn bump(counter: &AtomicU64, n: u64) {
     counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
-/// Per-domain counters in one [`CachePadded`] block — as many `u64`s as
-/// fit in it.
-const DOMAINS_PER_BLOCK: usize = crate::sync::CACHE_LINE / 8;
-
 impl Stats {
     /// Fresh zeroed counters.
     #[must_use]
     pub fn new() -> Self {
         Stats::default()
-    }
-
-    /// Fresh counters that additionally keep a per-domain breakdown of
-    /// gate passages for `domains` gate domains. With `domains <= 1` the
-    /// breakdown is omitted (it would equal the total).
-    #[must_use]
-    pub fn with_domains(domains: u32) -> Self {
-        let n = if domains > 1 { domains as usize } else { 0 };
-        Stats {
-            domain_gates: (0..n.div_ceil(DOMAINS_PER_BLOCK))
-                .map(|_| CachePadded::default())
-                .collect(),
-            domains: n,
-            ..Stats::default()
-        }
-    }
-
-    /// Count one gate passage of the given kind. The total is derived:
-    /// [`StatsSnapshot::gates`] is the sum over the kinds.
-    #[inline]
-    pub fn bump_gate(&self, kind: AccessKind) {
-        bump(&self.gates_by_kind[kind.code() as usize], 1);
     }
 
     /// Count one acquisition of the serializing gate lock.
@@ -141,34 +112,8 @@ impl Stats {
         bump(&self.lock_acquires, 1);
     }
 
-    /// Count one gate passage in gate domain `dom` (no-op unless the stats
-    /// were created with [`Stats::with_domains`]).
-    #[inline]
-    pub fn bump_domain_gate(&self, dom: u32) {
-        let d = dom as usize;
-        if d < self.domains {
-            bump(
-                &self.domain_gates[d / DOMAINS_PER_BLOCK][d % DOMAINS_PER_BLOCK],
-                1,
-            );
-        }
-    }
-
-    /// Per-domain gate-passage counts of this slot (empty for
-    /// single-domain sessions). Summed over a multi-domain record/replay
-    /// session's slots the vector sums to `gates`; passthrough gates are
-    /// counted only in the total.
-    #[must_use]
-    pub fn domain_gates(&self) -> Vec<u64> {
-        self.domain_gates
-            .iter()
-            .flat_map(|block| block.iter())
-            .take(self.domains)
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Count `n` inter-thread communication events (§IV-C2).
+    /// Count `n` inter-thread communication events (§IV-C2) that no
+    /// record shows: ST replay's `next_tid` hand-offs.
     #[inline]
     pub fn bump_comms(&self, n: u64) {
         bump(&self.comms, n);
@@ -184,18 +129,6 @@ impl Stats {
     #[inline]
     pub fn add_spin_iters(&self, n: u64) {
         bump(&self.spin_iters, n);
-    }
-
-    /// Count one trace record produced (record mode).
-    #[inline]
-    pub fn bump_record_written(&self) {
-        bump(&self.records_written, 1);
-    }
-
-    /// Count one trace record consumed (replay mode).
-    #[inline]
-    pub fn bump_record_read(&self) {
-        bump(&self.records_read, 1);
     }
 
     /// Count one store record whose epoch was finalized by a later access
@@ -217,18 +150,6 @@ impl Stats {
         bump(&self.io_bytes_written, bytes);
     }
 
-    /// Count one replay-validation comparison.
-    #[inline]
-    pub fn bump_validate(&self) {
-        bump(&self.validate_checks, 1);
-    }
-
-    /// Count one cross-domain happens-before edge recorded.
-    #[inline]
-    pub fn bump_sync_edge(&self) {
-        bump(&self.sync_edges, 1);
-    }
-
     /// Count one replay wait on a *foreign* domain's turnstile (a
     /// cross-domain edge being enforced).
     #[inline]
@@ -236,44 +157,152 @@ impl Stats {
         bump(&self.edge_waits, 1);
     }
 
-    /// Copy all counters into an immutable snapshot.
+    /// Copy the slot's counters into a snapshot. The counts a session
+    /// derives ([`GateCounts`]) are zero here.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut by_kind = [0u64; 7];
-        for (dst, src) in by_kind.iter_mut().zip(&self.gates_by_kind) {
-            *dst = src.load(Ordering::Relaxed);
-        }
         StatsSnapshot {
-            gates: by_kind.iter().sum(),
-            gates_by_kind: by_kind,
             lock_acquires: self.lock_acquires.load(Ordering::Relaxed),
             comms: self.comms.load(Ordering::Relaxed),
             waits: self.waits.load(Ordering::Relaxed),
             spin_iters: self.spin_iters.load(Ordering::Relaxed),
-            records_written: self.records_written.load(Ordering::Relaxed),
-            records_read: self.records_read.load(Ordering::Relaxed),
             deferred_finalizations: self.deferred_finalizations.load(Ordering::Relaxed),
             chunk_flushes: self.chunk_flushes.load(Ordering::Relaxed),
             io_bytes_written: self.io_bytes_written.load(Ordering::Relaxed),
-            validate_checks: self.validate_checks.load(Ordering::Relaxed),
-            sync_edges: self.sync_edges.load(Ordering::Relaxed),
             edge_waits: self.edge_waits.load(Ordering::Relaxed),
+            ..StatsSnapshot::default()
         }
     }
 }
 
-/// Immutable copy of one [`Stats`] slot, or the sum of several.
+/// Records per kind code in `codes`, the last slot counting codes that
+/// name no kind.
+pub(crate) fn kind_counts(codes: &[u8]) -> [u64; 8] {
+    let mut counts = [0u64; 8];
+    // A byte sum per kind over at most 255 codes vectorizes, where an
+    // increment per code would chain through memory on a run of one kind
+    // — and a replay's `finish` counts its whole trace.
+    for chunk in codes.chunks(255) {
+        for (code, n) in (0..7).zip(&mut counts) {
+            *n += u64::from(chunk.iter().fold(0u8, |sum, &c| sum + u8::from(c == code)));
+        }
+    }
+    counts[7] = codes.len() as u64 - counts[..7].iter().sum::<u64>();
+    counts
+}
+
+/// Add the per-kind counts `from` to `into`.
+pub(crate) fn add_to(into: &mut [u64; 8], from: &[u64; 8]) {
+    into.iter_mut().zip(from).for_each(|(n, c)| *n += c);
+}
+
+/// Add a shared ST stream — thread column `tids`, kind column `kinds` —
+/// to `rows` (index = tid, per kind code as [`kind_counts`]).
+pub(crate) fn count_st(rows: &mut [[u64; 8]], tids: &[u32], kinds: &[u8]) {
+    for (tids, kinds) in tids.chunks(255).zip(kinds.chunks(255)) {
+        let first = tids[0];
+        match rows.get_mut(first as usize) {
+            // A block of one thread, the bulk of a stream whose threads
+            // seldom hand off, counts as a thread's own stream does.
+            Some(row) if tids.iter().all(|&t| t == first) => add_to(row, &kind_counts(kinds)),
+            _ => {
+                for (&tid, &kind) in tids.iter().zip(kinds) {
+                    if let Some(row) = rows.get_mut(tid as usize) {
+                        row[usize::from(kind).min(7)] += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The gate counts a run's records hold (see the module docs): per thread
+/// `gates`, `gates_by_kind` and `validate_checks`, and per gate domain the
+/// gates, for more than one domain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GateCounts {
+    /// Index = `tid`.
+    pub threads: Vec<StatsSnapshot>,
+    /// Index = gate domain; empty for a single domain.
+    pub domains: Vec<u64>,
+}
+
+impl GateCounts {
+    /// No records yet, for `nthreads` threads over `domains` gate domains.
+    pub(crate) fn new(nthreads: u32, domains: u32) -> GateCounts {
+        GateCounts {
+            threads: vec![StatsSnapshot::default(); nthreads as usize],
+            domains: vec![0; if domains > 1 { domains as usize } else { 0 }],
+        }
+    }
+
+    /// Every record of `bundle`; a record of a stream with a site column
+    /// is one validation.
+    #[must_use]
+    pub fn of(bundle: &TraceBundle) -> GateCounts {
+        GateCounts::of_prefixes(bundle, |_, _| usize::MAX)
+    }
+
+    /// [`GateCounts::of`] the first `end(dom, stream)` records of each
+    /// stream, where `stream` is a DC/DE stream's thread and 0 for a
+    /// domain's shared ST stream.
+    pub(crate) fn of_prefixes(bundle: &TraceBundle, end: impl Fn(u32, u32) -> usize) -> GateCounts {
+        let mut counts = GateCounts::new(bundle.nthreads, bundle.domains);
+        for dom in 0..bundle.domains {
+            if let Some(st) = bundle.st_stream(dom) {
+                let n = end(dom, 0).min(st.len());
+                let no_kinds = vec![u8::MAX; if st.kinds.is_some() { 0 } else { n }];
+                let kinds = st.kinds.as_deref().map_or(&no_kinds[..], |k| &k[..n]);
+                let mut rows = vec![[0; 8]; bundle.nthreads as usize];
+                count_st(&mut rows, &st.tids[..n], kinds);
+                for (tid, row) in rows.iter().enumerate() {
+                    counts.add(dom, tid, row, st.sites.is_some());
+                }
+                continue;
+            }
+            let streams = bundle.threads.iter().skip((dom * bundle.nthreads) as usize);
+            for (tid, trace) in (0..bundle.nthreads).zip(streams) {
+                let n = end(dom, tid).min(trace.len());
+                let row = match &trace.kinds {
+                    Some(kinds) => kind_counts(&kinds[..n]),
+                    None => [0, 0, 0, 0, 0, 0, 0, n as u64],
+                };
+                counts.add(dom, tid as usize, &row, trace.sites.is_some());
+            }
+        }
+        counts
+    }
+
+    /// Add thread `tid`'s gates in domain `dom`, per kind code as
+    /// [`kind_counts`]; `validated` if their stream has a site column.
+    pub(crate) fn add(&mut self, dom: u32, tid: usize, kinds: &[u64; 8], validated: bool) {
+        let (t, n) = (&mut self.threads[tid], kinds.iter().sum::<u64>());
+        t.gates += n;
+        for (g, c) in t.gates_by_kind.iter_mut().zip(kinds) {
+            *g += c;
+        }
+        t.validate_checks += if validated { n } else { 0 };
+        if let Some(d) = self.domains.get_mut(dom as usize) {
+            *d += n;
+        }
+    }
+}
+
+/// Immutable copy of one [`Stats`] slot, or the sum of several, with the
+/// counts a session reads back from its records (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Total gate passages.
+    /// Admitted gate passages (0 in passthrough).
     pub gates: u64,
-    /// Gate passages per [`AccessKind`] (indexed by `AccessKind::code()`).
+    /// Gate passages per [`AccessKind`] (indexed by `AccessKind::code()`);
+    /// they sum to `gates` unless a replayed trace has no kind column.
     pub gates_by_kind: [u64; 7],
     /// Acquisitions of the lock `L`: one per ST record gate and per baton
     /// won in ST replay. DC/DE record through the ticket gate and never
     /// take it, so for them this stays 0.
     pub lock_acquires: u64,
-    /// Inter-thread communication events during replay (§IV-C2).
+    /// Inter-thread communication events during replay (§IV-C2): one per
+    /// admitted gate, plus ST's `next_tid` hand-offs.
     pub comms: u64,
     /// Gates that had to wait in replay.
     pub waits: u64,
@@ -281,7 +310,7 @@ pub struct StatsSnapshot {
     pub spin_iters: u64,
     /// Trace records produced.
     pub records_written: u64,
-    /// Trace records consumed.
+    /// Trace records consumed by admitted replay gates.
     pub records_read: u64,
     /// DE stores that ended below their own clock — one fix-up each.
     pub deferred_finalizations: u64,
@@ -289,9 +318,10 @@ pub struct StatsSnapshot {
     pub chunk_flushes: u64,
     /// Bytes written to record files.
     pub io_bytes_written: u64,
-    /// Replay-validation comparisons performed.
+    /// Replay-validation comparisons: records read from streams with a
+    /// site column.
     pub validate_checks: u64,
-    /// Cross-domain happens-before edges recorded (record mode, D > 1).
+    /// Cross-domain happens-before edges collected (record mode, D > 1).
     pub sync_edges: u64,
     /// Replay waits on foreign domains' turnstiles (edges enforced).
     pub edge_waits: u64,
@@ -533,37 +563,30 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let s = Stats::new();
-        s.bump_gate(AccessKind::Load);
-        s.bump_gate(AccessKind::Load);
-        s.bump_gate(AccessKind::Critical);
         s.bump_comms(3);
         s.bump_lock();
         s.add_io_written(128);
         let snap = s.snapshot();
-        assert_eq!(snap.gates, 3);
-        assert_eq!(snap.gates_of(AccessKind::Load), 2);
-        assert_eq!(snap.gates_of(AccessKind::Critical), 1);
         assert_eq!(snap.comms, 3);
         assert_eq!(snap.lock_acquires, 1);
         assert_eq!(snap.io_bytes_written, 128);
-        assert!((snap.comms_per_gate() - 1.0).abs() < f64::EPSILON);
+        // A slot holds no gate count: those are read back from records.
+        assert_eq!(snap.gates, 0);
     }
 
     #[test]
     fn absorb_sums_every_counter() {
         let (a, b) = (Stats::new(), Stats::new());
-        a.bump_gate(AccessKind::Load);
-        a.bump_record_written();
-        b.bump_gate(AccessKind::Load);
-        b.bump_gate(AccessKind::Store);
+        a.bump_deferred();
         b.bump_comms(2);
         b.add_spin_iters(7);
-        let mut total = a.snapshot();
-        total.absorb(&b.snapshot());
-        assert_eq!(total.gates, 3, "the derived total sums like the kinds");
-        assert_eq!(total.gates_of(AccessKind::Load), 2);
-        assert_eq!(total.gates_of(AccessKind::Store), 1);
-        assert_eq!(total.records_written, 1);
+        let (mut total, mut other) = (a.snapshot(), b.snapshot());
+        (total.gates, total.gates_by_kind[0]) = (1, 1);
+        (other.gates, other.gates_by_kind[1]) = (2, 2);
+        total.absorb(&other);
+        assert_eq!(total.gates, 3);
+        assert_eq!(total.gates_by_kind[..2], [1, 2]);
+        assert_eq!(total.deferred_finalizations, 1);
         assert_eq!(total.comms, 2);
         assert_eq!(total.spin_iters, 7);
     }
@@ -587,26 +610,49 @@ mod tests {
     }
 
     #[test]
+    fn kind_counts_match_a_plain_count() {
+        // More than one 255-code chunk, and codes that name no kind.
+        let codes: Vec<u8> = (0..1000u32).map(|i| (i * i % 11) as u8).collect();
+        let mut plain = [0u64; 8];
+        for &c in &codes {
+            plain[usize::from(c).min(7)] += 1;
+        }
+        assert_eq!(kind_counts(&codes), plain);
+        // An ST stream in runs of 3 (mixed blocks) and of 300 (one-thread
+        // blocks too); tid 2 is out of range and counts nowhere.
+        for run in [3, 300] {
+            let tids: Vec<u32> = (0..1000).map(|i| i / run % 3).collect();
+            let mut rows = vec![[0; 8]; 2];
+            count_st(&mut rows, &tids, &codes);
+            for (t, row) in (0..2).zip(&rows) {
+                let mine: Vec<u8> = (codes.iter().zip(&tids))
+                    .filter_map(|(&c, &u)| (u == t).then_some(c))
+                    .collect();
+                assert_eq!(*row, kind_counts(&mine), "runs of {run}, thread {t}");
+            }
+        }
+    }
+
+    #[test]
     fn domain_counters_track_breakdown() {
-        let s = Stats::with_domains(3);
-        s.bump_domain_gate(0);
-        s.bump_domain_gate(2);
-        s.bump_domain_gate(2);
-        s.bump_domain_gate(99); // out of range: ignored, not a panic
-        assert_eq!(s.domain_gates(), vec![1, 0, 2]);
-        // Single-domain stats keep no breakdown.
-        let s = Stats::with_domains(1);
-        s.bump_domain_gate(0);
-        assert!(s.domain_gates().is_empty());
-        // More domains than one block holds.
-        let n = DOMAINS_PER_BLOCK as u32 + 2;
-        let s = Stats::with_domains(n);
-        s.bump_domain_gate(n - 1);
-        s.bump_domain_gate(n); // one past the end, inside the last block
-        let got = s.domain_gates();
-        assert_eq!(got.len(), n as usize);
-        assert_eq!(got.iter().sum::<u64>(), 1);
-        assert_eq!(got[n as usize - 1], 1);
+        // Domain-major DC streams, 2 threads × 3 domains; thread 1's
+        // domain-2 stream has no kind column.
+        let mut b = bundle_with_values(vec![vec![0], vec![], vec![], vec![], vec![1], vec![2, 3]]);
+        (b.scheme, b.nthreads, b.domains) = (Scheme::Dc, 2, 3);
+        for (t, kind) in [(0, AccessKind::Load), (4, AccessKind::Store)] {
+            b.threads[t].kinds = Some(vec![kind.code()]);
+        }
+        let counts = GateCounts::of(&b);
+        assert_eq!(counts.domains, vec![1, 0, 3]);
+        assert_eq!(counts.threads[0].gates_by_kind[..2], [1, 1], "load, store");
+        assert_eq!(counts.threads[1].gates, 2, "kind-less records count");
+        assert_eq!(counts.threads[1].gates_by_kind, [0; 7]);
+        // A prefix counts only the records below its end.
+        let head = GateCounts::of_prefixes(&b, |dom, tid| usize::from(dom == 2 && tid == 1));
+        assert_eq!(head.domains, vec![0, 0, 1]);
+        // A single domain keeps no breakdown.
+        (b.domains, b.threads) = (1, b.threads[..2].to_vec());
+        assert!(GateCounts::of(&b).domains.is_empty());
     }
 
     #[test]

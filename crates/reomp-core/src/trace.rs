@@ -908,6 +908,11 @@ mod tests {
                 ..dc_bundle_two_domains().linearize()
             }
         );
+        // Its replay could only end at the watchdog: it is refused.
+        let refused = crate::Session::replay(b).unwrap_err();
+        assert!(refused
+            .to_string()
+            .contains("2 cross-domain edges admit no order"));
     }
 
     #[test]

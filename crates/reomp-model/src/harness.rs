@@ -764,6 +764,61 @@ pub fn lane_owner_vs_drain(cfg: &Config) -> Report {
     })
 }
 
+/// A mid-run dump vs a stealing ST gate: thread 0 gates ST stores at
+/// sites 0, 1, … into a flight session with a two-record flush threshold
+/// (every second gate steals the builder and appends it after releasing
+/// `L`) while another thread's [`Session::dump`] flushes the builder's
+/// residue. Both must append under the chunk-order lock taken before `L`
+/// is released: the final dump holds the sites in gate order, each
+/// record counted once.
+pub fn st_dump_vs_steal(cfg: &Config) -> Report {
+    const GATES: u64 = 5;
+    shuttle::check(cfg.clone(), move || {
+        let store = Arc::new(MemStore::default());
+        let session = Session::record_flight(
+            Scheme::St,
+            1,
+            SessionConfig {
+                flush_records: 2,
+                flight: Some(64),
+                spin: model_spin(),
+                ..SessionConfig::default()
+            },
+            SharedMem(Arc::clone(&store)),
+        )
+        .expect("flight session");
+        let owner = {
+            let session = Arc::clone(&session);
+            shuttle::thread::spawn(move || {
+                let ctx = session.register_thread(0);
+                for site in 0..GATES {
+                    ctx.gate(SiteId(site), AccessKind::Store, || ());
+                }
+            })
+        };
+        let dumper = {
+            let session = Arc::clone(&session);
+            shuttle::thread::spawn(move || {
+                session.dump(DumpTrigger::Manual).expect("mid-run dump");
+            })
+        };
+        owner.join().unwrap();
+        dumper.join().unwrap();
+        session.dump(DumpTrigger::Manual).expect("final dump");
+        let report = session.finish().expect("flight finish");
+        let (bundle, _) = store.load().expect("dumped store loads");
+        assert_eq!(
+            bundle.st_stream(0).expect("an ST stream").sites,
+            Some((0..GATES).collect::<Vec<_>>()),
+            "a residue chunk reached the stream out of gate order"
+        );
+        assert_eq!(
+            report.stats.records_written, GATES,
+            "each record counted once"
+        );
+    })
+}
+
 /// Run `body` once as a single model thread and return what it returns:
 /// the one-schedule execution the locked-instruction counts are taken in.
 fn run_once<T: Send + 'static>(body: impl Fn() -> T + Send + Sync + 'static) -> T {

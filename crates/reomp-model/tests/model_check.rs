@@ -233,6 +233,11 @@ fn clean_lane_owner_vs_drain() {
 }
 
 #[test]
+fn clean_st_dump_vs_steal() {
+    assert_clean("st_dump_vs_steal", &h::st_dump_vs_steal(&cfg()));
+}
+
+#[test]
 fn clean_spinwait_watchdog() {
     assert_clean(
         "spinwait_watchdog",

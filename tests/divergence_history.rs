@@ -115,10 +115,18 @@ fn diverge(bundle: TraceBundle, cap: usize) -> String {
         } else {
             AccessKind::Load
         };
-        return match ctx.try_gate(site, flipped, || ()) {
+        let report = match ctx.try_gate(site, flipped, || ()) {
             Err(ReplayError::Divergence(d)) => d.to_string(),
             other => panic!("expected a divergence, got {other:?}"),
         };
+        // The counts are of admitted accesses: the diverging gate is in none.
+        drop(ctxs);
+        let stats = replay.finish().expect("replay finish").stats;
+        assert_eq!(
+            (stats.gates, stats.records_read),
+            (wrong as u64, wrong as u64)
+        );
+        return report;
     }
     unreachable!("the sequence diverges before it ends")
 }

@@ -90,6 +90,13 @@ fn windowed_dump_is_the_tail_of_an_unbounded_recording() {
                 report.io.unwrap().evicted > 0,
                 "{tag}: nothing was ever evicted"
             );
+            // The counts are the lanes', not the window's.
+            let (s, n) = (report.stats, accesses as u64);
+            assert_eq!((s.records_written, s.gates), (n, n), "{tag}");
+            assert_eq!(
+                report.domain_gates.iter().sum::<u64>(),
+                n * u64::from(domains > 1)
+            );
 
             let (window, _) = DirStore::new(&dir).load().unwrap();
             window.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));

@@ -27,11 +27,14 @@ use common::oracle::{check, records_of, AdmissionLog, Log};
 use common::program::{execute, op_strategy, Op};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
+use reomp::core::analysis::summarize;
+use reomp::core::stats::GateCounts;
+use reomp::core::StatsSnapshot;
 use reomp::miniapps::{self, halo};
 use reomp::ompr::events::NullSink;
 use reomp::ompr::{EventSink, Runtime};
 use reomp::{
-    racedet, DirStore, DomainPlan, DumpTrigger, Mode, Scheme, Session, SessionConfig,
+    racedet, AccessKind, DirStore, DomainPlan, DumpTrigger, Mode, Scheme, Session, SessionConfig,
     SessionReport, SiteId, TraceBundle, TraceStore, Verifier,
 };
 use std::sync::Arc;
@@ -150,15 +153,15 @@ fn replay(app: App, bundle: TraceBundle) -> (Log, String, SessionReport) {
     (log.take(), output, session.finish().unwrap())
 }
 
-/// Record `app` through `sink`: the bundle, the oracle's log and the
-/// output, after the record-side checks.
+/// Record `app` through `sink`: the bundle, the oracle's log, the output
+/// and the per-thread counters, after the record-side checks.
 fn record(
     app: App,
     scheme: Scheme,
     plan: &DomainPlan,
     sink: Sink,
     tag: &str,
-) -> (TraceBundle, Log, String) {
+) -> (TraceBundle, Log, String, Vec<StatsSnapshot>) {
     let (pid, cell) = (std::process::id(), tag.replace('/', "-"));
     let dir = std::env::temp_dir().join(format!("reomp-matrix-{pid}-{cell}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -200,7 +203,7 @@ fn record(
     assert_eq!(bundle.domains, plan.domains(), "{tag}");
     let verified = Verifier::new().verify(&bundle);
     assert!(verified.is_clean(), "{tag}: {verified}");
-    (bundle, log.take(), output)
+    (bundle, log.take(), output, report.thread_stats)
 }
 
 /// One matrix cell.
@@ -208,9 +211,9 @@ fn cell(app: App, scheme: Scheme, plan: &DomainPlan, sink: Sink) {
     let tag = format!("{app:?}/{scheme}/D={}/{sink:?}", plan.domains());
     // A recording in which one thread ran every logged access (the others
     // found a dynamic loop drained) has no two to trade: record again.
-    let (bundle, recorded, output) = (0..12)
+    let (bundle, recorded, output, rec_stats) = (0..12)
         .map(|_| record(app, scheme, plan, sink, &tag))
-        .find(|(bundle, log, _)| sabotage(bundle, log).is_some())
+        .find(|(bundle, log, ..)| sabotage(bundle, log).is_some())
         .unwrap_or_else(|| panic!("{tag}: one thread ran every access"));
     check(&bundle, &recorded).unwrap_or_else(|e| panic!("{tag}: record: {e}"));
     if plan.domains() > 1 && app != App::Seeded {
@@ -226,6 +229,30 @@ fn cell(app: App, scheme: Scheme, plan: &DomainPlan, sink: Sink) {
     }
     let owed = bundle.edge_index().values().map(Vec::len).sum::<usize>();
     assert_eq!(report.stats.edge_waits, owed as u64, "{tag}: edge waits");
+    // Both runs' gate counts are the bundle's, as `summarize` prints them.
+    let (counts, summary) = (GateCounts::of(&bundle), summarize(&bundle));
+    let mut all = StatsSnapshot::default();
+    for (tid, t) in counts.threads.iter().enumerate() {
+        let (rec, rep) = (&rec_stats[tid], &report.thread_stats[tid]);
+        let want = (t.gates, t.gates_by_kind, t.gates);
+        let got = (
+            rec.records_written,
+            rec.gates_by_kind,
+            summary.per_thread[tid],
+        );
+        assert_eq!(got, want, "{tag}: t{tid} record");
+        let got = (rep.records_read, rep.gates_by_kind, rep.validate_checks);
+        assert_eq!(
+            got,
+            (t.gates, t.gates_by_kind, t.validate_checks),
+            "{tag}: t{tid} replay"
+        );
+        all.absorb(t);
+    }
+    for kind in AccessKind::ALL {
+        let printed = summary.kinds.get(kind.name()).copied().unwrap_or(0);
+        assert_eq!(printed, all.gates_of(kind), "{tag}: {kind}");
+    }
     let bad = sabotage(&bundle, &recorded).expect("found above");
     assert!(
         check(&bad, &recorded).is_err(),
