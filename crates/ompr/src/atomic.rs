@@ -42,12 +42,6 @@ impl AtomicF64 {
         self.fetch_update(order, |x| x + v)
     }
 
-    /// Atomic max; returns the previous value.
-    #[inline]
-    pub fn fetch_max(&self, v: f64, order: Ordering) -> f64 {
-        self.fetch_update(order, |x| x.max(v))
-    }
-
     /// Atomic read-modify-write with an arbitrary pure function; returns
     /// the previous value.
     pub fn fetch_update(&self, order: Ordering, f: impl Fn(f64) -> f64) -> f64 {
@@ -86,15 +80,6 @@ mod tests {
         let a = AtomicF64::new(10.0);
         assert_eq!(a.fetch_add(2.5, Ordering::Relaxed), 10.0);
         assert_eq!(a.load(Ordering::Relaxed), 12.5);
-    }
-
-    #[test]
-    fn fetch_max_keeps_maximum() {
-        let a = AtomicF64::new(3.0);
-        a.fetch_max(1.0, Ordering::Relaxed);
-        assert_eq!(a.load(Ordering::Relaxed), 3.0);
-        a.fetch_max(7.5, Ordering::Relaxed);
-        assert_eq!(a.load(Ordering::Relaxed), 7.5);
     }
 
     #[test]

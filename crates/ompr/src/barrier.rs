@@ -29,12 +29,6 @@ impl TeamBarrier {
         }
     }
 
-    /// Team size.
-    #[must_use]
-    pub fn team_size(&self) -> u32 {
-        self.n
-    }
-
     /// Number of completed barrier episodes.
     #[must_use]
     pub fn generation(&self) -> u64 {

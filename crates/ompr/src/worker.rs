@@ -155,13 +155,6 @@ impl<'t> Worker<'t> {
         });
     }
 
-    /// Gated atomic `f64` max.
-    pub fn atomic_max_f64(&self, site: SiteId, cell: &AtomicF64, v: f64) {
-        self.atomic_region(site, || {
-            cell.fetch_max(v, Ordering::AcqRel);
-        });
-    }
-
     /// A custom gated atomic region (an arbitrary `atomicrmw`).
     pub fn atomic_region<R>(&self, site: SiteId, f: impl FnOnce() -> R) -> R {
         self.ctx.gate(site, AccessKind::AtomicRmw, || {
@@ -183,16 +176,6 @@ impl<'t> Worker<'t> {
     /// record-and-replay overhead is negligible (§VI-A1).
     pub fn reduce(&self, red: &Reduction, partial: f64) {
         self.reduce_region(red, || red.combine_f64(partial));
-    }
-
-    /// Combine a `u64` partial into a reduction.
-    pub fn reduce_u64(&self, red: &Reduction, partial: u64) {
-        self.reduce_region(red, || red.combine_u64(partial));
-    }
-
-    /// Combine an `i64` partial into a reduction.
-    pub fn reduce_i64(&self, red: &Reduction, partial: i64) {
-        self.reduce_region(red, || red.combine_i64(partial));
     }
 
     fn reduce_region(&self, red: &Reduction, f: impl FnOnce()) {

@@ -78,21 +78,6 @@ impl RaceReport {
     pub fn is_clean(&self) -> bool {
         self.races.is_empty()
     }
-
-    /// Deduplicated (site, site) race pairs.
-    #[must_use]
-    pub fn unique_pairs(&self) -> HashSet<(SiteId, SiteId)> {
-        self.races
-            .iter()
-            .map(|r| {
-                if r.first_site <= r.second_site {
-                    (r.first_site, r.second_site)
-                } else {
-                    (r.second_site, r.first_site)
-                }
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for RaceReport {
@@ -151,15 +136,6 @@ mod tests {
         assert!(!sites.contains(&SiteId(0)));
         assert_eq!(report.racy_addrs().len(), 2);
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn unique_pairs_is_order_insensitive() {
-        let report = RaceReport {
-            races: vec![race(1, 2, 10), race(2, 1, 12), race(1, 2, 13)],
-            events_analysed: 3,
-        };
-        assert_eq!(report.unique_pairs().len(), 1);
     }
 
     #[test]

@@ -153,10 +153,9 @@ impl TicketGate {
 /// and ST's multi-domain mirror is written only by the baton's current
 /// holder. Both gate-outs therefore have the counter to themselves, and
 /// advance it as [`TicketGate::exit`] releases `serving`: a load of their
-/// own value and a Release store ([`Turnstile::advance_exclusive`],
-/// [`Turnstile::complete`]). DE admits a whole epoch group at once, whose
-/// members complete concurrently, so its gate-out keeps the `fetch_add`
-/// ([`Turnstile::advance`]).
+/// own value and a Release store ([`Turnstile::complete`]). DE admits a
+/// whole epoch group at once, whose members complete concurrently, so its
+/// gate-out keeps the `fetch_add` ([`Turnstile::advance`]).
 #[derive(Debug, Default)]
 pub struct Turnstile {
     next: AtomicU64,
@@ -276,21 +275,15 @@ impl Turnstile {
         self.next.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// `next_clock++` at a DC gate-out: the caller is the one thread the
-    /// turnstile admitted at its current value, so no other thread writes
-    /// it until this store (see "Who writes `next`"). The communication is
-    /// counted as for [`Turnstile::advance`] (DC-1 in Fig. 7).
-    #[inline]
-    pub fn advance_exclusive(&self, _stats: &Stats) -> u64 {
-        self.complete()
-    }
-
-    /// Advance the completed-access count. ST replay uses this in
+    /// Advance the completed-access count as its sole writer (see "Who
+    /// writes `next`"). A DC gate-out is the one thread the turnstile
+    /// admitted at its current value: this is its `next_clock++`, the one
+    /// inter-thread communication of a DC replay gate (DC-1 in Fig. 7),
+    /// counted as for [`Turnstile::advance`]. ST replay uses it in
     /// multi-domain sessions, where it is no paper communication: the
     /// baton hand-off is ST's real communication; the turnstile only
     /// mirrors the completion count so other domains' cross-domain edges
-    /// have something to wait on. Only the baton's holder calls it, so it
-    /// is the sole writer, as in [`Turnstile::advance_exclusive`].
+    /// have something to wait on, and only the baton's holder calls it.
     #[inline]
     pub fn complete(&self) -> u64 {
         // ORDERING: the caller is the counter's only writer and its
@@ -335,7 +328,7 @@ mod tests {
                     t.wait_exact(clock, clock as u32, SiteId(1), &cfg, &stats)
                         .unwrap();
                     order.lock().push(clock);
-                    t.advance_exclusive(&stats);
+                    t.complete();
                 });
             }
         });

@@ -196,7 +196,7 @@ pub(crate) fn record_out(
             release();
             if let Some((mut turn, (tids, sites, kinds))) = stolen {
                 turn.count(&tids, &kinds);
-                if let Err(e) = session.append_st_chunk(dom, &tids, &sites, &kinds, stats) {
+                if let Err(e) = session.append_st_chunk(dom, &tids, &sites, &kinds, tid) {
                     rec.record_failure(e);
                 }
             }
@@ -308,7 +308,7 @@ pub(crate) fn replay_out(session: &Session, dom: u32, tid: u32) {
         // thread alone at its clock, so it is the turnstile's only writer;
         // DE's same-epoch threads advance concurrently.
         Scheme::Dc => {
-            drep.turnstile.advance_exclusive(session.thread_stats(tid));
+            drep.turnstile.complete();
         }
         Scheme::De => {
             drep.turnstile.advance(session.thread_stats(tid));

@@ -59,8 +59,15 @@
 //! [`Session::record_with`] into an unbounded [`FlightRecorder`] ring
 //! that becomes the report's bundle, [`Session::record_streaming_with`]
 //! into a [`StreamingTraceStore`], [`Session::record_flight`] into a
-//! bounded ring. A thread appends to its own lane without a lock (the
-//! lane is owner-written, see `RecordLane`). Whenever that lane holds
+//! bounded ring. An ST gate appends to its domain's shared builder under
+//! `L`; the gate that fills it to [`SessionConfig::flush_records`]
+//! records takes it as one batch and appends it after it releases `L`,
+//! under the domain's chunk-order lock, which it took before the release
+//! so the chunks keep `L`'s order. (Fig. 4 appends before the unlock;
+//! that measured × 1.4 in contended ST record time, because the other
+//! threads can no longer gate during the append.) A DC/DE thread appends
+//! to its own lane without a lock (the lane is owner-written, see
+//! `RecordLane`). Whenever that lane holds
 //! [`SessionConfig::flush_records`] stable entries, the thread moves
 //! them into the sink as one chunk, so no lane holds more than a bounded
 //! window of the trace. ST/DC records are stable as soon as they are
@@ -444,11 +451,6 @@ struct Drained {
     /// The gates of every entry flushed, per kind code (as
     /// [`kind_counts`]), boxed to keep the lane one line.
     flushed: Box<[u64; 8]>,
-}
-
-/// The gates `entries` record, per kind code.
-fn tally(entries: &[RecEntry]) -> [u64; 8] {
-    kind_counts(&entries.iter().map(|e| e.kind).collect::<Vec<_>>())
 }
 
 /// The first storage a lane allocates, in entries; it doubles when full.
@@ -1331,7 +1333,9 @@ impl Session {
             for (tid, lane) in drec.lanes.iter().enumerate() {
                 let mut drained = lane.drained.lock();
                 let mut row = *drained.flushed;
-                add_to(&mut row, &tally(lane.live(&mut drained)));
+                for e in lane.live(&mut drained).iter() {
+                    row[usize::from(e.kind).min(7)] += 1;
+                }
                 counts.add(dom, tid, &row, false);
             }
         }
@@ -1665,27 +1669,14 @@ impl Session {
                 });
                 if !tids.is_empty() {
                     turn.count(&tids, &kinds);
-                    let _turn = self.session_writer.lock();
-                    self.append_st_chunk(dom, &tids, &sites, &kinds, self.session_stats())?;
+                    self.append_st_chunk(dom, &tids, &sites, &kinds, self.nthreads)?;
                 }
             }
-            // Per-thread residues.
-            for (tid, lane) in drec.lanes.iter().enumerate() {
-                // The cold lock is held across the append, like the owner's
-                // own flush, so a dump racing it cannot reorder the
-                // stream's chunks. The owner keeps appending meanwhile;
-                // this drain takes what it has published and advances
-                // `taken` past it.
+            // Per-thread residues. The owner keeps appending meanwhile;
+            // this drain takes what it has published.
+            for (tid, lane) in (0..).zip(drec.lanes.iter()) {
                 let mut drained = lane.drained.lock();
-                let live = lane.live(&mut drained);
-                let flushed = tally(live);
-                lane.apply_fixups(live);
-                if !live.is_empty() {
-                    let _turn = self.session_writer.lock();
-                    self.append_thread_chunk(dom, tid as u32, live, self.session_stats())?;
-                    drained.taken += live.len();
-                    add_to(&mut drained.flushed, &flushed);
-                }
+                self.drain_lane(dom, tid, &mut drained, <[RecEntry]>::len, self.nthreads)?;
             }
         }
         Ok(floors)
@@ -1727,28 +1718,55 @@ impl Session {
         f(guard.as_deref().ok_or_else(sink_committed)?)
     }
 
-    /// Encode `entries` as one chunk and append it to thread `tid`'s
-    /// stream in domain `dom`, counting the flush in `stats` (the slot of
-    /// whoever does the flushing).
-    fn append_thread_chunk(
+    /// Count one appended chunk of `bytes` in counter slot `slot`: a
+    /// thread's (`tid`), or the session's own (`nthreads`), whose writers —
+    /// `finish` and dumps, which may run concurrently — take turns on
+    /// `session_writer`.
+    fn count_chunk(&self, slot: u32, bytes: u64) {
+        let _turn = (slot == self.nthreads).then(|| self.session_writer.lock());
+        let stats = &self.slots[slot as usize].stats;
+        stats.add_io_written(bytes);
+        stats.bump_chunk_flush();
+    }
+
+    /// Drain the oldest `cut(live)` live entries of thread `tid`'s lane in
+    /// domain `dom` — whose cold lock `drained` is — into the sink as one
+    /// chunk, fix-ups applied, and count them in the lane's tally and the
+    /// chunk in counter slot `slot`. The cold lock stays held across the
+    /// append: the owner's flush and a dump may drain one lane
+    /// concurrently, and two drained batches must reach the stream in the
+    /// order they were drained.
+    fn drain_lane(
         &self,
         dom: u32,
         tid: u32,
-        entries: &[RecEntry],
-        stats: &Stats,
+        drained: &mut MutexGuard<'_, Drained>,
+        cut: impl FnOnce(&[RecEntry]) -> usize,
+        slot: u32,
     ) -> Result<(), TraceError> {
+        let lane =
+            &self.rec.as_ref().expect("record state").domains[dom as usize].lanes[tid as usize];
+        let live = lane.live(drained);
+        let cut = cut(live);
+        if cut == 0 {
+            return Ok(());
+        }
+        lane.apply_fixups(live);
+        let entries = &live[..cut];
         let values: Vec<u64> = entries.iter().map(|e| e.value).collect();
         let sites: Vec<u64> = entries.iter().map(|e| e.site).collect();
         let kinds: Vec<u8> = entries.iter().map(|e| e.kind).collect();
         let bytes = self.with_sink(|sink| {
             sink.append_thread_chunk(dom, tid, &values, Some(&sites), Some(&kinds))
         })?;
-        stats.add_io_written(bytes);
-        stats.bump_chunk_flush();
+        self.count_chunk(slot, bytes);
+        drained.taken += cut;
+        add_to(&mut drained.flushed, &kind_counts(&kinds));
         Ok(())
     }
 
-    /// Append one chunk of a domain's shared ST stream.
+    /// Append one chunk of a domain's shared ST stream, counted in
+    /// counter slot `slot`.
     #[cold]
     pub(crate) fn append_st_chunk(
         &self,
@@ -1756,12 +1774,11 @@ impl Session {
         tids: &[u32],
         sites: &[u64],
         kinds: &[u8],
-        stats: &Stats,
+        slot: u32,
     ) -> Result<(), TraceError> {
         let bytes =
             self.with_sink(|sink| sink.append_st_chunk(dom, tids, Some(sites), Some(kinds)))?;
-        stats.add_io_written(bytes);
-        stats.bump_chunk_flush();
+        self.count_chunk(slot, bytes);
         Ok(())
     }
 
@@ -1786,23 +1803,19 @@ impl Session {
         }
         let lane = &rec.domains[dom as usize].lanes[tid as usize];
         let mut drained = lane.drained.lock();
-        let live = lane.live(&mut drained);
         // The threshold counts *stable* entries: a DE store still pending
         // (at or above the floor) is not yet part of any chunk, so chunk
         // boundaries do not depend on when provisional entries arrive.
-        let cut = live.partition_point(|e| e.clock < floor);
-        if cut >= self.cfg.flush_records {
-            lane.apply_fixups(live);
-            let flushed = tally(&live[..cut]);
-            // Append while still holding the cold lock: a flight dump may
-            // collect this lane's residue concurrently, and two drained
-            // batches must reach the stream in the order they were drained.
-            let result = self.append_thread_chunk(dom, tid, &live[..cut], self.thread_stats(tid));
-            drained.taken += cut;
-            add_to(&mut drained.flushed, &flushed);
-            if let Err(e) = result {
-                rec.record_failure(e);
+        let stable = |live: &[RecEntry]| {
+            let cut = live.partition_point(|e| e.clock < floor);
+            if cut >= self.cfg.flush_records {
+                cut
+            } else {
+                0
             }
+        };
+        if let Err(e) = self.drain_lane(dom, tid, &mut drained, stable, tid) {
+            rec.record_failure(e);
         }
         lane.compact(&mut drained);
     }
@@ -2328,43 +2341,47 @@ mod tests {
     fn reregistered_tid_accumulates_and_live_stats_are_monotone() {
         const FIRST: u64 = 20_000;
         const SECOND: u64 = 300;
-        let s = Session::record(Scheme::Dc, 2);
-        let region = |n: u64, watch: bool| {
-            std::thread::scope(|scope| {
-                for tid in 0..2u32 {
-                    let ctx = s.register_thread(tid);
-                    scope.spawn(move || {
-                        for _ in 0..n {
-                            ctx.gate(SiteId(u64::from(tid)), AccessKind::Load, || ());
-                        }
-                    });
-                }
-                if !watch {
-                    return;
-                }
-                // Poll while the workers gate; the loop ends when their
-                // last gate is visible, so it overlaps them by construction.
-                let mut last = s.stats();
-                while last.gates < 2 * n || last.records_written < 2 * n {
-                    let now = s.stats();
-                    assert!(now.gates >= last.gates, "{} < {}", now.gates, last.gates);
-                    assert!(now.records_written >= last.records_written);
-                    assert!(now.gates_of(AccessKind::Load) >= last.gates_of(AccessKind::Load));
-                    last = now;
-                }
-            });
-        };
-        region(FIRST, true);
-        // A second parallel region re-registers both tids on new OS threads:
-        // the counts land in the same slots.
-        region(SECOND, false);
-        let report = s.finish().unwrap();
-        assert_eq!(report.thread_stats.len(), 2);
-        for t in &report.thread_stats {
-            assert_eq!(t.gates, FIRST + SECOND);
-            assert_eq!(t.records_written, FIRST + SECOND);
+        // ST's gates steal full builders meanwhile, so its tally and
+        // builder are read while they move.
+        for scheme in Scheme::ALL {
+            let s = Session::record(scheme, 2);
+            let region = |n: u64, watch: bool| {
+                std::thread::scope(|scope| {
+                    for tid in 0..2u32 {
+                        let ctx = s.register_thread(tid);
+                        scope.spawn(move || {
+                            for _ in 0..n {
+                                ctx.gate(SiteId(u64::from(tid)), AccessKind::Load, || ());
+                            }
+                        });
+                    }
+                    if !watch {
+                        return;
+                    }
+                    // Poll while the workers gate; the loop ends when their
+                    // last gate is visible, so it overlaps them by construction.
+                    let mut last = s.stats();
+                    while last.gates < 2 * n || last.records_written < 2 * n {
+                        let now = s.stats();
+                        assert!(now.gates >= last.gates, "{} < {}", now.gates, last.gates);
+                        assert!(now.records_written >= last.records_written);
+                        assert!(now.gates_of(AccessKind::Load) >= last.gates_of(AccessKind::Load));
+                        last = now;
+                    }
+                });
+            };
+            region(FIRST, true);
+            // A second parallel region re-registers both tids on new OS threads:
+            // the counts land in the same slots.
+            region(SECOND, false);
+            let report = s.finish().unwrap();
+            assert_eq!(report.thread_stats.len(), 2);
+            for t in &report.thread_stats {
+                assert_eq!(t.gates, FIRST + SECOND);
+                assert_eq!(t.records_written, FIRST + SECOND);
+            }
+            assert_eq!(report.stats.gates, 2 * (FIRST + SECOND));
         }
-        assert_eq!(report.stats.gates, 2 * (FIRST + SECOND));
     }
 
     #[test]

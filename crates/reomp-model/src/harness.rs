@@ -106,8 +106,8 @@ impl TurnstileApi for RealTurnstile {
             .wait_at_least(epoch, tid as u32, SiteId(1), &self.spin, &self.stats[tid])
             .expect("turnstile wait failed");
     }
-    fn advance_exclusive(&self, tid: usize) {
-        self.turnstile.advance_exclusive(&self.stats[tid]);
+    fn advance_exclusive(&self, _tid: usize) {
+        self.turnstile.complete();
     }
     fn advance(&self, tid: usize) {
         self.turnstile.advance(&self.stats[tid]);

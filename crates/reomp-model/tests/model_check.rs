@@ -23,16 +23,16 @@
 //! switches to the CI `model-check` configuration: the harnesses with
 //! tractable state spaces run uncapped and must report
 //! `report.complete` — a full enumeration of every interleaving the
-//! dependence relation distinguishes. The three spin-wait-heavy harnesses
-//! (`turnstile_admit_order`, `turnstile_epoch_group`,
-//! `cross_domain_record_replay` — and the session-level harnesses
-//! `ticket_gate_equivalence` and `ticket_critical_edge_record_replay`,
-//! whose record ticket gate and replay turnstiles both spin) are budgeted
-//! instead: every failed spin re-check is its own scheduling point, so
-//! their (finite) spaces grow combinatorially with the number of
-//! re-checks and full enumeration is out of reach; exhaustive mode raises
-//! their budget to [`HEAVY_SCHEDULES`] schedules rather than asserting
-//! completeness.
+//! dependence relation distinguishes. Seven spin-wait-heavy runs are
+//! budgeted instead: `turnstile_admit_order`, `turnstile_epoch_group`,
+//! the 3-thread `epoch_floor_publication`, `cross_domain_record_replay`,
+//! `ticket_gate_equivalence` (buffered and streaming DE) and
+//! `ticket_critical_edge_record_replay`, whose record ticket gate and
+//! replay turnstiles both spin. Every failed spin re-check is its own
+//! scheduling point, so their (finite) spaces grow combinatorially with
+//! the number of re-checks and full enumeration is out of reach;
+//! exhaustive mode raises their budget to [`HEAVY_SCHEDULES`] schedules
+//! rather than asserting completeness.
 
 use reomp_core::clock::TicketGate;
 use reomp_core::sync::BatonLock;

@@ -11,7 +11,6 @@ use std::time::Duration;
 pub const COLLECTIVE_TAG_BASE: u32 = 1 << 30;
 const TAG_BCAST: u32 = COLLECTIVE_TAG_BASE;
 const TAG_REDUCE: u32 = COLLECTIVE_TAG_BASE + 1;
-const TAG_GATHER: u32 = COLLECTIVE_TAG_BASE + 2;
 const TAG_HALO: u32 = COLLECTIVE_TAG_BASE + 3;
 
 /// The communicator: spawns one OS thread per rank and runs `f` on each.
@@ -83,8 +82,6 @@ pub struct Request {
 
 #[derive(Debug)]
 enum ReqKind {
-    /// Buffered send: complete on creation.
-    SendDone,
     /// Pending receive (concrete source).
     Recv {
         src: u32,
@@ -214,19 +211,8 @@ impl RankCtx {
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking operations (`MPI_Isend`/`MPI_Irecv`/`MPI_Wait[any]`)
+    // Non-blocking operations (`MPI_Irecv`/`MPI_Wait[any]`)
     // ------------------------------------------------------------------
-
-    /// Non-blocking send. This in-process world buffers sends, so the
-    /// request completes immediately; it exists so ported code keeps its
-    /// request bookkeeping.
-    pub fn isend(&self, dst: u32, tag: u32, payload: &[u8]) -> Result<Request, MpiError> {
-        self.send(dst, tag, payload)?;
-        Ok(Request {
-            kind: ReqKind::SendDone,
-            key: (dst, tag),
-        })
-    }
 
     /// Non-blocking receive from a concrete source (wildcard receives use
     /// the blocking [`RankCtx::recv`], where the ReMPI recorder attaches).
@@ -247,10 +233,6 @@ impl RankCtx {
     /// Complete one request (`MPI_Wait`): blocks for receives.
     pub fn wait(&self, req: &mut Request) -> Result<Option<Envelope>, MpiError> {
         match &mut req.kind {
-            ReqKind::SendDone => {
-                req.kind = ReqKind::Done;
-                Ok(None)
-            }
             ReqKind::Done => Ok(None),
             ReqKind::Recv { src, tag, done } => {
                 let env = match done.take() {
@@ -271,10 +253,6 @@ impl RankCtx {
     /// Test one request without blocking (`MPI_Test`).
     pub fn test(&self, req: &mut Request) -> Option<Envelope> {
         match &mut req.kind {
-            ReqKind::SendDone => {
-                req.kind = ReqKind::Done;
-                None
-            }
             ReqKind::Done => None,
             ReqKind::Recv { src, tag, done } => {
                 if done.is_none() {
@@ -314,11 +292,6 @@ impl RankCtx {
             for (i, req) in reqs.iter_mut().enumerate() {
                 if matches!(req.kind, ReqKind::Done) {
                     continue;
-                }
-                if matches!(req.kind, ReqKind::SendDone) {
-                    req.kind = ReqKind::Done;
-                    self.session.log_waitany(self.rank, dom, i as u32);
-                    return Ok((i, None));
                 }
                 if let Some(env) = self.test(req) {
                     self.session.log_waitany(self.rank, dom, i as u32);
@@ -401,24 +374,6 @@ impl RankCtx {
         let mut data = reduced.unwrap_or_else(|| vec![0.0; local.len()]);
         self.bcast_f64s(0, &mut data)?;
         Ok(data)
-    }
-
-    /// Gather one `u64` per rank to `root`, ordered by rank (deterministic
-    /// fixed-source receives).
-    pub fn gather_u64(&self, root: u32, value: u64) -> Result<Option<Vec<u64>>, MpiError> {
-        if self.rank != root {
-            self.send_u64s(root, TAG_GATHER, &[value])?;
-            return Ok(None);
-        }
-        let mut out = Vec::with_capacity(self.nranks as usize);
-        for src in 0..self.nranks {
-            if src == root {
-                out.push(value);
-            } else {
-                out.push(self.recv(src, TAG_GATHER, None)?.as_u64s()[0]);
-            }
-        }
-        Ok(Some(out))
     }
 
     /// Exchange boundary slices with ring neighbours (the halo-exchange
@@ -517,14 +472,6 @@ mod tests {
         for d in out {
             assert_eq!(d, vec![3.0, 3.0]);
         }
-    }
-
-    #[test]
-    fn gather_orders_by_rank() {
-        let out = World::run(4, passthrough(4), |rank| {
-            rank.gather_u64(2, u64::from(rank.rank()) * 10).unwrap()
-        });
-        assert_eq!(out[2], Some(vec![0, 10, 20, 30]));
     }
 
     #[test]
@@ -656,19 +603,6 @@ mod nonblocking_tests {
 
     fn passthrough(n: u32) -> Arc<MpiSession> {
         Arc::new(MpiSession::passthrough(n))
-    }
-
-    #[test]
-    fn isend_completes_immediately_and_wait_returns_nothing() {
-        World::run(2, passthrough(2), |rank| {
-            if rank.rank() == 0 {
-                let mut req = rank.isend(1, 1, b"x").unwrap();
-                assert!(rank.wait(&mut req).unwrap().is_none());
-                assert!(req.is_done());
-            } else {
-                assert_eq!(rank.recv(0, 1, None).unwrap().payload, b"x");
-            }
-        });
     }
 
     #[test]
