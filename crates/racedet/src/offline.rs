@@ -128,8 +128,9 @@ fn merged_view(bundle: &TraceBundle) -> Result<Vec<TraceAccess>, OfflineError> {
 
     for a in &order.accesses {
         let dx = a.domain as usize;
-        // Recordings write kinds with sites (checked above), so a missing
-        // kind is a byte that decodes to none.
+        // Recordings write kinds with sites (checked above), and
+        // `validate` refuses a kind byte that decodes to none, so a
+        // missing kind is a kind column left out.
         let (Some(site), Some(kind)) = (a.site, a.kind) else {
             let at = format!("access {} of domain {}", a.seq, a.domain);
             return Err(OfflineError::Corrupt(format!("bad kind code at {at}")));
@@ -514,8 +515,8 @@ mod tests {
             offline_report(&b).unwrap_err(),
             OfflineError::Corrupt(_)
         ));
-        // An ST kind byte that decodes to no kind passes the structural
-        // tier (the verifier flags it as an ordering error).
+        // An ST kind byte that decodes to no kind fails the structural
+        // tier, as it does in a thread stream.
         let st = TraceBundle {
             plan: None,
             edges: vec![],

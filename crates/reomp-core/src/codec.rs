@@ -116,7 +116,13 @@ pub fn put_uvarint(buf: &mut BytesMut, v: u64) {
 }
 
 /// Read one LEB128 unsigned varint.
+#[inline]
 pub fn get_uvarint<B: Buf>(buf: &mut B) -> Result<u64, TraceError> {
+    // Label indices and small deltas are one byte.
+    if let Some(&byte @ 0..0x80) = buf.chunk().first() {
+        buf.advance(1);
+        return Ok(u64::from(byte));
+    }
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -170,13 +176,9 @@ pub fn unzigzag(v: u64) -> i64 {
 
 /// The element of a value column: clocks or epochs (`u64`, zigzag deltas)
 /// or ST thread ids (`u32`, deltas only when run-length coded).
-trait Value: Copy + Into<u64> + TryFrom<u64> {
+trait Value: Copy + Into<u64> + TryFrom<u64> + Default {
     /// Whether the plain column is delta coded.
     const PLAIN_DELTAS: bool;
-
-    fn from_raw(raw: u64) -> Result<Self, TraceError> {
-        Self::try_from(raw).map_err(|_| TraceError::Corrupt(format!("tid {raw} out of range")))
-    }
 }
 
 impl Value for u64 {
@@ -311,7 +313,9 @@ fn walk_column(
 }
 
 /// Append the `count` values of a column to `out`; every column but a
-/// plain one of tids holds zigzag deltas against a base of 0.
+/// plain one of tids holds zigzag deltas against a base of 0. A run is one
+/// `extend`; an element out of range is remembered, not branched on, and
+/// fails the column at its end.
 fn get_values<T: Value>(
     buf: &mut &[u8],
     count: usize,
@@ -319,18 +323,23 @@ fn get_values<T: Value>(
     out: &mut Vec<T>,
 ) -> Result<(), TraceError> {
     let deltas = T::PLAIN_DELTAS || column != Column::Plain;
-    let mut prev = 0u64;
+    let (mut prev, mut widest) = (0u64, 0u64);
     walk_column(buf, count, column, |run, element| {
-        for _ in 0..run {
+        out.extend((0..run).map(|_| {
             prev = if deltas {
                 prev.wrapping_add(unzigzag(element) as u64)
             } else {
                 element
             };
-            out.push(T::from_raw(prev)?);
-        }
+            widest = widest.max(prev);
+            T::try_from(prev).unwrap_or_default()
+        }));
         Ok(())
-    })
+    })?;
+    match T::try_from(widest) {
+        Err(_) => Err(TraceError::Corrupt(format!("tid {widest} out of range"))),
+        Ok(_) => Ok(()),
+    }
 }
 
 /// The `(site, kind)` labels of one payload, numbered in order of first
@@ -535,7 +544,6 @@ pub(crate) fn decode_thread_records_within(
 struct Stream<T> {
     version: u8,
     scheme: u8,
-    flags: u8,
     tid: u32,
     domain: Option<u32>,
     values: Vec<T>,
@@ -546,7 +554,9 @@ struct Stream<T> {
 }
 
 /// Decode a whole record file — header, then one payload or chunk after
-/// chunk — of at most `max_records` records.
+/// chunk — of at most `max_records` records. A first pass over the chunk
+/// frames reads and bounds every payload's count, so each column is
+/// allocated once, at its exact length, before a record is decoded.
 fn decode_stream<T: Value>(
     mut buf: &[u8],
     magic: &[u8; 4],
@@ -567,111 +577,161 @@ fn decode_stream<T: Value>(
     if flags & FLAG_COMPRESSED != 0 && flags & FLAG_CHUNKED == 0 {
         return Err(TraceError::Corrupt("compressed but not chunked".into()));
     }
-    let mut s = Stream {
-        version,
-        scheme,
-        flags,
-        tid,
-        domain,
-        values: Vec::new(),
-        sites: (flags & FLAG_SITES != 0).then(Vec::new),
-        kinds: (flags & FLAG_KINDS != 0).then(Vec::new),
-        chunks: 0,
-        max_labels: 0,
-    };
-    if flags & FLAG_CHUNKED == 0 {
-        get_payload(buf, &mut s, max_records)?;
-        return Ok(s);
-    }
-    while buf.has_remaining() {
-        if !buf.starts_with(MAGIC_CHUNK) {
-            return Err(TraceError::Corrupt(format!(
-                "bad chunk frame {:?} (expected RTCK)",
-                &buf[..buf.len().min(4)]
-            )));
-        }
-        buf.advance(4);
-        let nbytes = get_count(&mut buf, 1, "chunk byte")?;
-        let (payload, rest) = buf.split_at(nbytes);
-        get_payload(payload, &mut s, max_records)?;
-        buf = rest;
-        s.chunks += 1;
-    }
-    Ok(s)
-}
-
-/// Decode one payload — all of `buf`: a chunk's bytes, or the rest of a
-/// one-shot file — appending to `s`'s columns. Nothing is reserved before
-/// `count` is bounded by `max_records` and by the bytes at hand (or, where
-/// runs can exceed those, before they and the exact length are validated).
-fn get_payload<T: Value>(
-    mut buf: &[u8],
-    s: &mut Stream<T>,
-    max_records: u64,
-) -> Result<(), TraceError> {
-    let nbytes = buf.len();
-    let v1 = s.version == VERSION_1;
-    let values = match (s.flags & FLAG_COMPRESSED != 0, v1) {
+    let v1 = version == VERSION_1;
+    let values = match (flags & FLAG_COMPRESSED != 0, v1) {
         (false, _) => Column::Plain,
         (true, false) => Column::Groups,
         (true, true) => Column::Runs,
     };
+    let (chunked, mut total) = (flags & FLAG_CHUNKED != 0, 0);
+    each_payload(buf, chunked, |payload| {
+        let room = max_records.saturating_sub(total as u64);
+        total += payload_count(payload, values, flags, room)?;
+        Ok(())
+    })?;
+    let mut s = Stream {
+        version,
+        scheme,
+        tid,
+        domain,
+        values: Vec::with_capacity(total),
+        sites: (flags & FLAG_SITES != 0).then(|| Vec::with_capacity(total)),
+        kinds: (flags & FLAG_KINDS != 0).then(|| Vec::with_capacity(total)),
+        chunks: 0,
+        max_labels: 0,
+    };
+    s.chunks = each_payload(buf, chunked, |payload| get_payload(payload, values, &mut s))?;
+    Ok(s)
+}
+
+/// Hand `f` each payload of a record file's body — the body itself, or
+/// the payload of each chunk frame in turn — and return the chunk count.
+fn each_payload(
+    mut body: &[u8],
+    chunked: bool,
+    mut f: impl FnMut(&[u8]) -> Result<(), TraceError>,
+) -> Result<u64, TraceError> {
+    if !chunked {
+        return f(body).map(|()| 0);
+    }
+    let mut chunks = 0;
+    while body.has_remaining() {
+        if !body.starts_with(MAGIC_CHUNK) {
+            return Err(TraceError::Corrupt(format!(
+                "bad chunk frame {:?} (expected RTCK)",
+                &body[..body.len().min(4)]
+            )));
+        }
+        body.advance(4);
+        let nbytes = get_count(&mut body, 1, "chunk byte")?;
+        let (payload, rest) = body.split_at(nbytes);
+        f(payload)?;
+        body = rest;
+        chunks += 1;
+    }
+    Ok(chunks)
+}
+
+/// Read the record count of a payload — all of `buf`, its value column
+/// laid out as `values`, under the stream's `flags` — and bound it by the
+/// `room` records still expected and by the bytes at hand, or, where runs
+/// can exceed those, by walking the runs to the payload's exact length.
+fn payload_count(
+    mut buf: &[u8],
+    values: Column,
+    flags: u8,
+    room: u64,
+) -> Result<usize, TraceError> {
+    let nbytes = buf.len();
     let count = get_uvarint(&mut buf)?;
     // Every record costs a byte, except where all its columns are runs.
-    let expands = values != Column::Plain && (v1 || s.sites.is_none() && s.kinds.is_none());
+    let labels = flags & (FLAG_SITES | FLAG_KINDS) != 0;
+    let expands = values == Column::Runs || values == Column::Groups && !labels;
     let bound = if expands {
         nbytes.saturating_mul(MAX_RLE_EXPANSION)
     } else {
         buf.len()
     };
-    let room = max_records.saturating_sub(s.values.len() as u64);
     if count > room.min(bound as u64) {
         return Err(TraceError::Corrupt(format!(
             "record count {count} exceeds the payload's {nbytes} bytes, or the {room} records still expected"
         )));
     }
     let count = count as usize;
-    let exact = |left: &[u8]| match left.len() {
+    if expands {
+        walk_column(&mut buf, count, values, |_, _| Ok(()))?;
+        if flags & FLAG_SITES != 0 {
+            walk_column(&mut buf, count, Column::Runs, |_, _| Ok(()))?;
+        }
+        if flags & FLAG_KINDS != 0 {
+            walk_column(&mut buf, count, Column::ByteRuns, |_, _| Ok(()))?;
+        }
+        exact(nbytes, buf)?;
+    }
+    Ok(count)
+}
+
+/// `Corrupt` unless decoding a payload of `nbytes` left no byte of it.
+fn exact(nbytes: usize, left: &[u8]) -> Result<(), TraceError> {
+    match left.len() {
         0 => Ok(()),
         left => Err(TraceError::Corrupt(format!(
             "payload of {nbytes} bytes but decoding consumed {}",
             nbytes - left
         ))),
-    };
-    if expands {
-        let mut ahead = buf;
-        walk_column(&mut ahead, count, values, |_, _| Ok(()))?;
-        if s.sites.is_some() {
-            walk_column(&mut ahead, count, Column::Runs, |_, _| Ok(()))?;
-        }
-        if s.kinds.is_some() {
-            walk_column(&mut ahead, count, Column::ByteRuns, |_, _| Ok(()))?;
-        }
-        exact(ahead)?;
     }
-    s.values.reserve(count);
-    get_values(&mut buf, count, values, &mut s.values)?;
-    if v1 {
-        get_v1_columns(&mut buf, count, values, s)?;
-    } else {
-        get_labels(&mut buf, count, s)?;
-    }
-    exact(buf)
 }
 
-/// Decode the label column of a payload of `count` records.
-fn get_labels<T>(buf: &mut &[u8], count: usize, s: &mut Stream<T>) -> Result<(), TraceError> {
-    let literal = if s.sites.is_some() { 8 } else { 0 } + usize::from(s.kinds.is_some());
+/// Decode one payload — all of `buf`: a chunk's bytes, or the rest of a
+/// one-shot file — whose count [`payload_count`] has bounded, appending to
+/// `s`'s columns.
+fn get_payload<T: Value>(
+    mut buf: &[u8],
+    values: Column,
+    s: &mut Stream<T>,
+) -> Result<(), TraceError> {
+    let nbytes = buf.len();
+    let count = get_uvarint(&mut buf)? as usize;
+    get_values(&mut buf, count, values, &mut s.values)?;
+    if s.version == VERSION_1 {
+        get_v1_columns(&mut buf, count, values, s)?;
+    } else {
+        let labels = get_labels(&mut buf, count, s.sites.as_mut(), s.kinds.as_mut())?;
+        s.max_labels = s.max_labels.max(labels);
+    }
+    exact(nbytes, buf)
+}
+
+/// `count` more elements of `column`, to be overwritten in place; none for
+/// an absent column.
+fn grow<T: Copy + Default>(column: Option<&mut Vec<T>>, count: usize) -> &mut [T] {
+    column.map_or(&mut [], |column| {
+        let at = column.len();
+        column.resize(at + count, T::default());
+        &mut column[at..]
+    })
+}
+
+/// Decode the label column of a payload of `count` records onto the site
+/// and kind columns present, and return the size of its label table. Each
+/// column is grown by `count` first and written through a local slice.
+fn get_labels(
+    buf: &mut &[u8],
+    count: usize,
+    sites: Option<&mut Vec<u64>>,
+    kinds: Option<&mut Vec<u8>>,
+) -> Result<u64, TraceError> {
+    let (has_sites, has_kinds) = (sites.is_some(), kinds.is_some());
+    let literal = if has_sites { 8 } else { 0 } + usize::from(has_kinds);
     if literal == 0 {
-        return Ok(());
+        return Ok(0);
     }
     if count > buf.len() {
         return Err(TraceError::Corrupt("label column truncated".into()));
     }
-    s.sites.iter_mut().for_each(|sites| sites.reserve(count));
-    s.kinds.iter_mut().for_each(|kinds| kinds.reserve(count));
+    let (sites, kinds) = (grow(sites, count), grow(kinds, count));
     let mut table: Vec<(u64, u8)> = Vec::new();
-    for _ in 0..count {
+    for i in 0..count {
         let index = get_uvarint(buf)?;
         let known = usize::try_from(index).ok().and_then(|i| table.get(i));
         let (site, kind) = if let Some(&label) = known {
@@ -684,23 +744,22 @@ fn get_labels<T>(buf: &mut &[u8], count: usize, s: &mut Stream<T>) -> Result<(),
         } else if buf.len() < literal {
             return Err(TraceError::Corrupt("label literal truncated".into()));
         } else {
-            let site = s.sites.as_ref().map_or(0, |_| buf.get_u64_le());
-            let kind = s.kinds.as_ref().map_or(0, |_| buf.get_u8());
+            let site = if has_sites { buf.get_u64_le() } else { 0 };
+            let kind = if has_kinds { buf.get_u8() } else { 0 };
             if AccessKind::from_code(kind).is_none() {
                 return Err(TraceError::Corrupt(format!("bad kind code {kind}")));
             }
             table.push((site, kind));
             (site, kind)
         };
-        if let Some(sites) = s.sites.as_mut() {
-            sites.push(site);
+        if let Some(at) = sites.get_mut(i) {
+            *at = site;
         }
-        if let Some(kinds) = s.kinds.as_mut() {
-            kinds.push(kind);
+        if let Some(at) = kinds.get_mut(i) {
+            *at = kind;
         }
     }
-    s.max_labels = s.max_labels.max(table.len() as u64);
-    Ok(())
+    Ok(table.len() as u64)
 }
 
 /// Decode the site and kind columns of a version 1 payload: raw
@@ -1072,6 +1131,9 @@ fn check_header(buf: &mut &[u8], magic: &[u8; 4], newest: u8) -> Result<u8, Trac
     }
     Ok(version)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1913,5 +1975,323 @@ mod tests {
         buf.put_u32_le(1);
         put_uvarint(&mut buf, u64::MAX / 2);
         assert!(decode_checkpoint(&buf.freeze()).is_err());
+    }
+
+    /// The differential tests' generator: splitmix64 over a counter.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            crate::site::splitmix64(self.0)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound.max(1)
+        }
+    }
+
+    /// `n` values of one of several shapes: stride-1 clocks, runs of one
+    /// delta, small wandering strides, or any `u64` (deltas that wrap).
+    fn random_values(rng: &mut Rng, n: usize) -> Vec<u64> {
+        let shape = rng.below(4);
+        let mut v = rng.below(1 << 20);
+        (0..n)
+            .map(|i| {
+                v = match shape {
+                    0 => v + 1,
+                    1 if i % 9 == 0 => v.wrapping_add(rng.below(300)),
+                    1 => v + 3,
+                    2 => v.wrapping_add(rng.below(200)).wrapping_sub(40),
+                    _ => rng.next(),
+                };
+                v
+            })
+            .collect()
+    }
+
+    /// `(run varint, element)` pairs over `elements`: version 1's
+    /// compressed column.
+    fn v1_runs(elements: &[u64], byte: bool) -> BytesMut {
+        let mut out = BytesMut::new();
+        for run in elements.chunk_by(|a, b| a == b) {
+            put_uvarint(&mut out, run.len() as u64);
+            if byte {
+                out.put_u8(run[0] as u8);
+            } else {
+                put_uvarint(&mut out, run[0]);
+            }
+        }
+        out
+    }
+
+    /// Version 1's payload, as the old writers laid it out: `count |
+    /// values | [sites: count × u64le] [kinds: count × u8]`, or, with
+    /// `compress`, all three columns as runs (values and sites as zigzag
+    /// deltas, kinds as bytes). ST tids are plain varints when plain.
+    fn v1_payload(
+        values: &[u64],
+        st: bool,
+        columns: Option<(&[u64], &[u8])>,
+        compress: bool,
+    ) -> BytesMut {
+        let deltas = |xs: &[u64]| -> Vec<u64> {
+            let mut prev = 0u64;
+            xs.iter()
+                .map(|&x| zigzag(x.wrapping_sub(std::mem::replace(&mut prev, x)) as i64))
+                .collect()
+        };
+        let mut out = BytesMut::new();
+        put_uvarint(&mut out, values.len() as u64);
+        if compress {
+            out.extend_from_slice(&v1_runs(&deltas(values), false));
+        } else {
+            let plain = if st { values.to_vec() } else { deltas(values) };
+            plain.iter().for_each(|&v| put_uvarint(&mut out, v));
+        }
+        if let Some((sites, kinds)) = columns {
+            if compress {
+                out.extend_from_slice(&v1_runs(&deltas(sites), false));
+                let kinds: Vec<u64> = kinds.iter().map(|&k| u64::from(k)).collect();
+                out.extend_from_slice(&v1_runs(&kinds, true));
+            } else {
+                sites.iter().for_each(|&site| out.put_u64_le(site));
+                out.extend_from_slice(kinds);
+            }
+        }
+        out
+    }
+
+    /// A record file of `values` (ST tids when `st`) with optional label
+    /// columns: version 1 or 2, one-shot (`splits` empty, never
+    /// compressed) or cut into chunks at the cycled `splits`.
+    fn random_file(
+        values: &[u64],
+        st: bool,
+        columns: Option<(&[u64], &[u8])>,
+        version: u8,
+        splits: &[usize],
+        compress: bool,
+    ) -> Vec<u8> {
+        let chunked = !splits.is_empty();
+        let compress = compress && chunked;
+        let mut flags = if chunked { FLAG_CHUNKED } else { 0 };
+        flags |= if compress { FLAG_COMPRESSED } else { 0 };
+        flags |= if columns.is_some() {
+            FLAG_SITES | FLAG_KINDS
+        } else {
+            0
+        };
+        let mut file = if st { MAGIC_ST } else { MAGIC_THREAD }.to_vec();
+        let scheme = if st { Scheme::St } else { Scheme::Dc };
+        file.extend_from_slice(&[version, scheme.code(), flags, 3, 0, 0, 0]);
+        let payload = |at: usize, end: usize| {
+            let cols = columns.map(|(s, k)| (&s[at..end], &k[at..end]));
+            if version == 1 {
+                return v1_payload(&values[at..end], st, cols, compress);
+            }
+            let mut out = BytesMut::new();
+            let (sites, kinds) = (cols.map(|c| c.0), cols.map(|c| c.1));
+            if st {
+                let tids: Vec<u32> = values[at..end].iter().map(|&t| t as u32).collect();
+                put_payload(&mut out, &tids, sites, kinds, compress);
+            } else {
+                put_payload(&mut out, &values[at..end], sites, kinds, compress);
+            }
+            out
+        };
+        if !chunked {
+            file.extend_from_slice(&payload(0, values.len()));
+            return file;
+        }
+        let (mut at, mut split) = (0, splits.iter().cycle());
+        while at < values.len() {
+            let end = (at + split.next().unwrap()).min(values.len());
+            let payload = payload(at, end);
+            file.extend_from_slice(MAGIC_CHUNK);
+            let mut len = BytesMut::new();
+            put_uvarint(&mut len, payload.len() as u64);
+            file.extend_from_slice(&len);
+            file.extend_from_slice(&payload);
+            at = end;
+        }
+        file
+    }
+
+    /// Both decoders, as thread and as ST stream, under `max_records`:
+    /// the same trace, or an error of the same kind from both.
+    fn assert_same_verdict(bytes: &[u8], max_records: u64) {
+        fn same<D: PartialEq + std::fmt::Debug>(
+            new: Result<D, TraceError>,
+            old: Result<D, TraceError>,
+        ) {
+            match (new, old) {
+                (Ok(new), Ok(old)) => assert_eq!(new, old),
+                (Err(new), Err(old)) => assert_eq!(
+                    std::mem::discriminant(&new),
+                    std::mem::discriminant(&old),
+                    "{new} vs {old}"
+                ),
+                (new, old) => panic!("column decoder {new:?}, reference {old:?}"),
+            }
+        }
+        same(
+            decode_thread_records_within(bytes, max_records),
+            reference::decode_thread_records(bytes, max_records),
+        );
+        same(
+            decode_st_records_within(bytes, max_records),
+            reference::decode_st_records(bytes, max_records),
+        );
+    }
+
+    /// A random file as [`random_file`] writes it, from `seed`, and the
+    /// record cap to decode it under.
+    fn seeded_file(seed: u64) -> (Vec<u8>, u64) {
+        let mut rng = Rng(seed);
+        let n = if rng.below(4) == 0 {
+            rng.below(8)
+        } else {
+            rng.below(600)
+        } as usize;
+        let st = rng.below(2) == 0;
+        let mut values = random_values(&mut rng, n);
+        if st {
+            let top = if rng.below(4) == 0 {
+                u64::from(u32::MAX) - 3
+            } else {
+                0
+            };
+            values = values.iter().map(|&v| top + v % 4).collect();
+        }
+        let many = rng.below(3) == 0;
+        let labels = 1 + rng.below(if many { 300 } else { 6 });
+        let pool: Vec<(u64, u8)> = (0..labels)
+            .map(|_| {
+                let shift = rng.below(64);
+                (rng.next() >> shift, rng.below(7) as u8)
+            })
+            .collect();
+        let picks: Vec<(u64, u8)> = (0..n).map(|_| pool[rng.below(labels) as usize]).collect();
+        let sites: Vec<u64> = picks.iter().map(|p| p.0).collect();
+        let kinds: Vec<u8> = picks.iter().map(|p| p.1).collect();
+        let columns = (rng.below(4) != 0).then_some((&sites[..], &kinds[..]));
+        let splits: Vec<usize> = match rng.below(3) {
+            0 => Vec::new(),
+            _ => (0..1 + rng.below(4))
+                .map(|_| 1 + rng.below(200) as usize)
+                .collect(),
+        };
+        let version = 1 + rng.below(2) as u8;
+        let mut file = random_file(&values, st, columns, version, &splits, rng.below(2) == 0);
+        // Half the files are damaged: bytes overwritten, cut or repeated.
+        for _ in 0..rng.below(4).saturating_sub(1) {
+            if file.is_empty() {
+                break;
+            }
+            let at = rng.below(file.len() as u64) as usize;
+            match rng.below(3) {
+                0 => file[at] = rng.next() as u8,
+                1 => file.truncate(at),
+                _ => {
+                    let piece = file[at..(at + 6).min(file.len())].to_vec();
+                    file.splice(at..at, piece);
+                }
+            }
+        }
+        let cap = match rng.below(4) {
+            0 => rng.below(n as u64 + 2),
+            _ => u64::MAX,
+        };
+        (file, cap)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn column_decoder_matches_the_per_record_reference(seed in 0u64..u64::MAX) {
+            let (file, cap) = seeded_file(seed);
+            assert_same_verdict(&file, cap);
+        }
+    }
+
+    #[test]
+    fn column_decoder_reads_two_byte_label_indices() {
+        // 300 distinct labels in one chunk: indices from 128 on take two
+        // bytes, and so do the literals' announcements.
+        let values: Vec<u64> = (0..600).collect();
+        let sites: Vec<u64> = (0..600).map(|i| 0x4000 + i % 300).collect();
+        let kinds: Vec<u8> = (0..600).map(|i| (i % 300 % 7) as u8).collect();
+        for compress in [false, true] {
+            let file = random_file(&values, false, Some((&sites, &kinds)), 2, &[600], compress);
+            let d = decode_thread_records(&file).unwrap();
+            assert_eq!(d.max_labels, 300);
+            assert_eq!(
+                (d.trace.sites.as_deref(), d.trace.kinds.as_deref()),
+                (Some(&sites[..]), Some(&kinds[..]))
+            );
+            assert_same_verdict(&file, u64::MAX);
+        }
+    }
+
+    #[test]
+    fn column_decoder_wraps_deltas() {
+        // Deltas that wrap `u64` both ways, as plain varints and in runs.
+        let values = vec![
+            u64::MAX,
+            0,
+            u64::MAX - 7,
+            3,
+            3,
+            3,
+            3,
+            3,
+            u64::MAX,
+            1,
+            2,
+            3,
+            4,
+            5,
+        ];
+        for (version, compress) in [(1, false), (1, true), (2, false), (2, true)] {
+            for splits in [&[][..], &[5], &[14]] {
+                let file = random_file(&values, false, None, version, splits, compress);
+                assert_eq!(decode_thread_records(&file).unwrap().trace.values, values);
+                assert_same_verdict(&file, u64::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn st_tid_runs_crossing_u32_max_are_corrupt() {
+        // One literal tid just below `u32::MAX`, then a run of +1 deltas
+        // that crosses it; and a run of −1 deltas down through 0.
+        for (start, delta) in [(u64::from(u32::MAX) - 2, 1i64), (1, -1)] {
+            for version in [1u8, 2] {
+                let mut payload = BytesMut::new();
+                put_uvarint(&mut payload, 6);
+                if version == 1 {
+                    payload.extend_from_slice(&[1]);
+                    put_uvarint(&mut payload, zigzag(start as i64));
+                    put_uvarint(&mut payload, 5);
+                } else {
+                    put_uvarint(&mut payload, 1 << 1);
+                    put_uvarint(&mut payload, zigzag(start as i64));
+                    put_uvarint(&mut payload, 5 << 1 | 1);
+                }
+                put_uvarint(&mut payload, zigzag(delta));
+                let mut file = MAGIC_ST.to_vec();
+                file.extend_from_slice(&[version, 0, FLAG_CHUNKED | FLAG_COMPRESSED, 0, 0, 0, 0]);
+                file.extend_from_slice(MAGIC_CHUNK);
+                file.push(payload.len() as u8);
+                file.extend_from_slice(&payload);
+                let err = decode_st_records(&file).unwrap_err();
+                assert!(
+                    matches!(&err, TraceError::Corrupt(m) if m.contains("out of range")),
+                    "{err}"
+                );
+                assert_same_verdict(&file, u64::MAX);
+            }
+        }
     }
 }

@@ -100,12 +100,32 @@ impl ThreadTrace {
                     self.values.len()
                 )));
             }
-            if let Some(bad) = kinds.iter().find(|&&c| AccessKind::from_code(c).is_none()) {
-                return Err(TraceError::Corrupt(format!("{who}: bad kind code {bad}")));
-            }
+            check_kinds(who, kinds)?;
         }
         Ok(())
     }
+}
+
+/// `Corrupt` unless every byte of `kinds` is an [`AccessKind`] code: the
+/// codes run from 0 to [`AccessKind::MpiOp`] without a gap.
+fn check_kinds(who: &str, kinds: &[u8]) -> Result<(), TraceError> {
+    match first_above(kinds, AccessKind::MpiOp.code()) {
+        Some(at) => Err(TraceError::Corrupt(format!(
+            "{who}: bad kind code {}",
+            kinds[at]
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Where the first element of `column` above `last` is. The maximum of a
+/// block vectorizes, so a column within bounds costs one pass with no
+/// branch per element; only a failing block is searched.
+pub(crate) fn first_above<T: Copy + Ord + Default>(column: &[T], last: T) -> Option<usize> {
+    let blocks = column.chunks(512).enumerate();
+    let mut over = blocks.filter(|(_, b)| b.iter().fold(T::default(), |m, &x| m.max(x)) > last);
+    let (at, block) = over.next()?;
+    block.iter().position(|&x| x > last).map(|i| at * 512 + i)
 }
 
 /// The single shared record stream of ST recording.
@@ -145,10 +165,12 @@ impl StTrace {
         AccessKind::from_code(*self.kinds.as_ref()?.get(i)?)
     }
 
+    /// `nthreads` is at least 1: the structural tier checks it first.
     pub(crate) fn check(&self, nthreads: u32) -> Result<(), TraceError> {
-        if let Some(bad) = self.tids.iter().find(|&&t| t >= nthreads) {
+        if let Some(at) = first_above(&self.tids, nthreads - 1) {
             return Err(TraceError::Corrupt(format!(
-                "st trace references thread {bad} but only {nthreads} threads recorded"
+                "st trace references thread {} but only {nthreads} threads recorded",
+                self.tids[at]
             )));
         }
         if let Some(sites) = &self.sites {
@@ -160,6 +182,7 @@ impl StTrace {
             if kinds.len() != self.tids.len() {
                 return Err(TraceError::Corrupt("st trace kind column length".into()));
             }
+            check_kinds("st trace", kinds)?;
         }
         Ok(())
     }
@@ -762,6 +785,23 @@ mod tests {
         let mut b = dc_bundle();
         b.threads[1].kinds = Some(vec![0, 200]);
         assert!(b.validate().is_err(), "bad kind code");
+    }
+
+    #[test]
+    fn first_above_finds_the_first_element_across_blocks() {
+        assert_eq!(first_above(&[6u8; 1500], 6), None);
+        assert_eq!(first_above::<u32>(&[], 0), None);
+        for at in [0, 1, 511, 512, 513, 1499] {
+            let mut v = vec![3u32; 1500];
+            v[at] = 9;
+            v[1499.min(at + 600)] = 8;
+            assert_eq!(first_above(&v, 6), Some(at));
+        }
+        // The kind check agrees with `AccessKind::from_code` on every byte.
+        for code in 0..=u8::MAX {
+            let valid = check_kinds("t", &[0, code, 1]).is_ok();
+            assert_eq!(valid, AccessKind::from_code(code).is_some(), "{code}");
+        }
     }
 
     #[test]

@@ -764,20 +764,23 @@ pub fn lane_owner_vs_drain(cfg: &Config) -> Report {
     })
 }
 
-/// A mid-run dump vs a stealing ST gate: thread 0 gates ST stores at
-/// sites 0, 1, … into a flight session with a two-record flush threshold
-/// (every second gate steals the builder and appends it after releasing
-/// `L`) while another thread's [`Session::dump`] flushes the builder's
-/// residue. Both must append under the chunk-order lock taken before `L`
-/// is released: the final dump holds the sites in gate order, each
-/// record counted once.
-pub fn st_dump_vs_steal(cfg: &Config) -> Report {
-    const GATES: u64 = 5;
+/// A mid-run dump vs a stealing ST gate, or two stealing ST gates. With
+/// `gaters == 1`, thread 0 gates ST stores at sites 0, 1, … into a flight
+/// session with a two-record flush threshold (every second gate steals the
+/// builder and appends it after releasing `L`) while another thread's
+/// [`Session::dump`] flushes the builder's residue. With `gaters == 2`,
+/// threads 0 and 1 gate sites `100 · tid + i` and each steals the batches
+/// its own gates fill, so two stolen batches race to the stream. Every
+/// append must happen under the chunk-order lock taken before `L` is
+/// released: the final dump holds the sites in the order the gates
+/// admitted them (which the gated regions log), each record counted once.
+pub fn st_dump_vs_steal(cfg: &Config, gaters: u32) -> Report {
+    let gates: u64 = if gaters == 1 { 5 } else { 3 };
     shuttle::check(cfg.clone(), move || {
         let store = Arc::new(MemStore::default());
         let session = Session::record_flight(
             Scheme::St,
-            1,
+            gaters,
             SessionConfig {
                 flush_records: 2,
                 flight: Some(64),
@@ -787,33 +790,40 @@ pub fn st_dump_vs_steal(cfg: &Config) -> Report {
             SharedMem(Arc::clone(&store)),
         )
         .expect("flight session");
-        let owner = {
-            let session = Arc::clone(&session);
-            shuttle::thread::spawn(move || {
-                let ctx = session.register_thread(0);
-                for site in 0..GATES {
-                    ctx.gate(SiteId(site), AccessKind::Store, || ());
-                }
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let mut threads: Vec<_> = (0..gaters)
+            .map(|tid| {
+                let (session, admitted) = (Arc::clone(&session), Arc::clone(&admitted));
+                shuttle::thread::spawn(move || {
+                    let ctx = session.register_thread(tid);
+                    for i in 0..gates {
+                        let site = 100 * u64::from(tid) + i;
+                        ctx.gate(SiteId(site), AccessKind::Store, || {
+                            admitted.lock().push(site);
+                        });
+                    }
+                })
             })
-        };
-        let dumper = {
+            .collect();
+        if gaters == 1 {
             let session = Arc::clone(&session);
-            shuttle::thread::spawn(move || {
+            threads.push(shuttle::thread::spawn(move || {
                 session.dump(DumpTrigger::Manual).expect("mid-run dump");
-            })
-        };
-        owner.join().unwrap();
-        dumper.join().unwrap();
+            }));
+        }
+        threads.into_iter().for_each(|t| t.join().unwrap());
         session.dump(DumpTrigger::Manual).expect("final dump");
         let report = session.finish().expect("flight finish");
         let (bundle, _) = store.load().expect("dumped store loads");
+        let admitted = admitted.lock().clone();
         assert_eq!(
             bundle.st_stream(0).expect("an ST stream").sites,
-            Some((0..GATES).collect::<Vec<_>>()),
-            "a residue chunk reached the stream out of gate order"
+            Some(admitted),
+            "a batch reached the stream out of admission order"
         );
         assert_eq!(
-            report.stats.records_written, GATES,
+            report.stats.records_written,
+            gates * u64::from(gaters),
             "each record counted once"
         );
     })

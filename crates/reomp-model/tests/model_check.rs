@@ -234,7 +234,15 @@ fn clean_lane_owner_vs_drain() {
 
 #[test]
 fn clean_st_dump_vs_steal() {
-    assert_clean("st_dump_vs_steal", &h::st_dump_vs_steal(&cfg()));
+    assert_clean("st_dump_vs_steal", &h::st_dump_vs_steal(&cfg(), 1));
+}
+
+#[test]
+fn clean_st_steal_vs_steal() {
+    assert_clean(
+        "st_dump_vs_steal, two gaters",
+        &h::st_dump_vs_steal(&cfg(), 2),
+    );
 }
 
 #[test]

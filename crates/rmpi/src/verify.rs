@@ -190,16 +190,15 @@ fn certificate(trace: &MpiTrace) -> Certificate {
     h.u64(trace.recv_streams.len() as u64);
     for stream in &trace.recv_streams {
         h.u64(stream.len() as u64);
-        for e in stream {
-            h.u64(u64::from(e.src));
-            h.u64(u64::from(e.tag));
-        }
+        h.column(
+            stream
+                .iter()
+                .flat_map(|e| [u64::from(e.src), u64::from(e.tag)]),
+        );
     }
     for stream in &trace.waitany_streams {
         h.u64(stream.len() as u64);
-        for &idx in stream {
-            h.u64(u64::from(idx));
-        }
+        h.column(stream.iter().map(|&idx| u64::from(idx)));
     }
     match &trace.plan {
         Some(plan) => {

@@ -5,7 +5,8 @@
 
 use reomp::core::codec::{self, FLAG_CHUNKED, FLAG_COMPRESSED, FLAG_PLAN, FLAG_UNGATED};
 use reomp::core::trace::ThreadTrace;
-use reomp::{DirStore, DomainPlan, Scheme, SiteId, TraceBundle, TraceError, TraceStore};
+use reomp::core::verify::Tier;
+use reomp::{DirStore, DomainPlan, Scheme, SiteId, TraceBundle, TraceError, TraceStore, Verifier};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
@@ -301,4 +302,87 @@ fn a_plan_section_with_an_unknown_flag_is_corrupt() {
             assert_corrupt(codec::decode_plan(&stray), &format!("flag {bit:#04x}"));
         }
     }
+}
+
+#[test]
+fn a_forged_last_chunk_is_corrupt_before_the_valid_ones_are_decoded() {
+    let _serial = serial();
+    // Forty valid labelled chunks of 64 records, then one whose count no
+    // byte count can hold; and, for a compressed stream without labels,
+    // forty valid chunks and a decode bomb. Every chunk's count is read
+    // and bounded before a column is allocated, so the valid chunks cost
+    // nothing either: the old decoder grew 2 560 records' columns first.
+    let values: Vec<u64> = (0..64).collect();
+    let sites = [7u64; 64];
+    let kinds = [1u8; 64];
+    for compress in [false, true] {
+        let columns = !compress;
+        let mut file =
+            codec::encode_thread_stream_header_opt(Scheme::Dc, 0, None, columns, columns, compress)
+                .to_vec();
+        for chunk in 0..40u64 {
+            let values: Vec<u64> = values.iter().map(|v| chunk * 64 + v).collect();
+            let (sites, kinds) = (columns.then_some(&sites[..]), columns.then_some(&kinds[..]));
+            file.extend_from_slice(&codec::encode_thread_chunk_opt(
+                &values, sites, kinds, compress,
+            ));
+        }
+        let valid = codec::decode_thread_records(&file).unwrap();
+        assert_eq!((valid.trace.len(), valid.chunks), (2_560, 40));
+        if compress {
+            file.extend_from_slice(&bomb(2, 4096)[11..]);
+        } else {
+            let mut payload = varint(1 << 40);
+            payload.extend_from_slice(&[0; 32]);
+            file.extend_from_slice(b"RTCK");
+            file.extend_from_slice(&varint(payload.len() as u64));
+            file.extend_from_slice(&payload);
+        }
+        let (result, peak) = peak_of(|| codec::decode_thread_records(&file));
+        assert_corrupt(result, "forged last chunk");
+        assert!(
+            peak <= file.len(),
+            "compress {compress}: {peak} bytes live for {} of input",
+            file.len()
+        );
+    }
+}
+
+#[test]
+fn an_st_kind_byte_outside_access_kind_is_corrupt_at_load() {
+    let _serial = serial();
+    // A version 1 ST stream copies its kind column as it is; the kind
+    // check of the structural tier has to refuse byte 9 there, as it does
+    // in a thread stream.
+    let mut file = b"RTST".to_vec();
+    file.extend_from_slice(&[1, Scheme::St.code(), 1 | 2, 0, 0, 0, 0]);
+    file.extend_from_slice(&[2, 0, 0]); // two records, both of tid 0
+    file.extend_from_slice(&[5; 16]); // sites
+    file.extend_from_slice(&[0, 9]); // kinds
+    let st = codec::decode_st_records(&file).unwrap().trace;
+    assert_eq!(st.kinds, Some(vec![0, 9]));
+    let bundle = TraceBundle {
+        scheme: Scheme::St,
+        nthreads: 1,
+        domains: 1,
+        threads: vec![ThreadTrace::default()],
+        st: vec![st],
+        plan: None,
+        edges: Vec::new(),
+        checkpoint: None,
+    };
+    assert_corrupt(bundle.validate(), "validate");
+    let report = Verifier::new().verify(&bundle);
+    assert_eq!(report.worst_tier(), Some(Tier::Structural), "{report}");
+
+    let dir = std::env::temp_dir().join(format!("reomp-st-kind-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = DirStore::new(&dir);
+    let mut clean = bundle.clone();
+    clean.st[0].kinds = Some(vec![0, 1]);
+    store.save(&clean).unwrap();
+    std::fs::write(dir.join("st.rtrc"), &file).unwrap();
+    let result = store.load();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_corrupt(result, "DirStore::load");
 }

@@ -8,10 +8,12 @@
 //! A fixture's certificate digests the in-memory bundle, not the bytes on
 //! disk, so content that survives a format change keeps its certificate:
 //! both corpora, and a version 1 fixture saved again by this build, must
-//! carry the strings pinned here. The strings are `reomp-cert-v2`: the word
+//! carry the strings pinned here. The strings are `reomp-cert-v3`: the word
 //! digest (`verify::Digest`) over the same canonical fields the byte-wise
-//! FNV-1a of `reomp-cert-v1` hashed. Each pin changes only with the
-//! certificate's canonical serialization or digest function.
+//! FNV-1a of `reomp-cert-v1` hashed, each column through four lanes
+//! (`Digest::column`; `reomp-cert-v2` mixed it on one chain). Each pin
+//! changes only with the certificate's canonical serialization or digest
+//! function.
 
 use reomp::core::codec;
 use reomp::core::verify::Tier;
@@ -22,30 +24,30 @@ use std::path::{Path, PathBuf};
 const CERTIFICATES: [(&str, &str); 5] = [
     (
         "st_d1",
-        "reomp-cert-v2 5503cea6eb64692d scheme=st threads=2 domains=1 records=54 edges=0",
+        "reomp-cert-v3 4bd8dac070512bb6 scheme=st threads=2 domains=1 records=54 edges=0",
     ),
     (
         "dc_d1",
-        "reomp-cert-v2 88ffec6466e5183d scheme=dc threads=2 domains=1 records=54 edges=0",
+        "reomp-cert-v3 f6e46c48297230a1 scheme=dc threads=2 domains=1 records=54 edges=0",
     ),
     (
         "de_d1",
-        "reomp-cert-v2 a31b8c8508840f77 scheme=de threads=2 domains=1 records=54 edges=0",
+        "reomp-cert-v3 2592b05ab8355246 scheme=de threads=2 domains=1 records=54 edges=0",
     ),
     (
         "dc_planned",
-        "reomp-cert-v2 ad6b130004167932 scheme=dc threads=2 domains=4 records=54 edges=6",
+        "reomp-cert-v3 acb43f66781eedde scheme=dc threads=2 domains=4 records=54 edges=6",
     ),
     (
         "flight_dc",
-        "reomp-cert-v2 f6787900249fd251 scheme=dc threads=2 domains=1 records=14 edges=0 windowed",
+        "reomp-cert-v3 077e307068a14bc0 scheme=dc threads=2 domains=1 records=14 edges=0 windowed",
     ),
 ];
 
 /// The certificate of the `rmpi` fixture, minted by `MpiVerifier` from the
 /// same digest.
 const RMPI_CERTIFICATE: &str =
-    "reomp-cert-v2 a3fadcb0d65c805b mpi ranks=2 domains=1 events=4 waitany=3";
+    "reomp-cert-v3 90c278c0af37c0bb mpi ranks=2 domains=1 events=4 waitany=3";
 
 fn corpus(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))

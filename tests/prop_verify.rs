@@ -139,13 +139,13 @@ impl Mutation {
             | Mutation::DropStream
             | Mutation::TruncateSiteColumn
             | Mutation::BadKind
+            | Mutation::StBadKind
             | Mutation::EdgeAnchorOutOfRange
             | Mutation::EdgeWaitOverrun
             | Mutation::CheckpointArity => Tier::Structural,
             Mutation::PermuteClocks
             | Mutation::UnreachableEpoch
             | Mutation::StThreadValues
-            | Mutation::StBadKind
             | Mutation::CyclicEdges
             | Mutation::CheckpointZeroWindow
             | Mutation::FloorsOnNonDe
@@ -454,8 +454,8 @@ fn dropped_edge_is_caught_by_plan_soundness() {
 /// domain, DC, no plan/edges/checkpoint. The digest is part of the pin —
 /// it may only change when the certificate's canonical serialization or
 /// its digest function changes, which is exactly what this golden test is
-/// here to catch. It was last re-pinned when `reomp-cert-v2` replaced the
-/// byte-wise FNV-1a with the word `verify::Digest`.
+/// here to catch. It was last re-pinned when `reomp-cert-v3` ran each
+/// column of the word `verify::Digest` through four lanes.
 #[test]
 fn golden_report_pr3_layout() {
     let bundle = build(Scheme::Dc, 2, 1, false, &[(0, 1, 0), (1, 1, 0), (0, 1, 1)]);
@@ -463,7 +463,7 @@ fn golden_report_pr3_layout() {
     assert_eq!(
         report.to_string(),
         "verify: clean — 7 checks, 0 warning(s)\n\
-         certificate: reomp-cert-v2 0a43e723f5a5a293 scheme=dc threads=2 domains=1 \
+         certificate: reomp-cert-v3 a36bd4e7d388f33e scheme=dc threads=2 domains=1 \
          records=3 edges=0\n"
     );
 }
@@ -489,7 +489,7 @@ fn golden_report_pr4_layout() {
     assert_eq!(
         report.to_string(),
         "verify: clean — 7 checks, 0 warning(s)\n\
-         certificate: reomp-cert-v2 6981274f830f0cca scheme=dc threads=2 domains=2 \
+         certificate: reomp-cert-v3 35ac77bdd4533302 scheme=dc threads=2 domains=2 \
          records=4 edges=1\n"
     );
 }
