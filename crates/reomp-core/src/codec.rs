@@ -232,22 +232,22 @@ fn stage_uvarint(buf: &mut BytesMut, stage: &mut [u8], mut len: usize, mut v: u6
 fn put_values<T: Value>(buf: &mut BytesMut, values: &[T], compress: bool) {
     let (mut stage, mut len) = ([0; STAGE], 0);
     let mut put = |v: u64| len = stage_uvarint(buf, &mut stage, len, v);
-    let delta = |i: usize| {
-        let prev = if i == 0 { 0 } else { values[i - 1].into() };
-        zigzag(values[i].into().wrapping_sub(prev) as i64)
-    };
     if !compress && !T::PLAIN_DELTAS {
         values.iter().for_each(|&v| put(v.into()));
     } else if !compress {
-        (0..values.len()).for_each(|i| put(delta(i)));
+        put_deltas(values, 0, values.len(), &mut put);
     } else {
+        let delta = |i: usize| {
+            let prev = if i == 0 { 0 } else { values[i - 1].into() };
+            zigzag(values[i].into().wrapping_sub(prev) as i64)
+        };
         // `values[from..to]` as one group: of `repeat`, or of literals.
         let mut group = |from: usize, to: usize, repeat: Option<u64>| {
             if from < to {
                 put(((to - from) as u64) << 1 | u64::from(repeat.is_some()));
                 match repeat {
                     Some(delta) => put(delta),
-                    None => (from..to).for_each(|i| put(delta(i))),
+                    None => put_deltas(values, from, to, &mut put),
                 }
             }
         };
@@ -273,49 +273,100 @@ fn put_values<T: Value>(buf: &mut BytesMut, values: &[T], compress: bool) {
     buf.put_slice(&stage[..len]);
 }
 
-/// Walk a column of `count` elements, handing each `(run, element)` to
-/// `emit`. Runs are non-zero and sum to exactly `count`, which the caller
-/// bounds before `emit` may reserve for it.
+/// Hand `put` the zigzag deltas of `values[from..to]` in one loop, each
+/// against the element before it (0 before the first).
+#[inline(always)]
+fn put_deltas<T: Value>(values: &[T], from: usize, to: usize, mut put: impl FnMut(u64)) {
+    let mut prev = if from == 0 {
+        0
+    } else {
+        values[from - 1].into()
+    };
+    for &v in &values[from..to] {
+        let v = v.into();
+        put(zigzag(v.wrapping_sub(prev) as i64));
+        prev = v;
+    }
+}
+
+/// One group of a column as [`walk_column`] meets it.
+enum Group {
+    /// `len` copies of one element, already read.
+    Run(usize, u64),
+    /// `len` elements, each its own varint, still in the buffer.
+    Literals(usize),
+}
+
+/// Walk a column of `count` elements, handing each group to `emit` with
+/// the buffer, which a [`Group::Literals`] reads its elements from — a
+/// plain column is one group of literals. Groups are non-empty and sum to
+/// exactly `count`, which the caller bounds before `emit` may reserve for
+/// it.
 fn walk_column(
     buf: &mut &[u8],
     count: usize,
     column: Column,
-    mut emit: impl FnMut(usize, u64) -> Result<(), TraceError>,
+    mut emit: impl FnMut(&mut &[u8], Group) -> Result<(), TraceError>,
 ) -> Result<(), TraceError> {
-    let mut left = if column == Column::Plain { 0 } else { count };
-    for _ in left..count {
-        emit(1, get_uvarint(buf)?)?;
-    }
+    let mut left = count;
     while left > 0 {
-        let head = get_uvarint(buf)?;
         let (len, repeat) = match column {
-            Column::Groups => (head >> 1, head & 1 == 1),
-            _ => (head, true),
+            Column::Plain => (left as u64, false),
+            Column::Groups => {
+                let head = get_uvarint(buf)?;
+                (head >> 1, head & 1 == 1)
+            }
+            Column::Runs | Column::ByteRuns => (get_uvarint(buf)?, true),
         };
         let fits = |n: &usize| *n != 0 && *n <= left;
         let len = usize::try_from(len).ok().filter(fits).ok_or_else(|| {
             TraceError::Corrupt(format!("bad run of {len} with {left} elements to go"))
         })?;
-        if !repeat {
-            for _ in 0..len {
-                emit(1, get_uvarint(buf)?)?;
-            }
+        let group = if !repeat {
+            Group::Literals(len)
         } else if column != Column::ByteRuns {
-            emit(len, get_uvarint(buf)?)?;
+            Group::Run(len, get_uvarint(buf)?)
         } else if buf.has_remaining() {
-            emit(len, u64::from(buf.get_u8()))?;
+            Group::Run(len, u64::from(buf.get_u8()))
         } else {
             return Err(TraceError::Corrupt("run-length column truncated".into()));
-        }
+        };
+        emit(buf, group)?;
         left -= len;
     }
     Ok(())
 }
 
+/// Walk a column of `count` elements only to find where it ends.
+fn skip_column(buf: &mut &[u8], count: usize, column: Column) -> Result<(), TraceError> {
+    walk_column(buf, count, column, |buf, group| {
+        match group {
+            Group::Literals(len) if one_byte_varints(buf, len).is_some() => buf.advance(len),
+            Group::Literals(len) => {
+                for _ in 0..len {
+                    get_uvarint(buf)?;
+                }
+            }
+            Group::Run(..) => {}
+        }
+        Ok(())
+    })
+}
+
+/// The next `len` varints of `buf` as their bytes, when each is one byte
+/// long — the common case of a group of small deltas, tested in one pass
+/// with no branch per byte.
+#[inline(always)]
+fn one_byte_varints(buf: &[u8], len: usize) -> Option<&[u8]> {
+    let bytes = buf.get(..len)?;
+    (bytes.iter().fold(0, |high, &b| high | b) < 0x80).then_some(bytes)
+}
+
 /// Append the `count` values of a column to `out`; every column but a
 /// plain one of tids holds zigzag deltas against a base of 0. A run is one
-/// `extend`; an element out of range is remembered, not branched on, and
-/// fails the column at its end.
+/// `extend`, and so is a group of literals of one byte each; an element out
+/// of range is remembered, not branched on, and fails the column at its
+/// end.
 fn get_values<T: Value>(
     buf: &mut &[u8],
     count: usize,
@@ -324,22 +375,47 @@ fn get_values<T: Value>(
 ) -> Result<(), TraceError> {
     let deltas = T::PLAIN_DELTAS || column != Column::Plain;
     let (mut prev, mut widest) = (0u64, 0u64);
-    walk_column(buf, count, column, |run, element| {
-        out.extend((0..run).map(|_| {
-            prev = if deltas {
-                prev.wrapping_add(unzigzag(element) as u64)
+    walk_column(buf, count, column, |buf, group| {
+        // Locals, so the column's writes cannot alias them.
+        let (mut last, mut top) = (prev, widest);
+        let mut next = |element: u64| {
+            last = if deltas {
+                last.wrapping_add(unzigzag(element) as u64)
             } else {
                 element
             };
-            widest = widest.max(prev);
-            T::try_from(prev).unwrap_or_default()
-        }));
+            top = top.max(last);
+            T::try_from(last).unwrap_or_default()
+        };
+        match group {
+            Group::Run(run, element) => out.extend((0..run).map(|_| next(element))),
+            Group::Literals(len) => match one_byte_varints(buf, len) {
+                Some(bytes) => {
+                    out.extend(bytes.iter().map(|&b| next(u64::from(b))));
+                    buf.advance(len);
+                }
+                None => {
+                    for _ in 0..len {
+                        let element = get_uvarint(buf)?;
+                        out.push(next(element));
+                    }
+                }
+            },
+        }
+        (prev, widest) = (last, top);
         Ok(())
     })?;
     match T::try_from(widest) {
         Err(_) => Err(TraceError::Corrupt(format!("tid {widest} out of range"))),
         Ok(_) => Ok(()),
     }
+}
+
+/// The hash a label is filed under, in the [`LabelTable`] (its top bits)
+/// and in the [`Memo`] (its top byte).
+#[inline(always)]
+fn label_hash(site: u64, kind: u8) -> u64 {
+    (site ^ u64::from(kind).rotate_right(8)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// The `(site, kind)` labels of one payload, numbered in order of first
@@ -354,11 +430,11 @@ struct LabelTable {
 }
 
 impl LabelTable {
-    /// The slot holding `(site, kind)`, or the free one where it belongs.
+    /// The slot holding `(site, kind)`, whose [`label_hash`] is `hash`, or
+    /// the free one where it belongs.
     #[inline(always)]
-    fn find(&self, site: u64, kind: u8) -> usize {
+    fn find(&self, hash: u64, site: u64, kind: u8) -> usize {
         let mask = self.slots.len() - 1;
-        let hash = (site ^ u64::from(kind).rotate_right(8)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut at = (hash >> (63 - mask.trailing_ones())) as usize >> 1;
         while self.slots[at].2 != 0 && (self.slots[at].0, self.slots[at].1) != (site, kind) {
             at = (at + 1) & mask;
@@ -375,7 +451,7 @@ impl LabelTable {
             let grown = vec![(0, 0, 0); self.slots.len() * 2];
             for slot in std::mem::replace(&mut self.slots, grown) {
                 if slot.2 != 0 {
-                    let at = self.find(slot.0, slot.1);
+                    let at = self.find(label_hash(slot.0, slot.1), slot.0, slot.1);
                     self.slots[at] = slot;
                 }
             }
@@ -383,6 +459,18 @@ impl LabelTable {
         self.len - 1
     }
 }
+
+/// Entries of a [`Memo`].
+const MEMO: usize = 256;
+
+/// A kind no label has: the mark of a free [`Memo`] entry.
+const NO_KIND: u16 = 0x100;
+
+/// The labels a payload met last, one per top byte of their
+/// [`label_hash`]: `(site, kind, index)`. A label found here costs the hash
+/// and one compare; only a miss (a new label, or one evicted by another of
+/// the same byte) probes the [`LabelTable`], which stays the numbering.
+struct Memo([(u64, u16, u32); MEMO]);
 
 /// The payload of a record stream — the one writer behind the one-shot
 /// file and the chunk, per-thread (`u64` values) and ST (`u32` tids).
@@ -397,35 +485,89 @@ fn put_payload<T: Value>(
     let count = values.len();
     put_uvarint(buf, count as u64);
     put_values(buf, values, compress);
-    if sites.is_none() && kinds.is_none() {
-        return;
+    match (sites.map(|s| &s[..count]), kinds.map(|k| &k[..count])) {
+        (None, None) => {}
+        // What every recording writes.
+        (Some(sites), Some(kinds)) => {
+            put_labels(buf, count, |i| (sites[i], kinds[i]), (true, true))
+        }
+        (sites, kinds) => put_labels(
+            buf,
+            count,
+            |i| (sites.map_or(0, |s| s[i]), kinds.map_or(0, |k| k[i])),
+            (sites.is_some(), kinds.is_some()),
+        ),
     }
-    let (sites, kinds) = (sites.map(|s| &s[..count]), kinds.map(|k| &k[..count]));
+}
+
+/// Write the label column of `count` records, record `i`'s label being
+/// `label(i)`; `literal` says which of site and kind a new label's literal
+/// carries. A label the [`Memo`] holds with a one-byte index goes straight
+/// into the stage.
+#[inline(always)]
+fn put_labels(
+    buf: &mut BytesMut,
+    count: usize,
+    label: impl Fn(usize) -> (u64, u8),
+    literal: (bool, bool),
+) {
     let mut table = LabelTable {
         slots: vec![(0, 0, 0); 64],
         len: 0,
     };
+    let mut memo = Memo([(0, NO_KIND, 0); MEMO]);
     let (mut stage, mut len) = ([0; STAGE], 0);
     for i in 0..count {
-        let (site, kind) = (sites.map_or(0, |s| s[i]), kinds.map_or(0, |k| k[i]));
-        let at = table.find(site, kind);
-        let seen = table.slots[at].2;
-        if seen != 0 {
-            len = stage_uvarint(buf, &mut stage, len, u64::from(seen - 1));
-            continue;
-        }
-        let index = u64::from(table.insert(at, site, kind));
-        len = stage_uvarint(buf, &mut stage, len, index);
-        buf.put_slice(&stage[..len]);
-        len = 0;
-        if sites.is_some() {
-            buf.put_u64_le(site);
-        }
-        if kinds.is_some() {
-            buf.put_u8(kind);
+        let (site, kind) = label(i);
+        let hash = label_hash(site, kind);
+        let entry = &mut memo.0[(hash >> 56) as usize];
+        let index = if (entry.0, entry.1) == (site, u16::from(kind)) {
+            entry.2
+        } else {
+            let at = table.find(hash, site, kind);
+            let seen = table.slots[at].2;
+            if seen == 0 {
+                put_new_label(buf, &stage[..len], &mut table, at, (site, kind), literal);
+                len = 0;
+                *entry = (site, u16::from(kind), table.len - 1);
+                continue;
+            }
+            *entry = (site, u16::from(kind), seen - 1);
+            seen - 1
+        };
+        if index < 0x80 && len < STAGE {
+            stage[len] = index as u8;
+            len += 1;
+        } else {
+            len = stage_uvarint(buf, &mut stage, len, u64::from(index));
         }
     }
     buf.put_slice(&stage[..len]);
+}
+
+/// Number a label `put_labels` meets for the first time, at the free slot
+/// `at` of `table`, and announce it after the `staged` bytes: its index,
+/// then its literal (the site as 8 little-endian bytes, then the kind
+/// byte, as `literal` says).
+#[cold]
+#[inline(never)]
+fn put_new_label(
+    buf: &mut BytesMut,
+    staged: &[u8],
+    table: &mut LabelTable,
+    at: usize,
+    (site, kind): (u64, u8),
+    (sites, kinds): (bool, bool),
+) {
+    let index = table.insert(at, site, kind);
+    buf.put_slice(staged);
+    put_uvarint(buf, u64::from(index));
+    if sites {
+        buf.put_u64_le(site);
+    }
+    if kinds {
+        buf.put_u8(kind);
+    }
 }
 
 /// Start a record file: magic, version, scheme, flags (`flags` plus the
@@ -659,12 +801,12 @@ fn payload_count(
     }
     let count = count as usize;
     if expands {
-        walk_column(&mut buf, count, values, |_, _| Ok(()))?;
+        skip_column(&mut buf, count, values)?;
         if flags & FLAG_SITES != 0 {
-            walk_column(&mut buf, count, Column::Runs, |_, _| Ok(()))?;
+            skip_column(&mut buf, count, Column::Runs)?;
         }
         if flags & FLAG_KINDS != 0 {
-            walk_column(&mut buf, count, Column::ByteRuns, |_, _| Ok(()))?;
+            skip_column(&mut buf, count, Column::ByteRuns)?;
         }
         exact(nbytes, buf)?;
     }
@@ -784,8 +926,10 @@ fn get_v1_columns<T>(
     }
     if let Some(kinds) = s.kinds.as_mut() {
         if column == Column::Runs {
-            walk_column(buf, count, Column::ByteRuns, |run, kind| {
-                kinds.extend(std::iter::repeat_n(kind as u8, run));
+            walk_column(buf, count, Column::ByteRuns, |_, group| {
+                if let Group::Run(run, kind) = group {
+                    kinds.extend(std::iter::repeat_n(kind as u8, run));
+                }
                 Ok(())
             })?;
         } else if count > buf.len() {
@@ -1814,7 +1958,6 @@ mod tests {
 
     #[test]
     fn rle_decoder_rejects_bad_runs() {
-        let noop = |_, _| Ok(());
         for column in [Column::Runs, Column::Groups] {
             let head = |len: u64| {
                 if column == Column::Groups {
@@ -1839,11 +1982,11 @@ mod tests {
         // So are empty and overshooting groups of literals, and a group cut
         // short.
         for bytes in [&[0u8, 2][..], &[8, 2, 2, 2, 2], &[6, 2, 2]] {
-            assert!(walk_column(&mut &bytes[..], 3, Column::Groups, noop).is_err());
+            assert!(skip_column(&mut &bytes[..], 3, Column::Groups).is_err());
         }
         // A byte column that overshoots, or ends after a run length.
-        assert!(walk_column(&mut &[9u8, 2][..], 3, Column::ByteRuns, noop).is_err());
-        assert!(walk_column(&mut &[3u8][..], 3, Column::ByteRuns, noop).is_err());
+        assert!(skip_column(&mut &[9u8, 2][..], 3, Column::ByteRuns).is_err());
+        assert!(skip_column(&mut &[3u8][..], 3, Column::ByteRuns).is_err());
     }
 
     #[test]
@@ -2213,6 +2356,133 @@ mod tests {
             let (file, cap) = seeded_file(seed);
             assert_same_verdict(&file, cap);
         }
+    }
+
+    /// A chunk of `values` (ST tids when `st`) with the label columns
+    /// given, from the encoder and from the probing reference, framed
+    /// alike.
+    fn both_chunks(
+        values: &[u64],
+        st: bool,
+        (sites, kinds): (Option<&[u64]>, Option<&[u8]>),
+        compress: bool,
+    ) -> (Bytes, Vec<u8>) {
+        let mut payload = BytesMut::new();
+        let new = if st {
+            let tids: Vec<u32> = values.iter().map(|&t| t as u32).collect();
+            reference::put_payload(&mut payload, &tids, sites, kinds, compress);
+            encode_st_chunk_opt(&tids, sites, kinds, compress)
+        } else {
+            reference::put_payload(&mut payload, values, sites, kinds, compress);
+            encode_thread_chunk_opt(values, sites, kinds, compress)
+        };
+        let mut old = MAGIC_CHUNK.to_vec();
+        let mut len = BytesMut::new();
+        put_uvarint(&mut len, payload.len() as u64);
+        old.extend_from_slice(&len);
+        old.extend_from_slice(&payload);
+        (new, old)
+    }
+
+    /// `n` records of `labels` cycled (repeats allowed), as a thread stream
+    /// of stride-1 clocks: the encoder's chunk equals the reference's, and
+    /// decodes back.
+    fn assert_labels_encode_as_reference(labels: &[(u64, u8)], n: usize) {
+        let values: Vec<u64> = (0..n as u64).collect();
+        let sites: Vec<u64> = (0..n).map(|i| labels[i % labels.len()].0).collect();
+        let kinds: Vec<u8> = (0..n).map(|i| labels[i % labels.len()].1).collect();
+        for compress in [false, true] {
+            let (new, old) = both_chunks(&values, false, (Some(&sites), Some(&kinds)), compress);
+            assert_eq!(&new[..], &old[..], "compress {compress}");
+            let mut file =
+                encode_thread_stream_header_opt(Scheme::Dc, 0, None, true, true, compress).to_vec();
+            file.extend_from_slice(&new);
+            let d = decode_thread_records(&file).unwrap();
+            let distinct: std::collections::HashSet<_> = labels.iter().collect();
+            assert_eq!(d.max_labels, distinct.len() as u64);
+            assert_eq!(
+                (d.trace.sites.as_deref(), d.trace.kinds.as_deref()),
+                (Some(&sites[..]), Some(&kinds[..]))
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn chunk_encoder_matches_the_probing_reference(seed in 0u64..u64::MAX) {
+            // 1–300 labels over up to 600 records of one value shape, with
+            // both label columns, one or none, plain or compressed, cut at
+            // random splits; every chunk must match the reference's bytes.
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(600) as usize;
+            let st = rng.below(2) == 0;
+            let mut values = random_values(&mut rng, n);
+            if st {
+                values.iter_mut().for_each(|v| *v %= 4);
+            }
+            let labels = 1 + rng.below(300);
+            let pool: Vec<(u64, u8)> = (0..labels)
+                .map(|_| {
+                    let shift = rng.below(64);
+                    (rng.next() >> shift, rng.below(7) as u8)
+                })
+                .collect();
+            let picks: Vec<(u64, u8)> = (0..n).map(|_| pool[rng.below(labels) as usize]).collect();
+            let sites: Vec<u64> = picks.iter().map(|p| p.0).collect();
+            let kinds: Vec<u8> = picks.iter().map(|p| p.1).collect();
+            let columns = rng.below(4);
+            let compress = rng.below(2) == 0;
+            let splits: Vec<usize> = (0..1 + rng.below(4)).map(|_| 1 + rng.below(300) as usize).collect();
+            let (mut at, mut split) = (0, splits.iter().cycle());
+            while at < n {
+                let end = (at + split.next().unwrap()).min(n);
+                let (s, k) = (&sites[at..end], &kinds[at..end]);
+                let cols = match columns {
+                    0 => (Some(s), Some(k)),
+                    1 => (Some(s), None),
+                    2 => (None, Some(k)),
+                    _ => (None, None),
+                };
+                let (new, old) = both_chunks(&values[at..end], st, cols, compress);
+                assert_eq!(&new[..], &old[..], "seed {seed}: records {at}..{end}");
+                at = end;
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_encoder_writes_two_byte_label_indices() {
+        // 300 distinct labels: indices from 128 on take two bytes, and miss
+        // the one-byte fast path even when the memo holds them.
+        let labels: Vec<(u64, u8)> = (0..300).map(|i| (0x4000 + i, (i % 7) as u8)).collect();
+        assert_labels_encode_as_reference(&labels, 1200);
+    }
+
+    #[test]
+    fn chunk_encoder_separates_labels_that_share_a_memo_entry() {
+        // Two labels filed under one memo entry evict each other on every
+        // record: each miss must still find its own index in the table.
+        let a = (0x5157_e001, AccessKind::Load.code());
+        let entry = |(site, kind): (u64, u8)| label_hash(site, kind) >> 56;
+        let b = (0..)
+            .map(|site| (site, AccessKind::Store.code()))
+            .find(|&b| b != a && entry(b) == entry(a))
+            .unwrap();
+        assert_labels_encode_as_reference(&[a, b], 500);
+        assert_labels_encode_as_reference(&[a, a, b, (7, 0), b], 500);
+    }
+
+    #[test]
+    fn chunk_encoder_keeps_one_site_under_two_kinds_apart() {
+        let site = 0x5157_e001;
+        assert_labels_encode_as_reference(
+            &[
+                (site, AccessKind::Load.code()),
+                (site, AccessKind::Store.code()),
+            ],
+            500,
+        );
     }
 
     #[test]

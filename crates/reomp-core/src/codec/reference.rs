@@ -1,21 +1,27 @@
-//! The per-record decoder the column decoder replaced, kept as the oracle
-//! of `codec::tests::column_decoder_matches_the_per_record_reference`: it
-//! grows every column chunk by chunk and pushes each label's site and kind
-//! through the stream's `Option` columns, one record at a time. The
-//! column decoder must return the same trace, or `Corrupt` where this one
-//! does.
+//! The codec's earlier writer and reader, kept as test oracles.
+//!
+//! * The per-record decoder the column decoder replaced, the oracle of
+//!   `codec::tests::column_decoder_matches_the_per_record_reference`: it
+//!   grows every column chunk by chunk and pushes each label's site and
+//!   kind through the stream's `Option` columns, one record at a time. The
+//!   column decoder must return the same trace, or `Corrupt` where this one
+//!   does.
+//! * The payload encoder the memoized label loop replaced, the oracle of
+//!   `codec::tests::chunk_encoder_matches_the_probing_reference`: every
+//!   label goes through the table's hash-and-probe, every index through
+//!   the varint stage. The encoder must write the same bytes.
 
 use super::{
-    check_header, get_count, get_uvarint, unzigzag, walk_column, Column, Stream, Value,
-    FLAG_CHUNKED, FLAG_COMPRESSED, FLAG_DOMAINS, FLAG_KINDS, FLAG_SITES, MAGIC_CHUNK, MAGIC_ST,
-    MAGIC_THREAD, MAX_RLE_EXPANSION, VERSION, VERSION_1,
+    check_header, get_count, get_uvarint, put_uvarint, stage_uvarint, unzigzag, zigzag, Column,
+    Stream, Value, FLAG_CHUNKED, FLAG_COMPRESSED, FLAG_DOMAINS, FLAG_KINDS, FLAG_SITES,
+    MAGIC_CHUNK, MAGIC_ST, MAGIC_THREAD, MAX_RLE_EXPANSION, MIN_RUN, STAGE, VERSION, VERSION_1,
 };
 use super::{DecodedSt, DecodedThread};
 use crate::error::TraceError;
 use crate::session::Scheme;
 use crate::site::AccessKind;
 use crate::trace::{StTrace, ThreadTrace};
-use bytes::Buf;
+use bytes::{Buf, BufMut, BytesMut};
 
 pub(super) fn decode_thread_records(
     bytes: &[u8],
@@ -244,4 +250,155 @@ fn get_v1_columns<T>(
         }
     }
     Ok(())
+}
+
+/// The column walk as it was before literal groups were handed on whole:
+/// one `emit(1, element)` per literal.
+fn walk_column(
+    buf: &mut &[u8],
+    count: usize,
+    column: Column,
+    mut emit: impl FnMut(usize, u64) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
+    let mut left = if column == Column::Plain { 0 } else { count };
+    for _ in left..count {
+        emit(1, get_uvarint(buf)?)?;
+    }
+    while left > 0 {
+        let head = get_uvarint(buf)?;
+        let (len, repeat) = match column {
+            Column::Groups => (head >> 1, head & 1 == 1),
+            _ => (head, true),
+        };
+        if len == 0 || len > left as u64 {
+            return Err(TraceError::Corrupt("bad run".into()));
+        }
+        let len = len as usize;
+        if !repeat {
+            for _ in 0..len {
+                emit(1, get_uvarint(buf)?)?;
+            }
+        } else if column != Column::ByteRuns {
+            emit(len, get_uvarint(buf)?)?;
+        } else if buf.has_remaining() {
+            emit(len, u64::from(buf.get_u8()))?;
+        } else {
+            return Err(TraceError::Corrupt("run-length column truncated".into()));
+        }
+        left -= len;
+    }
+    Ok(())
+}
+
+/// The payload writer as it was: count, values, then each record's label
+/// through [`LabelTable::find`] and the varint stage.
+pub(super) fn put_payload<T: Value>(
+    buf: &mut BytesMut,
+    values: &[T],
+    sites: Option<&[u64]>,
+    kinds: Option<&[u8]>,
+    compress: bool,
+) {
+    let count = values.len();
+    put_uvarint(buf, count as u64);
+    put_values(buf, values, compress);
+    if sites.is_none() && kinds.is_none() {
+        return;
+    }
+    let (sites, kinds) = (sites.map(|s| &s[..count]), kinds.map(|k| &k[..count]));
+    let mut table = LabelTable {
+        slots: vec![(0, 0, 0); 64],
+        len: 0,
+    };
+    let (mut stage, mut len) = ([0; STAGE], 0);
+    for i in 0..count {
+        let (site, kind) = (sites.map_or(0, |s| s[i]), kinds.map_or(0, |k| k[i]));
+        let at = table.find(site, kind);
+        let seen = table.slots[at].2;
+        if seen != 0 {
+            len = stage_uvarint(buf, &mut stage, len, u64::from(seen - 1));
+            continue;
+        }
+        let index = u64::from(table.insert(at, site, kind));
+        len = stage_uvarint(buf, &mut stage, len, index);
+        buf.put_slice(&stage[..len]);
+        len = 0;
+        if sites.is_some() {
+            buf.put_u64_le(site);
+        }
+        if kinds.is_some() {
+            buf.put_u8(kind);
+        }
+    }
+    buf.put_slice(&stage[..len]);
+}
+
+fn put_values<T: Value>(buf: &mut BytesMut, values: &[T], compress: bool) {
+    let (mut stage, mut len) = ([0; STAGE], 0);
+    let mut put = |v: u64| len = stage_uvarint(buf, &mut stage, len, v);
+    let delta = |i: usize| {
+        let prev = if i == 0 { 0 } else { values[i - 1].into() };
+        zigzag(values[i].into().wrapping_sub(prev) as i64)
+    };
+    if !compress && !T::PLAIN_DELTAS {
+        values.iter().for_each(|&v| put(v.into()));
+    } else if !compress {
+        (0..values.len()).for_each(|i| put(delta(i)));
+    } else {
+        let mut group = |from: usize, to: usize, repeat: Option<u64>| {
+            if from < to {
+                put(((to - from) as u64) << 1 | u64::from(repeat.is_some()));
+                match repeat {
+                    Some(delta) => put(delta),
+                    None => (from..to).for_each(|i| put(delta(i))),
+                }
+            }
+        };
+        let (mut unwritten, mut start, mut run_delta) = (0, 0, 0);
+        for i in 0..=values.len() {
+            let d = values.get(i).map_or(!run_delta, |_| delta(i));
+            let same = d == run_delta;
+            if !same & (i - start >= MIN_RUN) {
+                group(unwritten, start, None);
+                group(start, i, Some(run_delta));
+                unwritten = i;
+            }
+            start = if same { start } else { i };
+            run_delta = d;
+        }
+        group(unwritten, values.len(), None);
+    }
+    buf.put_slice(&stage[..len]);
+}
+
+struct LabelTable {
+    slots: Vec<(u64, u8, u32)>,
+    len: u32,
+}
+
+impl LabelTable {
+    fn find(&self, site: u64, kind: u8) -> usize {
+        let mask = self.slots.len() - 1;
+        let hash = (site ^ u64::from(kind).rotate_right(8)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut at = (hash >> (63 - mask.trailing_ones())) as usize >> 1;
+        while self.slots[at].2 != 0 && (self.slots[at].0, self.slots[at].1) != (site, kind) {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn insert(&mut self, at: usize, site: u64, kind: u8) -> u32 {
+        self.len += 1;
+        self.slots[at] = (site, kind, self.len);
+        if self.len as usize * 4 >= self.slots.len() {
+            let grown = vec![(0, 0, 0); self.slots.len() * 2];
+            for slot in std::mem::replace(&mut self.slots, grown) {
+                if slot.2 != 0 {
+                    let at = self.find(slot.0, slot.1);
+                    self.slots[at] = slot;
+                }
+            }
+        }
+        self.len - 1
+    }
 }

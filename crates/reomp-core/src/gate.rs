@@ -46,6 +46,7 @@
 //!                       <region>; next_clock++   — same-epoch accesses overlap
 //! ```
 
+use crate::epoch::Fixup;
 use crate::error::{Divergence, ReplayError};
 use crate::session::{DomainRecord, OrderTurn, RecEntry, Session, TID_EXHAUSTED, TID_NONE};
 use crate::shim::atomic::Ordering;
@@ -72,133 +73,124 @@ pub(crate) fn exit_after<R>(f: impl FnOnce() -> R, exit: impl FnOnce()) -> R {
 /// take domain `dom`'s one admission — `L` for ST, a served ticket for
 /// DC/DE (one `fetch_add` and one load when the gate is idle) — and note this thread as
 /// its holder while the region runs (see `DomainRecord::pause`). Returns
-/// the holder note replaced, which the matching [`record_out`] restores: a
-/// gate nested inside another domain's region hands that note back.
-pub(crate) fn record_in(session: &Session, dom: u32, tid: u32) -> usize {
+/// the domain's record state, which the matching [`record_out`] takes as
+/// it is, and the holder note replaced, which it restores: a gate nested
+/// inside another domain's region hands that note back.
+#[inline(always)]
+pub(crate) fn record_in(session: &Session, dom: u32, tid: u32) -> (&DomainRecord, usize) {
     let rec = session.rec.as_ref().expect("record mode");
     let drec = &rec.domains[dom as usize];
     if drec.admit() {
         session.thread_stats(tid).bump_lock();
     }
-    drec.note_held()
+    (drec, drec.note_held())
 }
 
-/// Record-mode `gate_out`. `addr` is the memory location used for DE run
-/// grouping (Condition 1 is per-address); `outer` is what the matching
-/// [`record_in`] returned.
+/// One recorded access as its gate-out sees it: the site, the memory
+/// location used for DE run grouping (Condition 1 is per-address) and the
+/// kind.
+pub(crate) type Access = (SiteId, u64, AccessKind);
+
+/// Record-mode `gate_out` of the access `record_in` admitted to `drec`
+/// (domain `dom`); `outer` is the note it returned.
+///
+/// Inline, a gate is the paper's: the clock and (DE) the epoch, the
+/// release, and the append to the thread's own lane (ST: the shared-log
+/// push). A gate that anchors a cross-domain edge — a critical gate, or
+/// the first gate after a sync point, in a multi-domain session — goes
+/// through [`record_out_edge`]; a full ST log, a full lane and a DE
+/// fix-up go out of line too, so no value with a `Drop` impl is live here.
+#[inline(always)]
 pub(crate) fn record_out(
     session: &Session,
+    drec: &DomainRecord,
     dom: u32,
     tid: u32,
-    site: SiteId,
-    addr: u64,
-    kind: AccessKind,
+    access: Access,
     outer: usize,
 ) {
     // The region is over: from here this call borrows the core itself, so
     // nothing else on this thread may.
     DomainRecord::restore_note(outer);
-    let rec = session.rec.as_ref().expect("record mode");
-    let drec = &rec.domains[dom as usize];
-    let lane = &drec.lanes[tid as usize];
-    let stats = session.thread_stats(tid);
-    let multi = session.domains() > 1;
-    // Release the admission `record_in` granted. After this call the gate
-    // core must not be touched.
-    // SAFETY: `record_in` admitted this thread, and only this call
-    // releases it.
-    let release = || unsafe { drec.release() };
-    // Cross-domain edge sources: a pending barrier snapshot taken at this
-    // thread's last sync point, or — for critical-section gates — a fresh
-    // snapshot taken below. The snapshot MUST be read before this access
-    // publishes its own completion (see `edge_waits` below): two accesses
-    // in different domains can then never both observe each other, which
-    // is what makes replaying the edges deadlock-free.
-    let pending = if multi {
-        session.take_pending_sync(tid)
+    let kind = access.2;
+    if session.domains() > 1 && (kind == AccessKind::Critical || session.has_pending_sync(tid)) {
+        record_out_edge(session, drec, dom, tid, access);
     } else {
-        None
-    };
-    let wants_edge = multi && (kind == AccessKind::Critical || pending.is_some());
-    // `Some((seq, counts))` once the anchor position is known: the edge is
-    // appended after the domain's admission is released.
-    let mut edge: Option<(u64, Vec<u64>)> = None;
-    // Resolve the wait set now for critical gates (a fresh snapshot
-    // dominates any pending one — counts are monotone), else the barrier
-    // snapshot.
-    let edge_counts = |session: &Session| -> Option<Vec<u64>> {
-        if kind == AccessKind::Critical {
+        record_access(session, drec, dom, tid, access, || ());
+    }
+}
+
+/// [`record_out`] of an access that anchors a cross-domain edge. Its wait
+/// set is a fresh snapshot of every domain's count for a critical gate (it
+/// dominates any pending one — counts are monotone), else the barrier
+/// snapshot of the thread's last sync point. The snapshot is read under
+/// the admission, strictly BEFORE this access publishes its own
+/// completion: two accesses in different domains can then never both
+/// observe each other, which keeps the recorded edge set acyclic — the
+/// invariant that makes replaying the edges deadlock-free. The edge is
+/// appended after the admission is released.
+#[cold]
+#[inline(never)]
+fn record_out_edge(session: &Session, drec: &DomainRecord, dom: u32, tid: u32, access: Access) {
+    let mut pending = session.take_pending_sync(tid);
+    let mut counts = None;
+    let seq = record_access(session, drec, dom, tid, access, || {
+        counts = if access.2 == AccessKind::Critical {
             session.snapshot_domain_counts()
         } else {
-            pending.clone()
-        }
-    };
-    // DC/DE shared completion bookkeeping, run under the domain's gate
-    // exclusion right after the clock assignment. The snapshot is read
-    // strictly BEFORE `published` advances past this access: two accesses
-    // in different domains can then never both observe each other's
-    // completion, which keeps the recorded edge set acyclic — the
-    // invariant that makes replaying the edges deadlock-free. Returns the
-    // pending edge as `(anchor seq, wait snapshot)`.
-    let stamp_clocked = |clock: u64| -> Option<(u64, Vec<u64>)> {
-        let counts = wants_edge.then(|| edge_counts(session)).flatten();
-        // ORDERING: the lane's `seq` is only ever advanced by its owning
-        // thread (it is that thread's record count), so a load and a store
-        // advance it without a locked instruction; cross-thread readers
-        // observe it through the `published` Release store below.
-        let seq = lane.seq.load(Ordering::Relaxed);
-        lane.seq.store(seq + 1, Ordering::Relaxed);
-        drec.published.store(clock + 1, Ordering::Release);
-        counts.map(|c| (seq, c))
-    };
+            pending.take()
+        };
+    });
+    if let Some(counts) = counts {
+        session.push_edge(dom, tid, seq, &counts);
+    }
+}
+
+/// The one record path behind [`record_out`] and [`record_out_edge`]:
+/// record `access` in the scheme's order, release the admission, and
+/// return the access's anchor position in a multi-domain session (ST's
+/// shared-stream index, a DC/DE thread's access count in `dom`; 0 when
+/// D = 1). `snapshot` runs under the admission, strictly before the access
+/// publishes its completion to other domains, and only when D > 1.
+#[inline(always)]
+fn record_access(
+    session: &Session,
+    drec: &DomainRecord,
+    dom: u32,
+    tid: u32,
+    (site, addr, kind): Access,
+    snapshot: impl FnOnce(),
+) -> u64 {
+    let multi = session.domains() > 1;
+    let mut anchor = 0;
     match session.scheme() {
         Scheme::St => {
             // Fig. 4 lines 6-8: record the thread ID to the domain's shared
             // log *before* releasing the lock, so the logged order is the
             // execution order.
             // SAFETY: `record_in` admitted this thread — for ST, locked
-            // `L` — and `release` below has not run yet.
+            // `L` — and the release below has not run yet.
             let core = unsafe { drec.gate.get() };
             let builder = core.st.as_mut().expect("st builder");
             builder.push(tid, site, kind);
             if multi {
-                // Snapshot (for the edge) strictly before self-publish.
-                let counts = wants_edge.then(|| edge_counts(session)).flatten();
+                snapshot();
                 // ORDERING: only `L`'s holder writes `published`, and `L`'s
                 // acquire ordered the previous holder's store before this
                 // load; the Release store publishes to other domains'
                 // edge snapshots, which read it with Acquire.
                 let count = drec.published.load(Ordering::Relaxed) + 1;
                 drec.published.store(count, Ordering::Release);
-                if let Some(counts) = counts {
-                    // ST anchors at the access's shared-stream index.
-                    edge = Some((count - 1, counts));
-                }
+                // ST anchors at the access's shared-stream index.
+                anchor = count - 1;
             }
-            // Steal a full shared log under the lock (the order is
-            // already captured); hand it to the sink after unlock.
             // `flush_records` is clamped to >= 1 once in `Session::build`.
-            let n = builder.tids.len();
-            let stolen = (n >= session.cfg.flush_records).then(|| {
-                // Leave the builder as much room as it had, so it does not
-                // regrow from empty after every steal.
-                let batch = (
-                    std::mem::replace(&mut builder.tids, Vec::with_capacity(n)),
-                    std::mem::replace(&mut builder.sites, Vec::with_capacity(n)),
-                    std::mem::replace(&mut builder.kinds, Vec::with_capacity(n)),
-                );
-                // Acquire the chunk-order lock *before* releasing the gate
-                // lock: steal order is execution order, and holding
-                // st_order across the append keeps two stolen batches from
-                // reaching the domain's stream file out of order.
-                (OrderTurn::take(&rec.st_order[dom as usize]), batch)
-            });
-            release();
-            if let Some((mut turn, (tids, sites, kinds))) = stolen {
-                turn.count(&tids, &kinds);
-                if let Err(e) = session.append_st_chunk(dom, &tids, &sites, &kinds, tid) {
-                    rec.record_failure(e);
-                }
+            if builder.tids.len() >= session.cfg.flush_records {
+                st_steal(session, drec, dom, tid);
+            } else {
+                // SAFETY: `record_in` admitted this thread, and only this
+                // call releases it.
+                unsafe { drec.release() };
             }
         }
         Scheme::Dc | Scheme::De => {
@@ -207,15 +199,24 @@ pub(crate) fn record_out(
             // is X = 0).
             // `floor`: below it, this lane's entries are final once its
             // mailbox is drained (see `Session::flush_lane`).
+            let lane = &drec.lanes[tid as usize];
             let (clock, value, floor) = {
                 // SAFETY: `record_in` admitted this thread — for DC/DE,
-                // with the currently-served ticket — and `release` below
+                // with the currently-served ticket — and the release below
                 // has not run yet.
                 let core = unsafe { drec.gate.get() };
                 let clock = core.clock;
                 core.clock += 1;
                 if multi {
-                    edge = stamp_clocked(clock);
+                    snapshot();
+                    // ORDERING: the lane's `seq` is only ever advanced by
+                    // its owning thread (it is that thread's record count),
+                    // so a load and a store advance it without a locked
+                    // instruction; cross-thread readers observe it through
+                    // the `published` Release store below.
+                    anchor = lane.seq.load(Ordering::Relaxed);
+                    lane.seq.store(anchor + 1, Ordering::Relaxed);
+                    drec.published.store(clock + 1, Ordering::Release);
                 }
                 match &mut core.tracker {
                     None => (clock, clock, u64::MAX),
@@ -227,9 +228,7 @@ pub(crate) fn record_out(
                         // epoch after all, tell its owner; nothing else
                         // ever crosses threads.
                         if let Some(fix) = observed.fixup {
-                            let owner = &drec.lanes[fix.thread as usize];
-                            owner.fixups.lock().push((fix.clock, fix.epoch));
-                            stats.bump_deferred();
+                            post_fixup(session, drec, tid, fix);
                         }
                         // The floor is read here, under this admission and
                         // after the fix-up above: a store below it was
@@ -240,7 +239,11 @@ pub(crate) fn record_out(
                     }
                 }
             };
-            release();
+            // Release the admission `record_in` granted. After this the
+            // gate core must not be touched.
+            // SAFETY: `record_in` admitted this thread, and only this call
+            // releases it.
+            unsafe { drec.release() };
             // Line 24 happens *after* the exit: the write to the thread's own
             // record file overlaps other threads' region execution
             // (§IV-C3). Only this thread appends to its lane, so the lane
@@ -258,9 +261,50 @@ pub(crate) fn record_out(
             }
         }
     }
-    if let Some((seq, counts)) = edge {
-        session.push_edge(dom, tid, seq, &counts);
+    anchor
+}
+
+/// ST's gate-out once the shared log is full, from under `L`: steal the
+/// log (the order is already captured), take the domain's chunk-order lock
+/// *before* releasing `L` — steal order is execution order, and holding it
+/// across the append keeps two stolen batches from reaching the domain's
+/// stream file out of order — then release `L` and hand the batch to the
+/// sink.
+#[cold]
+#[inline(never)]
+fn st_steal(session: &Session, drec: &DomainRecord, dom: u32, tid: u32) {
+    let rec = session.rec.as_ref().expect("record mode");
+    let (tids, sites, kinds) = {
+        // SAFETY: the caller holds `L`, and the release below has not run
+        // yet.
+        let builder = unsafe { drec.gate.get() }.st.as_mut().expect("st builder");
+        // Leave the builder as much room as it had, so it does not regrow
+        // from empty after every steal.
+        let n = builder.tids.len();
+        (
+            std::mem::replace(&mut builder.tids, Vec::with_capacity(n)),
+            std::mem::replace(&mut builder.sites, Vec::with_capacity(n)),
+            std::mem::replace(&mut builder.kinds, Vec::with_capacity(n)),
+        )
+    };
+    let mut turn = OrderTurn::take(&rec.st_order[dom as usize]);
+    // SAFETY: the caller's `record_in` admitted this thread, and only this
+    // call releases it.
+    unsafe { drec.release() };
+    turn.count(&tids, &kinds);
+    if let Err(e) = session.append_st_chunk(dom, &tids, &sites, &kinds, tid) {
+        rec.record_failure(e);
     }
+}
+
+/// Post DE's fix-up `fix` into its owner's mailbox (under the admission
+/// of the access that resolved the store) and count it on `tid`'s slot.
+#[cold]
+#[inline(never)]
+fn post_fixup(session: &Session, drec: &DomainRecord, tid: u32, fix: Fixup) {
+    let owner = &drec.lanes[fix.thread as usize];
+    owner.fixups.lock().push((fix.clock, fix.epoch));
+    session.thread_stats(tid).bump_deferred();
 }
 
 /// Replay-mode `gate_in`. Blocks until the recorded order of domain `dom`
@@ -1165,6 +1209,51 @@ mod tests {
             let report = session.finish().unwrap();
             assert_eq!(report.stats.records_written, 2, "{scheme:?}");
             report.bundle.unwrap().validate().unwrap();
+        }
+        // D = 2: a critical gate and the first gate after a sync point
+        // anchor edges, so their unwind runs through the edge path.
+        for scheme in Scheme::ALL {
+            let (plan, a, b) = two_domain_plan();
+            let cfg = SessionConfig {
+                plan: Some(plan),
+                ..Default::default()
+            };
+            let session = Session::record_with(scheme, 2, cfg);
+            let s = Arc::clone(&session);
+            within_deadline(&format!("{scheme:?} D = 2 record"), move || {
+                let ctxs = [s.register_thread(0), s.register_thread(1)];
+                let panics = |tid: usize, kind| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        ctxs[tid].gate(b, kind, || panic!("deliberate panic in a gated region"))
+                    }))
+                    .is_err()
+                };
+                ctxs[0].gate(a, AccessKind::Store, || ());
+                ctxs[0].gate(a, AccessKind::Store, || ());
+                assert!(panics(1, AccessKind::Critical));
+                ctxs[0].sync_point();
+                assert!(panics(0, AccessKind::Store));
+                // Both unwound gates released domain 1.
+                ctxs[1].gate(b, AccessKind::Store, || ());
+                ctxs[0].gate(a, AccessKind::Store, || ());
+            });
+            let report = session.finish().unwrap();
+            assert_eq!(report.stats.records_written, 6, "{scheme:?}");
+            let bundle = report.bundle.unwrap();
+            bundle.validate().unwrap();
+            // Both edges wait for domain 0's two stores. ST anchors at the
+            // shared stream's index, DC/DE at the thread's count in domain 1.
+            let anchors: Vec<_> = bundle
+                .edges
+                .iter()
+                .map(|e| (e.domain, e.thread, e.seq, e.waits.clone()))
+                .collect();
+            let seq0 = if scheme == Scheme::St { 1 } else { 0 };
+            assert_eq!(
+                anchors,
+                vec![(1, 0, seq0, vec![(0, 2)]), (1, 1, 0, vec![(0, 2)])],
+                "{scheme:?}"
+            );
         }
     }
 

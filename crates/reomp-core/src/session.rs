@@ -1959,9 +1959,9 @@ impl ThreadCtx {
         let session = &*self.session;
         match (session.mode, session.plan.route(site)) {
             (Mode::Record, Some(dom)) => {
-                let outer = gate::record_in(session, dom, self.tid);
+                let (drec, outer) = gate::record_in(session, dom, self.tid);
                 Ok(gate::exit_after(f, || {
-                    gate::record_out(session, dom, self.tid, site, addr, kind, outer)
+                    gate::record_out(session, drec, dom, self.tid, (site, addr, kind), outer)
                 }))
             }
             (Mode::Replay, Some(dom)) => {
